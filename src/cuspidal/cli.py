@@ -6,26 +6,26 @@ Subcommands:
   glue enum|roots    isotropic glue enumeration / root systems
   verify table1|example-c12   fixture-driven checks for CI
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 internal error (a broken invariant of this package, never the input).
 Reports are canonical JSON (sorted keys) or Markdown; identical inputs
-produce byte-identical output.  CUSPIDAL_THREADS caps sweep parallelism.
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cusps, fqf, glue
-from .errors import CuspidalError
+from .errors import BadParameter, CuspidalError, InternalError
 from .lattice import load_lattice
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _dump_json(obj) -> str:
@@ -38,13 +38,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CUSPIDAL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _md_table(headers, rows) -> str:
@@ -115,7 +108,20 @@ def _cmd_cusp_zero(args) -> int:
 
 def _load_candidates(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise BadParameter(f"candidates file does not parse: {exc}") from None
+    if not isinstance(data, list) or not all(
+        isinstance(row, dict)
+        and isinstance(row.get("roots"), str)
+        and _is_int_rows(row.get("glue", []))
+        for row in data
+    ):
+        raise BadParameter(
+            'candidates file must be a list of objects with a "roots" string '
+            'and optional "glue" rows of integers'
+        )
     out = []
     for row in data:
         out.append(
@@ -128,6 +134,12 @@ def _load_candidates(path: str):
     return out
 
 
+def _is_int_rows(rows) -> bool:
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in rows
+    )
+
+
 def _cmd_cusp_one(args) -> int:
     case = _case(args)
     candidates = _load_candidates(args.candidates) if args.candidates else None
@@ -137,11 +149,12 @@ def _cmd_cusp_one(args) -> int:
         _emit(_dump_json(obj), args.out)
     else:
         rows = [
-            (r["roots"], r["genus_ok"], r["o_ae"], r["im_tau"], r["classes"])
+            (r["roots"], r["genus_ok"], r["roots_ok"], r["o_ae"], r["im_tau"],
+             r["classes"])
             for r in obj["one_dim"]["candidates"]
         ]
-        text = _md_table(["R(E)", "genus_ok", "|O(A_E)|", "|Im tau| (conditional)",
-                          "classes"], rows)
+        text = _md_table(["R(E)", "genus_ok", "roots_ok", "|O(A_E)|",
+                          "|Im tau| (conditional)", "classes"], rows)
         text += f"\ntotal (conditional): {obj['one_dim']['total']}\n"
         _emit(text, args.out)
     bad = [r for r in report.one_dim if not r.ok]
@@ -180,12 +193,7 @@ def _cmd_cusp_sweep(args) -> int:
             "agree": r.agree,
         }
 
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, ds))
-    else:
-        rows = [run_one(d) for d in ds]
+    rows = [run_one(d) for d in ds]
     mismatches = [r for r in rows if not r["agree"]]
     if args.format == "json":
         _emit(_dump_json({"rows": rows, "mismatches": len(mismatches)}), args.out)
@@ -404,6 +412,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except CuspidalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,9 +31,10 @@ from .errors import (
     BadIndex,
     BadParameter,
     HypothesisFailed,
+    InternalError,
     NotSquareFree,
 )
-from .exact import IntMatrix, smith_normal_form
+from .exact import IntMatrix
 from . import fqf
 from . import glue as glue_mod
 from .fqf import FiniteQuadraticForm, FqfSubgroup, discriminant_form, trivial_form
@@ -168,25 +169,25 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
         expected_div = 2
 
     if h.norm != 2 * d:
-        raise AssertionError("polarization square is not 2d")
+        raise InternalError("polarization square is not 2d")
     if divisibility(h) != expected_div:
-        raise AssertionError("polarization divisibility mismatch")
+        raise InternalError("polarization divisibility mismatch")
     sub = Sublattice(L, rows)
     for b in sub.basis():
         if b.dot(h) != 0:
-            raise AssertionError("complement basis is not orthogonal to h")
+            raise InternalError("complement basis is not orthogonal to h")
     if not sub.is_primitive():
-        raise AssertionError("complement basis is not primitive")
+        raise InternalError("complement basis is not primitive")
     gram = sub.lattice.gram
     if case.split:
         if gram.data[0][0] != -2 * d or gram.data[n - 2][n - 2] != -2:
-            raise AssertionError("distinguished generators have wrong norms")
+            raise InternalError("distinguished generators have wrong norms")
     else:
         if not rank2_isometric(
             Lattice([[gram.data[0][0], gram.data[0][1]], [gram.data[1][0], gram.data[1][1]]]),
             make_standard("B", d),
         ):
-            raise AssertionError("B_d block mismatch")
+            raise InternalError("B_d block mismatch")
     form = discriminant_form(sub.lattice)
     rank_n = sub.rank
     if case.split:
@@ -289,16 +290,16 @@ def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
                 continue
             x = _element_of_order(model, m, n)
             if form.q(x) != 0:
-                raise AssertionError(f"x_({m},{n}) is not isotropic")
+                raise InternalError(f"x_({m},{n}) is not isotropic")
             if form.order_of(x) != m:
-                raise AssertionError(f"x_({m},{n}) does not have order {m}")
+                raise InternalError(f"x_({m},{n}) does not have order {m}")
             reps.append(OrbitRep(m, n, x))
     canon = sorted(min(r.element, form.neg(r.element)) for r in reps)
     brute = fqf.mod_pm1(form, fqf.isotropic_elements(form, bound))
     if canon != sorted(brute):
-        raise AssertionError("orbit representatives do not exhaust the isotropic classes")
+        raise InternalError("orbit representatives do not exhaust the isotropic classes")
     if len(set(canon)) != len(reps):
-        raise AssertionError("orbit representatives collide")
+        raise InternalError("orbit representatives collide")
     return sorted(reps, key=lambda r: (r.m, r.n))
 
 
@@ -504,7 +505,8 @@ class CuspReport:
                 rows.append(
                     {
                         "roots": row.computed_roots or row.candidate.roots,
-                        "genus_ok": row.ok,
+                        "genus_ok": row.genus_ok,
+                        "roots_ok": row.roots_ok,
                         "o_ae": row.o_ae,
                         "im_tau": row.im_tau,
                         "classes": row.classes,

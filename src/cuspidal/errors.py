@@ -91,5 +91,7 @@ class NotSquareFree(CuspidalError):
     pass
 
 
-class CandidateRejected(CuspidalError):
+# broken internal invariants (a defect of this package, not of the input)
+
+class InternalError(CuspidalError):
     pass

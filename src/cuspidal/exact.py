@@ -69,9 +69,6 @@ class IntMatrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.data == other.data
 
@@ -119,6 +116,10 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.data)
+
+    def bilinear(self, x, y):
+        """x^t M y; entries may be ints or Fractions."""
+        return sum(a * b for a, b in zip(x, self.apply(y)))
 
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import GroupTooLarge, NotIsotropic, OddLattice
+from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
     IntMatrix,
     hnf_rows,
@@ -140,9 +140,6 @@ class FiniteQuadraticForm:
                         total += a * c * self.bmat[i][j]
         return _mod1(total)
 
-    def is_isotropic(self, x) -> bool:
-        return self.q(x) == 0
-
     # equality is structural: same presentation, not mere isometry
     def __eq__(self, other):
         return (
@@ -164,12 +161,11 @@ class FiniteQuadraticForm:
     def lift(self, x):
         """Rational dual-vector representative in the source lattice, if any."""
         src = self.source
-        if src is None or src[0] != "lattice":
+        if not isinstance(src, LatticeSource):
             raise ValueError("form has no lattice provenance")
-        lifts = src[2]
-        n = len(lifts[0]) if lifts else src[1].rank
+        n = src.lattice.rank
         out = [Fraction(0)] * n
-        for a, vec in zip(self.reduce(x), lifts):
+        for a, vec in zip(self.reduce(x), src.lifts):
             if a:
                 for i in range(n):
                     out[i] += a * vec[i]
@@ -178,21 +174,38 @@ class FiniteQuadraticForm:
     def class_of(self, coords) -> tuple:
         """Class in this form of a rational vector lying in the dual lattice."""
         src = self.source
-        if src is None or src[0] != "lattice":
+        if not isinstance(src, LatticeSource):
             raise ValueError("form has no lattice provenance")
-        lattice = src[1]
-        umat = src[3]
-        kept = src[4]
-        pairings = lattice.gram.apply(coords)
+        pairings = src.lattice.gram.apply(coords)
         ints = []
         for x in pairings:
             f = Fraction(x)
             if f.denominator != 1:
                 raise ValueError("vector is not in the dual lattice")
             ints.append(int(f))
-        y = umat.apply(ints)
-        full_orders = src[5]
-        return tuple(y[i] % full_orders[i] for i in kept)
+        y = src.left.apply(ints)
+        return tuple(y[i] % src.invariants[i] for i in src.kept)
+
+
+@dataclass(frozen=True)
+class LatticeSource:
+    """Provenance of A_L = L*/L: how its generators sit in the lattice L."""
+
+    lattice: object  # the Lattice L
+    lifts: tuple  # dual vectors lifting the generators, rational L coordinates
+    left: IntMatrix  # Smith left transform U of the Gram matrix
+    kept: tuple  # Smith positions with invariant factor > 1, one per generator
+    invariants: tuple  # all Smith invariant factors of the Gram matrix
+
+
+@dataclass(frozen=True)
+class QuotientSource:
+    """Provenance of H^perp/H: how its generators sit in the parent form."""
+
+    parent: FiniteQuadraticForm
+    rows: _RowQuotient  # H^perp modulo H as a quotient of row lattices
+    kept: tuple  # quotient positions with order > 1, one per generator
+    generator_lifts: tuple  # parent elements of H^perp lifting the generators
 
 
 def discriminant_form(lattice) -> FiniteQuadraticForm:
@@ -213,18 +226,14 @@ def discriminant_form(lattice) -> FiniteQuadraticForm:
         )
         lifts.append(vec)
 
-    def form_value(x, y):
-        g = gram.data
-        return sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
-
     orders = tuple(snf.diag[i] for i in kept)
-    qdiag = [_mod2(form_value(v, v)) for v in lifts]
+    qdiag = [_mod2(gram.bilinear(v, v)) for v in lifts]
     r = len(kept)
     bmat = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
-            bmat[i][j] = _mod1(form_value(lifts[i], lifts[j]))
-    source = ("lattice", lattice, tuple(lifts), snf.left, tuple(kept), snf.diag)
+            bmat[i][j] = _mod1(gram.bilinear(lifts[i], lifts[j]))
+    source = LatticeSource(lattice, tuple(lifts), snf.left, tuple(kept), snf.diag)
     return FiniteQuadraticForm(orders, qdiag, bmat, source=source)
 
 
@@ -343,11 +352,11 @@ class FqfSubgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, x) -> bool:
-        return self.form.reduce(x) in set(self.elements)
-
 
 def subgroup_span(form: FiniteQuadraticForm, gens) -> FqfSubgroup:
+    gens = list(gens)
+    if any(len(g) != form.rank for g in gens):
+        raise BadParameter(f"subgroup generators need {form.rank} coordinates")
     gens = [form.reduce(g) for g in gens]
     elems = {form.zero}
     frontier = [form.zero]
@@ -478,21 +487,20 @@ def perp_quotient(
     gen_elems = [form.reduce(rq.generator_rows.data[i]) for i in kept]
     expected = form.cardinality // (subgroup.order ** 2)
     if prod(orders) != expected:
-        raise AssertionError("perp quotient order mismatch")
+        raise InternalError("perp quotient order mismatch")
     qd = [form.q(x) for x in gen_elems]
     bm = [[form.b(x, y) for y in gen_elems] for x in gen_elems]
-    source = ("quotient", form, subgroup, rq, tuple(kept))
+    source = QuotientSource(form, rq, tuple(kept), tuple(gen_elems))
     return FiniteQuadraticForm(orders, qd, bm, source=source)
 
 
 def project_to_quotient(quotient: FiniteQuadraticForm, x) -> tuple:
     """Class in H^perp/H of an element x of H^perp in the parent form."""
     src = quotient.source
-    if src is None or src[0] != "quotient":
+    if not isinstance(src, QuotientSource):
         raise ValueError("form is not a perp quotient")
-    _, parent, subgroup, rq, kept = src
-    coords = rq.class_coords(list(parent.reduce(x)))
-    return tuple(coords[i] for i in kept)
+    coords = src.rows.class_coords(list(src.parent.reduce(x)))
+    return tuple(coords[i] for i in src.kept)
 
 
 def _unit(n, i):

@@ -27,14 +27,16 @@ from math import isqrt, lcm
 
 from .errors import (
     BadParameter,
+    InternalError,
     NonIntegralGlue,
     NotIsotropic,
     NotNegativeDefinite,
     RootsNotFullRank,
 )
-from .exact import IntMatrix, hnf_rows, lll_reduce
+from .exact import IntMatrix, hnf_rows, lll_reduce, rational_inverse
 from .fqf import (
     FiniteQuadraticForm,
+    QuotientSource,
     apply_map,
     compose_maps,
     discriminant_form,
@@ -130,7 +132,6 @@ def make_glue(spec: str, glue_gens=()) -> GlueData:
 class Overlattice:
     glue: GlueData
     lattice: Lattice
-    basis_in_base: tuple  # rows of Fractions: overlattice basis in R coords
     base_in_overlattice: IntMatrix  # rows: R basis in overlattice coords
 
 
@@ -146,55 +147,26 @@ def overlattice(gd: GlueData) -> Overlattice:
         for x in row:
             den = lcm(den, Fraction(x).denominator)
     int_rows = [[int(x * den) for x in row] for row in rows]
-    basis = hnf_rows(int_rows)
-    if len(basis) != n:
+    # B = den * (overlattice basis in R coordinates), an integer matrix
+    basis = IntMatrix(hnf_rows(int_rows))
+    if basis.rows != n:
         raise NonIntegralGlue("glue lifts do not span a finite-index overlattice")
-    brows = [[Fraction(x, den) for x in row] for row in basis]
-    gram = [
-        [
-            sum(
-                brows[i][a] * base.gram.data[a][b] * brows[j][b]
-                for a in range(n)
-                for b in range(n)
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j].denominator != 1:
-                raise NonIntegralGlue("glue produces non-integral pairings")
-        if int(gram[i][i]) % 2:
+    scaled = basis @ base.gram @ basis.T
+    gram = []
+    for i, row in enumerate(scaled.data):
+        if any(x % (den * den) for x in row):
+            raise NonIntegralGlue("glue produces non-integral pairings")
+        gram.append([x // (den * den) for x in row])
+        if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
-    over = Lattice([[int(x) for x in row] for row in gram])
-    # base basis in overlattice coordinates: e_i = (row i of B^-1) . B
-    bmat_inv = _rat_inv(brows)
+    # base basis in overlattice coordinates: the rows of (B / den)^-1
     incl = []
-    for i in range(n):
-        row = bmat_inv[i]
+    for row in rational_inverse(basis):
+        row = [den * x for x in row]
         if any(x.denominator != 1 for x in row):
             raise NonIntegralGlue("base does not embed integrally")
-        incl.append([int(x) for x in row])
-    return Overlattice(gd, over, tuple(tuple(r) for r in brows), IntMatrix(incl))
-
-
-def _rat_inv(rows):
-    n = len(rows)
-    M = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for c in range(n):
-        p = next(i for i in range(c, n) if M[i][c] != 0)
-        M[c], M[p] = M[p], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
+        incl.append(row)
+    return Overlattice(gd, Lattice(gram), IntMatrix(incl))
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +312,11 @@ def root_system(L: Lattice) -> RootSystem:
         if not decomposable:
             simple.append(a)
 
-    g = L.gram
-    def pairing(a, b):
-        return sum(a[i] * g.data[i][j] * b[j] for i in range(L.rank) for j in range(L.rank))
-
     m = len(simple)
     adj = {i: [] for i in range(m)}
     for i in range(m):
         for j in range(i + 1, m):
-            if pairing(simple[i], simple[j]) != 0:
+            if L.gram.bilinear(simple[i], simple[j]) != 0:
                 adj[i].append(j)
                 adj[j].append(i)
 
@@ -374,7 +342,7 @@ def root_system(L: Lattice) -> RootSystem:
         out.append(_classify_component(nodes, adj))
     total = sum(_ROOT_COUNTS[letter](rank) for letter, rank in out)
     if total != 2 * len(pos):
-        raise AssertionError("root component counts do not match the enumeration")
+        raise InternalError("root component counts do not match the enumeration")
     return RootSystem(tuple(sorted(out)), total)
 
 
@@ -407,7 +375,7 @@ def _classify_component(nodes, adj) -> tuple:
             return ("E", 7)
         if arms == [1, 2, 4]:
             return ("E", 8)
-    raise AssertionError("component is not a simply-laced Dynkin diagram")
+    raise InternalError("component is not a simply-laced Dynkin diagram")
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +496,17 @@ def image_of_tau(gd: GlueData, quotient: FiniteQuadraticForm | None = None) -> T
         for f in group
         if {apply_map(disc, f, h) for h in glue_set} == glue_set
     ]
-    gen_lifts = _quotient_generator_lifts(quotient)
+    if not isinstance(quotient.source, QuotientSource):
+        raise BadParameter("form is not a perp quotient")
     induced = set()
     for f in stab:
         images = tuple(
-            project_to_quotient(quotient, apply_map(disc, f, z)) for z in gen_lifts
+            project_to_quotient(quotient, apply_map(disc, f, z))
+            for z in quotient.source.generator_lifts
         )
         induced.add(images)
     for f in induced:
         for x in quotient.elements():
             if quotient.q(apply_map(quotient, f, x)) != quotient.q(x):
-                raise AssertionError("induced map does not preserve q")
+                raise InternalError("induced map does not preserve q")
     return TauImage(quotient, tuple(sorted(induced)), True, _TAU_NOTE)
-
-
-def _quotient_generator_lifts(quotient: FiniteQuadraticForm) -> list:
-    src = quotient.source
-    if src is None or src[0] != "quotient":
-        raise BadParameter("form is not a perp quotient")
-    _, parent, _, rq, kept = src
-    return [parent.reduce(rq.generator_rows.data[i]) for i in kept]

@@ -16,6 +16,7 @@ over Q.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,13 +161,7 @@ def pair(v: LatticeVector, w: LatticeVector):
     """Bilinear pairing v^t G w through the home Gram matrix."""
     if v.home != w.home:
         raise MixedLattices("vectors live in different lattices")
-    g = v.home.gram.data
-    total = 0
-    for i, a in enumerate(v.coords):
-        if a:
-            row = g[i]
-            total += a * sum(row[j] * b for j, b in enumerate(w.coords) if b)
-    return _as_exact(Fraction(total)) if isinstance(total, Fraction) else total
+    return _as_exact(v.home.gram.bilinear(v.coords, w.coords))
 
 
 def divisibility(v: LatticeVector) -> int:
@@ -312,30 +307,8 @@ class Sublattice:
                     out[j] += c * row[j]
         return LatticeVector(self.ambient, out)
 
-    def coefficients_of(self, v: LatticeVector):
-        """Coefficients on the sublattice basis, or None if v is outside the span."""
-        if v.home != self.ambient:
-            raise MixedLattices("vector lives in a different ambient lattice")
-        sol = solve_rational(self.basis_matrix.T, v.coords)
-        if sol is None:
-            return None
-        if self.embed(sol).coords != v.coords:
-            return None
-        return sol
-
     def is_primitive(self) -> bool:
         return all(d == 1 for d in smith_normal_form(self.basis_matrix).diag)
-
-
-def span_sublattice(L: Lattice, vectors) -> Sublattice:
-    rows = []
-    for v in vectors:
-        if v.home != L:
-            raise MixedLattices("vector lives in a different lattice")
-        if not v.is_integral:
-            raise BadParameter("sublattice generators must be integral")
-        rows.append(v.coords)
-    return Sublattice(L, rows)
 
 
 def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
@@ -453,30 +426,23 @@ def reflection(L: Lattice, v: LatticeVector) -> Isometry:
     """Reflection in a vector of nonzero norm; must map L to itself."""
     if v.home != L:
         raise MixedLattices("vector lives in a different lattice")
-    nv = v.norm
-    if nv == 0:
+    if v.norm == 0:
         raise BadParameter("cannot reflect in an isotropic vector")
-    n = L.rank
-    cols = []
-    for j in range(n):
-        e = L.basis_vector(j)
-        c = Fraction(2 * pair(e, v), nv)
-        col = [Fraction(e.coords[i]) - c * v.coords[i] for i in range(n)]
-        if any(x.denominator != 1 for x in map(Fraction, col)):
-            raise NotIsometry("reflection does not preserve the lattice")
-        cols.append([int(x) for x in col])
-    return Isometry(L, IntMatrix(cols).T)
+    rows = _reflection_matrix(L.gram, v.coords)
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise NotIsometry("reflection does not preserve the lattice")
+    return Isometry(L, IntMatrix(rows))
+
+
+def _reflection_matrix(gram: IntMatrix, v) -> list:
+    """Rows of I - 2 v (G v)^t / (v^t G v), the reflection in v over Q."""
+    gv = gram.apply(v)
+    c = Fraction(2) / gram.bilinear(v, v)
+    return [[int(i == j) - c * a * b for j, b in enumerate(gv)] for i, a in enumerate(v)]
 
 
 def _rat_apply(mat, vec):
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
-
-
-def _form_value(L, x, y):
-    g = L.gram.data
-    return sum(
-        x[i] * g[i][j] * y[j] for i in range(len(x)) for j in range(len(y))
-    )
 
 
 def reflection_factorization(g: Isometry):
@@ -487,21 +453,11 @@ def reflection_factorization(g: Isometry):
     The isotropic pitfall (g(x) - x of norm zero) falls back to the
     standard two-reflection step via g(x) + x.
     """
-    L = g.domain
-    n = L.rank
+    G = g.domain.gram
+    n = G.rows
     h = [[Fraction(x) for x in row] for row in g.matrix.data]
     basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     refs = []
-
-    def reflect_matrix(v):
-        nv = _form_value(L, v, v)
-        cols = []
-        for j in range(n):
-            e = tuple(Fraction(int(i == j)) for i in range(n))
-            c = Fraction(2 * _form_value(L, e, v), nv)
-            cols.append([e[i] - c * v[i] for i in range(n)])
-        # columns -> matrix rows
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def mat_mul(a, b):
         bt = list(zip(*b))
@@ -516,29 +472,29 @@ def reflection_factorization(g: Isometry):
         if not moved:
             break
         # pick an anisotropic x in the current invariant subspace
-        x = next((b for b in basis if _form_value(L, b, b) != 0), None)
+        x = next((b for b in basis if G.bilinear(b, b) != 0), None)
         if x is None:
             px = next(
                 (b1, b2)
                 for i, b1 in enumerate(basis)
                 for b2 in basis[i + 1:]
-                if _form_value(L, b1, b2) != 0
+                if G.bilinear(b1, b2) != 0
             )
             x = tuple(a + b for a, b in zip(*px))
         hx = _rat_apply(h, x)
         if hx != x:
             v = tuple(a - b for a, b in zip(hx, x))
-            if _form_value(L, v, v) != 0:
+            if G.bilinear(v, v) != 0:
                 refs.append(v)
-                h = mat_mul(reflect_matrix(v), h)
+                h = mat_mul(_reflection_matrix(G, v), h)
             else:
                 w = tuple(a + b for a, b in zip(hx, x))
                 # (g(x)+x)^2 = 4 x^2 != 0 whenever (g(x)-x)^2 = 0 and x^2 != 0
                 refs.append(w)
                 refs.append(x)
-                h = mat_mul(reflect_matrix(x), mat_mul(reflect_matrix(w), h))
+                h = mat_mul(_reflection_matrix(G, x), mat_mul(_reflection_matrix(G, w), h))
         # restrict to x-perp inside the current subspace
-        vals = [_form_value(L, b, x) for b in basis]
+        vals = [G.bilinear(b, x) for b in basis]
         i0 = next(i for i, val in enumerate(vals) if val != 0)
         new_basis = []
         for i, b in enumerate(basis):
@@ -554,7 +510,7 @@ def spinor_norm(g: Isometry) -> int:
     """Real spinor norm: product of signs of -v^2/2 over a reflection factorization."""
     sn = 1
     for v in reflection_factorization(g):
-        if _form_value(g.domain, v, v) > 0:
+        if g.domain.gram.bilinear(v, v) > 0:
             sn = -sn
     return sn
 
@@ -702,11 +658,24 @@ def lattice_to_json(L: Lattice) -> str:
 
 
 def lattice_from_json(text: str) -> Lattice:
-    obj = json.loads(text)
-    gram = obj["gram"]
+    """Lattice from {"gram": [[...], ...]} with optional "rank" and "labels"."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise BadParameter(f"lattice JSON does not parse: {exc}") from None
+    gram = obj.get("gram") if isinstance(obj, dict) else None
+    if not isinstance(gram, list) or not all(
+        isinstance(row, list) and len(row) == len(gram)
+        and all(type(x) is int for x in row)
+        for row in gram
+    ):
+        raise BadParameter('lattice JSON needs a square integer matrix "gram"')
     if len(gram) != obj.get("rank", len(gram)):
         raise BadParameter("rank does not match gram size")
-    return Lattice(gram, labels=obj.get("labels"))
+    labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise BadParameter('lattice JSON "labels" must be a list')
+    return Lattice(gram, labels=labels)
 
 
 def load_lattice(spec: str) -> Lattice:
@@ -717,5 +686,10 @@ def load_lattice(spec: str) -> Lattice:
     try:
         return parse_name(s)
     except BadParameter:
+        if not os.path.exists(s):
+            raise
+    try:
         with open(s, "r", encoding="utf-8") as fh:
             return lattice_from_json(fh.read())
+    except UnicodeDecodeError:
+        raise BadParameter(f"{s!r} is not a UTF-8 text file") from None

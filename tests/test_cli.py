@@ -161,3 +161,78 @@ class TestCandidatesFile:
         assert code == 1
         obj = json.loads(out)
         assert obj["one_dim"]["candidates"][0]["genus_ok"] is False
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv, candidates, message",
+        [
+            (["lat", "info", "{bad"], None, "does not parse"),
+            (["lat", "info", '{"rank":2}'], None, '"gram"'),
+            (["lat", "info", '{"gram":[[2,1],[1]]}'], None, '"gram"'),
+            (["lat", "info", '{"gram":[[1,2],[2,"x"]]}'], None, '"gram"'),
+            (["lat", "info", "E9"], None, "cannot parse lattice term 'E9'"),
+            (["lat", "disc", "<-3>"], None, "rank1(n) requires a nonzero even integer"),
+            (["cusp", "one", "--d", "1"], [{}], "candidates file"),
+            (["cusp", "one", "--d", "1"], {"roots": "D18"}, "candidates file"),
+            (["cusp", "one", "--d", "1"], [{"roots": "E7+D10+A1", "glue": [[1]]}],
+             "need 4 coordinates"),
+        ],
+    )
+    def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
+        if candidates is not None:
+            path = tmp_path / "cands.json"
+            path.write_text(json.dumps(candidates))
+            argv = argv + ["--candidates", str(path)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_broken_invariant_exits_three(self, capsys, monkeypatch):
+        from cuspidal import cusps
+
+        # every orbit representative becomes the non-isotropic class of t/2d
+        monkeypatch.setattr(cusps, "_element_of_order", lambda model, m, n: model.t_class)
+        code = run(["cusp", "zero", "--d", "4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestCuspOneFlags:
+    def test_genus_and_roots_reported_separately(self, capsys, tmp_path):
+        # E7+D10+A1 glued by (1,0,0,1) is E8+D10: right genus, wrong roots
+        path = tmp_path / "cands.json"
+        path.write_text(json.dumps([{"roots": "E7+D10+A1", "glue": [[1, 0, 0, 1]]}]))
+        code, out = invoke(capsys, ["cusp", "one", "--d", "1", "--candidates", str(path)])
+        assert code == 1
+        row = json.loads(out)["one_dim"]["candidates"][0]
+        assert row["roots"] == "E8+D10"
+        assert row["genus_ok"] is True and row["roots_ok"] is False
+
+
+def test_cli_import_is_stdlib_only():
+    import os
+    import subprocess
+    import sys
+
+    import cuspidal
+
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import cuspidal.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cuspidal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    added = json.loads(out)
+    assert "concurrent.futures" not in added
+    allowed = sys.stdlib_module_names | {"cuspidal"}
+    assert [m for m in added if m.split(".")[0] not in allowed] == []

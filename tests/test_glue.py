@@ -62,6 +62,9 @@ class TestOverlattice:
                 # index of the base inside the overlattice equals |H|
                 incl = smith_normal_form(over.base_in_overlattice)
                 assert prod(incl.diag) == s.order
+                # the base Gram is recovered through the inclusion
+                M = over.base_in_overlattice
+                assert M @ over.lattice.gram @ M.T == gd0.base.gram
 
     def test_non_isotropic_rejected(self):
         gd0 = glue.make_glue("A1+A1")

@@ -234,8 +234,8 @@ class TestIsometries:
             for _ in range(random.randint(0, 4)):
                 g = g.compose(lat.reflection(L, random.choice(cands)))
             refs = lat.reflection_factorization(g)
-            acc = lat.Isometry.identity(L)
-            mat = [[Fraction(int(i == j)) for j in range(L.rank)] for i in range(L.rank)]
+            n = L.rank
+            mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
             for v in refs:
                 nv = sum(
                     v[i] * L.gram.data[i][j] * v[j]
@@ -243,6 +243,13 @@ class TestIsometries:
                     for j in range(L.rank)
                 )
                 assert nv != 0
+                # mat <- mat o rho_v, rho_v(x) = x - 2 (x, v) / (v, v) v
+                gv = [sum(L.gram.data[i][j] * v[j] for j in range(n)) for i in range(n)]
+                rho = [[int(i == j) - 2 * v[i] * gv[j] / nv for j in range(n)]
+                       for i in range(n)]
+                mat = [[sum(mat[i][k] * rho[k][j] for k in range(n)) for j in range(n)]
+                       for i in range(n)]
+            assert mat == [list(row) for row in g.matrix.data]
             assert lat.spinor_norm(g) in (1, -1)
             assert (-1) ** len(refs) == g.det
 
