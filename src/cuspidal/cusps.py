@@ -427,7 +427,9 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> O
         subgroups = [
             s for s in fqf.isotropic_subgroups(gd0.disc, bound) if s.order == h_order
         ]
-    fallback = None
+    # Im tau and O(q_E) are computed only for the glue whose row is returned:
+    # the first with the declared root system, else the last genus match
+    chosen = None
     for s in subgroups:
         quotient = fqf.perp_quotient(gd0.disc, s)
         if not fqf.are_isometric(quotient, target_form, bound)[0]:
@@ -437,24 +439,24 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> O
         if over.lattice.signature != (0, 18):
             continue
         rs = glue_mod.root_system(over.lattice)
-        tau = glue_mod.image_of_tau(gd, quotient)
-        o_ae = len(fqf.orthogonal_group(tau.quotient_form, bound))
-        row = OneDimRow(
-            cand,
-            True,
-            rs.components == declared.components,
-            rs.spec_string(),
-            o_ae,
-            tau.size,
-            o_ae // tau.size,
-        )
-        if row.roots_ok:
-            return row
-        fallback = row
-    if fallback is not None:
-        return fallback
-    return OneDimRow(cand, False, False, None, None, None, None,
-                     "no isotropic glue realizes the target genus")
+        chosen = (gd, quotient, rs)
+        if rs.components == declared.components:
+            break
+    if chosen is None:
+        return OneDimRow(cand, False, False, None, None, None, None,
+                         "no isotropic glue realizes the target genus")
+    gd, quotient, rs = chosen
+    tau = glue_mod.image_of_tau(gd, quotient)
+    o_ae = len(fqf.orthogonal_group(tau.quotient_form, bound))
+    return OneDimRow(
+        cand,
+        True,
+        rs.components == declared.components,
+        rs.spec_string(),
+        o_ae,
+        tau.size,
+        o_ae // tau.size,
+    )
 
 
 def one_dim_cusps(

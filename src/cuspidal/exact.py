@@ -5,7 +5,8 @@ Everything here works with arbitrary-precision Python ints and
 Matrices are small (rank <= 24 in all callers), so the algorithms favour
 simplicity over asymptotics: Bareiss for determinants, textbook Smith
 normal form with transform matrices, congruence diagonalization for
-signatures, and exact Gram-matrix LLL at delta = 99/100.
+signatures, and integral LLL at delta = 99/100 on the leading minors
+and scaled Gram-Schmidt coefficients, with no Fraction inside.
 """
 
 from __future__ import annotations
@@ -328,30 +329,53 @@ def signature_of_symmetric(A: IntMatrix) -> tuple:
     return (pos, neg)
 
 
-def _gram_schmidt(gram):
-    """mu, norms from a Gram matrix, or None when not positive definite."""
+def _round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, ties to even, for b > 0.
+
+    Equals ``round(Fraction(a, b))`` without building the Fraction.
+    """
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
+def integral_gram_schmidt(gram) -> tuple:
+    """Integral Gram-Schmidt data of a positive definite Gram matrix.
+
+    Returns (d, lam): d[0] = 1 and d[i] is the i-th leading principal
+    minor, so the i-th Gram-Schmidt norm is d[i+1] / d[i]; for j < i,
+    lam[i][j] = d[j+1] * mu[i][j] is an integer (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7).  Raises
+    NotDefinite when some minor is not positive.
+    """
     n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = [Fraction(0)] * n
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        norms[i] = Fraction(gram[i][i])
-        for j in range(i):
-            v = Fraction(gram[i][j])
+        for j in range(i + 1):
+            u = gram[i][j]
             for k in range(j):
-                v -= mu[i][k] * mu[j][k] * norms[k]
-            mu[i][j] = v / norms[j]
-            norms[i] -= mu[i][j] ** 2 * norms[j]
-        if norms[i] <= 0:
-            return None
-    return mu, norms
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise NotDefinite("gram matrix is not definite")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_reduce(A: IntMatrix) -> tuple:
     """LLL-reduce the basis of a definite Gram matrix, delta = 99/100.
 
     Returns (reduced_gram, T) with T unimodular and reduced_gram = T^t A T,
-    both with the sign convention of the input.  Exact arithmetic
-    throughout; raises NotDefinite on indefinite or degenerate input.
+    both with the sign convention of the input.  Integral LLL on the
+    leading minors d and scaled coefficients lam of
+    ``integral_gram_schmidt``: full size reduction of b_k, then the
+    Lovasz test d[k+1] d[k-1] + lam[k][k-1]^2 >= delta d[k]^2; a swap
+    updates d and lam in place (Cohen, Alg. 2.6.7, SWAPI).  Raises
+    NotDefinite on indefinite or degenerate input.
     """
     if not A.is_symmetric():
         raise ValueError("matrix is not symmetric")
@@ -359,44 +383,39 @@ def lll_reduce(A: IntMatrix) -> tuple:
     if n == 0:
         return A, IntMatrix.identity(0)
     neg = A.data[0][0] < 0
-    G = [list(r) for r in (-A if neg else A).data]
+    d, lam = integral_gram_schmidt((-A if neg else A).data)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]  # rows = coeffs
-
-    gs = _gram_schmidt(G)
-    if gs is None:
-        raise NotDefinite("gram matrix is not definite")
-    mu, norms = gs
-
-    def translate(k, j, q):
-        # b_k <- b_k - q b_j; update basis, G and mu in place
-        basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-        for c in range(n):
-            G[k][c] -= q * G[j][c]
-        for r in range(n):
-            G[r][k] -= q * G[r][j] if r != k else 0
-        G[k][k] -= q * G[k][j]
-        for c in range(j):
-            mu[k][c] -= q * mu[j][c]
-        mu[k][j] -= q
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     k = 1
     while k < n:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _round_div(lam_k[j], d[j + 1])
             if q:
-                translate(k, j, q)
-        if norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+                # b_k <- b_k - q b_j
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                lam_j = lam[j]
+                for c in range(j):
+                    lam_k[c] -= q * lam_j[c]
+                lam_k[j] -= q * d[j + 1]
+        lk = lam_k[k - 1]
+        if den * (d[k + 1] * d[k - 1] + lk * lk) >= num * d[k] * d[k]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            G[k], G[k - 1] = G[k - 1], G[k]
-            for row in G:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            gs = _gram_schmidt(G)
-            if gs is None:
-                raise NotDefinite("gram matrix is not definite")
-            mu, norms = gs
-            k = max(k - 1, 1)
+            continue
+        # swap b_{k-1} and b_k; lam[k][k-1] keeps its value
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        lam_k1 = lam[k - 1]
+        for j in range(k - 1):
+            lam_k[j], lam_k1[j] = lam_k1[j], lam_k[j]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            lam_i = lam[i]
+            t = lam_i[k]
+            lam_i[k] = (d[k + 1] * lam_i[k - 1] - lk * t) // d[k]
+            lam_i[k - 1] = (b * t + lk * lam_i[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
 
     T = IntMatrix(basis).transpose()
     red = T.T @ A @ T

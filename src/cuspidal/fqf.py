@@ -308,27 +308,30 @@ class _RowQuotient:
 
     def class_coords(self, row) -> tuple:
         """Coordinates of an ambient-lattice row modulo the sublattice."""
-        y = [
-            sum(Fraction(row[k]) * self._pinv[k][j] for k in range(len(row)))
-            for j in range(len(row))
-        ]
-        if any(x.denominator != 1 for x in y):
-            raise ValueError("row is not in the ambient row lattice")
-        y = [int(x) for x in y]
+        y = _coords_in_rows(self._pinv, row, "row is not in the ambient row lattice")
         z = self.vmat.T.apply(y)  # row-vector times V
         return tuple(int(a) % d for a, d in zip(z, self.orders))
+
+
+def _coords_in_rows(pinv, row, message: str) -> list:
+    """Integer y with y @ P = row, given pinv = P^-1; ValueError otherwise."""
+    y = [
+        sum(Fraction(row[k]) * pinv[k][j] for k in range(len(row)))
+        for j in range(len(row))
+    ]
+    if any(x.denominator != 1 for x in y):
+        raise ValueError(message)
+    return [int(x) for x in y]
 
 
 def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
     """Quotient of the row lattice of P by the row lattice of sub_rows."""
     pinv = rational_inverse(P)
     n = P.rows
-    srows = []
-    for row in sub_rows.data:
-        y = [sum(Fraction(row[k]) * pinv[k][j] for k in range(n)) for j in range(n)]
-        if any(x.denominator != 1 for x in y):
-            raise ValueError("sublattice is not contained in the ambient lattice")
-        srows.append([int(x) for x in y])
+    srows = [
+        _coords_in_rows(pinv, row, "sublattice is not contained in the ambient lattice")
+        for row in sub_rows.data
+    ]
     s = IntMatrix(hnf_rows(srows))
     if s.rows != n:
         raise ValueError("sublattice must have finite index")

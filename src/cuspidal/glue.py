@@ -4,10 +4,12 @@ An isotropic subgroup H of the discriminant form of an even lattice R
 determines the even overlattice L_H, the preimage of H in R*; its
 discriminant form is H^perp/H (Brieskorn) and det L_H = det R / |H|^2.
 
-Root enumeration uses exact Fincke-Pohst: LLL preconditioning, then a
-depth-first search with rational quadratic-completion bounds.  Norm -2
-vectors of a negative definite lattice always form an ADE root system;
-components are classified by the shape of their simple-root graph.
+Root enumeration uses exact Fincke-Pohst on integers: LLL
+preconditioning, then a depth-first search whose remaining norm is
+scaled by lcm(d[i] d[i+1]) over the leading minors d, so each coordinate
+bound is the isqrt of an integer quotient.  Norm -2 vectors of a
+negative definite lattice always form an ADE root system; components are
+classified by the shape of their simple-root graph.
 
 The image of O(E) in O(A_E) is generated, for overlattices with full
 root rank, by diagram automorphisms, permutations of isomorphic
@@ -33,7 +35,13 @@ from .errors import (
     NotNegativeDefinite,
     RootsNotFullRank,
 )
-from .exact import IntMatrix, hnf_rows, lll_reduce, rational_inverse
+from .exact import (
+    IntMatrix,
+    hnf_rows,
+    integral_gram_schmidt,
+    lll_reduce,
+    rational_inverse,
+)
 from .fqf import (
     FiniteQuadraticForm,
     QuotientSource,
@@ -170,19 +178,7 @@ def overlattice(gd: GlueData) -> Overlattice:
 
 
 # ---------------------------------------------------------------------------
-# short vectors (exact Fincke-Pohst)
-
-
-def _floor_add_sqrt(f: Fraction, r: Fraction) -> int:
-    """floor(f + sqrt(r)) with exact arithmetic, r >= 0."""
-    sf = isqrt(r.numerator * r.denominator) // r.denominator
-    k = (f.numerator // f.denominator) + sf
-    while True:
-        t = (k + 1) - f
-        if t <= 0 or t * t <= r:
-            k += 1
-        else:
-            return k
+# short vectors (integer Fincke-Pohst)
 
 
 def short_vectors(L: Lattice, norm: int) -> list:
@@ -199,42 +195,32 @@ def short_vectors(L: Lattice, norm: int) -> list:
     if norm % 2 and L.even:
         return []
     red, T = lll_reduce(L.gram)
-    target = Fraction(-norm)
-    # quadratic completion of the positive definite flip of red
-    M = [[Fraction(-red.data[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    mcoef = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = M[i][i]
-        row_i = list(M[i])
-        for j in range(i + 1, n):
-            mcoef[i][j] = row_i[j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                M[k][l] -= row_i[k] * row_i[l] / d[i]
-                M[l][k] = M[k][l]
+    # -red(x) = sum_i (d[i+1] / d[i]) (x_i + C_i / d[i+1])^2 with the integer
+    # C_i = sum_{j > i} lam[j][i] x_j; times common = lcm(d[i] d[i+1]), term i
+    # is scale[i] (d[i+1] x_i + C_i)^2 with scale[i] = common / (d[i] d[i+1])
+    d, lam = integral_gram_schmidt((-red).data)
+    common = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    scale = [common // (d[i] * d[i + 1]) for i in range(n)]
 
     sols = []
     x = [0] * n
 
-    def dfs(i: int, rem: Fraction):
+    def dfs(i: int, rem: int):
         if i < 0:
             if rem == 0:
                 sols.append(tuple(x))
             return
-        c = sum(mcoef[i][j] * x[j] for j in range(i + 1, n))
-        bound = rem / d[i]
-        hi = _floor_add_sqrt(-c, bound)
-        lo = -_floor_add_sqrt(c, bound)
-        for xi in range(lo, hi + 1):
+        c = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        di, si = d[i + 1], scale[i]
+        r = isqrt(rem // si)
+        # all x_i with |d[i+1] x_i + c| <= r
+        for xi in range(-((r + c) // di), (r - c) // di + 1):
             x[i] = xi
-            t = xi + c
-            rem2 = rem - d[i] * t * t
-            if rem2 >= 0:
-                dfs(i - 1, rem2)
+            y = di * xi + c
+            dfs(i - 1, rem - si * y * y)
         x[i] = 0
 
-    dfs(n - 1, target)
+    dfs(n - 1, -norm * common)
     out = []
     seen = set()
     for s in sols:

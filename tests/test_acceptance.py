@@ -8,6 +8,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,11 +123,31 @@ def test_criterion_5_brieskorn_square():
 # criterion 6 and 8: Table 1 and the conditional Im tau bookkeeping
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
 @pytest.fixture(scope="module")
-def table1(tmp_path_factory):
+def table1_output(tmp_path_factory):
     out = tmp_path_factory.mktemp("t1") / "table1.json"
     code = run(["verify", "table1", "--format", "json", "--out", str(out)])
-    return code, json.loads(out.read_text())
+    return code, out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def table1(table1_output):
+    code, raw = table1_output
+    return code, json.loads(raw)
+
+
+def test_table1_json_is_byte_identical_to_golden(table1_output):
+    code, raw = table1_output
+    assert code == 0
+    assert raw == (GOLDEN / "table1.json").read_bytes()
+
+
+def test_table1_md_is_byte_identical_to_golden(capsys):
+    assert run(["verify", "table1", "--format", "md"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "table1.md").read_text(encoding="utf-8")
 
 
 def test_criterion_6_table1(table1):

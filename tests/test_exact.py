@@ -1,4 +1,7 @@
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from cuspidal.exact import (
     kernel_basis,
     lll_reduce,
     rational_inverse,
+    _round_div,
     signature_of_symmetric,
     smith_normal_form,
     solve_rational,
@@ -164,6 +168,67 @@ class TestLLL:
         assert red.det() == g.det()
         assert signature_of_symmetric(red) == signature_of_symmetric(g) == (0, n)
         assert tr.T @ g @ tr == red
+
+
+def definite_grams(n_max=5):
+    """Definite Gram matrices +-(B B^t + I) of random integer B."""
+
+    def gram(b, sign):
+        n = len(b)
+        return [[sign * (sum(x * y for x, y in zip(b[i], b[j])) + (i == j))
+                 for j in range(n)] for i in range(n)]
+
+    return st.builds(gram, square_ints(n_max, -4, 4), st.sampled_from((1, -1)))
+
+
+def fraction_gram_schmidt(gram):
+    """Textbook Gram-Schmidt over Q: mu and the squared norms."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        for j in range(i):
+            v = Fraction(gram[i][j]) - sum(mu[i][k] * mu[j][k] * norms[k] for k in range(j))
+            mu[i][j] = v / norms[j]
+        norms.append(gram[i][i] - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+    return mu, norms
+
+
+class TestIntegralLLL:
+    @settings(max_examples=150, deadline=None)
+    @given(definite_grams())
+    def test_output_is_lll_reduced(self, rows):
+        g = IntMatrix(rows)
+        red, t = lll_reduce(g)
+        assert t.T @ g @ t == red
+        assert abs(t.det()) == 1
+        sign = -1 if rows[0][0] < 0 else 1
+        mu, norms = fraction_gram_schmidt(red.scaled(sign).data)
+        n = len(rows)
+        for i in range(n):
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+        for k in range(1, n):
+            assert norms[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+    @pytest.mark.parametrize(
+        "pin",
+        json.loads((Path(__file__).parent / "data" / "lll_pins.json").read_text()),
+        ids=lambda pin: pin["name"],
+    )
+    def test_pinned_outputs(self, pin):
+        # (red, T) recorded from the rational-arithmetic LLL; the integral
+        # one must take the same decisions and return the same basis
+        red, t = lll_reduce(IntMatrix(pin["gram"]))
+        assert red.to_lists() == pin["red"]
+        assert t.to_lists() == pin["T"]
+
+    def test_round_div_matches_fraction_round(self):
+        for b in range(1, 9):
+            for a in range(-40, 41):
+                assert _round_div(a, b) == round(Fraction(a, b)), (a, b)
+        # exact ties go to the even neighbour
+        assert [_round_div(a, 2) for a in (-5, -3, -1, 1, 3, 5)] == [-2, -2, 0, 0, 2, 2]
 
 
 class TestSolve:

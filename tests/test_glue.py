@@ -1,13 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
 from cuspidal import fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import BadParameter, NotIsotropic, NotNegativeDefinite
-from cuspidal.exact import smith_normal_form
+from cuspidal.exact import (
+    IntMatrix,
+    integral_gram_schmidt,
+    lll_reduce,
+    rational_inverse,
+    smith_normal_form,
+)
 
 HALF = Fraction(-1, 2)
 
@@ -111,6 +118,80 @@ class TestShortVectors:
         rho = lat.reflection(L, roots[0])
         for v in roots:
             assert rho(v).coords in coords
+
+
+def _random_negative_definite(rng, n):
+    """U^t D U for a random diagonal D < 0 and unimodular U, or -(B B^t + I)."""
+    if rng.random() < 0.5:
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                c = rng.choice((-1, 1))
+                u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        diag = [rng.randint(-4, -1) for _ in range(n)]
+        return [[sum(u[k][i] * diag[k] * u[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+    b = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    return [[-(sum(x * y for x, y in zip(b[i], b[j])) + (i == j)) for j in range(n)]
+            for i in range(n)]
+
+
+def _box_radii(gram, max_norm):
+    """Bounds |x_i| <= r_i of every x with -x^t G x <= max_norm.
+
+    x_i^2 <= max_norm * ((-G)^-1)_ii by Cauchy-Schwarz.
+    """
+    inv = rational_inverse(-IntMatrix(gram))
+    return [isqrt(int(max_norm * inv[i][i])) for i in range(len(gram))]
+
+
+def _box_vectors(gram, max_norm):
+    """Nonzero vectors of that coordinate box, bucketed by norm."""
+    g = IntMatrix(gram)
+    out = {}
+    for x in itertools.product(*(range(-r, r + 1) for r in _box_radii(gram, max_norm))):
+        if any(x):
+            out.setdefault(g.bilinear(x, x), set()).add(x)
+    return out
+
+
+def _brute_force_grams():
+    """Three fixed forms, then random ones of rank <= 4 whose box is small."""
+    rng = random.Random(20260)
+    out = [
+        [[-4, 2], [2, -4]],  # A2(2): leading minors 4, 12
+        [[-2, 0], [0, -6]],
+        [[-3, 1, 0], [1, -3, 1], [0, 1, -5]],
+    ]
+    while len(out) < 60:
+        gram = _random_negative_definite(rng, rng.randint(1, 4))
+        if prod(2 * r + 1 for r in _box_radii(gram, 6)) <= 20000:
+            out.append(gram)
+    return out
+
+
+def test_short_vectors_match_box_enumeration():
+    reduced_minors = set()
+    for gram in _brute_force_grams():
+        L = lat.Lattice(gram)
+        red, t = lll_reduce(L.gram)
+        d, _ = integral_gram_schmidt((-red).data)
+        reduced_minors.update(d[1:])
+        tinv = rational_inverse(t)
+        box = _box_vectors(gram, 6)
+        for norm in (-2, -4, -6):
+            got = [v.coords for v in glue.short_vectors(L, norm)]
+            assert got == sorted(got)
+            expected = box.get(norm, set())
+            assert len(got) * 2 == len(expected), (gram, norm)
+            assert set(got) | {tuple(-a for a in v) for v in got} == expected
+            for v in got:
+                # the kept sign: first nonzero LLL-basis coordinate positive
+                y = [sum(row[k] * v[k] for k in range(len(v))) for row in tinv]
+                assert next(a for a in y if a) > 0
+    # the integer search is scaled, not just run on unimodular minors
+    assert len(reduced_minors - {1}) > 5
 
 
 class TestRootSystems:

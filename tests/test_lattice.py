@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -252,6 +253,43 @@ class TestIsometries:
             assert mat == [list(row) for row in g.matrix.data]
             assert lat.spinor_norm(g) in (1, -1)
             assert (-1) ** len(refs) == g.det
+
+
+def _product_of_reflections(L, refs):
+    """rho_{v_1} o ... o rho_{v_m} over Q, rho_v(x) = x - 2 (x, v) / (v, v) v."""
+    n = L.rank
+    g = L.gram.data
+    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for v in refs:
+        gv = [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
+        nv = sum(a * b for a, b in zip(v, gv))
+        rho = [[int(i == j) - Fraction(2 * v[i] * gv[j]) / nv for j in range(n)]
+               for i in range(n)]
+        mat = [[sum(mat[i][k] * rho[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    return mat
+
+
+@pytest.mark.parametrize("name", ["U+U", "U+<2>"])
+def test_factorization_of_isotropic_moves(name):
+    # products of reflections often move some x to g(x) with g(x) - x
+    # isotropic, which takes the two-reflection step of the factorization
+    rng = random.Random(5)
+    L = lat.parse_name(name)
+    roots = []
+    for c in itertools.product(range(-2, 3), repeat=L.rank):
+        v = L.vector(c)
+        if v.norm != 0:
+            try:
+                roots.append(lat.reflection(L, v))
+            except NotIsometry:
+                pass
+    for _ in range(150):
+        g = lat.Isometry.identity(L)
+        for _ in range(rng.randint(1, 5)):
+            g = g.compose(rng.choice(roots))
+        refs = lat.reflection_factorization(g)
+        assert _product_of_reflections(L, refs) == [list(r) for r in g.matrix.data]
 
 
 class TestBinaryForms:
