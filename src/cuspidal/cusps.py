@@ -22,7 +22,7 @@ unit automorphisms and every dependent count is flagged conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -209,10 +209,13 @@ def nu_formula(case: PolarizationCase) -> int:
     return (case.k + 2) // 2
 
 
+def _pm1_classes(model: DiscModel, bound: int) -> list:
+    """Isotropic classes of A_N modulo +-1, from one exhaustive scan."""
+    return fqf.mod_pm1(model.form, fqf.isotropic_elements(model.form, bound))
+
+
 def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
-    model = disc_model(case)
-    iso = fqf.isotropic_elements(model.form, bound)
-    return len(fqf.mod_pm1(model.form, iso))
+    return len(_pm1_classes(disc_model(case), bound))
 
 
 @dataclass(frozen=True)
@@ -232,9 +235,13 @@ class NuResult:
         return self.formula if self.formula is not None else self.enumerated
 
 
-def nu(case: PolarizationCase, mode: str = "both", bound: int = fqf.ENUM_BOUND) -> NuResult:
+def _check_nu_mode(mode: str) -> None:
     if mode not in ("formula", "enumerate", "both"):
         raise BadParameter(f"unknown nu mode {mode!r}")
+
+
+def nu(case: PolarizationCase, mode: str = "both", bound: int = fqf.ENUM_BOUND) -> NuResult:
+    _check_nu_mode(mode)
     f = nu_formula(case) if mode in ("formula", "both") else None
     e = nu_enumerate(case, bound) if mode in ("enumerate", "both") else None
     return NuResult(case, f, e)
@@ -282,6 +289,12 @@ class OrbitRep:
 def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
     """Representatives x_{m,n} of I_1(A_N)/{+-1}, verified exhaustive."""
     model = disc_model(case)
+    return _verified_reps(model, _pm1_classes(model, bound))
+
+
+def _verified_reps(model: DiscModel, classes) -> list:
+    """The x_{m,n}, checked against the scanned +-1 classes of A_N."""
+    case = model.case
     form = model.form
     reps = []
     for m in valid_orders(case):
@@ -295,8 +308,7 @@ def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             reps.append(OrbitRep(m, n, x))
     canon = sorted(min(r.element, form.neg(r.element)) for r in reps)
-    brute = fqf.mod_pm1(form, fqf.isotropic_elements(form, bound))
-    if canon != sorted(brute):
+    if canon != sorted(classes):
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
     if len(set(canon)) != len(reps):
         raise InternalError("orbit representatives collide")
@@ -522,17 +534,22 @@ class CuspReport:
 
 def zero_dim_report(case: PolarizationCase, mode: str = "both",
                     bound: int = fqf.ENUM_BOUND) -> CuspReport:
-    return CuspReport(case, nu(case, mode, bound), tuple(orbit_reps(case, bound)))
+    """nu and the verified orbit representatives from one scan of A_N."""
+    _check_nu_mode(mode)
+    model = disc_model(case)
+    classes = _pm1_classes(model, bound)
+    result = NuResult(
+        case,
+        nu_formula(case) if mode in ("formula", "both") else None,
+        len(classes) if mode in ("enumerate", "both") else None,
+    )
+    return CuspReport(case, result, tuple(_verified_reps(model, classes)))
 
 
 def full_report(case: PolarizationCase, candidates=None,
                 bound: int = fqf.ENUM_BOUND) -> CuspReport:
-    return CuspReport(
-        case,
-        nu(case, "both", bound),
-        tuple(orbit_reps(case, bound)),
-        tuple(one_dim_cusps(case, candidates, bound)),
-    )
+    zero = zero_dim_report(case, "both", bound)
+    return replace(zero, one_dim=tuple(one_dim_cusps(case, candidates, bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ simplicity over asymptotics: Bareiss for determinants, textbook Smith
 normal form with transform matrices, congruence diagonalization for
 signatures, and integral LLL at delta = 99/100 on the leading minors
 and scaled Gram-Schmidt coefficients, with no Fraction inside.
+
+Dual and quotient coordinates stay in integers: callers read them off a
+Smith transform or solve against a Hermite basis with ``hnf_coords``.
+``solve_rational`` is the one Fraction Gauss-Jordan elimination (for
+rational splittings); ``rational_inverse`` is built on it as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -456,26 +462,21 @@ def solve_rational(A: IntMatrix, b) -> tuple | None:
 
 
 def rational_inverse(A: IntMatrix):
-    """Inverse of a nonsingular integer matrix, as rows of Fractions."""
+    """Inverse of a nonsingular integer matrix, as rows of Fractions.
+
+    Column j solves A x = e_j; a singular A leaves some e_j outside its
+    column space.
+    """
     n = A.rows
     if n != A.cols:
         raise ValueError("inverse of non-square matrix")
-    M = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(A.data)
-    ]
-    for c in range(n):
-        p = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if p is None:
+    cols = []
+    for j in range(n):
+        x = solve_rational(A, [int(i == j) for i in range(n)])
+        if x is None:
             raise SingularMatrix("matrix is singular")
-        M[c], M[p] = M[p], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
+        cols.append(x)
+    return [list(row) for row in zip(*cols)]
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -534,3 +535,20 @@ def hnf_rows(rows) -> list:
             if q:
                 above[:] = [a - q * b for a, b in zip(above, row)]
     return basis
+
+
+def hnf_coords(P: IntMatrix, row) -> list | None:
+    """Integer y with y @ P = row; None when row is outside the row lattice of P.
+
+    P must be square and upper triangular with nonzero diagonal, which is
+    what ``hnf_rows`` returns for a full-rank lattice, so forward
+    substitution decides integrality one coordinate at a time.
+    """
+    y = []
+    for j, target in enumerate(row):
+        r = target - sum(y[i] * P.data[i][j] for i in range(j))
+        q, rem = divmod(r, P.data[j][j])
+        if rem:
+            return None
+        y.append(q)
+    return y

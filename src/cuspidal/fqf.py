@@ -8,7 +8,12 @@ Fractions with canonical representatives (q in [0,2), b in [0,1)).
 
 Forms built from a lattice keep enough provenance to map rational dual
 vectors to classes and back; forms built as perp-quotients H^perp/H keep
-the transform data needed to project classes of the parent group.
+the transform data needed to project classes of the parent group.  No
+matrix is inverted over Q: with U G V = D the generator lifts are the
+columns of V divided by the invariant factors, and quotient coordinates
+come from back-substitution in a Hermite basis (``exact.hnf_coords``)
+and the Smith transform of the sublattice.  ``q`` and ``b`` of a form
+and of a direct sum are evaluated by the same two sums.
 """
 
 from __future__ import annotations
@@ -20,13 +25,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
-from .exact import (
-    IntMatrix,
-    hnf_rows,
-    kernel_basis,
-    rational_inverse,
-    smith_normal_form,
-)
+from .exact import IntMatrix, hnf_coords, hnf_rows, kernel_basis, smith_normal_form
 
 ENUM_BOUND = 10**6
 
@@ -37,6 +36,31 @@ def _mod2(x) -> Fraction:
 
 def _mod1(x) -> Fraction:
     return Fraction(x) % 1
+
+
+def _q_sum(qdiag, bmat, x) -> Fraction:
+    """sum_i x_i^2 q_i + 2 sum_{i<j} x_i x_j b_ij, not reduced mod 2."""
+    total = Fraction(0)
+    for i, a in enumerate(x):
+        if a:
+            total += a * a * qdiag[i]
+            row = bmat[i]
+            for j in range(i + 1, len(x)):
+                if x[j]:
+                    total += 2 * a * x[j] * row[j]
+    return total
+
+
+def _b_sum(bmat, x, y) -> Fraction:
+    """sum_ij x_i y_j b_ij, not reduced mod 1."""
+    total = Fraction(0)
+    for i, a in enumerate(x):
+        if a:
+            row = bmat[i]
+            for j, c in enumerate(y):
+                if c:
+                    total += a * c * row[j]
+    return total
 
 
 class FiniteQuadraticForm:
@@ -119,26 +143,10 @@ class FiniteQuadraticForm:
     # form values ------------------------------------------------------
 
     def q(self, x) -> Fraction:
-        x = self.reduce(x)
-        total = Fraction(0)
-        for i, a in enumerate(x):
-            if a:
-                total += a * a * self.qdiag[i]
-                for j in range(i + 1, len(x)):
-                    if x[j]:
-                        total += 2 * a * x[j] * self.bmat[i][j]
-        return _mod2(total)
+        return _mod2(_q_sum(self.qdiag, self.bmat, self.reduce(x)))
 
     def b(self, x, y) -> Fraction:
-        x = self.reduce(x)
-        y = self.reduce(y)
-        total = Fraction(0)
-        for i, a in enumerate(x):
-            if a:
-                for j, c in enumerate(y):
-                    if c:
-                        total += a * c * self.bmat[i][j]
-        return _mod1(total)
+        return _mod1(_b_sum(self.bmat, self.reduce(x), self.reduce(y)))
 
     # equality is structural: same presentation, not mere isometry
     def __eq__(self, other):
@@ -213,18 +221,12 @@ def discriminant_form(lattice) -> FiniteQuadraticForm:
     if not lattice.even:
         raise OddLattice("discriminant form requires an even lattice")
     gram = lattice.gram
-    n = gram.rows
     snf = smith_normal_form(gram)
-    ginv = rational_inverse(gram)
-    uinv_rat = rational_inverse(snf.left)
-    uinv = [[int(x) for x in row] for row in uinv_rat]
     kept = [i for i, d in enumerate(snf.diag) if d > 1]
-    lifts = []
-    for i in kept:
-        vec = tuple(
-            sum(ginv[r][k] * uinv[k][i] for k in range(n)) for r in range(n)
-        )
-        lifts.append(vec)
+    # U G V = D gives G^-1 U^-1 = V D^-1: generator i lifts to column i of V over d_i
+    lifts = [
+        tuple(Fraction(row[i], snf.diag[i]) for row in snf.right.data) for i in kept
+    ]
 
     orders = tuple(snf.diag[i] for i in kept)
     qdiag = [_mod2(gram.bilinear(v, v)) for v in lifts]
@@ -243,55 +245,25 @@ def trivial_form() -> FiniteQuadraticForm:
 
 def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
     """Orthogonal direct sum, renormalized to invariant-factor shape."""
-    gens = []
-    for f_idx, f in enumerate(forms):
-        for i in range(f.rank):
-            gens.append((f_idx, i))
-    orders = [forms[f].orders[i] for f, i in gens]
-    m = len(gens)
-
-    def qval(i):
-        f, gi = gens[i]
-        return forms[f].qdiag[gi]
-
-    def bval(i, j):
-        fi, gi = gens[i]
-        fj, gj = gens[j]
-        if fi != fj:
-            return Fraction(0)
-        return forms[fi].bmat[gi][gj]
-
+    orders = [d for f in forms for d in f.orders]
+    m = len(orders)
     if m == 0:
         return trivial_form()
-    quotient = _row_quotient(
-        IntMatrix.identity(m), IntMatrix.diagonal(orders)
-    )
+    qdiag = [x for f in forms for x in f.qdiag]
+    bmat = [[Fraction(0)] * m for _ in range(m)]
+    off = 0
+    for f in forms:
+        for i, row in enumerate(f.bmat):
+            bmat[off + i][off:off + f.rank] = row
+        off += f.rank
+    quotient = _row_quotient(IntMatrix.identity(m), IntMatrix.diagonal(orders))
     kept = [i for i, d in enumerate(quotient.orders) if d > 1]
-    new_orders = [quotient.orders[i] for i in kept]
     gen_rows = [quotient.generator_rows.data[i] for i in kept]
-
-    def q_of_row(row):
-        total = Fraction(0)
-        for i, a in enumerate(row):
-            if a:
-                total += a * a * qval(i)
-                for j in range(i + 1, m):
-                    if row[j]:
-                        total += 2 * a * row[j] * bval(i, j)
-        return total
-
-    def b_of_rows(r1, r2):
-        total = Fraction(0)
-        for i, a in enumerate(r1):
-            if a:
-                for j, c in enumerate(r2):
-                    if c:
-                        total += a * c * bval(i, j)
-        return total
-
-    qd = [q_of_row(row) for row in gen_rows]
-    bm = [[b_of_rows(r1, r2) for r2 in gen_rows] for r1 in gen_rows]
-    return FiniteQuadraticForm(new_orders, qd, bm)
+    return FiniteQuadraticForm(
+        [quotient.orders[i] for i in kept],
+        [_q_sum(qdiag, bmat, row) for row in gen_rows],
+        [[_b_sum(bmat, r1, r2) for r2 in gen_rows] for r1 in gen_rows],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,45 +272,39 @@ def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 
 @dataclass(frozen=True)
 class _RowQuotient:
-    ambient_rows: IntMatrix  # P: basis of the ambient row lattice
+    ambient_rows: IntMatrix  # P: Hermite basis of the ambient row lattice
     vmat: IntMatrix
     generator_rows: IntMatrix  # V^{-1} @ P, one row per invariant factor
     orders: tuple
-    _pinv: tuple  # rational inverse of P, rows of Fractions
 
     def class_coords(self, row) -> tuple:
         """Coordinates of an ambient-lattice row modulo the sublattice."""
-        y = _coords_in_rows(self._pinv, row, "row is not in the ambient row lattice")
+        y = hnf_coords(self.ambient_rows, row)
+        if y is None:
+            raise ValueError("row is not in the ambient row lattice")
         z = self.vmat.T.apply(y)  # row-vector times V
-        return tuple(int(a) % d for a, d in zip(z, self.orders))
-
-
-def _coords_in_rows(pinv, row, message: str) -> list:
-    """Integer y with y @ P = row, given pinv = P^-1; ValueError otherwise."""
-    y = [
-        sum(Fraction(row[k]) * pinv[k][j] for k in range(len(row)))
-        for j in range(len(row))
-    ]
-    if any(x.denominator != 1 for x in y):
-        raise ValueError(message)
-    return [int(x) for x in y]
+        return tuple(a % d for a, d in zip(z, self.orders))
 
 
 def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
-    """Quotient of the row lattice of P by the row lattice of sub_rows."""
-    pinv = rational_inverse(P)
-    n = P.rows
-    srows = [
-        _coords_in_rows(pinv, row, "sublattice is not contained in the ambient lattice")
-        for row in sub_rows.data
-    ]
+    """Quotient of the row lattice of P by the row lattice of sub_rows.
+
+    P is a full-rank Hermite basis (square, upper triangular), so rows
+    get their P-coordinates from ``hnf_coords``.
+    """
+    srows = []
+    for row in sub_rows.data:
+        y = hnf_coords(P, row)
+        if y is None:
+            raise ValueError("sublattice is not contained in the ambient lattice")
+        srows.append(y)
     s = IntMatrix(hnf_rows(srows))
-    if s.rows != n:
+    if s.rows != P.rows:
         raise ValueError("sublattice must have finite index")
     snf = smith_normal_form(s)
-    vinv = IntMatrix([[int(x) for x in row] for row in rational_inverse(snf.right)])
-    gen_rows = vinv @ P
-    return _RowQuotient(P, snf.right, gen_rows, snf.diag, tuple(tuple(r) for r in pinv))
+    # L S R = D gives R^-1 = D^-1 (L S), an exact division row by row
+    vinv = [[x // d for x in row] for row, d in zip((snf.left @ s).data, snf.diag)]
+    return _RowQuotient(P, snf.right, IntMatrix(vinv) @ P, snf.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +413,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
 
-def perp_quotient(
-    form: FiniteQuadraticForm, subgroup: FqfSubgroup, bound: int = ENUM_BOUND
-) -> FiniteQuadraticForm:
+def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQuadraticForm:
     """H^perp/H with the induced form; requires H isotropic.
 
     H^perp = {x : b(x, h) = 0 for all h in H}; the result order is

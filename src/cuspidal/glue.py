@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import (
@@ -35,13 +34,7 @@ from .errors import (
     NotNegativeDefinite,
     RootsNotFullRank,
 )
-from .exact import (
-    IntMatrix,
-    hnf_rows,
-    integral_gram_schmidt,
-    lll_reduce,
-    rational_inverse,
-)
+from .exact import IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce
 from .fqf import (
     FiniteQuadraticForm,
     QuotientSource,
@@ -147,14 +140,10 @@ def overlattice(gd: GlueData) -> Overlattice:
     """Even overlattice determined by the glue: preimage of H in R*."""
     base = gd.base
     n = base.rank
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for g in gd.glue.generators:
-        rows.append(list(gd.disc.lift(g)))
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    int_rows = [[int(x * den) for x in row] for row in rows]
+    lifts = [gd.disc.lift(g) for g in gd.glue.generators]
+    den = lcm(1, *(x.denominator for v in lifts for x in v))
+    int_rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
+    int_rows += [[int(x * den) for x in v] for v in lifts]
     # B = den * (overlattice basis in R coordinates), an integer matrix
     basis = IntMatrix(hnf_rows(int_rows))
     if basis.rows != n:
@@ -167,13 +156,13 @@ def overlattice(gd: GlueData) -> Overlattice:
         gram.append([x // (den * den) for x in row])
         if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
-    # base basis in overlattice coordinates: the rows of (B / den)^-1
+    # base basis in overlattice coordinates: the rows y of (B / den)^-1, y B = den e_i
     incl = []
-    for row in rational_inverse(basis):
-        row = [den * x for x in row]
-        if any(x.denominator != 1 for x in row):
+    for i in range(n):
+        y = hnf_coords(basis, [den * int(i == j) for j in range(n)])
+        if y is None:
             raise NonIntegralGlue("base does not embed integrally")
-        incl.append(row)
+        incl.append(y)
     return Overlattice(gd, Lattice(gram), IntMatrix(incl))
 
 
@@ -284,25 +273,27 @@ def root_system_from_spec(spec: str) -> RootSystem:
 
 def root_system(L: Lattice) -> RootSystem:
     """ADE decomposition of the norm -2 vectors of a negative definite lattice."""
-    pos = [v.coords for v in short_vectors(L, -2)]
-    if not pos:
-        return RootSystem((), 0)
-    pos_set = set(pos)
-
-    def vsub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
+    # positive roots: first nonzero coordinate positive, in increasing
+    # lexicographic order, which is compatible with addition; a positive
+    # root is then simple exactly when it pairs >= 0 (negative definite
+    # convention) with every simple root before it
+    pos = []
+    for v in short_vectors(L, -2):
+        lead = next(x for x in v.coords if x)
+        pos.append(v.coords if lead > 0 else tuple(-x for x in v.coords))
+    pos.sort()
     simple = []
+    gram_simple = []  # G s for each simple root s
     for a in pos:
-        decomposable = any(b != a and vsub(a, b) in pos_set for b in pos)
-        if not decomposable:
+        if all(sum(x * y for x, y in zip(a, gs)) >= 0 for gs in gram_simple):
             simple.append(a)
+            gram_simple.append(L.gram.apply(a))
 
     m = len(simple)
     adj = {i: [] for i in range(m)}
     for i in range(m):
         for j in range(i + 1, m):
-            if L.gram.bilinear(simple[i], simple[j]) != 0:
+            if sum(x * y for x, y in zip(simple[i], gram_simple[j])):
                 adj[i].append(j)
                 adj[j].append(i)
 

@@ -36,7 +36,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     kernel_basis,
-    rational_inverse,
     signature_of_symmetric,
     smith_normal_form,
     solve_rational,
@@ -529,18 +528,12 @@ class MembershipFlags:
 
 
 def _acts_as(g: Isometry, sign: int) -> bool:
-    # g acts as sign*id on L*/L iff (g - sign*id) maps L* into L
+    # g acts as sign*id on L*/L iff (g - sign*id) maps L* into L; with
+    # U G V = D, L* = G^-1 Z^n is spanned by the columns of V D^-1
     n = g.domain.rank
-    ginv = rational_inverse(g.domain.gram)
-    m = [
-        [Fraction(g.matrix.data[i][j] - sign * int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for j in range(n):
-        col = [sum(m[i][k] * ginv[k][j] for k in range(n)) for i in range(n)]
-        if any(Fraction(x).denominator != 1 for x in col):
-            return False
-    return True
+    snf = smith_normal_form(g.domain.gram)
+    m = (g.matrix + IntMatrix.identity(n).scaled(-sign)) @ snf.right
+    return all(x % d == 0 for row in m.data for x, d in zip(row, snf.diag))
 
 
 def group_membership(g: Isometry) -> MembershipFlags:

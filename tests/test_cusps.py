@@ -211,6 +211,34 @@ class TestReports:
         assert obj["zero_dim"]["formula"] == 2
         assert obj["zero_dim"]["reps"] == [[1, 0], [2, 1]]
 
+    @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
+    def test_zero_dim_report_scans_once(self, monkeypatch, mode):
+        calls = []
+        scan = fqf.isotropic_elements
+
+        def counted(form, bound=fqf.ENUM_BOUND):
+            calls.append(form.cardinality)
+            return scan(form, bound)
+
+        monkeypatch.setattr(fqf, "isotropic_elements", counted)
+        case = cusps.PolarizationCase(12, "split")
+        rep = cusps.zero_dim_report(case, mode)
+        assert calls == [4 * 12]  # |A_N| = 4d in the split case
+        # d = 12 = 3 * 2^2 with d' = 3 mod 4, so nu = k + 1 = 3
+        assert [[r.m, r.n] for r in rep.reps] == [[1, 0], [2, 1], [4, 1]]
+        z = rep.to_obj()["zero_dim"]
+        assert z["formula"] == (3 if mode != "enumerate" else None)
+        assert z["enumerated"] == (3 if mode != "formula" else None)
+        # the public entry points still scan on their own
+        calls.clear()
+        assert len(cusps.orbit_reps(case)) == cusps.nu_enumerate(case) == 3
+        assert len(calls) == 2
+
+    def test_zero_dim_report_rejects_mode_before_scanning(self, monkeypatch):
+        monkeypatch.setattr(fqf, "isotropic_elements", None)
+        with pytest.raises(BadParameter):
+            cusps.zero_dim_report(cusps.PolarizationCase(3, "split"), "guess")
+
     def test_example_c12(self):
         data = cusps.example_c12()
         assert data["g2"] == 6 and data["tau2"] == -4 and data["g_tau"] == 0

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cuspidal.errors import NotDefinite, SingularMatrix
 from cuspidal.exact import (
     IntMatrix,
+    hnf_coords,
     hnf_rows,
     kernel_basis,
     lll_reduce,
@@ -270,3 +272,76 @@ class TestKernelAndHnf:
     def test_rational_inverse(self):
         inv = rational_inverse(U_GRAM)
         assert [[int(x) for x in row] for row in inv] == [[0, 1], [1, 0]]
+
+    def test_rational_inverse_of_singular_matrix(self):
+        with pytest.raises(SingularMatrix):
+            rational_inverse(IntMatrix([[1, 2], [2, 4]]))
+        with pytest.raises(SingularMatrix):
+            rational_inverse(IntMatrix([[0, 0], [0, 0]]))
+
+    @given(square_ints(n_max=4), st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+    def test_hnf_coords_match_rational_inverse(self, rows, target):
+        basis = hnf_rows(rows)
+        n = len(rows)
+        if len(basis) != n:
+            return  # singular: hnf_coords needs a full-rank basis
+        P = IntMatrix(basis)
+        assert all(P[i, j] == 0 for i in range(n) for j in range(i))
+        row = target[:n]
+        pinv = rational_inverse(P)
+        exact = [sum(row[k] * pinv[k][j] for k in range(n)) for j in range(n)]
+        y = hnf_coords(P, row)
+        if all(x.denominator == 1 for x in exact):
+            assert y == [int(x) for x in exact]
+        else:
+            assert y is None
+        # every integer combination of the basis is found again
+        member = [sum(c * P[i, j] for i, c in enumerate(target[:n])) for j in range(n)]
+        assert hnf_coords(P, member) == target[:n]
+
+    def test_hnf_coords_outside_lattice(self):
+        P = IntMatrix(hnf_rows([[2, 0], [0, 2], [1, 1]]))  # [[1, 1], [0, 2]]
+        assert hnf_coords(P, [3, 5]) == [3, 1]
+        assert hnf_coords(P, [1, 0]) is None
+        assert hnf_coords(P, [0, 1]) is None
+
+
+# Fraction Gauss-Jordan is allowed only inside exact.py and for rational
+# splittings; every other dual or quotient coordinate comes from a Smith or
+# Hermite transform in integers.
+_FRACTION_SOLVERS = {"rational_inverse", "solve_rational"}
+_ALLOWED_CALLERS = {("lattice", "split_rational")}
+
+
+def _solver_calls(tree):
+    """(enclosing function, callee) for each call of a Fraction solver."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _FRACTION_SOLVERS:
+                out.append((func, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_fraction_solvers_only_in_exact_and_rational_splitting():
+    src = Path(__file__).resolve().parents[1] / "src" / "cuspidal"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "exact":
+            continue
+        for func, name in _solver_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.stem, func) not in _ALLOWED_CALLERS:
+                found.append(f"{path.stem}.{func} calls {name}")
+    assert found == []
+    # the scan itself sees the one allowed call
+    lattice_tree = ast.parse((src / "lattice.py").read_text(encoding="utf-8"))
+    assert ("split_rational", "solve_rational") in _solver_calls(lattice_tree)

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cuspidal import fqf
 from cuspidal import lattice as lat
+from cuspidal.exact import IntMatrix, rational_inverse
 from cuspidal.errors import GroupTooLarge, NotIsotropic, OddLattice
 
 HALF = Fraction(-1, 2)
@@ -15,7 +17,39 @@ def genus_form():
     return fqf.FiniteQuadraticForm((2, 2), (HALF, HALF), [[0, 0], [0, 0]])
 
 
+def even_grams(n_max=4):
+    """Symmetric integer matrices with even diagonal, possibly singular."""
+
+    def build(rows):
+        n = len(rows)
+        return [[rows[min(i, j)][max(i, j)] * (1 + (i == j)) for j in range(n)]
+                for i in range(n)]
+
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                           min_size=n, max_size=n)
+    ).map(build)
+
+
 class TestDiscriminantForm:
+    @settings(deadline=None)
+    @given(even_grams())
+    def test_lifts_are_columns_of_g_inverse_u_inverse(self, gram):
+        G = IntMatrix(gram)
+        assume(G.det() != 0)
+        a = fqf.discriminant_form(lat.Lattice(G))
+        src = a.source
+        n = G.rows
+        ginv = rational_inverse(G)
+        uinv = rational_inverse(src.left)
+        assert len(src.lifts) == len(src.kept) == a.rank
+        for lift, i in zip(src.lifts, src.kept):
+            column = tuple(sum(ginv[r][k] * uinv[k][i] for k in range(n)) for r in range(n))
+            assert lift == column
+        for i in range(a.rank):
+            unit = tuple(int(j == i) for j in range(a.rank))
+            assert a.class_of(a.lift(unit)) == unit
+
     def test_split_d1(self):
         a = fqf.discriminant_form(lat.parse_name("U+U+E8+E8+<-2>+<-2>"))
         assert a.orders == (2, 2)

@@ -200,6 +200,25 @@ class TestRootSystems:
         assert rs.spec_string() == "2E8+2A1"
         assert rs.total_roots == 484
 
+    def test_scrambled_basis(self):
+        # a unimodular change of basis moves every root off the coordinate
+        # blocks, so the lexicographic positive system is in general position
+        base = lat.parse_name("E8+D4+A2")
+        n = base.rank
+        rng = random.Random(41)
+        t = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+        T = IntMatrix(t)
+        assert abs(T.det()) == 1
+        scrambled = lat.Lattice(T @ base.gram @ T.T)
+        assert scrambled.gram != base.gram
+        rs = glue.root_system(scrambled)
+        assert rs.spec_string() == "E8+D4+A2"
+        assert rs.total_roots == 240 + 24 + 6
+
     def test_unit_has_no_roots(self):
         rs = glue.root_system(lat.rank1(-4))
         assert rs.components == () and rs.total_roots == 0

@@ -14,7 +14,8 @@ from cuspidal.errors import (
     NotIsometry,
     ZeroVector,
 )
-from cuspidal.exact import smith_normal_form
+from cuspidal import glue
+from cuspidal.exact import rational_inverse, smith_normal_form
 
 
 def k3_square():
@@ -223,6 +224,41 @@ class TestIsometries:
         assert flags.det == -1
         assert flags.in_o_hat_plus and flags.in_so_hat_plus
         assert not flags.in_o_tilde_plus
+
+    @pytest.mark.parametrize("spec", ["2A2", "A3+E6", "D4+<-6>", "D5+2<-2>"])
+    def test_disc_action_of_diagram_and_component_swaps(self, spec):
+        gd = glue.make_glue(spec)
+        G = gd.base.gram
+        n = G.rows
+        ginv = rational_inverse(G)
+
+        def acts_as(m, sign):
+            # the definition: (g - sign id) G^-1 is integral
+            return all(
+                sum((m[i, k] - sign * (i == k)) * ginv[k][j] for k in range(n)).denominator == 1
+                for i in range(n)
+                for j in range(n)
+            )
+
+        actions = []
+        for iso in glue.tau_generator_isometries(gd):
+            m = iso.matrix
+            expected = "id" if acts_as(m, 1) else "-id" if acts_as(m, -1) else "other"
+            assert lat.group_membership(iso).disc_action == expected
+            actions.append(expected)
+        assert "other" in actions or "-id" in actions
+
+    def test_disc_action_examples(self):
+        # the diagram flip of A2 is -id on Z/3, that of D5 is -id on Z/4;
+        # -1 on <-2> is trivial on Z/2; swapping two equal summands is neither
+        def actions(spec):
+            gd = glue.make_glue(spec)
+            return [lat.group_membership(g).disc_action
+                    for g in glue.tau_generator_isometries(gd)]
+
+        assert actions("A2") == ["-id"]
+        assert actions("2A2") == ["other", "other", "other"]
+        assert actions("D5+2<-2>") == ["-id", "id", "id", "other"]
 
     def test_factorization_round_trip(self):
         random.seed(11)
