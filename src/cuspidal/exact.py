@@ -10,9 +10,10 @@ and scaled Gram-Schmidt coefficients, with no Fraction inside.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
+A finite quadratic form is an ``IntMatrix`` Gram over its level, so
+``IntMatrix.bilinear`` evaluates lattice and discriminant forms alike.
 ``solve_rational`` is the one Fraction Gauss-Jordan elimination (for
-rational splittings); ``rational_inverse`` is built on it as a test
-oracle.
+rational splittings); ``rational_inverse`` is built on it as a test oracle.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """Finite quadratic forms (discriminant forms of even lattices).
 
 A form lives on a finite abelian group in invariant-factor shape
-Z/d1 + ... + Z/dr (d1 | d2 | ...), with q taking values in Q/2Z and the
-associated bilinear form b in Q/Z.  Elements are plain coefficient
-tuples reduced modulo the invariant factors; all values are exact
-Fractions with canonical representatives (q in [0,2), b in [0,1)).
+Z/d1 + ... + Z/dr (d1 | d2 | ...) and is stored like a lattice: an
+integer symmetric Gram matrix M over the level N = dr (the exponent; 1
+for the trivial form), with q(x) = x^T M x / N in Q/2Z and
+b(x, y) = x^T M y / N in Q/Z (Nikulin 1979, section 1).  Diagonal
+entries are kept mod 2N and the others mod N, so equal forms have equal
+matrices; ``qdiag`` and ``bmat`` are Fraction views (q in [0,2), b in
+[0,1)).  Elements are coefficient tuples reduced mod the invariant factors.
 
-Forms built from a lattice keep enough provenance to map rational dual
-vectors to classes and back; forms built as perp-quotients H^perp/H keep
-the transform data needed to project classes of the parent group.  No
-matrix is inverted over Q: with U G V = D the generator lifts are the
-columns of V divided by the invariant factors, and quotient coordinates
-come from back-substitution in a Hermite basis (``exact.hnf_coords``)
-and the Smith transform of the sublattice.  ``q`` and ``b`` of a form
-and of a direct sum are evaluated by the same two sums.
+Every construction changes generators by one rule: integer rows R in a
+space with Gram G over level L give the form R G R^T over L, rescaled to
+the new level.  For A_L = L*/L with U G V = D the rows are N times the
+generator lifts V e_i / d_i; direct sums use the block sum over the lcm
+of the levels; H^perp/H uses generator lifts in the parent.  No matrix
+is inverted over Q: quotient coordinates come from ``exact.hnf_coords``
+and the Smith transform of the sublattice.
 """
 
 from __future__ import annotations
@@ -25,48 +27,17 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
-from .exact import IntMatrix, hnf_coords, hnf_rows, kernel_basis, smith_normal_form
+from .exact import (
+    IntMatrix, SmithDecomposition, hnf_coords, hnf_rows, kernel_basis, smith_normal_form,
+)
 
 ENUM_BOUND = 10**6
-
-
-def _mod2(x) -> Fraction:
-    return Fraction(x) % 2
-
-
-def _mod1(x) -> Fraction:
-    return Fraction(x) % 1
-
-
-def _q_sum(qdiag, bmat, x) -> Fraction:
-    """sum_i x_i^2 q_i + 2 sum_{i<j} x_i x_j b_ij, not reduced mod 2."""
-    total = Fraction(0)
-    for i, a in enumerate(x):
-        if a:
-            total += a * a * qdiag[i]
-            row = bmat[i]
-            for j in range(i + 1, len(x)):
-                if x[j]:
-                    total += 2 * a * x[j] * row[j]
-    return total
-
-
-def _b_sum(bmat, x, y) -> Fraction:
-    """sum_ij x_i y_j b_ij, not reduced mod 1."""
-    total = Fraction(0)
-    for i, a in enumerate(x):
-        if a:
-            row = bmat[i]
-            for j, c in enumerate(y):
-                if c:
-                    total += a * c * row[j]
-    return total
 
 
 class FiniteQuadraticForm:
     """Finite abelian group with a Q/2Z-valued quadratic form."""
 
-    __slots__ = ("orders", "qdiag", "bmat", "source")
+    __slots__ = ("orders", "level", "gram", "source")
 
     def __init__(self, orders, qdiag, bmat, source=None):
         orders = tuple(int(d) for d in orders)
@@ -75,28 +46,40 @@ class FiniteQuadraticForm:
         if any(orders[i + 1] % orders[i] for i in range(len(orders) - 1)):
             raise ValueError("orders must form a divisibility chain")
         r = len(orders)
-        qdiag = tuple(_mod2(x) for x in qdiag)
+        qdiag = [Fraction(x) for x in qdiag]
         if len(qdiag) != r:
             raise ValueError("one q value per generator required")
-        full = [[Fraction(0)] * r for _ in range(r)]
-        for i in range(r):
-            full[i][i] = _mod1(qdiag[i])
-            for j in range(r):
-                if i != j:
-                    full[i][j] = _mod1(bmat[i][j])
+        # the diagonal of bmat is not read: b(e_i, e_i) is q_i mod 1
+        full = [[qdiag[i] if i == j else Fraction(bmat[i][j]) for j in range(r)]
+                for i in range(r)]
         for i in range(r):
             for j in range(r):
-                if full[i][j] != full[j][i]:
+                if (full[i][j] - full[j][i]).denominator != 1:
                     raise ValueError("bilinear matrix must be symmetric")
-                if _mod1(orders[i] * full[i][j]) != 0:
+                if (orders[i] * full[i][j]).denominator != 1:
                     raise ValueError("bilinear value incompatible with orders")
-        for i in range(r):
-            if _mod2(orders[i] * orders[i] * qdiag[i]) != 0 or _mod1(orders[i] * qdiag[i]) != 0:
+        for d, x in zip(orders, qdiag):
+            if (d * d * x) % 2 or (d * x).denominator != 1:
                 raise ValueError("q value incompatible with generator order")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "qdiag", qdiag)
-        object.__setattr__(self, "bmat", tuple(tuple(row) for row in full))
-        object.__setattr__(self, "source", source)
+        # every value now lies in (1/d_i) Z, so level * value is an integer
+        level = orders[-1] if orders else 1
+        self._store(orders, [[int(level * x) for x in row] for row in full], source)
+
+    @classmethod
+    def _from_gram(cls, orders, gram_rows, source) -> FiniteQuadraticForm:
+        """Form on ``orders`` with integer Gram rows over the exponent of ``orders``."""
+        form = object.__new__(cls)
+        form._store(tuple(orders), gram_rows, source)
+        return form
+
+    def _store(self, orders, gram_rows, source):
+        level = orders[-1] if orders else 1
+        gram = IntMatrix(
+            [[x % (2 * level if i == j else level) for j, x in enumerate(row)]
+             for i, row in enumerate(gram_rows)]
+        )
+        for name, value in zip(self.__slots__, (orders, level, gram, source)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteQuadraticForm is immutable")
@@ -143,22 +126,34 @@ class FiniteQuadraticForm:
     # form values ------------------------------------------------------
 
     def q(self, x) -> Fraction:
-        return _mod2(_q_sum(self.qdiag, self.bmat, self.reduce(x)))
+        x = self.reduce(x)
+        return Fraction(self.gram.bilinear(x, x) % (2 * self.level), self.level)
 
     def b(self, x, y) -> Fraction:
-        return _mod1(_b_sum(self.bmat, self.reduce(x), self.reduce(y)))
+        value = self.gram.bilinear(self.reduce(x), self.reduce(y))
+        return Fraction(value % self.level, self.level)
+
+    @property
+    def qdiag(self) -> tuple:
+        """q of the generators, in [0, 2)."""
+        return tuple(Fraction(row[i], self.level) for i, row in enumerate(self.gram.data))
+
+    @property
+    def bmat(self) -> tuple:
+        """b of pairs of generators, in [0, 1)."""
+        n = self.level
+        return tuple(tuple(Fraction(x % n, n) for x in row) for row in self.gram.data)
 
     # equality is structural: same presentation, not mere isometry
     def __eq__(self, other):
         return (
             isinstance(other, FiniteQuadraticForm)
             and self.orders == other.orders
-            and self.qdiag == other.qdiag
-            and self.bmat == other.bmat
+            and self.gram == other.gram
         )
 
     def __hash__(self):
-        return hash((self.orders, self.qdiag, self.bmat))
+        return hash((self.orders, self.gram))
 
     def __repr__(self):
         qs = ", ".join(str(x) for x in self.qdiag)
@@ -171,39 +166,49 @@ class FiniteQuadraticForm:
         src = self.source
         if not isinstance(src, LatticeSource):
             raise ValueError("form has no lattice provenance")
-        n = src.lattice.rank
-        out = [Fraction(0)] * n
-        for a, vec in zip(self.reduce(x), src.lifts):
-            if a:
-                for i in range(n):
-                    out[i] += a * vec[i]
-        return tuple(out)
+        scaled = src.scaled_lift(self.reduce(x), self.level)
+        return tuple(Fraction(a, self.level) for a in scaled)
 
     def class_of(self, coords) -> tuple:
         """Class in this form of a rational vector lying in the dual lattice."""
         src = self.source
         if not isinstance(src, LatticeSource):
             raise ValueError("form has no lattice provenance")
-        pairings = src.lattice.gram.apply(coords)
-        ints = []
-        for x in pairings:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-            ints.append(int(f))
-        y = src.left.apply(ints)
-        return tuple(y[i] % src.invariants[i] for i in src.kept)
+        pairings = [Fraction(x) for x in src.lattice.gram.apply(coords)]
+        if any(x.denominator != 1 for x in pairings):
+            raise ValueError("vector is not in the dual lattice")
+        y = src.smith.left.apply([int(x) for x in pairings])
+        return tuple(y[i] % src.smith.diag[i] for i in src.kept)
 
 
 @dataclass(frozen=True)
 class LatticeSource:
-    """Provenance of A_L = L*/L: how its generators sit in the lattice L."""
+    """Provenance of A_L = L*/L: the Smith transforms U G V = D of the Gram G of L.
+
+    Generator i lifts to the dual vector V e_k / d_k for k = kept[i]; a
+    dual vector v has class coordinates (U G v)_k mod d_k.
+    """
 
     lattice: object  # the Lattice L
-    lifts: tuple  # dual vectors lifting the generators, rational L coordinates
-    left: IntMatrix  # Smith left transform U of the Gram matrix
+    smith: SmithDecomposition  # U, the invariant factors d and V for G
     kept: tuple  # Smith positions with invariant factor > 1, one per generator
-    invariants: tuple  # all Smith invariant factors of the Gram matrix
+
+    @property
+    def left(self) -> IntMatrix:
+        return self.smith.left
+
+    def scaled_lift(self, x, level) -> tuple:
+        """level times a lift of the class x: sum_i x_i (level / d_k) V e_k, k = kept[i]."""
+        coeffs = [0] * self.smith.right.cols
+        for a, k in zip(x, self.kept):
+            coeffs[k] = a * (level // self.smith.diag[k])
+        return self.smith.right.apply(coeffs)
+
+    @property
+    def lifts(self) -> tuple:
+        """Generator lifts V e_k / d_k in rational L coordinates."""
+        V, d = self.smith.right, self.smith.diag
+        return tuple(tuple(Fraction(row[k], d[k]) for row in V.data) for k in self.kept)
 
 
 @dataclass(frozen=True)
@@ -216,27 +221,35 @@ class QuotientSource:
     generator_lifts: tuple  # parent elements of H^perp lifting the generators
 
 
+def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
+    """The form on ``orders`` generated by integer ``rows`` R of a space with
+    b(x, y) = x^T gram y / level: R gram R^T over ``level``, rescaled to the
+    exponent of ``orders`` (which must divide ``level``)."""
+    if not orders:
+        return FiniteQuadraticForm._from_gram((), (), source)
+    R = IntMatrix(rows)
+    scale = level // orders[-1]
+    moved = (R @ gram @ R.T).data
+    if level % orders[-1] or any(x % scale for row in moved for x in row):
+        raise InternalError("generator values do not lie over the new level")
+    return FiniteQuadraticForm._from_gram(
+        orders, [[x // scale for x in row] for row in moved], source
+    )
+
+
 def discriminant_form(lattice) -> FiniteQuadraticForm:
     """Discriminant form A_L = L*/L of an even lattice, with provenance."""
     if not lattice.even:
         raise OddLattice("discriminant form requires an even lattice")
-    gram = lattice.gram
-    snf = smith_normal_form(gram)
-    kept = [i for i, d in enumerate(snf.diag) if d > 1]
-    # U G V = D gives G^-1 U^-1 = V D^-1: generator i lifts to column i of V over d_i
-    lifts = [
-        tuple(Fraction(row[i], snf.diag[i]) for row in snf.right.data) for i in kept
-    ]
-
+    snf = smith_normal_form(lattice.gram)
+    kept = tuple(i for i, d in enumerate(snf.diag) if d > 1)
     orders = tuple(snf.diag[i] for i in kept)
-    qdiag = [_mod2(gram.bilinear(v, v)) for v in lifts]
-    r = len(kept)
-    bmat = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            bmat[i][j] = _mod1(gram.bilinear(lifts[i], lifts[j]))
-    source = LatticeSource(lattice, tuple(lifts), snf.left, tuple(kept), snf.diag)
-    return FiniteQuadraticForm(orders, qdiag, bmat, source=source)
+    # U G V = D gives G^-1 U^-1 = V D^-1: generator i lifts to V e_i / d_i, so
+    # its N-fold multiple is an integer row whose values lie over N^2
+    level = orders[-1] if orders else 1
+    source = LatticeSource(lattice, snf, kept)
+    rows = [source.scaled_lift(_unit(len(kept), i), level) for i in range(len(kept))]
+    return _generated_form(lattice.gram, level * level, rows, orders, source)
 
 
 def trivial_form() -> FiniteQuadraticForm:
@@ -246,23 +259,17 @@ def trivial_form() -> FiniteQuadraticForm:
 def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
     """Orthogonal direct sum, renormalized to invariant-factor shape."""
     orders = [d for f in forms for d in f.orders]
-    m = len(orders)
-    if m == 0:
+    if not orders:
         return trivial_form()
-    qdiag = [x for f in forms for x in f.qdiag]
-    bmat = [[Fraction(0)] * m for _ in range(m)]
-    off = 0
-    for f in forms:
-        for i, row in enumerate(f.bmat):
-            bmat[off + i][off:off + f.rank] = row
-        off += f.rank
-    quotient = _row_quotient(IntMatrix.identity(m), IntMatrix.diagonal(orders))
+    level = lcm(*(f.level for f in forms))
+    gram = IntMatrix.block_diagonal(f.gram.scaled(level // f.level) for f in forms)
+    quotient = _row_quotient(IntMatrix.identity(len(orders)), IntMatrix.diagonal(orders))
     kept = [i for i, d in enumerate(quotient.orders) if d > 1]
-    gen_rows = [quotient.generator_rows.data[i] for i in kept]
-    return FiniteQuadraticForm(
-        [quotient.orders[i] for i in kept],
-        [_q_sum(qdiag, bmat, row) for row in gen_rows],
-        [[_b_sum(bmat, r1, r2) for r2 in gen_rows] for r1 in gen_rows],
+    return _generated_form(
+        gram,
+        level,
+        [quotient.generator_rows.data[i] for i in kept],
+        tuple(quotient.orders[i] for i in kept),
     )
 
 
@@ -428,37 +435,26 @@ def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQua
     if n == 0:
         return trivial_form()
 
-    # integer model: P = preimage in Z^n of H^perp, PH = preimage of H
-    constraints = []
-    for h in subgroup.generators:
-        row = [form.b(_unit(n, i), h) for i in range(n)]
-        den = lcm(*[f.denominator for f in row]) if row else 1
-        constraints.append(([int(f * den) for f in row], den))
-    if constraints:
-        m = len(constraints)
-        aug = []
-        for j, (crow, den) in enumerate(constraints):
-            aug.append(crow + [den if k == j else 0 for k in range(m)])
-        ker = kernel_basis(IntMatrix(aug))
-        proj = [list(r[:n]) for r in ker.data]
+    # integer model: P = preimage in Z^n of H^perp, PH = preimage of H;
+    # x lies in H^perp iff (M h) . x = 0 mod N for every generator h of H
+    gens = subgroup.generators
+    if gens:
+        aug = [list(form.gram.apply(h)) + [form.level * (k == j) for k in range(len(gens))]
+               for j, h in enumerate(gens)]
+        proj = [list(r[:n]) for r in kernel_basis(IntMatrix(aug)).data]
     else:
-        proj = [list(r) for r in IntMatrix.identity(n).data]
+        proj = IntMatrix.identity(n).to_lists()
     p_rows = hnf_rows(proj + IntMatrix.diagonal(form.orders).to_lists())
-    ph_rows = hnf_rows(
-        [list(g) for g in subgroup.generators]
-        + IntMatrix.diagonal(form.orders).to_lists()
-    )
+    ph_rows = hnf_rows([list(g) for g in gens] + IntMatrix.diagonal(form.orders).to_lists())
     rq = _row_quotient(IntMatrix(p_rows), IntMatrix(ph_rows))
     kept = [i for i, d in enumerate(rq.orders) if d > 1]
-    orders = [rq.orders[i] for i in kept]
+    orders = tuple(rq.orders[i] for i in kept)
     gen_elems = [form.reduce(rq.generator_rows.data[i]) for i in kept]
     expected = form.cardinality // (subgroup.order ** 2)
     if prod(orders) != expected:
         raise InternalError("perp quotient order mismatch")
-    qd = [form.q(x) for x in gen_elems]
-    bm = [[form.b(x, y) for y in gen_elems] for x in gen_elems]
     source = QuotientSource(form, rq, tuple(kept), tuple(gen_elems))
-    return FiniteQuadraticForm(orders, qd, bm, source=source)
+    return _generated_form(form.gram, form.level, gen_elems, orders, source)
 
 
 def project_to_quotient(quotient: FiniteQuadraticForm, x) -> tuple:
@@ -506,6 +502,7 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
     is accepted when the generated subgroup has ``need_size`` elements.
     """
     buckets = _signature_buckets(b, bound)
+    qdiag, bmat = a.qdiag, a.bmat
     gens = [_unit(a.rank, i) for i in range(a.rank)]
     results = []
 
@@ -515,11 +512,11 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
                 results.append(tuple(images))
                 return not find_all
             return False
-        key = (a.orders[i], a.qdiag[i])
+        key = (a.orders[i], qdiag[i])
         for y in buckets.get(key, ()):
             ok = True
             for j in range(i):
-                if b.b(images[j], y) != a.bmat[j][i]:
+                if b.b(images[j], y) != bmat[j][i]:
                     ok = False
                     break
             if ok:
@@ -587,21 +584,12 @@ def identity_map(form: FiniteQuadraticForm) -> tuple:
 # JSON
 
 
-def _sym_q(x: Fraction) -> Fraction:
-    r = _mod2(x)
-    return r - 2 if r > 1 else r
-
-
-def _sym_b(x: Fraction) -> Fraction:
-    r = _mod1(x)
-    return r - 1 if r > Fraction(1, 2) else r
-
-
 def form_to_json(form: FiniteQuadraticForm) -> str:
+    # symmetric representatives: q in (-1, 1], b in (-1/2, 1/2]
     obj = {
         "orders": list(form.orders),
-        "q": [str(_sym_q(x)) for x in form.qdiag],
-        "b": [[str(_sym_b(x)) for x in row] for row in form.bmat],
+        "q": [str(x - 2 if x > 1 else x) for x in form.qdiag],
+        "b": [[str(x - 1 if 2 * x > 1 else x) for x in row] for row in form.bmat],
     }
     return json.dumps(obj, sort_keys=True)
 

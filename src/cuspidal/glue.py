@@ -37,6 +37,7 @@ from .errors import (
 from .exact import IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce
 from .fqf import (
     FiniteQuadraticForm,
+    FqfSubgroup,
     QuotientSource,
     apply_map,
     compose_maps,
@@ -47,7 +48,9 @@ from .fqf import (
     subgroup_span,
     trivial_subgroup,
 )
-from .lattice import Isometry, Lattice, LatticeVector, direct_sum, make_standard
+from .lattice import (
+    Isometry, Lattice, LatticeVector, direct_sum, disc_action, make_standard,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +143,10 @@ def overlattice(gd: GlueData) -> Overlattice:
     """Even overlattice determined by the glue: preimage of H in R*."""
     base = gd.base
     n = base.rank
-    lifts = [gd.disc.lift(g) for g in gd.glue.generators]
-    den = lcm(1, *(x.denominator for v in lifts for x in v))
+    # den times the glue lifts, with den the level of A_R, are integer rows
+    den = gd.disc.level
     int_rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
-    int_rows += [[int(x * den) for x in v] for v in lifts]
+    int_rows += [list(gd.disc.source.scaled_lift(g, den)) for g in gd.glue.generators]
     # B = den * (overlattice basis in R coordinates), an integer matrix
     basis = IntMatrix(hnf_rows(int_rows))
     if basis.rows != n:
@@ -438,13 +441,8 @@ def _perm_matrix(p) -> IntMatrix:
 
 
 def _disc_action(gd: GlueData, iso: Isometry) -> tuple:
-    disc = gd.disc
-    images = []
-    for i in range(disc.rank):
-        lift = disc.lift(tuple(int(j == i) for j in range(disc.rank)))
-        moved = iso.matrix.apply(lift)
-        images.append(disc.class_of(moved))
-    return tuple(images)
+    src = gd.disc.source
+    return disc_action(iso, src.smith, src.kept)
 
 
 def image_of_tau(gd: GlueData, quotient: FiniteQuadraticForm | None = None) -> TauImage:

@@ -527,13 +527,16 @@ class MembershipFlags:
     in_so_hat_plus: bool
 
 
-def _acts_as(g: Isometry, sign: int) -> bool:
-    # g acts as sign*id on L*/L iff (g - sign*id) maps L* into L; with
-    # U G V = D, L* = G^-1 Z^n is spanned by the columns of V D^-1
-    n = g.domain.rank
-    snf = smith_normal_form(g.domain.gram)
-    m = (g.matrix + IntMatrix.identity(n).scaled(-sign)) @ snf.right
-    return all(x % d == 0 for row in m.data for x, d in zip(row, snf.diag))
+def disc_action(g: Isometry, smith, kept) -> tuple:
+    """Images under g of the generators V e_i / d_i (i in ``kept``) of L*/L.
+
+    With ``smith`` the Smith form U G V = D of the Gram matrix, coordinate k
+    of the image of generator i is (U G g V)_ki / d_i mod d_k, an exact
+    division because U G g V = U g^-T U^-1 D.
+    """
+    m = (smith.left @ g.domain.gram @ g.matrix @ smith.right).data
+    d = smith.diag
+    return tuple(tuple(m[k][i] // d[i] % d[k] for k in kept) for i in kept)
 
 
 def group_membership(g: Isometry) -> MembershipFlags:
@@ -546,12 +549,14 @@ def group_membership(g: Isometry) -> MembershipFlags:
     """
     det = g.det
     sn = spinor_norm(g)
-    if _acts_as(g, 1):
-        action = "id"
-    elif _acts_as(g, -1):
-        action = "-id"
-    else:
-        action = "other"
+    smith = smith_normal_form(g.domain.gram)
+    kept = [k for k, d in enumerate(smith.diag) if d > 1]
+    images = disc_action(g, smith, kept)
+
+    def scalar(sign):
+        return tuple(tuple(sign * (k == i) % smith.diag[k] for k in kept) for i in kept)
+
+    action = "id" if images == scalar(1) else "-id" if images == scalar(-1) else "other"
     in_o_plus = sn == 1
     stable = action == "id"
     in_o_tilde = in_o_plus and stable
@@ -663,7 +668,8 @@ def lattice_from_json(text: str) -> Lattice:
         for row in gram
     ):
         raise BadParameter('lattice JSON needs a square integer matrix "gram"')
-    if len(gram) != obj.get("rank", len(gram)):
+    rank = obj.get("rank", len(gram))
+    if type(rank) is not int or rank != len(gram):
         raise BadParameter("rank does not match gram size")
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):

@@ -1,4 +1,9 @@
+import importlib
+import inspect
 import json
+import pkgutil
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +182,7 @@ class TestInputErrors:
             (["cusp", "one", "--d", "1"], {"roots": "D18"}, "candidates file"),
             (["cusp", "one", "--d", "1"], [{"roots": "E7+D10+A1", "glue": [[1]]}],
              "need 4 coordinates"),
+            (["lat", "info", '{"gram":[[2]],"rank":true}'], None, "rank does not match"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
@@ -236,3 +242,30 @@ def test_cli_import_is_stdlib_only():
     assert "concurrent.futures" not in added
     allowed = sys.stdlib_module_names | {"cuspidal"}
     assert [m for m in added if m.split(".")[0] not in allowed] == []
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["cusp", "zero", "--d", "30000"], "cusp_zero_d30000.json"),
+        (["glue", "enum", "--roots", "2A1+2D8", "--order", "4"],
+         "glue_enum_2A1+2D8_order4.json"),
+        (["lat", "disc", "A1+A2+A3+D4+E6+E7"], "lat_disc_A1+A2+A3+D4+E6+E7.json"),
+    ],
+)
+def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_type_hints_resolve_for_every_class():
+    import cuspidal
+
+    for info in pkgutil.iter_modules(cuspidal.__path__):
+        module = importlib.import_module(f"cuspidal.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                typing.get_type_hints(cls)

@@ -227,3 +227,193 @@ class TestJson:
     def test_symmetric_representatives(self):
         obj = json.loads(fqf.form_to_json(genus_form()))
         assert obj["q"] == ["-1/2", "-1/2"]
+
+
+# ---------------------------------------------------------------------------
+# rational reference: the Fraction presentation the integer Gram replaces
+
+
+def _mod2(x) -> Fraction:
+    return Fraction(x) % 2
+
+
+def _mod1(x) -> Fraction:
+    return Fraction(x) % 1
+
+
+def _q_sum(qdiag, bmat, x) -> Fraction:
+    """sum_i x_i^2 q_i + 2 sum_{i<j} x_i x_j b_ij, not reduced mod 2."""
+    total = Fraction(0)
+    for i, a in enumerate(x):
+        if a:
+            total += a * a * qdiag[i]
+            row = bmat[i]
+            for j in range(i + 1, len(x)):
+                if x[j]:
+                    total += 2 * a * x[j] * row[j]
+    return total
+
+
+def _b_sum(bmat, x, y) -> Fraction:
+    """sum_ij x_i y_j b_ij, not reduced mod 1."""
+    total = Fraction(0)
+    for i, a in enumerate(x):
+        if a:
+            row = bmat[i]
+            for j, c in enumerate(y):
+                if c:
+                    total += a * c * row[j]
+    return total
+
+
+def _fraction_presentation(orders, qdiag, bmat):
+    """(orders, qdiag mod 2, bmat mod 1) under the checks of the Fraction
+    constructor, or ValueError where those checks reject the input."""
+    orders = tuple(int(d) for d in orders)
+    if any(d < 2 for d in orders):
+        raise ValueError("invariant factors must be >= 2")
+    if any(orders[i + 1] % orders[i] for i in range(len(orders) - 1)):
+        raise ValueError("orders must form a divisibility chain")
+    r = len(orders)
+    qdiag = tuple(_mod2(x) for x in qdiag)
+    if len(qdiag) != r:
+        raise ValueError("one q value per generator required")
+    full = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        full[i][i] = _mod1(qdiag[i])
+        for j in range(r):
+            if i != j:
+                full[i][j] = _mod1(bmat[i][j])
+    for i in range(r):
+        for j in range(r):
+            if full[i][j] != full[j][i]:
+                raise ValueError("bilinear matrix must be symmetric")
+            if _mod1(orders[i] * full[i][j]) != 0:
+                raise ValueError("bilinear value incompatible with orders")
+    for i in range(r):
+        if _mod2(orders[i] * orders[i] * qdiag[i]) != 0 or _mod1(orders[i] * qdiag[i]) != 0:
+            raise ValueError("q value incompatible with generator order")
+    return orders, qdiag, tuple(tuple(row) for row in full)
+
+
+def _presentation_or_none(orders, qdiag, bmat):
+    try:
+        return _fraction_presentation(orders, qdiag, bmat)
+    except ValueError:
+        return None
+
+
+def _form_or_none(orders, qdiag, bmat):
+    try:
+        return fqf.FiniteQuadraticForm(orders, qdiag, bmat)
+    except ValueError:
+        return None
+
+
+@st.composite
+def form_inputs(draw):
+    """(orders, qdiag, bmat), valid often enough to exercise both branches."""
+    r = draw(st.integers(0, 3))
+    orders = []
+    d = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    for _ in range(r):
+        orders.append(d)
+        d *= draw(st.sampled_from([1, 1, 2, 3]))
+    if r > 1 and draw(st.integers(0, 9)) == 0:
+        orders[0], orders[-1] = orders[-1], orders[0]
+
+    def value(den_choices):
+        return Fraction(draw(st.integers(-24, 24)), draw(st.sampled_from(den_choices)))
+
+    qdiag = [value([1, max(o, 1), max(o, 1), 2 * max(o, 1), 5]) for o in orders]
+    bmat = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        bmat[i][i] = value([1, 7])  # never read
+        for j in range(i + 1, r):
+            bmat[i][j] = value([1, max(orders[i], 1), max(orders[j], 1), 4])
+            if draw(st.integers(0, 4)):
+                bmat[j][i] = bmat[i][j] + draw(st.integers(-2, 2))
+            else:
+                bmat[j][i] = value([1, 2, 3])
+    return orders, qdiag, bmat
+
+
+class TestIntegerGramAgainstFractions:
+    @settings(deadline=None, max_examples=300)
+    @given(form_inputs(), st.data())
+    def test_constructor_and_values_match_fraction_sums(self, inputs, data):
+        old = _presentation_or_none(*inputs)
+        form = _form_or_none(*inputs)
+        assert (old is None) == (form is None)
+        if form is None:
+            return
+        orders, qdiag, bmat = old
+        assert (form.orders, form.qdiag, form.bmat) == old
+        assert form.level == (orders[-1] if orders else 1)
+        elems = st.lists(st.integers(-50, 50), min_size=form.rank, max_size=form.rank)
+        for _ in range(5):
+            x, y = data.draw(elems), data.draw(elems)
+            assert form.q(x) == _mod2(_q_sum(qdiag, bmat, form.reduce(x)))
+            assert form.b(x, y) == _mod1(_b_sum(bmat, form.reduce(x), form.reduce(y)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(form_inputs(), st.data())
+    def test_equality_and_hash_follow_the_fraction_presentation(self, inputs, data):
+        orders, qdiag, bmat = inputs
+        shifted_q = [x + 2 * data.draw(st.integers(-2, 2)) for x in qdiag]
+        if qdiag and data.draw(st.booleans()):
+            shifted_q[0] += data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+        shifted_b = [[x + data.draw(st.integers(-2, 2)) for x in row] for row in bmat]
+        pairs = [(inputs, (orders, shifted_q, shifted_b)), (inputs, data.draw(form_inputs()))]
+        for one, two in pairs:
+            old1, old2 = _presentation_or_none(*one), _presentation_or_none(*two)
+            f1, f2 = _form_or_none(*one), _form_or_none(*two)
+            if old1 is None or old2 is None:
+                continue
+            assert (f1 == f2) == (old1 == old2)
+            if f1 == f2:
+                assert hash(f1) == hash(f2)
+
+    @settings(deadline=None)
+    @given(even_grams(), st.data())
+    def test_discriminant_values_are_bilinears_of_lifts(self, gram, data):
+        G = IntMatrix(gram)
+        assume(G.det() != 0)
+        a = fqf.discriminant_form(lat.Lattice(G))
+        lifts = a.source.lifts
+        for i in range(a.rank):
+            assert a.qdiag[i] == G.bilinear(lifts[i], lifts[i]) % 2
+            for j in range(a.rank):
+                assert a.bmat[i][j] == G.bilinear(lifts[i], lifts[j]) % 1
+        x = data.draw(st.lists(st.integers(-9, 9), min_size=a.rank, max_size=a.rank))
+        assert a.q(x) == G.bilinear(a.lift(x), a.lift(x)) % 2
+        scaled = a.source.scaled_lift(a.reduce(x), a.level)
+        assert scaled == tuple(a.level * v for v in a.lift(x))
+
+    @pytest.mark.parametrize("names", [("A2", "<-4>"), ("B3", "A1", "D5"), ("E6", "A3")])
+    def test_direct_sum_values_match_fraction_sums(self, names):
+        forms = [fqf.discriminant_form(lat.parse_name(n)) for n in names]
+        qdiag = [x for f in forms for x in f.qdiag]
+        m = len(qdiag)
+        bmat = [[Fraction(0)] * m for _ in range(m)]
+        off = 0
+        for f in forms:
+            for i, row in enumerate(f.bmat):
+                bmat[off + i][off:off + f.rank] = row
+            off += f.rank
+        # the generators of the sum as rows in the concatenated coordinates
+        orders = [d for f in forms for d in f.orders]
+        rq = fqf._row_quotient(IntMatrix.identity(m), IntMatrix.diagonal(orders))
+        rows = [rq.generator_rows.data[i] for i, d in enumerate(rq.orders) if d > 1]
+        ds = fqf.direct_sum_form(*forms)
+        assert ds.qdiag == tuple(_mod2(_q_sum(qdiag, bmat, r)) for r in rows)
+        assert ds.bmat == tuple(tuple(_mod1(_b_sum(bmat, r, s)) for s in rows) for r in rows)
+
+    def test_perp_quotient_values_are_parent_values_of_lifts(self):
+        a = fqf.discriminant_form(lat.parse_name("2A1+2D8"))
+        for sub in fqf.isotropic_subgroups(a):
+            pq = fqf.perp_quotient(a, sub)
+            lifts = pq.source.generator_lifts
+            for i, x in enumerate(lifts):
+                assert pq.qdiag[i] == a.q(x)
+                assert all(pq.bmat[i][j] == a.b(x, y) for j, y in enumerate(lifts))

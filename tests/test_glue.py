@@ -5,7 +5,7 @@ from math import isqrt, prod
 
 import pytest
 
-from cuspidal import fqf, glue
+from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import BadParameter, NotIsotropic, NotNegativeDefinite
 from cuspidal.exact import (
@@ -304,3 +304,30 @@ class TestImageOfTau:
                 for x in tau.quotient_form.elements():
                     fx = fqf.apply_map(tau.quotient_form, f, x)
                     assert tau.quotient_form.q(fx) == tau.quotient_form.q(x)
+
+
+@pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
+def test_integer_disc_action_matches_rational_lifts(spec):
+    gd = glue.make_glue(spec)
+    disc = gd.disc
+    units = [tuple(int(j == i) for j in range(disc.rank)) for i in range(disc.rank)]
+    for iso in glue.tau_generator_isometries(gd):
+        expected = tuple(disc.class_of(iso.matrix.apply(disc.lift(u))) for u in units)
+        assert glue._disc_action(gd, iso) == expected
+
+
+def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
+    gd0, subs = glue_choices("2A1+2D8", 4)
+    expected = [(glue.overlattice(glue.GlueData(gd0.base, gd0.components, gd0.disc, s)),
+                 glue.image_of_tau(glue.GlueData(gd0.base, gd0.components, gd0.disc, s)))
+                for s in subs]
+
+    def refuse(*args):
+        raise AssertionError("rational lift built")
+
+    monkeypatch.setattr(fqf.FiniteQuadraticForm, "lift", refuse)
+    monkeypatch.setattr(fqf.LatticeSource, "lifts", property(refuse))
+    for s, (over, tau) in zip(subs, expected):
+        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
+        assert glue.overlattice(gd).lattice == over.lattice
+        assert glue.image_of_tau(gd).maps == tau.maps

@@ -248,6 +248,20 @@ class TestIsometries:
             actions.append(expected)
         assert "other" in actions or "-id" in actions
 
+    def test_membership_takes_one_smith_form(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(lat, "smith_normal_form", counting)
+        gd = glue.make_glue("D5+2<-2>")
+        for iso in glue.tau_generator_isometries(gd):
+            calls.clear()
+            lat.group_membership(iso)
+            assert len(calls) == 1
+
     def test_disc_action_examples(self):
         # the diagram flip of A2 is -id on Z/3, that of D5 is -id on Z/4;
         # -1 on <-2> is trivial on Z/2; swapping two equal summands is neither
