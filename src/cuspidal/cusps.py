@@ -34,7 +34,7 @@ from .errors import (
     InternalError,
     NotSquareFree,
 )
-from .exact import IntMatrix
+from .exact import IntMatrix, factorize
 from . import fqf
 from . import glue as glue_mod
 from .fqf import FiniteQuadraticForm, FqfSubgroup, discriminant_form, trivial_form
@@ -53,17 +53,9 @@ from .lattice import (
 def squarefree_decompose(d: int):
     """d = d' * k^2 with d' square-free; returns (d', k)."""
     k = 1
-    m = d
-    f = 2
-    while f * f <= m:
-        e = 0
-        while m % f == 0:
-            m //= f
-            e += 1
-        k *= f ** (e // 2)
-        f += 1
-    dprime = d // (k * k)
-    return dprime, k
+    for p, e in factorize(d).items():
+        k *= p ** (e // 2)
+    return d // (k * k), k
 
 
 @dataclass(frozen=True)
@@ -209,13 +201,9 @@ def nu_formula(case: PolarizationCase) -> int:
     return (case.k + 2) // 2
 
 
-def _pm1_classes(model: DiscModel, bound: int) -> list:
-    """Isotropic classes of A_N modulo +-1, from one exhaustive scan."""
-    return fqf.mod_pm1(model.form, fqf.isotropic_elements(model.form, bound))
-
-
 def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
-    return len(_pm1_classes(disc_model(case), bound))
+    """Isotropic classes of A_N modulo +-1, counted by a scan of each p-part."""
+    return fqf.isotropic_pm1_count(disc_model(case).form, bound)
 
 
 @dataclass(frozen=True)
@@ -258,7 +246,7 @@ def valid_orders(case: PolarizationCase) -> list:
 
 
 def _order_pattern(case: PolarizationCase, m: int) -> str:
-    if m not in valid_orders(case):
+    if m < 1 or case.K % m:
         raise BadIndex(f"m={m} does not index an isotropic subgroup for this case")
     if case.k % m == 0:
         return "t"
@@ -287,13 +275,17 @@ class OrbitRep:
 
 
 def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
-    """Representatives x_{m,n} of I_1(A_N)/{+-1}, verified exhaustive."""
+    """Representatives x_{m,n} of I_1(A_N)/{+-1}, certified exhaustive by counting."""
     model = disc_model(case)
-    return _verified_reps(model, _pm1_classes(model, bound))
+    return _verified_reps(model, fqf.isotropic_pm1_count(model.form, bound))
 
 
-def _verified_reps(model: DiscModel, classes) -> list:
-    """The x_{m,n}, checked against the scanned +-1 classes of A_N."""
+def _verified_reps(model: DiscModel, count: int) -> list:
+    """The x_{m,n}, certified to be all ``count`` isotropic classes modulo +-1.
+
+    Isotropic, of order m and pairwise distinct modulo +-1, as many as
+    there are classes: nothing is left over.
+    """
     case = model.case
     form = model.form
     reps = []
@@ -307,11 +299,10 @@ def _verified_reps(model: DiscModel, classes) -> list:
             if form.order_of(x) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             reps.append(OrbitRep(m, n, x))
-    canon = sorted(min(r.element, form.neg(r.element)) for r in reps)
-    if canon != sorted(classes):
-        raise InternalError("orbit representatives do not exhaust the isotropic classes")
-    if len(set(canon)) != len(reps):
+    if len({min(r.element, form.neg(r.element)) for r in reps}) != len(reps):
         raise InternalError("orbit representatives collide")
+    if len(reps) != count:
+        raise InternalError("orbit representatives do not exhaust the isotropic classes")
     return sorted(reps, key=lambda r: (r.m, r.n))
 
 
@@ -534,16 +525,16 @@ class CuspReport:
 
 def zero_dim_report(case: PolarizationCase, mode: str = "both",
                     bound: int = fqf.ENUM_BOUND) -> CuspReport:
-    """nu and the verified orbit representatives from one scan of A_N."""
+    """nu and the orbit representatives, certified by one scan of each p-part of A_N."""
     _check_nu_mode(mode)
     model = disc_model(case)
-    classes = _pm1_classes(model, bound)
+    count = fqf.isotropic_pm1_count(model.form, bound)
     result = NuResult(
         case,
         nu_formula(case) if mode in ("formula", "both") else None,
-        len(classes) if mode in ("enumerate", "both") else None,
+        count if mode in ("enumerate", "both") else None,
     )
-    return CuspReport(case, result, tuple(_verified_reps(model, classes)))
+    return CuspReport(case, result, tuple(_verified_reps(model, count)))
 
 
 def full_report(case: PolarizationCase, candidates=None,

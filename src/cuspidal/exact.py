@@ -188,6 +188,22 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
+def factorize(n: int) -> dict:
+    """Prime factorization {p: e} of a positive integer, by trial division."""
+    if n < 1:
+        raise ValueError("factorize needs a positive integer")
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1  # what is left has no factor up to its square root
+    return out
+
+
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transform matrices.
 

@@ -16,6 +16,16 @@ generator lifts V e_i / d_i; direct sums use the block sum over the lcm
 of the levels; H^perp/H uses generator lifts in the parent.  No matrix
 is inverted over Q: quotient coordinates come from ``exact.hnf_coords``
 and the Smith transform of the sublattice.
+
+A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
+section 1); ``primary_parts`` builds A_p by the same rule from the rows
+(d_i / p^e_i) e_i, p^e_i exactly dividing d_i.  Values on different
+parts have coprime denominators, so x is isotropic exactly when every
+p-component is, and -1 fixes only elements with 2x = 0, which lie in
+the 2-part.  Hence the number of isotropic classes modulo +-1 is
+(prod_p I_p + F_2) / 2, with I_p the isotropic elements of A_p and F_2
+those of the 2-part killed by 2: ``isotropic_pm1_count`` scans
+sum_p |A_p| elements instead of prod_p |A_p|.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ from math import gcd, lcm, prod
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
-    IntMatrix, SmithDecomposition, hnf_coords, hnf_rows, kernel_basis, smith_normal_form,
+    IntMatrix, SmithDecomposition, factorize, hnf_coords, hnf_rows, kernel_basis,
+    smith_normal_form,
 )
 
 ENUM_BOUND = 10**6
@@ -378,7 +389,44 @@ def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
 
 def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
     """All x with q(x) = 0 in Q/2Z, by exhaustive scan (includes 0)."""
-    return [x for x in form.elements(bound) if form.q(x) == 0]
+    modulus = 2 * form.level
+    return [x for x in form.elements(bound) if form.gram.bilinear(x, x) % modulus == 0]
+
+
+def primary_parts(form: FiniteQuadraticForm) -> dict:
+    """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape."""
+    parts = {}
+    for p in sorted(factorize(form.level)):
+        rows, orders = [], []
+        for i, d in enumerate(form.orders):
+            pe = 1
+            while d % (pe * p) == 0:
+                pe *= p
+            if pe > 1:
+                rows.append([d // pe if j == i else 0 for j in range(form.rank)])
+                orders.append(pe)
+        parts[p] = _generated_form(form.gram, form.level, rows, tuple(orders))
+    return parts
+
+
+def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> int:
+    """Number of isotropic classes modulo +-1, from a scan of each p-part.
+
+    Equals ``len(mod_pm1(form, isotropic_elements(form)))``; ``bound``
+    caps each part, not the whole group.
+    """
+    isotropic, fixed = 1, 1
+    for p, part in primary_parts(form).items():
+        try:
+            iso = isotropic_elements(part, bound)
+        except GroupTooLarge:
+            raise GroupTooLarge(
+                f"{p}-part of order {part.cardinality} exceeds enumeration bound {bound}"
+            ) from None
+        isotropic *= len(iso)
+        if p == 2:
+            fixed = sum(1 for x in iso if part.smul(2, x) == part.zero)
+    return (isotropic + fixed) // 2
 
 
 def mod_pm1(form: FiniteQuadraticForm, elems) -> list:

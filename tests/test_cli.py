@@ -38,6 +38,23 @@ class TestCuspZero:
         code, out = invoke(capsys, ["cusp", "zero", "--d", "3", "--format", "md"])
         assert code == 0 and out.startswith("|")
 
+    @pytest.mark.parametrize("mode", ["both", "formula"])
+    def test_group_beyond_bound_counted_prime_by_prime(self, capsys, mode):
+        # |A_N| = 1,200,000 exceeds the bound; its p-parts have 128, 3 and 3125 elements
+        code, out = invoke(capsys, ["cusp", "zero", "--d", "300000", "--mode", mode])
+        assert code == 0
+        z = json.loads(out)["zero_dim"]
+        assert z["formula"] == len(z["reps"]) == 51
+        assert z["enumerated"] == (51 if mode == "both" else None)
+
+    def test_primary_part_beyond_bound_names_the_bound(self, capsys):
+        # d = 2^19: the 2-part Z/2^20 + Z/2 of A_N has 2^21 elements
+        code = run(["cusp", "zero", "--d", "524288"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "2-part of order 2097152 exceeds enumeration bound 1000000" in captured.err
+
 
 class TestSweep:
     def test_split_range(self, capsys):

@@ -9,6 +9,7 @@ from cuspidal.errors import (
     BadIndex,
     BadParameter,
     HypothesisFailed,
+    InternalError,
     NotSquareFree,
 )
 
@@ -83,6 +84,15 @@ class TestNu:
         with pytest.raises(BadParameter):
             cusps.nu(case, "guess")
 
+    def test_local_count_matches_whole_group_scan(self):
+        cases = [cusps.PolarizationCase(d, "split") for d in range(1, 301)]
+        cases += [cusps.PolarizationCase(d, "nonsplit") for d in range(3, 301, 4)]
+        cases += [cusps.PolarizationCase(d, "split") for d in (3072, 3600)]
+        for case in cases:
+            form = cusps.disc_model(case).form
+            whole = len(fqf.mod_pm1(form, fqf.isotropic_elements(form)))
+            assert fqf.isotropic_pm1_count(form) == whole == cusps.nu_formula(case), case
+
     def test_depends_only_on_dprime_and_k(self):
         # same (d', k) pairs give the same count
         pairs = [(3, 1), (3, 2), (7, 1), (1, 2), (5, 3)]
@@ -113,6 +123,20 @@ class TestOrbitReps:
             case = cusps.PolarizationCase(d, "split")
             assert len(cusps.orbit_reps(case)) == cusps.nu_formula(case)
 
+    def test_certificate_rejects_colliding_or_too_few_reps(self, monkeypatch):
+        case = cusps.PolarizationCase(25, "split")  # K = 5: reps (1,0), (5,1), (5,2)
+        real = cusps._element_of_order
+        monkeypatch.setattr(cusps, "_element_of_order",
+                            lambda model, m, n: real(model, m, min(n, 1)))
+        with pytest.raises(InternalError, match="collide"):
+            cusps.orbit_reps(case)
+        monkeypatch.setattr(cusps, "_element_of_order", real)
+        count = fqf.isotropic_pm1_count
+        monkeypatch.setattr(fqf, "isotropic_pm1_count",
+                            lambda form, bound: count(form, bound) + 1)
+        with pytest.raises(InternalError, match="do not exhaust"):
+            cusps.orbit_reps(case)
+
     def test_rep_constraints(self):
         for d in (12, 27, 48):
             case = cusps.PolarizationCase(d, "split")
@@ -141,6 +165,12 @@ class TestPredictedAE:
     def test_bad_index(self):
         with pytest.raises(BadIndex):
             cusps.predicted_AE(cusps.PolarizationCase(5, "split"), 2)
+
+    def test_bad_index_nonpositive_and_non_divisor(self):
+        # d = 12: K = 4, so the orders are 1, 2 and 4
+        for m in (0, -2, 8):
+            with pytest.raises(BadIndex):
+                cusps.predicted_AE(cusps.PolarizationCase(12, "split"), m)
 
     @pytest.mark.parametrize("d", [1, 4, 9, 12, 18, 27, 45, 50])
     def test_brieskorn_square(self, d):
@@ -223,7 +253,8 @@ class TestReports:
         monkeypatch.setattr(fqf, "isotropic_elements", counted)
         case = cusps.PolarizationCase(12, "split")
         rep = cusps.zero_dim_report(case, mode)
-        assert calls == [4 * 12]  # |A_N| = 4d in the split case
+        # |A_N| = 4d = 48 = 16 * 3: the 2-part and the 3-part, never all of A_N
+        assert calls == [16, 3]
         # d = 12 = 3 * 2^2 with d' = 3 mod 4, so nu = k + 1 = 3
         assert [[r.m, r.n] for r in rep.reps] == [[1, 0], [2, 1], [4, 1]]
         z = rep.to_obj()["zero_dim"]
@@ -232,7 +263,7 @@ class TestReports:
         # the public entry points still scan on their own
         calls.clear()
         assert len(cusps.orbit_reps(case)) == cusps.nu_enumerate(case) == 3
-        assert len(calls) == 2
+        assert calls == [16, 3, 16, 3]
 
     def test_zero_dim_report_rejects_mode_before_scanning(self, monkeypatch):
         monkeypatch.setattr(fqf, "isotropic_elements", None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cuspidal.errors import NotDefinite, SingularMatrix
 from cuspidal.exact import (
     IntMatrix,
+    factorize,
     hnf_coords,
     hnf_rows,
     kernel_basis,
@@ -255,6 +256,23 @@ class TestSolve:
         x = solve_rational(a, b)
         if x is not None:
             assert list(a.apply(x)) == [v for v in b]
+
+
+class TestFactorize:
+    def test_small_numbers(self):
+        for n in range(1, 2001):
+            f = factorize(n)
+            assert math.prod(p**e for p, e in f.items()) == n
+            assert all(e >= 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+                       for p, e in f.items())
+
+    def test_large_prime_and_square(self):
+        assert factorize(10**12 + 39) == {10**12 + 39: 1}
+        assert factorize(2**19 * 3**10 * 7**2) == {2: 19, 3: 10, 7: 2}
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            factorize(0)
 
 
 class TestKernelAndHnf:

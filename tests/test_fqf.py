@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuspidal import fqf
+from cuspidal import fqf, glue
 from cuspidal import lattice as lat
-from cuspidal.exact import IntMatrix, rational_inverse
+from cuspidal.exact import IntMatrix, factorize, rational_inverse
 from cuspidal.errors import GroupTooLarge, NotIsotropic, OddLattice
 
 HALF = Fraction(-1, 2)
@@ -417,3 +418,43 @@ class TestIntegerGramAgainstFractions:
             for i, x in enumerate(lifts):
                 assert pq.qdiag[i] == a.q(x)
                 assert all(pq.bmat[i][j] == a.b(x, y) for j, y in enumerate(lifts))
+
+
+# ---------------------------------------------------------------------------
+# p-primary parts against the whole group
+
+
+def _lattice_form(gram):
+    G = IntMatrix(gram)
+    return fqf.discriminant_form(lat.Lattice(G)) if G.det() != 0 else None
+
+
+ROOT_TERMS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "<-4>", "<-6>"]
+
+small_forms = st.one_of(
+    even_grams(3).map(_lattice_form),
+    form_inputs().map(lambda inputs: _form_or_none(*inputs)),
+    st.lists(st.sampled_from(ROOT_TERMS), min_size=1, max_size=3).map(
+        lambda terms: glue.make_glue("+".join(terms)).disc
+    ),
+)
+
+
+class TestPrimaryParts:
+    @settings(deadline=None, max_examples=150)
+    @given(small_forms)
+    def test_parts_rebuild_the_form_and_count_its_isotropic_classes(self, form):
+        assume(form is not None and form.cardinality <= 400)
+        parts = fqf.primary_parts(form)
+        assert set(parts) == set(factorize(form.cardinality))
+        assert all(set(factorize(part.cardinality)) == {p} for p, part in parts.items())
+        assert prod(part.cardinality for part in parts.values()) == form.cardinality
+        assert fqf.are_isometric(fqf.direct_sum_form(*parts.values()), form)[0]
+        whole = fqf.mod_pm1(form, fqf.isotropic_elements(form))
+        assert fqf.isotropic_pm1_count(form) == len(whole)
+
+    def test_bound_caps_each_part_and_names_it(self):
+        form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        assert fqf.isotropic_pm1_count(form, bound=8) == fqf.isotropic_pm1_count(form)
+        with pytest.raises(GroupTooLarge, match="^2-part of order 8 exceeds enumeration bound 7$"):
+            fqf.isotropic_pm1_count(form, bound=7)
