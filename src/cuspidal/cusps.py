@@ -50,12 +50,14 @@ from .lattice import (
 )
 
 
-def squarefree_decompose(d: int):
-    """d = d' * k^2 with d' square-free; returns (d', k)."""
-    k = 1
-    for p, e in factorize(d).items():
+def squarefree_decompose(factors: dict):
+    """d = d' * k^2 with d' square-free, from the factorization {p: e} of d;
+    returns (d', k)."""
+    dprime, k = 1, 1
+    for p, e in factors.items():
+        dprime *= p ** (e % 2)
         k *= p ** (e // 2)
-    return d // (k * k), k
+    return dprime, k
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,7 @@ class PolarizationCase:
     dprime: int = field(init=False)
     k: int = field(init=False)
     K: int = field(init=False)
+    primes: tuple = field(init=False)  # the primes of 2d, from one factorization of d
 
     def __post_init__(self):
         if self.d < 1:
@@ -75,9 +78,11 @@ class PolarizationCase:
             raise BadCase(f"unknown embedding {self.embedding!r}")
         if self.embedding == "nonsplit" and self.d % 4 != 3:
             raise BadCase("non-split embeddings require d = 3 mod 4")
-        dprime, k = squarefree_decompose(self.d)
+        factors = factorize(self.d)
+        dprime, k = squarefree_decompose(factors)
         object.__setattr__(self, "dprime", dprime)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "primes", tuple(sorted(set(factors) | {2})))
         big = 2 * k if (self.embedding == "split" and dprime % 4 == 3) else k
         object.__setattr__(self, "K", big)
 
@@ -203,7 +208,7 @@ def nu_formula(case: PolarizationCase) -> int:
 
 def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
     """Isotropic classes of A_N modulo +-1, counted by a scan of each p-part."""
-    return fqf.isotropic_pm1_count(disc_model(case).form, bound)
+    return fqf.isotropic_pm1_count(disc_model(case).form, bound, case.primes)
 
 
 @dataclass(frozen=True)
@@ -430,25 +435,31 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> O
         subgroups = [
             s for s in fqf.isotropic_subgroups(gd0.disc, bound) if s.order == h_order
         ]
-    # Im tau and O(q_E) are computed only for the glue whose row is returned:
-    # the first with the declared root system, else the last genus match
+    # a finite-index overlattice has the signature of its base
+    if gd0.base.signature != (0, 18):
+        return OneDimRow(cand, False, False, None, None, None, None,
+                         "no isotropic glue realizes the target genus")
+    # R(E) = R(R) exactly when the glue adds no roots, which the coset
+    # minima of H decide without a Gram matrix of E; R(R) is the declared
+    # system unless a <-2> summand adds a root.  The roots of E are
+    # enumerated only to name them when no genus match keeps R(R), for the
+    # last match.  Im tau and O(q_E) are computed only for the returned glue.
+    certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
     chosen = None
     for s in subgroups:
         quotient = fqf.perp_quotient(gd0.disc, s)
         if not fqf.are_isometric(quotient, target_form, bound)[0]:
             continue
-        gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s)
-        over = glue_mod.overlattice(gd)
-        if over.lattice.signature != (0, 18):
-            continue
-        rs = glue_mod.root_system(over.lattice)
-        chosen = (gd, quotient, rs)
-        if rs.components == declared.components:
+        chosen = (glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s), quotient)
+        if certifiable and not glue_mod.glue_adds_roots(chosen[0]):
+            rs = declared
             break
-    if chosen is None:
-        return OneDimRow(cand, False, False, None, None, None, None,
-                         "no isotropic glue realizes the target genus")
-    gd, quotient, rs = chosen
+    else:
+        if chosen is None:
+            return OneDimRow(cand, False, False, None, None, None, None,
+                             "no isotropic glue realizes the target genus")
+        rs = glue_mod.root_system(glue_mod.overlattice(chosen[0]).lattice)
+    gd, quotient = chosen
     tau = glue_mod.image_of_tau(gd, quotient)
     o_ae = len(fqf.orthogonal_group(tau.quotient_form, bound))
     return OneDimRow(
@@ -528,7 +539,7 @@ def zero_dim_report(case: PolarizationCase, mode: str = "both",
     """nu and the orbit representatives, certified by one scan of each p-part of A_N."""
     _check_nu_mode(mode)
     model = disc_model(case)
-    count = fqf.isotropic_pm1_count(model.form, bound)
+    count = fqf.isotropic_pm1_count(model.form, bound, case.primes)
     result = NuResult(
         case,
         nu_formula(case) if mode in ("formula", "both") else None,

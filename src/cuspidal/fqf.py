@@ -393,10 +393,16 @@ def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> li
     return [x for x in form.elements(bound) if form.gram.bilinear(x, x) % modulus == 0]
 
 
-def primary_parts(form: FiniteQuadraticForm) -> dict:
-    """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape."""
+def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
+    """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape.
+
+    ``primes`` may hold the primes of the level (or more), when the caller
+    has them; otherwise the level is factored.
+    """
+    if primes is None:
+        primes = factorize(form.level)
     parts = {}
-    for p in sorted(factorize(form.level)):
+    for p in sorted(p for p in set(primes) if form.level % p == 0):
         rows, orders = [], []
         for i, d in enumerate(form.orders):
             pe = 1
@@ -406,17 +412,21 @@ def primary_parts(form: FiniteQuadraticForm) -> dict:
                 rows.append([d // pe if j == i else 0 for j in range(form.rank)])
                 orders.append(pe)
         parts[p] = _generated_form(form.gram, form.level, rows, tuple(orders))
+    if prod(part.cardinality for part in parts.values()) != form.cardinality:
+        raise InternalError("the given primes miss a prime of the group order")
     return parts
 
 
-def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> int:
+def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
+                        primes=None) -> int:
     """Number of isotropic classes modulo +-1, from a scan of each p-part.
 
     Equals ``len(mod_pm1(form, isotropic_elements(form)))``; ``bound``
-    caps each part, not the whole group.
+    caps each part, not the whole group; ``primes`` is passed to
+    ``primary_parts``.
     """
     isotropic, fixed = 1, 1
-    for p, part in primary_parts(form).items():
+    for p, part in primary_parts(form, primes).items():
         try:
             iso = isotropic_elements(part, bound)
         except GroupTooLarge:

@@ -11,6 +11,20 @@ bound is the isqrt of an integer quotient.  Norm -2 vectors of a
 negative definite lattice always form an ADE root system; components are
 classified by the shape of their simple-root graph.
 
+Whether a glue creates roots is decided without enumeration, from coset
+minima (Conway-Sloane, SPLAG ch. 4 sections 6-8; Nikulin 1979, section
+1).  For R = sum_i R_i and h in H, the shortest vectors of the coset
+h + R have |norm| sum_i mu_i(h_i), with mu_i(c) the minimal |norm| of the
+class c in R_i*/R_i.  Every nonzero class of an irreducible ADE lattice
+contains a minuscule fundamental weight, which is shortest in its class,
+so mu_i(c) is the least |(G_i^-1)_kk| over the fundamental weights
+omega_k in c; a rank-1 summand <2m> has mu(k) = k'^2/|2m| with k' the
+class k reduced to [0, |m|].  E is even, so for h != 0 the sum is an even
+integer >= 2, and E has a root outside R exactly when some sum is 2
+(``glue_adds_roots``).  Fincke-Pohst still runs for ``glue roots``,
+``glue enum --roots-of-overlattice``, for Table 1 candidates none of
+whose genus-matching glues keeps the declared roots, and in the tests.
+
 The image of O(E) in O(A_E) is generated, for overlattices with full
 root rank, by diagram automorphisms, permutations of isomorphic
 components and sign flips of declared non-root rank-1 summands, all
@@ -24,7 +38,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt, lcm
+from functools import lru_cache
+from math import isqrt, lcm, prod
 
 from .errors import (
     BadParameter,
@@ -34,7 +49,9 @@ from .errors import (
     NotNegativeDefinite,
     RootsNotFullRank,
 )
-from .exact import IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce
+from .exact import (
+    IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce, smith_normal_form,
+)
 from .fqf import (
     FiniteQuadraticForm,
     FqfSubgroup,
@@ -356,6 +373,95 @@ def _classify_component(nodes, adj) -> tuple:
         if arms == [1, 2, 4]:
             return ("E", 8)
     raise InternalError("component is not a simply-laced Dynkin diagram")
+
+
+# ---------------------------------------------------------------------------
+# coset minima: roots created by a glue, without enumeration
+
+
+@lru_cache(maxsize=None)
+def _class_minima(kind: str, param: int) -> tuple:
+    """Gram, class map and coset minima of one component R_i.
+
+    Returns (G, rows, orders, N, minima).  With U G V = D the Smith form
+    of G, a dual vector with pairings p = G v lies in the class with key
+    (U p)_j mod d_j over the positions j with d_j > 1: v - w lies in R_i
+    exactly when D^-1 U (G v - G w) is integral.  ``minima`` maps every
+    nonzero key to N times the least |norm| in its class, N the exponent
+    of R_i*/R_i.
+    """
+    if kind == "unit" and param > 0:
+        raise NotNegativeDefinite("coset minima need a negative definite base")
+    G = make_standard("rank1" if kind == "unit" else kind, param).gram
+    snf = smith_normal_form(G)
+    U, d, V = snf.left.data, snf.diag, snf.right.data
+    rows = tuple(U[j] for j, dj in enumerate(d) if dj > 1)
+    orders = tuple(dj for dj in d if dj > 1)
+    N = d[-1]
+    minima = {}
+    if kind == "unit":
+        # the class of k e / 2m is shortest at k' = min(k, N - k), N = |2m|
+        for k in range(1, N):
+            minima[_class_key(rows, orders, [k])] = min(k, N - k) ** 2
+    else:
+        r = G.rows
+        for k in range(r):
+            c = _class_key(rows, orders, [int(i == k) for i in range(r)])
+            if any(c):
+                # omega_k = G^-1 e_k has norm (G^-1)_kk, and N G^-1 = V (N D^-1) U
+                norm = -sum(V[k][j] * (N // d[j]) * U[j][k] for j in range(r))
+                minima[c] = min(norm, minima.get(c, norm))
+    if len(minima) != prod(d) - 1:
+        raise InternalError(f"a nonzero class of {kind}{param} contains no fundamental weight")
+    return G, rows, orders, N, minima
+
+
+def _class_key(rows, orders, pairings) -> tuple:
+    return tuple(sum(u * x for u, x in zip(row, pairings)) % dj
+                 for row, dj in zip(rows, orders))
+
+
+def coset_minimum(kind: str, param: int, pairings) -> tuple:
+    """(N mu, N): the least |norm| mu in the class of R_i*/R_i of the dual
+    vector with the given integer pairings against the basis of R_i, with
+    N the exponent of R_i*/R_i; ``param`` is as in ``Component``."""
+    _, rows, orders, N, minima = _class_minima(kind, param)
+    c = _class_key(rows, orders, pairings)
+    return (minima[c] if any(c) else 0), N
+
+
+def glue_adds_roots(gd: GlueData) -> bool:
+    """True when the overlattice of the glue has a root outside the base.
+
+    Works from the glue data alone: the coset h + R of each h != 0 in H
+    has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level.
+    """
+    if sum(c.rank for c in gd.components) != gd.base.rank:
+        raise RootsNotFullRank("components do not span the base lattice")
+    level = gd.disc.level
+    blocks = []
+    for comp in gd.components:
+        G = _class_minima(comp.kind, comp.param)[0]
+        sl = slice(comp.offset, comp.offset + comp.rank)
+        if tuple(row[sl] for row in gd.base.gram.data[sl]) != G.data:
+            raise InternalError("base Gram block differs from its component")
+        blocks.append((comp, sl, G))
+    for h in gd.glue.elements:
+        if not any(h):
+            continue
+        lift = gd.disc.source.scaled_lift(h, level)  # level times a vector of R*
+        total = 0  # level times the coset minimum
+        for comp, sl, G in blocks:
+            scaled = G.apply(lift[sl])
+            if any(x % level for x in scaled):
+                raise InternalError("glue lift is not a dual vector")
+            num, N = coset_minimum(comp.kind, comp.param, [x // level for x in scaled])
+            total += num * (level // N)
+        if total == 0 or total % (2 * level):
+            raise InternalError("glue coset minimum is not an even integer >= 2")
+        if total == 2 * level:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

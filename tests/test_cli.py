@@ -237,6 +237,55 @@ class TestCuspOneFlags:
         assert row["genus_ok"] is True and row["roots_ok"] is False
 
 
+    def test_declared_unit_root_is_not_certified(self, capsys, tmp_path):
+        # a <-2> summand is a root outside the declared system, so no glue
+        # certifies the row: 2E8+A1+<-2> is named by its enumerated roots
+        path = tmp_path / "cands.json"
+        path.write_text(json.dumps([{"roots": "2E8+A1+<-2>"}]))
+        code, out = invoke(capsys, ["cusp", "one", "--d", "1", "--candidates", str(path)])
+        assert code == 1
+        row = json.loads(out)["one_dim"]["candidates"][0]
+        assert row["roots"] == "2E8+2A1"
+        assert row["genus_ok"] is True and row["roots_ok"] is False
+
+
+def _count_calls(monkeypatch, fn, modules):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_table1_builds_no_overlattice_and_enumerates_no_roots(capsys, monkeypatch):
+    from cuspidal import glue
+
+    over = _count_calls(monkeypatch, glue.overlattice, [glue])
+    short = _count_calls(monkeypatch, glue.short_vectors, [glue])
+    certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
+    code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert len(over) == 0 and len(short) == 0
+    assert len(certified) == 28
+
+
+def test_cusp_zero_factors_d_once(capsys, monkeypatch):
+    from cuspidal import cusps, exact, fqf
+
+    calls = _count_calls(monkeypatch, exact.factorize, [exact, cusps, fqf])
+    code = run(["cusp", "zero", "--d", "1000000000039"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: 1000000000039-part of order 1000000000039 exceeds enumeration bound 1000000\n"
+    )
+    assert calls == [(1000000000039,)]
+
+
 def test_cli_import_is_stdlib_only():
     import os
     import subprocess

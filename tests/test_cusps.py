@@ -23,6 +23,12 @@ class TestCase:
         c = cusps.PolarizationCase(27, "nonsplit")
         assert (c.dprime, c.k, c.K) == (3, 3, 3)
 
+    def test_primes_of_2d_come_with_the_case(self):
+        assert cusps.PolarizationCase(1, "split").primes == (2,)
+        assert cusps.PolarizationCase(12, "split").primes == (2, 3)
+        assert cusps.PolarizationCase(75, "nonsplit").primes == (2, 3, 5)
+        assert cusps.squarefree_decompose({2: 3, 3: 1, 5: 2}) == (6, 10)
+
     def test_nonsplit_requires_three_mod_four(self):
         with pytest.raises(BadCase):
             cusps.PolarizationCase(5, "nonsplit")

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cuspidal import fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.exact import IntMatrix, factorize, rational_inverse
-from cuspidal.errors import GroupTooLarge, NotIsotropic, OddLattice
+from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
 
 HALF = Fraction(-1, 2)
 
@@ -452,6 +452,14 @@ class TestPrimaryParts:
         assert fqf.are_isometric(fqf.direct_sum_form(*parts.values()), form)[0]
         whole = fqf.mod_pm1(form, fqf.isotropic_elements(form))
         assert fqf.isotropic_pm1_count(form) == len(whole)
+
+    def test_given_primes_may_exceed_the_level_but_not_miss_a_prime(self):
+        form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        parts = fqf.primary_parts(form)
+        assert fqf.primary_parts(form, (7, 2, 5, 3)) == parts
+        assert fqf.isotropic_pm1_count(form, primes=(2, 3, 5)) == fqf.isotropic_pm1_count(form)
+        with pytest.raises(InternalError, match="miss a prime"):
+            fqf.primary_parts(form, (2, 5))
 
     def test_bound_caps_each_part_and_names_it(self):
         form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3

@@ -1,13 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 
 from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
-from cuspidal.errors import BadParameter, NotIsotropic, NotNegativeDefinite
+from cuspidal.errors import BadParameter, NotIsotropic, NotNegativeDefinite, RootsNotFullRank
 from cuspidal.exact import (
     IntMatrix,
     integral_gram_schmidt,
@@ -331,3 +333,134 @@ def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         assert glue.overlattice(gd).lattice == over.lattice
         assert glue.image_of_tau(gd).maps == tau.maps
+
+
+# ---------------------------------------------------------------------------
+# coset minima and the root certificate
+
+
+def _splac_minimum(kind, param, p):
+    """Minimal |norm| of the class of the dual vector with pairings p, from
+    the closed forms of Conway-Sloane (SPLAG ch. 4) and the class of each
+    fundamental weight: omega_j is j omega_1 in A_n; in D_n the chain weight
+    omega_j is j times the vector class v, and the two tips are the spinors."""
+    if kind == "unit":
+        k = p[0] % abs(param)
+        k = min(k, abs(param) - k)
+        return Fraction(k * k, abs(param))
+    if kind == "A":
+        k = sum((j + 1) * x for j, x in enumerate(p)) % (param + 1)
+        return Fraction(k * (param + 1 - k), param + 1)
+    if kind == "D":
+        a = sum(p[j] for j in range(0, param - 2, 2))  # multiple of v
+        s, t = p[param - 2], p[param - 1]  # multiples of the two spinors
+        if param % 2:  # Z/4 with v = 2, spinors 1 and 3
+            c = (2 * a + s + 3 * t) % 4
+            return {0: 0, 2: 1}.get(c, Fraction(param, 4))
+        c = ((a + s) % 2, (a + t) % 2)  # (Z/2)^2 with v = (1, 1)
+        return {(0, 0): 0, (1, 1): 1}.get(c, Fraction(param, 4))
+    # p comes from the lift of a class, which is 0 exactly on class 0
+    return {6: Fraction(4, 3), 7: Fraction(3, 2)}[param] if any(p) else 0
+
+
+COSET_COMPONENTS = (
+    [("A", n) for n in range(1, 18)] + [("D", n) for n in range(4, 19)]
+    + [("E", 6), ("E", 7), ("E", 8), ("unit", -2), ("unit", -4)]
+)
+
+
+@pytest.mark.parametrize("kind, param", COSET_COMPONENTS)
+def test_coset_minima_match_closed_forms(kind, param):
+    L = lat.make_standard("rank1" if kind == "unit" else kind, param)
+    disc = fqf.discriminant_form(L)
+    rng = random.Random(param)
+    seen = 0
+    for x in disc.elements():
+        b = disc.source.scaled_lift(x, disc.level)
+        p = [v // disc.level for v in L.gram.apply(b)]
+        expected = _splac_minimum(kind, param, p)
+        num, den = glue.coset_minimum(kind, param, p)
+        assert Fraction(num, den) == expected, (x, p)
+        # any other vector of the same class has the same minimum
+        shifted = [a + c for a, c in zip(p, L.gram.apply([rng.randint(-3, 3) for _ in p]))]
+        assert glue.coset_minimum(kind, param, shifted) == (num, den)
+        seen += 1
+    assert seen == abs(L.det)
+
+
+def _adds_roots_oracle(gd):
+    """The certificate's answer, by Fincke-Pohst on the overlattice."""
+    over = glue.root_system(glue.overlattice(gd).lattice)
+    return over.total_roots != glue.root_system(gd.base).total_roots
+
+
+def test_root_certificate_on_the_glues_table1_tries():
+    # the genus matches of each row, in search order, up to the first that
+    # keeps the declared root system: 28 glues, 15 of them adding roots
+    target = cusps.predicted_AE(cusps.PolarizationCase(1, "split"), 1)
+    tried = []
+    for cand in cusps.TABLE1_ROWS:
+        gd0 = glue.make_glue(cand.roots)
+        declared = glue.root_system_from_spec(cand.roots).components
+        for s in fqf.isotropic_subgroups(gd0.disc):
+            if s.order ** 2 * 4 != abs(gd0.base.det):
+                continue
+            if not fqf.are_isometric(fqf.perp_quotient(gd0.disc, s), target)[0]:
+                continue
+            gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
+            tried.append((gd, _adds_roots_oracle(gd)))
+            if glue.root_system(glue.overlattice(gd).lattice).components == declared:
+                break
+    assert len(tried) == 28
+    assert sum(adds for _, adds in tried) == 15
+    for gd, adds in tried:
+        assert glue.glue_adds_roots(gd) is adds
+
+
+def test_root_certificate_on_every_order_four_glue_of_2a1_2d8():
+    path = Path(__file__).parent / "data" / "glue_enum_2A1+2D8_order4.json"
+    listed = json.loads(path.read_text())["glues"]
+    gd0 = glue.make_glue("2A1+2D8")
+    verdicts = []
+    for g in listed:
+        s = fqf.subgroup_span(gd0.disc, [tuple(x) for x in g["generators"]])
+        assert s.order == 4
+        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
+        verdicts.append(_adds_roots_oracle(gd))
+        assert glue.glue_adds_roots(gd) is verdicts[-1]
+    assert len(verdicts) == 15 and True in verdicts and False in verdicts
+
+
+def test_root_certificate_on_the_order_16_glues_of_8a1():
+    # the doubly-even self-dual codes of length 8: the 8!/|AGL(3,2)| = 30
+    # coordinate permutations of the extended Hamming code, each giving E8
+    gd0 = glue.make_glue("8A1")
+    disc = gd0.disc
+    halves = [disc.class_of([Fraction(int(i == j), 2) for j in range(8)]) for i in range(8)]
+    rows = [(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 0, 0),
+            (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 0, 1, 0, 1, 0, 1)]
+    hamming = {tuple(sum(c * r[i] for c, r in zip(cs, rows)) % 2 for i in range(8))
+               for cs in itertools.product((0, 1), repeat=4)}
+    codes = {frozenset(tuple(w[p[i]] for i in range(8)) for w in hamming)
+             for p in itertools.permutations(range(8))}
+    assert len(codes) == 30
+    for code in codes:
+        gens = []
+        for w in code:
+            x = disc.zero
+            for i in range(8):
+                x = disc.add(x, disc.smul(w[i], halves[i]))
+            gens.append(x)
+        s = fqf.subgroup_span(disc, gens)
+        assert s.order == 16
+        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
+        assert glue.root_system(glue.overlattice(gd).lattice).spec_string() == "E8"
+        assert glue.glue_adds_roots(gd) is True
+
+
+def test_root_certificate_needs_a_negative_definite_full_rank_base():
+    with pytest.raises(NotNegativeDefinite):
+        glue.glue_adds_roots(glue.make_glue("A1+<4>"))
+    gd = glue.make_glue("A1+A1")
+    with pytest.raises(RootsNotFullRank):
+        glue.glue_adds_roots(glue.GlueData(gd.base, gd.components[:1], gd.disc, gd.glue))
