@@ -7,7 +7,6 @@ from .exact import (
     lll_reduce,
     signature_of_symmetric,
     smith_normal_form,
-    solve_rational,
 )
 from .lattice import (
     Isometry,

@@ -110,13 +110,13 @@ def disc_model(case: PolarizationCase) -> DiscModel:
     if case.split:
         core = direct_sum(make_standard("rank1", -2 * case.d), make_standard("rank1", -2))
         form = discriminant_form(core)
-        t_cls = form.class_of((Fraction(1, 2 * case.d), 0))
-        e_cls = form.class_of((0, Fraction(1, 2)))
+        t_cls = form.class_of((1, 0), 2 * case.d)
+        e_cls = form.class_of((0, 1), 2)
         return DiscModel(case, form, t_cls, e_cls)
     core = make_standard("B", case.d)
     form = discriminant_form(core)
     # t = (2 b1 + b2)/d generates A_N with q(t) = -2/d
-    t_cls = form.class_of((Fraction(2, case.d), Fraction(1, case.d)))
+    t_cls = form.class_of((2, 1), case.d)
     return DiscModel(case, form, t_cls, None)
 
 
@@ -188,10 +188,10 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
     form = discriminant_form(sub.lattice)
     rank_n = sub.rank
     if case.split:
-        t_cls = form.class_of([Fraction(1, 2 * d)] + [0] * (rank_n - 1))
-        e_cls = form.class_of([0] * (rank_n - 1) + [Fraction(1, 2)])
+        t_cls = form.class_of([1] + [0] * (rank_n - 1), 2 * d)
+        e_cls = form.class_of([0] * (rank_n - 1) + [1], 2)
     else:
-        t_cls = form.class_of([Fraction(2, d), Fraction(1, d)] + [0] * (rank_n - 2))
+        t_cls = form.class_of([2, 1] + [0] * (rank_n - 2), d)
         e_cls = None
     return PolarizedEmbedding(case, L, h, sub, form, t_cls, e_cls)
 
@@ -320,26 +320,25 @@ def h_subgroup(case: PolarizationCase, m: int, model: DiscModel | None = None) -
 
 
 def predicted_AE(case: PolarizationCase, m: int) -> FiniteQuadraticForm:
-    """The printed discriminant form of E = S-perp/S for H_S = H_m."""
+    """The printed discriminant form of E = S-perp/S for H_S = H_m.
+
+    Built as an integer Gram over the level a.  Split with m | k: q of the
+    generators is (-1/2, -m^2/2d) = (-1/2, -1/a) on Z/2 + Z/a, a = 2d/m^2
+    even.  Split otherwise: q = -(m^2 + 4d)/8d = -(a + 1)/2a on Z/a,
+    a = 4d/m^2 odd.  Non-split: q = -2m^2/d = -2/a on Z/a, a = d/m^2.
+    """
     pattern = _order_pattern(case, m)
     d = case.d
+    if case.split and pattern == "t":
+        a = 2 * d // (m * m)
+        return FiniteQuadraticForm.from_gram((2, a), [[-a // 2, 0], [0, -1]])
     if case.split:
-        if pattern == "t":
-            a = 2 * d // (m * m)
-            return FiniteQuadraticForm(
-                (2, a),
-                (Fraction(-1, 2), Fraction(-m * m, 2 * d)),
-                [[0, 0], [0, 0]],
-            )
         a = 4 * d // (m * m)
-        qv = Fraction(-(m * m + 4 * d), 8 * d)
-        if a == 1:
-            return trivial_form()
-        return FiniteQuadraticForm((a,), (qv,), [[0]])
-    a = d // (m * m)
-    if a == 1:
-        return trivial_form()
-    return FiniteQuadraticForm((a,), (Fraction(-2 * m * m, d),), [[0]])
+        gram = [[-(a + 1) // 2]]
+    else:
+        a = d // (m * m)
+        gram = [[-2]]
+    return trivial_form() if a == 1 else FiniteQuadraticForm.from_gram((a,), gram)
 
 
 def det_E(case: PolarizationCase, m: int) -> int:

@@ -1,29 +1,29 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works with arbitrary-precision Python ints and
-``fractions.Fraction``; no floating point appears in any result path.
+Everything here works with arbitrary-precision Python ints; no floating
+point appears in any result path, and no elimination runs over Q.
 Matrices are small (rank <= 24 in all callers), so the algorithms favour
 simplicity over asymptotics: Bareiss for determinants, textbook Smith
-normal form with transform matrices, congruence diagonalization for
-signatures, and integral LLL at delta = 99/100 on the leading minors
-and scaled Gram-Schmidt coefficients, with no Fraction inside.
+normal form with transform matrices, fraction-free symmetric Bareiss
+elimination for congruence diagonalization (signatures and a basis of a
+maximal positive definite subspace), and integral LLL at delta = 99/100
+on the leading minors and scaled Gram-Schmidt coefficients.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
 A finite quadratic form is an ``IntMatrix`` Gram over its level, so
-``IntMatrix.bilinear`` evaluates lattice and discriminant forms alike.
-``solve_rational`` is the one Fraction Gauss-Jordan elimination (for
-rational splittings); ``rational_inverse`` is built on it as a test oracle.
+``IntMatrix.bilinear`` evaluates lattice and discriminant forms alike;
+it and ``IntMatrix.apply`` also accept Fraction entries, for callers
+that evaluate rational vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotDefinite, SingularMatrix
 
-LLL_DELTA = Fraction(99, 100)
+LLL_DELTA = (99, 100)  # the LLL parameter delta = 99/100 as (numerator, denominator)
 
 
 class IntMatrix:
@@ -305,18 +305,29 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix(L), diag, IntMatrix(Rt).transpose())
 
 
-def signature_of_symmetric(A: IntMatrix) -> tuple:
-    """Exact signature (positives, negatives) of a nonsingular symmetric matrix.
+def _symmetric_bareiss(A: IntMatrix) -> tuple:
+    """Fraction-free congruence diagonalization of a nonsingular symmetric matrix.
 
-    Congruence diagonalization over Q (Lagrange); the trailing Schur
-    complement at each step keeps everything symmetric.  Raises
-    SingularMatrix on degenerate input.
+    Returns (T, signs): integer rows T with T A T^T diagonal, and the sign
+    of each diagonal entry.  Step t turns the trailing block into
+    (p M_ij - M_it M_tj) / prev, an exact division (Bareiss, Math. Comp.
+    22, 1968), with p the new pivot and prev the one before (1 at the
+    start); the pivots are the leading minors d_1, d_2, ... of the matrix
+    after the swaps and adds below.  The same row steps on the identity
+    give T, lower triangular up to those swaps and adds, so T A T^T is
+    upper triangular and symmetric, hence diagonal, with entry t equal to
+    d_t d_(t+1).  A zero pivot is swapped with a later nonzero diagonal
+    entry, or, when the whole trailing diagonal is zero, made nonzero by
+    adding row and column j to row and column i for some M_ij != 0.
+    Raises SingularMatrix on degenerate input.
     """
     if not A.is_symmetric():
         raise ValueError("matrix is not symmetric")
     n = A.rows
-    M = [[Fraction(x) for x in row] for row in A.data]
-    pos = neg = 0
+    M = [list(row) for row in A.data]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    signs = []
+    prev = 1
     for t in range(n):
         if M[t][t] == 0:
             k = next((i for i in range(t + 1, n) if M[i][i] != 0), None)
@@ -328,28 +339,45 @@ def signature_of_symmetric(A: IntMatrix) -> tuple:
                 if pair is None:
                     raise SingularMatrix("degenerate symmetric form")
                 i, j = pair
-                for c in range(n):
-                    M[i][c] += M[j][c]
-                for r in range(n):
-                    M[r][i] += M[r][j]
+                M[i] = [a + b for a, b in zip(M[i], M[j])]
+                for row in M:
+                    row[i] += row[j]
+                T[i] = [a + b for a, b in zip(T[i], T[j])]
                 k = i
             M[t], M[k] = M[k], M[t]
             for row in M:
                 row[t], row[k] = row[k], row[t]
+            T[t], T[k] = T[k], T[t]
         p = M[t][t]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
+        signs.append(1 if (p > 0) == (prev > 0) else -1)
+        pivot_row, pivot_basis = M[t][t + 1:], T[t]
         for i in range(t + 1, n):
-            f = M[i][t] / p
-            if f:
-                for j in range(t + 1, n):
-                    M[i][j] -= f * M[t][j]
-        for i in range(t + 1, n):
-            M[i][t] = Fraction(0)
-            M[t][i] = Fraction(0)
-    return (pos, neg)
+            a = M[i][t]
+            # columns up to t of row i are not read again
+            M[i][t + 1:] = [(p * x - a * y) // prev for x, y in zip(M[i][t + 1:], pivot_row)]
+            T[i] = [(p * x - a * y) // prev for x, y in zip(T[i], pivot_basis)]
+        prev = p
+    return T, signs
+
+
+def signature_of_symmetric(A: IntMatrix) -> tuple:
+    """Exact signature (positives, negatives) of a nonsingular symmetric matrix.
+
+    Pivot t of the fraction-free elimination counts as positive when it has
+    the same sign as the previous pivot (the first is compared with 1):
+    the diagonal entry d_t d_(t+1) of the congruent diagonal form is then
+    positive.  Raises SingularMatrix on degenerate input.
+    """
+    signs = _symmetric_bareiss(A)[1]
+    return (signs.count(1), signs.count(-1))
+
+
+def positive_definite_basis(A: IntMatrix) -> list:
+    """Pairwise A-orthogonal integer rows spanning a maximal positive definite
+    subspace of a nonsingular symmetric A: the congruence basis rows of
+    ``signature_of_symmetric`` with positive diagonal entry."""
+    T, signs = _symmetric_bareiss(A)
+    return [row for row, s in zip(T, signs) if s > 0]
 
 
 def _round_div(a: int, b: int) -> int:
@@ -408,7 +436,7 @@ def lll_reduce(A: IntMatrix) -> tuple:
     neg = A.data[0][0] < 0
     d, lam = integral_gram_schmidt((-A if neg else A).data)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]  # rows = coeffs
-    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    num, den = LLL_DELTA
 
     k = 1
     while k < n:
@@ -443,57 +471,6 @@ def lll_reduce(A: IntMatrix) -> tuple:
     T = IntMatrix(basis).transpose()
     red = T.T @ A @ T
     return red, T
-
-
-def solve_rational(A: IntMatrix, b) -> tuple | None:
-    """Solve A x = b exactly over Q; None when inconsistent.
-
-    Underdetermined systems get free variables set to 0.  Entries of b
-    may be ints or Fractions.
-    """
-    m, n = A.rows, A.cols
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.data)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    if any(M[i][n] != 0 for i in range(r, m)):
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = M[i][n]
-    return tuple(x)
-
-
-def rational_inverse(A: IntMatrix):
-    """Inverse of a nonsingular integer matrix, as rows of Fractions.
-
-    Column j solves A x = e_j; a singular A leaves some e_j outside its
-    column space.
-    """
-    n = A.rows
-    if n != A.cols:
-        raise ValueError("inverse of non-square matrix")
-    cols = []
-    for j in range(n):
-        x = solve_rational(A, [int(i == j) for i in range(n)])
-        if x is None:
-            raise SingularMatrix("matrix is singular")
-        cols.append(x)
-    return [list(row) for row in zip(*cols)]
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

@@ -77,8 +77,12 @@ class FiniteQuadraticForm:
         self._store(orders, [[int(level * x) for x in row] for row in full], source)
 
     @classmethod
-    def _from_gram(cls, orders, gram_rows, source) -> FiniteQuadraticForm:
-        """Form on ``orders`` with integer Gram rows over the exponent of ``orders``."""
+    def from_gram(cls, orders, gram_rows, source=None) -> FiniteQuadraticForm:
+        """Form on ``orders`` with integer Gram rows over the exponent of ``orders``.
+
+        The rows are trusted to define a form on ``orders``; they are reduced,
+        not checked.
+        """
         form = object.__new__(cls)
         form._store(tuple(orders), gram_rows, source)
         return form
@@ -180,15 +184,16 @@ class FiniteQuadraticForm:
         scaled = src.scaled_lift(self.reduce(x), self.level)
         return tuple(Fraction(a, self.level) for a in scaled)
 
-    def class_of(self, coords) -> tuple:
-        """Class in this form of a rational vector lying in the dual lattice."""
+    def class_of(self, scaled, level: int) -> tuple:
+        """Class in this form of the dual vector scaled / level, for an integer
+        vector ``scaled`` and a positive integer ``level``."""
         src = self.source
         if not isinstance(src, LatticeSource):
             raise ValueError("form has no lattice provenance")
-        pairings = [Fraction(x) for x in src.lattice.gram.apply(coords)]
-        if any(x.denominator != 1 for x in pairings):
+        pairings = src.lattice.gram.apply(scaled)
+        if any(x % level for x in pairings):
             raise ValueError("vector is not in the dual lattice")
-        y = src.smith.left.apply([int(x) for x in pairings])
+        y = src.smith.left.apply([x // level for x in pairings])
         return tuple(y[i] % src.smith.diag[i] for i in src.kept)
 
 
@@ -215,12 +220,6 @@ class LatticeSource:
             coeffs[k] = a * (level // self.smith.diag[k])
         return self.smith.right.apply(coeffs)
 
-    @property
-    def lifts(self) -> tuple:
-        """Generator lifts V e_k / d_k in rational L coordinates."""
-        V, d = self.smith.right, self.smith.diag
-        return tuple(tuple(Fraction(row[k], d[k]) for row in V.data) for k in self.kept)
-
 
 @dataclass(frozen=True)
 class QuotientSource:
@@ -237,13 +236,13 @@ def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
     b(x, y) = x^T gram y / level: R gram R^T over ``level``, rescaled to the
     exponent of ``orders`` (which must divide ``level``)."""
     if not orders:
-        return FiniteQuadraticForm._from_gram((), (), source)
+        return FiniteQuadraticForm.from_gram((), (), source)
     R = IntMatrix(rows)
     scale = level // orders[-1]
     moved = (R @ gram @ R.T).data
     if level % orders[-1] or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
-    return FiniteQuadraticForm._from_gram(
+    return FiniteQuadraticForm.from_gram(
         orders, [[x // scale for x in row] for row in moved], source
     )
 
@@ -455,9 +454,13 @@ def mod_pm1(form: FiniteQuadraticForm, elems) -> list:
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
-    """All subgroups on which q vanishes identically, smallest first."""
+    """All subgroups on which q vanishes identically, smallest first.
+
+    An isotropic H grows by an isotropic e with b(e, g) = 0 for every
+    generator g of H.  Since q(h + k e) = q(h) + k^2 q(e) + 2k b(h, e),
+    these are exactly the e for which q vanishes on the span of H and e.
+    """
     iso = isotropic_elements(form, bound)
-    iso_set = set(iso)
     trivial = trivial_subgroup(form)
     found = {trivial.elements: trivial}
     frontier = [trivial]
@@ -466,12 +469,12 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
         for sub in frontier:
             have = set(sub.elements)
             for e in iso:
-                if e in have:
+                if e in have or any(
+                    form.gram.bilinear(e, g) % form.level for g in sub.generators
+                ):
                     continue
                 bigger = subgroup_span(form, list(sub.generators) + [e])
-                if bigger.elements in found:
-                    continue
-                if all(x in iso_set for x in bigger.elements):
+                if bigger.elements not in found:
                     found[bigger.elements] = bigger
                     nxt.append(bigger)
         frontier = nxt

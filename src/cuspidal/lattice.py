@@ -8,9 +8,12 @@ explicitly.  B(d), defined for d = 3 mod 4, is the rank-two negative
 definite lattice with Gram [[-(d+1)/2, 1], [1, -2]].
 
 Vectors carry their home lattice and may have rational coordinates
-(needed for dual and projection work); the real spinor norm of an
-isometry comes from an exact Cartan-Dieudonne reflection factorization
-over Q.
+(needed for dual and projection work).  The real spinor norm of an
+isometry g is read off a maximal positive definite subspace W, spanned
+by the positive rows P of the fraction-free congruence basis: g keeps
+the orientation of W after projecting back to W exactly when
+det(P G g P^T) > 0.  Reflections, splittings and spinor norms stay in
+integers; rational values appear only as results.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BadParameter,
@@ -36,9 +39,9 @@ from .errors import (
 from .exact import (
     IntMatrix,
     kernel_basis,
+    positive_definite_basis,
     signature_of_symmetric,
     smith_normal_form,
-    solve_rational,
 )
 
 
@@ -296,16 +299,6 @@ class Sublattice:
     def basis(self):
         return [LatticeVector(self.ambient, row) for row in self.basis_matrix.data]
 
-    def embed(self, coeffs) -> LatticeVector:
-        """Ambient vector with the given coefficients on the sublattice basis."""
-        n = self.ambient.rank
-        out = [Fraction(0)] * n
-        for c, row in zip(coeffs, self.basis_matrix.data):
-            if c:
-                for j in range(n):
-                    out[j] += c * row[j]
-        return LatticeVector(self.ambient, out)
-
     def is_primitive(self) -> bool:
         return all(d == 1 for d in smith_normal_form(self.basis_matrix).diag)
 
@@ -359,15 +352,23 @@ def splitting_from(L: Lattice, left_vectors) -> OrthogonalSplitting:
 
 
 def split_rational(split: OrthogonalSplitting, v: LatticeVector):
-    """Exact decomposition v = v_M + v_N with v_M in M o Q, v_N in N o Q."""
+    """Exact decomposition v = v_M + v_N with v_M in M o Q, v_N in N o Q.
+
+    N is M-perp, so v_M is the orthogonal projection sum_i a_i m_i with
+    G_M a = ((m_i, v))_i.  With U G_M V = D and e the last invariant factor,
+    e a = V (e D^-1) U ((m_i, v))_i is an integer vector (for integral v),
+    and the one division by e comes last.
+    """
     if v.home != split.ambient:
         raise MixedLattices("vector lives in a different lattice")
-    n = split.ambient.rank
-    cols = list(split.left.basis_matrix.data) + list(split.right.basis_matrix.data)
-    coeff = solve_rational(IntMatrix(cols).T, v.coords)
-    m_part = split.left.embed(coeff[: split.left.rank])
-    n_part = split.right.embed(coeff[split.left.rank:])
-    return m_part, n_part
+    rows = split.left.basis_matrix
+    snf = smith_normal_form(split.left.lattice.gram)
+    e = snf.diag[-1]
+    y = snf.left.apply(rows.apply(split.ambient.gram.apply(v.coords)))
+    scaled = rows.T.apply(snf.right.apply([x * (e // d) for x, d in zip(y, snf.diag)]))
+    m_part = [Fraction(x, e) for x in scaled]
+    n_part = [Fraction(e * a - x, e) for a, x in zip(v.coords, scaled)]
+    return LatticeVector(split.ambient, m_part), LatticeVector(split.ambient, n_part)
 
 
 def delta_prime_test(split: OrthogonalSplitting, delta: LatticeVector) -> bool:
@@ -422,96 +423,45 @@ class Isometry:
 
 
 def reflection(L: Lattice, v: LatticeVector) -> Isometry:
-    """Reflection in a vector of nonzero norm; must map L to itself."""
+    """Reflection x -> x - 2 (x, v) / (v, v) v in a vector of nonzero norm.
+
+    Its matrix I - 2 w (G w)^T / (w, w), for w the smallest positive
+    multiple of v with integer coordinates, must be integral: the
+    reflection maps L to itself.
+    """
     if v.home != L:
         raise MixedLattices("vector lives in a different lattice")
-    if v.norm == 0:
+    den = lcm(*(x.denominator for x in v.coords))
+    w = [x.numerator * (den // x.denominator) for x in v.coords]
+    gw = L.gram.apply(w)
+    norm = sum(a * b for a, b in zip(w, gw))
+    if norm == 0:
         raise BadParameter("cannot reflect in an isotropic vector")
-    rows = _reflection_matrix(L.gram, v.coords)
-    if any(x.denominator != 1 for row in rows for x in row):
+    if any(2 * a * b % norm for a in w for b in gw):
         raise NotIsometry("reflection does not preserve the lattice")
-    return Isometry(L, IntMatrix(rows))
-
-
-def _reflection_matrix(gram: IntMatrix, v) -> list:
-    """Rows of I - 2 v (G v)^t / (v^t G v), the reflection in v over Q."""
-    gv = gram.apply(v)
-    c = Fraction(2) / gram.bilinear(v, v)
-    return [[int(i == j) - c * a * b for j, b in enumerate(gv)] for i, a in enumerate(v)]
-
-
-def _rat_apply(mat, vec):
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
-
-
-def reflection_factorization(g: Isometry):
-    """Cartan-Dieudonne factorization of g into reflections over Q.
-
-    Returns rational ambient vectors v_1, ..., v_m (each of nonzero norm)
-    with g = rho_{v_1} o ... o rho_{v_m}; the empty list for the identity.
-    The isotropic pitfall (g(x) - x of norm zero) falls back to the
-    standard two-reflection step via g(x) + x.
-    """
-    G = g.domain.gram
-    n = G.rows
-    h = [[Fraction(x) for x in row] for row in g.matrix.data]
-    basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    refs = []
-
-    def mat_mul(a, b):
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-    while basis:
-        moved = None
-        for x in basis:
-            if _rat_apply(h, x) != x:
-                moved = True
-                break
-        if not moved:
-            break
-        # pick an anisotropic x in the current invariant subspace
-        x = next((b for b in basis if G.bilinear(b, b) != 0), None)
-        if x is None:
-            px = next(
-                (b1, b2)
-                for i, b1 in enumerate(basis)
-                for b2 in basis[i + 1:]
-                if G.bilinear(b1, b2) != 0
-            )
-            x = tuple(a + b for a, b in zip(*px))
-        hx = _rat_apply(h, x)
-        if hx != x:
-            v = tuple(a - b for a, b in zip(hx, x))
-            if G.bilinear(v, v) != 0:
-                refs.append(v)
-                h = mat_mul(_reflection_matrix(G, v), h)
-            else:
-                w = tuple(a + b for a, b in zip(hx, x))
-                # (g(x)+x)^2 = 4 x^2 != 0 whenever (g(x)-x)^2 = 0 and x^2 != 0
-                refs.append(w)
-                refs.append(x)
-                h = mat_mul(_reflection_matrix(G, x), mat_mul(_reflection_matrix(G, w), h))
-        # restrict to x-perp inside the current subspace
-        vals = [G.bilinear(b, x) for b in basis]
-        i0 = next(i for i, val in enumerate(vals) if val != 0)
-        new_basis = []
-        for i, b in enumerate(basis):
-            if i == i0:
-                continue
-            f = Fraction(vals[i], 1) / vals[i0]
-            new_basis.append(tuple(a - f * c for a, c in zip(b, basis[i0])))
-        basis = new_basis
-    return refs
+    return Isometry(
+        L, IntMatrix([[int(i == j) - 2 * a * b // norm for j, b in enumerate(gw)]
+                      for i, a in enumerate(w)])
+    )
 
 
 def spinor_norm(g: Isometry) -> int:
-    """Real spinor norm: product of signs of -v^2/2 over a reflection factorization."""
-    sn = 1
-    for v in reflection_factorization(g):
-        if g.domain.gram.bilinear(v, v) > 0:
-            sn = -sn
-    return sn
+    """Real spinor norm: the character of O(L) that is -1 on reflections in
+    vectors of positive norm and +1 on those in vectors of negative norm.
+
+    It is the sign of det(P G g P^T) for rows P spanning a maximal positive
+    definite subspace W (``exact.positive_definite_basis``): P G P^T is
+    positive definite, so the sign is that of the determinant of g
+    followed by the orthogonal projection to W.  A reflection in v with
+    v^2 > 0 reverses W when W contains v; one with v^2 < 0 fixes a W
+    orthogonal to v.  +1 on a negative definite lattice.
+    """
+    G = g.domain.gram
+    P = positive_definite_basis(G)
+    if not P:
+        return 1
+    P = IntMatrix(P)
+    return 1 if (P @ G @ g.matrix @ P.T).det() > 0 else -1
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,121 @@
+"""Fraction reference kernels that the tests compare the integer code with.
+
+None of these runs in ``cuspidal``: Gauss-Jordan over Q
+(``solve_rational``, ``rational_inverse``) and Lagrange congruence
+diagonalization over Q (``lagrange_signature``) are independent second
+derivations of what the package computes with Smith, Hermite and
+fraction-free Bareiss transforms.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from cuspidal.errors import SingularMatrix
+from cuspidal.exact import IntMatrix
+
+
+def solve_rational(A: IntMatrix, b) -> tuple | None:
+    """Solve A x = b exactly over Q; None when inconsistent.
+
+    Underdetermined systems get free variables set to 0.  Entries of b
+    may be ints or Fractions.
+    """
+    m, n = A.rows, A.cols
+    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.data)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if M[i][c] != 0), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        pv = M[r][c]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    if any(M[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = M[i][n]
+    return tuple(x)
+
+
+def rational_inverse(A: IntMatrix):
+    """Inverse of a nonsingular integer matrix, as rows of Fractions.
+
+    Column j solves A x = e_j; a singular A leaves some e_j outside its
+    column space.
+    """
+    n = A.rows
+    if n != A.cols:
+        raise ValueError("inverse of non-square matrix")
+    cols = []
+    for j in range(n):
+        x = solve_rational(A, [int(i == j) for i in range(n)])
+        if x is None:
+            raise SingularMatrix("matrix is singular")
+        cols.append(x)
+    return [list(row) for row in zip(*cols)]
+
+
+def lagrange_signature(A: IntMatrix) -> tuple:
+    """Signature (positives, negatives) of a nonsingular symmetric matrix.
+
+    Congruence diagonalization over Q (Lagrange); the trailing Schur
+    complement at each step keeps everything symmetric.  Raises
+    SingularMatrix on degenerate input.
+    """
+    if not A.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    n = A.rows
+    M = [[Fraction(x) for x in row] for row in A.data]
+    pos = neg = 0
+    for t in range(n):
+        if M[t][t] == 0:
+            k = next((i for i in range(t + 1, n) if M[i][i] != 0), None)
+            if k is None:
+                pair = next(
+                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if M[i][j]),
+                    None,
+                )
+                if pair is None:
+                    raise SingularMatrix("degenerate symmetric form")
+                i, j = pair
+                for c in range(n):
+                    M[i][c] += M[j][c]
+                for r in range(n):
+                    M[r][i] += M[r][j]
+                k = i
+            M[t], M[k] = M[k], M[t]
+            for row in M:
+                row[t], row[k] = row[k], row[t]
+        p = M[t][t]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            f = M[i][t] / p
+            if f:
+                for j in range(t + 1, n):
+                    M[i][j] -= f * M[t][j]
+        for i in range(t + 1, n):
+            M[i][t] = Fraction(0)
+            M[t][i] = Fraction(0)
+    return (pos, neg)
+
+
+def over_common_denominator(vec) -> tuple:
+    """(N v, N) for a vector v of ints and Fractions, N the least common
+    denominator of its entries."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    return tuple(int(x * den) for x in vec), den

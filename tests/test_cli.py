@@ -320,6 +320,9 @@ GOLDEN = Path(__file__).parent / "data"
         (["glue", "enum", "--roots", "2A1+2D8", "--order", "4"],
          "glue_enum_2A1+2D8_order4.json"),
         (["lat", "disc", "A1+A2+A3+D4+E6+E7"], "lat_disc_A1+A2+A3+D4+E6+E7.json"),
+        (["verify", "example-c12", "--format", "json"], "verify_example-c12.json"),
+        (["verify", "example-c12", "--format", "md"], "verify_example-c12.md"),
+        (["lat", "info", "U+U+U+E8+E8+<-2>"], "lat_info_U+U+U+E8+E8+minus2.json"),
     ],
 )
 def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):

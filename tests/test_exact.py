@@ -15,12 +15,12 @@ from cuspidal.exact import (
     hnf_rows,
     kernel_basis,
     lll_reduce,
-    rational_inverse,
+    positive_definite_basis,
     _round_div,
     signature_of_symmetric,
     smith_normal_form,
-    solve_rational,
 )
+from fraction_oracles import lagrange_signature, rational_inverse, solve_rational
 
 U_GRAM = IntMatrix([[0, 1], [1, 0]])
 E8_GRAM = IntMatrix(
@@ -130,6 +130,48 @@ class TestSignature:
             return
         t = unimodular_from_ops(g.rows, ops)
         assert signature_of_symmetric(t.T @ g @ t) == signature_of_symmetric(g)
+
+
+def nonsingular_symmetric(n_max=8, lo=-4, hi=4):
+    """Nonsingular symmetric integer matrices; about half have an all-zero diagonal."""
+
+    def build(args):
+        rows, zero_diagonal = args
+        n = len(rows)
+        return IntMatrix([[0 if i == j and zero_diagonal else rows[min(i, j)][max(i, j)]
+                           for j in range(n)] for i in range(n)])
+
+    return (
+        st.tuples(square_ints(n_max, lo, hi), st.booleans())
+        .map(build)
+        .filter(lambda a: a.det() != 0)
+    )
+
+
+class TestSignatureAgainstLagrange:
+    @settings(deadline=None, max_examples=300)
+    @given(nonsingular_symmetric())
+    def test_matches_fraction_lagrange(self, a):
+        assert signature_of_symmetric(a) == lagrange_signature(a)
+
+    @settings(deadline=None, max_examples=150)
+    @given(nonsingular_symmetric())
+    def test_positive_basis_is_orthogonal_and_maximal(self, a):
+        rows = positive_definite_basis(a)
+        assert len(rows) == signature_of_symmetric(a)[0]
+        if rows:
+            p = IntMatrix(rows)
+            gram = (p @ a @ p.T).data
+            assert all(gram[i][j] == 0 for i in range(len(rows)) for j in range(i))
+            assert all(gram[i][i] > 0 for i in range(len(rows)))
+
+    def test_zero_pivots(self):
+        # each takes both zero-pivot branches: a swap with a later nonzero
+        # diagonal entry, then a row-and-column add
+        assert signature_of_symmetric(IntMatrix([[0, 0, 1], [0, -2, 0], [1, 0, 0]])) == (1, 2)
+        assert signature_of_symmetric(
+            IntMatrix.block_diagonal([U_GRAM] * 3 + [IntMatrix([[-2]])])
+        ) == (3, 4)
 
 
 class TestLLL:
@@ -324,19 +366,21 @@ class TestKernelAndHnf:
         assert hnf_coords(P, [0, 1]) is None
 
 
-# Fraction Gauss-Jordan is allowed only inside exact.py and for rational
-# splittings; every other dual or quotient coordinate comes from a Smith or
-# Hermite transform in integers.
+# No Fraction Gauss-Jordan runs in the package: dual, quotient and
+# splitting coordinates come from Smith or Hermite transforms in integers,
+# and the Fraction solvers live in tests/fraction_oracles.py as references.
 _FRACTION_SOLVERS = {"rational_inverse", "solve_rational"}
-_ALLOWED_CALLERS = {("lattice", "split_rational")}
+_SRC = Path(__file__).resolve().parents[1] / "src" / "cuspidal"
 
 
 def _solver_calls(tree):
-    """(enclosing function, callee) for each call of a Fraction solver."""
+    """(enclosing function, name) for each definition or call of a Fraction solver."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in _FRACTION_SOLVERS:
+                out.append((func, node.name))
             func = node.name
         if isinstance(node, ast.Call):
             f = node.func
@@ -351,15 +395,41 @@ def _solver_calls(tree):
 
 
 def test_fraction_solvers_only_in_exact_and_rational_splitting():
-    src = Path(__file__).resolve().parents[1] / "src" / "cuspidal"
     found = []
-    for path in sorted(src.glob("*.py")):
-        if path.stem == "exact":
-            continue
+    for path in sorted(_SRC.glob("*.py")):
         for func, name in _solver_calls(ast.parse(path.read_text(encoding="utf-8"))):
-            if (path.stem, func) not in _ALLOWED_CALLERS:
-                found.append(f"{path.stem}.{func} calls {name}")
+            found.append(f"{path.stem}.{func}: {name}")
     assert found == []
-    # the scan itself sees the one allowed call
-    lattice_tree = ast.parse((src / "lattice.py").read_text(encoding="utf-8"))
-    assert ("split_rational", "solve_rational") in _solver_calls(lattice_tree)
+    # the scan itself sees a definition and a call
+    probe = ast.parse("def solve_rational(a, b):\n    pass\n\ndef f():\n    rational_inverse(a)\n")
+    assert _solver_calls(probe) == [(None, "solve_rational"), ("f", "rational_inverse")]
+
+
+# The integer kernels behind signatures, spinor norms and reflections.
+_INTEGER_KERNELS = {
+    "exact": {"_symmetric_bareiss", "signature_of_symmetric", "positive_definite_basis"},
+    "lattice": {"spinor_norm", "reflection"},
+}
+
+
+def _fraction_builders(tree):
+    """Names of the top-level functions that call ``Fraction``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "Fraction"):
+                    out.add(node.name)
+    return out
+
+
+def test_integer_kernels_construct_no_fraction():
+    for module, kernels in _INTEGER_KERNELS.items():
+        tree = ast.parse((_SRC / f"{module}.py").read_text(encoding="utf-8"))
+        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        assert kernels <= defined
+        assert kernels & _fraction_builders(tree) == set()
+    # the scan sees the final division of the rational splitting
+    lattice_tree = ast.parse((_SRC / "lattice.py").read_text(encoding="utf-8"))
+    assert "split_rational" in _fraction_builders(lattice_tree)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from math import prod
@@ -7,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cuspidal import fqf, glue
 from cuspidal import lattice as lat
-from cuspidal.exact import IntMatrix, factorize, rational_inverse
+from cuspidal.exact import IntMatrix, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
+from fraction_oracles import over_common_denominator, rational_inverse
 
 HALF = Fraction(-1, 2)
 
@@ -43,13 +45,12 @@ class TestDiscriminantForm:
         n = G.rows
         ginv = rational_inverse(G)
         uinv = rational_inverse(src.left)
-        assert len(src.lifts) == len(src.kept) == a.rank
-        for lift, i in zip(src.lifts, src.kept):
-            column = tuple(sum(ginv[r][k] * uinv[k][i] for k in range(n)) for r in range(n))
-            assert lift == column
-        for i in range(a.rank):
+        assert len(src.kept) == a.rank
+        for i, k in enumerate(src.kept):
             unit = tuple(int(j == i) for j in range(a.rank))
-            assert a.class_of(a.lift(unit)) == unit
+            column = tuple(sum(ginv[r][c] * uinv[c][k] for c in range(n)) for r in range(n))
+            assert a.lift(unit) == column
+            assert a.class_of(*over_common_denominator(a.lift(unit))) == unit
 
     def test_split_d1(self):
         a = fqf.discriminant_form(lat.parse_name("U+U+E8+E8+<-2>+<-2>"))
@@ -80,11 +81,11 @@ class TestDiscriminantForm:
 
     def test_class_of_and_lift(self):
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
-        t = a.class_of((Fraction(1, 6), 0))
+        t = a.class_of((1, 0), 6)
         assert a.order_of(t) == 6
-        assert a.class_of(a.lift(t)) == t
+        assert a.class_of(*over_common_denominator(a.lift(t))) == t
         with pytest.raises(ValueError):
-            a.class_of((Fraction(1, 5), 0))
+            a.class_of((1, 0), 5)
 
 
 class TestIsotropic:
@@ -121,6 +122,25 @@ class TestIsotropic:
         assert sorted(s.order for s in subs) == [1, 3]
         h3 = [s for s in subs if s.order == 3][0]
         assert all(a.q(x) == 0 for x in h3.elements)
+
+    @pytest.mark.parametrize("name", ["2A1+2D8", "3A2+<-6>"])
+    def test_subgroups_match_the_definition(self, name):
+        # by definition: the spans of isotropic elements on which q vanishes
+        # everywhere; |H|^2 divides |A|, so H needs at most log2 sqrt|A| generators
+        a = fqf.discriminant_form(lat.parse_name(name))
+        iso = [x for x in a.elements() if a.q(x) == 0]
+        most = (a.cardinality.bit_length() - 1) // 2
+        expected = set()
+        for k in range(most + 1):
+            for gens in itertools.combinations(iso, k):
+                span = {a.zero}
+                for g in gens:
+                    span = {a.add(x, a.smul(c, g)) for x in span for c in range(a.order_of(g))}
+                if all(a.q(x) == 0 for x in span):
+                    expected.add(tuple(sorted(span)))
+        walked = [s.elements for s in fqf.isotropic_subgroups(a)]
+        assert len(walked) == len(set(walked))
+        assert set(walked) == expected
 
 
 class TestPerpQuotient:
@@ -381,7 +401,7 @@ class TestIntegerGramAgainstFractions:
         G = IntMatrix(gram)
         assume(G.det() != 0)
         a = fqf.discriminant_form(lat.Lattice(G))
-        lifts = a.source.lifts
+        lifts = [a.lift(tuple(int(j == i) for j in range(a.rank))) for i in range(a.rank)]
         for i in range(a.rank):
             assert a.qdiag[i] == G.bilinear(lifts[i], lifts[i]) % 2
             for j in range(a.rank):

@@ -10,13 +10,8 @@ import pytest
 from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import BadParameter, NotIsotropic, NotNegativeDefinite, RootsNotFullRank
-from cuspidal.exact import (
-    IntMatrix,
-    integral_gram_schmidt,
-    lll_reduce,
-    rational_inverse,
-    smith_normal_form,
-)
+from cuspidal.exact import IntMatrix, integral_gram_schmidt, lll_reduce, smith_normal_form
+from fraction_oracles import over_common_denominator, rational_inverse
 
 HALF = Fraction(-1, 2)
 
@@ -314,7 +309,8 @@ def test_integer_disc_action_matches_rational_lifts(spec):
     disc = gd.disc
     units = [tuple(int(j == i) for j in range(disc.rank)) for i in range(disc.rank)]
     for iso in glue.tau_generator_isometries(gd):
-        expected = tuple(disc.class_of(iso.matrix.apply(disc.lift(u))) for u in units)
+        expected = tuple(disc.class_of(*over_common_denominator(iso.matrix.apply(disc.lift(u))))
+                         for u in units)
         assert glue._disc_action(gd, iso) == expected
 
 
@@ -328,7 +324,6 @@ def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
         raise AssertionError("rational lift built")
 
     monkeypatch.setattr(fqf.FiniteQuadraticForm, "lift", refuse)
-    monkeypatch.setattr(fqf.LatticeSource, "lifts", property(refuse))
     for s, (over, tau) in zip(subs, expected):
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         assert glue.overlattice(gd).lattice == over.lattice
@@ -436,7 +431,7 @@ def test_root_certificate_on_the_order_16_glues_of_8a1():
     # coordinate permutations of the extended Hamming code, each giving E8
     gd0 = glue.make_glue("8A1")
     disc = gd0.disc
-    halves = [disc.class_of([Fraction(int(i == j), 2) for j in range(8)]) for i in range(8)]
+    halves = [disc.class_of([int(i == j) for j in range(8)], 2) for i in range(8)]
     rows = [(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 0, 0),
             (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 0, 1, 0, 1, 0, 1)]
     hamming = {tuple(sum(c * r[i] for c, r in zip(cs, rows)) % 2 for i in range(8))

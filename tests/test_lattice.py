@@ -15,7 +15,8 @@ from cuspidal.errors import (
     ZeroVector,
 )
 from cuspidal import glue
-from cuspidal.exact import rational_inverse, smith_normal_form
+from cuspidal.exact import IntMatrix, smith_normal_form
+from fraction_oracles import rational_inverse
 
 
 def k3_square():
@@ -274,72 +275,47 @@ class TestIsometries:
         assert actions("2A2") == ["other", "other", "other"]
         assert actions("D5+2<-2>") == ["-id", "id", "id", "other"]
 
-    def test_factorization_round_trip(self):
-        random.seed(11)
-        L = lat.parse_name("U+A2")
-        cands = [v for v in L.basis() if v.norm != 0]
-        cands.append(L.vector((1, 1, 0, 0)))
-        cands.append(L.vector((1, -1, 0, 0)))
-        for _ in range(15):
-            g = lat.Isometry.identity(L)
-            for _ in range(random.randint(0, 4)):
-                g = g.compose(lat.reflection(L, random.choice(cands)))
-            refs = lat.reflection_factorization(g)
-            n = L.rank
-            mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            for v in refs:
-                nv = sum(
-                    v[i] * L.gram.data[i][j] * v[j]
-                    for i in range(L.rank)
-                    for j in range(L.rank)
-                )
-                assert nv != 0
-                # mat <- mat o rho_v, rho_v(x) = x - 2 (x, v) / (v, v) v
-                gv = [sum(L.gram.data[i][j] * v[j] for j in range(n)) for i in range(n)]
-                rho = [[int(i == j) - 2 * v[i] * gv[j] / nv for j in range(n)]
-                       for i in range(n)]
-                mat = [[sum(mat[i][k] * rho[k][j] for k in range(n)) for j in range(n)]
-                       for i in range(n)]
-            assert mat == [list(row) for row in g.matrix.data]
-            assert lat.spinor_norm(g) in (1, -1)
-            assert (-1) ** len(refs) == g.det
 
-
-def _product_of_reflections(L, refs):
-    """rho_{v_1} o ... o rho_{v_m} over Q, rho_v(x) = x - 2 (x, v) / (v, v) v."""
-    n = L.rank
-    g = L.gram.data
-    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for v in refs:
-        gv = [sum(g[i][j] * v[j] for j in range(n)) for i in range(n)]
-        nv = sum(a * b for a, b in zip(v, gv))
-        rho = [[int(i == j) - Fraction(2 * v[i] * gv[j]) / nv for j in range(n)]
-               for i in range(n)]
-        mat = [[sum(mat[i][k] * rho[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-    return mat
-
-
-@pytest.mark.parametrize("name", ["U+U", "U+<2>"])
-def test_factorization_of_isotropic_moves(name):
-    # products of reflections often move some x to g(x) with g(x) - x
-    # isotropic, which takes the two-reflection step of the factorization
-    rng = random.Random(5)
-    L = lat.parse_name(name)
-    roots = []
-    for c in itertools.product(range(-2, 3), repeat=L.rank):
-        v = L.vector(c)
+def _reflections(L, rng):
+    """(v, rho_v) for vectors v of nonzero norm whose reflections map L to
+    itself: every small vector in rank <= 4, random sparse ones beyond."""
+    if L.rank <= 4:
+        pool = [L.vector(c) for c in itertools.product(range(-2, 3), repeat=L.rank)]
+    else:
+        pool = []
+        for _ in range(60):
+            c = [0] * L.rank
+            for i in rng.sample(range(L.rank), rng.randint(1, 3)):
+                c[i] = rng.choice((-1, 1))
+            pool.append(L.vector(c))
+    out = []
+    for v in pool:
         if v.norm != 0:
             try:
-                roots.append(lat.reflection(L, v))
+                out.append((v, lat.reflection(L, v)))
             except NotIsometry:
-                pass
-    for _ in range(150):
-        g = lat.Isometry.identity(L)
-        for _ in range(rng.randint(1, 5)):
-            g = g.compose(rng.choice(roots))
-        refs = lat.reflection_factorization(g)
-        assert _product_of_reflections(L, refs) == [list(r) for r in g.matrix.data]
+                continue
+    return out
+
+
+@pytest.mark.parametrize("name", ["U+A2", "U+U", "U+<2>", "U+U+U+E8+E8+<-2>"])
+def test_spinor_norm_counts_reflections_in_positive_vectors(name):
+    # g = rho_{v_1} ... rho_{v_m} has spinor norm (-1)^#{i : v_i^2 > 0} and
+    # determinant (-1)^m; products in U+U and U+<2> often move some x to
+    # g(x) with g(x) - x isotropic
+    rng = random.Random(5)
+    L = lat.parse_name(name)
+    reflections = _reflections(L, rng)
+    assert {v.norm > 0 for v, _ in reflections} == {True, False}
+    for _ in range(150 if L.rank <= 4 else 30):
+        factors = [rng.choice(reflections) for _ in range(rng.randint(0, 5))]
+        m = IntMatrix.identity(L.rank)
+        for _, rho in factors:
+            m = m @ rho.matrix
+        g = lat.Isometry(L, m)
+        assert lat.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
+        assert g.det == (-1) ** len(factors)
+    assert lat.spinor_norm(lat.Isometry.minus_identity(L)) == (-1) ** L.signature[0]
 
 
 class TestBinaryForms:
