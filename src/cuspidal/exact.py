@@ -3,11 +3,14 @@
 Everything here works with arbitrary-precision Python ints; no floating
 point appears in any result path, and no elimination runs over Q.
 Matrices are small (rank <= 24 in all callers), so the algorithms favour
-simplicity over asymptotics: Bareiss for determinants, textbook Smith
-normal form with transform matrices, fraction-free symmetric Bareiss
+simplicity over asymptotics: Bareiss for determinants, Smith normal
+form with transform matrices whose every non-divisible step is a
+unimodular gcd mix of two rows or columns, fraction-free symmetric Bareiss
 elimination for congruence diagonalization (signatures and a basis of a
 maximal positive definite subspace), and integral LLL at delta = 99/100
-on the leading minors and scaled Gram-Schmidt coefficients.
+on the leading minors and scaled Gram-Schmidt coefficients.  The one
+matrix product skips the zero entries of its left operand, so it costs
+nnz(left) x cols; isometries and root-lattice Grams are mostly zero.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
@@ -101,9 +104,11 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = list(zip(*other.data))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
+        out = []
+        for row in self.data:
+            nz = [(k, a) for k, a in enumerate(row) if a]
+            out.append([sum(a * col[k] for k, a in nz) for col in bt])
+        return IntMatrix(out)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.data))) if self.data else IntMatrix([])
@@ -239,6 +244,28 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 row[dst] += c * row[src]
             Rt[dst] = [a + c * b for a, b in zip(Rt[dst], Rt[src])]
 
+    def gcd_rows(i, j, c):
+        # rows (i, j) <- (x ri + y rj, -q ri + p rj), det 1: S[i][c] becomes
+        # gcd(S[i][c], S[j][c]) and S[j][c] becomes 0
+        g, x, y = _xgcd(S[i][c], S[j][c])
+        p, q = S[i][c] // g, S[j][c] // g
+        for M in (S, L):
+            ri, rj = M[i], M[j]
+            M[i] = [x * u + y * v for u, v in zip(ri, rj)]
+            M[j] = [-q * u + p * v for u, v in zip(ri, rj)]
+
+    def gcd_cols(i, j, r):
+        # the same mix on columns (i, j), driven by row r
+        g, x, y = _xgcd(S[r][i], S[r][j])
+        p, q = S[r][i] // g, S[r][j] // g
+        for row in S:
+            ci, cj = row[i], row[j]
+            row[i] = x * ci + y * cj
+            row[j] = -q * ci + p * cj
+        ri, rj = Rt[i], Rt[j]
+        Rt[i] = [x * u + y * v for u, v in zip(ri, rj)]
+        Rt[j] = [-q * u + p * v for u, v in zip(ri, rj)]
+
     t = 0
     top = min(m, n)
     while t < top:
@@ -253,20 +280,24 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             row_swap(best[0], t)
         if best[1] != t:
             col_swap(best[1], t)
+        # a pivot that does not divide an entry takes the gcd of the two by a
+        # unimodular 2x2 mix; remainder-and-swap steps let the entries grow
+        # without bound (Kannan & Bachem, SIAM J. Comput. 8, 1979)
         while True:
             dirty = False
             for i in range(t + 1, m):
                 if S[i][t]:
-                    row_add(i, t, -(S[i][t] // S[t][t]))
-                    if S[i][t]:
-                        row_swap(i, t)
-                        dirty = True
+                    if S[i][t] % S[t][t]:
+                        gcd_rows(t, i, t)
+                    else:
+                        row_add(i, t, -(S[i][t] // S[t][t]))
             for j in range(t + 1, n):
                 if S[t][j]:
-                    col_add(j, t, -(S[t][j] // S[t][t]))
-                    if S[t][j]:
-                        col_swap(j, t)
+                    if S[t][j] % S[t][t]:
+                        gcd_cols(t, j, t)  # may refill column t below the pivot
                         dirty = True
+                    else:
+                        col_add(j, t, -(S[t][j] // S[t][t]))
             if not dirty:
                 break
         t += 1
@@ -285,17 +316,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 if b % a == 0:
                     continue
                 changed = True
-                g, x, y = _xgcd(a, b)
-                ai, bi = a // g, b // g
                 row_add(i, j, 1)  # row i now (a at col i, b at col j)
-                # columns (i, j) <- (x*ci + y*cj, -bi*ci + ai*cj), det = 1
-                for row in S:
-                    ci, cj = row[i], row[j]
-                    row[i] = x * ci + y * cj
-                    row[j] = -bi * ci + ai * cj
-                ri, rj = Rt[i], Rt[j]
-                Rt[i] = [x * u + y * v for u, v in zip(ri, rj)]
-                Rt[j] = [-bi * u + ai * v for u, v in zip(ri, rj)]
+                gcd_cols(i, j, i)
                 row_add(j, i, -(S[j][i] // S[i][i]))
                 if S[i][i] < 0:
                     row_neg(i)

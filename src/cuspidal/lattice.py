@@ -482,11 +482,20 @@ def disc_action(g: Isometry, smith, kept) -> tuple:
 
     With ``smith`` the Smith form U G V = D of the Gram matrix, coordinate k
     of the image of generator i is (U G g V)_ki / d_i mod d_k, an exact
-    division because U G g V = U g^-T U^-1 D.
+    division because U G g V = U g^-T U^-1 D.  Only the kept block of
+    U G g V is formed: the ``kept`` rows of U times G g times the ``kept``
+    columns of V.
     """
-    m = (smith.left @ g.domain.gram @ g.matrix @ smith.right).data
+    if not kept:
+        return ()
+    rows = IntMatrix([smith.left.data[k] for k in kept])
+    cols = IntMatrix([[row[i] for i in kept] for row in smith.right.data])
+    m = (rows @ g.domain.gram @ g.matrix @ cols).data
     d = smith.diag
-    return tuple(tuple(m[k][i] // d[i] % d[k] for k in kept) for i in kept)
+    return tuple(
+        tuple(m[a][b] // d[i] % d[k] for a, k in enumerate(kept))
+        for b, i in enumerate(kept)
+    )
 
 
 def group_membership(g: Isometry) -> MembershipFlags:

@@ -93,6 +93,48 @@ class TestSmith:
         a = IntMatrix(rows)
         assert math.prod(smith_normal_form(a).diag) == abs(a.det())
 
+    def test_no_coefficient_explosion(self):
+        # remainder-and-swap elimination grew these entries past a million
+        # bits at pivot 2 and never returned; the gcd mix answers at once
+        a = IntMatrix([
+            [17, -22, -28, -45, 21],
+            [-22, 32, 33, 58, -19],
+            [-28, 33, 35, 61, -10],
+            [-45, 58, 61, 99, -27],
+            [21, -19, -10, -27, -30],
+        ])
+        s = smith_normal_form(a)
+        assert s.left @ a @ s.right == s.diagonal_matrix()
+        assert abs(s.left.det()) == abs(s.right.det()) == 1
+        assert s.diag == (1, 1, 1, 1, 10083)
+
+
+def int_matrices(rows, cols):
+    """rows x cols integer matrices, either mostly zero or dense, with negative entries."""
+    sparse = st.sampled_from((0,) * 8 + (-3, -1, 1, 2))
+    return st.sampled_from((sparse, st.integers(-50, 50))).flatmap(
+        lambda value: st.lists(
+            st.lists(value, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )
+    )
+
+
+class TestProduct:
+    @settings(max_examples=200)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7), st.data())
+    def test_matches_triple_sum(self, rows, inner, cols, data):
+        a = data.draw(int_matrices(rows, inner))
+        b = data.draw(int_matrices(inner, cols))
+        expected = [
+            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)
+        ]
+        assert (IntMatrix(a) @ IntMatrix(b)).to_lists() == expected
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+
 
 class TestSignature:
     def test_examples(self):

@@ -205,6 +205,9 @@ class TestIsometries:
         flags = lat.group_membership(lat.Isometry.identity(L))
         assert flags.in_o_plus and flags.stable and flags.in_o_tilde_plus
         assert flags.in_so_tilde_plus and flags.in_o_hat_plus and flags.in_so_hat_plus
+        # a unimodular lattice keeps no generator of its (trivial) A_L
+        flags = lat.group_membership(lat.Isometry.identity(lat.parse_name("U+E8")))
+        assert flags.disc_action == "id" and flags.in_so_tilde_plus
 
     def test_minus_id_spinor_matches_positive_part(self):
         # sn(-id) = (-1)^{r} for signature (r, s)
@@ -316,6 +319,38 @@ def test_spinor_norm_counts_reflections_in_positive_vectors(name):
         assert lat.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
         assert g.det == (-1) ** len(factors)
     assert lat.spinor_norm(lat.Isometry.minus_identity(L)) == (-1) ** L.signature[0]
+
+
+def _membership_inputs(name):
+    """Isometries of the lattice ``name``: the diagram generators of a root
+    sum, or products of reflections of U+U+U+E8+E8+<-2>."""
+    if name != "U+U+U+E8+E8+<-2>":
+        return glue.tau_generator_isometries(glue.make_glue(name))
+    rng = random.Random(9)
+    L = lat.parse_name(name)
+    reflections = [rho for _, rho in _reflections(L, rng)]
+    out = []
+    for _ in range(12):
+        m = IntMatrix.identity(L.rank)
+        for rho in rng.sample(reflections, rng.randint(1, 3)):
+            m = m @ rho.matrix
+        out.append(lat.Isometry(L, m))
+    return out
+
+
+@pytest.mark.parametrize("name", ["U+U+U+E8+E8+<-2>", "A1+A2+A3+D4+E6+E7"])
+def test_kept_block_disc_action_matches_full_product(name):
+    # the kept block of U G g V, read off the full n x n product
+    isometries = _membership_inputs(name)
+    assert isometries
+    for g in isometries:
+        smith = smith_normal_form(g.domain.gram)
+        kept = [k for k, d in enumerate(smith.diag) if d > 1]
+        assert 0 < len(kept) < g.domain.rank
+        m = (smith.left @ g.domain.gram @ g.matrix @ smith.right).data
+        d = smith.diag
+        full = tuple(tuple(m[k][i] // d[i] % d[k] for k in kept) for i in kept)
+        assert lat.disc_action(g, smith, kept) == full
 
 
 class TestBinaryForms:
