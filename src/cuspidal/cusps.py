@@ -22,7 +22,7 @@ unit automorphisms and every dependent count is flagged conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -40,7 +40,6 @@ from . import glue as glue_mod
 from .fqf import FiniteQuadraticForm, FqfSubgroup, discriminant_form, trivial_form
 from .lattice import (
     Lattice,
-    LatticeVector,
     Sublattice,
     direct_sum,
     divisibility,
@@ -60,31 +59,31 @@ def squarefree_decompose(factors: dict):
     return dprime, k
 
 
-@dataclass(frozen=True)
-class PolarizationCase:
-    """Degree-2d polarization with a chosen embedding type."""
+class PolarizationCase(namedtuple("PolarizationCase", "d embedding dprime k K primes")):
+    """Degree-2d polarization with a chosen embedding type, "split" or "nonsplit".
 
-    d: int
-    embedding: str  # "split" or "nonsplit"
-    dprime: int = field(init=False)
-    k: int = field(init=False)
-    K: int = field(init=False)
-    primes: tuple = field(init=False)  # the primes of 2d, from one factorization of d
+    Built from d and the embedding alone: d = dprime * k^2 with dprime
+    square-free, K is the largest order of an isotropic subgroup H_m, and
+    ``primes`` are the primes of 2d, all from one factorization of d.
+    """
 
-    def __post_init__(self):
-        if self.d < 1:
+    __slots__ = ()
+
+    def __new__(cls, d, embedding):
+        if d < 1:
             raise BadCase("d must be a positive integer")
-        if self.embedding not in ("split", "nonsplit"):
-            raise BadCase(f"unknown embedding {self.embedding!r}")
-        if self.embedding == "nonsplit" and self.d % 4 != 3:
+        if embedding not in ("split", "nonsplit"):
+            raise BadCase(f"unknown embedding {embedding!r}")
+        if embedding == "nonsplit" and d % 4 != 3:
             raise BadCase("non-split embeddings require d = 3 mod 4")
-        factors = factorize(self.d)
+        factors = factorize(d)
         dprime, k = squarefree_decompose(factors)
-        object.__setattr__(self, "dprime", dprime)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "primes", tuple(sorted(set(factors) | {2})))
-        big = 2 * k if (self.embedding == "split" and dprime % 4 == 3) else k
-        object.__setattr__(self, "K", big)
+        big = 2 * k if (embedding == "split" and dprime % 4 == 3) else k
+        primes = tuple(sorted(set(factors) | {2}))
+        return tuple.__new__(cls, (d, embedding, dprime, k, big, primes))
+
+    def __getnewargs__(self):
+        return self.d, self.embedding
 
     @property
     def split(self) -> bool:
@@ -95,14 +94,12 @@ class PolarizationCase:
 # discriminant model (distinguished generators)
 
 
-@dataclass(frozen=True)
-class DiscModel:
-    """A_N with the distinguished classes used by all closed formulas."""
+class DiscModel(namedtuple("DiscModel", "case form t_class e_class")):
+    """A_N with the distinguished classes used by all closed formulas:
+    ``t_class`` of t/2d (split) or of t = h/d - w2 (nonsplit), and
+    ``e_class`` of e/2 in the split case (None otherwise)."""
 
-    case: PolarizationCase
-    form: FiniteQuadraticForm
-    t_class: tuple  # class of t/2d (split) or of t = h/d - w2 (nonsplit)
-    e_class: tuple | None  # class of e/2 in the split case
+    __slots__ = ()
 
 
 def disc_model(case: PolarizationCase) -> DiscModel:
@@ -124,15 +121,13 @@ def disc_model(case: PolarizationCase) -> DiscModel:
 # the explicit polarized embedding in U^3 + E8^2 + <-2>
 
 
-@dataclass(frozen=True)
-class PolarizedEmbedding:
-    case: PolarizationCase
-    ambient: Lattice
-    h: LatticeVector
-    complement: Sublattice
-    disc: FiniteQuadraticForm
-    t_class: tuple
-    e_class: tuple | None
+class PolarizedEmbedding(namedtuple(
+    "PolarizedEmbedding", "case ambient h complement disc t_class e_class"
+)):
+    """h and its complement N in the ambient lattice, with A_N and the
+    distinguished classes of ``DiscModel``."""
+
+    __slots__ = ()
 
 
 def k3_square_lattice() -> Lattice:
@@ -211,11 +206,10 @@ def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
     return fqf.isotropic_pm1_count(disc_model(case).form, bound, case.primes)
 
 
-@dataclass(frozen=True)
-class NuResult:
-    case: PolarizationCase
-    formula: int | None
-    enumerated: int | None
+class NuResult(namedtuple("NuResult", "case formula enumerated")):
+    """nu from the closed formula and from the count, each None when not run."""
+
+    __slots__ = ()
 
     @property
     def agree(self) -> bool | None:
@@ -272,11 +266,10 @@ def _element_of_order(model: DiscModel, m: int, n: int) -> tuple:
     return form.smul(n * (case.d // m), model.t_class)
 
 
-@dataclass(frozen=True)
-class OrbitRep:
-    m: int
-    n: int
-    element: tuple
+class OrbitRep(namedtuple("OrbitRep", "m n element")):
+    """The isotropic class x_{m,n} of order m."""
+
+    __slots__ = ()
 
 
 def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
@@ -371,13 +364,10 @@ def t_set(case: PolarizationCase, m: int, bound: int = fqf.ENUM_BOUND) -> list:
 # one-dimensional cusps
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(namedtuple("Candidate", "roots niemeier glue_gens", defaults=(None, None))):
     """Declared root decomposition of a candidate lattice E (plus display data)."""
 
-    roots: str
-    niemeier: str | None = None
-    glue_gens: tuple | None = None
+    __slots__ = ()
 
 
 TABLE1_ROWS = (
@@ -397,16 +387,14 @@ TABLE1_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class OneDimRow:
-    candidate: Candidate
-    genus_ok: bool
-    roots_ok: bool
-    computed_roots: str | None
-    o_ae: int | None
-    im_tau: int | None
-    classes: int | None
-    note: str | None = None
+class OneDimRow(namedtuple(
+    "OneDimRow",
+    "candidate genus_ok roots_ok computed_roots o_ae im_tau classes note",
+    defaults=(None,),
+)):
+    """One candidate's row; the counts are None when the genus does not match."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -497,12 +485,10 @@ def one_dim_cusps(
 # reports
 
 
-@dataclass(frozen=True)
-class CuspReport:
-    case: PolarizationCase
-    nu_result: NuResult
-    reps: tuple
-    one_dim: tuple | None = None
+class CuspReport(namedtuple("CuspReport", "case nu_result reps one_dim", defaults=(None,))):
+    """Zero-dimensional cusps and, when computed, the one-dimensional rows."""
+
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         zero = {
@@ -550,7 +536,7 @@ def zero_dim_report(case: PolarizationCase, mode: str = "both",
 def full_report(case: PolarizationCase, candidates=None,
                 bound: int = fqf.ENUM_BOUND) -> CuspReport:
     zero = zero_dim_report(case, "both", bound)
-    return replace(zero, one_dim=tuple(one_dim_cusps(case, candidates, bound)))
+    return zero._replace(one_dim=tuple(one_dim_cusps(case, candidates, bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ that evaluate rational vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotDefinite, SingularMatrix
 
@@ -39,6 +39,14 @@ class IntMatrix:
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _wrap(cls, data) -> "IntMatrix":
+        """The matrix on ``data``, equal-length tuples of ints, taken as is:
+        results of the arithmetic below skip the constructor's checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -90,15 +98,16 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]})"
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self.data])
+        return IntMatrix._wrap(tuple(tuple(-x for x in r) for r in self.data))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return IntMatrix._wrap(tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ))
 
     def scaled(self, t: int) -> "IntMatrix":
-        return IntMatrix([[t * x for x in r] for r in self.data])
+        t = int(t)
+        return IntMatrix._wrap(tuple(tuple(t * x for x in r) for r in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -107,11 +116,11 @@ class IntMatrix:
         out = []
         for row in self.data:
             nz = [(k, a) for k, a in enumerate(row) if a]
-            out.append([sum(a * col[k] for k, a in nz) for col in bt])
-        return IntMatrix(out)
+            out.append(tuple(sum(a * col[k] for k, a in nz) for col in bt))
+        return IntMatrix._wrap(tuple(out))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data))) if self.data else IntMatrix([])
+        return IntMatrix._wrap(tuple(zip(*self.data)))
 
     @property
     def T(self) -> "IntMatrix":
@@ -164,13 +173,11 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """left @ A @ right equals the (rectangular) diagonal matrix of ``diag``."""
+class SmithDecomposition(namedtuple("SmithDecomposition", "left diag right")):
+    """left @ A @ right equals the (rectangular) diagonal matrix of ``diag``;
+    ``left`` and ``right`` are unimodular ``IntMatrix`` transforms."""
 
-    left: IntMatrix
-    diag: tuple
-    right: IntMatrix
+    __slots__ = ()
 
     def diagonal_matrix(self) -> IntMatrix:
         m = self.left.rows

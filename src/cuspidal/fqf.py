@@ -31,15 +31,14 @@ sum_p |A_p| elements instead of prod_p |A_p|.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
-    IntMatrix, SmithDecomposition, factorize, hnf_coords, hnf_rows, kernel_basis,
-    smith_normal_form,
+    IntMatrix, factorize, hnf_coords, hnf_rows, kernel_basis, smith_normal_form,
 )
 
 ENUM_BOUND = 10**6
@@ -197,17 +196,17 @@ class FiniteQuadraticForm:
         return tuple(y[i] % src.smith.diag[i] for i in src.kept)
 
 
-@dataclass(frozen=True)
-class LatticeSource:
+class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     """Provenance of A_L = L*/L: the Smith transforms U G V = D of the Gram G of L.
 
-    Generator i lifts to the dual vector V e_k / d_k for k = kept[i]; a
-    dual vector v has class coordinates (U G v)_k mod d_k.
+    ``lattice`` is L, ``smith`` the ``SmithDecomposition`` (U, the invariant
+    factors d and V) of G and ``kept`` the Smith positions with invariant
+    factor > 1, one per generator.  Generator i lifts to the dual vector
+    V e_k / d_k for k = kept[i]; a dual vector v has class coordinates
+    (U G v)_k mod d_k.
     """
 
-    lattice: object  # the Lattice L
-    smith: SmithDecomposition  # U, the invariant factors d and V for G
-    kept: tuple  # Smith positions with invariant factor > 1, one per generator
+    __slots__ = ()
 
     @property
     def left(self) -> IntMatrix:
@@ -221,14 +220,15 @@ class LatticeSource:
         return self.smith.right.apply(coeffs)
 
 
-@dataclass(frozen=True)
-class QuotientSource:
-    """Provenance of H^perp/H: how its generators sit in the parent form."""
+class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):
+    """Provenance of H^perp/H: how its generators sit in the parent form.
 
-    parent: FiniteQuadraticForm
-    rows: _RowQuotient  # H^perp modulo H as a quotient of row lattices
-    kept: tuple  # quotient positions with order > 1, one per generator
-    generator_lifts: tuple  # parent elements of H^perp lifting the generators
+    ``rows`` is H^perp modulo H as a ``_RowQuotient`` of row lattices,
+    ``kept`` the quotient positions with order > 1, one per generator, and
+    ``generator_lifts`` the parent elements of H^perp lifting the generators.
+    """
+
+    __slots__ = ()
 
 
 def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
@@ -287,12 +287,12 @@ def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 # row-lattice quotients (shared by direct sums and perp quotients)
 
 
-@dataclass(frozen=True)
-class _RowQuotient:
-    ambient_rows: IntMatrix  # P: Hermite basis of the ambient row lattice
-    vmat: IntMatrix
-    generator_rows: IntMatrix  # V^{-1} @ P, one row per invariant factor
-    orders: tuple
+class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat generator_rows orders")):
+    """``ambient_rows`` is the Hermite basis P of the ambient row lattice,
+    ``vmat`` the right Smith transform V and ``generator_rows`` V^-1 @ P,
+    one row per invariant factor in ``orders``."""
+
+    __slots__ = ()
 
     def class_coords(self, row) -> tuple:
         """Coordinates of an ambient-lattice row modulo the sublattice."""
@@ -328,11 +328,10 @@ def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
 # subgroups
 
 
-@dataclass(frozen=True)
-class FqfSubgroup:
-    form: FiniteQuadraticForm
-    elements: tuple  # sorted element tuples, closed under addition
-    generators: tuple
+class FqfSubgroup(namedtuple("FqfSubgroup", "form elements generators")):
+    """Subgroup of ``form``: ``elements`` are its sorted element tuples."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int:

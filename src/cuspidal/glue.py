@@ -37,7 +37,7 @@ dependent counts are reported as conditional.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, lcm, prod
 
@@ -54,7 +54,6 @@ from .exact import (
 )
 from .fqf import (
     FiniteQuadraticForm,
-    FqfSubgroup,
     QuotientSource,
     apply_map,
     compose_maps,
@@ -74,11 +73,12 @@ from .lattice import (
 # root-spec strings and glue data
 
 
-@dataclass(frozen=True)
-class Component:
-    kind: str  # "A", "D", "E" or "unit"
-    param: int  # ADE rank, or the norm of a rank-1 summand
-    offset: int
+class Component(namedtuple("Component", "kind param offset")):
+    """One summand of a root-spec base: ``kind`` "A", "D", "E" or "unit",
+    ``param`` the ADE rank or the norm of a rank-1 summand, and ``offset``
+    its first basis index."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -122,18 +122,18 @@ def root_sum_base(spec: str):
     return direct_sum(*lattices), tuple(comps)
 
 
-@dataclass(frozen=True)
-class GlueData:
-    base: Lattice
-    components: tuple
-    disc: FiniteQuadraticForm
-    glue: FqfSubgroup
+class GlueData(namedtuple("GlueData", "base components disc glue")):
+    """A base lattice, its ``Component``s, its discriminant form ``disc`` and
+    an isotropic subgroup ``glue`` of it."""
 
-    def __post_init__(self):
-        if self.glue.form != self.disc:
+    __slots__ = ()
+
+    def __new__(cls, base, components, disc, glue):
+        if glue.form != disc:
             raise BadParameter("glue subgroup does not live in the base discriminant")
-        if any(self.disc.q(x) != 0 for x in self.glue.elements):
+        if any(disc.q(x) != 0 for x in glue.elements):
             raise NotIsotropic("glue subgroup is not isotropic")
+        return tuple.__new__(cls, (base, components, disc, glue))
 
 
 def make_glue(spec: str, glue_gens=()) -> GlueData:
@@ -149,11 +149,11 @@ def make_glue(spec: str, glue_gens=()) -> GlueData:
 # overlattices
 
 
-@dataclass(frozen=True)
-class Overlattice:
-    glue: GlueData
-    lattice: Lattice
-    base_in_overlattice: IntMatrix  # rows: R basis in overlattice coords
+class Overlattice(namedtuple("Overlattice", "glue lattice base_in_overlattice")):
+    """The overlattice of a ``GlueData``; the rows of ``base_in_overlattice``
+    are the base basis in overlattice coordinates."""
+
+    __slots__ = ()
 
 
 def overlattice(gd: GlueData) -> Overlattice:
@@ -253,10 +253,10 @@ _ROOT_COUNTS = {"A": lambda k: k * (k + 1), "D": lambda h: 2 * h * (h - 1),
                 "E": lambda l: {6: 72, 7: 126, 8: 240}[l]}
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    components: tuple  # sorted tuple of (letter, rank)
-    total_roots: int
+class RootSystem(namedtuple("RootSystem", "components total_roots")):
+    """ADE type: ``components`` is a sorted tuple of (letter, rank)."""
+
+    __slots__ = ()
 
     def spec_string(self) -> str:
         if not self.components:
@@ -468,12 +468,11 @@ def glue_adds_roots(gd: GlueData) -> bool:
 # image of tau: O(E) -> O(A_E) via diagram/permutation/unit generators
 
 
-@dataclass(frozen=True)
-class TauImage:
-    quotient_form: FiniteQuadraticForm  # A_E = H^perp/H
-    maps: tuple  # induced maps on A_E, as tuples of generator images
-    conditional: bool
-    note: str
+class TauImage(namedtuple("TauImage", "quotient_form maps conditional note")):
+    """Im tau on ``quotient_form`` A_E = H^perp/H; ``maps`` are the induced
+    maps on A_E, as tuples of generator images."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -112,19 +112,16 @@ def _as_exact(x):
     raise BadParameter(f"coordinates must be ints or Fractions, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(namedtuple("LatticeVector", "home coords")):
     """Coordinate vector relative to the basis of its home lattice."""
 
-    home: Lattice
-    coords: tuple
+    __slots__ = ()
 
-    def __init__(self, home, coords):
+    def __new__(cls, home, coords):
         coords = tuple(_as_exact(x) for x in coords)
         if len(coords) != home.rank:
             raise BadParameter("coordinate length does not match lattice rank")
-        object.__setattr__(self, "home", home)
-        object.__setattr__(self, "coords", coords)
+        return tuple.__new__(cls, (home, coords))
 
     @property
     def is_integral(self) -> bool:
@@ -157,6 +154,9 @@ class LatticeVector:
     def __rmul__(self, c) -> "LatticeVector":
         c = _as_exact(c) if not isinstance(c, int) else c
         return LatticeVector(self.home, [c * a for a in self.coords])
+
+    # v * c scales too, instead of repeating the record as a tuple
+    __mul__ = __rmul__
 
 
 def pair(v: LatticeVector, w: LatticeVector):
@@ -323,25 +323,24 @@ def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
     return Sublattice(L, kernel_basis(pairing))
 
 
-@dataclass(frozen=True)
-class OrthogonalSplitting:
-    """Primitive orthogonal pair M, N = M-perp inside an ambient lattice."""
+class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right")):
+    """Primitive orthogonal pair M, N = M-perp (``Sublattice``s ``left`` and
+    ``right``) inside an ambient lattice."""
 
-    ambient: Lattice
-    left: Sublattice
-    right: Sublattice
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left.ambient != self.ambient or self.right.ambient != self.ambient:
+    def __new__(cls, ambient, left, right):
+        if left.ambient != ambient or right.ambient != ambient:
             raise MixedLattices("summands live in a different ambient lattice")
-        if self.left.rank + self.right.rank != self.ambient.rank:
+        if left.rank + right.rank != ambient.rank:
             raise BadParameter("summands do not span the ambient lattice rationally")
-        for u in self.left.basis():
-            for w in self.right.basis():
+        for u in left.basis():
+            for w in right.basis():
                 if pair(u, w) != 0:
                     raise BadParameter("summands are not orthogonal")
-        if not self.left.is_primitive() or not self.right.is_primitive():
+        if not left.is_primitive() or not right.is_primitive():
             raise BadParameter("summands must be primitive")
+        return tuple.__new__(cls, (ambient, left, right))
 
 
 def splitting_from(L: Lattice, left_vectors) -> OrthogonalSplitting:
@@ -385,19 +384,17 @@ def delta_prime_test(split: OrthogonalSplitting, delta: LatticeVector) -> bool:
 # isometries, reflections, spinor norms
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(namedtuple("Isometry", "domain matrix")):
     """Isometry of a lattice, acting on coordinate columns: v -> M v."""
 
-    domain: Lattice
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.rows != m.cols or m.rows != self.domain.rank:
+    def __new__(cls, domain, matrix):
+        if matrix.rows != matrix.cols or matrix.rows != domain.rank:
             raise NotIsometry("matrix shape does not match the lattice")
-        if m.T @ self.domain.gram @ m != self.domain.gram:
+        if matrix.T @ domain.gram @ matrix != domain.gram:
             raise NotIsometry("matrix does not preserve the form")
+        return tuple.__new__(cls, (domain, matrix))
 
     def __call__(self, v: LatticeVector) -> LatticeVector:
         if v.home != self.domain:
@@ -405,9 +402,11 @@ class Isometry:
         return LatticeVector(self.domain, self.matrix.apply(v.coords))
 
     def compose(self, other: "Isometry") -> "Isometry":
+        """self after other; a product of isometries of one lattice is one,
+        so the form check of the constructor is not repeated."""
         if other.domain != self.domain:
             raise MixedLattices("isometries of different lattices")
-        return Isometry(self.domain, self.matrix @ other.matrix)
+        return tuple.__new__(Isometry, (self.domain, self.matrix @ other.matrix))
 
     @property
     def det(self) -> int:
@@ -464,17 +463,14 @@ def spinor_norm(g: Isometry) -> int:
     return 1 if (P @ G @ g.matrix @ P.T).det() > 0 else -1
 
 
-@dataclass(frozen=True)
-class MembershipFlags:
-    det: int
-    spinor: int
-    disc_action: str  # "id", "-id" or "other"
-    in_o_plus: bool
-    stable: bool
-    in_o_tilde_plus: bool
-    in_so_tilde_plus: bool
-    in_o_hat_plus: bool
-    in_so_hat_plus: bool
+class MembershipFlags(namedtuple(
+    "MembershipFlags",
+    "det spinor disc_action in_o_plus stable in_o_tilde_plus in_so_tilde_plus"
+    " in_o_hat_plus in_so_hat_plus",
+)):
+    """Flags of ``group_membership``; ``disc_action`` is "id", "-id" or "other"."""
+
+    __slots__ = ()
 
 
 def disc_action(g: Isometry, smith, kept) -> tuple:

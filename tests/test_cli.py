@@ -293,10 +293,12 @@ def test_cli_import_is_stdlib_only():
 
     import cuspidal
 
+    # the set-up of every CLI invocation: import and build the parser
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import cuspidal.cli\n"
+        "cuspidal.cli.build_parser()\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(cuspidal.__file__))
@@ -308,6 +310,11 @@ def test_cli_import_is_stdlib_only():
     assert "concurrent.futures" not in added
     allowed = sys.stdlib_module_names | {"cuspidal"}
     assert [m for m in added if m.split(".")[0] not in allowed] == []
+    # compiled from source, dataclasses (with the inspect, ast, dis and
+    # tokenize it pulls in) takes longer to import than the package itself,
+    # and typing about half as long
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert sorted(heavy.intersection(added)) == []
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -135,6 +135,44 @@ class TestProduct:
         with pytest.raises(ValueError):
             IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
 
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_arithmetic_results_match_public_construction(self, rows, cols, data):
+        # results skip the constructor's checks; they must still be equal
+        # matrices of plain tuples of ints
+        a = IntMatrix(data.draw(int_matrices(rows, cols)))
+        b = IntMatrix(data.draw(int_matrices(rows, cols)))
+        t = data.draw(st.integers(-3, 3))
+        results = {
+            "matmul": (a @ b.T, [[sum(x * y for x, y in zip(r, s)) for s in b.data]
+                                 for r in a.data]),
+            "add": (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)]),
+            "neg": (-a, [[-x for x in r] for r in a.data]),
+            "scaled": (a.scaled(t), [[t * x for x in r] for r in a.data]),
+            "transpose": (a.T, [list(c) for c in zip(*a.data)]),
+        }
+        for name, (got, rows_expected) in results.items():
+            assert got == IntMatrix(rows_expected), name
+            assert type(got.data) is tuple, name
+            assert all(type(r) is tuple and all(type(x) is int for x in r)
+                       for r in got.data), name
+
+
+class TestConstructor:
+    def test_coerces_entries_to_int(self):
+        m = IntMatrix([[Fraction(6, 3), True], (False, Fraction(-4, 1))])
+        assert m.data == ((2, 1), (0, -4))
+        assert all(type(x) is int for r in m.data for x in r)
+        assert m == IntMatrix([[2, 1], [0, -4]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix([[1, 2], [3]])
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix([[1], [2, 3]])
+
+    def test_empty(self):
+        assert IntMatrix([]).rows == 0 and IntMatrix([]).T == IntMatrix([])
+
 
 class TestSignature:
     def test_examples(self):

@@ -11,11 +11,12 @@ from cuspidal.errors import (
     DegenerateComplement,
     DependentInput,
     MemberOfSummand,
+    MixedLattices,
     NotIsometry,
     ZeroVector,
 )
 from cuspidal import glue
-from cuspidal.exact import IntMatrix, smith_normal_form
+from cuspidal.exact import smith_normal_form
 from fraction_oracles import rational_inverse
 
 
@@ -220,6 +221,17 @@ class TestIsometries:
         with pytest.raises(NotIsometry):
             lat.Isometry(lat.U(), IntMatrix([[1, 1], [0, 1]]))
 
+    def test_compose(self):
+        # the product of the two simple reflections of A2 is the Coxeter
+        # element, of order 3; isometries of two lattices do not compose
+        L = lat.A(2)
+        r0, r1 = (lat.reflection(L, v) for v in L.basis())
+        c = r0.compose(r1)
+        assert c == lat.Isometry(L, r0.matrix @ r1.matrix)
+        assert c.compose(c).compose(c) == lat.Isometry.identity(L)
+        with pytest.raises(MixedLattices):
+            r0.compose(lat.Isometry.identity(lat.U()))
+
     def test_hat_membership(self):
         # -id acts as -id on A_L of <-8>, with det -1 in rank 1
         L = lat.rank1(-8)
@@ -312,10 +324,10 @@ def test_spinor_norm_counts_reflections_in_positive_vectors(name):
     assert {v.norm > 0 for v, _ in reflections} == {True, False}
     for _ in range(150 if L.rank <= 4 else 30):
         factors = [rng.choice(reflections) for _ in range(rng.randint(0, 5))]
-        m = IntMatrix.identity(L.rank)
+        g = lat.Isometry.identity(L)
         for _, rho in factors:
-            m = m @ rho.matrix
-        g = lat.Isometry(L, m)
+            g = g.compose(rho)
+        assert g.matrix.T @ L.gram @ g.matrix == L.gram
         assert lat.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
         assert g.det == (-1) ** len(factors)
     assert lat.spinor_norm(lat.Isometry.minus_identity(L)) == (-1) ** L.signature[0]
@@ -331,10 +343,11 @@ def _membership_inputs(name):
     reflections = [rho for _, rho in _reflections(L, rng)]
     out = []
     for _ in range(12):
-        m = IntMatrix.identity(L.rank)
+        g = lat.Isometry.identity(L)
         for rho in rng.sample(reflections, rng.randint(1, 3)):
-            m = m @ rho.matrix
-        out.append(lat.Isometry(L, m))
+            g = g.compose(rho)
+        assert g.matrix.T @ L.gram @ g.matrix == L.gram
+        out.append(g)
     return out
 
 
