@@ -26,6 +26,13 @@ the 2-part.  Hence the number of isotropic classes modulo +-1 is
 (prod_p I_p + F_2) / 2, with I_p the isotropic elements of A_p and F_2
 those of the 2-part killed by 2: ``isotropic_pm1_count`` scans
 sum_p |A_p| elements instead of prod_p |A_p|.
+
+Subgroups are element sets grown one element at a time: the span of H
+and e is the union of the cosets k e + H, for k up to the order of e
+modulo H.  Spans, the isotropic subgroup walk and the image checks of
+the isometry search all take this one step.  A subgroup's canonical
+generators, which ``glue enum`` prints, are greedy over its sorted
+elements: each element that the ones kept before it do not span.
 """
 
 from __future__ import annotations
@@ -338,43 +345,38 @@ class FqfSubgroup(namedtuple("FqfSubgroup", "form elements generators")):
         return len(self.elements)
 
 
+def _extend(form: FiniteQuadraticForm, span, e) -> set:
+    """The subgroup generated by the subgroup ``span`` and the reduced element
+    e: the union of the cosets k e + span, for k up to the order of e modulo
+    ``span``."""
+    out = set(span)
+    cur = e
+    while cur not in span:
+        out.update(form.add(cur, s) for s in span)
+        cur = form.add(cur, e)
+    return out
+
+
+def _subgroup(form: FiniteQuadraticForm, elems) -> FqfSubgroup:
+    """The subgroup on the element set ``elems``, with canonical generators:
+    each sorted element that the ones kept before it do not span."""
+    elems = tuple(sorted(elems))
+    span, gens = {form.zero}, []
+    for e in elems:
+        if e not in span:
+            gens.append(e)
+            span = _extend(form, span, e)
+    return FqfSubgroup(form, elems, tuple(gens))
+
+
 def subgroup_span(form: FiniteQuadraticForm, gens) -> FqfSubgroup:
     gens = list(gens)
     if any(len(g) != form.rank for g in gens):
         raise BadParameter(f"subgroup generators need {form.rank} coordinates")
-    gens = [form.reduce(g) for g in gens]
-    elems = {form.zero}
-    frontier = [form.zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = form.add(cur, g)
-            if nxt not in elems:
-                elems.add(nxt)
-                frontier.append(nxt)
-    canonical = _minimal_generators(form, sorted(elems))
-    return FqfSubgroup(form, tuple(sorted(elems)), tuple(canonical))
-
-
-def _minimal_generators(form, sorted_elems):
-    target = set(sorted_elems)
     span = {form.zero}
-    gens = []
-    for e in sorted_elems:
-        if e in span:
-            continue
-        gens.append(e)
-        grow = [e]
-        while grow:
-            cur = grow.pop()
-            for s in list(span):
-                nxt = form.add(cur, s)
-                if nxt not in span:
-                    span.add(nxt)
-                    grow.append(nxt)
-        if span == target:
-            break
-    return gens
+    for g in gens:
+        span = _extend(form, span, form.reduce(g))
+    return _subgroup(form, span)
 
 
 def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
@@ -472,10 +474,10 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
                     form.gram.bilinear(e, g) % form.level for g in sub.generators
                 ):
                     continue
-                bigger = subgroup_span(form, list(sub.generators) + [e])
-                if bigger.elements not in found:
-                    found[bigger.elements] = bigger
-                    nxt.append(bigger)
+                elems = tuple(sorted(_extend(form, have, e)))
+                if elems not in found:
+                    found[elems] = _subgroup(form, elems)
+                    nxt.append(found[elems])
         frontier = nxt
     return sorted(found.values(), key=lambda s: (s.order, s.elements))
 
@@ -542,18 +544,6 @@ def _signature_buckets(form: FiniteQuadraticForm, bound: int):
     return buckets
 
 
-def _span_size(form: FiniteQuadraticForm, gens, orders) -> int:
-    span = {form.zero}
-    for g, d in zip(gens, orders):
-        layer = list(span)
-        cur = form.zero
-        for _ in range(1, d):
-            cur = form.add(cur, g)
-            for s in layer:
-                span.add(form.add(cur, s))
-    return len(span)
-
-
 def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
                 bound: int, find_all: bool):
     """Backtracking search for q- and b-preserving maps generator-wise.
@@ -568,7 +558,10 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
 
     def extend(i, images):
         if i == a.rank:
-            if _span_size(b, images, a.orders) == need_size:
+            span = {b.zero}
+            for y in images:
+                span = _extend(b, span, y)
+            if len(span) == need_size:
                 results.append(tuple(images))
                 return not find_all
             return False

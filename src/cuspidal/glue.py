@@ -36,7 +36,6 @@ dependent counts are reported as conditional.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from functools import lru_cache
 from math import isqrt, lcm, prod
@@ -65,7 +64,7 @@ from .fqf import (
     trivial_subgroup,
 )
 from .lattice import (
-    Isometry, Lattice, LatticeVector, direct_sum, disc_action, make_standard,
+    Isometry, Lattice, LatticeVector, disc_action, make_standard, parse_name, parse_terms,
 )
 
 
@@ -85,41 +84,24 @@ class Component(namedtuple("Component", "kind param offset")):
         return 1 if self.kind == "unit" else self.param
 
 
-_SPEC_TERM = re.compile(r"^(?P<count>\d+)?(?P<atom>A\d+|D\d+|E[678]|<-?\d+>)$")
-
-
 def parse_root_spec(spec: str) -> list:
     """Expand strings like "2E8+2A1" or "E6+A11+<-4>" into (kind, param) pairs."""
     out = []
-    for term in spec.replace(" ", "").split("+"):
-        m = _SPEC_TERM.match(term)
-        if not m:
-            raise BadParameter(f"cannot parse root-system term {term!r}")
-        count = int(m.group("count") or 1)
-        atom = m.group("atom")
-        if atom.startswith("<"):
-            out.extend([("unit", int(atom[1:-1]))] * count)
-        else:
-            out.extend([(atom[0], int(atom[1:]))] * count)
+    for atom, twist in parse_terms(spec):
+        if atom[0] in "UB" or twist is not None:
+            raise BadParameter(f"root spec {spec!r} is not a sum of A, D, E and <n> terms")
+        out.append(("unit", int(atom[1:-1])) if atom[0] == "<" else (atom[0], int(atom[1:])))
     return out
 
 
 def root_sum_base(spec: str):
     """Lattice and component layout for a root-spec string."""
-    parts = parse_root_spec(spec)
-    lattices = []
     comps = []
     offset = 0
-    for kind, param in parts:
-        lat = (
-            make_standard("rank1", param)
-            if kind == "unit"
-            else make_standard(kind, param)
-        )
+    for kind, param in parse_root_spec(spec):
         comps.append(Component(kind, param, offset))
-        offset += lat.rank
-        lattices.append(lat)
-    return direct_sum(*lattices), tuple(comps)
+        offset += comps[-1].rank
+    return parse_name(spec), tuple(comps)
 
 
 class GlueData(namedtuple("GlueData", "base components disc glue")):

@@ -580,26 +580,31 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_name(name: str) -> Lattice:
-    """Parse lattice names like "U+U+E8+E8+<-2>+<-6>", "2E8+2A1" or "U(2)"."""
-    parts = []
+def parse_terms(name: str):
+    """Yield one (atom, twist) pair per summand of a name like "2E8+U(2)+<-2>":
+    ``atom`` is "U", "A3", "<-2>" and so on, ``twist`` None or the t of "(t)"."""
     for term in name.replace(" ", "").split("+"):
         if not term:
             raise BadParameter(f"empty term in lattice name {name!r}")
         m = _TERM_RE.match(term)
         if not m:
             raise BadParameter(f"cannot parse lattice term {term!r}")
-        count = int(m.group("count") or 1)
-        atom = m.group("atom")
+        twist = m.group("twist")
+        for _ in range(int(m.group("count") or 1)):
+            yield m.group("atom"), None if twist is None else int(twist)
+
+
+def parse_name(name: str) -> Lattice:
+    """Parse lattice names like "U+U+E8+E8+<-2>+<-6>", "2E8+2A1" or "U(2)"."""
+    parts = []
+    for atom, twist in parse_terms(name):
         if atom == "U":
             base = U()
         elif atom.startswith("<"):
             base = rank1(int(atom[1:-1]))
         else:
             base = make_standard(atom[0], int(atom[1:]))
-        if m.group("twist"):
-            base = base.twist(int(m.group("twist")))
-        parts.extend([base] * count)
+        parts.append(base if twist is None else base.twist(twist))
     return direct_sum(*parts)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import prod
 
@@ -141,6 +142,53 @@ class TestIsotropic:
         walked = [s.elements for s in fqf.isotropic_subgroups(a)]
         assert len(walked) == len(set(walked))
         assert set(walked) == expected
+
+
+def _brute_span(a, gens):
+    """The closure of {0} under adding the reduced generators."""
+    gens = [a.reduce(g) for g in gens]
+    span = {a.zero}
+    while True:
+        bigger = span | {a.add(x, g) for x in span for g in gens}
+        if bigger == span:
+            return span
+        span = bigger
+
+
+def _assert_canonical(a, sub):
+    # the generators are greedy: each is the least element outside the span
+    # of the ones before it, and together they span the group
+    assert sub.elements == tuple(sorted(sub.elements))
+    kept = []
+    for g in sub.generators:
+        spanned = _brute_span(a, kept)
+        assert g == min(x for x in sub.elements if x not in spanned)
+        kept.append(g)
+    assert _brute_span(a, kept) == set(sub.elements)
+
+
+class TestCanonicalGenerators:
+    NAMES = ["<-18>+<-2>", "3A2+<-6>", "2A1+2D8", "4A3"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_span_of_random_generators(self, name):
+        a = fqf.discriminant_form(lat.parse_name(name))
+        rng = random.Random(name)
+        for _ in range(40):
+            gens = [tuple(rng.randrange(-d, 2 * d) for d in a.orders)
+                    for _ in range(rng.randrange(4))]
+            sub = fqf.subgroup_span(a, gens)
+            assert set(sub.elements) == _brute_span(a, gens)
+            _assert_canonical(a, sub)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_isotropic_subgroups_carry_canonical_generators(self, name):
+        a = fqf.discriminant_form(lat.parse_name(name))
+        subs = fqf.isotropic_subgroups(a)
+        assert len(subs) > 1
+        for sub in subs:
+            _assert_canonical(a, sub)
+            assert fqf.subgroup_span(a, sub.generators) == sub
 
 
 class TestPerpQuotient:
