@@ -211,9 +211,11 @@ def _cmd_cusp_sweep(args) -> int:
 
 
 def _cmd_glue_enum(args) -> int:
+    if args.order is not None and args.order < 1:
+        raise BadParameter(f"--order must be a positive integer, got {args.order}")
     gd0 = glue.make_glue(args.roots)
     subs = fqf.isotropic_subgroups(gd0.disc, args.bound)
-    if args.order:
+    if args.order is not None:
         subs = [s for s in subs if s.order == args.order]
     rows = []
     for s in subs:

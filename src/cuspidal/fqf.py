@@ -42,6 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
@@ -616,12 +617,12 @@ def embeds(
 
 
 def apply_map(form: FiniteQuadraticForm, images, x) -> tuple:
-    """Evaluate a generator-image map at an arbitrary element."""
-    out = form.zero
-    for a, img in zip(form.reduce(x), images):
-        if a:
-            out = form.add(out, form.smul(a, img))
-    return out
+    """Evaluate a generator-image map at an element: coordinate i of the
+    image is sum_j x_j img_j[i] mod d_i.  The image of generator j has order
+    dividing d_j, so ``x`` may be any integer tuple, unreduced or negative."""
+    return tuple(
+        sum(map(mul, x, col)) % d for col, d in zip(zip(*images), form.orders)
+    )
 
 
 def compose_maps(form: FiniteQuadraticForm, f, g) -> tuple:

@@ -29,9 +29,12 @@ The image of O(E) in O(A_E) is generated, for overlattices with full
 root rank, by diagram automorphisms, permutations of isomorphic
 components and sign flips of declared non-root rank-1 summands, all
 restricted to the glue stabilizer; Weyl reflections act trivially on the
-discriminant form and are omitted.  Whether this generated subgroup
-always equals the full image of tau is recorded as an assumption, so
-dependent counts are reported as conditional.
+discriminant form and are omitted.  Each generator is a signed
+permutation e_j -> s_j e_(p_j) of the base basis, so it is checked to be
+an isometry entry by entry, G_ij = s_i s_j G_(p_i p_j), in O(n^2) and
+without a matrix product (``Isometry.signed_permutation``).  Whether
+this generated subgroup always equals the full image of tau is recorded
+as an assumption, so dependent counts are reported as conditional.
 """
 
 from __future__ import annotations
@@ -494,19 +497,19 @@ def _diagram_permutations(comp: Component, n: int) -> list:
 
 
 def tau_generator_isometries(gd: GlueData) -> list:
-    """Base-lattice isometries generating the non-Weyl automorphism candidates."""
+    """Base-lattice isometries generating the non-Weyl automorphism candidates,
+    each a signed permutation of the basis (``Isometry.signed_permutation``)."""
     base = gd.base
     n = base.rank
     if sum(c.rank for c in gd.components) != n:
         raise RootsNotFullRank("components do not span the base lattice")
-    mats = []
+    plus = (1,) * n
+    gens = []
     for comp in gd.components:
         for p in _diagram_permutations(comp, n):
-            mats.append(_perm_matrix(p))
+            gens.append((p, plus))
         if comp.kind == "unit":
-            flip = [[int(i == j) for j in range(n)] for i in range(n)]
-            flip[comp.offset][comp.offset] = -1
-            mats.append(IntMatrix(flip))
+            gens.append((range(n), tuple(-1 if i == comp.offset else 1 for i in range(n))))
     for i, ci in enumerate(gd.components):
         for cj in gd.components[i + 1:]:
             if (ci.kind, ci.param) != (cj.kind, cj.param):
@@ -514,17 +517,9 @@ def tau_generator_isometries(gd: GlueData) -> list:
             p = list(range(n))
             for t in range(ci.rank):
                 p[ci.offset + t], p[cj.offset + t] = p[cj.offset + t], p[ci.offset + t]
-            mats.append(_perm_matrix(p))
+            gens.append((p, plus))
             break  # adjacent transpositions of equals generate the symmetric group
-    return [Isometry(base, m) for m in mats]
-
-
-def _perm_matrix(p) -> IntMatrix:
-    n = len(p)
-    m = [[0] * n for _ in range(n)]
-    for src, dst in enumerate(p):
-        m[dst][src] = 1
-    return IntMatrix(m)
+    return [Isometry.signed_permutation(base, p, s) for p, s in gens]
 
 
 def _disc_action(gd: GlueData, iso: Isometry) -> tuple:

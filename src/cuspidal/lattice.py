@@ -23,7 +23,8 @@ import os
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 from .errors import (
     BadParameter,
@@ -46,7 +47,9 @@ from .exact import (
 
 
 class Lattice:
-    """Immutable lattice; determinant, signature and parity are cached eagerly."""
+    """Immutable lattice; determinant, signature and parity are stored at
+    construction.  ``Lattice(gram)`` computes them by elimination; a direct
+    sum takes them from its parts (``direct_sum``)."""
 
     __slots__ = ("gram", "labels", "det", "signature", "even")
 
@@ -62,13 +65,20 @@ class Lattice:
             labels = tuple(str(x) for x in labels)
             if len(labels) != gram.rows:
                 raise BadParameter("one label per basis vector required")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "signature", signature_of_symmetric(gram))
-        object.__setattr__(
-            self, "even", all(gram.data[i][i] % 2 == 0 for i in range(gram.rows))
-        )
+        self._store(gram, labels, det, signature_of_symmetric(gram),
+                    all(gram.data[i][i] % 2 == 0 for i in range(gram.rows)))
+
+    @classmethod
+    def _from_invariants(cls, gram, labels, det, signature, even) -> "Lattice":
+        """The lattice on ``gram`` with invariants known from its construction,
+        taken as is: no elimination and no checks."""
+        L = object.__new__(cls)
+        L._store(gram, labels, det, signature, even)
+        return L
+
+    def _store(self, gram, labels, det, signature, even):
+        for name, value in zip(self.__slots__, (gram, labels, det, signature, even)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -184,7 +194,16 @@ def divisibility(v: LatticeVector) -> int:
 
 
 def make_standard(kind: str, n: int | None = None) -> Lattice:
-    """Standard lattices: U, A(k), D(h), E(6|7|8), B(d), rank1(n)."""
+    """Standard lattices: U, A(k), D(h), E(6|7|8), B(d), rank1(n).
+
+    Lattices are immutable, so the recently used ones are shared, not rebuilt."""
+    # the cache sits on a private function so that this one stays a plain
+    # function, which call tracers that wrap functions still count
+    return _standard(kind, n)
+
+
+@lru_cache(maxsize=128)
+def _standard(kind: str, n: int | None) -> Lattice:
     if kind == "U":
         return Lattice([[0, 1], [1, 0]], labels=("u", "v"))
     if kind == "A":
@@ -250,6 +269,8 @@ def rank1(n: int) -> Lattice:
 
 
 def direct_sum(*parts: Lattice) -> Lattice:
+    """Orthogonal sum; its determinant is the product of those of the parts,
+    its signature their sum, and it is even when every part is."""
     if not parts:
         raise BadParameter("empty direct sum")
     gram = IntMatrix.block_diagonal([p.gram for p in parts])
@@ -258,7 +279,11 @@ def direct_sum(*parts: Lattice) -> Lattice:
         cat = [lab for p in parts for lab in p.labels]
         if len(set(cat)) == len(cat):
             labels = tuple(cat)
-    return Lattice(gram, labels)
+    return Lattice._from_invariants(
+        gram, labels, prod(p.det for p in parts),
+        tuple(map(sum, zip(*(p.signature for p in parts)))),
+        all(p.even for p in parts),
+    )
 
 
 def twist(L: Lattice, t: int) -> Lattice:
@@ -407,6 +432,29 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
         if other.domain != self.domain:
             raise MixedLattices("isometries of different lattices")
         return tuple.__new__(Isometry, (self.domain, self.matrix @ other.matrix))
+
+    @classmethod
+    def signed_permutation(cls, domain: Lattice, perm, signs) -> "Isometry":
+        """The isometry e_j -> signs[j] e_perm[j].
+
+        Its matrix M has M^T G M = (s_i s_j G[p_i][p_j]), so the form check
+        compares G with its reindexed copy entry by entry, without a product.
+        """
+        n = domain.rank
+        if sorted(perm) != list(range(n)) or len(signs) != n or any(
+            s not in (1, -1) for s in signs
+        ):
+            raise NotIsometry("not a signed permutation of the basis")
+        G = domain.gram.data
+        if any(
+            G[i][j] != signs[i] * signs[j] * G[perm[i]][perm[j]]
+            for i in range(n) for j in range(i + 1)
+        ):
+            raise NotIsometry("signed permutation does not preserve the form")
+        m = [[0] * n for _ in range(n)]
+        for src, (dst, s) in enumerate(zip(perm, signs)):
+            m[dst][src] = s
+        return tuple.__new__(cls, (domain, IntMatrix(m)))
 
     @property
     def det(self) -> int:

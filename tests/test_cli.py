@@ -200,6 +200,10 @@ class TestInputErrors:
             (["cusp", "one", "--d", "1"], [{"roots": "E7+D10+A1", "glue": [[1]]}],
              "need 4 coordinates"),
             (["lat", "info", '{"gram":[[2]],"rank":true}'], None, "rank does not match"),
+            (["glue", "enum", "--roots", "2A1+2D8", "--order", "0"], None,
+             "--order must be a positive integer, got 0"),
+            (["glue", "enum", "--roots", "2A1+2D8", "--order", "-2"], None,
+             "--order must be a positive integer, got -2"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
@@ -271,6 +275,19 @@ def test_table1_builds_no_overlattice_and_enumerates_no_roots(capsys, monkeypatc
     assert code == 0 and json.loads(out)["all_ok"] is True
     assert len(over) == 0 and len(short) == 0
     assert len(certified) == 28
+
+
+def test_table1_takes_sum_invariants_from_the_summands(capsys, monkeypatch):
+    from cuspidal import lattice
+    from cuspidal.exact import IntMatrix
+
+    # one elimination per distinct summand of the 13 bases, at most: sums
+    # add signatures and multiply determinants, and make_standard is cached
+    signatures = _count_calls(monkeypatch, lattice.signature_of_symmetric, [lattice])
+    dets = _count_calls(monkeypatch, IntMatrix.det, [IntMatrix])
+    code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert len(signatures) <= 17 and len(dets) <= 17
 
 
 def test_cusp_zero_factors_d_once(capsys, monkeypatch):

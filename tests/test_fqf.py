@@ -285,6 +285,48 @@ class TestIsometryAndGroups:
             assert fqf.are_isometric(ds, joint)[0]
 
 
+def _fold_apply_map(form, images, x):
+    """A map evaluated as a fold of add and smul over the reduced coordinates."""
+    out = form.zero
+    for a, img in zip(form.reduce(x), images):
+        out = form.add(out, form.smul(a, img))
+    return out
+
+
+@st.composite
+def maps_and_points(draw):
+    """A form on a random invariant-factor chain, a homomorphism of it given
+    by generator images, and points with unreduced and negative coordinates."""
+    orders = [draw(st.integers(2, 6))]
+    for _ in range(draw(st.integers(0, 3))):
+        orders.append(orders[-1] * draw(st.integers(1, 3)))
+    r, level = len(orders), orders[-1]
+    form = fqf.FiniteQuadraticForm.from_gram(orders, [[0] * r for _ in range(r)])
+    # (level / d_j) y has order dividing d_j, so e_j -> it is a homomorphism
+    images = tuple(
+        form.smul(level // d, draw(st.tuples(*(st.integers(0, e - 1) for e in orders))))
+        for d in orders
+    )
+    coords = st.integers(-3 * level, 3 * level)
+    points = draw(st.lists(st.tuples(*([coords] * r)), min_size=1, max_size=8))
+    return form, images, points
+
+
+@settings(deadline=None, max_examples=200)
+@given(maps_and_points())
+def test_apply_map_matches_the_add_smul_fold(data):
+    form, images, points = data
+    for x in points:
+        assert fqf.apply_map(form, images, x) == _fold_apply_map(form, images, x)
+
+
+def test_apply_map_matches_the_fold_on_isometries():
+    a = fqf.discriminant_form(lat.parse_name("2A1+2D8"))
+    for f in fqf.orthogonal_group(a)[:50]:
+        for x in [(1, -1, 3, 2), (-3, 5, -1, 0), (2, 2, 2, 2)]:
+            assert fqf.apply_map(a, f, x) == _fold_apply_map(a, f, x)
+
+
 class TestJson:
     def test_round_trip(self):
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))

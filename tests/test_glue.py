@@ -9,7 +9,9 @@ import pytest
 
 from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
-from cuspidal.errors import BadParameter, NotIsotropic, NotNegativeDefinite, RootsNotFullRank
+from cuspidal.errors import (
+    BadParameter, NotIsometry, NotIsotropic, NotNegativeDefinite, RootsNotFullRank,
+)
 from cuspidal.exact import IntMatrix, integral_gram_schmidt, lll_reduce, smith_normal_form
 from fraction_oracles import over_common_denominator, rational_inverse
 
@@ -312,6 +314,66 @@ def test_integer_disc_action_matches_rational_lifts(spec):
         expected = tuple(disc.class_of(*over_common_denominator(iso.matrix.apply(disc.lift(u))))
                          for u in units)
         assert glue._disc_action(gd, iso) == expected
+
+
+@pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
+def test_tau_generators_pass_the_full_form_check(spec):
+    gd = glue.make_glue(spec)
+    gens = glue.tau_generator_isometries(gd)
+    assert gens
+    for iso in gens:
+        m = iso.matrix.data
+        # one entry +-1 in every row and column, and M^T G M = G
+        assert sorted(abs(x) for row in m for x in row).count(1) == gd.base.rank
+        assert all(sum(x != 0 for x in row) == 1 for row in m)
+        assert lat.Isometry(gd.base, iso.matrix) == iso
+
+
+def _swap(n, a, b, k):
+    p = list(range(n))
+    for t in range(k):
+        p[a + t], p[b + t] = p[b + t], p[a + t]
+    return p
+
+
+def test_signed_permutation_rejects_non_isometries():
+    base = glue.make_glue("E8+D8").base
+    plus = (1,) * 16
+    with pytest.raises(NotIsometry):  # E8 and D8 are not isomorphic
+        lat.Isometry.signed_permutation(base, _swap(16, 0, 8, 8), plus)
+    with pytest.raises(NotIsometry):  # a sign flip inside a root chain
+        lat.Isometry.signed_permutation(base, range(16), (-1,) + plus[1:])
+    with pytest.raises(NotIsometry):  # not a permutation
+        lat.Isometry.signed_permutation(base, [0] * 16, plus)
+    swap = _swap(16, 0, 8, 8)
+    iso = lat.Isometry.signed_permutation(glue.make_glue("2E8").base, swap, plus)
+    assert iso.matrix.data[8][0] == iso.matrix.data[0][8] == 1
+
+
+def test_signed_permutation_check_matches_the_matrix_product():
+    base = lat.parse_name("A2+A2+<-2>+<-2>+U")
+    n = base.rank
+    rng = random.Random(5)
+    accepted = 0
+    for _ in range(300):
+        p = list(range(n))
+        if rng.random() < 0.5:
+            rng.shuffle(p)
+        s = [rng.choice((1, 1, -1)) for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
+        for src, (dst, sign) in enumerate(zip(p, s)):
+            m[dst][src] = sign
+        try:
+            expected = lat.Isometry(base, IntMatrix(m))
+        except NotIsometry:
+            expected = None
+        try:
+            got = lat.Isometry.signed_permutation(base, p, s)
+        except NotIsometry:
+            got = None
+        assert got == expected
+        accepted += got is not None
+    assert accepted > 10
 
 
 def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal import lattice as lat
 from cuspidal.errors import (
@@ -74,6 +75,31 @@ class TestConstructors:
     def test_k3_square_lattice(self):
         L = k3_square()
         assert (L.rank, L.det, L.signature) == (23, 2, (3, 20))
+
+
+_ATOMS = ("U", "B3", "B7", "B11", "<2>", "<-2>", "<-6>", "<10>", "A1", "A2", "A5",
+          "D4", "D6", "E6", "E7", "E8")
+
+# a summand: a named atom, possibly twisted, or an odd rank-1 lattice
+summands = st.one_of(
+    st.tuples(st.sampled_from(_ATOMS), st.sampled_from(["", "(2)", "(3)"])).map(
+        lambda t: lat.parse_name(t[0] + t[1])),
+    st.sampled_from([-3, -1, 1, 5]).map(lambda k: lat.Lattice([[k]])),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(summands, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_direct_sum_invariants_match_elimination(groups):
+    # sums of sums too: each inner sum is itself a part of the outer one
+    L = lat.direct_sum(*(lat.direct_sum(*g) for g in groups))
+    fresh = lat.Lattice(L.gram, L.labels)
+    assert (L.det, L.signature, L.even, L.labels) == (
+        fresh.det, fresh.signature, fresh.even, fresh.labels)
+
+
+def test_make_standard_builds_each_lattice_once():
+    assert lat.make_standard("D", 7) is lat.D(7)
 
 
 class TestVectors:
