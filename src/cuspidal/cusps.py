@@ -234,14 +234,9 @@ def nu(case: PolarizationCase, mode: str = "both", bound: int = fqf.ENUM_BOUND) 
     return NuResult(case, f, e)
 
 
-def _divisors(n: int):
-    out = [m for m in range(1, n + 1) if n % m == 0]
-    return out
-
-
 def valid_orders(case: PolarizationCase) -> list:
     """Orders m of the isotropic subgroups H_m, i.e. divisors of K."""
-    return _divisors(case.K)
+    return [m for m in range(1, case.K + 1) if case.K % m == 0]
 
 
 def _order_pattern(case: PolarizationCase, m: int) -> str:
@@ -390,7 +385,7 @@ TABLE1_ROWS = (
 class OneDimRow(namedtuple(
     "OneDimRow",
     "candidate genus_ok roots_ok computed_roots o_ae im_tau classes note",
-    defaults=(None,),
+    defaults=(None,) * 5,
 )):
     """One candidate's row; the counts are None when the genus does not match."""
 
@@ -407,14 +402,13 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> O
     gd0 = glue_mod.make_glue(cand.roots)
     base_det = abs(gd0.base.det)
     if gd0.base.rank != 18:
-        return OneDimRow(cand, False, False, None, None, None, None, "rank is not 18")
+        return OneDimRow(cand, False, False, note="rank is not 18")
     if base_det % target_det:
-        return OneDimRow(cand, False, False, None, None, None, None, "determinant mismatch")
+        return OneDimRow(cand, False, False, note="determinant mismatch")
     h2 = base_det // target_det
     h_order = isqrt(h2)
     if h_order * h_order != h2:
-        return OneDimRow(cand, False, False, None, None, None, None,
-                         "no glue order gives the target determinant")
+        return OneDimRow(cand, False, False, note="no glue order gives the target determinant")
     declared = glue_mod.root_system_from_spec(cand.roots)
     if cand.glue_gens is not None:
         subgroups = [fqf.subgroup_span(gd0.disc, cand.glue_gens)]
@@ -422,42 +416,39 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> O
         subgroups = [
             s for s in fqf.isotropic_subgroups(gd0.disc, bound) if s.order == h_order
         ]
-    # a finite-index overlattice has the signature of its base
     if gd0.base.signature != (0, 18):
-        return OneDimRow(cand, False, False, None, None, None, None,
-                         "no isotropic glue realizes the target genus")
+        subgroups = []  # a finite-index overlattice has the signature of its base
     # R(E) = R(R) exactly when the glue adds no roots, which the coset
     # minima of H decide without a Gram matrix of E; R(R) is the declared
     # system unless a <-2> summand adds a root.  The roots of E are
     # enumerated only to name them when no genus match keeps R(R), for the
     # last match.  Im tau and O(q_E) are computed only for the returned glue.
+    # Glues in one orbit of the tau generators give isometric overlattices,
+    # so each orbit is tried once, through its least member.  Orbits come in
+    # the order of their least members, so the first certifying orbit holds
+    # the first certifying glue; the last match is in the matching orbit
+    # with the greatest member.
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
-    chosen = None
-    for s in subgroups:
+    actions = glue_mod._generator_actions(gd0)
+    chosen, last, rs = None, (), None
+    for s, words, edges in glue_mod._glue_orbits(gd0.disc, actions, subgroups):
         quotient = fqf.perp_quotient(gd0.disc, s)
         if not fqf.are_isometric(quotient, target_form, bound)[0]:
             continue
-        chosen = (glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s), quotient)
-        if certifiable and not glue_mod.glue_adds_roots(chosen[0]):
-            rs = declared
+        gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s)
+        if certifiable and not glue_mod.glue_adds_roots(gd):
+            chosen, rs = (gd, quotient, words, edges), declared
             break
-    else:
-        if chosen is None:
-            return OneDimRow(cand, False, False, None, None, None, None,
-                             "no isotropic glue realizes the target genus")
+        if max(words) > last:
+            chosen, last = (gd, quotient, words, edges), max(words)
+    if chosen is None:
+        return OneDimRow(cand, False, False, note="no isotropic glue realizes the target genus")
+    if rs is None:
         rs = glue_mod.root_system(glue_mod.overlattice(chosen[0]).lattice)
-    gd, quotient = chosen
-    tau = glue_mod.image_of_tau(gd, quotient)
+    tau = glue_mod._stabilizer_image(*chosen, actions)
     o_ae = len(fqf.orthogonal_group(tau.quotient_form, bound))
-    return OneDimRow(
-        cand,
-        True,
-        rs.components == declared.components,
-        rs.spec_string(),
-        o_ae,
-        tau.size,
-        o_ae // tau.size,
-    )
+    return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
+                     o_ae, tau.size, o_ae // tau.size)
 
 
 def one_dim_cusps(

@@ -463,6 +463,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     these are exactly the e for which q vanishes on the span of H and e.
     """
     iso = isotropic_elements(form, bound)
+    rows = [form.gram.apply(e) for e in iso]  # b(e, g) = (M e) . g / N
     trivial = trivial_subgroup(form)
     found = {trivial.elements: trivial}
     frontier = [trivial]
@@ -470,9 +471,9 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
         nxt = []
         for sub in frontier:
             have = set(sub.elements)
-            for e in iso:
+            for e, row in zip(iso, rows):
                 if e in have or any(
-                    form.gram.bilinear(e, g) % form.level for g in sub.generators
+                    sum(map(mul, row, g)) % form.level for g in sub.generators
                 ):
                     continue
                 elems = tuple(sorted(_extend(form, have, e)))

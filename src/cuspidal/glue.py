@@ -25,23 +25,31 @@ integer >= 2, and E has a root outside R exactly when some sum is 2
 ``glue enum --roots-of-overlattice``, for Table 1 candidates none of
 whose genus-matching glues keeps the declared roots, and in the tests.
 
-The image of O(E) in O(A_E) is generated, for overlattices with full
-root rank, by diagram automorphisms, permutations of isomorphic
-components and sign flips of declared non-root rank-1 summands, all
-restricted to the glue stabilizer; Weyl reflections act trivially on the
-discriminant form and are omitted.  Each generator is a signed
-permutation e_j -> s_j e_(p_j) of the base basis, so it is checked to be
-an isometry entry by entry, G_ij = s_i s_j G_(p_i p_j), in O(n^2) and
-without a matrix product (``Isometry.signed_permutation``).  Whether
-this generated subgroup always equals the full image of tau is recorded
-as an assumption, so dependent counts are reported as conditional.
+The image of O(E) in O(A_E) is computed, for overlattices with full root
+rank, from the group generated by diagram automorphisms, permutations of
+isomorphic components and sign flips of declared non-root rank-1
+summands; Weyl reflections act trivially on the discriminant form and
+are omitted.  Each generator is a signed permutation e_j -> s_j e_(p_j)
+of the base basis, checked to be an isometry entry by entry,
+G_ij = s_i s_j G_(p_i p_j), without a matrix product
+(``Isometry.signed_permutation``), and to be an involution.  Only the
+stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
+(Seress, Permutation Group Algorithms, section 4.1) it is generated by
+t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
+a Schreier tree carrying H to K, whose inverse is the reversed word.
+These are evaluated on lifts of the generators of A_E only and closed in
+O(A_E).  Whether this group always gives the full image of tau is
+recorded as an assumption, so dependent counts are reported as
+conditional.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import groupby
 from math import isqrt, lcm, prod
+from operator import mul
 
 from .errors import (
     BadParameter,
@@ -67,7 +75,7 @@ from .fqf import (
     trivial_subgroup,
 )
 from .lattice import (
-    Isometry, Lattice, LatticeVector, disc_action, make_standard, parse_name, parse_terms,
+    Isometry, Lattice, LatticeVector, make_standard, parse_name, parse_terms,
 )
 
 
@@ -246,22 +254,13 @@ class RootSystem(namedtuple("RootSystem", "components total_roots")):
     def spec_string(self) -> str:
         if not self.components:
             return "0"
-        groups = []
         order = {"E": 0, "D": 1, "A": 2}
-        for letter, rank in sorted(
-            self.components, key=lambda c: (order[c[0]], -c[1])
-        ):
-            groups.append((letter, rank))
         parts = []
-        i = 0
-        while i < len(groups):
-            j = i
-            while j < len(groups) and groups[j] == groups[i]:
-                j += 1
-            count = j - i
-            atom = f"{groups[i][0]}{groups[i][1]}"
-            parts.append(atom if count == 1 else f"{count}{atom}")
-            i = j
+        for (letter, rank), run in groupby(
+            sorted(self.components, key=lambda c: (order[c[0]], -c[1]))
+        ):
+            count = len(list(run))
+            parts.append(f"{letter}{rank}" if count == 1 else f"{count}{letter}{rank}")
         return "+".join(parts)
 
 
@@ -496,11 +495,9 @@ def _diagram_permutations(comp: Component, n: int) -> list:
     return perms
 
 
-def tau_generator_isometries(gd: GlueData) -> list:
-    """Base-lattice isometries generating the non-Weyl automorphism candidates,
-    each a signed permutation of the basis (``Isometry.signed_permutation``)."""
-    base = gd.base
-    n = base.rank
+def _tau_signed_permutations(gd: GlueData) -> list:
+    """(perm, signs) of each tau generator e_j -> signs[j] e_(perm[j])."""
+    n = gd.base.rank
     if sum(c.rank for c in gd.components) != n:
         raise RootsNotFullRank("components do not span the base lattice")
     plus = (1,) * n
@@ -519,51 +516,100 @@ def tau_generator_isometries(gd: GlueData) -> list:
                 p[ci.offset + t], p[cj.offset + t] = p[cj.offset + t], p[ci.offset + t]
             gens.append((p, plus))
             break  # adjacent transpositions of equals generate the symmetric group
-    return [Isometry.signed_permutation(base, p, s) for p, s in gens]
+    return gens
 
 
-def _disc_action(gd: GlueData, iso: Isometry) -> tuple:
+def tau_generator_isometries(gd: GlueData) -> list:
+    """Base-lattice isometries generating the non-Weyl automorphism candidates,
+    each a signed permutation of the basis (``Isometry.signed_permutation``)."""
+    return [Isometry.signed_permutation(gd.base, p, s) for p, s in _tau_signed_permutations(gd)]
+
+
+def _generator_actions(gd: GlueData) -> list:
+    """The actions on A_R of ``tau_generator_isometries``, as generator images.
+
+    This is ``lattice.disc_action`` with the kept Smith rows K of U G formed
+    once: a signed permutation g reindexes and signs the columns of K, so the
+    kept block of U G g V is (s_j K[:, p_j]) times the kept columns of V.
+    """
     src = gd.disc.source
-    return disc_action(iso, src.smith, src.kept)
+    kept, d, V = src.kept, src.smith.diag, src.smith.right.data
+    K = [[sum(map(mul, src.left.data[k], row)) for row in gd.base.gram.data] for k in kept]
+    cols = [[row[i] for row in V] for i in kept]
+    actions = []
+    for p, s in _tau_signed_permutations(gd):
+        Isometry.signed_permutation(gd.base, p, s)
+        if any(p[p[j]] != j or s[p[j]] != s[j] for j in range(len(s))):
+            raise InternalError("tau generator is not an involution")
+        KM = [[sj * row[pj] for pj, sj in zip(p, s)] for row in K]
+        actions.append(tuple(tuple(sum(map(mul, r, col)) // d[i] % d[k] for r, k in zip(KM, kept))
+                             for col, i in zip(cols, kept)))
+    return actions
+
+
+def _glue_orbits(disc: FiniteQuadraticForm, actions, subgroups) -> list:
+    """(least member, words, edges) of each orbit of the sorted glues
+    ``subgroups`` under ``actions``, in the order of the least members:
+    ``words`` maps each glue K of the orbit (its sorted elements) to the
+    generators, first applied first, carrying the least member to K along
+    a Schreier tree, and ``edges`` maps K to its images under the actions."""
+    orbits = []
+    for s in subgroups:
+        if any(s.elements in words for _, words, _ in orbits):
+            continue
+        words, edges, queue = {s.elements: ()}, {}, [s.elements]
+        for key in queue:
+            edges[key] = tuple(tuple(sorted(apply_map(disc, g, x) for x in key))
+                               for g in actions)
+            for g, image in enumerate(edges[key]):
+                if image not in words:
+                    words[image] = words[key] + (g,)
+                    queue.append(image)
+        orbits.append((s, words, edges))
+    return orbits
 
 
 def image_of_tau(gd: GlueData, quotient: FiniteQuadraticForm | None = None) -> TauImage:
-    """Subgroup of O(A_E) induced by the computed automorphism candidates.
+    """Subgroup of O(A_E) induced by the stabilizer of the glue in the group
+    of ``tau_generator_isometries``, from its Schreier generators.
 
     ``quotient`` may be the already-computed perp quotient of the glue;
     it must carry quotient provenance so classes can be projected.
     """
-    disc = gd.disc
     if quotient is None:
-        quotient = perp_quotient(disc, gd.glue)
-    gens = [_disc_action(gd, iso) for iso in tau_generator_isometries(gd)]
-    # close the candidate actions into a finite subgroup of O(A_R)
-    group = {identity_map(disc)}
-    frontier = list(group)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = compose_maps(disc, g, cur)
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    glue_set = set(gd.glue.elements)
-    stab = [
-        f
-        for f in group
-        if {apply_map(disc, f, h) for h in glue_set} == glue_set
-    ]
+        quotient = perp_quotient(gd.disc, gd.glue)
+    actions = _generator_actions(gd)
+    (_, words, edges), = _glue_orbits(gd.disc, actions, [gd.glue])
+    return _stabilizer_image(gd, quotient, words, edges, actions)
+
+
+def _stabilizer_image(gd: GlueData, quotient, words, edges, actions) -> TauImage:
+    """``image_of_tau`` from an orbit of ``_glue_orbits`` rooted at the glue."""
     if not isinstance(quotient.source, QuotientSource):
         raise BadParameter("form is not a perp quotient")
-    induced = set()
-    for f in stab:
-        images = tuple(
-            project_to_quotient(quotient, apply_map(disc, f, z))
-            for z in quotient.source.generator_lifts
-        )
-        induced.add(images)
-    for f in induced:
+    lifts = quotient.source.generator_lifts
+    ident = identity_map(quotient)
+    schreier = {lifts}  # the distinct Schreier generators on the lifts
+    fwd = {next(iter(words)): lifts}  # t_K of the lifts, K in tree order
+    for key, word in words.items():
+        for g, image in enumerate(edges[key]):
+            xs = tuple(apply_map(gd.disc, actions[g], x) for x in fwd[key])
+            if words[image] == word + (g,):
+                fwd[image] = xs
+                continue
+            for h in reversed(words[image]):  # t^-1 is the reversed word
+                xs = tuple(apply_map(gd.disc, actions[h], x) for x in xs)
+            schreier.add(xs)
+    gens = {tuple(project_to_quotient(quotient, x) for x in xs) for xs in schreier} - {ident}
+    group, queue = {ident}, [ident]
+    for cur in queue:
+        for g in gens:
+            nxt = compose_maps(quotient, g, cur)
+            if nxt not in group:
+                group.add(nxt)
+                queue.append(nxt)
+    for f in gens:  # then every product of them preserves q too
         for x in quotient.elements():
             if quotient.q(apply_map(quotient, f, x)) != quotient.q(x):
                 raise InternalError("induced map does not preserve q")
-    return TauImage(quotient, tuple(sorted(induced)), True, _TAU_NOTE)
+    return TauImage(quotient, tuple(sorted(group)), True, _TAU_NOTE)

@@ -111,7 +111,9 @@ class Lattice:
     def twist(self, t: int) -> "Lattice":
         if t < 1:
             raise BadParameter("twist parameter must be a positive integer")
-        return Lattice(self.gram.scaled(t), self.labels)
+        # L(t) keeps the signature, has det t^rank det L and is even when L or t is
+        return Lattice._from_invariants(self.gram.scaled(t), self.labels, t**self.rank * self.det,
+                                        self.signature, self.even or t % 2 == 0)
 
 
 def _as_exact(x):

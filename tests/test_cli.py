@@ -274,7 +274,19 @@ def test_table1_builds_no_overlattice_and_enumerates_no_roots(capsys, monkeypatc
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
     assert len(over) == 0 and len(short) == 0
-    assert len(certified) == 28
+    assert len(certified) == 20  # one glue per orbit
+
+
+def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
+    from cuspidal import fqf, glue
+
+    # 28 quotients and 424 compositions when every glue was tried and Im tau
+    # closed the generators in O(A_R)
+    quotients = _count_calls(monkeypatch, fqf.perp_quotient, [fqf, glue])
+    compositions = _count_calls(monkeypatch, fqf.compose_maps, [fqf, glue])
+    code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert len(quotients) <= 20 and len(compositions) <= 40
 
 
 def test_table1_takes_sum_invariants_from_the_summands(capsys, monkeypatch):
@@ -348,10 +360,15 @@ GOLDEN = Path(__file__).parent / "data"
         (["verify", "example-c12", "--format", "md"], "verify_example-c12.md"),
         (["lat", "info", "U+U+U+E8+E8+<-2>"], "lat_info_U+U+U+E8+E8+minus2.json"),
         (["glue", "enum", "--roots", "4A3"], "glue_enum_4A3.json"),
+        # no glue certifies a <-2> summand, so each row prints its last match
+        (["cusp", "one", "--d", "1", "--candidates",
+          str(GOLDEN / "cusp_one_d1_minus2_pairs_candidates.json")],
+         "cusp_one_d1_minus2_pairs.json"),
     ],
 )
 def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):
-    assert run(argv) == 0
+    # the cusp one rows have the wrong roots, which is a verification failure
+    assert run(argv) == (1 if golden.startswith("cusp_one") else 0)
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 

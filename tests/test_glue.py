@@ -10,7 +10,8 @@ import pytest
 from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
-    BadParameter, NotIsometry, NotIsotropic, NotNegativeDefinite, RootsNotFullRank,
+    BadParameter, InternalError, NotIsometry, NotIsotropic, NotNegativeDefinite,
+    RootsNotFullRank,
 )
 from cuspidal.exact import IntMatrix, integral_gram_schmidt, lll_reduce, smith_normal_form
 from fraction_oracles import over_common_denominator, rational_inverse
@@ -310,10 +311,14 @@ def test_integer_disc_action_matches_rational_lifts(spec):
     gd = glue.make_glue(spec)
     disc = gd.disc
     units = [tuple(int(j == i) for j in range(disc.rank)) for i in range(disc.rank)]
-    for iso in glue.tau_generator_isometries(gd):
+    isos = glue.tau_generator_isometries(gd)
+    actions = glue._generator_actions(gd)
+    assert len(actions) == len(isos)
+    for iso, action in zip(isos, actions):
         expected = tuple(disc.class_of(*over_common_denominator(iso.matrix.apply(disc.lift(u))))
                          for u in units)
-        assert glue._disc_action(gd, iso) == expected
+        assert action == expected
+        assert lat.disc_action(iso, disc.source.smith, disc.source.kept) == expected
 
 
 @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
@@ -390,6 +395,87 @@ def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         assert glue.overlattice(gd).lattice == over.lattice
         assert glue.image_of_tau(gd).maps == tau.maps
+
+
+def _closure_image_of_tau(gd, quotient, group):
+    """Im tau the long way: the stabilizer of the glue inside ``group``, the
+    whole subgroup of O(A_R) generated by the generator actions, each
+    element evaluated on the generator lifts of A_E."""
+    disc, glue_set = gd.disc, set(gd.glue.elements)
+    return tuple(sorted({
+        tuple(fqf.project_to_quotient(quotient, fqf.apply_map(disc, f, z))
+              for z in quotient.source.generator_lifts)
+        for f in group
+        if {fqf.apply_map(disc, f, h) for h in glue_set} == glue_set
+    }))
+
+
+def _closure_in_o_of_a_r(gd0):
+    disc = gd0.disc
+    gens = [lat.disc_action(iso, disc.source.smith, disc.source.kept)
+            for iso in glue.tau_generator_isometries(gd0)]
+    group = {fqf.identity_map(disc)}
+    frontier = list(group)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = fqf.compose_maps(disc, g, cur)
+            if nxt not in group:
+                group.add(nxt)
+                frontier.append(nxt)
+    return group
+
+
+ORACLE_BASES = [c.roots for c in cusps.TABLE1_ROWS] + [
+    "4A3", "2D4", "E6+E6", "3A2+<-6>", "2A2+2A1"]
+
+
+def test_image_of_tau_matches_the_closure_in_o_of_a_r():
+    glues = 0
+    for spec in ORACLE_BASES:
+        gd0 = glue.make_glue(spec)
+        group = _closure_in_o_of_a_r(gd0)
+        for s in fqf.isotropic_subgroups(gd0.disc):
+            gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
+            q = fqf.perp_quotient(gd0.disc, s)
+            assert glue.image_of_tau(gd, q).maps == _closure_image_of_tau(gd, q, group), (
+                spec, s.generators)
+            glues += 1
+    assert glues == 154
+
+
+@pytest.mark.parametrize("spec, glues, orbits", [
+    ("2A1+2D8", 15, 5), ("3D6", 15, 3), ("D12+D4+<-2>+<-2>", 15, 3),
+])
+def test_glue_orbits_partition_the_target_order_glues(spec, glues, orbits):
+    gd0, subs = glue_choices(spec, 4)
+    disc = gd0.disc
+    actions = [lat.disc_action(iso, disc.source.smith, disc.source.kept)
+               for iso in glue.tau_generator_isometries(gd0)]
+    found = glue._glue_orbits(disc, glue._generator_actions(gd0), subs)
+    assert (len(subs), len(found)) == (glues, orbits)
+    members = [key for _, words, _ in found for key in words]
+    assert sorted(members) == [s.elements for s in subs]  # a cover, with no overlap
+    for least, words, _ in found:
+        assert least.elements == min(words)
+        for key, word in words.items():
+            elems = set(least.elements)
+            for g in word:
+                elems = {fqf.apply_map(disc, actions[g], x) for x in elems}
+            assert tuple(sorted(elems)) == key
+            for g in actions:  # closed under every generator
+                assert tuple(sorted(fqf.apply_map(disc, g, x) for x in key)) in words
+    assert [least.elements for least, _, _ in found] == sorted(
+        least.elements for least, _, _ in found)
+
+
+def test_tau_generators_must_be_involutions(monkeypatch):
+    # a 3-cycle of equal summands is an isometry of order 3
+    gd = glue.make_glue("A1+A1+A1")
+    monkeypatch.setattr(glue, "_tau_signed_permutations",
+                        lambda gd: [([1, 2, 0], (1, 1, 1))])
+    with pytest.raises(InternalError, match="not an involution"):
+        glue.image_of_tau(gd)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,24 @@ def test_direct_sum_invariants_match_elimination(groups):
         fresh.det, fresh.signature, fresh.even, fresh.labels)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.lists(summands, min_size=1, max_size=3), st.integers(1, 4), st.integers(1, 3))
+def test_twist_invariants_match_elimination(parts, t, u):
+    # twisted atoms, twisted sums and twists of twists
+    for L in (parts[0].twist(t), lat.direct_sum(*parts).twist(t).twist(u)):
+        fresh = lat.Lattice(L.gram, L.labels)
+        assert (L.det, L.signature, L.even, L.labels) == (
+            fresh.det, fresh.signature, fresh.even, fresh.labels)
+
+
+def test_twist_runs_no_elimination(monkeypatch):
+    lat.parse_name("U+E8")  # the untwisted atoms are cached
+    calls = []
+    monkeypatch.setattr(lat, "signature_of_symmetric", calls.append)
+    assert lat.parse_name("U(2)+U(2)+E8(2)").det == 2**8 * (-4) ** 2
+    assert calls == []
+
+
 def test_make_standard_builds_each_lattice_once():
     assert lat.make_standard("D", 7) is lat.D(7)
 
