@@ -5,12 +5,14 @@ point appears in any result path, and no elimination runs over Q.
 Matrices are small (rank <= 24 in all callers), so the algorithms favour
 simplicity over asymptotics: Bareiss for determinants, Smith normal
 form with transform matrices whose every non-divisible step is a
-unimodular gcd mix of two rows or columns, fraction-free symmetric Bareiss
-elimination for congruence diagonalization (signatures and a basis of a
-maximal positive definite subspace), and integral LLL at delta = 99/100
-on the leading minors and scaled Gram-Schmidt coefficients.  The one
-matrix product skips the zero entries of its left operand, so it costs
-nnz(left) x cols; isometries and root-lattice Grams are mostly zero.
+unimodular gcd mix of two rows or columns (the pivot is the first entry
+of least absolute value, and its search stops at a unit), fraction-free
+symmetric Bareiss elimination for congruence diagonalization
+(signatures and a basis of a maximal positive definite subspace), and
+integral LLL at delta = 99/100 on the leading minors and scaled
+Gram-Schmidt coefficients.  The one matrix product skips the zero
+entries of its left operand, so it costs nnz(left) x cols; isometries
+and root-lattice Grams are mostly zero.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
@@ -23,8 +25,10 @@ that evaluate rational vectors.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
+from operator import mul
 
-from .errors import NotDefinite, SingularMatrix
+from .errors import InternalError, NotDefinite, SingularMatrix
 
 LLL_DELTA = (99, 100)  # the LLL parameter delta = 99/100 as (numerator, denominator)
 
@@ -137,11 +141,11 @@ class IntMatrix:
         """Matrix times column vector; entries may be ints or Fractions."""
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def bilinear(self, x, y):
         """x^t M y; entries may be ints or Fractions."""
-        return sum(a * b for a, b in zip(x, self.apply(y)))
+        return sum(map(mul, x, self.apply(y)))
 
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination."""
@@ -200,20 +204,93 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
+_TRIAL_LIMIT = 128  # trial division by the numbers below this comes first
+# the first 13 primes as Miller-Rabin bases prove primality below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def factorize(n: int) -> dict:
-    """Prime factorization {p: e} of a positive integer, by trial division."""
+    """Prime factorization {p: e} of a positive integer, primes ascending.
+
+    Trial division by the numbers below 128 comes first.  A cofactor
+    below 3.3 * 10^24 is then split by Pollard-Brent rho, its factors
+    proved prime by deterministic Miller-Rabin; a larger one takes trial
+    division up to its square root.
+    """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out = {}
     p = 2
-    while p * p <= n:
+    while p * p <= n and (p < _TRIAL_LIMIT or n >= _MR_LIMIT):
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
     if n > 1:
-        out[n] = 1  # what is left has no factor up to its square root
+        # the loop stopped past the square root of n, so n is prime, or at
+        # the trial limit with n below the Miller-Rabin bound
+        for q in (n,) if p * p > n else sorted(_prime_factors(n)):
+            out[q] = out.get(q, 0) + 1
     return out
+
+
+def _prime_factors(n: int) -> list:
+    """Prime factors, with multiplicity, of 1 < n < _MR_LIMIT with no
+    factor below _TRIAL_LIMIT."""
+    if _is_prime(n):
+        return [n]
+    f = _rho_factor(n)
+    return _prime_factors(f) + _prime_factors(n // f)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, a proof for odd n > 41 below _MR_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho on x -> x^2 + c
+    from 2, for c = 1, 2, ..., with Brent's cycle search and the gcd taken
+    once per 128 steps (Brent, BIT 20, 1980)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: retrace its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise InternalError(f"no factor of {n} found")
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -221,6 +298,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     Returns left, diag, right with left @ A @ right diagonal, diagonal
     entries nonnegative and satisfying d1 | d2 | ... followed by zeros.
+    Step t moves to (t, t) the first entry of least absolute value in the
+    trailing block (``_pivot``, which stops at a unit) and clears its row
+    and column.
     """
     m, n = A.rows, A.cols
     S = [list(r) for r in A.data]
@@ -276,11 +356,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     t = 0
     top = min(m, n)
     while t < top:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
+        best = _pivot(S, t)
         if best is None:
             break
         if best[0] != t:
@@ -331,7 +407,28 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 if S[j][j] < 0:
                     row_neg(j)
     diag = tuple(S[i][i] for i in range(top))
-    return SmithDecomposition(IntMatrix(L), diag, IntMatrix(Rt).transpose())
+    return SmithDecomposition(
+        IntMatrix._wrap(tuple(map(tuple, L))), diag, IntMatrix._wrap(tuple(zip(*Rt)))
+    )
+
+
+def _pivot(S, t):
+    """Position of the first entry of least nonzero absolute value in the
+    trailing block S[t:][t:], in row-major order; None when the block is zero.
+
+    The scan stops at the first unit, since no nonzero integer is smaller:
+    it returns the position the full scan would.
+    """
+    best, least = None, 0
+    for i in range(t, len(S)):
+        row = S[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (best is None or x < least):
+                if x == 1:
+                    return i, j
+                best, least = (i, j), x
+    return best
 
 
 def _symmetric_bareiss(A: IntMatrix) -> tuple:

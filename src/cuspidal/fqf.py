@@ -221,11 +221,14 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
         return self.smith.left
 
     def scaled_lift(self, x, level) -> tuple:
-        """level times a lift of the class x: sum_i x_i (level / d_k) V e_k, k = kept[i]."""
-        coeffs = [0] * self.smith.right.cols
-        for a, k in zip(x, self.kept):
-            coeffs[k] = a * (level // self.smith.diag[k])
-        return self.smith.right.apply(coeffs)
+        """level times a lift of the class x: sum_i x_i (level / d_k) V e_k, k = kept[i].
+
+        Only the columns V e_k with x_i != 0 are summed, not a dense V times a
+        coefficient vector: a class has few generators next to the rank of L.
+        """
+        V, d = self.smith.right.data, self.smith.diag
+        terms = [(k, a * (level // d[k])) for a, k in zip(x, self.kept) if a]
+        return tuple(sum(row[k] * c for k, c in terms) for row in V)
 
 
 class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):

@@ -49,7 +49,8 @@ from .exact import (
 class Lattice:
     """Immutable lattice; determinant, signature and parity are stored at
     construction.  ``Lattice(gram)`` computes them by elimination; a direct
-    sum takes them from its parts (``direct_sum``)."""
+    sum takes them from its parts (``direct_sum``) and a standard lattice
+    from closed forms (``make_standard``)."""
 
     __slots__ = ("gram", "labels", "det", "signature", "even")
 
@@ -206,35 +207,42 @@ def make_standard(kind: str, n: int | None = None) -> Lattice:
 
 @lru_cache(maxsize=128)
 def _standard(kind: str, n: int | None) -> Lattice:
+    """The standard lattice with its invariants in closed form (Conway &
+    Sloane, SPLAG ch. 4): minus a Cartan matrix of rank n has det (-1)^n
+    times n + 1 for A_n, 4 for D_n and 9 - n for E_n, and signature (0, n);
+    U has det -1 and signature (1, 1); B(d) has det d and signature (0, 2);
+    <n> has det n.  Every one is even."""
+    labels = None
     if kind == "U":
-        return Lattice([[0, 1], [1, 0]], labels=("u", "v"))
-    if kind == "A":
+        g, labels, det, sig = [[0, 1], [1, 0]], ("u", "v"), -1, (1, 1)
+    elif kind == "A":
         if n is None or n < 1:
             raise BadParameter("A(k) requires k >= 1")
-        return Lattice(_minus_cartan_chain(n))
-    if kind == "D":
+        g, det, sig = _minus_cartan_chain(n), (-1) ** n * (n + 1), (0, n)
+    elif kind == "D":
         if n is None or n < 4:
             raise BadParameter("D(h) requires h >= 4")
-        g = _minus_cartan_chain(n)
+        g, det, sig = _minus_cartan_chain(n), (-1) ** n * 4, (0, n)
         g[n - 1][n - 2] = g[n - 2][n - 1] = 0
         g[n - 1][n - 3] = g[n - 3][n - 1] = 1
-        return Lattice(g)
-    if kind == "E":
+    elif kind == "E":
         if n not in (6, 7, 8):
             raise BadParameter("E(l) requires l in {6, 7, 8}")
-        g = _minus_cartan_chain(n)
+        g, det, sig = _minus_cartan_chain(n), (-1) ** n * (9 - n), (0, n)
         g[n - 1][n - 2] = g[n - 2][n - 1] = 0
         g[n - 1][2] = g[2][n - 1] = 1
-        return Lattice(g)
-    if kind == "B":
+    elif kind == "B":
         if n is None or n % 4 != 3 or n < 3:
             raise BadParameter("B(d) requires d = 3 mod 4")
-        return Lattice([[-(n + 1) // 2, 1], [1, -2]], labels=("b1", "b2"))
-    if kind == "rank1":
+        g, labels, det, sig = [[-(n + 1) // 2, 1], [1, -2]], ("b1", "b2"), n, (0, 2)
+    elif kind == "rank1":
         if n is None or n == 0 or n % 2 != 0:
             raise BadParameter("rank1(n) requires a nonzero even integer")
-        return Lattice([[n]])
-    raise BadParameter(f"unknown standard lattice kind {kind!r}")
+        g, det, sig = [[n]], n, (1, 0) if n > 0 else (0, 1)
+    else:
+        raise BadParameter(f"unknown standard lattice kind {kind!r}")
+    return Lattice._from_invariants(IntMatrix._wrap(tuple(map(tuple, g))), labels, det, sig,
+                                    True)
 
 
 def _minus_cartan_chain(n: int):
@@ -456,7 +464,7 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
         m = [[0] * n for _ in range(n)]
         for src, (dst, s) in enumerate(zip(perm, signs)):
             m[dst][src] = s
-        return tuple.__new__(cls, (domain, IntMatrix(m)))
+        return tuple.__new__(cls, (domain, IntMatrix._wrap(tuple(map(tuple, m)))))
 
     @property
     def det(self) -> int:

@@ -1,10 +1,12 @@
-"""Fraction reference kernels that the tests compare the integer code with.
+"""Reference kernels that the tests compare the package code with.
 
 None of these runs in ``cuspidal``: Gauss-Jordan over Q
 (``solve_rational``, ``rational_inverse``) and Lagrange congruence
 diagonalization over Q (``lagrange_signature``) are independent second
 derivations of what the package computes with Smith, Hermite and
-fraction-free Bareiss transforms.
+fraction-free Bareiss transforms.  ``full_scan_pivot`` is the Smith
+pivot search without its stop at a unit, and ``trial_division`` the
+factorization without Miller-Rabin and Pollard-Brent rho.
 """
 
 from __future__ import annotations
@@ -119,3 +121,30 @@ def over_common_denominator(vec) -> tuple:
     denominator of its entries."""
     den = lcm(*(Fraction(x).denominator for x in vec))
     return tuple(int(x * den) for x in vec), den
+
+
+def full_scan_pivot(S, t):
+    """Position of the first entry of least nonzero absolute value in the
+    trailing block S[t:][t:], row-major, found by scanning the whole block;
+    None when the block is zero."""
+    best = None
+    for i in range(t, len(S)):
+        for j in range(t, len(S[i])):
+            if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def trial_division(n: int) -> dict:
+    """Prime factorization {p: e} of a positive integer by trial division
+    up to the square root of what is left."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out

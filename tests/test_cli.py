@@ -47,6 +47,15 @@ class TestCuspZero:
         assert z["formula"] == len(z["reps"]) == 51
         assert z["enumerated"] == (51 if mode == "both" else None)
 
+    @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
+    def test_prime_beyond_trial_division_names_the_bound(self, capsys, mode):
+        # d = 2^61 - 1 is prime; trial division alone ran for minutes on it
+        d = 2**61 - 1
+        code = run(["cusp", "zero", "--d", str(d), "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {d}-part of order {d} exceeds enumeration bound 1000000\n"
+
     def test_primary_part_beyond_bound_names_the_bound(self, capsys):
         # d = 2^19: the 2-part Z/2^20 + Z/2 of A_N has 2^21 elements
         code = run(["cusp", "zero", "--d", "524288"])
@@ -293,13 +302,14 @@ def test_table1_takes_sum_invariants_from_the_summands(capsys, monkeypatch):
     from cuspidal import lattice
     from cuspidal.exact import IntMatrix
 
-    # one elimination per distinct summand of the 13 bases, at most: sums
-    # add signatures and multiply determinants, and make_standard is cached
+    # no elimination at all: the summands of the 13 bases take their
+    # invariants in closed form, and sums add signatures and multiply
+    # determinants
     signatures = _count_calls(monkeypatch, lattice.signature_of_symmetric, [lattice])
     dets = _count_calls(monkeypatch, IntMatrix.det, [IntMatrix])
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
-    assert len(signatures) <= 17 and len(dets) <= 17
+    assert signatures == [] and dets == []
 
 
 def test_cusp_zero_factors_d_once(capsys, monkeypatch):
@@ -364,6 +374,8 @@ GOLDEN = Path(__file__).parent / "data"
         (["cusp", "one", "--d", "1", "--candidates",
           str(GOLDEN / "cusp_one_d1_minus2_pairs_candidates.json")],
          "cusp_one_d1_minus2_pairs.json"),
+        # odd-rank atoms: the determinant sign of each summand shows
+        (["lat", "info", "A1+A2+A3+D5+E7+<-4>"], "lat_info_A1+A2+A3+D5+E7+minus4.json"),
     ],
 )
 def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):

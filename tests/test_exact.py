@@ -3,10 +3,12 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import cusps, exact, glue
 from cuspidal.errors import NotDefinite, SingularMatrix
 from cuspidal.exact import (
     IntMatrix,
@@ -20,7 +22,13 @@ from cuspidal.exact import (
     signature_of_symmetric,
     smith_normal_form,
 )
-from fraction_oracles import lagrange_signature, rational_inverse, solve_rational
+from fraction_oracles import (
+    full_scan_pivot,
+    lagrange_signature,
+    rational_inverse,
+    solve_rational,
+    trial_division,
+)
 
 U_GRAM = IntMatrix([[0, 1], [1, 0]])
 E8_GRAM = IntMatrix(
@@ -107,6 +115,45 @@ class TestSmith:
         assert s.left @ a @ s.right == s.diagonal_matrix()
         assert abs(s.left.det()) == abs(s.right.det()) == 1
         assert s.diag == (1, 1, 1, 1, 10083)
+
+
+@st.composite
+def smith_inputs(draw):
+    """Square and rectangular matrices with zero rows and columns, with
+    several units in one row, or with no unit entry at all."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = draw(st.sampled_from((st.integers(-9, 9),
+                                  st.sampled_from((0, 0, 2, -2, 3, -4, 6, -9, 12)))))
+    rows = [[draw(value) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        for j in draw(st.sets(st.integers(0, n - 1), min_size=min(2, n), max_size=n)):
+            rows[i][j] = draw(st.sampled_from((1, -1)))
+    return IntMatrix(rows)
+
+
+def _full_scan_smith(a):
+    with mock.patch.object(exact, "_pivot", full_scan_pivot):
+        return smith_normal_form(a)
+
+
+class TestSmithUnitPivot:
+    """Stopping the pivot search at a unit changes no step of the Smith form."""
+
+    @settings(max_examples=300)
+    @given(smith_inputs())
+    def test_matches_the_full_scan(self, a):
+        assert smith_normal_form(a) == _full_scan_smith(a)
+
+    @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
+    def test_matches_the_full_scan_on_table1_bases(self, spec):
+        gram = glue.make_glue(spec).base.gram
+        assert smith_normal_form(gram) == _full_scan_smith(gram)
 
 
 def int_matrices(rows, cols):
@@ -395,6 +442,28 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_matches_trial_division_up_to_1e5(self):
+        for n in range(1, 10**5 + 1):
+            f = factorize(n)
+            assert f == trial_division(n) and list(f) == sorted(f)
+
+    def test_products_of_two_primes_near_1e9(self):
+        primes = (999999929, 999999937, 1000000007, 1000000009, 1000000021)
+        assert all(trial_division(p) == {p: 1} for p in primes)
+        for i, p in enumerate(primes):
+            for q in primes[i:]:
+                assert factorize(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+        assert factorize(2**3 * 3 * 127 * 999999929 * 1000000009) == {
+            2: 3, 3: 1, 127: 1, 999999929: 1, 1000000009: 1}
+
+    def test_large_prime_beyond_trial_division(self):
+        # trial division to the square root of 2^61 - 1 takes about 6 * 10^8 steps
+        assert factorize(2**61 - 1) == {2**61 - 1: 1}
+
+    def test_small_factors_take_trial_division_alone(self, monkeypatch):
+        monkeypatch.setattr(exact, "_prime_factors", None)
+        assert factorize(30000) == {2: 4, 3: 1, 5: 4}
 
 
 class TestKernelAndHnf:

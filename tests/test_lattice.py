@@ -116,6 +116,39 @@ def test_twist_runs_no_elimination(monkeypatch):
     assert calls == []
 
 
+def _minus_cartan(n, edges):
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = 1
+    return g
+
+
+def _standard_grams():
+    """(kind, n, Gram rows, labels) of the standard lattices, with each
+    Gram written out from its Dynkin diagram or definition."""
+    for n in range(1, 25):
+        yield "A", n, _minus_cartan(n, [(i, i + 1) for i in range(n - 1)]), None
+    for n in range(4, 25):
+        yield "D", n, _minus_cartan(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]), None
+    for n in (6, 7, 8):
+        yield "E", n, _minus_cartan(n, [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)]), None
+    yield "U", None, [[0, 1], [1, 0]], ("u", "v")
+    for d in range(3, 401, 4):
+        yield "B", d, [[-(d + 1) // 2, 1], [1, -2]], ("b1", "b2")
+    for k in range(2, 41, 2):
+        yield "rank1", k, [[k]], None
+        yield "rank1", -k, [[-k]], None
+
+
+def test_standard_invariants_match_elimination():
+    # odd ranks are where a closed-form determinant sign can slip
+    for kind, n, gram, labels in _standard_grams():
+        L, fresh = lat.make_standard(kind, n), lat.Lattice(gram, labels)
+        assert (L.gram, L.labels, L.det, L.signature, L.even) == (
+            fresh.gram, fresh.labels, fresh.det, fresh.signature, fresh.even), (kind, n)
+        assert all(type(x) is int for row in L.gram.data for x in row)
+
+
 def test_make_standard_builds_each_lattice_once():
     assert lat.make_standard("D", 7) is lat.D(7)
 
