@@ -215,7 +215,7 @@ def factorize(n: int) -> dict:
     """Prime factorization {p: e} of a positive integer, primes ascending.
 
     Trial division by the numbers below 128 comes first.  A cofactor
-    below 3.3 * 10^24 is then split by Pollard-Brent rho, its factors
+    below 3.3 * 10^24 is then split by Pollard's rho, its factors
     proved prime by deterministic Miller-Rabin; a larger one takes trial
     division up to its square root.
     """
@@ -265,29 +265,16 @@ def _is_prime(n: int) -> bool:
 
 def _rho_factor(n: int) -> int:
     """A proper factor of an odd composite n: Pollard's rho on x -> x^2 + c
-    from 2, for c = 1, 2, ..., with Brent's cycle search and the gcd taken
-    once per 128 steps (Brent, BIT 20, 1980)."""
+    from 2 with Floyd's cycle search, for c = 1, 2, ... until the gcd is
+    a proper factor."""
     for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            # the batch overshot: retrace its steps one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
         if g != n:
             return g
     raise InternalError(f"no factor of {n} found")

@@ -32,7 +32,7 @@ summands; Weyl reflections act trivially on the discriminant form and
 are omitted.  Each generator is a signed permutation e_j -> s_j e_(p_j)
 of the base basis, checked to be an isometry entry by entry,
 G_ij = s_i s_j G_(p_i p_j), without a matrix product
-(``Isometry.signed_permutation``), and to be an involution.  Only the
+(``lattice.check_signed_permutation``), and to be an involution.  Only the
 stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
 (Seress, Permutation Group Algorithms, section 4.1) it is generated by
 t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
@@ -75,7 +75,8 @@ from .fqf import (
     trivial_subgroup,
 )
 from .lattice import (
-    Isometry, Lattice, LatticeVector, make_standard, parse_name, parse_terms,
+    Isometry, Lattice, LatticeVector, check_signed_permutation, make_standard, parse_name,
+    parse_terms,
 )
 
 
@@ -538,7 +539,7 @@ def _generator_actions(gd: GlueData) -> list:
     cols = [[row[i] for row in V] for i in kept]
     actions = []
     for p, s in _tau_signed_permutations(gd):
-        Isometry.signed_permutation(gd.base, p, s)
+        check_signed_permutation(gd.base, p, s)
         if any(p[p[j]] != j or s[p[j]] != s[j] for j in range(len(s))):
             raise InternalError("tau generator is not an involution")
         KM = [[sj * row[pj] for pj, sj in zip(p, s)] for row in K]

@@ -419,6 +419,25 @@ def delta_prime_test(split: OrthogonalSplitting, delta: LatticeVector) -> bool:
 # isometries, reflections, spinor norms
 
 
+def check_signed_permutation(domain: Lattice, perm, signs) -> None:
+    """Raise NotIsometry unless e_j -> signs[j] e_perm[j] is an isometry.
+
+    Its matrix M has M^T G M = (s_i s_j G[p_i][p_j]), so the form check
+    compares G with its reindexed copy entry by entry, without a product.
+    """
+    n = domain.rank
+    if sorted(perm) != list(range(n)) or len(signs) != n or any(
+        s not in (1, -1) for s in signs
+    ):
+        raise NotIsometry("not a signed permutation of the basis")
+    G = domain.gram.data
+    if any(
+        G[i][j] != signs[i] * signs[j] * G[perm[i]][perm[j]]
+        for i in range(n) for j in range(i + 1)
+    ):
+        raise NotIsometry("signed permutation does not preserve the form")
+
+
 class Isometry(namedtuple("Isometry", "domain matrix")):
     """Isometry of a lattice, acting on coordinate columns: v -> M v."""
 
@@ -445,22 +464,10 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
 
     @classmethod
     def signed_permutation(cls, domain: Lattice, perm, signs) -> "Isometry":
-        """The isometry e_j -> signs[j] e_perm[j].
-
-        Its matrix M has M^T G M = (s_i s_j G[p_i][p_j]), so the form check
-        compares G with its reindexed copy entry by entry, without a product.
-        """
+        """The isometry e_j -> signs[j] e_perm[j], checked by
+        ``check_signed_permutation``."""
+        check_signed_permutation(domain, perm, signs)
         n = domain.rank
-        if sorted(perm) != list(range(n)) or len(signs) != n or any(
-            s not in (1, -1) for s in signs
-        ):
-            raise NotIsometry("not a signed permutation of the basis")
-        G = domain.gram.data
-        if any(
-            G[i][j] != signs[i] * signs[j] * G[perm[i]][perm[j]]
-            for i in range(n) for j in range(i + 1)
-        ):
-            raise NotIsometry("signed permutation does not preserve the form")
         m = [[0] * n for _ in range(n)]
         for src, (dst, s) in enumerate(zip(perm, signs)):
             m[dst][src] = s

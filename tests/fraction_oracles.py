@@ -6,7 +6,7 @@ diagonalization over Q (``lagrange_signature``) are independent second
 derivations of what the package computes with Smith, Hermite and
 fraction-free Bareiss transforms.  ``full_scan_pivot`` is the Smith
 pivot search without its stop at a unit, and ``trial_division`` the
-factorization without Miller-Rabin and Pollard-Brent rho.
+factorization without Miller-Rabin and Pollard rho.
 """
 
 from __future__ import annotations

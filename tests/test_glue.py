@@ -478,6 +478,17 @@ def test_tau_generators_must_be_involutions(monkeypatch):
         glue.image_of_tau(gd)
 
 
+def test_generator_actions_check_each_generator_without_its_matrix(monkeypatch):
+    gd = glue.make_glue("E8+D8")
+    monkeypatch.setattr(lat.Isometry, "signed_permutation", None)
+    assert glue._generator_actions(gd)
+    # E8 and D8 are not isomorphic, so swapping them is no isometry
+    monkeypatch.setattr(glue, "_tau_signed_permutations",
+                        lambda gd: [(_swap(16, 0, 8, 8), (1,) * 16)])
+    with pytest.raises(NotIsometry):
+        glue._generator_actions(gd)
+
+
 # ---------------------------------------------------------------------------
 # coset minima and the root certificate
 
