@@ -267,21 +267,12 @@ def _cmd_verify_table1(args) -> int:
     if args.format == "json":
         obj = {
             "rows": [
-                {
-                    "roots": r.candidate.roots,
-                    "niemeier": r.candidate.niemeier,
-                    "computed_roots": r.computed_roots,
-                    "genus_ok": r.genus_ok,
-                    "roots_ok": r.roots_ok,
-                    "o_ae": r.o_ae,
-                    "im_tau": r.im_tau,
-                    "classes": r.classes,
-                    "conditional": True,
-                }
+                {**r.to_obj(r.candidate.roots), "niemeier": r.candidate.niemeier,
+                 "computed_roots": r.computed_roots}
                 for r in rows
             ],
             "all_ok": ok,
-            "total_classes_conditional": sum(r.classes or 0 for r in rows if r.ok),
+            "total_classes_conditional": cusps.total_classes(rows),
         }
         _emit(_dump_json(obj), args.out)
     else:
@@ -302,9 +293,8 @@ def _cmd_verify_table1(args) -> int:
              "|Im tau| (conditional)", "classes"],
             table,
         )
-        total = sum(r.classes or 0 for r in rows if r.ok)
         text += f"\nrows passing: {sum(r.ok for r in rows)}/13; "
-        text += f"total classes (conditional): {total}\n"
+        text += f"total classes (conditional): {cusps.total_classes(rows)}\n"
         _emit(text, args.out)
     return EXIT_OK if ok else EXIT_VERIFICATION
 

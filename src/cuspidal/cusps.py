@@ -395,6 +395,17 @@ class OneDimRow(namedtuple(
     def ok(self) -> bool:
         return self.genus_ok and self.roots_ok
 
+    def to_obj(self, roots: str) -> dict:
+        """The row as a report object, listed under ``roots``."""
+        return {"roots": roots, "genus_ok": self.genus_ok, "roots_ok": self.roots_ok,
+                "o_ae": self.o_ae, "im_tau": self.im_tau, "classes": self.classes,
+                "conditional": True}
+
+
+def total_classes(rows) -> int:
+    """Sum of the (conditional) class counts of the rows that pass."""
+    return sum(r.classes for r in rows if r.ok)
+
 
 def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> OneDimRow:
     target_det = det_E(case, 1)
@@ -492,21 +503,8 @@ class CuspReport(namedtuple("CuspReport", "case nu_result reps one_dim", default
             "zero_dim": zero,
         }
         if self.one_dim is not None:
-            rows = []
-            for row in self.one_dim:
-                rows.append(
-                    {
-                        "roots": row.computed_roots or row.candidate.roots,
-                        "genus_ok": row.genus_ok,
-                        "roots_ok": row.roots_ok,
-                        "o_ae": row.o_ae,
-                        "im_tau": row.im_tau,
-                        "classes": row.classes,
-                        "conditional": True,
-                    }
-                )
-            total = sum(r.classes for r in self.one_dim if r.ok and r.classes)
-            obj["one_dim"] = {"candidates": rows, "total": total}
+            rows = [r.to_obj(r.computed_roots or r.candidate.roots) for r in self.one_dim]
+            obj["one_dim"] = {"candidates": rows, "total": total_classes(self.one_dim)}
         return obj
 
 

@@ -28,7 +28,7 @@ from collections import namedtuple
 from math import gcd
 from operator import mul
 
-from .errors import InternalError, NotDefinite, SingularMatrix
+from .errors import GroupTooLarge, InternalError, NotDefinite, SingularMatrix
 
 LLL_DELTA = (99, 100)  # the LLL parameter delta = 99/100 as (numerator, denominator)
 
@@ -214,32 +214,36 @@ _MR_LIMIT = 3317044064679887385961981
 def factorize(n: int) -> dict:
     """Prime factorization {p: e} of a positive integer, primes ascending.
 
-    Trial division by the numbers below 128 comes first.  A cofactor
-    below 3.3 * 10^24 is then split by Pollard's rho, its factors
-    proved prime by deterministic Miller-Rabin; a larger one takes trial
-    division up to its square root.
+    Trial division by the numbers below 128 comes first.  The cofactor
+    is then split by Pollard's rho, its factors proved prime by
+    deterministic Miller-Rabin.  That proof holds below 3.3 * 10^24
+    (``_MR_LIMIT``); a larger factor that Miller-Rabin does not show
+    composite raises GroupTooLarge naming that bound.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out = {}
     p = 2
-    while p * p <= n and (p < _TRIAL_LIMIT or n >= _MR_LIMIT):
+    while p * p <= n and p < _TRIAL_LIMIT:
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
     if n > 1:
         # the loop stopped past the square root of n, so n is prime, or at
-        # the trial limit with n below the Miller-Rabin bound
+        # the trial limit
         for q in (n,) if p * p > n else sorted(_prime_factors(n)):
             out[q] = out.get(q, 0) + 1
     return out
 
 
 def _prime_factors(n: int) -> list:
-    """Prime factors, with multiplicity, of 1 < n < _MR_LIMIT with no
-    factor below _TRIAL_LIMIT."""
+    """Prime factors, with multiplicity, of n > 1 with no factor below
+    _TRIAL_LIMIT."""
     if _is_prime(n):
+        if n >= _MR_LIMIT:
+            raise GroupTooLarge(
+                f"factor {n} passes Miller-Rabin but exceeds its proof bound {_MR_LIMIT}")
         return [n]
     f = _rho_factor(n)
     return _prime_factors(f) + _prime_factors(n // f)

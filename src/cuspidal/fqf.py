@@ -200,8 +200,7 @@ class FiniteQuadraticForm:
         pairings = src.lattice.gram.apply(scaled)
         if any(x % level for x in pairings):
             raise ValueError("vector is not in the dual lattice")
-        y = src.smith.left.apply([x // level for x in pairings])
-        return tuple(y[i] % src.smith.diag[i] for i in src.kept)
+        return src.class_key([x // level for x in pairings])
 
 
 class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
@@ -211,10 +210,17 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     factors d and V) of G and ``kept`` the Smith positions with invariant
     factor > 1, one per generator.  Generator i lifts to the dual vector
     V e_k / d_k for k = kept[i]; a dual vector v has class coordinates
-    (U G v)_k mod d_k.
+    (U G v)_k mod d_k (``class_key``), since v - w lies in L exactly when
+    D^-1 U (G v - G w) is integral.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def of(cls, lattice) -> LatticeSource:
+        """The Smith transforms of the Gram of ``lattice``."""
+        snf = smith_normal_form(lattice.gram)
+        return cls(lattice, snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
 
     @property
     def left(self) -> IntMatrix:
@@ -229,6 +235,12 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
         V, d = self.smith.right.data, self.smith.diag
         terms = [(k, a * (level // d[k])) for a, k in zip(x, self.kept) if a]
         return tuple(sum(row[k] * c for k, c in terms) for row in V)
+
+    def class_key(self, pairings) -> tuple:
+        """Class coordinates (U p)_k mod d_k, k in ``kept``, of the dual vector
+        v with integer pairings p = G v against the basis of L."""
+        U, d = self.smith.left.data, self.smith.diag
+        return tuple(sum(map(mul, U[k], pairings)) % d[k] for k in self.kept)
 
 
 class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):
@@ -262,14 +274,12 @@ def discriminant_form(lattice) -> FiniteQuadraticForm:
     """Discriminant form A_L = L*/L of an even lattice, with provenance."""
     if not lattice.even:
         raise OddLattice("discriminant form requires an even lattice")
-    snf = smith_normal_form(lattice.gram)
-    kept = tuple(i for i, d in enumerate(snf.diag) if d > 1)
-    orders = tuple(snf.diag[i] for i in kept)
+    source = LatticeSource.of(lattice)
+    orders = tuple(source.smith.diag[i] for i in source.kept)
     # U G V = D gives G^-1 U^-1 = V D^-1: generator i lifts to V e_i / d_i, so
     # its N-fold multiple is an integer row whose values lie over N^2
     level = orders[-1] if orders else 1
-    source = LatticeSource(lattice, snf, kept)
-    rows = [source.scaled_lift(_unit(len(kept), i), level) for i in range(len(kept))]
+    rows = [source.scaled_lift(_unit(len(orders), i), level) for i in range(len(orders))]
     return _generated_form(lattice.gram, level * level, rows, orders, source)
 
 
@@ -464,15 +474,22 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     An isotropic H grows by an isotropic e with b(e, g) = 0 for every
     generator g of H.  Since q(h + k e) = q(h) + k^2 q(e) + 2k b(h, e),
     these are exactly the e for which q vanishes on the span of H and e.
+    Each subgroup extended costs one attempt per isotropic element; the
+    walk stops with GroupTooLarge once the attempts pass ``bound``.
     """
     iso = isotropic_elements(form, bound)
     rows = [form.gram.apply(e) for e in iso]  # b(e, g) = (M e) . g / N
     trivial = trivial_subgroup(form)
     found = {trivial.elements: trivial}
     frontier = [trivial]
+    attempts = 0
     while frontier:
         nxt = []
         for sub in frontier:
+            attempts += len(iso)
+            if attempts > bound:
+                raise GroupTooLarge(
+                    f"isotropic subgroup search exceeds enumeration bound {bound}")
             have = set(sub.elements)
             for e, row in zip(iso, rows):
                 if e in have or any(
@@ -594,8 +611,6 @@ def are_isometric(
     """Isometry test; returns (flag, witness images of a's generators)."""
     if a.cardinality != b.cardinality or sorted(a.orders) != sorted(b.orders):
         return False, None
-    if a.cardinality > bound:
-        raise GroupTooLarge("form too large for isometry search")
     res = _hom_search(a, b, b.cardinality, bound, find_all=False)
     if res:
         return True, res[0]
@@ -604,8 +619,6 @@ def are_isometric(
 
 def orthogonal_group(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
     """All q-preserving automorphisms, as tuples of generator images."""
-    if form.cardinality > bound:
-        raise GroupTooLarge("form too large for automorphism enumeration")
     return sorted(_hom_search(form, form, form.cardinality, bound, find_all=True))
 
 
@@ -615,8 +628,6 @@ def embeds(
     """True when an injective q-preserving homomorphism a -> b exists."""
     if a.cardinality > b.cardinality:
         return False
-    if b.cardinality > bound:
-        raise GroupTooLarge("target form too large for embedding search")
     return bool(_hom_search(a, b, a.cardinality, bound, find_all=False))
 
 

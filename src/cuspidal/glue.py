@@ -8,8 +8,9 @@ Root enumeration uses exact Fincke-Pohst on integers: LLL
 preconditioning, then a depth-first search whose remaining norm is
 scaled by lcm(d[i] d[i+1]) over the leading minors d, so each coordinate
 bound is the isqrt of an integer quotient.  Norm -2 vectors of a
-negative definite lattice always form an ADE root system; components are
-classified by the shape of their simple-root graph.
+negative definite lattice always form an ADE root system; components come
+from the nonzero pairings of the simple roots and are typed by rank and
+Cartan determinant (Bourbaki, Lie Groups and Lie Algebras, ch. VI).
 
 Whether a glue creates roots is decided without enumeration, from coset
 minima (Conway-Sloane, SPLAG ch. 4 sections 6-8; Nikulin 1979, section
@@ -59,11 +60,10 @@ from .errors import (
     NotNegativeDefinite,
     RootsNotFullRank,
 )
-from .exact import (
-    IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce, smith_normal_form,
-)
+from .exact import IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce
 from .fqf import (
     FiniteQuadraticForm,
+    LatticeSource,
     QuotientSource,
     apply_map,
     compose_maps,
@@ -75,7 +75,7 @@ from .fqf import (
     trivial_subgroup,
 )
 from .lattice import (
-    Isometry, Lattice, LatticeVector, check_signed_permutation, make_standard, parse_name,
+    Isometry, Lattice, LatticeVector, check_signed_permutation, direct_sum, make_standard,
     parse_terms,
 )
 
@@ -106,14 +106,18 @@ def parse_root_spec(spec: str) -> list:
     return out
 
 
+def _component_lattice(kind: str, param: int) -> Lattice:
+    return make_standard("rank1" if kind == "unit" else kind, param)
+
+
 def root_sum_base(spec: str):
-    """Lattice and component layout for a root-spec string."""
+    """Direct sum of standard lattices and component layout for a root-spec string."""
     comps = []
     offset = 0
     for kind, param in parse_root_spec(spec):
         comps.append(Component(kind, param, offset))
         offset += comps[-1].rank
-    return parse_name(spec), tuple(comps)
+    return direct_sum(*(_component_lattice(c.kind, c.param) for c in comps)), tuple(comps)
 
 
 class GlueData(namedtuple("GlueData", "base components disc glue")):
@@ -294,69 +298,33 @@ def root_system(L: Lattice) -> RootSystem:
             simple.append(a)
             gram_simple.append(L.gram.apply(a))
 
-    m = len(simple)
-    adj = {i: [] for i in range(m)}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if sum(x * y for x, y in zip(simple[i], gram_simple[j])):
-                adj[i].append(j)
-                adj[j].append(i)
-
-    seen = set()
+    P = [[sum(x * y for x, y in zip(a, gs)) for gs in gram_simple] for a in simple]
+    # each simple root joins every component it pairs with
     comps = []
-    for start in range(m):
-        if start in seen:
-            continue
-        stack = [start]
-        nodes = []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            nodes.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(nodes))
-
-    out = []
-    for nodes in comps:
-        out.append(_classify_component(nodes, adj))
+    for i in range(len(simple)):
+        joined = [c for c in comps if any(P[i][j] for j in c)]
+        comps = [c for c in comps if c not in joined] + [sum(joined, [i])]
+    out = [_classify_component([[P[i][j] for j in c] for i in c]) for c in comps]
     total = sum(_ROOT_COUNTS[letter](rank) for letter, rank in out)
     if total != 2 * len(pos):
         raise InternalError("root component counts do not match the enumeration")
     return RootSystem(tuple(sorted(out)), total)
 
 
-def _classify_component(nodes, adj) -> tuple:
-    n = len(nodes)
-    node_set = set(nodes)
-    deg = {v: sum(1 for w in adj[v] if w in node_set) for v in nodes}
-    maxdeg = max(deg.values())
-    if maxdeg <= 2:
+def _classify_component(block) -> tuple:
+    """(letter, rank) of a connected block of simple-root pairings, minus a
+    Cartan matrix: of rank n, A_n has Cartan determinant n + 1, D_n 4
+    (n >= 4) and E_n 9 - n (Bourbaki, plates I-VII)."""
+    n = len(block)
+    if any(block[i][j] not in (0, 1) for i in range(n) for j in range(n) if i != j):
+        raise InternalError("component is not a simply-laced Dynkin diagram")
+    det = (-1) ** n * IntMatrix(block).det()
+    if det == n + 1:
         return ("A", n)
-    if maxdeg == 3 and sum(1 for v in nodes if deg[v] == 3) == 1:
-        center = next(v for v in nodes if deg[v] == 3)
-        arms = []
-        for nb in adj[center]:
-            length = 1
-            prev, cur = center, nb
-            while True:
-                nxt = [w for w in adj[cur] if w != prev and w in node_set]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[0] == 1 and arms[1] == 1:
-            return ("D", n)
-        if arms == [1, 2, 2]:
-            return ("E", 6)
-        if arms == [1, 2, 3]:
-            return ("E", 7)
-        if arms == [1, 2, 4]:
-            return ("E", 8)
+    if det == 4 and n >= 4:
+        return ("D", n)
+    if n in (6, 7, 8) and det == 9 - n:
+        return ("E", n)
     raise InternalError("component is not a simply-laced Dynkin diagram")
 
 
@@ -366,52 +334,38 @@ def _classify_component(nodes, adj) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_minima(kind: str, param: int) -> tuple:
-    """Gram, class map and coset minima of one component R_i.
-
-    Returns (G, rows, orders, N, minima).  With U G V = D the Smith form
-    of G, a dual vector with pairings p = G v lies in the class with key
-    (U p)_j mod d_j over the positions j with d_j > 1: v - w lies in R_i
-    exactly when D^-1 U (G v - G w) is integral.  ``minima`` maps every
-    nonzero key to N times the least |norm| in its class, N the exponent
-    of R_i*/R_i.
-    """
+    """(src, N, minima) of one component R_i: its ``LatticeSource``, the
+    exponent N of R_i*/R_i and the map from the class (``class_key``) of
+    every nonzero element of R_i*/R_i to N times the least |norm| in it."""
     if kind == "unit" and param > 0:
         raise NotNegativeDefinite("coset minima need a negative definite base")
-    G = make_standard("rank1" if kind == "unit" else kind, param).gram
-    snf = smith_normal_form(G)
-    U, d, V = snf.left.data, snf.diag, snf.right.data
-    rows = tuple(U[j] for j, dj in enumerate(d) if dj > 1)
-    orders = tuple(dj for dj in d if dj > 1)
+    src = LatticeSource.of(_component_lattice(kind, param))
+    U, d, V = src.smith.left.data, src.smith.diag, src.smith.right.data
     N = d[-1]
     minima = {}
     if kind == "unit":
         # the class of k e / 2m is shortest at k' = min(k, N - k), N = |2m|
         for k in range(1, N):
-            minima[_class_key(rows, orders, [k])] = min(k, N - k) ** 2
+            minima[src.class_key((k,))] = min(k, N - k) ** 2
     else:
-        r = G.rows
+        r = len(d)
         for k in range(r):
-            c = _class_key(rows, orders, [int(i == k) for i in range(r)])
+            c = src.class_key([int(i == k) for i in range(r)])
             if any(c):
                 # omega_k = G^-1 e_k has norm (G^-1)_kk, and N G^-1 = V (N D^-1) U
                 norm = -sum(V[k][j] * (N // d[j]) * U[j][k] for j in range(r))
                 minima[c] = min(norm, minima.get(c, norm))
     if len(minima) != prod(d) - 1:
         raise InternalError(f"a nonzero class of {kind}{param} contains no fundamental weight")
-    return G, rows, orders, N, minima
-
-
-def _class_key(rows, orders, pairings) -> tuple:
-    return tuple(sum(u * x for u, x in zip(row, pairings)) % dj
-                 for row, dj in zip(rows, orders))
+    return src, N, minima
 
 
 def coset_minimum(kind: str, param: int, pairings) -> tuple:
     """(N mu, N): the least |norm| mu in the class of R_i*/R_i of the dual
     vector with the given integer pairings against the basis of R_i, with
     N the exponent of R_i*/R_i; ``param`` is as in ``Component``."""
-    _, rows, orders, N, minima = _class_minima(kind, param)
-    c = _class_key(rows, orders, pairings)
+    src, N, minima = _class_minima(kind, param)
+    c = src.class_key(pairings)
     return (minima[c] if any(c) else 0), N
 
 
@@ -426,7 +380,7 @@ def glue_adds_roots(gd: GlueData) -> bool:
     level = gd.disc.level
     blocks = []
     for comp in gd.components:
-        G = _class_minima(comp.kind, comp.param)[0]
+        G = _class_minima(comp.kind, comp.param)[0].lattice.gram
         sl = slice(comp.offset, comp.offset + comp.rank)
         if tuple(row[sl] for row in gd.base.gram.data[sl]) != G.data:
             raise InternalError("base Gram block differs from its component")

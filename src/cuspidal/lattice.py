@@ -23,7 +23,6 @@ import os
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -197,19 +196,10 @@ def divisibility(v: LatticeVector) -> int:
 
 
 def make_standard(kind: str, n: int | None = None) -> Lattice:
-    """Standard lattices: U, A(k), D(h), E(6|7|8), B(d), rank1(n).
-
-    Lattices are immutable, so the recently used ones are shared, not rebuilt."""
-    # the cache sits on a private function so that this one stays a plain
-    # function, which call tracers that wrap functions still count
-    return _standard(kind, n)
-
-
-@lru_cache(maxsize=128)
-def _standard(kind: str, n: int | None) -> Lattice:
-    """The standard lattice with its invariants in closed form (Conway &
-    Sloane, SPLAG ch. 4): minus a Cartan matrix of rank n has det (-1)^n
-    times n + 1 for A_n, 4 for D_n and 9 - n for E_n, and signature (0, n);
+    """Standard lattices: U, A(k), D(h), E(6|7|8), B(d), rank1(n), each
+    built afresh with its invariants in closed form (Conway & Sloane,
+    SPLAG ch. 4): minus a Cartan matrix of rank n has det (-1)^n times
+    n + 1 for A_n, 4 for D_n and 9 - n for E_n, and signature (0, n);
     U has det -1 and signature (1, 1); B(d) has det d and signature (0, 2);
     <n> has det n.  Every one is even."""
     labels = None
@@ -645,18 +635,29 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_terms(name: str):
-    """Yield one (atom, twist) pair per summand of a name like "2E8+U(2)+<-2>":
-    ``atom`` is "U", "A3", "<-2>" and so on, ``twist`` None or the t of "(t)"."""
+MAX_NAME_RANK = 1000
+
+
+def parse_terms(name: str) -> list:
+    """One (atom, twist) pair per summand of a name like "2E8+U(2)+<-2>":
+    ``atom`` is "U", "A3", "<-2>" and so on, ``twist`` None or the t of "(t)".
+
+    Raises BadParameter before any summand is listed once the ranks add
+    past ``MAX_NAME_RANK``: a Gram of that rank has fqf.ENUM_BOUND = 10^6
+    entries, and the paper's lattices have rank at most 24."""
+    out, rank = [], 0
     for term in name.replace(" ", "").split("+"):
         if not term:
             raise BadParameter(f"empty term in lattice name {name!r}")
         m = _TERM_RE.match(term)
         if not m:
             raise BadParameter(f"cannot parse lattice term {term!r}")
-        twist = m.group("twist")
-        for _ in range(int(m.group("count") or 1)):
-            yield m.group("atom"), None if twist is None else int(twist)
+        atom, twist, count = m.group("atom"), m.group("twist"), int(m.group("count") or 1)
+        rank += count * (2 if atom[0] in "UB" else 1 if atom[0] == "<" else int(atom[1:]))
+        if rank > MAX_NAME_RANK:
+            raise BadParameter(f"lattice name {name!r} has rank above the cap {MAX_NAME_RANK}")
+        out += [(atom, None if twist is None else int(twist))] * count
+    return out
 
 
 def parse_name(name: str) -> Lattice:

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import time
 import typing
 from pathlib import Path
 
@@ -55,6 +56,16 @@ class TestCuspZero:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {d}-part of order {d} exceeds enumeration bound 1000000\n"
+
+    @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
+    def test_prime_beyond_miller_rabin_names_the_bound(self, capsys, mode):
+        # d = 2^89 - 1 is prime, above the bound where Miller-Rabin proves it
+        d = 2**89 - 1
+        code = run(["cusp", "zero", "--d", str(d), "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: factor {d} passes Miller-Rabin but exceeds its "
+                                "proof bound 3317044064679887385961981\n")
 
     def test_primary_part_beyond_bound_names_the_bound(self, capsys):
         # d = 2^19: the 2-part Z/2^20 + Z/2 of A_N has 2^21 elements
@@ -213,6 +224,9 @@ class TestInputErrors:
              "--order must be a positive integer, got 0"),
             (["glue", "enum", "--roots", "2A1+2D8", "--order", "-2"], None,
              "--order must be a positive integer, got -2"),
+            # the walk needs 64,944 attempts on 8A1
+            (["glue", "enum", "--roots", "8A1", "--bound", "60000"], None,
+             "isotropic subgroup search exceeds enumeration bound 60000"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
@@ -225,6 +239,20 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lat", "info", "100000A1"],
+        ["lat", "info", "A100000"],
+        ["glue", "enum", "--roots", "999999999A1"],
+    ])
+    def test_name_rank_is_capped_before_any_gram(self, capsys, argv):
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: lattice name {argv[-1]!r} has rank above the cap 1000\n"
+        assert elapsed < 1.0
 
     def test_broken_invariant_exits_three(self, capsys, monkeypatch):
         from cuspidal import cusps
@@ -376,6 +404,10 @@ GOLDEN = Path(__file__).parent / "data"
          "cusp_one_d1_minus2_pairs.json"),
         # odd-rank atoms: the determinant sign of each summand shows
         (["lat", "info", "A1+A2+A3+D5+E7+<-4>"], "lat_info_A1+A2+A3+D5+E7+minus4.json"),
+        # every ADE letter, each typed by its rank and Cartan determinant
+        (["glue", "roots", "E8+E7+E6+D5+D4+A3+A1"], "glue_roots_E8+E7+E6+D5+D4+A3+A1.json"),
+        (["glue", "enum", "--roots", "2A1+2D8", "--roots-of-overlattice"],
+         "glue_enum_2A1+2D8_roots.json"),
     ],
 )
 def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import cusps, exact, glue
-from cuspidal.errors import NotDefinite, SingularMatrix
+from cuspidal.errors import GroupTooLarge, NotDefinite, SingularMatrix
 from cuspidal.exact import (
     IntMatrix,
     factorize,
@@ -460,6 +460,18 @@ class TestFactorize:
     def test_large_prime_beyond_trial_division(self):
         # trial division to the square root of 2^61 - 1 takes about 6 * 10^8 steps
         assert factorize(2**61 - 1) == {2**61 - 1: 1}
+
+    def test_composites_beyond_the_miller_rabin_bound_split_by_rho(self):
+        # each lies above 3.3 * 10^24: trial division takes 2^100 * 3^5,
+        # and rho splits 131^12 and 137^6 * 139^6, which have no factor below 128
+        for n in (131**12, 2**100 * 3**5, 137**6 * 139**6):
+            assert factorize(n) == trial_division(n)
+
+    def test_prime_beyond_the_miller_rabin_bound_names_it(self):
+        with pytest.raises(GroupTooLarge, match=(
+                "^factor 618970019642690137449562111 passes Miller-Rabin but exceeds "
+                "its proof bound 3317044064679887385961981$")):
+            factorize(3 * (2**89 - 1))
 
     def test_small_factors_take_trial_division_alone(self, monkeypatch):
         monkeypatch.setattr(exact, "_prime_factors", None)

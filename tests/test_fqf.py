@@ -109,8 +109,24 @@ class TestIsotropic:
 
     def test_group_too_large(self):
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
-        with pytest.raises(GroupTooLarge):
+        named = "^group of order 12 exceeds enumeration bound 5$"
+        with pytest.raises(GroupTooLarge, match=named):
             fqf.isotropic_elements(a, bound=5)
+        with pytest.raises(GroupTooLarge, match=named):
+            fqf.are_isometric(a, a, bound=5)
+        with pytest.raises(GroupTooLarge, match=named):
+            fqf.orthogonal_group(a, bound=5)
+        with pytest.raises(GroupTooLarge, match=named):
+            fqf.embeds(fqf.discriminant_form(lat.parse_name("<-6>")), a, bound=5)
+
+    def test_subgroup_walk_stops_at_the_bound(self):
+        # 8A1: the walk extends each of its 902 subgroups by 72 isotropic elements
+        a = fqf.discriminant_form(lat.parse_name("8A1"))
+        assert len(fqf.isotropic_elements(a)) == 72
+        assert len(fqf.isotropic_subgroups(a, bound=72 * 902)) == 902
+        with pytest.raises(GroupTooLarge,
+                           match="^isotropic subgroup search exceeds enumeration bound 64943$"):
+            fqf.isotropic_subgroups(a, bound=72 * 902 - 1)
 
     def test_subgroups_d1(self):
         a = fqf.discriminant_form(lat.parse_name("<-2>+<-2>"))

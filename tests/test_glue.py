@@ -219,6 +219,25 @@ class TestRootSystems:
         assert rs.spec_string() == "E8+D4+A2"
         assert rs.total_roots == 240 + 24 + 6
 
+    def test_every_ade_atom_is_itself(self):
+        atoms = ([("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]
+                 + [("E", 6), ("E", 7), ("E", 8)])
+        for letter, n in atoms:
+            rs = glue.root_system(lat.make_standard(letter, n))
+            assert rs == glue.root_system_from_spec(f"{letter}{n}"), (letter, n)
+            assert rs.components == ((letter, n),)
+
+    @pytest.mark.parametrize("block", [
+        [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],  # affine A2, a triangle
+        [[-2, 1, 1, 1, 1], [1, -2, 0, 0, 0], [1, 0, -2, 0, 0],
+         [1, 0, 0, -2, 0], [1, 0, 0, 0, -2]],  # affine D4, a star
+        [[-2, 2], [2, -2]],
+        [[-2, -1], [-1, -2]],
+    ])
+    def test_non_dynkin_blocks_are_internal_errors(self, block):
+        with pytest.raises(InternalError, match="not a simply-laced Dynkin diagram"):
+            glue._classify_component(block)
+
     def test_unit_has_no_roots(self):
         rs = glue.root_system(lat.rank1(-4))
         assert rs.components == () and rs.total_roots == 0

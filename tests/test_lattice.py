@@ -149,10 +149,6 @@ def test_standard_invariants_match_elimination():
         assert all(type(x) is int for row in L.gram.data for x in row)
 
 
-def test_make_standard_builds_each_lattice_once():
-    assert lat.make_standard("D", 7) is lat.D(7)
-
-
 class TestVectors:
     def test_nonsplit_generator_norm_and_divisibility(self):
         # h = 2w1 + (d+1)/2 w2 + e for d = 3 inside U + <-2>
@@ -469,6 +465,15 @@ class TestNamesAndJson:
             lat.parse_name("Q5")
         with pytest.raises(BadParameter):
             lat.parse_name("U++U")
+
+    def test_rank_cap_counts_every_summand(self):
+        # U and B(d) have rank 2, <n> rank 1, and A, D, E their index
+        assert len(lat.parse_terms("490U+E8(2)+A3+B3+<-2>+<4>")) == 495
+        assert len(lat.parse_terms("990A1+D10")) == 991
+        for name in ("991A1+D10", "500U+<-2>", "496B3+E8+<-2>"):
+            with pytest.raises(BadParameter) as err:
+                lat.parse_terms(name)
+            assert str(err.value) == f"lattice name {name!r} has rank above the cap 1000"
 
     def test_json_round_trip(self):
         L = lat.parse_name("U+<-2>")
