@@ -407,9 +407,11 @@ def total_classes(rows) -> int:
     return sum(r.classes for r in rows if r.ok)
 
 
-def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> OneDimRow:
+def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
+                       bound: int) -> OneDimRow:
+    """The row of one candidate, with ``im_tau`` but without |O(A_E)|, which
+    ``one_dim_cusps`` takes from the target form ``predicted_AE(case, 1)``."""
     target_det = det_E(case, 1)
-    target_form = predicted_AE(case, 1)
     gd0 = glue_mod.make_glue(cand.roots)
     base_det = abs(gd0.base.det)
     if gd0.base.rank != 18:
@@ -429,37 +431,49 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, bound: int) -> O
         ]
     if gd0.base.signature != (0, 18):
         subgroups = []  # a finite-index overlattice has the signature of its base
-    # R(E) = R(R) exactly when the glue adds no roots, which the coset
-    # minima of H decide without a Gram matrix of E; R(R) is the declared
-    # system unless a <-2> summand adds a root.  The roots of E are
-    # enumerated only to name them when no genus match keeps R(R), for the
-    # last match.  Im tau and O(q_E) are computed only for the returned glue.
+    elif cand.glue_gens is not None:
+        fqf.require_isotropic(subgroups[0])  # the error perp_quotient gives
     # Glues in one orbit of the tau generators give isometric overlattices,
-    # so each orbit is tried once, through its least member.  Orbits come in
-    # the order of their least members, so the first certifying orbit holds
-    # the first certifying glue; the last match is in the matching orbit
-    # with the greatest member.
+    # so each orbit is tried once, through its least member, in the order of
+    # the least members.  R(E) = R(R) exactly when the glue adds no roots,
+    # which the coset minima of H decide without a Gram matrix of E; R(R) is
+    # the declared system unless a <-2> summand adds a root.  So without a
+    # <-2> summand the root certificate comes first, and only orbits that
+    # pass it are checked for the genus: the first orbit that passes both
+    # holds the first such glue.  When none does, or a <-2> summand rules
+    # the certificate out, the last match is taken among the orbits not yet
+    # checked for the genus: the matching orbit with the greatest member,
+    # whose roots are enumerated to name them.  Im tau is computed only for
+    # the returned glue.
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
     actions = glue_mod._generator_actions(gd0)
-    chosen, last, rs = None, (), None
-    for s, words, edges in glue_mod._glue_orbits(gd0.disc, actions, subgroups):
-        quotient = fqf.perp_quotient(gd0.disc, s)
-        if not fqf.are_isometric(quotient, target_form, bound)[0]:
-            continue
-        gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s)
-        if certifiable and not glue_mod.glue_adds_roots(gd):
-            chosen, rs = (gd, quotient, words, edges), declared
-            break
-        if max(words) > last:
-            chosen, last = (gd, quotient, words, edges), max(words)
+    orbits = glue_mod._glue_orbits(actions, subgroups)
+    chosen, rs, unchecked = None, None, orbits
+    if certifiable:
+        unchecked = []
+        for orbit in orbits:
+            gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, orbit[0])
+            if glue_mod.glue_adds_roots(gd):
+                unchecked.append(orbit)
+                continue
+            quotient = fqf.perp_quotient(gd0.disc, orbit[0])
+            if fqf.are_isometric(quotient, target_form, bound)[0]:
+                chosen, rs = (gd, quotient, *orbit[1:]), declared
+                break
+    if chosen is None:
+        last = ()
+        for s, words, edges in unchecked:
+            quotient = fqf.perp_quotient(gd0.disc, s)
+            if fqf.are_isometric(quotient, target_form, bound)[0] and max(words) > last:
+                gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s)
+                chosen, last = (gd, quotient, words, edges), max(words)
     if chosen is None:
         return OneDimRow(cand, False, False, note="no isotropic glue realizes the target genus")
     if rs is None:
         rs = glue_mod.root_system(glue_mod.overlattice(chosen[0]).lattice)
     tau = glue_mod._stabilizer_image(*chosen, actions)
-    o_ae = len(fqf.orthogonal_group(tau.quotient_form, bound))
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
-                     o_ae, tau.size, o_ae // tau.size)
+                     im_tau=tau.size)
 
 
 def one_dim_cusps(
@@ -469,7 +483,10 @@ def one_dim_cusps(
 
     Candidates must be supplied except for the built-in split d = 1 list;
     genus completeness is never assumed, so the total is only a sum over
-    verified rows.
+    verified rows.  Every realized row has A_E = H^perp/H isometric to
+    ``predicted_AE(case, 1)``, and isometric forms have orthogonal groups
+    of one order, so |O(A_E)| is counted once, on that form, when the first
+    row is realized.
     """
     if case.k != 1:
         raise NotSquareFree(f"d = {case.d} is not square-free")
@@ -480,7 +497,16 @@ def one_dim_cusps(
             raise BadParameter(
                 "no built-in candidate list for this case; supply candidates"
             )
-    return [_realize_candidate(case, c, bound) for c in candidates]
+    target_form = predicted_AE(case, 1)
+    rows, o_ae = [], None
+    for cand in candidates:
+        row = _realize_candidate(case, cand, target_form, bound)
+        if row.genus_ok:
+            if o_ae is None:
+                o_ae = len(fqf.orthogonal_group(target_form, bound))
+            row = row._replace(o_ae=o_ae, classes=o_ae // row.im_tau)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,9 @@ _TRIAL_LIMIT = 128  # trial division by the numbers below this comes first
 # (Sorenson & Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+# Pollard rho gives up after this many steps on one composite (about 3 s
+# for a 100-bit n on a 2-vCPU host); a prime factor p takes about sqrt(p)
+_RHO_LIMIT = 2**20
 
 
 def factorize(n: int) -> dict:
@@ -218,7 +221,11 @@ def factorize(n: int) -> dict:
     is then split by Pollard's rho, its factors proved prime by
     deterministic Miller-Rabin.  That proof holds below 3.3 * 10^24
     (``_MR_LIMIT``); a larger factor that Miller-Rabin does not show
-    composite raises GroupTooLarge naming that bound.
+    composite raises GroupTooLarge naming that bound.  Rho takes about
+    sqrt(p) steps to split off a prime p, so it stops after ``_RHO_LIMIT``
+    steps on one composite and raises GroupTooLarge naming that cap: a
+    composite whose two least prime factors both lie far above 10^12 gets
+    no answer.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -270,11 +277,16 @@ def _is_prime(n: int) -> bool:
 def _rho_factor(n: int) -> int:
     """A proper factor of an odd composite n: Pollard's rho on x -> x^2 + c
     from 2 with Floyd's cycle search, for c = 1, 2, ... until the gcd is
-    a proper factor."""
+    a proper factor, in at most ``_RHO_LIMIT`` steps over all c."""
+    steps = 0
     for c in range(1, n):
         x = y = 2
         g = 1
         while g == 1:
+            steps += 1
+            if steps > _RHO_LIMIT:
+                raise GroupTooLarge(
+                    f"Pollard rho finds no factor of {n} within its step bound {_RHO_LIMIT}")
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n

@@ -38,6 +38,7 @@ elements: each element that the ones kept before it do not span.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -148,8 +149,11 @@ class FiniteQuadraticForm:
     # form values ------------------------------------------------------
 
     def q(self, x) -> Fraction:
-        x = self.reduce(x)
-        return Fraction(self.gram.bilinear(x, x) % (2 * self.level), self.level)
+        return Fraction(self.q_scaled(self.reduce(x)), self.level)
+
+    def q_scaled(self, x) -> int:
+        """level * q(x), an integer in [0, 2 level), for a reduced x."""
+        return self.gram.bilinear(x, x) % (2 * self.level)
 
     def b(self, x, y) -> Fraction:
         value = self.gram.bilinear(self.reduce(x), self.reduce(y))
@@ -308,9 +312,10 @@ def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
 # row-lattice quotients (shared by direct sums and perp quotients)
 
 
-class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat generator_rows orders")):
+class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_rows orders")):
     """``ambient_rows`` is the Hermite basis P of the ambient row lattice,
-    ``vmat`` the right Smith transform V and ``generator_rows`` V^-1 @ P,
+    ``vmat_t`` the transpose of the right Smith transform V, formed once so
+    that a row times V is one ``apply``, and ``generator_rows`` V^-1 @ P,
     one row per invariant factor in ``orders``."""
 
     __slots__ = ()
@@ -320,7 +325,7 @@ class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat generator_rows 
         y = hnf_coords(self.ambient_rows, row)
         if y is None:
             raise ValueError("row is not in the ambient row lattice")
-        z = self.vmat.T.apply(y)  # row-vector times V
+        z = self.vmat_t.apply(y)  # row-vector times V
         return tuple(a % d for a, d in zip(z, self.orders))
 
 
@@ -342,7 +347,7 @@ def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
     snf = smith_normal_form(s)
     # L S R = D gives R^-1 = D^-1 (L S), an exact division row by row
     vinv = [[x // d for x in row] for row, d in zip((snf.left @ s).data, snf.diag)]
-    return _RowQuotient(P, snf.right, IntMatrix(vinv) @ P, snf.diag)
+    return _RowQuotient(P, snf.right.T, IntMatrix(vinv) @ P, snf.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +400,13 @@ def subgroup_span(form: FiniteQuadraticForm, gens) -> FqfSubgroup:
 
 def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
     return FqfSubgroup(form, (form.zero,), ())
+
+
+def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
+    """Raise NotIsotropic, naming ``what``, unless q vanishes on the subgroup."""
+    form = subgroup.form
+    if any(form.q_scaled(x) for x in subgroup.elements):
+        raise NotIsotropic(f"{what} is not isotropic")
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +486,20 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     An isotropic H grows by an isotropic e with b(e, g) = 0 for every
     generator g of H.  Since q(h + k e) = q(h) + k^2 q(e) + 2k b(h, e),
     these are exactly the e for which q vanishes on the span of H and e.
-    Each subgroup extended costs one attempt per isotropic element; the
-    walk stops with GroupTooLarge once the attempts pass ``bound``.
+
+    Each subgroup is built once, along its canonical chain: if S has
+    canonical generators g1 < ... < gk, those of H = <g1, ..., g(k-1)> are
+    g1, ..., g(k-1).  So H grows only by the e above its last canonical
+    generator, and keeps the span S of H and e only when no element of S
+    outside H lies below e; exactly then the canonical generators of S are
+    those of H followed by e.  Each subgroup found is extended once and
+    charged one attempt per isotropic element, as if every e were tried;
+    the walk stops with GroupTooLarge once the attempts pass ``bound``.
     """
-    iso = isotropic_elements(form, bound)
+    iso = isotropic_elements(form, bound)  # sorted, as ``elements`` is
     rows = [form.gram.apply(e) for e in iso]  # b(e, g) = (M e) . g / N
     trivial = trivial_subgroup(form)
-    found = {trivial.elements: trivial}
+    found = [trivial]
     frontier = [trivial]
     attempts = 0
     while frontier:
@@ -491,17 +510,19 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
                 raise GroupTooLarge(
                     f"isotropic subgroup search exceeds enumeration bound {bound}")
             have = set(sub.elements)
-            for e, row in zip(iso, rows):
+            start = bisect_right(iso, sub.generators[-1]) if sub.generators else 0
+            for e, row in zip(iso[start:], rows[start:]):
                 if e in have or any(
                     sum(map(mul, row, g)) % form.level for g in sub.generators
                 ):
                     continue
-                elems = tuple(sorted(_extend(form, have, e)))
-                if elems not in found:
-                    found[elems] = _subgroup(form, elems)
-                    nxt.append(found[elems])
+                span = _extend(form, have, e)
+                if min(span - have) < e:
+                    continue  # built from its own canonical chain
+                nxt.append(FqfSubgroup(form, tuple(sorted(span)), sub.generators + (e,)))
+        found += nxt
         frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.elements))
+    return sorted(found, key=lambda s: (s.order, s.elements))
 
 
 def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQuadraticForm:
@@ -513,8 +534,7 @@ def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQua
     """
     if subgroup.form != form:
         raise ValueError("subgroup belongs to a different form")
-    if any(form.q(x) != 0 for x in subgroup.elements):
-        raise NotIsotropic("subgroup is not isotropic")
+    require_isotropic(subgroup)
     n = form.rank
     if n == 0:
         return trivial_form()

@@ -71,6 +71,7 @@ from .fqf import (
     identity_map,
     perp_quotient,
     project_to_quotient,
+    require_isotropic,
     subgroup_span,
     trivial_subgroup,
 )
@@ -129,8 +130,7 @@ class GlueData(namedtuple("GlueData", "base components disc glue")):
     def __new__(cls, base, components, disc, glue):
         if glue.form != disc:
             raise BadParameter("glue subgroup does not live in the base discriminant")
-        if any(disc.q(x) != 0 for x in glue.elements):
-            raise NotIsotropic("glue subgroup is not isotropic")
+        require_isotropic(glue, "glue subgroup")
         return tuple.__new__(cls, (base, components, disc, glue))
 
 
@@ -480,7 +480,27 @@ def tau_generator_isometries(gd: GlueData) -> list:
     return [Isometry.signed_permutation(gd.base, p, s) for p, s in _tau_signed_permutations(gd)]
 
 
-def _generator_actions(gd: GlueData) -> list:
+class _TauActions(tuple):
+    """The actions on A_R of the tau generators, as generator images, with
+    the image of each element under each action computed once (``image``);
+    the memo lives as long as the actions of one glue search."""
+
+    def __new__(cls, disc: FiniteQuadraticForm, maps):
+        self = super().__new__(cls, maps)
+        self.disc = disc
+        self.memo = tuple({} for _ in self)
+        return self
+
+    def image(self, g: int, x) -> tuple:
+        """The image of the reduced element x under action g."""
+        memo = self.memo[g]
+        y = memo.get(x)
+        if y is None:
+            y = memo[x] = apply_map(self.disc, self[g], x)
+        return y
+
+
+def _generator_actions(gd: GlueData) -> _TauActions:
     """The actions on A_R of ``tau_generator_isometries``, as generator images.
 
     This is ``lattice.disc_action`` with the kept Smith rows K of U G formed
@@ -499,10 +519,10 @@ def _generator_actions(gd: GlueData) -> list:
         KM = [[sj * row[pj] for pj, sj in zip(p, s)] for row in K]
         actions.append(tuple(tuple(sum(map(mul, r, col)) // d[i] % d[k] for r, k in zip(KM, kept))
                              for col, i in zip(cols, kept)))
-    return actions
+    return _TauActions(gd.disc, actions)
 
 
-def _glue_orbits(disc: FiniteQuadraticForm, actions, subgroups) -> list:
+def _glue_orbits(actions: _TauActions, subgroups) -> list:
     """(least member, words, edges) of each orbit of the sorted glues
     ``subgroups`` under ``actions``, in the order of the least members:
     ``words`` maps each glue K of the orbit (its sorted elements) to the
@@ -514,8 +534,8 @@ def _glue_orbits(disc: FiniteQuadraticForm, actions, subgroups) -> list:
             continue
         words, edges, queue = {s.elements: ()}, {}, [s.elements]
         for key in queue:
-            edges[key] = tuple(tuple(sorted(apply_map(disc, g, x) for x in key))
-                               for g in actions)
+            edges[key] = tuple(tuple(sorted(actions.image(g, x) for x in key))
+                               for g in range(len(actions)))
             for g, image in enumerate(edges[key]):
                 if image not in words:
                     words[image] = words[key] + (g,)
@@ -534,11 +554,11 @@ def image_of_tau(gd: GlueData, quotient: FiniteQuadraticForm | None = None) -> T
     if quotient is None:
         quotient = perp_quotient(gd.disc, gd.glue)
     actions = _generator_actions(gd)
-    (_, words, edges), = _glue_orbits(gd.disc, actions, [gd.glue])
+    (_, words, edges), = _glue_orbits(actions, [gd.glue])
     return _stabilizer_image(gd, quotient, words, edges, actions)
 
 
-def _stabilizer_image(gd: GlueData, quotient, words, edges, actions) -> TauImage:
+def _stabilizer_image(gd: GlueData, quotient, words, edges, actions: _TauActions) -> TauImage:
     """``image_of_tau`` from an orbit of ``_glue_orbits`` rooted at the glue."""
     if not isinstance(quotient.source, QuotientSource):
         raise BadParameter("form is not a perp quotient")
@@ -548,12 +568,12 @@ def _stabilizer_image(gd: GlueData, quotient, words, edges, actions) -> TauImage
     fwd = {next(iter(words)): lifts}  # t_K of the lifts, K in tree order
     for key, word in words.items():
         for g, image in enumerate(edges[key]):
-            xs = tuple(apply_map(gd.disc, actions[g], x) for x in fwd[key])
+            xs = tuple(actions.image(g, x) for x in fwd[key])
             if words[image] == word + (g,):
                 fwd[image] = xs
                 continue
             for h in reversed(words[image]):  # t^-1 is the reversed word
-                xs = tuple(apply_map(gd.disc, actions[h], x) for x in xs)
+                xs = tuple(actions.image(h, x) for x in xs)
             schreier.add(xs)
     gens = {tuple(project_to_quotient(quotient, x) for x in xs) for xs in schreier} - {ident}
     group, queue = {ident}, [ident]
@@ -565,6 +585,6 @@ def _stabilizer_image(gd: GlueData, quotient, words, edges, actions) -> TauImage
                 queue.append(nxt)
     for f in gens:  # then every product of them preserves q too
         for x in quotient.elements():
-            if quotient.q(apply_map(quotient, f, x)) != quotient.q(x):
+            if quotient.q_scaled(apply_map(quotient, f, x)) != quotient.q_scaled(x):
                 raise InternalError("induced map does not preserve q")
     return TauImage(quotient, tuple(sorted(group)), True, _TAU_NOTE)

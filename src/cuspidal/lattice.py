@@ -414,6 +414,9 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
 
     Its matrix M has M^T G M = (s_i s_j G[p_i][p_j]), so the form check
     compares G with its reindexed copy entry by entry, without a product.
+    Entries whose row and column are both fixed with sign +1 compare equal
+    trivially, so only the rows of the moved indices are compared: by the
+    symmetry of G they cover the pairs whose column is moved.
     """
     n = domain.rank
     if sorted(perm) != list(range(n)) or len(signs) != n or any(
@@ -421,9 +424,10 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
     ):
         raise NotIsometry("not a signed permutation of the basis")
     G = domain.gram.data
+    moved = [i for i in range(n) if perm[i] != i or signs[i] != 1]
     if any(
         G[i][j] != signs[i] * signs[j] * G[perm[i]][perm[j]]
-        for i in range(n) for j in range(i + 1)
+        for i in moved for j in range(n)
     ):
         raise NotIsometry("signed permutation does not preserve the form")
 

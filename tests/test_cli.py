@@ -67,6 +67,15 @@ class TestCuspZero:
         assert captured.err == (f"error: factor {d} passes Miller-Rabin but exceeds its "
                                 "proof bound 3317044064679887385961981\n")
 
+    def test_rho_beyond_its_step_bound_names_the_bound(self, capsys):
+        # two primes near 10^15: rho would need some 3 * 10^7 steps to split d
+        d = 1000000000000037 * 2000000000000021
+        code = run(["cusp", "zero", "--d", str(d)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: Pollard rho finds no factor of {d} within its "
+                                "step bound 1048576\n")
+
     def test_primary_part_beyond_bound_names_the_bound(self, capsys):
         # d = 2^19: the 2-part Z/2^20 + Z/2 of A_N has 2^21 elements
         code = run(["cusp", "zero", "--d", "524288"])

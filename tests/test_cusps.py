@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from cuspidal import cusps, fqf
+from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
     BadCase,
@@ -10,6 +11,7 @@ from cuspidal.errors import (
     BadParameter,
     HypothesisFailed,
     InternalError,
+    NotIsotropic,
     NotSquareFree,
 )
 
@@ -237,6 +239,96 @@ class TestOneDim:
             candidates=[cusps.Candidate("2A2+2D7")],  # wrong determinant class
         )
         assert len(rows) == 1 and not rows[0].ok
+
+
+def _genus_first_choice(case, cand):
+    """The glue that the orbit loop picks when the genus comes first: per
+    orbit, perp quotient and isometry test, then the root certificate
+    unless a <-2> summand rules it out; the first orbit that passes both,
+    else the matching orbit with the greatest member (the last match)."""
+    target = cusps.predicted_AE(case, 1)
+    gd0 = glue.make_glue(cand.roots)
+    h_order = isqrt(abs(gd0.base.det) // cusps.det_E(case, 1))
+    subs = [s for s in fqf.isotropic_subgroups(gd0.disc) if s.order == h_order]
+    certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
+    chosen, last = None, ()
+    for s, words, _ in glue._glue_orbits(glue._generator_actions(gd0), subs):
+        if not fqf.are_isometric(fqf.perp_quotient(gd0.disc, s), target)[0]:
+            continue
+        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
+        if certifiable and not glue.glue_adds_roots(gd):
+            return s
+        if max(words) > last:
+            chosen, last = s, max(words)
+    return chosen
+
+
+def _rows_and_glues(monkeypatch, case, candidates):
+    """The rows of ``one_dim_cusps`` and the glue Im tau was computed for,
+    one per realized row."""
+    glues = []
+    stabilizer_image = glue._stabilizer_image
+
+    def spy(gd, *rest):
+        glues.append(gd.glue)
+        return stabilizer_image(gd, *rest)
+
+    monkeypatch.setattr(glue, "_stabilizer_image", spy)
+    rows = cusps.one_dim_cusps(case, candidates)
+    assert len(glues) == sum(1 for r in rows if r.genus_ok)
+    return rows, glues
+
+
+class TestGlueChoice:
+    # the two <-2> candidates of the cusp one fixture, and a certifiable
+    # base whose two matching orbits both add roots (a spinor class of D8
+    # makes it E8; v + (1, 1) makes D8 + 2A1 into D10), so the last match
+    # is taken
+    EXTRA = (cusps.Candidate("2D8+<-2>+<-2>"), cusps.Candidate("D12+D4+<-2>+<-2>"),
+             cusps.Candidate("E8+D8+2A1"))
+
+    def test_certificate_first_picks_the_glue_of_the_genus_first_loop(self, monkeypatch):
+        case = cusps.PolarizationCase(1, "split")
+        candidates = cusps.TABLE1_ROWS + self.EXTRA
+        rows, glues = _rows_and_glues(monkeypatch, case, candidates)
+        assert all(r.genus_ok for r in rows)
+        for cand, chosen in zip(candidates, glues):
+            assert chosen == _genus_first_choice(case, cand), cand.roots
+        assert [r.roots_ok for r in rows[-3:]] == [False, False, False]
+        assert rows[-1].computed_roots == "2E8+2A1"
+
+    def test_o_ae_of_each_table1_glue_is_the_per_case_value(self, monkeypatch):
+        # the quotient of each chosen glue, rebuilt and its O(q) enumerated,
+        # against the one count on the target form
+        rows, glues = _rows_and_glues(monkeypatch, cusps.PolarizationCase(1, "split"), None)
+        assert len(rows) == len(glues) == 13
+        for row, chosen in zip(rows, glues):
+            quotient = fqf.perp_quotient(chosen.form, chosen)
+            assert len(fqf.orthogonal_group(quotient)) == row.o_ae == 2
+            assert row.classes == row.o_ae // row.im_tau
+
+    def test_o_ae_is_counted_once_and_not_without_a_realized_row(self, monkeypatch):
+        counted = []
+        orthogonal_group = fqf.orthogonal_group
+
+        def spy(form, bound):
+            counted.append(form)
+            return orthogonal_group(form, bound)
+
+        monkeypatch.setattr(fqf, "orthogonal_group", spy)
+        case = cusps.PolarizationCase(1, "split")
+        cusps.one_dim_cusps(case, [cusps.Candidate("2A2+2D7")])
+        assert counted == []
+        cusps.one_dim_cusps(case)
+        assert counted == [cusps.predicted_AE(case, 1)]
+
+    def test_user_glue_that_is_not_isotropic_keeps_its_error(self):
+        # A17+A1: (3, 1) is not isotropic; the message is that of perp_quotient
+        gd0 = glue.make_glue("A17+A1")
+        bad = next(x for x in gd0.disc.elements() if gd0.disc.q(x) != 0)
+        with pytest.raises(NotIsotropic, match="^subgroup is not isotropic$"):
+            cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"),
+                                [cusps.Candidate("A17+A1", glue_gens=[bad])])
 
 
 class TestReports:

@@ -473,6 +473,16 @@ class TestFactorize:
                 "its proof bound 3317044064679887385961981$")):
             factorize(3 * (2**89 - 1))
 
+    def test_rho_stops_at_its_step_bound(self, monkeypatch):
+        # rho splits 999999929 * 1000000009 after about 1.8 * 10^4 steps
+        n = 999999929 * 1000000009
+        monkeypatch.setattr(exact, "_RHO_LIMIT", 10**4)
+        with pytest.raises(GroupTooLarge, match=(
+                f"^Pollard rho finds no factor of {n} within its step bound 10000$")):
+            factorize(n)
+        monkeypatch.setattr(exact, "_RHO_LIMIT", 2 * 10**4)
+        assert factorize(n) == {999999929: 1, 1000000009: 1}
+
     def test_small_factors_take_trial_division_alone(self, monkeypatch):
         monkeypatch.setattr(exact, "_prime_factors", None)
         assert factorize(30000) == {2: 4, 3: 1, 5: 4}

@@ -471,7 +471,7 @@ def test_glue_orbits_partition_the_target_order_glues(spec, glues, orbits):
     disc = gd0.disc
     actions = [lat.disc_action(iso, disc.source.smith, disc.source.kept)
                for iso in glue.tau_generator_isometries(gd0)]
-    found = glue._glue_orbits(disc, glue._generator_actions(gd0), subs)
+    found = glue._glue_orbits(glue._generator_actions(gd0), subs)
     assert (len(subs), len(found)) == (glues, orbits)
     members = [key for _, words, _ in found for key in words]
     assert sorted(members) == [s.elements for s in subs]  # a cover, with no overlap

@@ -288,6 +288,18 @@ class TestIsometries:
         assert lat.spinor_norm(lat.Isometry.minus_identity(lat.U())) == -1
         assert lat.spinor_norm(lat.Isometry.minus_identity(lat.A(2))) == 1
 
+    def test_signed_permutation_compares_moved_with_fixed_indices(self):
+        # on the path 0 - 1 - 2 each adjacent swap keeps the pairings among
+        # the indices it moves and breaks only those with the fixed index,
+        # once in the row of the fixed index and once in its column
+        L = lat.Lattice([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+        for perm, signs in (([1, 0, 2], (1, 1, 1)), ([0, 2, 1], (1, 1, 1)),
+                            ([0, 1, 2], (1, -1, 1)), ([0, 1, 2], (1, 1, -1))):
+            with pytest.raises(NotIsometry, match="does not preserve the form"):
+                lat.check_signed_permutation(L, perm, signs)
+        lat.check_signed_permutation(L, [2, 1, 0], (1, 1, 1))  # the diagram flip
+        lat.check_signed_permutation(L, [0, 1, 2], (-1, -1, -1))
+
     def test_not_isometry(self):
         from cuspidal.exact import IntMatrix
 
