@@ -14,9 +14,10 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import cusps, fqf, glue
 from .errors import BadParameter, CuspidalError, InternalError
@@ -324,79 +325,168 @@ def _jsonable(v):
 # ---------------------------------------------------------------------------
 # parser
 
+# The CLI grammar, declared once.  ``build_parser`` reads it to parse the
+# exact forms itself; ``_argparse_parser`` builds from it, in the same order,
+# the argparse parser that decides every other argv and prints every help
+# and usage message.  A leaf's options are (flag, add_argument keywords);
+# ``--format``, ``--out`` and ``--bound`` follow every leaf's own.
+Leaf = namedtuple("Leaf", "group verb help func positionals options")
 
-def build_parser() -> argparse.ArgumentParser:
+GROUP_HELP = {
+    "lat": "lattice utilities",
+    "cusp": "boundary enumeration",
+    "glue": "overlattice utilities",
+    "verify": "fixture-driven paper checks",
+}
+
+
+def _common(default_format="json"):
+    return (
+        ("--format", {"choices": ("json", "md"), "default": default_format}),
+        ("--out", {"default": None, "help": "write output to a file"}),
+        ("--bound", {"type": int, "default": fqf.ENUM_BOUND,
+                     "help": "enumeration cap for brute-force scans"}),
+    )
+
+
+_D = ("--d", {"type": int, "required": True})
+_CASE = ("--case", {"choices": ("split", "nonsplit"), "default": "split"})
+
+COMMANDS = (
+    Leaf("lat", "info", "rank, determinant, signature, parity", _cmd_lat_info,
+         (("lattice", "builtin name, JSON, or path"),), _common()),
+    Leaf("lat", "disc", "discriminant quadratic form", _cmd_lat_disc,
+         (("lattice", None),), _common()),
+    Leaf("cusp", "zero", "zero-dimensional boundary components", _cmd_cusp_zero, (),
+         (_D, _CASE,
+          ("--mode", {"choices": ("formula", "enumerate", "both"), "default": "both"}),
+          *_common())),
+    Leaf("cusp", "one", "one-dimensional boundary components", _cmd_cusp_one, (),
+         (_D, _CASE,
+          ("--candidates", {"default": None,
+                            "help": "JSON file of candidate root decompositions"}),
+          *_common())),
+    Leaf("cusp", "sweep", "formula vs enumeration over a d range", _cmd_cusp_sweep, (),
+         (("--d", {"required": True, "help": "range, e.g. 1..50"}), _CASE, *_common())),
+    Leaf("glue", "enum", "enumerate isotropic glue subgroups", _cmd_glue_enum, (),
+         (("--roots", {"required": True, "help": 'root spec, e.g. "A3+A15"'}),
+          ("--order", {"type": int, "default": None}),
+          ("--roots-of-overlattice", {"action": "store_true", "default": False}),
+          *_common())),
+    Leaf("glue", "roots", "root system of a negative definite lattice", _cmd_glue_roots,
+         (("lattice", None),), _common()),
+    Leaf("verify", "table1", "the 13-row genus table", _cmd_verify_table1, (),
+         _common(default_format="md")),
+    Leaf("verify", "example-c12", "the cubic-scroll rank-2 fixture", _cmd_verify_example,
+         (), _common(default_format="md")),
+)
+
+
+class _Parser:
+    """Parser of the exact forms of the grammar in ``COMMANDS``.
+
+    ``parse_args`` accepts only ``<group> <verb>`` as declared, then exact
+    long option names each with a separate value (or a bare store-true
+    flag) and exactly the declared positionals, in any order; no value or
+    positional may start with ``-``.  Each value must pass its ``type`` and
+    ``choices``, every required option must be present, and the last of a
+    repeated option wins.  It returns what argparse would: a namespace with
+    ``command``, ``verb``, ``func`` and every dest.  Every other argv, help
+    and usage errors included, goes to the argparse parser built from the
+    same table, which decides it as it always has.
+    """
+
+    def __init__(self):
+        self.leaves = {(leaf.group, leaf.verb): leaf for leaf in COMMANDS}
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = self._parse_exact(argv)
+        if args is None:
+            args = _argparse_parser().parse_args(argv)
+        return args
+
+    def _parse_exact(self, argv):
+        """The namespace for an exact form, or None for argparse to decide."""
+        leaf = self.leaves.get(tuple(argv[:2]))
+        if leaf is None:
+            return None
+        options = dict(leaf.options)
+        values = {_dest(flag): kw.get("default") for flag, kw in leaf.options}
+        seen = set()
+        positionals = []
+        rest = iter(argv[2:])
+        for token in rest:
+            if not token.startswith("-"):
+                positionals.append(token)
+                continue
+            kw = options.get(token)
+            if kw is None:
+                return None
+            seen.add(token)
+            if kw.get("action") == "store_true":
+                values[_dest(token)] = True
+                continue
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+            if "type" in kw:
+                try:
+                    value = kw["type"](value)
+                except (TypeError, ValueError):
+                    return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+            values[_dest(token)] = value
+        if len(positionals) != len(leaf.positionals):
+            return None
+        if any(kw.get("required") and flag not in seen for flag, kw in leaf.options):
+            return None
+        values.update(zip((name for name, _ in leaf.positionals), positionals))
+        return SimpleNamespace(command=leaf.group, verb=leaf.verb, func=leaf.func, **values)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def build_parser() -> _Parser:
+    """The CLI parser.  It parses the exact forms of ``COMMANDS`` itself (see
+    ``_Parser``); argparse, imported only then, decides every other argv,
+    help and usage errors included."""
+    return _Parser()
+
+
+def _argparse_parser():
+    """The argparse parser of ``COMMANDS``: a subparser per group and per
+    verb, and an argument per positional and option, in table order.  It
+    decides every argv that is not an exact form, and prints every help
+    and usage message."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="cuspidal", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, default_format="json"):
-        sp.add_argument("--format", choices=("json", "md"), default=default_format)
-        sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument("--bound", type=int, default=fqf.ENUM_BOUND,
-                        help="enumeration cap for brute-force scans")
-
-    lat = sub.add_parser("lat", help="lattice utilities").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = lat.add_parser("info", help="rank, determinant, signature, parity")
-    sp.add_argument("lattice", help="builtin name, JSON, or path")
-    common(sp)
-    sp.set_defaults(func=_cmd_lat_info)
-    sp = lat.add_parser("disc", help="discriminant quadratic form")
-    sp.add_argument("lattice")
-    common(sp)
-    sp.set_defaults(func=_cmd_lat_disc)
-
-    cusp = sub.add_parser("cusp", help="boundary enumeration").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = cusp.add_parser("zero", help="zero-dimensional boundary components")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--case", choices=("split", "nonsplit"), default="split")
-    sp.add_argument("--mode", choices=("formula", "enumerate", "both"), default="both")
-    common(sp)
-    sp.set_defaults(func=_cmd_cusp_zero)
-    sp = cusp.add_parser("one", help="one-dimensional boundary components")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--case", choices=("split", "nonsplit"), default="split")
-    sp.add_argument("--candidates", default=None,
-                    help="JSON file of candidate root decompositions")
-    common(sp)
-    sp.set_defaults(func=_cmd_cusp_one)
-    sp = cusp.add_parser("sweep", help="formula vs enumeration over a d range")
-    sp.add_argument("--d", required=True, help="range, e.g. 1..50")
-    sp.add_argument("--case", choices=("split", "nonsplit"), default="split")
-    common(sp)
-    sp.set_defaults(func=_cmd_cusp_sweep)
-
-    gl = sub.add_parser("glue", help="overlattice utilities").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = gl.add_parser("enum", help="enumerate isotropic glue subgroups")
-    sp.add_argument("--roots", required=True, help='root spec, e.g. "A3+A15"')
-    sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--roots-of-overlattice", action="store_true")
-    common(sp)
-    sp.set_defaults(func=_cmd_glue_enum)
-    sp = gl.add_parser("roots", help="root system of a negative definite lattice")
-    sp.add_argument("lattice")
-    common(sp)
-    sp.set_defaults(func=_cmd_glue_roots)
-
-    ver = sub.add_parser("verify", help="fixture-driven paper checks").add_subparsers(
-        dest="verb", required=True
-    )
-    sp = ver.add_parser("table1", help="the 13-row genus table")
-    common(sp, default_format="md")
-    sp.set_defaults(func=_cmd_verify_table1)
-    sp = ver.add_parser("example-c12", help="the cubic-scroll rank-2 fixture")
-    common(sp, default_format="md")
-    sp.set_defaults(func=_cmd_verify_example)
-
+    groups = {}
+    for leaf in COMMANDS:
+        if leaf.group not in groups:
+            groups[leaf.group] = sub.add_parser(
+                leaf.group, help=GROUP_HELP[leaf.group]
+            ).add_subparsers(dest="verb", required=True)
+        sp = groups[leaf.group].add_parser(leaf.verb, help=leaf.help)
+        for name, help_text in leaf.positionals:
+            sp.add_argument(name, help=help_text)
+        for flag, kw in leaf.options:
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(func=leaf.func)
     return p
 
 
 def run(argv=None) -> int:
+    """Run one CLI command and return its exit code.
+
+    Exact forms are parsed by ``build_parser``'s table lookup; help, usage
+    errors and every other form by argparse, whose exit is caught here.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,7 +23,6 @@ unit automorphisms and every dependent count is flagged conditional.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
@@ -287,7 +286,7 @@ def _verified_reps(model: DiscModel, count: int) -> list:
             if gcd(m, n) != 1:
                 continue
             x = _element_of_order(model, m, n)
-            if form.q(x) != 0:
+            if form.q_scaled(form.reduce(x)) != 0:
                 raise InternalError(f"x_({m},{n}) is not isotropic")
             if form.order_of(x) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
@@ -565,6 +564,8 @@ def example_c12() -> dict:
     delta = 4(v1 - w1) + 6(v2 + w2) - 5e and beta1 = -3g + tau, and checks
     the complement against U + E8^2 + B3 + <4> at the genus level.
     """
+    from fractions import Fraction
+
     from .lattice import delta_prime_test, pair, split_rational, splitting_from
 
     L = k3_square_lattice()
@@ -608,6 +609,8 @@ def example_c12() -> dict:
 
 
 def example_c12_ok(data: dict | None = None) -> bool:
+    from fractions import Fraction
+
     data = data if data is not None else example_c12()
     return (
         data["g2"] == 6

@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -59,6 +58,8 @@ class FiniteQuadraticForm:
     __slots__ = ("orders", "level", "gram", "source")
 
     def __init__(self, orders, qdiag, bmat, source=None):
+        from fractions import Fraction
+
         orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in orders):
             raise ValueError("invariant factors must be >= 2")
@@ -149,6 +150,8 @@ class FiniteQuadraticForm:
     # form values ------------------------------------------------------
 
     def q(self, x) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.q_scaled(self.reduce(x)), self.level)
 
     def q_scaled(self, x) -> int:
@@ -156,17 +159,23 @@ class FiniteQuadraticForm:
         return self.gram.bilinear(x, x) % (2 * self.level)
 
     def b(self, x, y) -> Fraction:
+        from fractions import Fraction
+
         value = self.gram.bilinear(self.reduce(x), self.reduce(y))
         return Fraction(value % self.level, self.level)
 
     @property
     def qdiag(self) -> tuple:
         """q of the generators, in [0, 2)."""
+        from fractions import Fraction
+
         return tuple(Fraction(row[i], self.level) for i, row in enumerate(self.gram.data))
 
     @property
     def bmat(self) -> tuple:
         """b of pairs of generators, in [0, 1)."""
+        from fractions import Fraction
+
         n = self.level
         return tuple(tuple(Fraction(x % n, n) for x in row) for row in self.gram.data)
 
@@ -189,6 +198,8 @@ class FiniteQuadraticForm:
 
     def lift(self, x):
         """Rational dual-vector representative in the source lattice, if any."""
+        from fractions import Fraction
+
         src = self.source
         if not isinstance(src, LatticeSource):
             raise ValueError("form has no lattice provenance")
@@ -288,7 +299,7 @@ def discriminant_form(lattice) -> FiniteQuadraticForm:
 
 
 def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm((), (), ())
+    return FiniteQuadraticForm.from_gram((), [])
 
 
 def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -578,10 +589,16 @@ def _unit(n, i):
 # isometries between forms, orthogonal groups, embeddings
 
 
+def _q_pair(scaled: int, level: int) -> tuple:
+    """q = scaled / level as a reduced pair of integers, comparable across levels."""
+    g = gcd(scaled, level)
+    return scaled // g, level // g
+
+
 def _signature_buckets(form: FiniteQuadraticForm, bound: int):
     buckets = {}
     for x in form.elements(bound):
-        key = (form.order_of(x), form.q(x))
+        key = (form.order_of(x), _q_pair(form.q_scaled(x), form.level))
         buckets.setdefault(key, []).append(x)
     return buckets
 
@@ -592,9 +609,12 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
 
     Generator images must match exact order and q value; the candidate
     is accepted when the generated subgroup has ``need_size`` elements.
+    Values are compared as integers: b(x, y) = v / level in [0, 1) on
+    both sides, so equal values have equal cross products v_a level_b.
     """
     buckets = _signature_buckets(b, bound)
-    qdiag, bmat = a.qdiag, a.bmat
+    la, lb = a.level, b.level
+    arows = a.gram.data
     gens = [_unit(a.rank, i) for i in range(a.rank)]
     results = []
 
@@ -607,11 +627,11 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
                 results.append(tuple(images))
                 return not find_all
             return False
-        key = (a.orders[i], qdiag[i])
+        key = (a.orders[i], _q_pair(arows[i][i], la))
         for y in buckets.get(key, ()):
             ok = True
             for j in range(i):
-                if b.b(images[j], y) != bmat[j][i]:
+                if (b.gram.bilinear(images[j], y) % lb) * la != (arows[j][i] % la) * lb:
                     ok = False
                     break
             if ok:
@@ -684,6 +704,8 @@ def form_to_json(form: FiniteQuadraticForm) -> str:
 
 
 def form_from_json(text: str) -> FiniteQuadraticForm:
+    from fractions import Fraction
+
     obj = json.loads(text)
     orders = obj["orders"]
     qd = [Fraction(s) for s in obj["q"]]

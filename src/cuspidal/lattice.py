@@ -22,7 +22,6 @@ import json
 import os
 import re
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -117,10 +116,13 @@ class Lattice:
 
 
 def _as_exact(x):
-    if isinstance(x, Fraction):
-        return x if x.denominator != 1 else int(x)
     if isinstance(x, int):
         return x
+    # ints come first, so integer coordinates never import fractions
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x if x.denominator != 1 else int(x)
     raise BadParameter(f"coordinates must be ints or Fractions, got {type(x).__name__}")
 
 
@@ -164,7 +166,7 @@ class LatticeVector(namedtuple("LatticeVector", "home coords")):
         return LatticeVector(self.home, [-a for a in self.coords])
 
     def __rmul__(self, c) -> "LatticeVector":
-        c = _as_exact(c) if not isinstance(c, int) else c
+        c = _as_exact(c)
         return LatticeVector(self.home, [c * a for a in self.coords])
 
     # v * c scales too, instead of repeating the record as a tuple
@@ -383,6 +385,8 @@ def split_rational(split: OrthogonalSplitting, v: LatticeVector):
     e a = V (e D^-1) U ((m_i, v))_i is an integer vector (for integral v),
     and the one division by e comes last.
     """
+    from fractions import Fraction
+
     if v.home != split.ambient:
         raise MixedLattices("vector lives in a different lattice")
     rows = split.left.basis_matrix

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cuspidal import cli
 from cuspidal.cli import run
 
 
@@ -236,6 +237,8 @@ class TestInputErrors:
             # the walk needs 64,944 attempts on 8A1
             (["glue", "enum", "--roots", "8A1", "--bound", "60000"], None,
              "isotropic subgroup search exceeds enumeration bound 60000"),
+            # a negative value is no exact form: argparse parses it
+            (["cusp", "zero", "--d", "-4"], None, "d must be a positive integer"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
@@ -362,35 +365,143 @@ def test_cusp_zero_factors_d_once(capsys, monkeypatch):
     assert calls == [(1000000000039,)]
 
 
-def test_cli_import_is_stdlib_only():
+def _fresh_process(probe: str):
+    """The JSON that ``probe`` prints, run in a fresh interpreter."""
     import os
     import subprocess
     import sys
 
     import cuspidal
 
+    src = os.path.dirname(os.path.dirname(cuspidal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out)
+
+
+def test_cli_import_is_stdlib_only():
+    import sys
+
     # the set-up of every CLI invocation: import and build the parser
-    probe = (
+    added = _fresh_process(
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import cuspidal.cli\n"
         "cuspidal.cli.build_parser()\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    src = os.path.dirname(os.path.dirname(cuspidal.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    added = json.loads(out)
     assert "concurrent.futures" not in added
     allowed = sys.stdlib_module_names | {"cuspidal"}
     assert [m for m in added if m.split(".")[0] not in allowed] == []
     # compiled from source, dataclasses (with the inspect, ast, dis and
     # tokenize it pulls in) takes longer to import than the package itself,
-    # and typing about half as long
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    # and typing about half as long; argparse with gettext and locale takes
+    # about 60 ms, and fractions (with decimal and numbers) 13-16 ms
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+             "argparse", "gettext", "locale", "fractions"}
     assert sorted(heavy.intersection(added)) == []
+
+
+def test_cusp_zero_and_table1_import_neither_fractions_nor_argparse():
+    # both compare form values as integers and parse as exact forms, so
+    # neither import moves from set-up into the timed command
+    codes, loaded = _fresh_process(
+        "import contextlib, io, json, sys\n"
+        "import cuspidal.cli\n"
+        "codes = []\n"
+        "for argv in (['cusp', 'zero', '--d', '30000'], ['verify', 'table1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cuspidal.cli.run(argv))\n"
+        "print(json.dumps([codes, sorted({'fractions', 'argparse'} & set(sys.modules))]))\n"
+    )
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+# (argv, exact form): every leaf, option and default, a repeated option, and
+# each form that only argparse decides
+PARSES = [
+    (["lat", "info", "A1"], True),
+    (["lat", "info", "--format", "md", "U+<-2>", "--out", "x.md", "--bound", "7"], True),
+    (["lat", "info", ""], True),
+    (["lat", "disc", "A1+A2"], True),
+    (["cusp", "zero", "--d", "30000"], True),
+    (["cusp", "zero", "--d", "5", "--case", "nonsplit", "--mode", "formula", "--d", "7"],
+     True),
+    (["cusp", "zero", "--d", "+5", "--mode", "enumerate", "--format", "md",
+      "--format", "json"], True),
+    (["cusp", "one", "--d", "1"], True),
+    (["cusp", "one", "--candidates", "c.json", "--d", "2", "--case", "nonsplit"], True),
+    (["cusp", "sweep", "--d", "1..50"], True),
+    (["cusp", "sweep", "--case", "nonsplit", "--d", "3"], True),
+    (["glue", "enum", "--roots", "4A3"], True),
+    (["glue", "enum", "--roots", "A3+A15", "--order", "4", "--roots-of-overlattice",
+      "--roots-of-overlattice"], True),
+    (["glue", "roots", "E8", "--bound", "0"], True),
+    (["verify", "table1"], True),
+    (["verify", "table1", "--format", "json", "--out", "t.json"], True),
+    (["verify", "example-c12", "--bound", "10"], True),
+    # fewer than two words, or no such group or verb
+    ([], False),
+    (["lat"], False),
+    (["cusp", "two"], False),
+    (["foo", "bar"], False),
+    # help
+    (["-h"], False),
+    (["--help"], False),
+    (["glue", "-h"], False),
+    (["glue", "enum", "-h"], False),
+    (["cusp", "zero", "--d", "5", "--help"], False),
+    # forms argparse accepts
+    (["cusp", "zero", "--d=7"], False),
+    (["cusp", "zero", "--d", "7", "--mod", "formula"], False),
+    (["lat", "info", "--", "A1"], False),
+    (["cusp", "zero", "--d", "-4"], False),
+    (["lat", "info", "-4"], False),
+    # usage errors
+    (["cusp", "zero", "--d", "3", "--frobnicate"], False),
+    (["cusp", "zero", "--d", "3", "-x"], False),
+    (["cusp", "zero", "--d", "7", "--roots", "A1"], False),
+    (["cusp", "zero", "--d", "x"], False),
+    (["glue", "enum", "--roots", "A1", "--order", "1.5"], False),
+    (["cusp", "zero", "--d", "7", "--format", "xml"], False),
+    (["cusp", "zero"], False),
+    (["glue", "enum", "--order", "4"], False),
+    (["glue", "enum", "--roots", "A1", "--order"], False),
+    (["lat", "info", "A1", "--out", "-x"], False),
+    (["lat", "info"], False),
+    (["lat", "info", "A1", "A2"], False),
+    (["verify", "table1", "extra"], False),
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = ("args", vars(parse(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, exact", PARSES)
+def test_table_parser_agrees_with_argparse(capsys, monkeypatch, argv, exact):
+    expected = _parse_outcome(cli._argparse_parser().parse_args, argv, capsys)
+    fallbacks = []
+    argparse_parser = cli._argparse_parser
+
+    def counted():
+        fallbacks.append(argv)
+        return argparse_parser()
+
+    monkeypatch.setattr(cli, "_argparse_parser", counted)
+    assert _parse_outcome(cli.build_parser().parse_args, argv, capsys) == expected
+    assert len(fallbacks) == (0 if exact else 1)
+    (kind, value), captured = expected
+    if kind == "exit":
+        assert run(argv) == (0 if value in (0, None) else 2)
+        assert capsys.readouterr() == captured
 
 
 GOLDEN = Path(__file__).parent / "data"
