@@ -22,7 +22,6 @@ from .lattice import (
     orthogonal_complement,
     pair,
     parse_name,
-    rank2_isometric,
     reflection,
     spinor_norm,
     split_rational,
@@ -56,7 +55,6 @@ from .cusps import (
     Candidate,
     CuspReport,
     PolarizationCase,
-    build_polarized,
     example_c12,
     example_c12_ok,
     nu,

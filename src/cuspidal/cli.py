@@ -228,7 +228,7 @@ def _cmd_glue_enum(args) -> int:
             "order": s.order,
             "overlattice_det": over.lattice.det,
             "quotient_orders": list(quotient.orders),
-            "quotient_q": [str(x) for x in quotient.qdiag],
+            "quotient_q": fqf.q_strings(quotient),
         }
         if args.roots_of_overlattice:
             row["roots"] = glue.root_system(over.lattice).spec_string()

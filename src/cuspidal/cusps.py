@@ -39,12 +39,10 @@ from . import glue as glue_mod
 from .fqf import FiniteQuadraticForm, FqfSubgroup, discriminant_form, trivial_form
 from .lattice import (
     Lattice,
-    Sublattice,
     direct_sum,
     divisibility,
     make_standard,
     parse_name,
-    rank2_isometric,
 )
 
 
@@ -117,80 +115,6 @@ def disc_model(case: PolarizationCase) -> DiscModel:
 
 
 # ---------------------------------------------------------------------------
-# the explicit polarized embedding in U^3 + E8^2 + <-2>
-
-
-class PolarizedEmbedding(namedtuple(
-    "PolarizedEmbedding", "case ambient h complement disc t_class e_class"
-)):
-    """h and its complement N in the ambient lattice, with A_N and the
-    distinguished classes of ``DiscModel``."""
-
-    __slots__ = ()
-
-
-def k3_square_lattice() -> Lattice:
-    return parse_name("U+U+U+E8+E8+<-2>")
-
-
-def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
-    """Explicit h and N inside U^3 + E8^2 + <-2>, checked by Gram computation.
-
-    Basis order: v1, w1, v2, w2, v3, w3, two E8 blocks, e.
-    """
-    L = k3_square_lattice()
-    n = L.rank
-    d = case.d
-
-    def unit(i):
-        return [int(j == i) for j in range(n)]
-
-    if case.split:
-        h = L.vector([1, d] + [0] * (n - 2))
-        rows = [[1, -d] + [0] * (n - 2)]  # t = v1 - d w1, norm -2d
-        rows += [unit(i) for i in range(2, n - 1)]
-        rows += [unit(n - 1)]  # e last
-        expected_div = 1
-    else:
-        hcoe = [2, (d + 1) // 2] + [0] * (n - 3) + [1]
-        h = L.vector(hcoe)
-        b1 = [1, -(d + 1) // 4] + [0] * (n - 2)
-        b2 = [0, 1] + [0] * (n - 3) + [1]
-        rows = [b1, b2] + [unit(i) for i in range(2, n - 1)]
-        expected_div = 2
-
-    if h.norm != 2 * d:
-        raise InternalError("polarization square is not 2d")
-    if divisibility(h) != expected_div:
-        raise InternalError("polarization divisibility mismatch")
-    sub = Sublattice(L, rows)
-    for b in sub.basis():
-        if b.dot(h) != 0:
-            raise InternalError("complement basis is not orthogonal to h")
-    if not sub.is_primitive():
-        raise InternalError("complement basis is not primitive")
-    gram = sub.lattice.gram
-    if case.split:
-        if gram.data[0][0] != -2 * d or gram.data[n - 2][n - 2] != -2:
-            raise InternalError("distinguished generators have wrong norms")
-    else:
-        if not rank2_isometric(
-            Lattice([[gram.data[0][0], gram.data[0][1]], [gram.data[1][0], gram.data[1][1]]]),
-            make_standard("B", d),
-        ):
-            raise InternalError("B_d block mismatch")
-    form = discriminant_form(sub.lattice)
-    rank_n = sub.rank
-    if case.split:
-        t_cls = form.class_of([1] + [0] * (rank_n - 1), 2 * d)
-        e_cls = form.class_of([0] * (rank_n - 1) + [1], 2)
-    else:
-        t_cls = form.class_of([2, 1] + [0] * (rank_n - 2), d)
-        e_cls = None
-    return PolarizedEmbedding(case, L, h, sub, form, t_cls, e_cls)
-
-
-# ---------------------------------------------------------------------------
 # zero-dimensional cusps
 
 
@@ -201,7 +125,9 @@ def nu_formula(case: PolarizationCase) -> int:
 
 
 def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
-    """Isotropic classes of A_N modulo +-1, counted by a scan of each p-part."""
+    """Isotropic classes of A_N modulo +-1, counted part by part
+    (``fqf.isotropic_pm1_count``): the odd parts of A_N are cyclic and the
+    cofactor of its 2-part has at most two elements, so nothing is listed."""
     return fqf.isotropic_pm1_count(disc_model(case).form, bound, case.primes)
 
 
@@ -535,7 +461,8 @@ class CuspReport(namedtuple("CuspReport", "case nu_result reps one_dim", default
 
 def zero_dim_report(case: PolarizationCase, mode: str = "both",
                     bound: int = fqf.ENUM_BOUND) -> CuspReport:
-    """nu and the orbit representatives, certified by one scan of each p-part of A_N."""
+    """nu and the orbit representatives, certified by one count of the
+    isotropic classes of A_N."""
     _check_nu_mode(mode)
     model = disc_model(case)
     count = fqf.isotropic_pm1_count(model.form, bound, case.primes)
@@ -555,6 +482,11 @@ def full_report(case: PolarizationCase, candidates=None,
 
 # ---------------------------------------------------------------------------
 # the cubic-scroll verification fixture (Hassett-Tschinkel ample cones)
+
+
+def k3_square_lattice() -> Lattice:
+    """The K3^[2] lattice U^3 + E8^2 + <-2>."""
+    return parse_name("U+U+U+E8+E8+<-2>")
 
 
 def example_c12() -> dict:

@@ -24,8 +24,13 @@ parts have coprime denominators, so x is isotropic exactly when every
 p-component is, and -1 fixes only elements with 2x = 0, which lie in
 the 2-part.  Hence the number of isotropic classes modulo +-1 is
 (prod_p I_p + F_2) / 2, with I_p the isotropic elements of A_p and F_2
-those of the 2-part killed by 2: ``isotropic_pm1_count`` scans
-sum_p |A_p| elements instead of prod_p |A_p|.
+those of the 2-part killed by 2, found among the at most 2^r elements
+of A_2[2].  ``isotropic_pm1_count`` scans no part whole: in A_p =
+Z/n_1 + ... + Z/n_r it runs over the cofactor y of the first r - 1
+coordinates and counts the last coordinates x in Z/n_r that make (y, x)
+isotropic, the roots of one quadratic congruence, by Hensel lifting in
+O(log_p n_r) steps.  A cyclic part (every odd part of the A_N of
+``cusps``) costs one such count, whatever its order.
 
 Subgroups are element sets grown one element at a time: the span of H
 and e is the union of the cosets k e + H, for k up to the order of e
@@ -454,25 +459,88 @@ def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
     return parts
 
 
+def _root_count(a: int, b: int, c: int, p: int, m: int) -> int:
+    """Number of x mod m with a x^2 + b x + c = 0 mod m, for a power m of a
+    prime p.
+
+    A content p^s leaves the congruence mod m / p^s, each root of which
+    lifts to p^s roots.  Otherwise a simple root mod p lifts uniquely
+    (Hensel) and a double root r, the only root mod p when there is one,
+    recurses on f(r + p t) / p mod m / p.  The roots mod p are read off
+    the discriminant by Euler's criterion for odd p and tried for p = 2,
+    so each of the at most log_p m steps is a few operations.
+    """
+    lifts = 1
+    while True:
+        while m > 1 and a % p == 0 and b % p == 0 and c % p == 0:
+            a, b, c, m, lifts = a // p, b // p, c // p, m // p, lifts * p
+        if m == 1:
+            return lifts
+        # f'(r) = 2 a r + b; for p = 2 it is b mod 2 at every r
+        if p == 2:
+            if b % 2:
+                return lifts * ((c % 2 == 0) + ((a + b + c) % 2 == 0))
+            if a % 2 == 0:
+                return 0
+            r = c % 2
+        elif a % p == 0:
+            return lifts if b % p else 0
+        else:
+            disc = (b * b - 4 * a * c) % p
+            if disc:
+                return lifts * 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+            r = -b * pow(2 * a, -1, p) % p
+        # f(r + p t) = f(r) + (2 a r + b) p t + a p^2 t^2, every term divisible by p
+        a, b, c, m = a * p, 2 * a * r + b, (a * r * r + b * r + c) // p, m // p
+
+
+def _last_coordinate_count(a: int, b: int, c: int, p: int, n: int) -> int:
+    """Number of x in Z/n with a x^2 + 2 b x + c = 0 mod 2n, for a power n
+    of a prime p.
+
+    The congruence must be well defined on Z/n (a n even), as it is for
+    the last coordinate of a p-part.  For odd p it then holds mod 2
+    exactly when c is even; for p = 2 its roots mod 2n come in pairs
+    x, x + n.
+    """
+    if p == 2:
+        return _root_count(a, 2 * b, c, 2, 2 * n) // 2
+    return 0 if c % 2 else _root_count(a, 2 * b, c, p, n)
+
+
+def _isotropic_count(part: FiniteQuadraticForm, p: int, bound: int) -> int:
+    """I_p of the p-part ``part``: for each y in the cofactor Z/n_1 + ... +
+    Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.  With Gram G over n_r,
+    q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
+    *head, n = part.orders
+    cofactor = prod(head)
+    if cofactor > bound:
+        raise GroupTooLarge(f"{p}-part of order {part.cardinality}: cofactor of order "
+                            f"{cofactor} exceeds enumeration bound {bound}")
+    a, last = part.gram.data[-1][-1], part.gram.data[-1][:-1]
+    return sum(
+        _last_coordinate_count(a, sum(map(mul, last, y)), part.gram.bilinear(y + (0,), y + (0,)),
+                               p, n)
+        for y in product(*map(range, head))
+    )
+
+
 def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
                         primes=None) -> int:
-    """Number of isotropic classes modulo +-1, from a scan of each p-part.
+    """Number of isotropic classes modulo +-1, counted part by part.
 
-    Equals ``len(mod_pm1(form, isotropic_elements(form)))``; ``bound``
-    caps each part, not the whole group; ``primes`` is passed to
-    ``primary_parts``.
+    Equals ``len(mod_pm1(form, isotropic_elements(form)))`` without listing
+    an element: each p-part scans only its cofactor (``_isotropic_count``)
+    and F_2 comes from A_2[2].  ``bound`` caps each cofactor, not a part or
+    the whole group; ``primes`` is passed to ``primary_parts``.
     """
     isotropic, fixed = 1, 1
     for p, part in primary_parts(form, primes).items():
-        try:
-            iso = isotropic_elements(part, bound)
-        except GroupTooLarge:
-            raise GroupTooLarge(
-                f"{p}-part of order {part.cardinality} exceeds enumeration bound {bound}"
-            ) from None
-        isotropic *= len(iso)
+        isotropic *= _isotropic_count(part, p, bound)
         if p == 2:
-            fixed = sum(1 for x in iso if part.smul(2, x) == part.zero)
+            modulus = 2 * part.level
+            fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
+                        if part.gram.bilinear(x, x) % modulus == 0)
     return (isotropic + fixed) // 2
 
 
@@ -693,12 +761,27 @@ def identity_map(form: FiniteQuadraticForm) -> tuple:
 # JSON
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from the reduced integer pair."""
+    n, d = _q_pair(num, den)
+    return f"{n}/{d}" if d > 1 else str(n)
+
+
+def q_strings(form: FiniteQuadraticForm) -> list:
+    """q of the generators, in [0, 2), as the strings of reduced fractions."""
+    return [_ratio_str(row[i], form.level) for i, row in enumerate(form.gram.data)]
+
+
 def form_to_json(form: FiniteQuadraticForm) -> str:
     # symmetric representatives: q in (-1, 1], b in (-1/2, 1/2]
+    n = form.level
+    rows = form.gram.data
     obj = {
         "orders": list(form.orders),
-        "q": [str(x - 2 if x > 1 else x) for x in form.qdiag],
-        "b": [[str(x - 1 if 2 * x > 1 else x) for x in row] for row in form.bmat],
+        "q": [_ratio_str(row[i] - 2 * n if row[i] > n else row[i], n)
+              for i, row in enumerate(rows)],
+        "b": [[_ratio_str(x % n - n if 2 * (x % n) > n else x % n, n) for x in row]
+              for row in rows],
     }
     return json.dumps(obj, sort_keys=True)
 

@@ -30,7 +30,6 @@ from .errors import (
     DependentInput,
     MemberOfSummand,
     MixedLattices,
-    NotDefinite,
     NotIsometry,
     SingularMatrix,
     ZeroVector,
@@ -590,48 +589,6 @@ def group_membership(g: Isometry) -> MembershipFlags:
         in_so_hat_plus=in_o_plus
         and ((action == "id" and det == 1) or (action == "-id" and det == -1)),
     )
-
-
-# ---------------------------------------------------------------------------
-# rank-2 canonical forms (Gauss reduction)
-
-
-def reduced_binary(gram: IntMatrix) -> IntMatrix:
-    """Canonical Gauss-reduced representative of a definite binary form.
-
-    Negative definite input is reduced through its positive definite
-    flip, so two rank-2 definite lattices are isometric iff their
-    reduced Grams are equal.
-    """
-    if gram.rows != 2 or not gram.is_symmetric():
-        raise BadParameter("reduced_binary needs a symmetric 2x2 matrix")
-    a, b, c = gram.data[0][0], gram.data[0][1], gram.data[1][1]
-    if a == 0 or a * c - b * b <= 0:
-        raise NotDefinite("binary form is not definite")
-    neg = a < 0
-    if neg:
-        a, b, c = -a, -b, -c
-    while True:
-        if 2 * b > a or 2 * b <= -a:
-            k = -((a - 2 * b) // (2 * a))
-            c += k * k * a - 2 * k * b
-            b -= k * a
-            continue
-        if a > c:
-            a, c = c, a
-            b = -b
-            continue
-        break
-    if (a == c or 2 * b == a) and b < 0:
-        b = -b
-    if neg:
-        a, b, c = -a, -b, -c
-    return IntMatrix([[a, b], [b, c]])
-
-
-def rank2_isometric(L1: Lattice, L2: Lattice) -> bool:
-    """Isometry test for definite rank-2 lattices via Gauss reduction."""
-    return reduced_binary(L1.gram) == reduced_binary(L2.gram)
 
 
 # ---------------------------------------------------------------------------

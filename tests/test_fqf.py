@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -654,7 +655,40 @@ class TestPrimaryParts:
             fqf.primary_parts(form, (2, 5))
 
     def test_bound_caps_each_part_and_names_it(self):
-        form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
-        assert fqf.isotropic_pm1_count(form, bound=8) == fqf.isotropic_pm1_count(form)
-        with pytest.raises(GroupTooLarge, match="^2-part of order 8 exceeds enumeration bound 7$"):
-            fqf.isotropic_pm1_count(form, bound=7)
+        # (Z/2)^3 with q = (1/2, 3/2, 0): the cofactor (Z/2)^2 of the last
+        # coordinate is scanned; (0, 0, *) and (1, 1, *) are isotropic
+        half = Fraction(1, 2)
+        form = fqf.FiniteQuadraticForm((2, 2, 2), (half, 3 * half, 0), [[0] * 3] * 3)
+        assert fqf.isotropic_pm1_count(form, bound=4) == fqf.isotropic_pm1_count(form) == 4
+        with pytest.raises(GroupTooLarge, match="^2-part of order 8: cofactor of order 4 "
+                                                "exceeds enumeration bound 3$"):
+            fqf.isotropic_pm1_count(form, bound=3)
+        # cyclic parts scan nothing, whatever their order
+        cyclic = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        assert fqf.isotropic_pm1_count(cyclic, bound=1) == fqf.isotropic_pm1_count(cyclic)
+
+
+class TestLastCoordinate:
+    def test_count_matches_brute_force_on_every_congruence(self):
+        # every (a, b, c) mod 2N for which a x^2 + 2 b x + c mod 2N is a
+        # function on Z/N (a N even), non-unit a and b != 0 among them
+        for p, e in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                     (5, 1), (5, 2), (7, 1), (7, 2)):
+            n = p**e
+            m = 2 * n
+            for a in range(0, m, 1 if n % 2 == 0 else 2):
+                for b in range(m):
+                    hits = Counter((a * x * x + 2 * b * x) % m for x in range(n))
+                    for c in range(m):
+                        got = fqf._last_coordinate_count(a, b, c, p, n)
+                        assert got == hits[-c % m], (n, a, b, c)
+
+    @pytest.mark.parametrize("p", [1000000000039, 2**61 - 1])
+    def test_large_primes_use_euler_and_hensel(self, p):
+        # p = 3 mod 4, so -1 is not a square mod p
+        assert p % 4 == 3
+        assert fqf._root_count(1, 0, 1, p, p) == 0
+        assert fqf._root_count(1, 0, -4, p, p) == 2
+        assert fqf._root_count(3, 6, 3, p, p) == 1  # 3 (x + 1)^2, a double root
+        assert fqf._root_count(1, 0, 0, p, p**3) == p  # x = 0 mod p^2
+        assert fqf._root_count(p, 1, 1, p, p**2) == 1  # a simple root lifts once

@@ -19,6 +19,7 @@ from cuspidal.errors import (
 from cuspidal import glue
 from cuspidal.exact import smith_normal_form
 from fraction_oracles import rational_inverse
+from embedding_oracles import rank2_isometric, reduced_binary
 
 
 def k3_square():
@@ -179,7 +180,7 @@ class TestComplements:
         h = m.vector((2, 2, 1))
         comp = lat.orthogonal_complement(m, [h])
         assert comp.rank == 2
-        assert lat.rank2_isometric(comp.lattice, lat.B(3))
+        assert rank2_isometric(comp.lattice, lat.B(3))
         assert comp.is_primitive()
 
     def test_rank21_complement(self):
@@ -455,13 +456,13 @@ class TestBinaryForms:
     def test_sign_of_off_diagonal_is_absorbed(self):
         a = lat.Lattice([[-2, 1], [1, -2]])
         b = lat.Lattice([[-2, -1], [-1, -2]])
-        assert lat.rank2_isometric(a, b)
+        assert rank2_isometric(a, b)
 
     def test_distinct_forms(self):
-        assert not lat.rank2_isometric(lat.B(3), lat.B(7))
+        assert not rank2_isometric(lat.B(3), lat.B(7))
 
     def test_reduction_canonical(self):
-        red = lat.reduced_binary(lat.Lattice([[-4, -2], [-2, -2]]).gram)
+        red = reduced_binary(lat.Lattice([[-4, -2], [-2, -2]]).gram)
         assert red.to_lists() == [[-2, 0], [0, -2]]
 
 

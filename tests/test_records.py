@@ -21,6 +21,7 @@ from cuspidal.errors import (
     NotIsometry,
     NotIsotropic,
 )
+from embedding_oracles import build_polarized
 
 
 def _records():
@@ -58,7 +59,7 @@ def _records():
         (lat.group_membership(rho), rebuilt),
         (case, lambda r: cusps.PolarizationCase(r.d, r.embedding)),
         (cusps.disc_model(case), rebuilt),
-        (cusps.build_polarized(cusps.PolarizationCase(3, "nonsplit")), rebuilt),
+        (build_polarized(cusps.PolarizationCase(3, "nonsplit")), rebuilt),
         (zero.nu_result, rebuilt),
         (zero.reps[-1], rebuilt),
         (row.candidate, rebuilt),
