@@ -10,7 +10,11 @@ square-free, their number is k+1 in the split case with d' = 3 mod 4 and
 floor((k+2)/2) otherwise; the trivial class is counted (it corresponds
 to the divisibility-1 primitive isotropic vectors).  Orbit
 representatives are labelled (m, n) with m | K, gcd(m, n) = 1 and
-0 <= n <= m/2.
+0 <= n <= m/2.  Each x_{m,n} = a t + b e has integer coefficients on the
+generator t of order 2d (d non-split) and the class e of order 2 (zero
+non-split); once t and e are checked to split A_N, the representatives are
+certified on (a, b) alone: isotropic, of order m, distinct modulo +-1 and
+as many as the isotropic classes.
 
 One-dimensional components are parametrized, for square-free d, by pairs
 (E, l) with E a rank-18 negative definite lattice in the genus of the
@@ -23,12 +27,13 @@ unit automorphisms and every dependent count is flagged conditional.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BadCase,
     BadIndex,
     BadParameter,
+    GroupTooLarge,
     HypothesisFailed,
     InternalError,
     NotSquareFree,
@@ -94,7 +99,7 @@ class PolarizationCase(namedtuple("PolarizationCase", "d embedding dprime k K pr
 class DiscModel(namedtuple("DiscModel", "case form t_class e_class")):
     """A_N with the distinguished classes used by all closed formulas:
     ``t_class`` of t/2d (split) or of t = h/d - w2 (nonsplit), and
-    ``e_class`` of e/2 in the split case (None otherwise)."""
+    ``e_class`` of e/2 in the split case (zero otherwise)."""
 
     __slots__ = ()
 
@@ -111,7 +116,7 @@ def disc_model(case: PolarizationCase) -> DiscModel:
     form = discriminant_form(core)
     # t = (2 b1 + b2)/d generates A_N with q(t) = -2/d
     t_cls = form.class_of((2, 1), case.d)
-    return DiscModel(case, form, t_cls, None)
+    return DiscModel(case, form, t_cls, form.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +178,26 @@ def _order_pattern(case: PolarizationCase, m: int) -> str:
     return "t+e"
 
 
-def _element_of_order(model: DiscModel, m: int, n: int) -> tuple:
-    case = model.case
+def _coefficients(case: PolarizationCase, m: int, n: int) -> tuple:
+    """(a, b) with x_{m,n} = a t + b e: n t/m, plus n e for the "t+e" pattern.
+
+    t has order 2d (split) or d (non-split), so t/m = (ord t / m) t; a is
+    reduced mod ord t and b mod 2, the order of e.  Every non-split m has
+    the "t" pattern, so b = 0 there.
+    """
     pattern = _order_pattern(case, m)
-    form = model.form
-    if case.split:
-        step = 2 * case.d // m  # t/m = step * (t/2d)
-        x = form.smul(n * step, model.t_class)
-        if pattern == "t+e":
-            x = form.add(x, form.smul(n, model.e_class))
-        return x
-    return form.smul(n * (case.d // m), model.t_class)
+    ord_t = 2 * case.d if case.split else case.d
+    return n * (ord_t // m) % ord_t, (n % 2 if pattern == "t+e" else 0)
+
+
+def _combine(form: FiniteQuadraticForm, t, e, a: int, b: int) -> tuple:
+    """a t + b e as a reduced element of ``form``."""
+    return tuple([(a * x + b * y) % d for x, y, d in zip(t, e, form.orders)])
+
+
+def _element_of_order(model: DiscModel, m: int, n: int) -> tuple:
+    return _combine(model.form, model.t_class, model.e_class,
+                    *_coefficients(model.case, m, n))
 
 
 class OrbitRep(namedtuple("OrbitRep", "m n element")):
@@ -195,33 +209,51 @@ class OrbitRep(namedtuple("OrbitRep", "m n element")):
 def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
     """Representatives x_{m,n} of I_1(A_N)/{+-1}, certified exhaustive by counting."""
     model = disc_model(case)
-    return _verified_reps(model, fqf.isotropic_pm1_count(model.form, bound))
+    return _verified_reps(model, fqf.isotropic_pm1_count(model.form, bound), bound)
 
 
-def _verified_reps(model: DiscModel, count: int) -> list:
+def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) -> list:
     """The x_{m,n}, certified to be all ``count`` isotropic classes modulo +-1.
 
-    Isotropic, of order m and pairwise distinct modulo +-1, as many as
-    there are classes: nothing is left over.
+    Each x_{m,n} = a t + b e is checked on its coefficients (``_coefficients``)
+    in integers read off the form once: ord t, ord e, level q(t), level q(e)
+    and B = level b(t, e).  First t and e must split A_N: ord t ord e = |A_N|
+    and, e having order at most 2, e is not the element (ord t / 2) t of
+    order 2 in <t>.  Then (a, b) -> a t + b e is a bijection from
+    Z/ord t + Z/ord e onto A_N, and per representative: isotropic when
+    a^2 q_t + 2ab B + b^2 q_e = 0 mod 2 level, of order
+    lcm(ord t / gcd(ord t, a), ord e / gcd(ord e, b)) = m, pairwise distinct
+    modulo +-1 on the lesser of (a, b) and (-a, -b), and as many as there
+    are classes: nothing is left over.  More than ``bound`` classes raise
+    ``GroupTooLarge`` before any representative is built.
     """
-    case = model.case
-    form = model.form
-    reps = []
+    if count > bound:
+        raise GroupTooLarge(
+            f"{count} isotropic classes modulo +-1 exceed enumeration bound {bound}")
+    case, form, t, e = model
+    ord_t, ord_e = form.order_of(t), form.order_of(e)
+    if (ord_e > 2 or ord_t * ord_e != form.cardinality
+            or (ord_e == 2 and form.smul(ord_t // 2, t) == e)):
+        raise InternalError("t and e do not split A_N")
+    modulus = 2 * form.level
+    q_t, q_e, b_te = form.q_scaled(t), form.q_scaled(e), form.gram.bilinear(t, e)
+    reps, keys = [], set()
     for m in valid_orders(case):
         for n in range(0, m // 2 + 1):
             if gcd(m, n) != 1:
                 continue
-            x = _element_of_order(model, m, n)
-            if form.q_scaled(form.reduce(x)) != 0:
+            a, b = _coefficients(case, m, n)
+            if (a * a * q_t + 2 * a * b * b_te + b * b * q_e) % modulus:
                 raise InternalError(f"x_({m},{n}) is not isotropic")
-            if form.order_of(x) != m:
+            if lcm(ord_t // gcd(ord_t, a), ord_e // gcd(ord_e, b)) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
-            reps.append(OrbitRep(m, n, x))
-    if len({min(r.element, form.neg(r.element)) for r in reps}) != len(reps):
+            keys.add(min((a % ord_t, b % ord_e), (-a % ord_t, -b % ord_e)))
+            reps.append(OrbitRep(m, n, _combine(form, t, e, a, b)))
+    if len(keys) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
-    return sorted(reps, key=lambda r: (r.m, r.n))
+    return reps
 
 
 def h_subgroup(case: PolarizationCase, m: int, model: DiscModel | None = None) -> FqfSubgroup:
@@ -462,7 +494,8 @@ class CuspReport(namedtuple("CuspReport", "case nu_result reps one_dim", default
 def zero_dim_report(case: PolarizationCase, mode: str = "both",
                     bound: int = fqf.ENUM_BOUND) -> CuspReport:
     """nu and the orbit representatives, certified by one count of the
-    isotropic classes of A_N."""
+    isotropic classes of A_N; more than ``bound`` classes raise
+    ``GroupTooLarge`` before any representative is built."""
     _check_nu_mode(mode)
     model = disc_model(case)
     count = fqf.isotropic_pm1_count(model.form, bound, case.primes)
@@ -471,7 +504,7 @@ def zero_dim_report(case: PolarizationCase, mode: str = "both",
         nu_formula(case) if mode in ("formula", "both") else None,
         count if mode in ("enumerate", "both") else None,
     )
-    return CuspReport(case, result, tuple(_verified_reps(model, count)))
+    return CuspReport(case, result, tuple(_verified_reps(model, count, bound)))
 
 
 def full_report(case: PolarizationCase, candidates=None,

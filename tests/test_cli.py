@@ -91,6 +91,15 @@ class TestCuspZero:
         # d = 2 * 512^2: d' = 2, so nu = (k + 2) // 2 = 257
         assert z["formula"] == z["enumerated"] == len(z["reps"]) == 257
 
+    def test_more_classes_than_the_bound_names_the_bound(self, capsys):
+        # d = 2^36 = 1 * (2^18)^2: nu = (k + 2) // 2 = 131,073 classes, which
+        # the default bound lists and --bound 100000 refuses before listing
+        code = run(["cusp", "zero", "--d", "68719476736", "--bound", "100000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: 131073 isotropic classes modulo +-1 exceed "
+                                "enumeration bound 100000\n")
+
 
 class TestSweep:
     def test_split_range(self, capsys):
@@ -276,7 +285,7 @@ class TestInputErrors:
         from cuspidal import cusps
 
         # every orbit representative becomes the non-isotropic class of t/2d
-        monkeypatch.setattr(cusps, "_element_of_order", lambda model, m, n: model.t_class)
+        monkeypatch.setattr(cusps, "_coefficients", lambda case, m, n: (1, 0))
         code = run(["cusp", "zero", "--d", "4"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""

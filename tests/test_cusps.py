@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -147,12 +147,12 @@ class TestOrbitReps:
 
     def test_certificate_rejects_colliding_or_too_few_reps(self, monkeypatch):
         case = cusps.PolarizationCase(25, "split")  # K = 5: reps (1,0), (5,1), (5,2)
-        real = cusps._element_of_order
-        monkeypatch.setattr(cusps, "_element_of_order",
-                            lambda model, m, n: real(model, m, min(n, 1)))
+        real = cusps._coefficients
+        monkeypatch.setattr(cusps, "_coefficients",
+                            lambda case, m, n: real(case, m, min(n, 1)))
         with pytest.raises(InternalError, match="collide"):
             cusps.orbit_reps(case)
-        monkeypatch.setattr(cusps, "_element_of_order", real)
+        monkeypatch.setattr(cusps, "_coefficients", real)
         count = fqf.isotropic_pm1_count
         monkeypatch.setattr(fqf, "isotropic_pm1_count",
                             lambda form, bound: count(form, bound) + 1)
@@ -167,6 +167,65 @@ class TestOrbitReps:
                 from math import gcd
 
                 assert gcd(r.m, r.n) == 1 and 0 <= 2 * r.n <= r.m
+
+
+def _tuple_reps(model, count):
+    """The x_{m,n} built and certified as generic tuples of A_N, without
+    ``cusps._coefficients``: an oracle for the coefficient certificate."""
+    case, form = model.case, model.form
+    reps = []
+    for m in cusps.valid_orders(case):
+        for n in range(0, m // 2 + 1):
+            if gcd(m, n) != 1:
+                continue
+            if case.split:
+                x = form.smul(n * (2 * case.d // m), model.t_class)
+                if case.k % m:
+                    x = form.add(x, form.smul(n, model.e_class))
+            else:
+                x = form.smul(n * (case.d // m), model.t_class)
+            if form.q_scaled(form.reduce(x)) != 0:
+                raise InternalError(f"x_({m},{n}) is not isotropic")
+            if form.order_of(x) != m:
+                raise InternalError(f"x_({m},{n}) does not have order {m}")
+            reps.append(cusps.OrbitRep(m, n, x))
+    if len({min(r.element, form.neg(r.element)) for r in reps}) != len(reps):
+        raise InternalError("orbit representatives collide")
+    if len(reps) != count:
+        raise InternalError("orbit representatives do not exhaust the isotropic classes")
+    return sorted(reps, key=lambda r: (r.m, r.n))
+
+
+def _model_and_count(d, embedding):
+    model = cusps.disc_model(cusps.PolarizationCase(d, embedding))
+    return model, fqf.isotropic_pm1_count(model.form)
+
+
+class TestCoefficientCertificate:
+    CASES = ([(d, "split") for d in range(1, 301)]
+             + [(d, "nonsplit") for d in range(3, 301, 4)]
+             + [(30000, "split"), (3 * 10**6, "split")])
+
+    def test_matches_the_tuple_certificate(self):
+        for d, embedding in self.CASES:
+            model, count = _model_and_count(d, embedding)
+            assert cusps._verified_reps(model, count) == _tuple_reps(model, count), (d, embedding)
+
+    def test_rejects_e_inside_the_span_of_t(self):
+        model, count = _model_and_count(12, "split")
+        t, form = model.t_class, model.form
+        inside = model._replace(e_class=form.smul(form.order_of(t) // 2, t))
+        with pytest.raises(InternalError, match="do not split"):
+            cusps._verified_reps(inside, count)
+
+    def test_rejects_a_rep_of_the_wrong_order(self, monkeypatch):
+        model, count = _model_and_count(25, "split")  # reps (1,0), (5,1), (5,2)
+        real = cusps._coefficients
+        # x_(5,2) becomes x_(1,0) = 0: isotropic, but of order 1
+        monkeypatch.setattr(cusps, "_coefficients",
+                            lambda case, m, n: real(case, 1, 0) if n == 2 else real(case, m, n))
+        with pytest.raises(InternalError, match=r"x_\(5,2\) does not have order 5"):
+            cusps._verified_reps(model, count)
 
 
 class TestPredictedAE:
