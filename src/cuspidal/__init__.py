@@ -9,23 +9,15 @@ from .exact import (
     smith_normal_form,
 )
 from .lattice import (
-    Isometry,
     Lattice,
     LatticeVector,
-    OrthogonalSplitting,
     Sublattice,
-    delta_prime_test,
     direct_sum,
     divisibility,
-    group_membership,
     make_standard,
     orthogonal_complement,
     pair,
     parse_name,
-    reflection,
-    spinor_norm,
-    split_rational,
-    splitting_from,
     twist,
 )
 from .fqf import (
@@ -33,7 +25,6 @@ from .fqf import (
     FqfSubgroup,
     are_isometric,
     discriminant_form,
-    embeds,
     isotropic_elements,
     isotropic_subgroups,
     mod_pm1,
@@ -55,13 +46,10 @@ from .cusps import (
     Candidate,
     CuspReport,
     PolarizationCase,
-    example_c12,
-    example_c12_ok,
     nu,
     one_dim_cusps,
     orbit_reps,
     predicted_AE,
-    t_set,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -30,7 +29,51 @@ EXIT_INTERNAL = 3
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, for
+    the values commands print: dicts with str keys, lists and tuples, ints,
+    bools, None and strs.  Any other key or value raises TypeError."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """The JSON text of ``obj`` whose line starts with ``newline``, the line
+    break and the indent of its level; a list of ints is joined in one step."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str")
+        inner = newline + "  "
+        items = [_json_string(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_string(text: str) -> str:
+    """A JSON string literal: printable ASCII without quote or backslash as it
+    is, anything else escaped by ``json``."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    import json
+
+    return json.dumps(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -71,13 +114,13 @@ def _cmd_lat_info(args) -> int:
 
 
 def _cmd_lat_disc(args) -> int:
-    L = load_lattice(args.lattice)
-    form = fqf.discriminant_form(L)
-    text = fqf.form_to_json(form) + "\n"
-    if args.format == "md":
-        obj = json.loads(text)
-        rows = list(zip(obj["orders"], obj["q"]))
-        text = _md_table(["order", "q"], rows)
+    obj = fqf.form_to_obj(fqf.discriminant_form(load_lattice(args.lattice)))
+    if args.format == "json":
+        import json
+
+        text = json.dumps(obj, sort_keys=True) + "\n"
+    else:
+        text = _md_table(["order", "q"], zip(obj["orders"], obj["q"]))
     _emit(text, args.out)
     return EXIT_OK
 
@@ -108,6 +151,8 @@ def _cmd_cusp_zero(args) -> int:
 
 
 def _load_candidates(path: str):
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -301,8 +346,10 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_verify_example(args) -> int:
-    data = cusps.example_c12()
-    ok = cusps.example_c12_ok(data)
+    from . import claims
+
+    data = claims.example_c12()
+    ok = claims.example_c12_ok(data)
     obj = {k: _jsonable(v) for k, v in data.items()}
     obj["all_ok"] = ok
     if args.format == "json":

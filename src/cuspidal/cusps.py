@@ -34,18 +34,16 @@ from .errors import (
     BadIndex,
     BadParameter,
     GroupTooLarge,
-    HypothesisFailed,
     InternalError,
     NotSquareFree,
 )
-from .exact import IntMatrix, factorize
+from .exact import factorize
 from . import fqf
 from . import glue as glue_mod
-from .fqf import FiniteQuadraticForm, FqfSubgroup, discriminant_form, trivial_form
+from .fqf import FiniteQuadraticForm, discriminant_form, trivial_form
 from .lattice import (
     Lattice,
     direct_sum,
-    divisibility,
     make_standard,
     parse_name,
 )
@@ -195,11 +193,6 @@ def _combine(form: FiniteQuadraticForm, t, e, a: int, b: int) -> tuple:
     return tuple([(a * x + b * y) % d for x, y, d in zip(t, e, form.orders)])
 
 
-def _element_of_order(model: DiscModel, m: int, n: int) -> tuple:
-    return _combine(model.form, model.t_class, model.e_class,
-                    *_coefficients(model.case, m, n))
-
-
 class OrbitRep(namedtuple("OrbitRep", "m n element")):
     """The isotropic class x_{m,n} of order m."""
 
@@ -256,14 +249,6 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
     return reps
 
 
-def h_subgroup(case: PolarizationCase, m: int, model: DiscModel | None = None) -> FqfSubgroup:
-    """The isotropic subgroup H_m of A_N."""
-    if model is None:
-        model = disc_model(case)
-    gen = _element_of_order(model, m, 1) if m > 1 else model.form.zero
-    return fqf.subgroup_span(model.form, [gen])
-
-
 def predicted_AE(case: PolarizationCase, m: int) -> FiniteQuadraticForm:
     """The printed discriminant form of E = S-perp/S for H_S = H_m.
 
@@ -288,28 +273,6 @@ def predicted_AE(case: PolarizationCase, m: int) -> FiniteQuadraticForm:
 
 def det_E(case: PolarizationCase, m: int) -> int:
     return (4 * case.d if case.split else case.d) // (m * m)
-
-
-def t_set(case: PolarizationCase, m: int, bound: int = fqf.ENUM_BOUND) -> list:
-    """All delta in [0, m) whose T(m, delta) is compatible with the splitting.
-
-    T(m, delta) has Gram [[0, m], [m, 2*delta]]; delta is kept when the
-    discriminant form of T(m, delta) plus the predicted A_E is isometric
-    to A_N.  Requires gcd(m, det E) = 1.
-    """
-    de = det_E(case, m)
-    if gcd(m, de) != 1:
-        raise HypothesisFailed(f"gcd(m, det E) = gcd({m}, {de}) != 1")
-    model = disc_model(case)
-    pred = predicted_AE(case, m)
-    out = []
-    for delta in range(m):
-        t_gram = IntMatrix([[0, m], [m, 2 * delta]])
-        t_disc = discriminant_form(Lattice(t_gram))
-        total = fqf.direct_sum_form(t_disc, pred)
-        if fqf.are_isometric(total, model.form, bound)[0]:
-            out.append((delta, t_gram))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,81 +477,9 @@ def full_report(case: PolarizationCase, candidates=None,
 
 
 # ---------------------------------------------------------------------------
-# the cubic-scroll verification fixture (Hassett-Tschinkel ample cones)
+# the ambient lattice
 
 
 def k3_square_lattice() -> Lattice:
     """The K3^[2] lattice U^3 + E8^2 + <-2>."""
     return parse_name("U+U+U+E8+E8+<-2>")
-
-
-def example_c12() -> dict:
-    """Verification data for the rank-2 polarized family <6> + <-4>.
-
-    Uses the printed coordinates g = 2v1 + 14w1 - 5e, tau = v2 - 2w2,
-    delta = 4(v1 - w1) + 6(v2 + w2) - 5e and beta1 = -3g + tau, and checks
-    the complement against U + E8^2 + B3 + <4> at the genus level.
-    """
-    from fractions import Fraction
-
-    from .lattice import delta_prime_test, pair, split_rational, splitting_from
-
-    L = k3_square_lattice()
-    n = L.rank
-
-    def vec(v1=0, w1=0, v2=0, w2=0, e=0):
-        c = [0] * n
-        c[0], c[1], c[2], c[3], c[n - 1] = v1, w1, v2, w2, e
-        return L.vector(c)
-
-    g = vec(v1=2, w1=14, e=-5)
-    tau = vec(v2=1, w2=-2)
-    delta = vec(v1=4, w1=-4, v2=6, w2=6, e=-5)
-    beta1 = -3 * g + tau
-
-    split = splitting_from(L, [g, tau])
-    comp = split.right.lattice
-    model = parse_name("U+E8+E8+B3+<4>")
-    genus_match = (
-        comp.signature == model.signature
-        and abs(comp.det) == abs(model.det)
-        and fqf.are_isometric(discriminant_form(comp), discriminant_form(model))[0]
-    )
-    d_m, d_n = split_rational(split, delta)
-    target_dm = Fraction(-1, 3) * g + Fraction(3, 2) * tau
-    return {
-        "g2": g.norm,
-        "tau2": tau.norm,
-        "g_tau": pair(g, tau),
-        "complement_signature": comp.signature,
-        "complement_det": comp.det,
-        "complement_genus_matches_U_E8_E8_B3_4": genus_match,
-        "delta2": delta.norm,
-        "delta_div": divisibility(delta),
-        "delta_m_matches": d_m.coords == target_dm.coords,
-        "delta_m2": d_m.norm,
-        "delta_n2": d_n.norm,
-        "delta_prime": delta_prime_test(split, delta),
-        "beta1_delta": pair(beta1, delta),
-    }
-
-
-def example_c12_ok(data: dict | None = None) -> bool:
-    from fractions import Fraction
-
-    data = data if data is not None else example_c12()
-    return (
-        data["g2"] == 6
-        and data["tau2"] == -4
-        and data["g_tau"] == 0
-        and data["complement_signature"] == (2, 19)
-        and abs(data["complement_det"]) == 12
-        and data["complement_genus_matches_U_E8_E8_B3_4"]
-        and data["delta2"] == -10
-        and data["delta_div"] == 2
-        and data["delta_m_matches"]
-        and data["delta_m2"] == Fraction(-25, 3)
-        and data["delta_n2"] == Fraction(-5, 3)
-        and data["delta_prime"] is True
-        and data["beta1_delta"] == 0
-    )

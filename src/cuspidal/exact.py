@@ -183,14 +183,6 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "left diag right")):
 
     __slots__ = ()
 
-    def diagonal_matrix(self) -> IntMatrix:
-        m = self.left.rows
-        n = self.right.rows
-        out = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.diag):
-            out[i][i] = d
-        return IntMatrix(out)
-
 
 def _xgcd(a: int, b: int):
     """g, x, y with g = gcd(a, b) = x*a + y*b and g >= 0."""

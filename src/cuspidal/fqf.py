@@ -42,7 +42,6 @@ elements: each element that the ones kept before it do not span.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import product
@@ -730,15 +729,6 @@ def orthogonal_group(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list
     return sorted(_hom_search(form, form, form.cardinality, bound, find_all=True))
 
 
-def embeds(
-    a: FiniteQuadraticForm, b: FiniteQuadraticForm, bound: int = ENUM_BOUND
-) -> bool:
-    """True when an injective q-preserving homomorphism a -> b exists."""
-    if a.cardinality > b.cardinality:
-        return False
-    return bool(_hom_search(a, b, a.cardinality, bound, find_all=False))
-
-
 def apply_map(form: FiniteQuadraticForm, images, x) -> tuple:
     """Evaluate a generator-image map at an element: coordinate i of the
     image is sum_j x_j img_j[i] mod d_i.  The image of generator j has order
@@ -758,7 +748,7 @@ def identity_map(form: FiniteQuadraticForm) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# printed values
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -772,25 +762,15 @@ def q_strings(form: FiniteQuadraticForm) -> list:
     return [_ratio_str(row[i], form.level) for i, row in enumerate(form.gram.data)]
 
 
-def form_to_json(form: FiniteQuadraticForm) -> str:
-    # symmetric representatives: q in (-1, 1], b in (-1/2, 1/2]
+def form_to_obj(form: FiniteQuadraticForm) -> dict:
+    """The invariant factors ``orders`` and the values ``q`` and ``b`` on the
+    generators, in symmetric representatives: q in (-1, 1], b in (-1/2, 1/2]."""
     n = form.level
     rows = form.gram.data
-    obj = {
+    return {
         "orders": list(form.orders),
         "q": [_ratio_str(row[i] - 2 * n if row[i] > n else row[i], n)
               for i, row in enumerate(rows)],
         "b": [[_ratio_str(x % n - n if 2 * (x % n) > n else x % n, n) for x in row]
               for row in rows],
     }
-    return json.dumps(obj, sort_keys=True)
-
-
-def form_from_json(text: str) -> FiniteQuadraticForm:
-    from fractions import Fraction
-
-    obj = json.loads(text)
-    orders = obj["orders"]
-    qd = [Fraction(s) for s in obj["q"]]
-    bm = [[Fraction(s) for s in row] for row in obj["b"]]
-    return FiniteQuadraticForm(orders, qd, bm)

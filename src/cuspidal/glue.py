@@ -76,7 +76,7 @@ from .fqf import (
     trivial_subgroup,
 )
 from .lattice import (
-    Isometry, Lattice, LatticeVector, check_signed_permutation, direct_sum, make_standard,
+    Lattice, LatticeVector, check_signed_permutation, direct_sum, make_standard,
     parse_terms,
 )
 
@@ -474,12 +474,6 @@ def _tau_signed_permutations(gd: GlueData) -> list:
     return gens
 
 
-def tau_generator_isometries(gd: GlueData) -> list:
-    """Base-lattice isometries generating the non-Weyl automorphism candidates,
-    each a signed permutation of the basis (``Isometry.signed_permutation``)."""
-    return [Isometry.signed_permutation(gd.base, p, s) for p, s in _tau_signed_permutations(gd)]
-
-
 class _TauActions(tuple):
     """The actions on A_R of the tau generators, as generator images, with
     the image of each element under each action computed once (``image``);
@@ -501,9 +495,10 @@ class _TauActions(tuple):
 
 
 def _generator_actions(gd: GlueData) -> _TauActions:
-    """The actions on A_R of ``tau_generator_isometries``, as generator images.
+    """The actions on A_R of the tau generators (``_tau_signed_permutations``),
+    as generator images.
 
-    This is ``lattice.disc_action`` with the kept Smith rows K of U G formed
+    This is ``claims.disc_action`` with the kept Smith rows K of U G formed
     once: a signed permutation g reindexes and signs the columns of K, so the
     kept block of U G g V is (s_j K[:, p_j]) times the kept columns of V.
     """
@@ -546,7 +541,7 @@ def _glue_orbits(actions: _TauActions, subgroups) -> list:
 
 def image_of_tau(gd: GlueData, quotient: FiniteQuadraticForm | None = None) -> TauImage:
     """Subgroup of O(A_E) induced by the stabilizer of the glue in the group
-    of ``tau_generator_isometries``, from its Schreier generators.
+    of the tau generators (``_tau_signed_permutations``), from its Schreier generators.
 
     ``quotient`` may be the already-computed perp quotient of the glue;
     it must carry quotient provenance so classes can be projected.

@@ -1,4 +1,4 @@
-"""Even integral lattices and their isometries.
+"""Even integral lattices, their sublattices and signed permutations.
 
 A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix; it is even when every vector has even self-pairing.  ADE root
@@ -8,27 +8,22 @@ explicitly.  B(d), defined for d = 3 mod 4, is the rank-two negative
 definite lattice with Gram [[-(d+1)/2, 1], [1, -2]].
 
 Vectors carry their home lattice and may have rational coordinates
-(needed for dual and projection work).  The real spinor norm of an
-isometry g is read off a maximal positive definite subspace W, spanned
-by the positive rows P of the fraction-free congruence basis: g keeps
-the orientation of W after projecting back to W exactly when
-det(P G g P^T) > 0.  Reflections, splittings and spinor norms stay in
-integers; rational values appear only as results.
+(needed for dual and projection work).  Isometries, reflections, spinor
+norms and rational splittings live in ``claims``, which no command but
+``verify example-c12`` imports.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from collections import namedtuple
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import (
     BadParameter,
     DegenerateComplement,
     DependentInput,
-    MemberOfSummand,
     MixedLattices,
     NotIsometry,
     SingularMatrix,
@@ -37,7 +32,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     kernel_basis,
-    positive_definite_basis,
     signature_of_symmetric,
     smith_normal_form,
 )
@@ -292,7 +286,7 @@ def twist(L: Lattice, t: int) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# sublattices, complements, rational splittings
+# sublattices and complements
 
 
 class Sublattice:
@@ -349,67 +343,8 @@ def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
     return Sublattice(L, kernel_basis(pairing))
 
 
-class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right")):
-    """Primitive orthogonal pair M, N = M-perp (``Sublattice``s ``left`` and
-    ``right``) inside an ambient lattice."""
-
-    __slots__ = ()
-
-    def __new__(cls, ambient, left, right):
-        if left.ambient != ambient or right.ambient != ambient:
-            raise MixedLattices("summands live in a different ambient lattice")
-        if left.rank + right.rank != ambient.rank:
-            raise BadParameter("summands do not span the ambient lattice rationally")
-        for u in left.basis():
-            for w in right.basis():
-                if pair(u, w) != 0:
-                    raise BadParameter("summands are not orthogonal")
-        if not left.is_primitive() or not right.is_primitive():
-            raise BadParameter("summands must be primitive")
-        return tuple.__new__(cls, (ambient, left, right))
-
-
-def splitting_from(L: Lattice, left_vectors) -> OrthogonalSplitting:
-    """Splitting with M spanned (and saturated) by the given vectors."""
-    right = orthogonal_complement(L, left_vectors)
-    left = orthogonal_complement(L, right.basis())
-    return OrthogonalSplitting(L, left, right)
-
-
-def split_rational(split: OrthogonalSplitting, v: LatticeVector):
-    """Exact decomposition v = v_M + v_N with v_M in M o Q, v_N in N o Q.
-
-    N is M-perp, so v_M is the orthogonal projection sum_i a_i m_i with
-    G_M a = ((m_i, v))_i.  With U G_M V = D and e the last invariant factor,
-    e a = V (e D^-1) U ((m_i, v))_i is an integer vector (for integral v),
-    and the one division by e comes last.
-    """
-    from fractions import Fraction
-
-    if v.home != split.ambient:
-        raise MixedLattices("vector lives in a different lattice")
-    rows = split.left.basis_matrix
-    snf = smith_normal_form(split.left.lattice.gram)
-    e = snf.diag[-1]
-    y = snf.left.apply(rows.apply(split.ambient.gram.apply(v.coords)))
-    scaled = rows.T.apply(snf.right.apply([x * (e // d) for x, d in zip(y, snf.diag)]))
-    m_part = [Fraction(x, e) for x in scaled]
-    n_part = [Fraction(e * a - x, e) for a, x in zip(v.coords, scaled)]
-    return LatticeVector(split.ambient, m_part), LatticeVector(split.ambient, n_part)
-
-
-def delta_prime_test(split: OrthogonalSplitting, delta: LatticeVector) -> bool:
-    """True when both rational projections of delta have negative norm."""
-    if not delta.is_integral:
-        raise BadParameter("delta must be integral")
-    d_m, d_n = split_rational(split, delta)
-    if d_m.is_zero or d_n.is_zero:
-        raise MemberOfSummand("delta lies in one of the summands")
-    return d_m.norm < 0 and d_n.norm < 0
-
-
 # ---------------------------------------------------------------------------
-# isometries, reflections, spinor norms
+# signed permutations
 
 
 def check_signed_permutation(domain: Lattice, perm, signs) -> None:
@@ -433,162 +368,6 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
         for i in moved for j in range(n)
     ):
         raise NotIsometry("signed permutation does not preserve the form")
-
-
-class Isometry(namedtuple("Isometry", "domain matrix")):
-    """Isometry of a lattice, acting on coordinate columns: v -> M v."""
-
-    __slots__ = ()
-
-    def __new__(cls, domain, matrix):
-        if matrix.rows != matrix.cols or matrix.rows != domain.rank:
-            raise NotIsometry("matrix shape does not match the lattice")
-        if matrix.T @ domain.gram @ matrix != domain.gram:
-            raise NotIsometry("matrix does not preserve the form")
-        return tuple.__new__(cls, (domain, matrix))
-
-    def __call__(self, v: LatticeVector) -> LatticeVector:
-        if v.home != self.domain:
-            raise MixedLattices("vector lives in a different lattice")
-        return LatticeVector(self.domain, self.matrix.apply(v.coords))
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other; a product of isometries of one lattice is one,
-        so the form check of the constructor is not repeated."""
-        if other.domain != self.domain:
-            raise MixedLattices("isometries of different lattices")
-        return tuple.__new__(Isometry, (self.domain, self.matrix @ other.matrix))
-
-    @classmethod
-    def signed_permutation(cls, domain: Lattice, perm, signs) -> "Isometry":
-        """The isometry e_j -> signs[j] e_perm[j], checked by
-        ``check_signed_permutation``."""
-        check_signed_permutation(domain, perm, signs)
-        n = domain.rank
-        m = [[0] * n for _ in range(n)]
-        for src, (dst, s) in enumerate(zip(perm, signs)):
-            m[dst][src] = s
-        return tuple.__new__(cls, (domain, IntMatrix._wrap(tuple(map(tuple, m)))))
-
-    @property
-    def det(self) -> int:
-        return self.matrix.det()
-
-    @classmethod
-    def identity(cls, L: Lattice) -> "Isometry":
-        return cls(L, IntMatrix.identity(L.rank))
-
-    @classmethod
-    def minus_identity(cls, L: Lattice) -> "Isometry":
-        return cls(L, -IntMatrix.identity(L.rank))
-
-
-def reflection(L: Lattice, v: LatticeVector) -> Isometry:
-    """Reflection x -> x - 2 (x, v) / (v, v) v in a vector of nonzero norm.
-
-    Its matrix I - 2 w (G w)^T / (w, w), for w the smallest positive
-    multiple of v with integer coordinates, must be integral: the
-    reflection maps L to itself.
-    """
-    if v.home != L:
-        raise MixedLattices("vector lives in a different lattice")
-    den = lcm(*(x.denominator for x in v.coords))
-    w = [x.numerator * (den // x.denominator) for x in v.coords]
-    gw = L.gram.apply(w)
-    norm = sum(a * b for a, b in zip(w, gw))
-    if norm == 0:
-        raise BadParameter("cannot reflect in an isotropic vector")
-    if any(2 * a * b % norm for a in w for b in gw):
-        raise NotIsometry("reflection does not preserve the lattice")
-    return Isometry(
-        L, IntMatrix([[int(i == j) - 2 * a * b // norm for j, b in enumerate(gw)]
-                      for i, a in enumerate(w)])
-    )
-
-
-def spinor_norm(g: Isometry) -> int:
-    """Real spinor norm: the character of O(L) that is -1 on reflections in
-    vectors of positive norm and +1 on those in vectors of negative norm.
-
-    It is the sign of det(P G g P^T) for rows P spanning a maximal positive
-    definite subspace W (``exact.positive_definite_basis``): P G P^T is
-    positive definite, so the sign is that of the determinant of g
-    followed by the orthogonal projection to W.  A reflection in v with
-    v^2 > 0 reverses W when W contains v; one with v^2 < 0 fixes a W
-    orthogonal to v.  +1 on a negative definite lattice.
-    """
-    G = g.domain.gram
-    P = positive_definite_basis(G)
-    if not P:
-        return 1
-    P = IntMatrix(P)
-    return 1 if (P @ G @ g.matrix @ P.T).det() > 0 else -1
-
-
-class MembershipFlags(namedtuple(
-    "MembershipFlags",
-    "det spinor disc_action in_o_plus stable in_o_tilde_plus in_so_tilde_plus"
-    " in_o_hat_plus in_so_hat_plus",
-)):
-    """Flags of ``group_membership``; ``disc_action`` is "id", "-id" or "other"."""
-
-    __slots__ = ()
-
-
-def disc_action(g: Isometry, smith, kept) -> tuple:
-    """Images under g of the generators V e_i / d_i (i in ``kept``) of L*/L.
-
-    With ``smith`` the Smith form U G V = D of the Gram matrix, coordinate k
-    of the image of generator i is (U G g V)_ki / d_i mod d_k, an exact
-    division because U G g V = U g^-T U^-1 D.  Only the kept block of
-    U G g V is formed: the ``kept`` rows of U times G g times the ``kept``
-    columns of V.
-    """
-    if not kept:
-        return ()
-    rows = IntMatrix([smith.left.data[k] for k in kept])
-    cols = IntMatrix([[row[i] for i in kept] for row in smith.right.data])
-    m = (rows @ g.domain.gram @ g.matrix @ cols).data
-    d = smith.diag
-    return tuple(
-        tuple(m[a][b] // d[i] % d[k] for a, k in enumerate(kept))
-        for b, i in enumerate(kept)
-    )
-
-
-def group_membership(g: Isometry) -> MembershipFlags:
-    """Spinor, determinant and discriminant-action flags for an isometry.
-
-    O+ means real spinor norm +1; "stable" means the induced action on
-    the discriminant group is the identity.  The hatted groups relax the
-    action to minus the identity, with the determinant pairing of the
-    special hatted group.
-    """
-    det = g.det
-    sn = spinor_norm(g)
-    smith = smith_normal_form(g.domain.gram)
-    kept = [k for k, d in enumerate(smith.diag) if d > 1]
-    images = disc_action(g, smith, kept)
-
-    def scalar(sign):
-        return tuple(tuple(sign * (k == i) % smith.diag[k] for k in kept) for i in kept)
-
-    action = "id" if images == scalar(1) else "-id" if images == scalar(-1) else "other"
-    in_o_plus = sn == 1
-    stable = action == "id"
-    in_o_tilde = in_o_plus and stable
-    return MembershipFlags(
-        det=det,
-        spinor=sn,
-        disc_action=action,
-        in_o_plus=in_o_plus,
-        stable=stable,
-        in_o_tilde_plus=in_o_tilde,
-        in_so_tilde_plus=in_o_tilde and det == 1,
-        in_o_hat_plus=in_o_plus and action in ("id", "-id"),
-        in_so_hat_plus=in_o_plus
-        and ((action == "id" and det == 1) or (action == "-id" and det == -1)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,15 +418,10 @@ def parse_name(name: str) -> Lattice:
     return direct_sum(*parts)
 
 
-def lattice_to_json(L: Lattice) -> str:
-    obj = {"rank": L.rank, "gram": L.gram.to_lists()}
-    if L.labels is not None:
-        obj["labels"] = list(L.labels)
-    return json.dumps(obj, sort_keys=True)
-
-
 def lattice_from_json(text: str) -> Lattice:
     """Lattice from {"gram": [[...], ...]} with optional "rank" and "labels"."""
+    import json
+
     try:
         obj = json.loads(text)
     except ValueError as exc:

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import cusps, fqf, glue
+from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.cli import run
 from cuspidal.exact import IntMatrix, signature_of_symmetric, smith_normal_form
 from embedding_oracles import build_polarized
+from helpers import compose
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,7 @@ def test_criterion_3_ghs_invariants():
 
 
 def test_criterion_4_example_c12():
-    data = cusps.example_c12()
+    data = claims.example_c12()
     assert data["g2"] == 6
     assert data["tau2"] == -4
     assert data["g_tau"] == 0
@@ -110,7 +111,7 @@ def test_criterion_5_brieskorn_square():
             case = cusps.PolarizationCase(d, emb)
             model = cusps.disc_model(case)
             for m in cusps.valid_orders(case):
-                h = cusps.h_subgroup(case, m, model)
+                h = claims.h_subgroup(case, m, model)
                 q = fqf.perp_quotient(model.form, h)
                 pred = cusps.predicted_AE(case, m)
                 assert fqf.are_isometric(q, pred)[0], (d, emb, m)
@@ -300,9 +301,9 @@ _SPIN_VECTORS = [
 
 
 def _reflection_product(indices):
-    g = lat.Isometry.identity(_SPIN_LATTICE)
+    g = claims.Isometry.identity(_SPIN_LATTICE)
     for i in indices:
-        g = g.compose(lat.reflection(_SPIN_LATTICE, _SPIN_VECTORS[i % len(_SPIN_VECTORS)]))
+        g = compose(g, claims.reflection(_SPIN_LATTICE, _SPIN_VECTORS[i % len(_SPIN_VECTORS)]))
     return g
 
 
@@ -313,7 +314,7 @@ def _reflection_product(indices):
 )
 def test_criterion_7d_spinor_norm_multiplicative(ia, ib):
     g, h = _reflection_product(ia), _reflection_product(ib)
-    assert lat.spinor_norm(g.compose(h)) == lat.spinor_norm(g) * lat.spinor_norm(h)
+    assert claims.spinor_norm(compose(g, h)) == claims.spinor_norm(g) * claims.spinor_norm(h)
 
 
 @settings(max_examples=200, deadline=None)

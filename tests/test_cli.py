@@ -1,3 +1,4 @@
+import collections
 import importlib
 import inspect
 import json
@@ -7,6 +8,7 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cuspidal import cli
 from cuspidal.cli import run
@@ -398,13 +400,16 @@ def _fresh_process(probe: str):
 def test_cli_import_is_stdlib_only():
     import sys
 
-    # the set-up of every CLI invocation: import and build the parser
+    # the set-up of every CLI invocation: import and build the parser; json,
+    # which prints the result, is imported only after the snapshot
     added = _fresh_process(
-        "import json, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "import cuspidal.cli\n"
         "cuspidal.cli.build_parser()\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(added))\n"
     )
     assert "concurrent.futures" not in added
     allowed = sys.stdlib_module_names | {"cuspidal"}
@@ -412,29 +417,37 @@ def test_cli_import_is_stdlib_only():
     # compiled from source, dataclasses (with the inspect, ast, dis and
     # tokenize it pulls in) takes longer to import than the package itself,
     # and typing about half as long; argparse with gettext and locale takes
-    # about 60 ms, and fractions (with decimal and numbers) 13-16 ms
+    # about 60 ms, fractions (with decimal and numbers) 13-16 ms and json
+    # about 12 ms; the paper's group-theoretic checks load only for
+    # ``verify example-c12``
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-             "argparse", "gettext", "locale", "fractions"}
+             "argparse", "gettext", "locale", "fractions", "json", "cuspidal.claims"}
     assert sorted(heavy.intersection(added)) == []
 
 
 def test_cusp_zero_and_table1_import_neither_fractions_nor_argparse():
     # each compares and prints form values as integers and parses as exact
     # forms, so neither import moves from set-up into the timed command;
-    # glue enum and lat disc print q and b from reduced integer pairs
+    # glue enum and lat disc print q and b from reduced integer pairs.  The
+    # commands print through the CLI's own JSON writer, so cusp zero, verify
+    # table1 and glue enum load no json, and none loads the group-theoretic
+    # checks; lat disc prints its compact one-line form with json
     codes, loaded = _fresh_process(
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import cuspidal.cli\n"
-        "codes = []\n"
+        "watched = {'fractions', 'argparse', 'json', 'cuspidal.claims'}\n"
+        "codes, loaded = [], []\n"
         "for argv in (['cusp', 'zero', '--d', '30000'], ['verify', 'table1'],\n"
         "             ['glue', 'enum', '--roots', '2A1+2D8', '--roots-of-overlattice'],\n"
         "             ['lat', 'disc', 'A1+A2+A3+D4+E6+E7']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(cuspidal.cli.run(argv))\n"
-        "print(json.dumps([codes, sorted({'fractions', 'argparse'} & set(sys.modules))]))\n"
+        "    loaded.append(sorted(watched & set(sys.modules)))\n"
+        "import json\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     assert codes == [0, 0, 0, 0]
-    assert loaded == []
+    assert loaded == [[], [], [], ["json"]]
 
 
 # (argv, exact form): every leaf, option and default, a repeated option, and
@@ -561,3 +574,39 @@ def test_type_hints_resolve_for_every_class():
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
                 typing.get_type_hints(cls)
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+# every kind of character the writer must escape as json does, or pass as is
+_JSON_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f \x7f\x80\xe9\u2028\ufffe\U0001f600\U0010ffff'),
+    st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+    st.characters(),
+)
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | _JSON_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.builds(_Pair, inner, inner)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({"a\\b": ['say "hi"', "tab\t", "\x7f", "\xe9", "\U0001f600", True, None, -(2**200)]})
+def test_json_writer_matches_the_standard_encoder(obj):
+    assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_refuses_other_types():
+    from fractions import Fraction
+
+    for obj in (1.5, Fraction(1, 2), {1: "a"}, [{"a": 0.0}], {"a": {2: 0}}):
+        with pytest.raises(TypeError):
+            cli._dump_json(obj)

@@ -3,7 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from cuspidal import cusps, fqf, glue
+from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
     BadCase,
@@ -261,7 +261,7 @@ class TestPredictedAE:
             case = cusps.PolarizationCase(d, emb)
             model = cusps.disc_model(case)
             for m in cusps.valid_orders(case):
-                h = cusps.h_subgroup(case, m, model)
+                h = claims.h_subgroup(case, m, model)
                 assert h.order == m
                 q = fqf.perp_quotient(model.form, h)
                 assert fqf.are_isometric(q, cusps.predicted_AE(case, m))[0]
@@ -270,18 +270,18 @@ class TestPredictedAE:
 class TestTSet:
     def test_square_free_only_u(self):
         for d in (1, 5, 6, 7):
-            ts = cusps.t_set(cusps.PolarizationCase(d, "split"), 1)
+            ts = claims.t_set(cusps.PolarizationCase(d, "split"), 1)
             assert len(ts) == 1
             delta, gram = ts[0]
             assert delta == 0 and gram.to_lists() == [[0, 1], [1, 0]]
 
     def test_gcd_hypothesis(self):
         with pytest.raises(HypothesisFailed):
-            cusps.t_set(cusps.PolarizationCase(4, "split"), 2)
+            claims.t_set(cusps.PolarizationCase(4, "split"), 2)
 
     def test_odd_m_with_coprime_det(self):
         # d = 9, m = 3: det E = 4, gcd(3, 4) = 1; T(3, delta) search runs
-        ts = cusps.t_set(cusps.PolarizationCase(9, "split"), 3)
+        ts = claims.t_set(cusps.PolarizationCase(9, "split"), 3)
         assert ts, "at least one compatible delta must exist"
         for delta, gram in ts:
             assert 0 <= delta < 3
@@ -443,7 +443,7 @@ class TestReports:
             cusps.zero_dim_report(cusps.PolarizationCase(3, "split"), "guess")
 
     def test_example_c12(self):
-        data = cusps.example_c12()
+        data = claims.example_c12()
         assert data["g2"] == 6 and data["tau2"] == -4 and data["g_tau"] == 0
         assert data["complement_signature"] == (2, 19)
         assert abs(data["complement_det"]) == 12
@@ -454,4 +454,4 @@ class TestReports:
         assert data["delta_n2"] == Fraction(-5, 3)
         assert data["delta_prime"] is True
         assert data["beta1_delta"] == 0
-        assert cusps.example_c12_ok(data)
+        assert claims.example_c12_ok(data)

@@ -22,6 +22,7 @@ from cuspidal.exact import (
     signature_of_symmetric,
     smith_normal_form,
 )
+from helpers import diagonal_matrix
 from fraction_oracles import (
     full_scan_pivot,
     lagrange_signature,
@@ -89,7 +90,7 @@ class TestSmith:
     def test_decomposition_invariants(self, rows):
         a = IntMatrix(rows)
         s = smith_normal_form(a)
-        assert s.left @ a @ s.right == s.diagonal_matrix()
+        assert s.left @ a @ s.right == diagonal_matrix(s)
         assert abs(s.left.det()) == 1
         assert abs(s.right.det()) == 1
         nonzero = [d for d in s.diag if d]
@@ -112,7 +113,7 @@ class TestSmith:
             [21, -19, -10, -27, -30],
         ])
         s = smith_normal_form(a)
-        assert s.left @ a @ s.right == s.diagonal_matrix()
+        assert s.left @ a @ s.right == diagonal_matrix(s)
         assert abs(s.left.det()) == abs(s.right.det()) == 1
         assert s.diag == (1, 1, 1, 1, 10083)
 
@@ -579,7 +580,7 @@ def test_fraction_solvers_only_in_exact_and_rational_splitting():
 # The integer kernels behind signatures, spinor norms and reflections.
 _INTEGER_KERNELS = {
     "exact": {"_symmetric_bareiss", "signature_of_symmetric", "positive_definite_basis"},
-    "lattice": {"spinor_norm", "reflection"},
+    "claims": {"spinor_norm", "reflection"},
 }
 
 
@@ -602,5 +603,5 @@ def test_integer_kernels_construct_no_fraction():
         assert kernels <= defined
         assert kernels & _fraction_builders(tree) == set()
     # the scan sees the final division of the rational splitting
-    lattice_tree = ast.parse((_SRC / "lattice.py").read_text(encoding="utf-8"))
-    assert "split_rational" in _fraction_builders(lattice_tree)
+    claims_tree = ast.parse((_SRC / "claims.py").read_text(encoding="utf-8"))
+    assert "split_rational" in _fraction_builders(claims_tree)

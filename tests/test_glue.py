@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import cusps, fqf, glue
+from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
     BadParameter, InternalError, NotIsometry, NotIsotropic, NotNegativeDefinite,
     RootsNotFullRank,
 )
 from cuspidal.exact import IntMatrix, integral_gram_schmidt, lll_reduce, smith_normal_form
+import helpers
 from fraction_oracles import over_common_denominator, rational_inverse
+from helpers import signed_permutation, tau_generator_isometries
 
 HALF = Fraction(-1, 2)
 
@@ -115,7 +117,7 @@ class TestShortVectors:
         for v in roots:
             coords.add(v.coords)
             coords.add(tuple(-x for x in v.coords))
-        rho = lat.reflection(L, roots[0])
+        rho = claims.reflection(L, roots[0])
         for v in roots:
             assert rho(v).coords in coords
 
@@ -330,27 +332,27 @@ def test_integer_disc_action_matches_rational_lifts(spec):
     gd = glue.make_glue(spec)
     disc = gd.disc
     units = [tuple(int(j == i) for j in range(disc.rank)) for i in range(disc.rank)]
-    isos = glue.tau_generator_isometries(gd)
+    isos = tau_generator_isometries(gd)
     actions = glue._generator_actions(gd)
     assert len(actions) == len(isos)
     for iso, action in zip(isos, actions):
         expected = tuple(disc.class_of(*over_common_denominator(iso.matrix.apply(disc.lift(u))))
                          for u in units)
         assert action == expected
-        assert lat.disc_action(iso, disc.source.smith, disc.source.kept) == expected
+        assert claims.disc_action(iso, disc.source.smith, disc.source.kept) == expected
 
 
 @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
 def test_tau_generators_pass_the_full_form_check(spec):
     gd = glue.make_glue(spec)
-    gens = glue.tau_generator_isometries(gd)
+    gens = tau_generator_isometries(gd)
     assert gens
     for iso in gens:
         m = iso.matrix.data
         # one entry +-1 in every row and column, and M^T G M = G
         assert sorted(abs(x) for row in m for x in row).count(1) == gd.base.rank
         assert all(sum(x != 0 for x in row) == 1 for row in m)
-        assert lat.Isometry(gd.base, iso.matrix) == iso
+        assert claims.Isometry(gd.base, iso.matrix) == iso
 
 
 def _swap(n, a, b, k):
@@ -364,13 +366,13 @@ def test_signed_permutation_rejects_non_isometries():
     base = glue.make_glue("E8+D8").base
     plus = (1,) * 16
     with pytest.raises(NotIsometry):  # E8 and D8 are not isomorphic
-        lat.Isometry.signed_permutation(base, _swap(16, 0, 8, 8), plus)
+        signed_permutation(base, _swap(16, 0, 8, 8), plus)
     with pytest.raises(NotIsometry):  # a sign flip inside a root chain
-        lat.Isometry.signed_permutation(base, range(16), (-1,) + plus[1:])
+        signed_permutation(base, range(16), (-1,) + plus[1:])
     with pytest.raises(NotIsometry):  # not a permutation
-        lat.Isometry.signed_permutation(base, [0] * 16, plus)
+        signed_permutation(base, [0] * 16, plus)
     swap = _swap(16, 0, 8, 8)
-    iso = lat.Isometry.signed_permutation(glue.make_glue("2E8").base, swap, plus)
+    iso = signed_permutation(glue.make_glue("2E8").base, swap, plus)
     assert iso.matrix.data[8][0] == iso.matrix.data[0][8] == 1
 
 
@@ -388,11 +390,11 @@ def test_signed_permutation_check_matches_the_matrix_product():
         for src, (dst, sign) in enumerate(zip(p, s)):
             m[dst][src] = sign
         try:
-            expected = lat.Isometry(base, IntMatrix(m))
+            expected = claims.Isometry(base, IntMatrix(m))
         except NotIsometry:
             expected = None
         try:
-            got = lat.Isometry.signed_permutation(base, p, s)
+            got = signed_permutation(base, p, s)
         except NotIsometry:
             got = None
         assert got == expected
@@ -431,8 +433,8 @@ def _closure_image_of_tau(gd, quotient, group):
 
 def _closure_in_o_of_a_r(gd0):
     disc = gd0.disc
-    gens = [lat.disc_action(iso, disc.source.smith, disc.source.kept)
-            for iso in glue.tau_generator_isometries(gd0)]
+    gens = [claims.disc_action(iso, disc.source.smith, disc.source.kept)
+            for iso in tau_generator_isometries(gd0)]
     group = {fqf.identity_map(disc)}
     frontier = list(group)
     while frontier:
@@ -469,8 +471,8 @@ def test_image_of_tau_matches_the_closure_in_o_of_a_r():
 def test_glue_orbits_partition_the_target_order_glues(spec, glues, orbits):
     gd0, subs = glue_choices(spec, 4)
     disc = gd0.disc
-    actions = [lat.disc_action(iso, disc.source.smith, disc.source.kept)
-               for iso in glue.tau_generator_isometries(gd0)]
+    actions = [claims.disc_action(iso, disc.source.smith, disc.source.kept)
+               for iso in tau_generator_isometries(gd0)]
     found = glue._glue_orbits(glue._generator_actions(gd0), subs)
     assert (len(subs), len(found)) == (glues, orbits)
     members = [key for _, words, _ in found for key in words]
@@ -499,7 +501,7 @@ def test_tau_generators_must_be_involutions(monkeypatch):
 
 def test_generator_actions_check_each_generator_without_its_matrix(monkeypatch):
     gd = glue.make_glue("E8+D8")
-    monkeypatch.setattr(lat.Isometry, "signed_permutation", None)
+    monkeypatch.setattr(helpers, "signed_permutation", None)
     assert glue._generator_actions(gd)
     # E8 and D8 are not isomorphic, so swapping them is no isometry
     monkeypatch.setattr(glue, "_tau_signed_permutations",

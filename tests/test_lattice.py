@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import claims
 from cuspidal import lattice as lat
 from cuspidal.errors import (
     BadParameter,
@@ -20,6 +21,7 @@ from cuspidal import glue
 from cuspidal.exact import smith_normal_form
 from fraction_oracles import rational_inverse
 from embedding_oracles import rank2_isometric, reduced_binary
+from helpers import compose, lattice_to_json, minus_identity, tau_generator_isometries
 
 
 def k3_square():
@@ -222,11 +224,11 @@ class TestSplitting:
         self.L = k3_square()
         self.g = ambient_vec(self.L, v1=2, w1=14, e=-5)
         self.tau = ambient_vec(self.L, v2=1, w2=-2)
-        self.split = lat.splitting_from(self.L, [self.g, self.tau])
+        self.split = claims.splitting_from(self.L, [self.g, self.tau])
 
     def test_projection_values(self):
         delta = ambient_vec(self.L, v1=4, w1=-4, v2=6, w2=6, e=-5)
-        d_m, d_n = lat.split_rational(self.split, delta)
+        d_m, d_n = claims.split_rational(self.split, delta)
         expect = Fraction(-1, 3) * self.g + Fraction(3, 2) * self.tau
         assert d_m.coords == expect.coords
         assert d_m.norm == Fraction(-25, 3)
@@ -234,60 +236,60 @@ class TestSplitting:
         assert (d_m + d_n).coords == delta.coords
 
     def test_projection_idempotent(self):
-        g_m, g_n = lat.split_rational(self.split, self.g)
+        g_m, g_n = claims.split_rational(self.split, self.g)
         assert g_n.is_zero and g_m.coords == self.g.coords
 
     def test_norm_additivity(self):
         random.seed(2)
         for _ in range(20):
             v = self.L.vector([random.randint(-2, 2) for _ in range(23)])
-            a, b = lat.split_rational(self.split, v)
+            a, b = claims.split_rational(self.split, v)
             assert a.norm + b.norm == v.norm
 
     def test_delta_prime(self):
         delta = ambient_vec(self.L, v1=4, w1=-4, v2=6, w2=6, e=-5)
-        assert lat.delta_prime_test(self.split, delta) is True
+        assert claims.delta_prime_test(self.split, delta) is True
 
     def test_member_of_summand(self):
         with pytest.raises(MemberOfSummand):
-            lat.delta_prime_test(self.split, self.tau)
+            claims.delta_prime_test(self.split, self.tau)
 
     def test_positive_projection_fails(self):
         # v1 + w1 has norm 2 > 0 and nonzero parts in both summands
         v = ambient_vec(self.L, v1=1, w1=1)
-        a, b = lat.split_rational(self.split, v)
+        a, b = claims.split_rational(self.split, v)
         if not a.is_zero and not b.is_zero and a.norm > 0:
-            assert lat.delta_prime_test(self.split, v) is False
+            assert claims.delta_prime_test(self.split, v) is False
 
 
 class TestIsometries:
     def test_reflection_spinor_signs(self):
         e8 = lat.E(8)
-        assert lat.spinor_norm(lat.reflection(e8, e8.basis_vector(0))) == 1
+        assert claims.spinor_norm(claims.reflection(e8, e8.basis_vector(0))) == 1
         u = lat.U()
         w = u.vector((1, 1))  # norm +2
-        assert lat.spinor_norm(lat.reflection(u, w)) == -1
+        assert claims.spinor_norm(claims.reflection(u, w)) == -1
 
     def test_minus_id_on_two_torsion(self):
         L = lat.parse_name("<-2>+<-2>")
-        flags = lat.group_membership(lat.Isometry.minus_identity(L))
+        flags = claims.group_membership(minus_identity(L))
         assert flags.det == 1 and flags.spinor == 1
         assert flags.disc_action == "id"
         assert flags.in_so_tilde_plus
 
     def test_identity_in_every_subgroup(self):
         L = lat.parse_name("U+A2")
-        flags = lat.group_membership(lat.Isometry.identity(L))
+        flags = claims.group_membership(claims.Isometry.identity(L))
         assert flags.in_o_plus and flags.stable and flags.in_o_tilde_plus
         assert flags.in_so_tilde_plus and flags.in_o_hat_plus and flags.in_so_hat_plus
         # a unimodular lattice keeps no generator of its (trivial) A_L
-        flags = lat.group_membership(lat.Isometry.identity(lat.parse_name("U+E8")))
+        flags = claims.group_membership(claims.Isometry.identity(lat.parse_name("U+E8")))
         assert flags.disc_action == "id" and flags.in_so_tilde_plus
 
     def test_minus_id_spinor_matches_positive_part(self):
         # sn(-id) = (-1)^{r} for signature (r, s)
-        assert lat.spinor_norm(lat.Isometry.minus_identity(lat.U())) == -1
-        assert lat.spinor_norm(lat.Isometry.minus_identity(lat.A(2))) == 1
+        assert claims.spinor_norm(minus_identity(lat.U())) == -1
+        assert claims.spinor_norm(minus_identity(lat.A(2))) == 1
 
     def test_signed_permutation_compares_moved_with_fixed_indices(self):
         # on the path 0 - 1 - 2 each adjacent swap keeps the pairings among
@@ -305,23 +307,23 @@ class TestIsometries:
         from cuspidal.exact import IntMatrix
 
         with pytest.raises(NotIsometry):
-            lat.Isometry(lat.U(), IntMatrix([[1, 1], [0, 1]]))
+            claims.Isometry(lat.U(), IntMatrix([[1, 1], [0, 1]]))
 
     def test_compose(self):
         # the product of the two simple reflections of A2 is the Coxeter
         # element, of order 3; isometries of two lattices do not compose
         L = lat.A(2)
-        r0, r1 = (lat.reflection(L, v) for v in L.basis())
-        c = r0.compose(r1)
-        assert c == lat.Isometry(L, r0.matrix @ r1.matrix)
-        assert c.compose(c).compose(c) == lat.Isometry.identity(L)
+        r0, r1 = (claims.reflection(L, v) for v in L.basis())
+        c = compose(r0, r1)
+        assert c == claims.Isometry(L, r0.matrix @ r1.matrix)
+        assert compose(compose(c, c), c) == claims.Isometry.identity(L)
         with pytest.raises(MixedLattices):
-            r0.compose(lat.Isometry.identity(lat.U()))
+            compose(r0, claims.Isometry.identity(lat.U()))
 
     def test_hat_membership(self):
         # -id acts as -id on A_L of <-8>, with det -1 in rank 1
         L = lat.rank1(-8)
-        flags = lat.group_membership(lat.Isometry.minus_identity(L))
+        flags = claims.group_membership(minus_identity(L))
         assert flags.disc_action == "-id"
         assert flags.det == -1
         assert flags.in_o_hat_plus and flags.in_so_hat_plus
@@ -343,10 +345,10 @@ class TestIsometries:
             )
 
         actions = []
-        for iso in glue.tau_generator_isometries(gd):
+        for iso in tau_generator_isometries(gd):
             m = iso.matrix
             expected = "id" if acts_as(m, 1) else "-id" if acts_as(m, -1) else "other"
-            assert lat.group_membership(iso).disc_action == expected
+            assert claims.group_membership(iso).disc_action == expected
             actions.append(expected)
         assert "other" in actions or "-id" in actions
 
@@ -357,11 +359,11 @@ class TestIsometries:
             calls.append(a)
             return smith_normal_form(a)
 
-        monkeypatch.setattr(lat, "smith_normal_form", counting)
+        monkeypatch.setattr(claims, "smith_normal_form", counting)
         gd = glue.make_glue("D5+2<-2>")
-        for iso in glue.tau_generator_isometries(gd):
+        for iso in tau_generator_isometries(gd):
             calls.clear()
-            lat.group_membership(iso)
+            claims.group_membership(iso)
             assert len(calls) == 1
 
     def test_disc_action_examples(self):
@@ -369,8 +371,8 @@ class TestIsometries:
         # -1 on <-2> is trivial on Z/2; swapping two equal summands is neither
         def actions(spec):
             gd = glue.make_glue(spec)
-            return [lat.group_membership(g).disc_action
-                    for g in glue.tau_generator_isometries(gd)]
+            return [claims.group_membership(g).disc_action
+                    for g in tau_generator_isometries(gd)]
 
         assert actions("A2") == ["-id"]
         assert actions("2A2") == ["other", "other", "other"]
@@ -393,7 +395,7 @@ def _reflections(L, rng):
     for v in pool:
         if v.norm != 0:
             try:
-                out.append((v, lat.reflection(L, v)))
+                out.append((v, claims.reflection(L, v)))
             except NotIsometry:
                 continue
     return out
@@ -410,28 +412,28 @@ def test_spinor_norm_counts_reflections_in_positive_vectors(name):
     assert {v.norm > 0 for v, _ in reflections} == {True, False}
     for _ in range(150 if L.rank <= 4 else 30):
         factors = [rng.choice(reflections) for _ in range(rng.randint(0, 5))]
-        g = lat.Isometry.identity(L)
+        g = claims.Isometry.identity(L)
         for _, rho in factors:
-            g = g.compose(rho)
+            g = compose(g, rho)
         assert g.matrix.T @ L.gram @ g.matrix == L.gram
-        assert lat.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
+        assert claims.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
         assert g.det == (-1) ** len(factors)
-    assert lat.spinor_norm(lat.Isometry.minus_identity(L)) == (-1) ** L.signature[0]
+    assert claims.spinor_norm(minus_identity(L)) == (-1) ** L.signature[0]
 
 
 def _membership_inputs(name):
     """Isometries of the lattice ``name``: the diagram generators of a root
     sum, or products of reflections of U+U+U+E8+E8+<-2>."""
     if name != "U+U+U+E8+E8+<-2>":
-        return glue.tau_generator_isometries(glue.make_glue(name))
+        return tau_generator_isometries(glue.make_glue(name))
     rng = random.Random(9)
     L = lat.parse_name(name)
     reflections = [rho for _, rho in _reflections(L, rng)]
     out = []
     for _ in range(12):
-        g = lat.Isometry.identity(L)
+        g = claims.Isometry.identity(L)
         for rho in rng.sample(reflections, rng.randint(1, 3)):
-            g = g.compose(rho)
+            g = compose(g, rho)
         assert g.matrix.T @ L.gram @ g.matrix == L.gram
         out.append(g)
     return out
@@ -449,7 +451,7 @@ def test_kept_block_disc_action_matches_full_product(name):
         m = (smith.left @ g.domain.gram @ g.matrix @ smith.right).data
         d = smith.diag
         full = tuple(tuple(m[k][i] // d[i] % d[k] for k in kept) for i in kept)
-        assert lat.disc_action(g, smith, kept) == full
+        assert claims.disc_action(g, smith, kept) == full
 
 
 class TestBinaryForms:
@@ -490,7 +492,7 @@ class TestNamesAndJson:
 
     def test_json_round_trip(self):
         L = lat.parse_name("U+<-2>")
-        text = lat.lattice_to_json(L)
+        text = lattice_to_json(L)
         back = lat.lattice_from_json(text)
         assert back.gram == L.gram
         obj = json.loads(text)
@@ -498,5 +500,5 @@ class TestNamesAndJson:
 
     def test_load_lattice_from_file(self, tmp_path):
         p = tmp_path / "lat.json"
-        p.write_text(lat.lattice_to_json(lat.B(7)))
+        p.write_text(lattice_to_json(lat.B(7)))
         assert lat.load_lattice(str(p)).gram == lat.B(7).gram

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal import cusps, exact, fqf, glue
+from cuspidal import claims, cusps, exact, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
     BadCase,
@@ -33,8 +33,8 @@ def _records():
     gd = glue.make_glue("4A1", [(1, 1, 1, 1)])
     quotient = fqf.perp_quotient(gd.disc, gd.glue)
     qsource = quotient.source
-    split = lat.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
-    rho = lat.reflection(L, L.basis_vector(2))
+    split = claims.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
+    rho = claims.reflection(L, L.basis_vector(2))
     case = cusps.PolarizationCase(12, "split")
     row = cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"))[0]
     zero = cusps.zero_dim_report(case)
@@ -56,7 +56,7 @@ def _records():
         (L.vector([1, 0, -1, 2]), rebuilt),
         (split, rebuilt),
         (rho, rebuilt),
-        (lat.group_membership(rho), rebuilt),
+        (claims.group_membership(rho), rebuilt),
         (case, lambda r: cusps.PolarizationCase(r.d, r.embedding)),
         (cusps.disc_model(case), rebuilt),
         (build_polarized(cusps.PolarizationCase(3, "nonsplit")), rebuilt),
@@ -145,24 +145,24 @@ class TestValidatingConstructors:
 
     def test_orthogonal_splitting(self):
         L = lat.parse_name("U+A2")
-        split = lat.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
+        split = claims.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
         M = lat.parse_name("U+A1+A1")
-        foreign = lat.splitting_from(M, [M.basis_vector(0), M.basis_vector(1)])
+        foreign = claims.splitting_from(M, [M.basis_vector(0), M.basis_vector(1)])
         with pytest.raises(MixedLattices):
-            lat.OrthogonalSplitting(L, split.left, foreign.right)
+            claims.OrthogonalSplitting(L, split.left, foreign.right)
         with pytest.raises(BadParameter):
-            lat.OrthogonalSplitting(L, split.left, split.left)
+            claims.OrthogonalSplitting(L, split.left, split.left)
         with pytest.raises(BadParameter):
-            lat.OrthogonalSplitting(
+            claims.OrthogonalSplitting(
                 L, split.left, lat.Sublattice(L, [[1, 0, 1, 0], [0, 0, 0, 1]])
             )
 
     def test_isometry(self):
         L = lat.A(2)
         with pytest.raises(NotIsometry):
-            lat.Isometry(L, exact.IntMatrix([[1, 1], [0, 1]]))
+            claims.Isometry(L, exact.IntMatrix([[1, 1], [0, 1]]))
         with pytest.raises(NotIsometry):
-            lat.Isometry(L, exact.IntMatrix.identity(3))
+            claims.Isometry(L, exact.IntMatrix.identity(3))
 
     def test_lattice_vector(self):
         L = lat.A(2)
