@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from itertools import chain
 from types import SimpleNamespace
 
 from . import cusps, fqf, glue
@@ -37,13 +38,20 @@ def _dump_json(obj) -> str:
 
 def _json_text(obj, newline: str) -> str:
     """The JSON text of ``obj`` whose line starts with ``newline``, the line
-    break and the indent of its level; a list of ints is joined in one step."""
+    break and the indent of its level; a list of ints is joined in one step,
+    and a list of nonempty int lists of one length fills one template."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        if all(type(x) is int for x in obj):
+        types = set(map(type, obj))
+        widths = set(map(len, obj)) if types <= {list, tuple} else ()
+        if types == {int}:
             items = map(int.__repr__, obj)
+        elif len(widths) == 1 and set(map(type, chain.from_iterable(obj))) == {int}:
+            row = inner + "  "
+            template = "[" + row + ("," + row).join(["%d"] * widths.pop()) + inner + "]"
+            items = [template % tuple(x) for x in obj]
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

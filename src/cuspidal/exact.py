@@ -299,8 +299,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """
     m, n = A.rows, A.cols
     S = [list(r) for r in A.data]
-    L = [[int(i == j) for j in range(m)] for i in range(m)]
-    Rt = [[int(i == j) for j in range(n)] for i in range(n)]  # R transposed
+    L, Rt = [[0] * m for _ in range(m)], [[0] * n for _ in range(n)]  # Rt is R transposed
+    for M in (L, Rt):
+        for i, row in enumerate(M):
+            row[i] = 1
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]

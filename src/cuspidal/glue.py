@@ -18,11 +18,15 @@ minima (Conway-Sloane, SPLAG ch. 4 sections 6-8; Nikulin 1979, section
 h + R have |norm| sum_i mu_i(h_i), with mu_i(c) the minimal |norm| of the
 class c in R_i*/R_i.  Every nonzero class of an irreducible ADE lattice
 contains a minuscule fundamental weight, which is shortest in its class,
-so mu_i(c) is the least |(G_i^-1)_kk| over the fundamental weights
-omega_k in c; a rank-1 summand <2m> has mu(k) = k'^2/|2m| with k' the
-class k reduced to [0, |m|].  E is even, so for h != 0 the sum is an even
-integer >= 2, and E has a root outside R exactly when some sum is 2
-(``glue_adds_roots``).  Fincke-Pohst still runs for ``glue roots``,
+so mu_i(c) is the least |norm| of the fundamental weights omega_j in c; a
+rank-1 summand <-2m> has mu(k) = k'^2/|2m| on the k-th multiple of its
+one class, with k' = min(k, |2m| - k).  All of it is read off the one
+Smith form U G V = D of the base that its discriminant form already
+holds: omega_j = G^-1 e_j has class U e_j in A_R and norm
+sum_i V[j][i] U[i][j] / d_i, and h_i has class U p_i for the pairings p_i
+of its lift with the basis of R_i.  E is even, so for h != 0 the sum is
+an even integer >= 2, and E has a root outside R exactly when some sum
+is 2 (``glue_adds_roots``).  Fincke-Pohst still runs for ``glue roots``,
 ``glue enum --roots-of-overlattice``, for Table 1 candidates none of
 whose genus-matching glues keeps the declared roots, and in the tests.
 
@@ -47,9 +51,8 @@ conditional.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import groupby
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 
 from .errors import (
@@ -63,7 +66,6 @@ from .errors import (
 from .exact import IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce
 from .fqf import (
     FiniteQuadraticForm,
-    LatticeSource,
     QuotientSource,
     apply_map,
     compose_maps,
@@ -332,41 +334,46 @@ def _classify_component(block) -> tuple:
 # coset minima: roots created by a glue, without enumeration
 
 
-@lru_cache(maxsize=None)
-def _class_minima(kind: str, param: int) -> tuple:
-    """(src, N, minima) of one component R_i: its ``LatticeSource``, the
-    exponent N of R_i*/R_i and the map from the class (``class_key``) of
-    every nonzero element of R_i*/R_i to N times the least |norm| in it."""
-    if kind == "unit" and param > 0:
-        raise NotNegativeDefinite("coset minima need a negative definite base")
-    src = LatticeSource.of(_component_lattice(kind, param))
+def _coset_minima(gd: GlueData) -> list:
+    """(slice, rows, Gram, minima) of each component R_i of the base, read off
+    the base's Smith transforms U G V = D: ``rows`` are the kept rows of U on
+    the columns of R_i with their invariant factors, so that a dual vector of R_i
+    with integer pairings p has class (U p)_k mod d_k in A_R, and ``minima``
+    maps each nonzero class of R_i*/R_i, in these coordinates, to level
+    times the least |norm| in it.  The fundamental weight omega_j = G^-1 e_j has class
+    U e_j and, as level G^-1 = V (level D^-1) U, level times its norm is
+    sum_i V[j][i] (level / d_i) U[i][j]."""
+    src = gd.disc.source
     U, d, V = src.smith.left.data, src.smith.diag, src.smith.right.data
-    N = d[-1]
-    minima = {}
-    if kind == "unit":
-        # the class of k e / 2m is shortest at k' = min(k, N - k), N = |2m|
-        for k in range(1, N):
-            minima[src.class_key((k,))] = min(k, N - k) ** 2
-    else:
-        r = len(d)
-        for k in range(r):
-            c = src.class_key([int(i == k) for i in range(r)])
-            if any(c):
-                # omega_k = G^-1 e_k has norm (G^-1)_kk, and N G^-1 = V (N D^-1) U
-                norm = -sum(V[k][j] * (N // d[j]) * U[j][k] for j in range(r))
-                minima[c] = min(norm, minima.get(c, norm))
-    if len(minima) != prod(d) - 1:
-        raise InternalError(f"a nonzero class of {kind}{param} contains no fundamental weight")
-    return src, N, minima
-
-
-def coset_minimum(kind: str, param: int, pairings) -> tuple:
-    """(N mu, N): the least |norm| mu in the class of R_i*/R_i of the dual
-    vector with the given integer pairings against the basis of R_i, with
-    N the exponent of R_i*/R_i; ``param`` is as in ``Component``."""
-    src, N, minima = _class_minima(kind, param)
-    c = src.class_key(pairings)
-    return (minima[c] if any(c) else 0), N
+    level = gd.disc.level
+    scale = [level // di for di in d]
+    blocks = []
+    for comp in gd.components:
+        if comp.kind == "unit" and comp.param > 0:
+            raise NotNegativeDefinite("coset minima need a negative definite base")
+        R = _component_lattice(comp.kind, comp.param)
+        sl = slice(comp.offset, comp.offset + comp.rank)
+        if tuple(row[sl] for row in gd.base.gram.data[sl]) != R.gram.data:
+            raise InternalError("base Gram block differs from its component")
+        rows = [(U[k][sl], d[k]) for k in src.kept]
+        minima = {}
+        if comp.kind == "unit":
+            # the class of k e / 2m is shortest at k' = min(k, N - k), N = |2m|
+            N, j = -comp.param, comp.offset
+            for k in range(1, N):
+                minima[tuple(k * U[t][j] % d[t] for t in src.kept)] = \
+                    level // N * min(k, N - k) ** 2
+        else:
+            for j in range(sl.start, sl.stop):
+                c = tuple(U[t][j] % d[t] for t in src.kept)
+                if any(c):
+                    norm = -sum(V[j][i] * scale[i] * U[i][j] for i in range(len(d)))
+                    minima[c] = min(norm, minima.get(c, norm))
+        if len(minima) != abs(R.det) - 1:
+            raise InternalError(f"the classes read for {comp.kind}{comp.param} "
+                                "do not fill its discriminant group")
+        blocks.append((sl, rows, R.gram, minima))
+    return blocks
 
 
 def glue_adds_roots(gd: GlueData) -> bool:
@@ -378,24 +385,20 @@ def glue_adds_roots(gd: GlueData) -> bool:
     if sum(c.rank for c in gd.components) != gd.base.rank:
         raise RootsNotFullRank("components do not span the base lattice")
     level = gd.disc.level
-    blocks = []
-    for comp in gd.components:
-        G = _class_minima(comp.kind, comp.param)[0].lattice.gram
-        sl = slice(comp.offset, comp.offset + comp.rank)
-        if tuple(row[sl] for row in gd.base.gram.data[sl]) != G.data:
-            raise InternalError("base Gram block differs from its component")
-        blocks.append((comp, sl, G))
+    blocks = _coset_minima(gd)
     for h in gd.glue.elements:
         if not any(h):
             continue
         lift = gd.disc.source.scaled_lift(h, level)  # level times a vector of R*
         total = 0  # level times the coset minimum
-        for comp, sl, G in blocks:
+        for sl, rows, G, minima in blocks:
             scaled = G.apply(lift[sl])
             if any(x % level for x in scaled):
                 raise InternalError("glue lift is not a dual vector")
-            num, N = coset_minimum(comp.kind, comp.param, [x // level for x in scaled])
-            total += num * (level // N)
+            p = [x // level for x in scaled]
+            c = tuple(sum(map(mul, u, p)) % dk for u, dk in rows)
+            if any(c):
+                total += minima[c]
         if total == 0 or total % (2 * level):
             raise InternalError("glue coset minimum is not an even integer >= 2")
         if total == 2 * level:

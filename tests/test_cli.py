@@ -585,8 +585,13 @@ _JSON_CHARS = st.one_of(
     st.characters(),
 )
 _JSON_TEXT = st.text(_JSON_CHARS, max_size=8)
+_JSON_INTS = st.integers(-(2**200), 2**200)
+# lists of int lists and tuples of one width, as the zero-dimensional
+# representatives are printed
+_JSON_INT_ROWS = st.integers(0, 3).flatmap(lambda k: st.lists(
+    st.lists(_JSON_INTS, min_size=k, max_size=k) | st.tuples(*[_JSON_INTS] * k), max_size=5))
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | _JSON_TEXT,
+    st.none() | st.booleans() | _JSON_INTS | _JSON_TEXT | _JSON_INT_ROWS,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
@@ -600,6 +605,10 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES)
 @example({"a\\b": ['say "hi"', "tab\t", "\x7f", "\xe9", "\U0001f600", True, None, -(2**200)]})
+@example([[1, True], [2, 3]])
+@example([[1, 2], (3, -4), _Pair(5, 2**70)])
+@example([[1], [2, 3]])
+@example([[], []])
 def test_json_writer_matches_the_standard_encoder(obj):
     assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -116,6 +117,19 @@ class TestSmith:
         assert s.left @ a @ s.right == diagonal_matrix(s)
         assert abs(s.left.det()) == abs(s.right.det()) == 1
         assert s.diag == (1, 1, 1, 1, 10083)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        sorted(json.loads((Path(__file__).parent / "data" / "smith_pins.json").read_text())
+               .items()),
+    )
+    def test_pinned_presentations(self, name, digest):
+        # sha256 of (U, diag, V) for the Table 1 bases and A1-A17, D4-D18 and
+        # E6-E8, recorded from the gcd-step Smith form: the coordinates that
+        # glue enum prints are written in this presentation
+        snf = smith_normal_form(glue.root_sum_base(name)[0].gram)
+        text = json.dumps([snf.left.to_lists(), list(snf.diag), snf.right.to_lists()])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @st.composite

@@ -6,6 +6,7 @@ from math import isqrt, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
@@ -544,29 +545,73 @@ COSET_COMPONENTS = (
 )
 
 
-@pytest.mark.parametrize("kind, param", COSET_COMPONENTS)
-def test_coset_minima_match_closed_forms(kind, param):
-    L = lat.make_standard("rank1" if kind == "unit" else kind, param)
+def _assert_component_minima(gd, i):
+    """The coset minima of component i of the base of ``gd``, as
+    ``glue._coset_minima`` reads them off the base's Smith transforms, match
+    the closed forms on every class of the component's own R_i*/R_i."""
+    comp = gd.components[i]
+    sl, _, _, minima = glue._coset_minima(gd)[i]
+    L = lat.make_standard("rank1" if comp.kind == "unit" else comp.kind, comp.param)
     disc = fqf.discriminant_form(L)
-    rng = random.Random(param)
-    seen = 0
+    src, n = gd.disc.source, gd.base.rank
+    rng = random.Random(comp.param)
+    seen = set()
     for x in disc.elements():
         b = disc.source.scaled_lift(x, disc.level)
-        p = [v // disc.level for v in L.gram.apply(b)]
-        expected = _splac_minimum(kind, param, p)
-        num, den = glue.coset_minimum(kind, param, p)
-        assert Fraction(num, den) == expected, (x, p)
+        p = [0] * n
+        p[sl] = [v // disc.level for v in L.gram.apply(b)]
+        expected = _splac_minimum(comp.kind, comp.param, p[sl])
+        c = src.class_key(p)
+        got = minima[c] if any(c) else 0
+        assert Fraction(got, gd.disc.level) == expected, (x, p[sl])
         # any other vector of the same class has the same minimum
-        shifted = [a + c for a, c in zip(p, L.gram.apply([rng.randint(-3, 3) for _ in p]))]
-        assert glue.coset_minimum(kind, param, shifted) == (num, den)
-        seen += 1
-    assert seen == abs(L.det)
+        shifted = list(p)
+        shifted[sl] = [a + v for a, v in zip(
+            p[sl], L.gram.apply([rng.randint(-3, 3) for _ in range(L.rank)]))]
+        assert src.class_key(shifted) == c
+        seen.add(c)
+    assert len(seen) == abs(L.det)
+    assert set(minima) == {c for c in seen if any(c)}
+
+
+@pytest.mark.parametrize("kind, param", COSET_COMPONENTS)
+def test_coset_minima_match_closed_forms(kind, param):
+    spec = f"<{param}>" if kind == "unit" else f"{kind}{param}"
+    _assert_component_minima(glue.make_glue(spec), 0)
+
+
+@pytest.mark.parametrize("roots", [cand.roots for cand in cusps.TABLE1_ROWS])
+def test_coset_minima_of_table1_bases_match_closed_forms(roots):
+    # each component's minima, written in the presentation of the whole base
+    gd = glue.make_glue(roots)
+    for i in range(len(gd.components)):
+        _assert_component_minima(gd, i)
 
 
 def _adds_roots_oracle(gd):
     """The certificate's answer, by Fincke-Pohst on the overlattice."""
     over = glue.root_system(glue.overlattice(gd).lattice)
     return over.total_roots != glue.root_system(gd.base).total_roots
+
+
+_ROOT_ATOMS = ([f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 9)]
+               + ["E6", "E7", "<-2>", "<-4>"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(_ROOT_ATOMS), min_size=2, max_size=4), st.data())
+def test_root_certificate_matches_fincke_pohst_on_random_glues(atoms, data):
+    gd0 = glue.make_glue("+".join(atoms))
+    disc = gd0.disc
+    # an isotropic glue, grown by nonzero isotropic elements that keep it isotropic
+    iso = [e for e in fqf.isotropic_elements(disc) if any(e)]
+    gens = []
+    for e in data.draw(st.lists(st.sampled_from(iso), min_size=1, max_size=4) if iso
+                       else st.just([])):
+        if not any(disc.q_scaled(x) for x in fqf.subgroup_span(disc, gens + [e]).elements):
+            gens.append(e)
+    gd = glue.GlueData(gd0.base, gd0.components, disc, fqf.subgroup_span(disc, gens))
+    assert glue.glue_adds_roots(gd) is _adds_roots_oracle(gd)
 
 
 def test_root_certificate_on_the_glues_table1_tries():
