@@ -27,7 +27,6 @@ from .fqf import (
     discriminant_form,
     isotropic_elements,
     isotropic_subgroups,
-    mod_pm1,
     orthogonal_group,
     perp_quotient,
 )
@@ -48,7 +47,6 @@ from .cusps import (
     PolarizationCase,
     nu,
     one_dim_cusps,
-    orbit_reps,
     predicted_AE,
 )
 

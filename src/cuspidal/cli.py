@@ -395,11 +395,20 @@ GROUP_HELP = {
 }
 
 
+def positive_int(text: str) -> int:
+    """``int(text)`` when it is at least 1; ValueError otherwise, which
+    argparse reports as a usage error naming the option."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not a positive integer")
+    return value
+
+
 def _common(default_format="json"):
     return (
         ("--format", {"choices": ("json", "md"), "default": default_format}),
         ("--out", {"default": None, "help": "write output to a file"}),
-        ("--bound", {"type": int, "default": fqf.ENUM_BOUND,
+        ("--bound", {"type": positive_int, "default": fqf.ENUM_BOUND,
                      "help": "enumeration cap for brute-force scans"}),
     )
 

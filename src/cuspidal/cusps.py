@@ -199,12 +199,6 @@ class OrbitRep(namedtuple("OrbitRep", "m n element")):
     __slots__ = ()
 
 
-def orbit_reps(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> list:
-    """Representatives x_{m,n} of I_1(A_N)/{+-1}, certified exhaustive by counting."""
-    model = disc_model(case)
-    return _verified_reps(model, fqf.isotropic_pm1_count(model.form, bound), bound)
-
-
 def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) -> list:
     """The x_{m,n}, certified to be all ``count`` isotropic classes modulo +-1.
 
@@ -261,14 +255,14 @@ def predicted_AE(case: PolarizationCase, m: int) -> FiniteQuadraticForm:
     d = case.d
     if case.split and pattern == "t":
         a = 2 * d // (m * m)
-        return FiniteQuadraticForm.from_gram((2, a), [[-a // 2, 0], [0, -1]])
+        return FiniteQuadraticForm((2, a), [[-a // 2, 0], [0, -1]])
     if case.split:
         a = 4 * d // (m * m)
         gram = [[-(a + 1) // 2]]
     else:
         a = d // (m * m)
         gram = [[-2]]
-    return trivial_form() if a == 1 else FiniteQuadraticForm.from_gram((a,), gram)
+    return trivial_form() if a == 1 else FiniteQuadraticForm((a,), gram)
 
 
 def det_E(case: PolarizationCase, m: int) -> int:
@@ -364,34 +358,37 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
     # the certificate out, the last match is taken among the orbits not yet
     # checked for the genus: the matching orbit with the greatest member,
     # whose roots are enumerated to name them.  Im tau is computed only for
-    # the returned glue.
+    # the returned glue.  The coset minima depend on the base only, so they
+    # are built once for all its orbits, when it has any.
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
     actions = glue_mod._generator_actions(gd0)
     orbits = glue_mod._glue_orbits(actions, subgroups)
     chosen, rs, unchecked = None, None, orbits
     if certifiable:
         unchecked = []
+        minima = glue_mod._coset_minima(gd0) if orbits else None
         for orbit in orbits:
             gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, orbit[0])
-            if glue_mod.glue_adds_roots(gd):
+            if glue_mod.glue_adds_roots(gd, minima):
                 unchecked.append(orbit)
                 continue
             quotient = fqf.perp_quotient(gd0.disc, orbit[0])
             if fqf.are_isometric(quotient, target_form, bound)[0]:
-                chosen, rs = (gd, quotient, *orbit[1:]), declared
+                chosen, rs = (quotient, orbit), declared
                 break
     if chosen is None:
         last = ()
-        for s, words, edges in unchecked:
-            quotient = fqf.perp_quotient(gd0.disc, s)
-            if fqf.are_isometric(quotient, target_form, bound)[0] and max(words) > last:
-                gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, s)
-                chosen, last = (gd, quotient, words, edges), max(words)
+        for orbit in unchecked:
+            quotient = fqf.perp_quotient(gd0.disc, orbit[0])
+            if fqf.are_isometric(quotient, target_form, bound)[0] and max(orbit[1]) > last:
+                chosen, last = (quotient, orbit), max(orbit[1])
     if chosen is None:
         return OneDimRow(cand, False, False, note="no isotropic glue realizes the target genus")
+    quotient, orbit = chosen
     if rs is None:
-        rs = glue_mod.root_system(glue_mod.overlattice(chosen[0]).lattice)
-    tau = glue_mod._stabilizer_image(*chosen, actions)
+        gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, orbit[0])
+        rs = glue_mod.root_system(glue_mod.overlattice(gd).lattice)
+    tau = glue_mod.image_of_tau(quotient, orbit, actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)
 

@@ -8,7 +8,8 @@ form with transform matrices whose every non-divisible step is a
 unimodular gcd mix of two rows or columns (the pivot is the first entry
 of least absolute value, and its search stops at a unit), fraction-free
 symmetric Bareiss elimination for congruence diagonalization
-(signatures and a basis of a maximal positive definite subspace), and
+(signatures; the tests read a maximal positive definite subspace off
+its congruence basis), and
 integral LLL at delta = 99/100 on the leading minors and scaled
 Gram-Schmidt coefficients.  The one matrix product skips the zero
 entries of its left operand, so it costs nnz(left) x cols; isometries
@@ -17,9 +18,10 @@ and root-lattice Grams are mostly zero.
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
 A finite quadratic form is an ``IntMatrix`` Gram over its level, so
-``IntMatrix.bilinear`` evaluates lattice and discriminant forms alike;
-it and ``IntMatrix.apply`` also accept Fraction entries, for callers
-that evaluate rational vectors.
+``IntMatrix.bilinear`` evaluates lattice and discriminant forms alike.
+It and ``IntMatrix.apply`` also accept Fraction entries; in the package
+only the rational vectors of ``claims`` (the splitting of
+``verify example-c12``) use that.
 """
 
 from __future__ import annotations
@@ -493,14 +495,6 @@ def signature_of_symmetric(A: IntMatrix) -> tuple:
     """
     signs = _symmetric_bareiss(A)[1]
     return (signs.count(1), signs.count(-1))
-
-
-def positive_definite_basis(A: IntMatrix) -> list:
-    """Pairwise A-orthogonal integer rows spanning a maximal positive definite
-    subspace of a nonsingular symmetric A: the congruence basis rows of
-    ``signature_of_symmetric`` with positive diagonal entry."""
-    T, signs = _symmetric_bareiss(A)
-    return [row for row, s in zip(T, signs) if s > 0]
 
 
 def _round_div(a: int, b: int) -> int:

@@ -4,18 +4,19 @@ A form lives on a finite abelian group in invariant-factor shape
 Z/d1 + ... + Z/dr (d1 | d2 | ...) and is stored like a lattice: an
 integer symmetric Gram matrix M over the level N = dr (the exponent; 1
 for the trivial form), with q(x) = x^T M x / N in Q/2Z and
-b(x, y) = x^T M y / N in Q/Z (Nikulin 1979, section 1).  Diagonal
-entries are kept mod 2N and the others mod N, so equal forms have equal
-matrices; ``qdiag`` and ``bmat`` are Fraction views (q in [0,2), b in
-[0,1)).  Elements are coefficient tuples reduced mod the invariant factors.
+b(x, y) = x^T M y / N in Q/Z (Nikulin 1979, section 1).  The one
+constructor takes these integer rows, and values are compared and
+printed as integers over the level (``q_scaled``, ``q_strings``).
+Diagonal entries are kept mod 2N and the others mod N, so equal forms
+have equal matrices.  Elements are coefficient tuples reduced mod the
+invariant factors.
 
 Every construction changes generators by one rule: integer rows R in a
 space with Gram G over level L give the form R G R^T over L, rescaled to
 the new level.  For A_L = L*/L with U G V = D the rows are N times the
-generator lifts V e_i / d_i; direct sums use the block sum over the lcm
-of the levels; H^perp/H uses generator lifts in the parent.  No matrix
-is inverted over Q: quotient coordinates come from ``exact.hnf_coords``
-and the Smith transform of the sublattice.
+generator lifts V e_i / d_i; H^perp/H uses generator lifts in the
+parent.  No matrix is inverted over Q: quotient coordinates come from
+``exact.hnf_coords`` and the Smith transform of the sublattice.
 
 A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
 section 1); ``primary_parts`` builds A_p by the same rule from the rows
@@ -61,46 +62,13 @@ class FiniteQuadraticForm:
 
     __slots__ = ("orders", "level", "gram", "source")
 
-    def __init__(self, orders, qdiag, bmat, source=None):
-        from fractions import Fraction
-
-        orders = tuple(int(d) for d in orders)
-        if any(d < 2 for d in orders):
-            raise ValueError("invariant factors must be >= 2")
-        if any(orders[i + 1] % orders[i] for i in range(len(orders) - 1)):
-            raise ValueError("orders must form a divisibility chain")
-        r = len(orders)
-        qdiag = [Fraction(x) for x in qdiag]
-        if len(qdiag) != r:
-            raise ValueError("one q value per generator required")
-        # the diagonal of bmat is not read: b(e_i, e_i) is q_i mod 1
-        full = [[qdiag[i] if i == j else Fraction(bmat[i][j]) for j in range(r)]
-                for i in range(r)]
-        for i in range(r):
-            for j in range(r):
-                if (full[i][j] - full[j][i]).denominator != 1:
-                    raise ValueError("bilinear matrix must be symmetric")
-                if (orders[i] * full[i][j]).denominator != 1:
-                    raise ValueError("bilinear value incompatible with orders")
-        for d, x in zip(orders, qdiag):
-            if (d * d * x) % 2 or (d * x).denominator != 1:
-                raise ValueError("q value incompatible with generator order")
-        # every value now lies in (1/d_i) Z, so level * value is an integer
-        level = orders[-1] if orders else 1
-        self._store(orders, [[int(level * x) for x in row] for row in full], source)
-
-    @classmethod
-    def from_gram(cls, orders, gram_rows, source=None) -> FiniteQuadraticForm:
+    def __init__(self, orders, gram_rows, source=None):
         """Form on ``orders`` with integer Gram rows over the exponent of ``orders``.
 
         The rows are trusted to define a form on ``orders``; they are reduced,
         not checked.
         """
-        form = object.__new__(cls)
-        form._store(tuple(orders), gram_rows, source)
-        return form
-
-    def _store(self, orders, gram_rows, source):
+        orders = tuple(orders)
         level = orders[-1] if orders else 1
         gram = IntMatrix(
             [[x % (2 * level if i == j else level) for j, x in enumerate(row)]
@@ -153,35 +121,9 @@ class FiniteQuadraticForm:
 
     # form values ------------------------------------------------------
 
-    def q(self, x) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.q_scaled(self.reduce(x)), self.level)
-
     def q_scaled(self, x) -> int:
         """level * q(x), an integer in [0, 2 level), for a reduced x."""
         return self.gram.bilinear(x, x) % (2 * self.level)
-
-    def b(self, x, y) -> Fraction:
-        from fractions import Fraction
-
-        value = self.gram.bilinear(self.reduce(x), self.reduce(y))
-        return Fraction(value % self.level, self.level)
-
-    @property
-    def qdiag(self) -> tuple:
-        """q of the generators, in [0, 2)."""
-        from fractions import Fraction
-
-        return tuple(Fraction(row[i], self.level) for i, row in enumerate(self.gram.data))
-
-    @property
-    def bmat(self) -> tuple:
-        """b of pairs of generators, in [0, 1)."""
-        from fractions import Fraction
-
-        n = self.level
-        return tuple(tuple(Fraction(x % n, n) for x in row) for row in self.gram.data)
 
     # equality is structural: same presentation, not mere isometry
     def __eq__(self, other):
@@ -195,20 +137,10 @@ class FiniteQuadraticForm:
         return hash((self.orders, self.gram))
 
     def __repr__(self):
-        qs = ", ".join(str(x) for x in self.qdiag)
+        qs = ", ".join(q_strings(self))
         return f"FiniteQuadraticForm(orders={list(self.orders)}, q=[{qs}])"
 
     # lattice provenance ----------------------------------------------
-
-    def lift(self, x):
-        """Rational dual-vector representative in the source lattice, if any."""
-        from fractions import Fraction
-
-        src = self.source
-        if not isinstance(src, LatticeSource):
-            raise ValueError("form has no lattice provenance")
-        scaled = src.scaled_lift(self.reduce(x), self.level)
-        return tuple(Fraction(a, self.level) for a in scaled)
 
     def class_of(self, scaled, level: int) -> tuple:
         """Class in this form of the dual vector scaled / level, for an integer
@@ -278,13 +210,13 @@ def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
     b(x, y) = x^T gram y / level: R gram R^T over ``level``, rescaled to the
     exponent of ``orders`` (which must divide ``level``)."""
     if not orders:
-        return FiniteQuadraticForm.from_gram((), (), source)
+        return FiniteQuadraticForm((), (), source)
     R = IntMatrix(rows)
     scale = level // orders[-1]
     moved = (R @ gram @ R.T).data
     if level % orders[-1] or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
-    return FiniteQuadraticForm.from_gram(
+    return FiniteQuadraticForm(
         orders, [[x // scale for x in row] for row in moved], source
     )
 
@@ -303,28 +235,11 @@ def discriminant_form(lattice) -> FiniteQuadraticForm:
 
 
 def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm.from_gram((), [])
-
-
-def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    """Orthogonal direct sum, renormalized to invariant-factor shape."""
-    orders = [d for f in forms for d in f.orders]
-    if not orders:
-        return trivial_form()
-    level = lcm(*(f.level for f in forms))
-    gram = IntMatrix.block_diagonal(f.gram.scaled(level // f.level) for f in forms)
-    quotient = _row_quotient(IntMatrix.identity(len(orders)), IntMatrix.diagonal(orders))
-    kept = [i for i, d in enumerate(quotient.orders) if d > 1]
-    return _generated_form(
-        gram,
-        level,
-        [quotient.generator_rows.data[i] for i in kept],
-        tuple(quotient.orders[i] for i in kept),
-    )
+    return FiniteQuadraticForm((), [])
 
 
 # ---------------------------------------------------------------------------
-# row-lattice quotients (shared by direct sums and perp quotients)
+# row-lattice quotients (of perp quotients)
 
 
 class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_rows orders")):
@@ -528,9 +443,10 @@ def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
                         primes=None) -> int:
     """Number of isotropic classes modulo +-1, counted part by part.
 
-    Equals ``len(mod_pm1(form, isotropic_elements(form)))`` without listing
-    an element: each p-part scans only its cofactor (``_isotropic_count``)
-    and F_2 comes from A_2[2].  ``bound`` caps each cofactor, not a part or
+    Equals the number of {x, -x} orbits of ``isotropic_elements(form)``
+    (the tests' ``mod_pm1`` lists them) without listing an element: each
+    p-part scans only its cofactor (``_isotropic_count``) and F_2 comes
+    from A_2[2].  ``bound`` caps each cofactor, not a part or
     the whole group; ``primes`` is passed to ``primary_parts``.
     """
     isotropic, fixed = 1, 1
@@ -541,21 +457,6 @@ def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
             fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
                         if part.gram.bilinear(x, x) % modulus == 0)
     return (isotropic + fixed) // 2
-
-
-def mod_pm1(form: FiniteQuadraticForm, elems) -> list:
-    """One representative per {x, -x} orbit, the lexicographically smaller."""
-    reps = []
-    seen = set()
-    for x in elems:
-        x = form.reduce(x)
-        if x in seen:
-            continue
-        mx = form.neg(x)
-        seen.add(x)
-        seen.add(mx)
-        reps.append(min(x, mx))
-    return sorted(reps)
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:

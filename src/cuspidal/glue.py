@@ -71,7 +71,6 @@ from .fqf import (
     compose_maps,
     discriminant_form,
     identity_map,
-    perp_quotient,
     project_to_quotient,
     require_isotropic,
     subgroup_span,
@@ -376,16 +375,20 @@ def _coset_minima(gd: GlueData) -> list:
     return blocks
 
 
-def glue_adds_roots(gd: GlueData) -> bool:
+def glue_adds_roots(gd: GlueData, blocks=None) -> bool:
     """True when the overlattice of the glue has a root outside the base.
 
     Works from the glue data alone: the coset h + R of each h != 0 in H
     has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level.
+    ``blocks`` are the ``_coset_minima`` of the base, which depend on the
+    base only; a caller that tries several glues of one base builds them
+    once and passes them.
     """
     if sum(c.rank for c in gd.components) != gd.base.rank:
         raise RootsNotFullRank("components do not span the base lattice")
     level = gd.disc.level
-    blocks = _coset_minima(gd)
+    if blocks is None:
+        blocks = _coset_minima(gd)
     for h in gd.glue.elements:
         if not any(h):
             continue
@@ -501,9 +504,11 @@ def _generator_actions(gd: GlueData) -> _TauActions:
     """The actions on A_R of the tau generators (``_tau_signed_permutations``),
     as generator images.
 
-    This is ``claims.disc_action`` with the kept Smith rows K of U G formed
-    once: a signed permutation g reindexes and signs the columns of K, so the
-    kept block of U G g V is (s_j K[:, p_j]) times the kept columns of V.
+    The image of generator i under g has coordinates (U G g V)_ki / d_i mod
+    d_k, for the kept Smith positions i and k.  The kept Smith rows K of U G
+    are formed once: a signed permutation g reindexes and signs the columns
+    of K, so the kept block of U G g V is (s_j K[:, p_j]) times the kept
+    columns of V.
     """
     src = gd.disc.source
     kept, d, V = src.kept, src.smith.diag, src.smith.right.data
@@ -542,22 +547,16 @@ def _glue_orbits(actions: _TauActions, subgroups) -> list:
     return orbits
 
 
-def image_of_tau(gd: GlueData, quotient: FiniteQuadraticForm | None = None) -> TauImage:
+def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions: _TauActions) -> TauImage:
     """Subgroup of O(A_E) induced by the stabilizer of the glue in the group
-    of the tau generators (``_tau_signed_permutations``), from its Schreier generators.
+    of the tau generators (``_tau_signed_permutations``), from its Schreier
+    generators.
 
-    ``quotient`` may be the already-computed perp quotient of the glue;
-    it must carry quotient provenance so classes can be projected.
+    ``orbit`` is an orbit of ``_glue_orbits`` under ``actions``, rooted at
+    the glue H, and ``quotient`` is H^perp/H from ``perp_quotient``, whose
+    quotient provenance lets classes be projected.
     """
-    if quotient is None:
-        quotient = perp_quotient(gd.disc, gd.glue)
-    actions = _generator_actions(gd)
-    (_, words, edges), = _glue_orbits(actions, [gd.glue])
-    return _stabilizer_image(gd, quotient, words, edges, actions)
-
-
-def _stabilizer_image(gd: GlueData, quotient, words, edges, actions: _TauActions) -> TauImage:
-    """``image_of_tau`` from an orbit of ``_glue_orbits`` rooted at the glue."""
+    _, words, edges = orbit
     if not isinstance(quotient.source, QuotientSource):
         raise BadParameter("form is not a perp quotient")
     lifts = quotient.source.generator_lifts

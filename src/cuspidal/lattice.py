@@ -8,9 +8,10 @@ explicitly.  B(d), defined for d = 3 mod 4, is the rank-two negative
 definite lattice with Gram [[-(d+1)/2, 1], [1, -2]].
 
 Vectors carry their home lattice and may have rational coordinates
-(needed for dual and projection work).  Isometries, reflections, spinor
-norms and rational splittings live in ``claims``, which no command but
-``verify example-c12`` imports.
+(needed for dual and projection work).  Rational splittings live in
+``claims``, which no command but ``verify example-c12`` imports;
+isometries, reflections and spinor norms, which no command runs, live
+with the tests in ``tests/group_claims.py``.
 """
 
 from __future__ import annotations

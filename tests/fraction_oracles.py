@@ -7,6 +7,9 @@ derivations of what the package computes with Smith, Hermite and
 fraction-free Bareiss transforms.  ``full_scan_pivot`` is the Smith
 pivot search without its stop at a unit, and ``trial_division`` the
 factorization without Miller-Rabin and Pollard rho.
+``fraction_presentation`` reads a finite quadratic form given by
+Fraction values q_i and b_ij of its generators, with the checks of the
+Fraction constructor that the integer Gram over the level replaced.
 """
 
 from __future__ import annotations
@@ -148,3 +151,35 @@ def trial_division(n: int) -> dict:
     if n > 1:
         out[n] = 1
     return out
+
+
+def fraction_presentation(orders, qdiag, bmat):
+    """(orders, qdiag mod 2, bmat mod 1) of a form given by the q values of
+    its generators and the b values of pairs of them, or ValueError where
+    they define no form on ``orders``.  The diagonal of ``bmat`` is not
+    read: b(e_i, e_i) is q_i mod 1."""
+    orders = tuple(int(d) for d in orders)
+    if any(d < 2 for d in orders):
+        raise ValueError("invariant factors must be >= 2")
+    if any(orders[i + 1] % orders[i] for i in range(len(orders) - 1)):
+        raise ValueError("orders must form a divisibility chain")
+    r = len(orders)
+    qdiag = tuple(Fraction(x) % 2 for x in qdiag)
+    if len(qdiag) != r:
+        raise ValueError("one q value per generator required")
+    full = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        full[i][i] = qdiag[i] % 1
+        for j in range(r):
+            if i != j:
+                full[i][j] = Fraction(bmat[i][j]) % 1
+    for i in range(r):
+        for j in range(r):
+            if full[i][j] != full[j][i]:
+                raise ValueError("bilinear matrix must be symmetric")
+            if orders[i] * full[i][j] % 1 != 0:
+                raise ValueError("bilinear value incompatible with orders")
+    for i in range(r):
+        if orders[i] * orders[i] * qdiag[i] % 2 != 0 or orders[i] * qdiag[i] % 1 != 0:
+            raise ValueError("q value incompatible with generator order")
+    return orders, qdiag, tuple(tuple(row) for row in full)

@@ -1,17 +1,21 @@
 """Helpers that only the tests call: the diagonal matrix of a Smith form,
-lattices and forms to and from JSON, and isometries built as products,
-as minus the identity or as signed permutations of a basis."""
+lattices and forms to and from JSON, finite quadratic forms given by
+Fraction values and their Fraction views, Im tau of one glue, and
+isometries built as products, as minus the identity or as signed
+permutations of a basis."""
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
-from cuspidal import glue
-from cuspidal.claims import Isometry
+from cuspidal import fqf, glue
 from cuspidal.errors import MixedLattices
 from cuspidal.exact import IntMatrix
 from cuspidal.fqf import FiniteQuadraticForm
 from cuspidal.lattice import check_signed_permutation
+from fraction_oracles import fraction_presentation
+from group_claims import Isometry
 
 
 def diagonal_matrix(smith) -> IntMatrix:
@@ -29,14 +33,67 @@ def lattice_to_json(L) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def form_from_json(text: str) -> FiniteQuadraticForm:
-    from fractions import Fraction
+# ---------------------------------------------------------------------------
+# finite quadratic forms in Fractions
 
+
+def fraction_form(orders, qdiag, bmat) -> FiniteQuadraticForm:
+    """The form whose generators have q values ``qdiag`` and b values
+    ``bmat`` (Fractions), checked by ``fraction_presentation`` and converted
+    to integer Gram rows over the level; ValueError when they define no form."""
+    orders, qdiag, bmat = fraction_presentation(orders, qdiag, bmat)
+    level = orders[-1] if orders else 1
+    rows = [[int(level * (qdiag[i] if i == j else x)) for j, x in enumerate(row)]
+            for i, row in enumerate(bmat)]
+    return FiniteQuadraticForm(orders, rows)
+
+
+def form_from_json(text: str) -> FiniteQuadraticForm:
     obj = json.loads(text)
-    orders = obj["orders"]
-    qd = [Fraction(s) for s in obj["q"]]
-    bm = [[Fraction(s) for s in row] for row in obj["b"]]
-    return FiniteQuadraticForm(orders, qd, bm)
+    return fraction_form(obj["orders"], [Fraction(s) for s in obj["q"]],
+                         [[Fraction(s) for s in row] for row in obj["b"]])
+
+
+def q_diagonal(form) -> tuple:
+    """q of the generators, in [0, 2)."""
+    return tuple(Fraction(row[i], form.level) for i, row in enumerate(form.gram.data))
+
+
+def b_matrix(form) -> tuple:
+    """b of pairs of generators, in [0, 1)."""
+    n = form.level
+    return tuple(tuple(Fraction(x % n, n) for x in row) for row in form.gram.data)
+
+
+def q_value(form, x) -> Fraction:
+    """q(x) in [0, 2)."""
+    return Fraction(form.q_scaled(form.reduce(x)), form.level)
+
+
+def b_value(form, x, y) -> Fraction:
+    """b(x, y) in [0, 1)."""
+    value = form.gram.bilinear(form.reduce(x), form.reduce(y))
+    return Fraction(value % form.level, form.level)
+
+
+def rational_lift(form, x) -> tuple:
+    """A dual vector of the source lattice of a discriminant form in the class x."""
+    scaled = form.source.scaled_lift(form.reduce(x), form.level)
+    return tuple(Fraction(a, form.level) for a in scaled)
+
+
+# ---------------------------------------------------------------------------
+# Im tau and isometries
+
+
+def tau_image(gd, quotient=None):
+    """Im tau of the glue of ``gd``: ``glue.image_of_tau`` on the orbit of
+    the glue alone; ``quotient`` may be its perp quotient, built already."""
+    if quotient is None:
+        quotient = fqf.perp_quotient(gd.disc, gd.glue)
+    actions = glue._generator_actions(gd)
+    orbit, = glue._glue_orbits(actions, [gd.glue])
+    return glue.image_of_tau(quotient, orbit, actions)
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:

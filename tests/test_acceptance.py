@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import group_claims
 from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.cli import run
 from cuspidal.exact import IntMatrix, signature_of_symmetric, smith_normal_form
 from embedding_oracles import build_polarized
-from helpers import compose
+from form_oracles import direct_sum_form
+from helpers import compose, q_value, tau_image
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +62,14 @@ def test_criterion_3_ghs_invariants():
         for alpha in range(2 * d):
             for beta in range(2):
                 x = a.add(a.smul(alpha, pe.t_class), a.smul(beta, pe.e_class))
-                assert a.q(x) == Fraction(-(alpha * alpha + beta * beta * d), 2 * d) % 2
+                assert q_value(a, x) == Fraction(-(alpha * alpha + beta * beta * d), 2 * d) % 2
     for d in (3, 7, 11):
         pe = build_polarized(cusps.PolarizationCase(d, "nonsplit"))
         assert pe.complement.lattice.det == d
         a = pe.disc
         assert a.orders == (d,)
         for alpha in range(d):
-            assert a.q(a.smul(alpha, pe.t_class)) == Fraction(-2 * alpha * alpha, d) % 2
+            assert q_value(a, a.smul(alpha, pe.t_class)) == Fraction(-2 * alpha * alpha, d) % 2
     print("ACCEPTANCE 3: PASS - det and pointwise discriminant forms of N_s "
           "(d in 1,2,3,5,7,11) and N_ns (d in 3,7,11)")
 
@@ -111,7 +113,7 @@ def test_criterion_5_brieskorn_square():
             case = cusps.PolarizationCase(d, emb)
             model = cusps.disc_model(case)
             for m in cusps.valid_orders(case):
-                h = claims.h_subgroup(case, m, model)
+                h = group_claims.h_subgroup(case, m, model)
                 q = fqf.perp_quotient(model.form, h)
                 pred = cusps.predicted_AE(case, m)
                 assert fqf.are_isometric(q, pred)[0], (d, emb, m)
@@ -192,7 +194,7 @@ def test_criterion_8_conditional_im_tau(table1):
             and fqf.are_isometric(fqf.perp_quotient(gd0.disc, s), target)[0]
         )
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, sub)
-        tau = glue.image_of_tau(gd)
+        tau = tau_image(gd)
         maps = set(tau.maps)
         ident = fqf.identity_map(tau.quotient_form)
         assert ident in maps
@@ -200,7 +202,7 @@ def test_criterion_8_conditional_im_tau(table1):
             assert fqf.compose_maps(tau.quotient_form, f, f) in maps
             for x in tau.quotient_form.elements():
                 fx = fqf.apply_map(tau.quotient_form, f, x)
-                assert tau.quotient_form.q(fx) == tau.quotient_form.q(x)
+                assert q_value(tau.quotient_form, fx) == q_value(tau.quotient_form, x)
     print("ACCEPTANCE 8: PASS - per-row |O(A_E)| and Im tau computed, "
           "internally consistent, and flagged conditional")
 
@@ -250,7 +252,7 @@ def test_criterion_7a_overlattice_determinant(idx):
 )
 def test_criterion_7b_direct_sum_forms(i, j):
     l1, l2 = _LATTICE_POOL[i], _LATTICE_POOL[j]
-    ds = fqf.direct_sum_form(fqf.discriminant_form(l1), fqf.discriminant_form(l2))
+    ds = direct_sum_form(fqf.discriminant_form(l1), fqf.discriminant_form(l2))
     joint = fqf.discriminant_form(lat.direct_sum(l1, l2))
     assert fqf.are_isometric(ds, joint)[0]
 
@@ -301,9 +303,10 @@ _SPIN_VECTORS = [
 
 
 def _reflection_product(indices):
-    g = claims.Isometry.identity(_SPIN_LATTICE)
+    g = group_claims.Isometry.identity(_SPIN_LATTICE)
     for i in indices:
-        g = compose(g, claims.reflection(_SPIN_LATTICE, _SPIN_VECTORS[i % len(_SPIN_VECTORS)]))
+        v = _SPIN_VECTORS[i % len(_SPIN_VECTORS)]
+        g = compose(g, group_claims.reflection(_SPIN_LATTICE, v))
     return g
 
 
@@ -314,7 +317,8 @@ def _reflection_product(indices):
 )
 def test_criterion_7d_spinor_norm_multiplicative(ia, ib):
     g, h = _reflection_product(ia), _reflection_product(ib)
-    assert claims.spinor_norm(compose(g, h)) == claims.spinor_norm(g) * claims.spinor_norm(h)
+    spinor_norm = group_claims.spinor_norm
+    assert spinor_norm(compose(g, h)) == spinor_norm(g) * spinor_norm(h)
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,7 +327,7 @@ def test_criterion_7e_orbit_reps_exhaustive(d, nonsplit):
     if nonsplit and d % 4 != 3:
         nonsplit = False
     case = cusps.PolarizationCase(d, "nonsplit" if nonsplit else "split")
-    reps = cusps.orbit_reps(case)  # raises when not exhaustive or not isotropic
+    reps = cusps.zero_dim_report(case).reps  # raises when not exhaustive or not isotropic
     assert len(reps) == cusps.nu_formula(case)
     for r in reps:
         assert case.K % r.m == 0

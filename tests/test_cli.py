@@ -1,8 +1,11 @@
 import collections
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import pkgutil
+import sys
 import time
 import typing
 from pathlib import Path
@@ -319,6 +322,31 @@ class TestCuspOneFlags:
         assert row["genus_ok"] is True and row["roots_ok"] is False
 
 
+# valid positionals and required options of each leaf
+_LEAF_ARGS = {
+    ("lat", "info"): ["A2"],
+    ("lat", "disc"): ["A2"],
+    ("cusp", "zero"): ["--d", "3"],
+    ("cusp", "one"): ["--d", "1"],
+    ("cusp", "sweep"): ["--d", "1..3"],
+    ("glue", "enum"): ["--roots", "A2"],
+    ("glue", "roots"): ["E8"],
+    ("verify", "table1"): [],
+    ("verify", "example-c12"): [],
+}
+
+
+@pytest.mark.parametrize("bound", [["--bound", "0"], ["--bound=-1"]])
+@pytest.mark.parametrize("leaf", sorted(_LEAF_ARGS))
+def test_bound_below_one_is_a_usage_error(capsys, leaf, bound):
+    assert set(_LEAF_ARGS) == {(c.group, c.verb) for c in cli.COMMANDS}
+    code = run([*leaf, *_LEAF_ARGS[leaf], *bound])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: cuspidal ")
+    assert "error: argument --bound: invalid positive_int value: " in captured.err
+
+
 def _count_calls(monkeypatch, fn, modules):
     calls = []
 
@@ -343,12 +371,23 @@ def test_table1_builds_no_overlattice_and_enumerates_no_roots(capsys, monkeypatc
     assert len(certified) == 20  # one glue per orbit
 
 
+def test_table1_builds_the_coset_minima_once_per_base(capsys, monkeypatch):
+    from cuspidal import glue
+
+    builds = _count_calls(monkeypatch, glue._coset_minima, [glue])
+    certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
+    code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    # 13 bases, and the 20 orbits certified among them share their base's minima
+    assert len(builds) == 13 and len(certified) == 20
+
+
 def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
     from cuspidal import fqf, glue
 
     # 28 quotients and 424 compositions when every glue was tried and Im tau
     # closed the generators in O(A_R)
-    quotients = _count_calls(monkeypatch, fqf.perp_quotient, [fqf, glue])
+    quotients = _count_calls(monkeypatch, fqf.perp_quotient, [fqf])
     compositions = _count_calls(monkeypatch, fqf.compose_maps, [fqf, glue])
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
@@ -469,7 +508,7 @@ PARSES = [
     (["glue", "enum", "--roots", "4A3"], True),
     (["glue", "enum", "--roots", "A3+A15", "--order", "4", "--roots-of-overlattice",
       "--roots-of-overlattice"], True),
-    (["glue", "roots", "E8", "--bound", "0"], True),
+    (["glue", "roots", "E8", "--bound", "1"], True),
     (["verify", "table1"], True),
     (["verify", "table1", "--format", "json", "--out", "t.json"], True),
     (["verify", "example-c12", "--bound", "10"], True),
@@ -504,6 +543,9 @@ PARSES = [
     (["lat", "info"], False),
     (["lat", "info", "A1", "A2"], False),
     (["verify", "table1", "extra"], False),
+    (["glue", "roots", "E8", "--bound", "0"], False),
+    (["glue", "roots", "E8", "--bound", "-1"], False),
+    (["glue", "roots", "E8", "--bound=-1"], False),
 ]
 
 
@@ -536,30 +578,36 @@ def test_table_parser_agrees_with_argparse(capsys, monkeypatch, argv, exact):
 
 GOLDEN = Path(__file__).parent / "data"
 
+# (argv, golden file) of each output the CI compares byte for byte
+GOLDENS = [
+    (["cusp", "zero", "--d", "30000"], "cusp_zero_d30000.json"),
+    (["glue", "enum", "--roots", "2A1+2D8", "--order", "4"],
+     "glue_enum_2A1+2D8_order4.json"),
+    (["lat", "disc", "A1+A2+A3+D4+E6+E7"], "lat_disc_A1+A2+A3+D4+E6+E7.json"),
+    (["verify", "example-c12", "--format", "json"], "verify_example-c12.json"),
+    (["verify", "example-c12", "--format", "md"], "verify_example-c12.md"),
+    (["lat", "info", "U+U+U+E8+E8+<-2>"], "lat_info_U+U+U+E8+E8+minus2.json"),
+    (["glue", "enum", "--roots", "4A3"], "glue_enum_4A3.json"),
+    # no glue certifies a <-2> summand, so each row prints its last match
+    (["cusp", "one", "--d", "1", "--candidates",
+      str(GOLDEN / "cusp_one_d1_minus2_pairs_candidates.json")],
+     "cusp_one_d1_minus2_pairs.json"),
+    # odd-rank atoms: the determinant sign of each summand shows
+    (["lat", "info", "A1+A2+A3+D5+E7+<-4>"], "lat_info_A1+A2+A3+D5+E7+minus4.json"),
+    # every ADE letter, each typed by its rank and Cartan determinant
+    (["glue", "roots", "E8+E7+E6+D5+D4+A3+A1"], "glue_roots_E8+E7+E6+D5+D4+A3+A1.json"),
+    (["glue", "enum", "--roots", "2A1+2D8", "--roots-of-overlattice"],
+     "glue_enum_2A1+2D8_roots.json"),
+    # Markdown q strings, the Markdown zero-dimensional table and the
+    # trivial form of a unimodular base
+    (["lat", "disc", "A1+A2+A3+D4+E6+E7", "--format", "md"],
+     "lat_disc_A1+A2+A3+D4+E6+E7.md"),
+    (["cusp", "zero", "--d", "12", "--format", "md"], "cusp_zero_d12.md"),
+    (["glue", "enum", "--roots", "E8"], "glue_enum_E8.json"),
+]
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["cusp", "zero", "--d", "30000"], "cusp_zero_d30000.json"),
-        (["glue", "enum", "--roots", "2A1+2D8", "--order", "4"],
-         "glue_enum_2A1+2D8_order4.json"),
-        (["lat", "disc", "A1+A2+A3+D4+E6+E7"], "lat_disc_A1+A2+A3+D4+E6+E7.json"),
-        (["verify", "example-c12", "--format", "json"], "verify_example-c12.json"),
-        (["verify", "example-c12", "--format", "md"], "verify_example-c12.md"),
-        (["lat", "info", "U+U+U+E8+E8+<-2>"], "lat_info_U+U+U+E8+E8+minus2.json"),
-        (["glue", "enum", "--roots", "4A3"], "glue_enum_4A3.json"),
-        # no glue certifies a <-2> summand, so each row prints its last match
-        (["cusp", "one", "--d", "1", "--candidates",
-          str(GOLDEN / "cusp_one_d1_minus2_pairs_candidates.json")],
-         "cusp_one_d1_minus2_pairs.json"),
-        # odd-rank atoms: the determinant sign of each summand shows
-        (["lat", "info", "A1+A2+A3+D5+E7+<-4>"], "lat_info_A1+A2+A3+D5+E7+minus4.json"),
-        # every ADE letter, each typed by its rank and Cartan determinant
-        (["glue", "roots", "E8+E7+E6+D5+D4+A3+A1"], "glue_roots_E8+E7+E6+D5+D4+A3+A1.json"),
-        (["glue", "enum", "--roots", "2A1+2D8", "--roots-of-overlattice"],
-         "glue_enum_2A1+2D8_roots.json"),
-    ],
-)
+
+@pytest.mark.parametrize("argv, golden", GOLDENS)
 def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):
     # the cusp one rows have the wrong roots, which is a verification failure
     assert run(argv) == (1 if golden.startswith("cusp_one") else 0)
@@ -619,3 +667,49 @@ def test_json_writer_refuses_other_types():
     for obj in (1.5, Fraction(1, 2), {1: "a"}, [{"a": 0.0}], {"a": {2: 0}}):
         with pytest.raises(TypeError):
             cli._dump_json(obj)
+
+
+# Public functions of the layers that no command needs to run, each with its
+# reason; every other one must run under some command below.
+_UNRUN_ALLOWED = {}
+
+
+def test_every_public_layer_function_runs_under_a_command(tmp_path):
+    # the CI goldens, a candidate with glue rows, a short sweep and both
+    # Table 1 formats, traced in process; the Fincke-Pohst of
+    # --roots-of-overlattice takes seconds under the profiler and reaches no
+    # function that glue roots does not
+    from cuspidal import cusps, exact, fqf, glue
+
+    candidates = tmp_path / "cands.json"
+    candidates.write_text(json.dumps([{"roots": "E7+D10+A1", "glue": [[1, 0, 0, 1]]}]))
+    argvs = [argv for argv, _ in GOLDENS if "--roots-of-overlattice" not in argv] + [
+        ["verify", "table1", "--format", "json"],
+        ["verify", "table1", "--format", "md"],
+        ["cusp", "one", "--d", "1", "--candidates", str(candidates)],
+        ["cusp", "sweep", "--d", "1..12"],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(run(argv))
+    finally:
+        sys.setprofile(None)
+    # both cusp one candidate lists hold rows with the wrong roots
+    assert codes == [1 if argv[:2] == ["cusp", "one"] else 0 for argv in argvs]
+    unrun = sorted(
+        f"{module.__name__.split('.')[-1]}.{name}"
+        for module in (exact, fqf, glue, cusps)
+        for name, fn in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == module.__name__ and fn.__code__ not in called
+    )
+    assert [name for name in unrun if name not in _UNRUN_ALLOWED] == []

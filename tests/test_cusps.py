@@ -3,6 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import group_claims
 from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
@@ -15,6 +16,8 @@ from cuspidal.errors import (
     NotSquareFree,
 )
 from embedding_oracles import build_polarized
+from form_oracles import mod_pm1
+from helpers import q_diagonal, q_value
 
 
 class TestCase:
@@ -99,7 +102,7 @@ class TestNu:
         cases += [cusps.PolarizationCase(d, "split") for d in (3072, 3600)]
         for case in cases:
             form = cusps.disc_model(case).form
-            whole = len(fqf.mod_pm1(form, fqf.isotropic_elements(form)))
+            whole = len(mod_pm1(form, fqf.isotropic_elements(form)))
             assert fqf.isotropic_pm1_count(form) == whole == cusps.nu_formula(case), case
         # further out, against a scan of each p-part: (prod_p I_p + F_2) / 2
         cases = [cusps.PolarizationCase(d, "split") for d in range(301, 2001)]
@@ -126,24 +129,24 @@ class TestNu:
 
 class TestOrbitReps:
     def test_d9(self):
-        reps = cusps.orbit_reps(cusps.PolarizationCase(9, "split"))
+        reps = cusps.zero_dim_report(cusps.PolarizationCase(9, "split")).reps
         assert [(r.m, r.n) for r in reps] == [(1, 0), (3, 1)]
 
     def test_d3_split_order_two_rep(self):
-        reps = cusps.orbit_reps(cusps.PolarizationCase(3, "split"))
+        reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "split")).reps
         assert [(r.m, r.n) for r in reps] == [(1, 0), (2, 1)]
         model = cusps.disc_model(cusps.PolarizationCase(3, "split"))
         x = reps[1].element
         assert model.form.order_of(x) == 2
 
     def test_nonsplit_trivial(self):
-        reps = cusps.orbit_reps(cusps.PolarizationCase(3, "nonsplit"))
+        reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "nonsplit")).reps
         assert [(r.m, r.n) for r in reps] == [(1, 0)]
 
     def test_counts_match_nu(self):
         for d in (1, 2, 3, 4, 8, 9, 12, 18, 25, 48, 49, 75):
             case = cusps.PolarizationCase(d, "split")
-            assert len(cusps.orbit_reps(case)) == cusps.nu_formula(case)
+            assert len(cusps.zero_dim_report(case).reps) == cusps.nu_formula(case)
 
     def test_certificate_rejects_colliding_or_too_few_reps(self, monkeypatch):
         case = cusps.PolarizationCase(25, "split")  # K = 5: reps (1,0), (5,1), (5,2)
@@ -151,18 +154,18 @@ class TestOrbitReps:
         monkeypatch.setattr(cusps, "_coefficients",
                             lambda case, m, n: real(case, m, min(n, 1)))
         with pytest.raises(InternalError, match="collide"):
-            cusps.orbit_reps(case)
+            cusps.zero_dim_report(case)
         monkeypatch.setattr(cusps, "_coefficients", real)
         count = fqf.isotropic_pm1_count
         monkeypatch.setattr(fqf, "isotropic_pm1_count",
-                            lambda form, bound: count(form, bound) + 1)
+                            lambda form, bound, primes: count(form, bound, primes) + 1)
         with pytest.raises(InternalError, match="do not exhaust"):
-            cusps.orbit_reps(case)
+            cusps.zero_dim_report(case)
 
     def test_rep_constraints(self):
         for d in (12, 27, 48):
             case = cusps.PolarizationCase(d, "split")
-            for r in cusps.orbit_reps(case):
+            for r in cusps.zero_dim_report(case).reps:
                 assert case.K % r.m == 0
                 from math import gcd
 
@@ -231,9 +234,9 @@ class TestCoefficientCertificate:
 class TestPredictedAE:
     def test_printed_forms(self):
         p = cusps.predicted_AE(cusps.PolarizationCase(1, "split"), 1)
-        assert p.orders == (2, 2) and set(p.qdiag) == {Fraction(3, 2)}
+        assert p.orders == (2, 2) and set(q_diagonal(p)) == {Fraction(3, 2)}
         p = cusps.predicted_AE(cusps.PolarizationCase(3, "nonsplit"), 1)
-        assert p.orders == (3,) and p.qdiag[0] == Fraction(-2, 3) % 2
+        assert p.orders == (3,) and q_diagonal(p)[0] == Fraction(-2, 3) % 2
         p = cusps.predicted_AE(cusps.PolarizationCase(9, "split"), 3)
         assert p.orders == (2, 2)
 
@@ -241,7 +244,7 @@ class TestPredictedAE:
         # d = 3, m = 2: Z/(4d/m^2) with q = -(m^2+4d)/8d = -2/3
         p = cusps.predicted_AE(cusps.PolarizationCase(3, "split"), 2)
         assert p.orders == (3,)
-        assert p.qdiag[0] == Fraction(-2, 3) % 2
+        assert q_diagonal(p)[0] == Fraction(-2, 3) % 2
 
     def test_bad_index(self):
         with pytest.raises(BadIndex):
@@ -261,7 +264,7 @@ class TestPredictedAE:
             case = cusps.PolarizationCase(d, emb)
             model = cusps.disc_model(case)
             for m in cusps.valid_orders(case):
-                h = claims.h_subgroup(case, m, model)
+                h = group_claims.h_subgroup(case, m, model)
                 assert h.order == m
                 q = fqf.perp_quotient(model.form, h)
                 assert fqf.are_isometric(q, cusps.predicted_AE(case, m))[0]
@@ -270,18 +273,18 @@ class TestPredictedAE:
 class TestTSet:
     def test_square_free_only_u(self):
         for d in (1, 5, 6, 7):
-            ts = claims.t_set(cusps.PolarizationCase(d, "split"), 1)
+            ts = group_claims.t_set(cusps.PolarizationCase(d, "split"), 1)
             assert len(ts) == 1
             delta, gram = ts[0]
             assert delta == 0 and gram.to_lists() == [[0, 1], [1, 0]]
 
     def test_gcd_hypothesis(self):
         with pytest.raises(HypothesisFailed):
-            claims.t_set(cusps.PolarizationCase(4, "split"), 2)
+            group_claims.t_set(cusps.PolarizationCase(4, "split"), 2)
 
     def test_odd_m_with_coprime_det(self):
         # d = 9, m = 3: det E = 4, gcd(3, 4) = 1; T(3, delta) search runs
-        ts = claims.t_set(cusps.PolarizationCase(9, "split"), 3)
+        ts = group_claims.t_set(cusps.PolarizationCase(9, "split"), 3)
         assert ts, "at least one compatible delta must exist"
         for delta, gram in ts:
             assert 0 <= delta < 3
@@ -340,13 +343,13 @@ def _rows_and_glues(monkeypatch, case, candidates):
     """The rows of ``one_dim_cusps`` and the glue Im tau was computed for,
     one per realized row."""
     glues = []
-    stabilizer_image = glue._stabilizer_image
+    image_of_tau = glue.image_of_tau
 
-    def spy(gd, *rest):
-        glues.append(gd.glue)
-        return stabilizer_image(gd, *rest)
+    def spy(quotient, orbit, actions):
+        glues.append(orbit[0])
+        return image_of_tau(quotient, orbit, actions)
 
-    monkeypatch.setattr(glue, "_stabilizer_image", spy)
+    monkeypatch.setattr(glue, "image_of_tau", spy)
     rows = cusps.one_dim_cusps(case, candidates)
     assert len(glues) == sum(1 for r in rows if r.genus_ok)
     return rows, glues
@@ -398,7 +401,7 @@ class TestGlueChoice:
     def test_user_glue_that_is_not_isotropic_keeps_its_error(self):
         # A17+A1: (3, 1) is not isotropic; the message is that of perp_quotient
         gd0 = glue.make_glue("A17+A1")
-        bad = next(x for x in gd0.disc.elements() if gd0.disc.q(x) != 0)
+        bad = next(x for x in gd0.disc.elements() if q_value(gd0.disc, x) != 0)
         with pytest.raises(NotIsotropic, match="^subgroup is not isotropic$"):
             cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"),
                                 [cusps.Candidate("A17+A1", glue_gens=[bad])])
@@ -434,7 +437,7 @@ class TestReports:
         assert z["enumerated"] == (3 if mode != "formula" else None)
         # the public entry points still count on their own
         calls.clear()
-        assert len(cusps.orbit_reps(case)) == cusps.nu_enumerate(case) == 3
+        assert len(cusps.zero_dim_report(case).reps) == cusps.nu_enumerate(case) == 3
         assert calls == [48, 48]
 
     def test_zero_dim_report_rejects_mode_before_scanning(self, monkeypatch):

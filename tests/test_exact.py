@@ -18,11 +18,11 @@ from cuspidal.exact import (
     hnf_rows,
     kernel_basis,
     lll_reduce,
-    positive_definite_basis,
     _round_div,
     signature_of_symmetric,
     smith_normal_form,
 )
+from group_claims import positive_definite_basis
 from helpers import diagonal_matrix
 from fraction_oracles import (
     full_scan_pivot,
@@ -591,10 +591,12 @@ def test_fraction_solvers_only_in_exact_and_rational_splitting():
     assert _solver_calls(probe) == [(None, "solve_rational"), ("f", "rational_inverse")]
 
 
-# The integer kernels behind signatures, spinor norms and reflections.
+# The integer kernels behind signatures, spinor norms and reflections; the
+# last two, which no command runs, live with the tests.
 _INTEGER_KERNELS = {
-    "exact": {"_symmetric_bareiss", "signature_of_symmetric", "positive_definite_basis"},
-    "claims": {"spinor_norm", "reflection"},
+    _SRC / "exact.py": {"_symmetric_bareiss", "signature_of_symmetric"},
+    Path(__file__).parent / "group_claims.py": {
+        "positive_definite_basis", "spinor_norm", "reflection"},
 }
 
 
@@ -611,8 +613,8 @@ def _fraction_builders(tree):
 
 
 def test_integer_kernels_construct_no_fraction():
-    for module, kernels in _INTEGER_KERNELS.items():
-        tree = ast.parse((_SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for path, kernels in _INTEGER_KERNELS.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         assert kernels <= defined
         assert kernels & _fraction_builders(tree) == set()

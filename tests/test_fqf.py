@@ -8,19 +8,23 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cuspidal import claims, fqf, glue
+import group_claims
+from cuspidal import fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.exact import IntMatrix, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
-from fraction_oracles import over_common_denominator, rational_inverse
-from helpers import form_from_json
+from form_oracles import direct_sum_form, mod_pm1
+from fraction_oracles import fraction_presentation, over_common_denominator, rational_inverse
+from helpers import (
+    b_matrix, b_value, form_from_json, fraction_form, q_diagonal, q_value, rational_lift,
+)
 
 HALF = Fraction(-1, 2)
 
 
 def genus_form():
     # (Z/2)^2 with q = diag(-1/2, -1/2): the form of E8^2 + <-2>^2
-    return fqf.FiniteQuadraticForm((2, 2), (HALF, HALF), [[0, 0], [0, 0]])
+    return fraction_form((2, 2), (HALF, HALF), [[0, 0], [0, 0]])
 
 
 def even_grams(n_max=4):
@@ -52,14 +56,14 @@ class TestDiscriminantForm:
         for i, k in enumerate(src.kept):
             unit = tuple(int(j == i) for j in range(a.rank))
             column = tuple(sum(ginv[r][c] * uinv[c][k] for c in range(n)) for r in range(n))
-            assert a.lift(unit) == column
-            assert a.class_of(*over_common_denominator(a.lift(unit))) == unit
+            assert rational_lift(a, unit) == column
+            assert a.class_of(*over_common_denominator(rational_lift(a, unit))) == unit
 
     def test_split_d1(self):
         a = fqf.discriminant_form(lat.parse_name("U+U+E8+E8+<-2>+<-2>"))
         assert a.orders == (2, 2)
-        assert all(q == Fraction(3, 2) for q in a.qdiag)  # -1/2 mod 2Z
-        assert a.bmat[0][1] == 0
+        assert all(q == Fraction(3, 2) for q in q_diagonal(a))  # -1/2 mod 2Z
+        assert b_matrix(a)[0][1] == 0
 
     def test_unimodular_trivial(self):
         assert fqf.discriminant_form(lat.U()).cardinality == 1
@@ -68,7 +72,7 @@ class TestDiscriminantForm:
     def test_b3(self):
         a = fqf.discriminant_form(lat.B(3))
         assert a.orders == (3,)
-        assert a.qdiag[0] == Fraction(-2, 3) % 2
+        assert q_diagonal(a)[0] == Fraction(-2, 3) % 2
 
     def test_odd_lattice_rejected(self):
         odd = lat.Lattice([[1]])
@@ -86,7 +90,7 @@ class TestDiscriminantForm:
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
         t = a.class_of((1, 0), 6)
         assert a.order_of(t) == 6
-        assert a.class_of(*over_common_denominator(a.lift(t))) == t
+        assert a.class_of(*over_common_denominator(rational_lift(a, t))) == t
         with pytest.raises(ValueError):
             a.class_of((1, 0), 5)
 
@@ -96,18 +100,18 @@ class TestIsotropic:
         a = fqf.discriminant_form(lat.parse_name("<-4>+<-2>"))
         iso = fqf.isotropic_elements(a)
         assert iso == [a.zero]
-        assert len(fqf.mod_pm1(a, iso)) == 1
+        assert len(mod_pm1(a, iso)) == 1
 
     def test_split_d3_two_orbits(self):
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
         iso = fqf.isotropic_elements(a)
         assert len(iso) == 2
-        assert len(fqf.mod_pm1(a, iso)) == 2
+        assert len(mod_pm1(a, iso)) == 2
 
     def test_trivial_group(self):
         t = fqf.trivial_form()
         assert fqf.isotropic_elements(t) == [()]
-        assert fqf.mod_pm1(t, [()]) == [()]
+        assert mod_pm1(t, [()]) == [()]
 
     def test_group_too_large(self):
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
@@ -119,7 +123,7 @@ class TestIsotropic:
         with pytest.raises(GroupTooLarge, match=named):
             fqf.orthogonal_group(a, bound=5)
         with pytest.raises(GroupTooLarge, match=named):
-            claims.embeds(fqf.discriminant_form(lat.parse_name("<-6>")), a, bound=5)
+            group_claims.embeds(fqf.discriminant_form(lat.parse_name("<-6>")), a, bound=5)
 
     def test_subgroup_walk_stops_at_the_bound(self):
         # 8A1: the walk extends each of its 902 subgroups by 72 isotropic elements
@@ -140,14 +144,14 @@ class TestIsotropic:
         subs = fqf.isotropic_subgroups(a)
         assert sorted(s.order for s in subs) == [1, 3]
         h3 = [s for s in subs if s.order == 3][0]
-        assert all(a.q(x) == 0 for x in h3.elements)
+        assert all(q_value(a, x) == 0 for x in h3.elements)
 
     @pytest.mark.parametrize("name", ["2A1+2D8", "3A2+<-6>"])
     def test_subgroups_match_the_definition(self, name):
         # by definition: the spans of isotropic elements on which q vanishes
         # everywhere; |H|^2 divides |A|, so H needs at most log2 sqrt|A| generators
         a = fqf.discriminant_form(lat.parse_name(name))
-        iso = [x for x in a.elements() if a.q(x) == 0]
+        iso = [x for x in a.elements() if q_value(a, x) == 0]
         most = (a.cardinality.bit_length() - 1) // 2
         expected = set()
         for k in range(most + 1):
@@ -155,7 +159,7 @@ class TestIsotropic:
                 span = {a.zero}
                 for g in gens:
                     span = {a.add(x, a.smul(c, g)) for x in span for c in range(a.order_of(g))}
-                if all(a.q(x) == 0 for x in span):
+                if all(q_value(a, x) == 0 for x in span):
                     expected.add(tuple(sorted(span)))
         walked = [s.elements for s in fqf.isotropic_subgroups(a)]
         assert len(walked) == len(set(walked))
@@ -196,7 +200,7 @@ def _isotropic_subgroups_by_closure(a, iso):
                         break
                     span = bigger
                 span = frozenset(span)
-                if span not in found and all(a.q(x) == 0 for x in span):
+                if span not in found and all(q_value(a, x) == 0 for x in span):
                     found.add(span)
                     nxt.append(span)
         frontier = nxt
@@ -210,7 +214,7 @@ def _forms_of_order_at_most_256(picks):
         if prod(f.cardinality for f in forms) * ATOM_FORMS[i].cardinality > 256:
             break
         forms.append(ATOM_FORMS[i])
-    return fqf.direct_sum_form(*forms)
+    return direct_sum_form(*forms)
 
 
 @settings(deadline=None, max_examples=60)
@@ -220,7 +224,7 @@ def test_isotropic_subgroups_match_the_closure_of_every_subset(a):
     # 4D4, (Z/2)^8 with 136 isotropic elements and 4006 isotropic
     # subgroups, takes the oracle some 17 s; the walk is checked on 8A1 by
     # its count (test_subgroup_walk_stops_at_the_bound)
-    iso = [x for x in a.elements() if a.q(x) == 0]
+    iso = [x for x in a.elements() if q_value(a, x) == 0]
     assume(len(iso) <= 100)
     walked = [s.elements for s in fqf.isotropic_subgroups(a)]
     assert walked == sorted(walked, key=lambda e: (len(e), e))
@@ -317,8 +321,8 @@ class TestIsometryAndGroups:
         assert ok and witness is not None
 
     def test_sign_distinguishes(self):
-        f1 = fqf.FiniteQuadraticForm((2,), (HALF,), [[0]])
-        f2 = fqf.FiniteQuadraticForm((2,), (Fraction(1, 2),), [[0]])
+        f1 = fraction_form((2,), (HALF,), [[0]])
+        f2 = fraction_form((2,), (Fraction(1, 2),), [[0]])
         assert fqf.are_isometric(f1, f2) == (False, None)
 
     def test_self_isometry_identity_witness(self):
@@ -354,15 +358,15 @@ class TestIsometryAndGroups:
 
     def test_embeds(self):
         a = fqf.discriminant_form(lat.parse_name("U+U+E8+E8+<-2>+<-2>"))
-        small = fqf.FiniteQuadraticForm((2,), (HALF,), [[0]])
-        assert claims.embeds(small, a)
-        wrong = fqf.FiniteQuadraticForm((2,), (Fraction(1, 2),), [[0]])
-        assert not claims.embeds(wrong, a)
+        small = fraction_form((2,), (HALF,), [[0]])
+        assert group_claims.embeds(small, a)
+        wrong = fraction_form((2,), (Fraction(1, 2),), [[0]])
+        assert not group_claims.embeds(wrong, a)
 
     def test_direct_sum_matches_lattice_sum(self):
         for n1, n2 in (("A2", "<-4>"), ("B3", "A1"), ("D5", "A3")):
             l1, l2 = lat.parse_name(n1), lat.parse_name(n2)
-            ds = fqf.direct_sum_form(
+            ds = direct_sum_form(
                 fqf.discriminant_form(l1), fqf.discriminant_form(l2)
             )
             joint = fqf.discriminant_form(lat.direct_sum(l1, l2))
@@ -385,7 +389,7 @@ def maps_and_points(draw):
     for _ in range(draw(st.integers(0, 3))):
         orders.append(orders[-1] * draw(st.integers(1, 3)))
     r, level = len(orders), orders[-1]
-    form = fqf.FiniteQuadraticForm.from_gram(orders, [[0] * r for _ in range(r)])
+    form = fqf.FiniteQuadraticForm(orders, [[0] * r for _ in range(r)])
     # (level / d_j) y has order dividing d_j, so e_j -> it is a homomorphism
     images = tuple(
         form.smul(level // d, draw(st.tuples(*(st.integers(0, e - 1) for e in orders))))
@@ -416,12 +420,17 @@ class TestJson:
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
         text = json.dumps(fqf.form_to_obj(a))
         back = form_from_json(text)
-        assert back.orders == a.orders and back.qdiag == a.qdiag
-        assert back.bmat == a.bmat
+        assert back.orders == a.orders and q_diagonal(back) == q_diagonal(a)
+        assert b_matrix(back) == b_matrix(a)
 
     def test_symmetric_representatives(self):
         obj = fqf.form_to_obj(genus_form())
         assert obj["q"] == ["-1/2", "-1/2"]
+
+    def test_repr_prints_q_of_the_generators_in_zero_to_two(self):
+        a = fqf.discriminant_form(lat.parse_name("A1+A2+<-4>"))
+        assert repr(a) == "FiniteQuadraticForm(orders=[2, 12], q=[1/2, 7/12])"
+        assert repr(fqf.trivial_form()) == "FiniteQuadraticForm(orders=[], q=[])"
 
 
 # ---------------------------------------------------------------------------
@@ -461,46 +470,16 @@ def _b_sum(bmat, x, y) -> Fraction:
     return total
 
 
-def _fraction_presentation(orders, qdiag, bmat):
-    """(orders, qdiag mod 2, bmat mod 1) under the checks of the Fraction
-    constructor, or ValueError where those checks reject the input."""
-    orders = tuple(int(d) for d in orders)
-    if any(d < 2 for d in orders):
-        raise ValueError("invariant factors must be >= 2")
-    if any(orders[i + 1] % orders[i] for i in range(len(orders) - 1)):
-        raise ValueError("orders must form a divisibility chain")
-    r = len(orders)
-    qdiag = tuple(_mod2(x) for x in qdiag)
-    if len(qdiag) != r:
-        raise ValueError("one q value per generator required")
-    full = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        full[i][i] = _mod1(qdiag[i])
-        for j in range(r):
-            if i != j:
-                full[i][j] = _mod1(bmat[i][j])
-    for i in range(r):
-        for j in range(r):
-            if full[i][j] != full[j][i]:
-                raise ValueError("bilinear matrix must be symmetric")
-            if _mod1(orders[i] * full[i][j]) != 0:
-                raise ValueError("bilinear value incompatible with orders")
-    for i in range(r):
-        if _mod2(orders[i] * orders[i] * qdiag[i]) != 0 or _mod1(orders[i] * qdiag[i]) != 0:
-            raise ValueError("q value incompatible with generator order")
-    return orders, qdiag, tuple(tuple(row) for row in full)
-
-
 def _presentation_or_none(orders, qdiag, bmat):
     try:
-        return _fraction_presentation(orders, qdiag, bmat)
+        return fraction_presentation(orders, qdiag, bmat)
     except ValueError:
         return None
 
 
 def _form_or_none(orders, qdiag, bmat):
     try:
-        return fqf.FiniteQuadraticForm(orders, qdiag, bmat)
+        return fraction_form(orders, qdiag, bmat)
     except ValueError:
         return None
 
@@ -538,18 +517,19 @@ class TestIntegerGramAgainstFractions:
     @given(form_inputs(), st.data())
     def test_constructor_and_values_match_fraction_sums(self, inputs, data):
         old = _presentation_or_none(*inputs)
-        form = _form_or_none(*inputs)
-        assert (old is None) == (form is None)
-        if form is None:
+        if old is None:
             return
+        form = fraction_form(*inputs)
         orders, qdiag, bmat = old
-        assert (form.orders, form.qdiag, form.bmat) == old
+        assert (form.orders, q_diagonal(form), b_matrix(form)) == old
         assert form.level == (orders[-1] if orders else 1)
         elems = st.lists(st.integers(-50, 50), min_size=form.rank, max_size=form.rank)
         for _ in range(5):
             x, y = data.draw(elems), data.draw(elems)
-            assert form.q(x) == _mod2(_q_sum(qdiag, bmat, form.reduce(x)))
-            assert form.b(x, y) == _mod1(_b_sum(bmat, form.reduce(x), form.reduce(y)))
+            rx, ry = form.reduce(x), form.reduce(y)
+            assert Fraction(form.q_scaled(rx), form.level) == _mod2(_q_sum(qdiag, bmat, rx))
+            assert (Fraction(form.gram.bilinear(rx, ry) % form.level, form.level)
+                    == _mod1(_b_sum(bmat, rx, ry)))
 
     @settings(deadline=None, max_examples=200)
     @given(form_inputs(), st.data())
@@ -575,34 +555,35 @@ class TestIntegerGramAgainstFractions:
         G = IntMatrix(gram)
         assume(G.det() != 0)
         a = fqf.discriminant_form(lat.Lattice(G))
-        lifts = [a.lift(tuple(int(j == i) for j in range(a.rank))) for i in range(a.rank)]
+        lifts = [rational_lift(a, tuple(int(j == i) for j in range(a.rank)))
+                 for i in range(a.rank)]
         for i in range(a.rank):
-            assert a.qdiag[i] == G.bilinear(lifts[i], lifts[i]) % 2
+            assert q_diagonal(a)[i] == G.bilinear(lifts[i], lifts[i]) % 2
             for j in range(a.rank):
-                assert a.bmat[i][j] == G.bilinear(lifts[i], lifts[j]) % 1
+                assert b_matrix(a)[i][j] == G.bilinear(lifts[i], lifts[j]) % 1
         x = data.draw(st.lists(st.integers(-9, 9), min_size=a.rank, max_size=a.rank))
-        assert a.q(x) == G.bilinear(a.lift(x), a.lift(x)) % 2
+        assert q_value(a, x) == G.bilinear(rational_lift(a, x), rational_lift(a, x)) % 2
         scaled = a.source.scaled_lift(a.reduce(x), a.level)
-        assert scaled == tuple(a.level * v for v in a.lift(x))
+        assert scaled == tuple(a.level * v for v in rational_lift(a, x))
 
     @pytest.mark.parametrize("names", [("A2", "<-4>"), ("B3", "A1", "D5"), ("E6", "A3")])
     def test_direct_sum_values_match_fraction_sums(self, names):
         forms = [fqf.discriminant_form(lat.parse_name(n)) for n in names]
-        qdiag = [x for f in forms for x in f.qdiag]
+        qdiag = [x for f in forms for x in q_diagonal(f)]
         m = len(qdiag)
         bmat = [[Fraction(0)] * m for _ in range(m)]
         off = 0
         for f in forms:
-            for i, row in enumerate(f.bmat):
+            for i, row in enumerate(b_matrix(f)):
                 bmat[off + i][off:off + f.rank] = row
             off += f.rank
         # the generators of the sum as rows in the concatenated coordinates
         orders = [d for f in forms for d in f.orders]
         rq = fqf._row_quotient(IntMatrix.identity(m), IntMatrix.diagonal(orders))
         rows = [rq.generator_rows.data[i] for i, d in enumerate(rq.orders) if d > 1]
-        ds = fqf.direct_sum_form(*forms)
-        assert ds.qdiag == tuple(_mod2(_q_sum(qdiag, bmat, r)) for r in rows)
-        assert ds.bmat == tuple(tuple(_mod1(_b_sum(bmat, r, s)) for s in rows) for r in rows)
+        ds = direct_sum_form(*forms)
+        assert q_diagonal(ds) == tuple(_mod2(_q_sum(qdiag, bmat, r)) for r in rows)
+        assert b_matrix(ds) == tuple(tuple(_mod1(_b_sum(bmat, r, s)) for s in rows) for r in rows)
 
     def test_perp_quotient_values_are_parent_values_of_lifts(self):
         a = fqf.discriminant_form(lat.parse_name("2A1+2D8"))
@@ -610,8 +591,8 @@ class TestIntegerGramAgainstFractions:
             pq = fqf.perp_quotient(a, sub)
             lifts = pq.source.generator_lifts
             for i, x in enumerate(lifts):
-                assert pq.qdiag[i] == a.q(x)
-                assert all(pq.bmat[i][j] == a.b(x, y) for j, y in enumerate(lifts))
+                assert q_diagonal(pq)[i] == q_value(a, x)
+                assert all(b_matrix(pq)[i][j] == b_value(a, x, y) for j, y in enumerate(lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +624,8 @@ class TestPrimaryParts:
         assert set(parts) == set(factorize(form.cardinality))
         assert all(set(factorize(part.cardinality)) == {p} for p, part in parts.items())
         assert prod(part.cardinality for part in parts.values()) == form.cardinality
-        assert fqf.are_isometric(fqf.direct_sum_form(*parts.values()), form)[0]
-        whole = fqf.mod_pm1(form, fqf.isotropic_elements(form))
+        assert fqf.are_isometric(direct_sum_form(*parts.values()), form)[0]
+        whole = mod_pm1(form, fqf.isotropic_elements(form))
         assert fqf.isotropic_pm1_count(form) == len(whole)
 
     def test_given_primes_may_exceed_the_level_but_not_miss_a_prime(self):
@@ -659,7 +640,7 @@ class TestPrimaryParts:
         # (Z/2)^3 with q = (1/2, 3/2, 0): the cofactor (Z/2)^2 of the last
         # coordinate is scanned; (0, 0, *) and (1, 1, *) are isotropic
         half = Fraction(1, 2)
-        form = fqf.FiniteQuadraticForm((2, 2, 2), (half, 3 * half, 0), [[0] * 3] * 3)
+        form = fraction_form((2, 2, 2), (half, 3 * half, 0), [[0] * 3] * 3)
         assert fqf.isotropic_pm1_count(form, bound=4) == fqf.isotropic_pm1_count(form) == 4
         with pytest.raises(GroupTooLarge, match="^2-part of order 8: cofactor of order 4 "
                                                 "exceeds enumeration bound 3$"):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import claims, cusps, fqf, glue
+import group_claims
+from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
     BadParameter, InternalError, NotIsometry, NotIsotropic, NotNegativeDefinite,
@@ -17,13 +18,15 @@ from cuspidal.errors import (
 from cuspidal.exact import IntMatrix, integral_gram_schmidt, lll_reduce, smith_normal_form
 import helpers
 from fraction_oracles import over_common_denominator, rational_inverse
-from helpers import signed_permutation, tau_generator_isometries
+from helpers import (
+    fraction_form, q_value, rational_lift, signed_permutation, tau_generator_isometries, tau_image,
+)
 
 HALF = Fraction(-1, 2)
 
 
 def genus_form():
-    return fqf.FiniteQuadraticForm((2, 2), (HALF, HALF), [[0, 0], [0, 0]])
+    return fraction_form((2, 2), (HALF, HALF), [[0, 0], [0, 0]])
 
 
 def glue_choices(spec, order):
@@ -118,7 +121,7 @@ class TestShortVectors:
         for v in roots:
             coords.add(v.coords)
             coords.add(tuple(-x for x in v.coords))
-        rho = claims.reflection(L, roots[0])
+        rho = group_claims.reflection(L, roots[0])
         for v in roots:
             assert rho(v).coords in coords
 
@@ -288,19 +291,19 @@ class TestRootSystems:
 class TestImageOfTau:
     def test_two_e8_two_a1_swap_realized(self):
         gd = glue.make_glue("2E8+2A1")
-        tau = glue.image_of_tau(gd)
+        tau = tau_image(gd)
         assert tau.size == 2
         assert len(fqf.orthogonal_group(tau.quotient_form)) == 2
         assert tau.conditional
 
     def test_e8_d10_diagram_flip(self):
         gd = glue.make_glue("E8+D10")
-        tau = glue.image_of_tau(gd)
+        tau = tau_image(gd)
         assert tau.size == len(fqf.orthogonal_group(tau.quotient_form)) == 2
 
     def test_d18_value_reported(self):
         gd = glue.make_glue("D18")
-        tau = glue.image_of_tau(gd)
+        tau = tau_image(gd)
         assert tau.size == 2  # tool output; surjectivity left open upstream
 
     def test_a17_a1_proper_subgroup(self):
@@ -310,7 +313,7 @@ class TestImageOfTau:
         s = [x for x in subs if fqf.are_isometric(
             fqf.perp_quotient(gd0.disc, x), genus_form())[0]][0]
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
-        tau = glue.image_of_tau(gd)
+        tau = tau_image(gd)
         assert tau.size == 1
         assert len(fqf.orthogonal_group(tau.quotient_form)) == 2
 
@@ -321,11 +324,11 @@ class TestImageOfTau:
             if not fqf.are_isometric(q, genus_form())[0]:
                 continue
             gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
-            tau = glue.image_of_tau(gd, q)
+            tau = tau_image(gd, q)
             for f in tau.maps:
                 for x in tau.quotient_form.elements():
                     fx = fqf.apply_map(tau.quotient_form, f, x)
-                    assert tau.quotient_form.q(fx) == tau.quotient_form.q(x)
+                    assert q_value(tau.quotient_form, fx) == q_value(tau.quotient_form, x)
 
 
 @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
@@ -337,10 +340,11 @@ def test_integer_disc_action_matches_rational_lifts(spec):
     actions = glue._generator_actions(gd)
     assert len(actions) == len(isos)
     for iso, action in zip(isos, actions):
-        expected = tuple(disc.class_of(*over_common_denominator(iso.matrix.apply(disc.lift(u))))
-                         for u in units)
+        expected = tuple(
+            disc.class_of(*over_common_denominator(iso.matrix.apply(rational_lift(disc, u))))
+            for u in units)
         assert action == expected
-        assert claims.disc_action(iso, disc.source.smith, disc.source.kept) == expected
+        assert group_claims.disc_action(iso, disc.source.smith, disc.source.kept) == expected
 
 
 @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
@@ -353,7 +357,7 @@ def test_tau_generators_pass_the_full_form_check(spec):
         # one entry +-1 in every row and column, and M^T G M = G
         assert sorted(abs(x) for row in m for x in row).count(1) == gd.base.rank
         assert all(sum(x != 0 for x in row) == 1 for row in m)
-        assert claims.Isometry(gd.base, iso.matrix) == iso
+        assert group_claims.Isometry(gd.base, iso.matrix) == iso
 
 
 def _swap(n, a, b, k):
@@ -391,7 +395,7 @@ def test_signed_permutation_check_matches_the_matrix_product():
         for src, (dst, sign) in enumerate(zip(p, s)):
             m[dst][src] = sign
         try:
-            expected = claims.Isometry(base, IntMatrix(m))
+            expected = group_claims.Isometry(base, IntMatrix(m))
         except NotIsometry:
             expected = None
         try:
@@ -404,19 +408,20 @@ def test_signed_permutation_check_matches_the_matrix_product():
 
 
 def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
+    # no rational number at all: Fraction refuses to be built
     gd0, subs = glue_choices("2A1+2D8", 4)
     expected = [(glue.overlattice(glue.GlueData(gd0.base, gd0.components, gd0.disc, s)),
-                 glue.image_of_tau(glue.GlueData(gd0.base, gd0.components, gd0.disc, s)))
+                 tau_image(glue.GlueData(gd0.base, gd0.components, gd0.disc, s)))
                 for s in subs]
 
     def refuse(*args):
         raise AssertionError("rational lift built")
 
-    monkeypatch.setattr(fqf.FiniteQuadraticForm, "lift", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     for s, (over, tau) in zip(subs, expected):
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         assert glue.overlattice(gd).lattice == over.lattice
-        assert glue.image_of_tau(gd).maps == tau.maps
+        assert tau_image(gd).maps == tau.maps
 
 
 def _closure_image_of_tau(gd, quotient, group):
@@ -434,7 +439,7 @@ def _closure_image_of_tau(gd, quotient, group):
 
 def _closure_in_o_of_a_r(gd0):
     disc = gd0.disc
-    gens = [claims.disc_action(iso, disc.source.smith, disc.source.kept)
+    gens = [group_claims.disc_action(iso, disc.source.smith, disc.source.kept)
             for iso in tau_generator_isometries(gd0)]
     group = {fqf.identity_map(disc)}
     frontier = list(group)
@@ -460,7 +465,7 @@ def test_image_of_tau_matches_the_closure_in_o_of_a_r():
         for s in fqf.isotropic_subgroups(gd0.disc):
             gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
             q = fqf.perp_quotient(gd0.disc, s)
-            assert glue.image_of_tau(gd, q).maps == _closure_image_of_tau(gd, q, group), (
+            assert tau_image(gd, q).maps == _closure_image_of_tau(gd, q, group), (
                 spec, s.generators)
             glues += 1
     assert glues == 154
@@ -472,7 +477,7 @@ def test_image_of_tau_matches_the_closure_in_o_of_a_r():
 def test_glue_orbits_partition_the_target_order_glues(spec, glues, orbits):
     gd0, subs = glue_choices(spec, 4)
     disc = gd0.disc
-    actions = [claims.disc_action(iso, disc.source.smith, disc.source.kept)
+    actions = [group_claims.disc_action(iso, disc.source.smith, disc.source.kept)
                for iso in tau_generator_isometries(gd0)]
     found = glue._glue_orbits(glue._generator_actions(gd0), subs)
     assert (len(subs), len(found)) == (glues, orbits)
@@ -497,7 +502,7 @@ def test_tau_generators_must_be_involutions(monkeypatch):
     monkeypatch.setattr(glue, "_tau_signed_permutations",
                         lambda gd: [([1, 2, 0], (1, 1, 1))])
     with pytest.raises(InternalError, match="not an involution"):
-        glue.image_of_tau(gd)
+        tau_image(gd)
 
 
 def test_generator_actions_check_each_generator_without_its_matrix(monkeypatch):

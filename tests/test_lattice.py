@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import group_claims
 from cuspidal import claims
 from cuspidal import lattice as lat
 from cuspidal.errors import (
@@ -265,31 +266,32 @@ class TestSplitting:
 class TestIsometries:
     def test_reflection_spinor_signs(self):
         e8 = lat.E(8)
-        assert claims.spinor_norm(claims.reflection(e8, e8.basis_vector(0))) == 1
+        assert group_claims.spinor_norm(group_claims.reflection(e8, e8.basis_vector(0))) == 1
         u = lat.U()
         w = u.vector((1, 1))  # norm +2
-        assert claims.spinor_norm(claims.reflection(u, w)) == -1
+        assert group_claims.spinor_norm(group_claims.reflection(u, w)) == -1
 
     def test_minus_id_on_two_torsion(self):
         L = lat.parse_name("<-2>+<-2>")
-        flags = claims.group_membership(minus_identity(L))
+        flags = group_claims.group_membership(minus_identity(L))
         assert flags.det == 1 and flags.spinor == 1
         assert flags.disc_action == "id"
         assert flags.in_so_tilde_plus
 
     def test_identity_in_every_subgroup(self):
         L = lat.parse_name("U+A2")
-        flags = claims.group_membership(claims.Isometry.identity(L))
+        flags = group_claims.group_membership(group_claims.Isometry.identity(L))
         assert flags.in_o_plus and flags.stable and flags.in_o_tilde_plus
         assert flags.in_so_tilde_plus and flags.in_o_hat_plus and flags.in_so_hat_plus
         # a unimodular lattice keeps no generator of its (trivial) A_L
-        flags = claims.group_membership(claims.Isometry.identity(lat.parse_name("U+E8")))
+        unimodular = lat.parse_name("U+E8")
+        flags = group_claims.group_membership(group_claims.Isometry.identity(unimodular))
         assert flags.disc_action == "id" and flags.in_so_tilde_plus
 
     def test_minus_id_spinor_matches_positive_part(self):
         # sn(-id) = (-1)^{r} for signature (r, s)
-        assert claims.spinor_norm(minus_identity(lat.U())) == -1
-        assert claims.spinor_norm(minus_identity(lat.A(2))) == 1
+        assert group_claims.spinor_norm(minus_identity(lat.U())) == -1
+        assert group_claims.spinor_norm(minus_identity(lat.A(2))) == 1
 
     def test_signed_permutation_compares_moved_with_fixed_indices(self):
         # on the path 0 - 1 - 2 each adjacent swap keeps the pairings among
@@ -307,23 +309,23 @@ class TestIsometries:
         from cuspidal.exact import IntMatrix
 
         with pytest.raises(NotIsometry):
-            claims.Isometry(lat.U(), IntMatrix([[1, 1], [0, 1]]))
+            group_claims.Isometry(lat.U(), IntMatrix([[1, 1], [0, 1]]))
 
     def test_compose(self):
         # the product of the two simple reflections of A2 is the Coxeter
         # element, of order 3; isometries of two lattices do not compose
         L = lat.A(2)
-        r0, r1 = (claims.reflection(L, v) for v in L.basis())
+        r0, r1 = (group_claims.reflection(L, v) for v in L.basis())
         c = compose(r0, r1)
-        assert c == claims.Isometry(L, r0.matrix @ r1.matrix)
-        assert compose(compose(c, c), c) == claims.Isometry.identity(L)
+        assert c == group_claims.Isometry(L, r0.matrix @ r1.matrix)
+        assert compose(compose(c, c), c) == group_claims.Isometry.identity(L)
         with pytest.raises(MixedLattices):
-            compose(r0, claims.Isometry.identity(lat.U()))
+            compose(r0, group_claims.Isometry.identity(lat.U()))
 
     def test_hat_membership(self):
         # -id acts as -id on A_L of <-8>, with det -1 in rank 1
         L = lat.rank1(-8)
-        flags = claims.group_membership(minus_identity(L))
+        flags = group_claims.group_membership(minus_identity(L))
         assert flags.disc_action == "-id"
         assert flags.det == -1
         assert flags.in_o_hat_plus and flags.in_so_hat_plus
@@ -348,7 +350,7 @@ class TestIsometries:
         for iso in tau_generator_isometries(gd):
             m = iso.matrix
             expected = "id" if acts_as(m, 1) else "-id" if acts_as(m, -1) else "other"
-            assert claims.group_membership(iso).disc_action == expected
+            assert group_claims.group_membership(iso).disc_action == expected
             actions.append(expected)
         assert "other" in actions or "-id" in actions
 
@@ -359,11 +361,11 @@ class TestIsometries:
             calls.append(a)
             return smith_normal_form(a)
 
-        monkeypatch.setattr(claims, "smith_normal_form", counting)
+        monkeypatch.setattr(group_claims, "smith_normal_form", counting)
         gd = glue.make_glue("D5+2<-2>")
         for iso in tau_generator_isometries(gd):
             calls.clear()
-            claims.group_membership(iso)
+            group_claims.group_membership(iso)
             assert len(calls) == 1
 
     def test_disc_action_examples(self):
@@ -371,7 +373,7 @@ class TestIsometries:
         # -1 on <-2> is trivial on Z/2; swapping two equal summands is neither
         def actions(spec):
             gd = glue.make_glue(spec)
-            return [claims.group_membership(g).disc_action
+            return [group_claims.group_membership(g).disc_action
                     for g in tau_generator_isometries(gd)]
 
         assert actions("A2") == ["-id"]
@@ -395,7 +397,7 @@ def _reflections(L, rng):
     for v in pool:
         if v.norm != 0:
             try:
-                out.append((v, claims.reflection(L, v)))
+                out.append((v, group_claims.reflection(L, v)))
             except NotIsometry:
                 continue
     return out
@@ -412,13 +414,13 @@ def test_spinor_norm_counts_reflections_in_positive_vectors(name):
     assert {v.norm > 0 for v, _ in reflections} == {True, False}
     for _ in range(150 if L.rank <= 4 else 30):
         factors = [rng.choice(reflections) for _ in range(rng.randint(0, 5))]
-        g = claims.Isometry.identity(L)
+        g = group_claims.Isometry.identity(L)
         for _, rho in factors:
             g = compose(g, rho)
         assert g.matrix.T @ L.gram @ g.matrix == L.gram
-        assert claims.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
+        assert group_claims.spinor_norm(g) == (-1) ** sum(1 for v, _ in factors if v.norm > 0)
         assert g.det == (-1) ** len(factors)
-    assert claims.spinor_norm(minus_identity(L)) == (-1) ** L.signature[0]
+    assert group_claims.spinor_norm(minus_identity(L)) == (-1) ** L.signature[0]
 
 
 def _membership_inputs(name):
@@ -431,7 +433,7 @@ def _membership_inputs(name):
     reflections = [rho for _, rho in _reflections(L, rng)]
     out = []
     for _ in range(12):
-        g = claims.Isometry.identity(L)
+        g = group_claims.Isometry.identity(L)
         for rho in rng.sample(reflections, rng.randint(1, 3)):
             g = compose(g, rho)
         assert g.matrix.T @ L.gram @ g.matrix == L.gram
@@ -451,7 +453,7 @@ def test_kept_block_disc_action_matches_full_product(name):
         m = (smith.left @ g.domain.gram @ g.matrix @ smith.right).data
         d = smith.diag
         full = tuple(tuple(m[k][i] // d[i] % d[k] for k in kept) for i in kept)
-        assert claims.disc_action(g, smith, kept) == full
+        assert group_claims.disc_action(g, smith, kept) == full
 
 
 class TestBinaryForms:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import group_claims
 from cuspidal import claims, cusps, exact, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.errors import (
@@ -22,6 +23,7 @@ from cuspidal.errors import (
     NotIsotropic,
 )
 from embedding_oracles import build_polarized
+from helpers import tau_image
 
 
 def _records():
@@ -34,7 +36,7 @@ def _records():
     quotient = fqf.perp_quotient(gd.disc, gd.glue)
     qsource = quotient.source
     split = claims.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
-    rho = claims.reflection(L, L.basis_vector(2))
+    rho = group_claims.reflection(L, L.basis_vector(2))
     case = cusps.PolarizationCase(12, "split")
     row = cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"))[0]
     zero = cusps.zero_dim_report(case)
@@ -52,11 +54,11 @@ def _records():
         (gd, rebuilt),
         (glue.overlattice(gd), rebuilt),
         (glue.root_system_from_spec("E6+A11+<-4>"), rebuilt),
-        (glue.image_of_tau(gd, quotient), rebuilt),
+        (tau_image(gd, quotient), rebuilt),
         (L.vector([1, 0, -1, 2]), rebuilt),
         (split, rebuilt),
         (rho, rebuilt),
-        (claims.group_membership(rho), rebuilt),
+        (group_claims.group_membership(rho), rebuilt),
         (case, lambda r: cusps.PolarizationCase(r.d, r.embedding)),
         (cusps.disc_model(case), rebuilt),
         (build_polarized(cusps.PolarizationCase(3, "nonsplit")), rebuilt),
@@ -160,9 +162,9 @@ class TestValidatingConstructors:
     def test_isometry(self):
         L = lat.A(2)
         with pytest.raises(NotIsometry):
-            claims.Isometry(L, exact.IntMatrix([[1, 1], [0, 1]]))
+            group_claims.Isometry(L, exact.IntMatrix([[1, 1], [0, 1]]))
         with pytest.raises(NotIsometry):
-            claims.Isometry(L, exact.IntMatrix.identity(3))
+            group_claims.Isometry(L, exact.IntMatrix.identity(3))
 
     def test_lattice_vector(self):
         L = lat.A(2)
