@@ -3,9 +3,9 @@
 from .exact import (
     IntMatrix,
     SmithDecomposition,
+    det_and_signature,
     kernel_basis,
     lll_reduce,
-    signature_of_symmetric,
     smith_normal_form,
 )
 from .lattice import (
@@ -18,7 +18,6 @@ from .lattice import (
     orthogonal_complement,
     pair,
     parse_name,
-    twist,
 )
 from .fqf import (
     FiniteQuadraticForm,
@@ -32,7 +31,6 @@ from .fqf import (
 )
 from .glue import (
     GlueData,
-    Overlattice,
     RootSystem,
     image_of_tau,
     make_glue,

@@ -230,6 +230,10 @@ def _parse_range(text: str):
 
 def _cmd_cusp_sweep(args) -> int:
     lo, hi = _parse_range(args.d)
+    if hi - lo + 1 > args.bound:
+        # refused before any d is listed: the list alone can exhaust memory
+        raise BadParameter(f"sweep range {args.d!r} of {hi - lo + 1} values exceeds "
+                           f"enumeration bound {args.bound}")
     ds = [
         d
         for d in range(lo, hi + 1)
@@ -279,12 +283,12 @@ def _cmd_glue_enum(args) -> int:
         row = {
             "generators": [list(g) for g in s.generators],
             "order": s.order,
-            "overlattice_det": over.lattice.det,
+            "overlattice_det": over.det,
             "quotient_orders": list(quotient.orders),
             "quotient_q": fqf.q_strings(quotient),
         }
         if args.roots_of_overlattice:
-            row["roots"] = glue.root_system(over.lattice).spec_string()
+            row["roots"] = glue.root_system(over).spec_string()
         rows.append(row)
     obj = {"base": args.roots, "base_det": gd0.base.det, "glues": rows}
     if args.format == "json":

@@ -387,7 +387,7 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
     quotient, orbit = chosen
     if rs is None:
         gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, orbit[0])
-        rs = glue_mod.root_system(glue_mod.overlattice(gd).lattice)
+        rs = glue_mod.root_system(glue_mod.overlattice(gd))
     tau = glue_mod.image_of_tau(quotient, orbit, actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)

@@ -83,10 +83,6 @@ class BadIndex(CuspidalError):
     pass
 
 
-class HypothesisFailed(CuspidalError):
-    pass
-
-
 class NotSquareFree(CuspidalError):
     pass
 

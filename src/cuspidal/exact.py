@@ -3,17 +3,16 @@
 Everything here works with arbitrary-precision Python ints; no floating
 point appears in any result path, and no elimination runs over Q.
 Matrices are small (rank <= 24 in all callers), so the algorithms favour
-simplicity over asymptotics: Bareiss for determinants, Smith normal
-form with transform matrices whose every non-divisible step is a
-unimodular gcd mix of two rows or columns (the pivot is the first entry
-of least absolute value, and its search stops at a unit), fraction-free
-symmetric Bareiss elimination for congruence diagonalization
-(signatures; the tests read a maximal positive definite subspace off
-its congruence basis), and
-integral LLL at delta = 99/100 on the leading minors and scaled
-Gram-Schmidt coefficients.  The one matrix product skips the zero
-entries of its left operand, so it costs nnz(left) x cols; isometries
-and root-lattice Grams are mostly zero.
+simplicity over asymptotics: Smith normal form with transform
+matrices whose every non-divisible step is a unimodular gcd mix of two
+rows or columns (the pivot is the first entry of least absolute value,
+and its search stops at a unit); one fraction-free symmetric Bareiss
+elimination, the only one in the package, whose pivots give the
+signature of a form and whose last pivot is its determinant (it builds
+no congruence basis); and integral LLL at delta = 99/100 on the leading
+minors and scaled Gram-Schmidt coefficients.  The one matrix product
+skips the zero entries of its left operand, so it costs nnz(left) x
+cols; isometries and root-lattice Grams are mostly zero.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
@@ -148,32 +147,6 @@ class IntMatrix:
     def bilinear(self, x, y):
         """x^t M y; entries may be ints or Fractions."""
         return sum(map(mul, x, self.apply(y)))
-
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
     def to_lists(self):
         return [list(r) for r in self.data]
@@ -430,28 +403,27 @@ def _pivot(S, t):
     return best
 
 
-def _symmetric_bareiss(A: IntMatrix) -> tuple:
-    """Fraction-free congruence diagonalization of a nonsingular symmetric matrix.
+def det_and_signature(A: IntMatrix) -> tuple:
+    """(det, (positives, negatives)) of a nonsingular symmetric matrix, by
+    fraction-free symmetric elimination.
 
-    Returns (T, signs): integer rows T with T A T^T diagonal, and the sign
-    of each diagonal entry.  Step t turns the trailing block into
-    (p M_ij - M_it M_tj) / prev, an exact division (Bareiss, Math. Comp.
-    22, 1968), with p the new pivot and prev the one before (1 at the
-    start); the pivots are the leading minors d_1, d_2, ... of the matrix
-    after the swaps and adds below.  The same row steps on the identity
-    give T, lower triangular up to those swaps and adds, so T A T^T is
-    upper triangular and symmetric, hence diagonal, with entry t equal to
-    d_t d_(t+1).  A zero pivot is swapped with a later nonzero diagonal
-    entry, or, when the whole trailing diagonal is zero, made nonzero by
-    adding row and column j to row and column i for some M_ij != 0.
-    Raises SingularMatrix on degenerate input.
+    Step t turns the trailing block into (p M_ij - M_it M_tj) / prev, an
+    exact division (Bareiss, Math. Comp. 22, 1968), with p the new pivot
+    and prev the one before (1 at the start).  The pivots are the leading
+    minors d_1, d_2, ... of a matrix congruent to A by a unimodular
+    change of basis, so the last one is det A.  A zero pivot is swapped
+    with a later nonzero diagonal entry, or, when the whole trailing
+    diagonal is zero, made nonzero by adding row and column j to row and
+    column i for some M_ij != 0.  Pivot t counts as positive when it has
+    the same sign as the one before: the congruent diagonal form has
+    entry d_t d_(t+1) there, with d_0 = 1.  Raises SingularMatrix on
+    degenerate input.
     """
     if not A.is_symmetric():
         raise ValueError("matrix is not symmetric")
     n = A.rows
     M = [list(row) for row in A.data]
-    T = [[int(i == j) for j in range(n)] for i in range(n)]
-    signs = []
+    negatives = 0
     prev = 1
     for t in range(n):
         if M[t][t] == 0:
@@ -462,39 +434,24 @@ def _symmetric_bareiss(A: IntMatrix) -> tuple:
                     None,
                 )
                 if pair is None:
-                    raise SingularMatrix("degenerate symmetric form")
+                    raise SingularMatrix("gram matrix is degenerate")
                 i, j = pair
                 M[i] = [a + b for a, b in zip(M[i], M[j])]
                 for row in M:
                     row[i] += row[j]
-                T[i] = [a + b for a, b in zip(T[i], T[j])]
                 k = i
             M[t], M[k] = M[k], M[t]
             for row in M:
                 row[t], row[k] = row[k], row[t]
-            T[t], T[k] = T[k], T[t]
         p = M[t][t]
-        signs.append(1 if (p > 0) == (prev > 0) else -1)
-        pivot_row, pivot_basis = M[t][t + 1:], T[t]
+        negatives += (p > 0) != (prev > 0)
+        pivot_row = M[t][t + 1:]
         for i in range(t + 1, n):
             a = M[i][t]
             # columns up to t of row i are not read again
             M[i][t + 1:] = [(p * x - a * y) // prev for x, y in zip(M[i][t + 1:], pivot_row)]
-            T[i] = [(p * x - a * y) // prev for x, y in zip(T[i], pivot_basis)]
         prev = p
-    return T, signs
-
-
-def signature_of_symmetric(A: IntMatrix) -> tuple:
-    """Exact signature (positives, negatives) of a nonsingular symmetric matrix.
-
-    Pivot t of the fraction-free elimination counts as positive when it has
-    the same sign as the previous pivot (the first is compared with 1):
-    the diagonal entry d_t d_(t+1) of the congruent diagonal form is then
-    positive.  Raises SingularMatrix on degenerate input.
-    """
-    signs = _symmetric_bareiss(A)[1]
-    return (signs.count(1), signs.count(-1))
+    return prev, (n - negatives, negatives)
 
 
 def _round_div(a: int, b: int) -> int:

@@ -3,6 +3,10 @@
 An isotropic subgroup H of the discriminant form of an even lattice R
 determines the even overlattice L_H, the preimage of H in R*; its
 discriminant form is H^perp/H (Brieskorn) and det L_H = det R / |H|^2.
+``overlattice`` takes the signature of L_H from R and its determinant
+from the Hermite basis it builds, so no Gram here is eliminated; the
+one elimination left, ``exact.det_and_signature``, types each
+component of a root system by its Cartan determinant.
 
 Root enumeration uses exact Fincke-Pohst on integers: LLL
 preconditioning, then a depth-first search whose remaining norm is
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import groupby
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -62,8 +66,9 @@ from .errors import (
     NotIsotropic,
     NotNegativeDefinite,
     RootsNotFullRank,
+    SingularMatrix,
 )
-from .exact import IntMatrix, hnf_coords, hnf_rows, integral_gram_schmidt, lll_reduce
+from .exact import IntMatrix, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce
 from .fqf import (
     FiniteQuadraticForm,
     QuotientSource,
@@ -148,15 +153,13 @@ def make_glue(spec: str, glue_gens=()) -> GlueData:
 # overlattices
 
 
-class Overlattice(namedtuple("Overlattice", "glue lattice base_in_overlattice")):
-    """The overlattice of a ``GlueData``; the rows of ``base_in_overlattice``
-    are the base basis in overlattice coordinates."""
+def overlattice(gd: GlueData) -> Lattice:
+    """Even overlattice determined by the glue: preimage of H in R*.
 
-    __slots__ = ()
-
-
-def overlattice(gd: GlueData) -> Overlattice:
-    """Even overlattice determined by the glue: preimage of H in R*."""
+    Its invariants come from the construction, with no elimination: the
+    signature is the base's, and the basis B / den, for B the Hermite
+    basis of den R + (den times the glue lifts), has Gram B G B^T / den^2,
+    so det = det R (prod of the pivots of B)^2 / den^(2n)."""
     base = gd.base
     n = base.rank
     # den times the glue lifts, with den the level of A_R, are integer rows
@@ -172,17 +175,12 @@ def overlattice(gd: GlueData) -> Overlattice:
     for i, row in enumerate(scaled.data):
         if any(x % (den * den) for x in row):
             raise NonIntegralGlue("glue produces non-integral pairings")
-        gram.append([x // (den * den) for x in row])
+        gram.append(tuple(x // (den * den) for x in row))
         if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
-    # base basis in overlattice coordinates: the rows y of (B / den)^-1, y B = den e_i
-    incl = []
-    for i in range(n):
-        y = hnf_coords(basis, [den * int(i == j) for j in range(n)])
-        if y is None:
-            raise NonIntegralGlue("base does not embed integrally")
-        incl.append(y)
-    return Overlattice(gd, Lattice(gram), IntMatrix(incl))
+    det = base.det * prod(basis.data[i][i] for i in range(n)) ** 2 // den ** (2 * n)
+    return Lattice._from_invariants(IntMatrix._wrap(tuple(gram)), None, det, base.signature,
+                                    True)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,10 @@ def _classify_component(block) -> tuple:
     n = len(block)
     if any(block[i][j] not in (0, 1) for i in range(n) for j in range(n) if i != j):
         raise InternalError("component is not a simply-laced Dynkin diagram")
-    det = (-1) ** n * IntMatrix(block).det()
+    try:
+        det = (-1) ** n * det_and_signature(IntMatrix(block))[0]
+    except SingularMatrix:
+        raise InternalError("component is not a simply-laced Dynkin diagram") from None
     if det == n + 1:
         return ("A", n)
     if det == 4 and n >= 4:

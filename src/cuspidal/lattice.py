@@ -7,6 +7,14 @@ Cartan matrix), so positive definite callers must twist by -1
 explicitly.  B(d), defined for d = 3 mod 4, is the rank-two negative
 definite lattice with Gram [[-(d+1)/2, 1], [1, -2]].
 
+Determinant and signature are stored with each lattice.  Only a Gram
+that arrives without them, a JSON lattice or the restricted form of a
+sublattice, is eliminated, once (``exact.det_and_signature``).  Every
+other lattice takes them from its construction: a standard lattice from
+closed forms (``make_standard``), a direct sum from its parts
+(``direct_sum``), a twist from the lattice it scales (``Lattice.twist``)
+and an overlattice from its base and Hermite basis (``glue.overlattice``).
+
 Vectors carry their home lattice and may have rational coordinates
 (needed for dual and projection work).  Rational splittings live in
 ``claims``, which no command but ``verify example-c12`` imports;
@@ -30,19 +38,14 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .exact import (
-    IntMatrix,
-    kernel_basis,
-    signature_of_symmetric,
-    smith_normal_form,
-)
+from .exact import IntMatrix, det_and_signature, kernel_basis, smith_normal_form
 
 
 class Lattice:
     """Immutable lattice; determinant, signature and parity are stored at
-    construction.  ``Lattice(gram)`` computes them by elimination; a direct
-    sum takes them from its parts (``direct_sum``) and a standard lattice
-    from closed forms (``make_standard``)."""
+    construction.  ``Lattice(gram)`` computes the first two by one
+    elimination (``exact.det_and_signature``); the other constructors
+    take them from their construction (``_from_invariants``)."""
 
     __slots__ = ("gram", "labels", "det", "signature", "even")
 
@@ -51,14 +54,12 @@ class Lattice:
             gram = IntMatrix(gram)
         if not gram.is_symmetric():
             raise BadParameter("gram matrix must be symmetric")
-        det = gram.det()
-        if det == 0:
-            raise SingularMatrix("gram matrix is degenerate")
+        det, signature = det_and_signature(gram)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != gram.rows:
                 raise BadParameter("one label per basis vector required")
-        self._store(gram, labels, det, signature_of_symmetric(gram),
+        self._store(gram, labels, det, signature,
                     all(gram.data[i][i] % 2 == 0 for i in range(gram.rows)))
 
     @classmethod
@@ -244,22 +245,6 @@ def U() -> Lattice:
     return make_standard("U")
 
 
-def A(k: int) -> Lattice:
-    return make_standard("A", k)
-
-
-def D(h: int) -> Lattice:
-    return make_standard("D", h)
-
-
-def E(l: int) -> Lattice:
-    return make_standard("E", l)
-
-
-def B(d: int) -> Lattice:
-    return make_standard("B", d)
-
-
 def rank1(n: int) -> Lattice:
     return make_standard("rank1", n)
 
@@ -282,33 +267,33 @@ def direct_sum(*parts: Lattice) -> Lattice:
     )
 
 
-def twist(L: Lattice, t: int) -> Lattice:
-    return L.twist(t)
-
-
 # ---------------------------------------------------------------------------
 # sublattices and complements
 
 
 class Sublattice:
-    """A finite-rank sublattice of an ambient lattice, given by basis rows."""
+    """A finite-rank sublattice of an ambient lattice, given by basis rows.
 
-    __slots__ = ("ambient", "basis_matrix", "lattice")
+    One Smith form of the rows gives both their rank and whether they span
+    a primitive sublattice (every invariant factor 1)."""
+
+    __slots__ = ("ambient", "basis_matrix", "lattice", "_primitive")
 
     def __init__(self, ambient: Lattice, basis_rows):
         if not isinstance(basis_rows, IntMatrix):
             basis_rows = IntMatrix(basis_rows)
         if basis_rows.cols != ambient.rank:
             raise BadParameter("basis rows must have ambient rank many columns")
-        gram = basis_rows @ ambient.gram @ basis_rows.T
-        rk = sum(1 for d in smith_normal_form(basis_rows).diag if d != 0)
-        if rk != basis_rows.rows:
+        diag = smith_normal_form(basis_rows).diag
+        if sum(1 for d in diag if d != 0) != basis_rows.rows:
             raise DependentInput("sublattice basis is linearly dependent")
-        if gram.det() == 0:
-            raise DegenerateComplement("form restricted to sublattice is degenerate")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis_matrix", basis_rows)
-        object.__setattr__(self, "lattice", Lattice(gram))
+        try:
+            lattice = Lattice(basis_rows @ ambient.gram @ basis_rows.T)
+        except SingularMatrix:
+            raise DegenerateComplement("form restricted to sublattice is degenerate") from None
+        for name, value in zip(self.__slots__,
+                               (ambient, basis_rows, lattice, all(d == 1 for d in diag))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
@@ -321,15 +306,15 @@ class Sublattice:
         return [LatticeVector(self.ambient, row) for row in self.basis_matrix.data]
 
     def is_primitive(self) -> bool:
-        return all(d == 1 for d in smith_normal_form(self.basis_matrix).diag)
+        return self._primitive
 
 
 def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
     """Primitive basis of the saturation of {x in L : (x, s) = 0 for s in S}.
 
-    Raises DependentInput when S is dependent and DegenerateComplement
-    when the restricted form degenerates (e.g. S contains an isotropic
-    vector of U).
+    Raises BadParameter when S is empty, DependentInput when S is
+    dependent and DegenerateComplement when the restricted form
+    degenerates (e.g. S contains an isotropic vector of U).
     """
     rows = []
     for v in vectors:
@@ -338,10 +323,12 @@ def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
         if not v.is_integral:
             raise BadParameter("complement generators must be integral")
         rows.append([int(x) for x in L.gram.apply(v.coords)])
-    pairing = IntMatrix(rows)
-    if sum(1 for d in smith_normal_form(pairing).diag if d != 0) != len(rows):
+    if not rows:
+        raise BadParameter("complement needs at least one vector")
+    kernel = kernel_basis(IntMatrix(rows))
+    if kernel.rows != L.rank - len(rows):
         raise DependentInput("input vectors are linearly dependent")
-    return Sublattice(L, kernel_basis(pairing))
+    return Sublattice(L, kernel)
 
 
 # ---------------------------------------------------------------------------

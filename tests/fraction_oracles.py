@@ -6,7 +6,10 @@ diagonalization over Q (``lagrange_signature``) are independent second
 derivations of what the package computes with Smith, Hermite and
 fraction-free Bareiss transforms.  ``full_scan_pivot`` is the Smith
 pivot search without its stop at a unit, and ``trial_division`` the
-factorization without Miller-Rabin and Pollard rho.
+factorization without Miller-Rabin and Pollard rho.  ``bareiss_det`` is
+the general fraction-free determinant, for any square matrix: it checks
+the symmetric elimination of ``exact.det_and_signature`` and gives the
+determinants of Smith and LLL transforms and of isometries.
 ``fraction_presentation`` reads a finite quadratic form given by
 Fraction values q_i and b_ij of its generators, with the checks of the
 Fraction constructor that the integer Gram over the level replaced.
@@ -19,6 +22,28 @@ from math import lcm
 
 from cuspidal.errors import SingularMatrix
 from cuspidal.exact import IntMatrix
+
+
+def bareiss_det(A: IntMatrix) -> int:
+    """Determinant of a square matrix by fraction-free Bareiss elimination
+    with row swaps."""
+    n = A.rows
+    if n != A.cols:
+        raise ValueError("determinant of non-square matrix")
+    m = [list(r) for r in A.data]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def solve_rational(A: IntMatrix, b) -> tuple | None:

@@ -8,10 +8,11 @@ paper's statements about them; ``cuspidal.claims`` keeps only what
 ``verify example-c12`` runs.
 
 The real spinor norm of an isometry g is read off a maximal positive
-definite subspace W, spanned by the positive rows P of the fraction-free
-congruence basis: g keeps the orientation of W after projecting back to
-W exactly when det(P G g P^T) > 0.  Reflections and spinor norms stay in
-integers.
+definite subspace W, spanned by the positive rows P of a fraction-free
+congruence basis (``positive_definite_basis``): g keeps the orientation
+of W after projecting back to W exactly when det(P G g P^T) > 0.
+Reflections and spinor norms stay in integers.  ``t_set`` raises
+``HypothesisFailed`` for an m outside the paper's hypothesis.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from cuspidal.cusps import (
     disc_model,
     predicted_AE,
 )
-from cuspidal.errors import BadParameter, HypothesisFailed, MixedLattices, NotIsometry
-from cuspidal.exact import IntMatrix, _symmetric_bareiss, smith_normal_form
+from cuspidal.errors import (
+    BadParameter, CuspidalError, MixedLattices, NotIsometry, SingularMatrix,
+)
+from cuspidal.exact import IntMatrix, smith_normal_form
 from cuspidal.fqf import (
     ENUM_BOUND,
     FiniteQuadraticForm,
@@ -41,6 +44,11 @@ from cuspidal.fqf import (
 )
 from cuspidal.lattice import Lattice, LatticeVector
 from form_oracles import direct_sum_form
+from fraction_oracles import bareiss_det
+
+
+class HypothesisFailed(CuspidalError):
+    """A claim is asked for parameters outside its hypotheses."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +57,50 @@ from form_oracles import direct_sum_form
 
 def positive_definite_basis(A: IntMatrix) -> list:
     """Pairwise A-orthogonal integer rows spanning a maximal positive definite
-    subspace of a nonsingular symmetric A: the congruence basis rows of
-    ``exact.signature_of_symmetric`` with positive diagonal entry."""
-    T, signs = _symmetric_bareiss(A)
-    return [row for row, s in zip(T, signs) if s > 0]
+    subspace of a nonsingular symmetric A.
+
+    The elimination of ``exact.det_and_signature``, with its row steps
+    also applied to the identity: they give rows T, lower triangular up
+    to the swaps and adds, so T A T^T is upper triangular and symmetric,
+    hence diagonal, with entry t equal to d_t d_(t+1) for the pivots d.
+    The rows whose entry is positive are kept.  Raises SingularMatrix on
+    degenerate input.
+    """
+    n = A.rows
+    M = [list(row) for row in A.data]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    prev = 1
+    for t in range(n):
+        if M[t][t] == 0:
+            k = next((i for i in range(t + 1, n) if M[i][i] != 0), None)
+            if k is None:
+                pair = next(
+                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if M[i][j]),
+                    None,
+                )
+                if pair is None:
+                    raise SingularMatrix("degenerate symmetric form")
+                i, j = pair
+                M[i] = [a + b for a, b in zip(M[i], M[j])]
+                for row in M:
+                    row[i] += row[j]
+                T[i] = [a + b for a, b in zip(T[i], T[j])]
+                k = i
+            M[t], M[k] = M[k], M[t]
+            for row in M:
+                row[t], row[k] = row[k], row[t]
+            T[t], T[k] = T[k], T[t]
+        p = M[t][t]
+        if (p > 0) == (prev > 0):
+            out.append(T[t])
+        pivot_row, pivot_basis = M[t][t + 1:], T[t]
+        for i in range(t + 1, n):
+            a = M[i][t]
+            M[i][t + 1:] = [(p * x - a * y) // prev for x, y in zip(M[i][t + 1:], pivot_row)]
+            T[i] = [(p * x - a * y) // prev for x, y in zip(T[i], pivot_basis)]
+        prev = p
+    return out
 
 
 class Isometry(namedtuple("Isometry", "domain matrix")):
@@ -74,7 +122,7 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
 
     @property
     def det(self) -> int:
-        return self.matrix.det()
+        return bareiss_det(self.matrix)
 
     @classmethod
     def identity(cls, L: Lattice) -> "Isometry":
@@ -120,7 +168,7 @@ def spinor_norm(g: Isometry) -> int:
     if not P:
         return 1
     P = IntMatrix(P)
-    return 1 if (P @ G @ g.matrix @ P.T).det() > 0 else -1
+    return 1 if bareiss_det(P @ G @ g.matrix @ P.T) > 0 else -1
 
 
 class MembershipFlags(namedtuple(

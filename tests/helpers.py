@@ -1,8 +1,8 @@
 """Helpers that only the tests call: the diagonal matrix of a Smith form,
 lattices and forms to and from JSON, finite quadratic forms given by
-Fraction values and their Fraction views, Im tau of one glue, and
-isometries built as products, as minus the identity or as signed
-permutations of a basis."""
+Fraction values and their Fraction views, the base of a glue in
+overlattice coordinates, Im tau of one glue, and isometries built as
+products, as minus the identity or as signed permutations of a basis."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from cuspidal import fqf, glue
 from cuspidal.errors import MixedLattices
-from cuspidal.exact import IntMatrix
+from cuspidal.exact import IntMatrix, hnf_coords, hnf_rows
 from cuspidal.fqf import FiniteQuadraticForm
 from cuspidal.lattice import check_signed_permutation
 from fraction_oracles import fraction_presentation
@@ -84,6 +84,19 @@ def rational_lift(form, x) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Im tau and isometries
+
+
+def base_in_overlattice(gd) -> IntMatrix:
+    """Rows: the base basis in the coordinates of ``glue.overlattice(gd)``.
+
+    The overlattice basis is B / den, for B the Hermite basis of den R
+    plus den times the glue lifts and den the level of A_R; row i is the
+    integer y with y B = den e_i."""
+    n, den = gd.base.rank, gd.disc.level
+    unit = [[den * int(i == j) for j in range(n)] for i in range(n)]
+    basis = IntMatrix(hnf_rows(unit + [gd.disc.source.scaled_lift(g, den)
+                                       for g in gd.glue.generators]))
+    return IntMatrix([hnf_coords(basis, row) for row in unit])
 
 
 def tau_image(gd, quotient=None):

@@ -17,9 +17,10 @@ import group_claims
 from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.cli import run
-from cuspidal.exact import IntMatrix, signature_of_symmetric, smith_normal_form
+from cuspidal.exact import IntMatrix, det_and_signature, smith_normal_form
 from embedding_oracles import build_polarized
 from form_oracles import direct_sum_form
+from fraction_oracles import bareiss_det
 from helpers import compose, q_value, tau_image
 
 
@@ -240,9 +241,9 @@ _LATTICE_POOL = [
 def test_criterion_7a_overlattice_determinant(idx):
     gd = GLUE_POOL[idx]
     over = glue.overlattice(gd)
-    assert over.lattice.det * gd.glue.order**2 == gd.base.det
+    assert over.det * gd.glue.order**2 == gd.base.det
     pq = fqf.perp_quotient(gd.disc, gd.glue)
-    assert fqf.are_isometric(fqf.discriminant_form(over.lattice), pq)[0]
+    assert fqf.are_isometric(fqf.discriminant_form(over), pq)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,9 +291,9 @@ def test_criterion_7c_snf_and_signature_congruence(data):
     tm = IntMatrix(t)
     b = tm.T @ a @ tm
     assert smith_normal_form(a).diag == smith_normal_form(b).diag
-    assert math.prod(smith_normal_form(a).diag) == abs(a.det())
-    if a.det() != 0:
-        assert signature_of_symmetric(a) == signature_of_symmetric(b)
+    assert math.prod(smith_normal_form(a).diag) == abs(bareiss_det(a))
+    if bareiss_det(a) != 0:
+        assert det_and_signature(a) == det_and_signature(b)
 
 
 _SPIN_LATTICE = lat.parse_name("U+A2")

@@ -259,6 +259,11 @@ class TestInputErrors:
              "isotropic subgroup search exceeds enumeration bound 60000"),
             # a negative value is no exact form: argparse parses it
             (["cusp", "zero", "--d", "-4"], None, "d must be a positive integer"),
+            (["lat", "info", '{"gram":[[2,2],[2,2]]}'], None, "gram matrix is degenerate"),
+            (["lat", "info", '{"gram":[[2,1],[0,2]]}'], None, "must be symmetric"),
+            # refused before the list of every d is built
+            (["cusp", "sweep", "--d", "1..50", "--bound", "10"], None,
+             "sweep range '1..50' of 50 values exceeds enumeration bound 10"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
@@ -395,17 +400,29 @@ def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
 
 
 def test_table1_takes_sum_invariants_from_the_summands(capsys, monkeypatch):
-    from cuspidal import lattice
-    from cuspidal.exact import IntMatrix
+    from cuspidal import exact, glue, lattice
 
     # no elimination at all: the summands of the 13 bases take their
     # invariants in closed form, and sums add signatures and multiply
     # determinants
-    signatures = _count_calls(monkeypatch, lattice.signature_of_symmetric, [lattice])
-    dets = _count_calls(monkeypatch, IntMatrix.det, [IntMatrix])
+    eliminations = _count_calls(monkeypatch, exact.det_and_signature, [lattice, glue])
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
-    assert signatures == [] and dets == []
+    assert eliminations == []
+
+
+def test_json_gram_is_eliminated_once_and_overlattices_never(capsys, monkeypatch):
+    from cuspidal import exact, glue, lattice
+
+    eliminations = _count_calls(monkeypatch, exact.det_and_signature, [lattice, glue])
+    code, out = invoke(capsys, ["lat", "info", str(GOLDEN / "gram_U+A2.json")])
+    assert code == 0 and json.loads(out)["det"] == -3
+    assert len(eliminations) == 1
+    # 16 overlattices, each with the signature of its base and the
+    # determinant of its Hermite basis
+    code, out = invoke(capsys, ["glue", "enum", "--roots", "4A3"])
+    assert code == 0 and len(json.loads(out)["glues"]) == 16
+    assert len(eliminations) == 1
 
 
 def test_cusp_zero_factors_d_once(capsys, monkeypatch):
@@ -604,6 +621,9 @@ GOLDENS = [
      "lat_disc_A1+A2+A3+D4+E6+E7.md"),
     (["cusp", "zero", "--d", "12", "--format", "md"], "cusp_zero_d12.md"),
     (["glue", "enum", "--roots", "E8"], "glue_enum_E8.json"),
+    # a JSON Gram, whose invariants come from elimination; U+A2 written out
+    # takes both zero-pivot branches, a swap and an add
+    (["lat", "info", str(GOLDEN / "gram_U+A2.json")], "lat_info_gram_U+A2.json"),
 ]
 
 
@@ -679,7 +699,7 @@ def test_every_public_layer_function_runs_under_a_command(tmp_path):
     # Table 1 formats, traced in process; the Fincke-Pohst of
     # --roots-of-overlattice takes seconds under the profiler and reaches no
     # function that glue roots does not
-    from cuspidal import cusps, exact, fqf, glue
+    from cuspidal import claims, cusps, exact, fqf, glue, lattice
 
     candidates = tmp_path / "cands.json"
     candidates.write_text(json.dumps([{"roots": "E7+D10+A1", "glue": [[1, 0, 0, 1]]}]))
@@ -707,7 +727,7 @@ def test_every_public_layer_function_runs_under_a_command(tmp_path):
     assert codes == [1 if argv[:2] == ["cusp", "one"] else 0 for argv in argvs]
     unrun = sorted(
         f"{module.__name__.split('.')[-1]}.{name}"
-        for module in (exact, fqf, glue, cusps)
+        for module in (exact, lattice, fqf, glue, cusps, claims)
         for name, fn in vars(module).items()
         if not name.startswith("_") and inspect.isfunction(fn)
         and fn.__module__ == module.__name__ and fn.__code__ not in called

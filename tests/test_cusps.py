@@ -10,7 +10,6 @@ from cuspidal.errors import (
     BadCase,
     BadIndex,
     BadParameter,
-    HypothesisFailed,
     InternalError,
     NotIsotropic,
     NotSquareFree,
@@ -279,7 +278,7 @@ class TestTSet:
             assert delta == 0 and gram.to_lists() == [[0, 1], [1, 0]]
 
     def test_gcd_hypothesis(self):
-        with pytest.raises(HypothesisFailed):
+        with pytest.raises(group_claims.HypothesisFailed):
             group_claims.t_set(cusps.PolarizationCase(4, "split"), 2)
 
     def test_odd_m_with_coprime_det(self):

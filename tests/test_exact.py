@@ -19,12 +19,13 @@ from cuspidal.exact import (
     kernel_basis,
     lll_reduce,
     _round_div,
-    signature_of_symmetric,
+    det_and_signature,
     smith_normal_form,
 )
 from group_claims import positive_definite_basis
 from helpers import diagonal_matrix
 from fraction_oracles import (
+    bareiss_det,
     full_scan_pivot,
     lagrange_signature,
     rational_inverse,
@@ -92,8 +93,8 @@ class TestSmith:
         a = IntMatrix(rows)
         s = smith_normal_form(a)
         assert s.left @ a @ s.right == diagonal_matrix(s)
-        assert abs(s.left.det()) == 1
-        assert abs(s.right.det()) == 1
+        assert abs(bareiss_det(s.left)) == 1
+        assert abs(bareiss_det(s.right)) == 1
         nonzero = [d for d in s.diag if d]
         assert all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1))
         assert list(s.diag[len(nonzero):]) == [0] * (len(s.diag) - len(nonzero))
@@ -101,7 +102,7 @@ class TestSmith:
     @given(square_ints())
     def test_diag_product_is_det(self, rows):
         a = IntMatrix(rows)
-        assert math.prod(smith_normal_form(a).diag) == abs(a.det())
+        assert math.prod(smith_normal_form(a).diag) == abs(bareiss_det(a))
 
     def test_no_coefficient_explosion(self):
         # remainder-and-swap elimination grew these entries past a million
@@ -115,7 +116,7 @@ class TestSmith:
         ])
         s = smith_normal_form(a)
         assert s.left @ a @ s.right == diagonal_matrix(s)
-        assert abs(s.left.det()) == abs(s.right.det()) == 1
+        assert abs(bareiss_det(s.left)) == abs(bareiss_det(s.right)) == 1
         assert s.diag == (1, 1, 1, 1, 10083)
 
     @pytest.mark.parametrize(
@@ -238,26 +239,29 @@ class TestConstructor:
 
 class TestSignature:
     def test_examples(self):
-        assert signature_of_symmetric(U_GRAM) == (1, 1)
-        assert signature_of_symmetric(E8_GRAM) == (0, 8)
+        assert det_and_signature(U_GRAM) == (-1, (1, 1))
+        assert det_and_signature(E8_GRAM) == (1, (0, 8))
+        assert det_and_signature(IntMatrix([])) == (1, (0, 0))
 
     def test_k3_square_lattice(self):
         blocks = [U_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM, IntMatrix([[-2]])]
         g = IntMatrix.block_diagonal(blocks)
-        assert signature_of_symmetric(g) == (3, 20)
+        assert det_and_signature(g) == (2, (3, 20))
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            signature_of_symmetric(IntMatrix([[1, 1], [1, 1]]))
+            det_and_signature(IntMatrix([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            det_and_signature(IntMatrix([[1, 1], [0, 1]]))
 
     def test_matches_minor_oracle(self):
         # Jacobi: when all leading minors are nonzero, negatives are sign changes
         g = IntMatrix([[2, 1, 0], [1, -3, 2], [0, 2, 1]])
         minors = [1]
         for k in range(1, 4):
-            minors.append(IntMatrix([row[:k] for row in g.to_lists()[:k]]).det())
+            minors.append(bareiss_det(IntMatrix([row[:k] for row in g.to_lists()[:k]])))
         changes = sum(1 for k in range(1, 4) if minors[k] * minors[k - 1] < 0)
-        assert signature_of_symmetric(g) == (3 - changes, changes)
+        assert det_and_signature(g) == (minors[3], (3 - changes, changes))
 
     @given(
         symmetric_ints(),
@@ -268,10 +272,10 @@ class TestSignature:
     )
     def test_congruence_invariance(self, rows, ops):
         g = IntMatrix(rows)
-        if g.det() == 0:
+        if bareiss_det(g) == 0:
             return
         t = unimodular_from_ops(g.rows, ops)
-        assert signature_of_symmetric(t.T @ g @ t) == signature_of_symmetric(g)
+        assert det_and_signature(t.T @ g @ t) == det_and_signature(g)
 
 
 def nonsingular_symmetric(n_max=8, lo=-4, hi=4):
@@ -286,7 +290,7 @@ def nonsingular_symmetric(n_max=8, lo=-4, hi=4):
     return (
         st.tuples(square_ints(n_max, lo, hi), st.booleans())
         .map(build)
-        .filter(lambda a: a.det() != 0)
+        .filter(lambda a: bareiss_det(a) != 0)
     )
 
 
@@ -294,13 +298,13 @@ class TestSignatureAgainstLagrange:
     @settings(deadline=None, max_examples=300)
     @given(nonsingular_symmetric())
     def test_matches_fraction_lagrange(self, a):
-        assert signature_of_symmetric(a) == lagrange_signature(a)
+        assert det_and_signature(a) == (bareiss_det(a), lagrange_signature(a))
 
     @settings(deadline=None, max_examples=150)
     @given(nonsingular_symmetric())
     def test_positive_basis_is_orthogonal_and_maximal(self, a):
         rows = positive_definite_basis(a)
-        assert len(rows) == signature_of_symmetric(a)[0]
+        assert len(rows) == det_and_signature(a)[1][0]
         if rows:
             p = IntMatrix(rows)
             gram = (p @ a @ p.T).data
@@ -310,10 +314,10 @@ class TestSignatureAgainstLagrange:
     def test_zero_pivots(self):
         # each takes both zero-pivot branches: a swap with a later nonzero
         # diagonal entry, then a row-and-column add
-        assert signature_of_symmetric(IntMatrix([[0, 0, 1], [0, -2, 0], [1, 0, 0]])) == (1, 2)
-        assert signature_of_symmetric(
+        assert det_and_signature(IntMatrix([[0, 0, 1], [0, -2, 0], [1, 0, 0]])) == (2, (1, 2))
+        assert det_and_signature(
             IntMatrix.block_diagonal([U_GRAM] * 3 + [IntMatrix([[-2]])])
-        ) == (3, 4)
+        ) == (2, (3, 4))
 
 
 class TestLLL:
@@ -326,12 +330,12 @@ class TestLLL:
         red, t = lll_reduce(IntMatrix([[-4, -2], [-2, -2]]))
         assert red.data[0][1] == 0
         assert sorted([red.data[0][0], red.data[1][1]]) == [-2, -2]
-        assert abs(t.det()) == 1
+        assert abs(bareiss_det(t)) == 1
 
     def test_e8_stable(self):
         red, t = lll_reduce(E8_GRAM)
         assert all(red.data[i][i] == -2 for i in range(8))
-        assert abs(t.det()) == 1
+        assert abs(bareiss_det(t)) == 1
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotDefinite):
@@ -352,8 +356,7 @@ class TestLLL:
         g = IntMatrix([[-(spd.data[i][j] + (2 if i == j else 0)) for j in range(n)]
                        for i in range(n)])
         red, tr = lll_reduce(g)
-        assert red.det() == g.det()
-        assert signature_of_symmetric(red) == signature_of_symmetric(g) == (0, n)
+        assert det_and_signature(red) == det_and_signature(g) == (bareiss_det(g), (0, n))
         assert tr.T @ g @ tr == red
 
 
@@ -388,7 +391,7 @@ class TestIntegralLLL:
         g = IntMatrix(rows)
         red, t = lll_reduce(g)
         assert t.T @ g @ t == red
-        assert abs(t.det()) == 1
+        assert abs(bareiss_det(t)) == 1
         sign = -1 if rows[0][0] < 0 else 1
         mu, norms = fraction_gram_schmidt(red.scaled(sign).data)
         n = len(rows)
@@ -591,10 +594,10 @@ def test_fraction_solvers_only_in_exact_and_rational_splitting():
     assert _solver_calls(probe) == [(None, "solve_rational"), ("f", "rational_inverse")]
 
 
-# The integer kernels behind signatures, spinor norms and reflections; the
-# last two, which no command runs, live with the tests.
+# The integer kernels behind determinants, signatures, spinor norms and
+# reflections; the last two, which no command runs, live with the tests.
 _INTEGER_KERNELS = {
-    _SRC / "exact.py": {"_symmetric_bareiss", "signature_of_symmetric"},
+    _SRC / "exact.py": {"det_and_signature"},
     Path(__file__).parent / "group_claims.py": {
         "positive_definite_basis", "spinor_norm", "reflection"},
 }

@@ -31,7 +31,7 @@ def _records():
     through the public constructor."""
     L = lat.parse_name("U+A2")
     smith = exact.smith_normal_form(L.gram)
-    a2 = fqf.discriminant_form(lat.A(2))
+    a2 = fqf.discriminant_form(lat.make_standard("A", 2))
     gd = glue.make_glue("4A1", [(1, 1, 1, 1)])
     quotient = fqf.perp_quotient(gd.disc, gd.glue)
     qsource = quotient.source
@@ -52,7 +52,6 @@ def _records():
         (gd.glue, rebuilt),
         (gd.components[0], rebuilt),
         (gd, rebuilt),
-        (glue.overlattice(gd), rebuilt),
         (glue.root_system_from_spec("E6+A11+<-4>"), rebuilt),
         (tau_image(gd, quotient), rebuilt),
         (L.vector([1, 0, -1, 2]), rebuilt),
@@ -77,7 +76,7 @@ def test_every_record_is_covered():
     names = {type(r).__name__ for r, _ in RECORDS}
     assert names == {
         "SmithDecomposition", "LatticeSource", "QuotientSource", "_RowQuotient",
-        "FqfSubgroup", "Component", "GlueData", "Overlattice", "RootSystem",
+        "FqfSubgroup", "Component", "GlueData", "RootSystem",
         "TauImage", "LatticeVector", "OrthogonalSplitting", "Isometry",
         "MembershipFlags", "PolarizationCase", "DiscModel", "PolarizedEmbedding",
         "NuResult", "OrbitRep", "Candidate", "OneDimRow", "CuspReport",
@@ -99,7 +98,7 @@ def test_record_is_frozen_value(record, rebuild):
 
 
 def test_changed_field_breaks_equality():
-    L = lat.A(2)
+    L = lat.make_standard("A", 2)
     assert L.vector([1, 0]) != L.vector([0, 1])
     assert cusps.PolarizationCase(3, "split") != cusps.PolarizationCase(3, "nonsplit")
     assert cusps.Candidate("D18") != cusps.Candidate("D18", "D24")
@@ -128,11 +127,11 @@ def test_polarization_case_derived_fields():
 
 
 def test_lattice_vector_coerces_coordinates():
-    v = lat.A(2).vector([Fraction(4, 2), Fraction(1, 2)])
+    v = lat.make_standard("A", 2).vector([Fraction(4, 2), Fraction(1, 2)])
     assert v.coords == (2, Fraction(1, 2)) and type(v.coords[0]) is int
     assert v.is_integral is False
-    assert -v == lat.A(2).vector([-2, Fraction(-1, 2)])
-    assert 2 * v == v * 2 == lat.A(2).vector([4, 1])
+    assert -v == lat.make_standard("A", 2).vector([-2, Fraction(-1, 2)])
+    assert 2 * v == v * 2 == lat.make_standard("A", 2).vector([4, 1])
 
 
 class TestValidatingConstructors:
@@ -160,14 +159,14 @@ class TestValidatingConstructors:
             )
 
     def test_isometry(self):
-        L = lat.A(2)
+        L = lat.make_standard("A", 2)
         with pytest.raises(NotIsometry):
             group_claims.Isometry(L, exact.IntMatrix([[1, 1], [0, 1]]))
         with pytest.raises(NotIsometry):
             group_claims.Isometry(L, exact.IntMatrix.identity(3))
 
     def test_lattice_vector(self):
-        L = lat.A(2)
+        L = lat.make_standard("A", 2)
         with pytest.raises(BadParameter):
             lat.LatticeVector(L, [1, 2, 3])
         with pytest.raises(BadParameter):
