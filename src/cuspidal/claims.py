@@ -12,8 +12,6 @@ and spinor norms, membership in O+ and the stable groups, H_m, T(m, delta)
 and embeddings of forms), live with the tests in ``tests/group_claims.py``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .cusps import k3_square_lattice
@@ -21,6 +19,7 @@ from .errors import BadParameter, MemberOfSummand, MixedLattices
 from .exact import smith_normal_form
 from .fqf import are_isometric, discriminant_form
 from .lattice import (
+    Lattice,
     LatticeVector,
     divisibility,
     orthogonal_complement,

@@ -12,8 +12,6 @@ Reports are canonical JSON (sorted keys) or Markdown; identical inputs
 produce byte-identical output.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from itertools import chain

@@ -24,8 +24,6 @@ thirteen known rows); Im tau is computed from diagram, permutation and
 unit automorphisms and every dependent count is flagged conditional.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd, isqrt, lcm
 

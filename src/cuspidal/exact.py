@@ -10,9 +10,14 @@ and its search stops at a unit); one fraction-free symmetric Bareiss
 elimination, the only one in the package, whose pivots give the
 signature of a form and whose last pivot is its determinant (it builds
 no congruence basis); and integral LLL at delta = 99/100 on the leading
-minors and scaled Gram-Schmidt coefficients.  The one matrix product
-skips the zero entries of its left operand, so it costs nnz(left) x
-cols; isometries and root-lattice Grams are mostly zero.
+minors and scaled Gram-Schmidt coefficients.  Inner products are
+``sum(map(mul, ...))``, with no Python frame per entry.  The one matrix
+product takes each row of its left operand with at most a third of its
+entries nonzero as the sum of the rows of the right operand that those
+entries pick, and any other row as inner products with the columns, so
+it costs at most 3 nnz(left) x cols; isometries and root-lattice Grams
+are mostly zero.  A Smith step touches only the nonzero entries of its
+source row, and only the rows that are nonzero in its columns.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
@@ -23,11 +28,10 @@ only the rational vectors of ``claims`` (the splitting of
 ``verify example-c12``) use that.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
+from itertools import compress
 from math import gcd
-from operator import mul
+from operator import add, itemgetter, mul, neg
 
 from .errors import GroupTooLarge, InternalError, NotDefinite, SingularMatrix
 
@@ -40,8 +44,8 @@ class IntMatrix:
     __slots__ = ("data",)
 
     def __init__(self, rows):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data and any(len(r) != len(data[0]) for r in data):
+        data = tuple(tuple(map(int, row)) for row in rows)
+        if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         object.__setattr__(self, "data", data)
 
@@ -66,28 +70,27 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
-        entries = list(entries)
+        entries = tuple(map(int, entries))
         n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._wrap(tuple((0,) * i + (x,) + (0,) * (n - 1 - i)
+                               for i, x in enumerate(entries)))
 
     @classmethod
     def block_diagonal(cls, blocks) -> "IntMatrix":
         blocks = list(blocks)
+        if any(b.rows != b.cols for b in blocks):
+            raise ValueError("block_diagonal needs square blocks")
         n = sum(b.rows for b in blocks)
-        out = [[0] * n for _ in range(n)]
-        off = 0
+        out, off = [], 0
         for b in blocks:
-            if b.rows != b.cols:
-                raise ValueError("block_diagonal needs square blocks")
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[off + i][off + j] = b.data[i][j]
+            left, right = (0,) * off, (0,) * (n - off - b.rows)
+            out += [left + row + right for row in b.data]
             off += b.rows
-        return cls(out)
+        return cls._wrap(tuple(out))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -103,25 +106,34 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]})"
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap(tuple(tuple(-x for x in r) for r in self.data))
+        return IntMatrix._wrap(tuple(tuple(map(neg, r)) for r in self.data))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix._wrap(tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+            tuple(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)
         ))
 
     def scaled(self, t: int) -> "IntMatrix":
         t = int(t)
-        return IntMatrix._wrap(tuple(tuple(t * x for x in r) for r in self.data))
+        return IntMatrix._wrap(tuple(tuple([t * x for x in r]) for r in self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
+        n = self.cols
+        if n != other.rows:
             raise ValueError("shape mismatch")
-        bt = list(zip(*other.data))
-        out = []
+        B = other.data
+        zero, bt, out = [0] * other.cols, None, []
         for row in self.data:
-            nz = [(k, a) for k, a in enumerate(row) if a]
-            out.append(tuple(sum(a * col[k] for k, a in nz) for col in bt))
+            if 3 * (n - row.count(0)) > n:
+                if bt is None:
+                    bt = list(zip(*B))
+                out.append(tuple([sum(map(mul, row, col)) for col in bt]))
+                continue
+            acc = zero
+            for a, brow in zip(row, B):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            out.append(tuple(acc))
         return IntMatrix._wrap(tuple(out))
 
     def transpose(self) -> "IntMatrix":
@@ -142,7 +154,7 @@ class IntMatrix:
         """Matrix times column vector; entries may be ints or Fractions."""
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(map(mul, row, vec)) for row in self.data)
+        return tuple([sum(map(mul, row, vec)) for row in self.data])
 
     def bilinear(self, x, y):
         """x^t M y; entries may be ints or Fractions."""
@@ -285,23 +297,18 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     def row_add(dst, src, c):
         if c:
-            S[dst] = [a + c * b for a, b in zip(S[dst], S[src])]
-            L[dst] = [a + c * b for a, b in zip(L[dst], L[src])]
+            _add_multiple(S[dst], c, S[src])
+            _add_multiple(L[dst], c, L[src])
 
     def row_neg(i):
         S[i] = [-a for a in S[i]]
         L[i] = [-a for a in L[i]]
 
-    def col_swap(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        Rt[i], Rt[j] = Rt[j], Rt[i]
-
     def col_add(dst, src, c):
         if c:
-            for row in S:
+            for row in compress(S, map(itemgetter(src), S)):
                 row[dst] += c * row[src]
-            Rt[dst] = [a + c * b for a, b in zip(Rt[dst], Rt[src])]
+            _add_multiple(Rt[dst], c, Rt[src])
 
     def gcd_rows(i, j, c):
         # rows (i, j) <- (x ri + y rj, -q ri + p rj), det 1: S[i][c] becomes
@@ -325,6 +332,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         Rt[i] = [x * u + y * v for u, v in zip(ri, rj)]
         Rt[j] = [-q * u + p * v for u, v in zip(ri, rj)]
 
+    # Each step leaves row t zero right of the pivot, and later steps combine
+    # only columns right of it, so the rows above step t stay zero from column
+    # t on: column operations of step t touch rows t and below only.
     t = 0
     top = min(m, n)
     while t < top:
@@ -334,7 +344,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if best[0] != t:
             row_swap(best[0], t)
         if best[1] != t:
-            col_swap(best[1], t)
+            j = best[1]
+            for row in S[t:]:
+                row[j], row[t] = row[t], row[j]
+            Rt[j], Rt[t] = Rt[t], Rt[j]
         # a pivot that does not divide an entry takes the gcd of the two by a
         # unimodular 2x2 mix; remainder-and-swap steps let the entries grow
         # without bound (Kannan & Bachem, SIAM J. Comput. 8, 1979)
@@ -366,6 +379,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     while changed:
         changed = False
         for i in range(rank - 1):
+            if S[i][i] == 1:
+                continue  # a unit divides every entry after it
             for j in range(i + 1, rank):
                 a, b = S[i][i], S[j][j]
                 if b % a == 0:
@@ -382,6 +397,12 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         IntMatrix._wrap(tuple(map(tuple, L))), diag, IntMatrix._wrap(tuple(zip(*Rt)))
     )
+
+
+def _add_multiple(dst: list, c: int, src) -> None:
+    """dst += c src in place, on the entries where src is nonzero only."""
+    for k in compress(range(len(src)), src):
+        dst[k] += c * src[k]
 
 
 def _pivot(S, t):
@@ -554,11 +575,8 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     a primitive basis, so the result is saturated in Z^cols.
     """
     snf = smith_normal_form(A)
-    n = A.cols
     rank = sum(1 for d in snf.diag if d != 0)
-    return IntMatrix(
-        [tuple(snf.right.data[i][j] for i in range(n)) for j in range(rank, n)]
-    )
+    return IntMatrix(list(zip(*snf.right.data))[rank:])
 
 
 def hnf_rows(rows) -> list:
@@ -612,10 +630,10 @@ def hnf_coords(P: IntMatrix, row) -> list | None:
     what ``hnf_rows`` returns for a full-rank lattice, so forward
     substitution decides integrality one coordinate at a time.
     """
+    cols = list(zip(*P.data))
     y = []
     for j, target in enumerate(row):
-        r = target - sum(y[i] * P.data[i][j] for i in range(j))
-        q, rem = divmod(r, P.data[j][j])
+        q, rem = divmod(target - sum(map(mul, y, cols[j])), cols[j][j])  # y has j entries
         if rem:
             return None
         y.append(q)

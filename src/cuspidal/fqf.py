@@ -41,13 +41,11 @@ generators, which ``glue enum`` prints, are greedy over its sorted
 elements: each element that the ones kept before it do not span.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, itemgetter, mod, mul, neg
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
@@ -95,16 +93,16 @@ class FiniteQuadraticForm:
         return (0,) * self.rank
 
     def reduce(self, x) -> tuple:
-        return tuple(int(a) % d for a, d in zip(x, self.orders))
+        return tuple(map(mod, map(int, x), self.orders))
 
     def add(self, x, y) -> tuple:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
+        return tuple(map(mod, map(add, x, y), self.orders))
 
     def neg(self, x) -> tuple:
-        return tuple((-a) % d for a, d in zip(x, self.orders))
+        return tuple(map(mod, map(neg, x), self.orders))
 
     def smul(self, n: int, x) -> tuple:
-        return tuple((n * a) % d for a, d in zip(x, self.orders))
+        return tuple([n * a % d for a, d in zip(x, self.orders)])
 
     def order_of(self, x) -> int:
         out = 1
@@ -113,10 +111,8 @@ class FiniteQuadraticForm:
         return out
 
     def elements(self, bound: int = ENUM_BOUND):
-        if self.cardinality > bound:
-            raise GroupTooLarge(
-                f"group of order {self.cardinality} exceeds enumeration bound {bound}"
-            )
+        """The elements in lexicographic order of their coordinates."""
+        _require_enumerable(self, bound)
         return product(*[range(d) for d in self.orders])
 
     # form values ------------------------------------------------------
@@ -168,7 +164,7 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     __slots__ = ()
 
     @classmethod
-    def of(cls, lattice) -> LatticeSource:
+    def of(cls, lattice) -> "LatticeSource":
         """The Smith transforms of the Gram of ``lattice``."""
         snf = smith_normal_form(lattice.gram)
         return cls(lattice, snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
@@ -180,18 +176,23 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     def scaled_lift(self, x, level) -> tuple:
         """level times a lift of the class x: sum_i x_i (level / d_k) V e_k, k = kept[i].
 
-        Only the columns V e_k with x_i != 0 are summed, not a dense V times a
-        coefficient vector: a class has few generators next to the rank of L.
+        Only the columns V e_k with x_i != 0 are summed, each added as a whole
+        vector, not a dense V times a coefficient vector: a class has few
+        generators next to the rank of L.
         """
         V, d = self.smith.right.data, self.smith.diag
-        terms = [(k, a * (level // d[k])) for a, k in zip(x, self.kept) if a]
-        return tuple(sum(row[k] * c for k, c in terms) for row in V)
+        out = [0] * len(V)
+        for a, k in zip(x, self.kept):
+            if a:
+                c = a * (level // d[k])
+                out = [u + c * v for u, v in zip(out, map(itemgetter(k), V))]
+        return tuple(out)
 
     def class_key(self, pairings) -> tuple:
         """Class coordinates (U p)_k mod d_k, k in ``kept``, of the dual vector
         v with integer pairings p = G v against the basis of L."""
         U, d = self.smith.left.data, self.smith.diag
-        return tuple(sum(map(mul, U[k], pairings)) % d[k] for k in self.kept)
+        return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in self.kept])
 
 
 class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):
@@ -256,7 +257,7 @@ class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_row
         if y is None:
             raise ValueError("row is not in the ambient row lattice")
         z = self.vmat_t.apply(y)  # row-vector times V
-        return tuple(a % d for a, d in zip(z, self.orders))
+        return tuple(map(mod, z, self.orders))
 
 
 def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
@@ -294,16 +295,21 @@ class FqfSubgroup(namedtuple("FqfSubgroup", "form elements generators")):
         return len(self.elements)
 
 
-def _extend(form: FiniteQuadraticForm, span, e) -> set:
-    """The subgroup generated by the subgroup ``span`` and the reduced element
-    e: the union of the cosets k e + span, for k up to the order of e modulo
-    ``span``."""
-    out = set(span)
+def _cosets(form: FiniteQuadraticForm, span, e) -> list:
+    """The elements of the cosets k e + span, for 0 < k below the order of the
+    reduced element e modulo the subgroup ``span``: each element of the span
+    of ``span`` and e outside ``span``, once."""
+    out = []
     cur = e
     while cur not in span:
-        out.update(form.add(cur, s) for s in span)
+        out += map(form.add, repeat(cur), span)
         cur = form.add(cur, e)
     return out
+
+
+def _extend(form: FiniteQuadraticForm, span, e) -> set:
+    """The subgroup generated by the subgroup ``span`` and the reduced element e."""
+    return set(span).union(_cosets(form, span, e))
 
 
 def _subgroup(form: FiniteQuadraticForm, elems) -> FqfSubgroup:
@@ -343,10 +349,47 @@ def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
 # isotropic enumeration
 
 
+def _require_enumerable(form: FiniteQuadraticForm, bound: int) -> None:
+    if form.cardinality > bound:
+        raise GroupTooLarge(
+            f"group of order {form.cardinality} exceeds enumeration bound {bound}"
+        )
+
+
+def _prefix_values(prefixes, k: int, d: int, row, modulus: int):
+    """(y + (t,), v(y + (t,))) for each (y, v(y)) of ``prefixes`` with y of
+    length k and each t < d, in lexicographic order, where v(x) = x^T M x
+    mod ``modulus`` and ``row`` is row k of M: v(y + (t,)) = v(y) +
+    (M_kk t + 2 (M y)_k) t."""
+    for y, v in prefixes:
+        b = 2 * sum(map(mul, row, y))  # map stops at len(y) = k
+        for t in range(d):
+            yield y + (t,), (v + (row[k] * t + b) * t) % modulus
+
+
 def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
-    """All x with q(x) = 0 in Q/2Z, by exhaustive scan (includes 0)."""
-    modulus = 2 * form.level
-    return [x for x in form.elements(bound) if form.gram.bilinear(x, x) % modulus == 0]
+    """All x with q(x) = 0 in Q/2Z (includes 0), in ``elements`` order.
+
+    Every element is visited, but level q(x) = x^T M x mod 2 level is
+    accumulated one coordinate at a time (``_prefix_values``), so each
+    prefix costs one inner product with a row of M and each element a few
+    operations.  The prefixes are generated, not stored.
+    """
+    _require_enumerable(form, bound)
+    if not form.rank:
+        return [()]
+    M, modulus = form.gram.data, 2 * form.level
+    *head, (d, row) = zip(form.orders, M)
+    prefixes = [((), 0)]
+    for k, (dk, rk) in enumerate(head):
+        prefixes = _prefix_values(prefixes, k, dk, rk, modulus)
+    # the last coordinate keeps only the isotropic elements
+    squares = [row[-1] * t * t for t in range(d)]
+    out = []
+    for y, v in prefixes:
+        b = 2 * sum(map(mul, row, y))
+        out += [y + (t,) for t, s in zip(range(d), squares) if (v + s + b * t) % modulus == 0]
+    return out
 
 
 def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
@@ -477,6 +520,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     """
     iso = isotropic_elements(form, bound)  # sorted, as ``elements`` is
     rows = [form.gram.apply(e) for e in iso]  # b(e, g) = (M e) . g / N
+    level = form.level
     trivial = trivial_subgroup(form)
     found = [trivial]
     frontier = [trivial]
@@ -491,14 +535,13 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
             have = set(sub.elements)
             start = bisect_right(iso, sub.generators[-1]) if sub.generators else 0
             for e, row in zip(iso[start:], rows[start:]):
-                if e in have or any(
-                    sum(map(mul, row, g)) % form.level for g in sub.generators
-                ):
+                if e in have or any(sum(map(mul, row, g)) % level for g in sub.generators):
                     continue
-                span = _extend(form, have, e)
-                if min(span - have) < e:
+                new = _cosets(form, have, e)
+                if min(new) < e:
                     continue  # built from its own canonical chain
-                nxt.append(FqfSubgroup(form, tuple(sorted(span)), sub.generators + (e,)))
+                nxt.append(FqfSubgroup(form, tuple(sorted(sub.elements + tuple(new))),
+                                       sub.generators + (e,)))
         found += nxt
         frontier = nxt
     return sorted(found, key=lambda s: (s.order, s.elements))
@@ -521,15 +564,15 @@ def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQua
     # integer model: P = preimage in Z^n of H^perp, PH = preimage of H;
     # x lies in H^perp iff (M h) . x = 0 mod N for every generator h of H
     gens = subgroup.generators
+    torsion = list(IntMatrix.diagonal(form.orders).data)
     if gens:
-        aug = [list(form.gram.apply(h)) + [form.level * (k == j) for k in range(len(gens))]
-               for j, h in enumerate(gens)]
-        proj = [list(r[:n]) for r in kernel_basis(IntMatrix(aug)).data]
+        levels = IntMatrix.diagonal([form.level] * len(gens)).data
+        aug = [form.gram.apply(h) + e for h, e in zip(gens, levels)]
+        proj = [r[:n] for r in kernel_basis(IntMatrix(aug)).data]
     else:
-        proj = IntMatrix.identity(n).to_lists()
-    p_rows = hnf_rows(proj + IntMatrix.diagonal(form.orders).to_lists())
-    ph_rows = hnf_rows([list(g) for g in gens] + IntMatrix.diagonal(form.orders).to_lists())
-    rq = _row_quotient(IntMatrix(p_rows), IntMatrix(ph_rows))
+        proj = list(IntMatrix.identity(n).data)
+    rq = _row_quotient(IntMatrix(hnf_rows(proj + torsion)),
+                       IntMatrix(hnf_rows(list(gens) + torsion)))
     kept = [i for i, d in enumerate(rq.orders) if d > 1]
     orders = tuple(rq.orders[i] for i in kept)
     gen_elems = [form.reduce(rq.generator_rows.data[i]) for i in kept]
@@ -634,9 +677,7 @@ def apply_map(form: FiniteQuadraticForm, images, x) -> tuple:
     """Evaluate a generator-image map at an element: coordinate i of the
     image is sum_j x_j img_j[i] mod d_i.  The image of generator j has order
     dividing d_j, so ``x`` may be any integer tuple, unreduced or negative."""
-    return tuple(
-        sum(map(mul, x, col)) % d for col, d in zip(zip(*images), form.orders)
-    )
+    return tuple([sum(map(mul, x, col)) % d for col, d in zip(zip(*images), form.orders)])
 
 
 def compose_maps(form: FiniteQuadraticForm, f, g) -> tuple:

@@ -39,7 +39,7 @@ rank, from the group generated by diagram automorphisms, permutations of
 isomorphic components and sign flips of declared non-root rank-1
 summands; Weyl reflections act trivially on the discriminant form and
 are omitted.  Each generator is a signed permutation e_j -> s_j e_(p_j)
-of the base basis, checked to be an isometry entry by entry,
+of the base basis, checked to be an isometry row by row,
 G_ij = s_i s_j G_(p_i p_j), without a matrix product
 (``lattice.check_signed_permutation``), and to be an involution.  Only the
 stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
@@ -52,12 +52,10 @@ recorded as an assumption, so dependent counts are reported as
 conditional.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import groupby
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mod, mul
 
 from .errors import (
     BadParameter,
@@ -175,7 +173,7 @@ def overlattice(gd: GlueData) -> Lattice:
     for i, row in enumerate(scaled.data):
         if any(x % (den * den) for x in row):
             raise NonIntegralGlue("glue produces non-integral pairings")
-        gram.append(tuple(x // (den * den) for x in row))
+        gram.append(tuple([x // (den * den) for x in row]))
         if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
     det = base.det * prod(basis.data[i][i] for i in range(n)) ** 2 // den ** (2 * n)
@@ -208,6 +206,7 @@ def short_vectors(L: Lattice, norm: int) -> list:
     common = lcm(*(d[i] * d[i + 1] for i in range(n)))
     scale = [common // (d[i] * d[i + 1]) for i in range(n)]
 
+    below = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]  # lam[j][i], j > i
     sols = []
     x = [0] * n
 
@@ -216,7 +215,7 @@ def short_vectors(L: Lattice, norm: int) -> list:
             if rem == 0:
                 sols.append(tuple(x))
             return
-        c = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        c = sum(map(mul, below[i], x[i + 1:]))
         di, si = d[i + 1], scale[i]
         r = isqrt(rem // si)
         # all x_i with |d[i+1] x_i + c| <= r
@@ -293,11 +292,11 @@ def root_system(L: Lattice) -> RootSystem:
     simple = []
     gram_simple = []  # G s for each simple root s
     for a in pos:
-        if all(sum(x * y for x, y in zip(a, gs)) >= 0 for gs in gram_simple):
+        if all(sum(map(mul, a, gs)) >= 0 for gs in gram_simple):
             simple.append(a)
             gram_simple.append(L.gram.apply(a))
 
-    P = [[sum(x * y for x, y in zip(a, gs)) for gs in gram_simple] for a in simple]
+    P = [[sum(map(mul, a, gs)) for gs in gram_simple] for a in simple]
     # each simple root joins every component it pairs with
     comps = []
     for i in range(len(simple)):
@@ -347,6 +346,9 @@ def _coset_minima(gd: GlueData) -> list:
     U, d, V = src.smith.left.data, src.smith.diag, src.smith.right.data
     level = gd.disc.level
     scale = [level // di for di in d]
+    Ucols = list(zip(*U))
+    dk = [d[t] for t in src.kept]
+    classes = [tuple(map(mod, map(col.__getitem__, src.kept), dk)) for col in Ucols]
     blocks = []
     for comp in gd.components:
         if comp.kind == "unit" and comp.param > 0:
@@ -361,13 +363,13 @@ def _coset_minima(gd: GlueData) -> list:
             # the class of k e / 2m is shortest at k' = min(k, N - k), N = |2m|
             N, j = -comp.param, comp.offset
             for k in range(1, N):
-                minima[tuple(k * U[t][j] % d[t] for t in src.kept)] = \
+                minima[tuple([k * u % t for u, t in zip(classes[j], dk)])] = \
                     level // N * min(k, N - k) ** 2
         else:
             for j in range(sl.start, sl.stop):
-                c = tuple(U[t][j] % d[t] for t in src.kept)
+                c = classes[j]
                 if any(c):
-                    norm = -sum(V[j][i] * scale[i] * U[i][j] for i in range(len(d)))
+                    norm = -sum(map(mul, map(mul, V[j], scale), Ucols[j]))
                     minima[c] = min(norm, minima.get(c, norm))
         if len(minima) != abs(R.det) - 1:
             raise InternalError(f"the classes read for {comp.kind}{comp.param} "
@@ -481,24 +483,31 @@ def _tau_signed_permutations(gd: GlueData) -> list:
     return gens
 
 
+class _ActionImages(dict):
+    """The images under one action on A_R, given by generator images, by
+    reduced element: an image is computed at its first lookup and kept."""
+
+    __slots__ = ("disc", "images")
+
+    def __init__(self, disc: FiniteQuadraticForm, images):
+        super().__init__()
+        self.disc, self.images = disc, images
+
+    def __missing__(self, x) -> tuple:
+        y = self[x] = apply_map(self.disc, self.images, x)
+        return y
+
+
 class _TauActions(tuple):
     """The actions on A_R of the tau generators, as generator images, with
-    the image of each element under each action computed once (``image``);
-    the memo lives as long as the actions of one glue search."""
+    the image of each element under each action computed once: ``memo[g]``
+    maps x to its image under action g, and lives as long as the actions of
+    one glue search."""
 
     def __new__(cls, disc: FiniteQuadraticForm, maps):
         self = super().__new__(cls, maps)
-        self.disc = disc
-        self.memo = tuple({} for _ in self)
+        self.memo = tuple(_ActionImages(disc, m) for m in self)
         return self
-
-    def image(self, g: int, x) -> tuple:
-        """The image of the reduced element x under action g."""
-        memo = self.memo[g]
-        y = memo.get(x)
-        if y is None:
-            y = memo[x] = apply_map(self.disc, self[g], x)
-        return y
 
 
 def _generator_actions(gd: GlueData) -> _TauActions:
@@ -513,8 +522,8 @@ def _generator_actions(gd: GlueData) -> _TauActions:
     """
     src = gd.disc.source
     kept, d, V = src.kept, src.smith.diag, src.smith.right.data
-    K = [[sum(map(mul, src.left.data[k], row)) for row in gd.base.gram.data] for k in kept]
-    cols = [[row[i] for row in V] for i in kept]
+    K = (IntMatrix([src.left.data[k] for k in kept]) @ gd.base.gram).data if kept else ()
+    cols = [list(map(itemgetter(i), V)) for i in kept]
     actions = []
     for p, s in _tau_signed_permutations(gd):
         check_signed_permutation(gd.base, p, s)
@@ -538,8 +547,8 @@ def _glue_orbits(actions: _TauActions, subgroups) -> list:
             continue
         words, edges, queue = {s.elements: ()}, {}, [s.elements]
         for key in queue:
-            edges[key] = tuple(tuple(sorted(actions.image(g, x) for x in key))
-                               for g in range(len(actions)))
+            edges[key] = tuple(tuple(sorted(map(memo.__getitem__, key)))
+                               for memo in actions.memo)
             for g, image in enumerate(edges[key]):
                 if image not in words:
                     words[image] = words[key] + (g,)
@@ -566,12 +575,12 @@ def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions: _TauActions) -> 
     fwd = {next(iter(words)): lifts}  # t_K of the lifts, K in tree order
     for key, word in words.items():
         for g, image in enumerate(edges[key]):
-            xs = tuple(actions.image(g, x) for x in fwd[key])
+            xs = tuple(map(actions.memo[g].__getitem__, fwd[key]))
             if words[image] == word + (g,):
                 fwd[image] = xs
                 continue
             for h in reversed(words[image]):  # t^-1 is the reversed word
-                xs = tuple(actions.image(h, x) for x in xs)
+                xs = tuple(map(actions.memo[h].__getitem__, xs))
             schreier.add(xs)
     gens = {tuple(project_to_quotient(quotient, x) for x in xs) for xs in schreier} - {ident}
     group, queue = {ident}, [ident]

@@ -22,12 +22,11 @@ isometries, reflections and spinor norms, which no command runs, live
 with the tests in ``tests/group_claims.py``.
 """
 
-from __future__ import annotations
-
 import os
 import re
 from collections import namedtuple
 from math import gcd, prod
+from operator import itemgetter, mul
 
 from .errors import (
     BadParameter,
@@ -339,23 +338,29 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
     """Raise NotIsometry unless e_j -> signs[j] e_perm[j] is an isometry.
 
     Its matrix M has M^T G M = (s_i s_j G[p_i][p_j]), so the form check
-    compares G with its reindexed copy entry by entry, without a product.
-    Entries whose row and column are both fixed with sign +1 compare equal
-    trivially, so only the rows of the moved indices are compared: by the
-    symmetry of G they cover the pairs whose column is moved.
+    compares G with its reindexed copy row by row, without a product: row i
+    of the copy is s_i times the signs times one gather of row p_i at the
+    indices p.  Entries whose row and column are both fixed with sign +1
+    compare equal trivially, so only the rows of the moved indices are
+    compared: by the symmetry of G they cover the pairs whose column is
+    moved.  A form of rank 1 is kept by both signs.
     """
     n = domain.rank
-    if sorted(perm) != list(range(n)) or len(signs) != n or any(
-        s not in (1, -1) for s in signs
-    ):
+    if sorted(perm) != list(range(n)) or len(signs) != n or not {1, -1}.issuperset(signs):
         raise NotIsometry("not a signed permutation of the basis")
+    if n < 2:
+        return  # and an itemgetter of one index returns no tuple
     G = domain.gram.data
-    moved = [i for i in range(n) if perm[i] != i or signs[i] != 1]
-    if any(
-        G[i][j] != signs[i] * signs[j] * G[perm[i]][perm[j]]
-        for i in moved for j in range(n)
-    ):
-        raise NotIsometry("signed permutation does not preserve the form")
+    gather = itemgetter(*perm)
+    flips, neg = -1 in signs, [-s for s in signs]
+    for i, (p, s) in enumerate(zip(perm, signs)):
+        if p == i and s == 1:
+            continue
+        row = gather(G[p])
+        if flips:
+            row = tuple(map(mul, signs if s == 1 else neg, row))
+        if G[i] != row:
+            raise NotIsometry("signed permutation does not preserve the form")
 
 
 # ---------------------------------------------------------------------------

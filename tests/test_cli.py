@@ -473,11 +473,12 @@ def test_cli_import_is_stdlib_only():
     # compiled from source, dataclasses (with the inspect, ast, dis and
     # tokenize it pulls in) takes longer to import than the package itself,
     # and typing about half as long; argparse with gettext and locale takes
-    # about 60 ms, fractions (with decimal and numbers) 13-16 ms and json
-    # about 12 ms; the paper's group-theoretic checks load only for
-    # ``verify example-c12``
+    # about 60 ms, fractions (with decimal and numbers) 13-16 ms, json
+    # about 12 ms and __future__ about 1 ms; the paper's group-theoretic
+    # checks load only for ``verify example-c12``
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-             "argparse", "gettext", "locale", "fractions", "json", "cuspidal.claims"}
+             "argparse", "gettext", "locale", "fractions", "json", "__future__",
+             "cuspidal.claims"}
     assert sorted(heavy.intersection(added)) == []
 
 
@@ -624,6 +625,10 @@ GOLDENS = [
     # a JSON Gram, whose invariants come from elimination; U+A2 written out
     # takes both zero-pivot branches, a swap and an add
     (["lat", "info", str(GOLDEN / "gram_U+A2.json")], "lat_info_gram_U+A2.json"),
+    # 31 glues through the walk, perp quotients, overlattices, LLL and
+    # Fincke-Pohst
+    (["glue", "enum", "--roots", "3D6", "--roots-of-overlattice"],
+     "glue_enum_3D6_roots.json"),
 ]
 
 

@@ -24,6 +24,7 @@ from cuspidal.exact import (
 )
 from group_claims import positive_definite_basis
 from helpers import diagonal_matrix
+from kernel_oracles import apply_by_loops, product_by_loops, smith_normal_form_full_rows
 from fraction_oracles import (
     bareiss_det,
     full_scan_pivot,
@@ -158,6 +159,23 @@ def _full_scan_smith(a):
         return smith_normal_form(a)
 
 
+class TestSmithRowSupport:
+    """Column operations on the rows that are nonzero in their columns, and
+    row operations on the nonzero entries of their source row, take the
+    same steps as operations on whole rows and columns."""
+
+    @settings(max_examples=300)
+    @given(smith_inputs())
+    def test_matches_whole_row_steps(self, a):
+        assert smith_normal_form(a) == smith_normal_form_full_rows(a)
+
+    @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS]
+                             + ["4A3", "E8+E7+E6+D5+D4+A3+A1", "3A2+<-6>"])
+    def test_matches_whole_row_steps_on_root_sums(self, spec):
+        gram = glue.make_glue(spec).base.gram
+        assert smith_normal_form(gram) == smith_normal_form_full_rows(gram)
+
+
 class TestSmithUnitPivot:
     """Stopping the pivot search at a unit changes no step of the Smith form."""
 
@@ -193,6 +211,22 @@ class TestProduct:
             for i in range(rows)
         ]
         assert (IntMatrix(a) @ IntMatrix(b)).to_lists() == expected
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(1, 9), st.data())
+    def test_product_and_apply_match_loops_row_by_row(self, rows, inner, cols, data):
+        # each row sparse or dense on its own, so one product takes both of
+        # its row kernels; a matrix with no rows is 0 x 0, so only a 0 x 0
+        # matrix or one with empty rows multiplies it
+        inner = inner if rows else 0
+        sparse = st.sampled_from((0,) * 8 + (-3, -1, 1, 2))
+        row = st.sampled_from((sparse, st.integers(-50, 50))).flatmap(
+            lambda value: st.lists(value, min_size=inner, max_size=inner))
+        a = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        b = data.draw(int_matrices(inner, cols)) if inner else []
+        vec = data.draw(st.lists(st.integers(-50, 50), min_size=inner, max_size=inner))
+        assert (IntMatrix(a) @ IntMatrix(b)).to_lists() == product_by_loops(a, b)
+        assert list(IntMatrix(a).apply(vec)) == apply_by_loops(a, vec)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from cuspidal import lattice as lat
 from cuspidal.exact import IntMatrix, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from form_oracles import direct_sum_form, mod_pm1
+from kernel_oracles import isotropic_by_filter, scaled_lift_dense
 from fraction_oracles import (
     bareiss_det, fraction_presentation, over_common_denominator, rational_inverse,
 )
@@ -97,6 +98,12 @@ class TestDiscriminantForm:
             a.class_of((1, 0), 5)
 
 
+# summands whose discriminant forms the kernel tests sum: every ADE type of
+# small rank and rank-1 lattices <-2k>
+_FORM_ATOMS = ([f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 9)]
+               + ["E6", "E7"] + [f"<-{2 * k}>" for k in range(1, 7)])
+
+
 class TestIsotropic:
     def test_split_d2_only_zero(self):
         a = fqf.discriminant_form(lat.parse_name("<-4>+<-2>"))
@@ -126,6 +133,12 @@ class TestIsotropic:
             fqf.orthogonal_group(a, bound=5)
         with pytest.raises(GroupTooLarge, match=named):
             group_claims.embeds(fqf.discriminant_form(lat.parse_name("<-6>")), a, bound=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(_FORM_ATOMS), min_size=1, max_size=4))
+    def test_scan_matches_the_filter_over_elements(self, atoms):
+        form = fqf.discriminant_form(lat.parse_name("+".join(atoms)))
+        assert fqf.isotropic_elements(form) == isotropic_by_filter(form, fqf.ENUM_BOUND)
 
     def test_subgroup_walk_stops_at_the_bound(self):
         # 8A1: the walk extends each of its 902 subgroups by 72 isotropic elements
@@ -567,6 +580,15 @@ class TestIntegerGramAgainstFractions:
         assert q_value(a, x) == G.bilinear(rational_lift(a, x), rational_lift(a, x)) % 2
         scaled = a.source.scaled_lift(a.reduce(x), a.level)
         assert scaled == tuple(a.level * v for v in rational_lift(a, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(_FORM_ATOMS), min_size=1, max_size=4), st.data())
+    def test_scaled_lift_matches_the_dense_product(self, atoms, data):
+        a = fqf.discriminant_form(lat.parse_name("+".join(atoms)))
+        x = a.reduce(data.draw(st.lists(st.integers(0, 99), min_size=a.rank,
+                                        max_size=a.rank)))
+        level = a.level * data.draw(st.integers(1, 3))
+        assert a.source.scaled_lift(x, level) == scaled_lift_dense(a.source, x, level)
 
     @pytest.mark.parametrize("names", [("A2", "<-4>"), ("B3", "A1", "D5"), ("E6", "A3")])
     def test_direct_sum_values_match_fraction_sums(self, names):

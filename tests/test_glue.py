@@ -6,7 +6,7 @@ from math import isqrt, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import group_claims
 from cuspidal import cusps, fqf, glue
@@ -18,6 +18,7 @@ from cuspidal.errors import (
 from cuspidal.exact import IntMatrix, integral_gram_schmidt, lll_reduce, smith_normal_form
 import helpers
 from fraction_oracles import bareiss_det, over_common_denominator, rational_inverse
+from kernel_oracles import check_signed_permutation_by_product
 from helpers import (
     fraction_form, q_value, rational_lift, signed_permutation, tau_generator_isometries, tau_image,
 )
@@ -406,6 +407,41 @@ def test_signed_permutation_check_matches_the_matrix_product():
     assert accepted > 10
 
 
+def _check_outcome(check, domain, perm, signs):
+    try:
+        check(domain, perm, signs)
+    except NotIsometry as exc:
+        return str(exc)
+    return None
+
+
+_SMALL_ATOMS = ["A1", "A2", "A3", "D4", "E6", "<-2>", "<-4>"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_SMALL_ATOMS), min_size=1, max_size=4), st.data())
+def test_signed_permutation_gathers_match_the_full_product(atoms, data):
+    # a word in the tau generators is an isometry; a random signed
+    # permutation, or such a word with two indices swapped, mostly is not
+    gd = glue.make_glue("+".join(atoms))
+    n = gd.base.rank
+    perm, signs = list(range(n)), [1] * n
+    for p, s in data.draw(st.lists(st.sampled_from(glue._tau_signed_permutations(gd) or
+                                                   [(range(n), (1,) * n)]), max_size=4)):
+        perm, signs = [p[k] for k in perm], [t * s[k] for t, k in zip(signs, perm)]
+    kind = data.draw(st.sampled_from(("word", "swapped", "random")))
+    if kind == "swapped" and n > 1:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        perm[i], perm[j] = perm[j], perm[i]
+    elif kind == "random":
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    expected = _check_outcome(check_signed_permutation_by_product, gd.base, perm, signs)
+    assert _check_outcome(lat.check_signed_permutation, gd.base, perm, signs) == expected
+    if kind == "word":
+        assert expected is None
+
+
 def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
     # no rational number at all: Fraction refuses to be built
     gd0, subs = glue_choices("2A1+2D8", 4)
@@ -421,6 +457,10 @@ def test_overlattice_and_tau_build_no_rational_lift(monkeypatch):
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         assert glue.overlattice(gd) == over
         assert tau_image(gd).maps == tau.maps
+
+
+_ROOT_ATOMS = ([f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 9)]
+               + ["E6", "E7", "<-2>", "<-4>"])
 
 
 def _closure_image_of_tau(gd, quotient, group):
@@ -468,6 +508,36 @@ def test_image_of_tau_matches_the_closure_in_o_of_a_r():
                 spec, s.generators)
             glues += 1
     assert glues == 154
+
+
+@st.composite
+def _glued_sums(draw, max_order=256):
+    """A sum of root atoms, drawn from a small pool so that atoms repeat, cut
+    to its longest prefix with |A_R| <= max_order, and an isotropic glue
+    grown from random isotropic elements."""
+    pool = draw(st.lists(st.sampled_from(_ROOT_ATOMS), min_size=1, max_size=3))
+    atoms = []
+    for atom in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)):
+        if abs(glue.root_sum_base("+".join(atoms + [atom]))[0].det) > max_order:
+            break
+        atoms.append(atom)
+    assume(atoms)
+    gd0 = glue.make_glue("+".join(atoms))
+    disc = gd0.disc
+    iso = [e for e in fqf.isotropic_elements(disc) if any(e)]
+    gens = []
+    for e in draw(st.lists(st.sampled_from(iso), max_size=3) if iso else st.just([])):
+        if not any(disc.q_scaled(x) for x in fqf.subgroup_span(disc, gens + [e]).elements):
+            gens.append(e)
+    return glue.GlueData(gd0.base, gd0.components, disc, fqf.subgroup_span(disc, gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_glued_sums())
+def test_image_of_tau_matches_the_closure_on_random_glues(gd):
+    q = fqf.perp_quotient(gd.disc, gd.glue)
+    group = _closure_in_o_of_a_r(gd)
+    assert tau_image(gd, q).maps == _closure_image_of_tau(gd, q, group)
 
 
 @pytest.mark.parametrize("spec, glues, orbits", [
@@ -596,10 +666,6 @@ def _adds_roots_oracle(gd):
     """The certificate's answer, by Fincke-Pohst on the overlattice."""
     over = glue.root_system(glue.overlattice(gd))
     return over.total_roots != glue.root_system(gd.base).total_roots
-
-
-_ROOT_ATOMS = ([f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 9)]
-               + ["E6", "E7", "<-2>", "<-4>"])
 
 
 @settings(max_examples=50, deadline=None)
