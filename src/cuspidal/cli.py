@@ -147,7 +147,9 @@ def _cmd_cusp_zero(args) -> int:
         _emit(_dump_json(obj), args.out)
     else:
         z = obj["zero_dim"]
-        rows = [(case.d, case.embedding, z["formula"], z["enumerated"],
+        # a count the mode did not run (JSON's null) is an empty cell
+        formula, enumerated = ("" if z[k] is None else z[k] for k in ("formula", "enumerated"))
+        rows = [(case.d, case.embedding, formula, enumerated,
                  " ".join(f"({m},{n})" for m, n in z["reps"]))]
         _emit(_md_table(["d", "case", "formula", "enumerated", "reps"], rows), args.out)
     r = report.nu_result

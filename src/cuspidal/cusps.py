@@ -161,8 +161,11 @@ def nu(case: PolarizationCase, mode: str = "both", bound: int = fqf.ENUM_BOUND) 
 
 
 def valid_orders(case: PolarizationCase) -> list:
-    """Orders m of the isotropic subgroups H_m, i.e. divisors of K."""
-    return [m for m in range(1, case.K + 1) if case.K % m == 0]
+    """Orders m of the isotropic subgroups H_m, i.e. the divisors of K, in
+    ascending order: the m <= sqrt K, then their cofactors K / m."""
+    K = case.K
+    low = [m for m in range(1, isqrt(K) + 1) if K % m == 0]
+    return low + [K // m for m in reversed(low) if m * m != K]
 
 
 def _order_pattern(case: PolarizationCase, m: int) -> str:
@@ -174,21 +177,11 @@ def _order_pattern(case: PolarizationCase, m: int) -> str:
     return "t+e"
 
 
-def _coefficients(case: PolarizationCase, m: int, n: int) -> tuple:
-    """(a, b) with x_{m,n} = a t + b e: n t/m, plus n e for the "t+e" pattern.
-
-    t has order 2d (split) or d (non-split), so t/m = (ord t / m) t; a is
-    reduced mod ord t and b mod 2, the order of e.  Every non-split m has
-    the "t" pattern, so b = 0 there.
-    """
-    pattern = _order_pattern(case, m)
-    ord_t = 2 * case.d if case.split else case.d
-    return n * (ord_t // m) % ord_t, (n % 2 if pattern == "t+e" else 0)
-
-
-def _combine(form: FiniteQuadraticForm, t, e, a: int, b: int) -> tuple:
-    """a t + b e as a reduced element of ``form``."""
-    return tuple([(a * x + b * y) % d for x, y, d in zip(t, e, form.orders)])
+def _rep_coefficients(n: int, step: int, with_e: bool, ord_t: int) -> tuple:
+    """(a, b) with x_{m,n} = a t + b e: n t/m, plus n e for the "t+e" pattern,
+    given the per-order constants ``step`` = ord t / m (t/m = step t) and
+    ``with_e``; a is reduced mod ord t and b mod 2, the order of e."""
+    return n * step % ord_t, (n % 2 if with_e else 0)
 
 
 class OrbitRep(namedtuple("OrbitRep", "m n element")):
@@ -200,12 +193,17 @@ class OrbitRep(namedtuple("OrbitRep", "m n element")):
 def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) -> list:
     """The x_{m,n}, certified to be all ``count`` isotropic classes modulo +-1.
 
-    Each x_{m,n} = a t + b e is checked on its coefficients (``_coefficients``)
-    in integers read off the form once: ord t, ord e, level q(t), level q(e)
-    and B = level b(t, e).  First t and e must split A_N: ord t ord e = |A_N|
+    Each x_{m,n} = a t + b e is checked on its coefficients in integers read
+    off the form once: ord t, ord e, level q(t), level q(e) and
+    B = level b(t, e).  First t and e must split A_N: ord t ord e = |A_N|
     and, e having order at most 2, e is not the element (ord t / 2) t of
     order 2 in <t>.  Then (a, b) -> a t + b e is a bijection from
-    Z/ord t + Z/ord e onto A_N, and per representative: isotropic when
+    Z/ord t + Z/ord e onto A_N.  What depends on m alone is found once per
+    order: m is validated and its "t" or "t+e" pattern read
+    (``_order_pattern``), and t/m = (ord t / m) t, with t of order 2d
+    (split) or d (non-split) by construction.  Then per representative,
+    (a, b) comes from ``_rep_coefficients``, the element a t + b e is built
+    and (a, b) is checked: isotropic when
     a^2 q_t + 2ab B + b^2 q_e = 0 mod 2 level, of order
     lcm(ord t / gcd(ord t, a), ord e / gcd(ord e, b)) = m, pairwise distinct
     modulo +-1 on the lesser of (a, b) and (-a, -b), and as many as there
@@ -222,18 +220,22 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
         raise InternalError("t and e do not split A_N")
     modulus = 2 * form.level
     q_t, q_e, b_te = form.q_scaled(t), form.q_scaled(e), form.gram.bilinear(t, e)
+    period = 2 * case.d if case.split else case.d
+    coords = list(zip(t, e, form.orders))  # a t + b e, coordinate by coordinate
     reps, keys = [], set()
     for m in valid_orders(case):
+        with_e = _order_pattern(case, m) == "t+e"
+        step = period // m
         for n in range(0, m // 2 + 1):
             if gcd(m, n) != 1:
                 continue
-            a, b = _coefficients(case, m, n)
+            a, b = _rep_coefficients(n, step, with_e, period)
             if (a * a * q_t + 2 * a * b * b_te + b * b * q_e) % modulus:
                 raise InternalError(f"x_({m},{n}) is not isotropic")
             if lcm(ord_t // gcd(ord_t, a), ord_e // gcd(ord_e, b)) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             keys.add(min((a % ord_t, b % ord_e), (-a % ord_t, -b % ord_e)))
-            reps.append(OrbitRep(m, n, _combine(form, t, e, a, b)))
+            reps.append(OrbitRep(m, n, tuple([(a * x + b * y) % d for x, y, d in coords])))
     if len(keys) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:

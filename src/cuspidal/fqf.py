@@ -16,7 +16,10 @@ space with Gram G over level L give the form R G R^T over L, rescaled to
 the new level.  For A_L = L*/L with U G V = D the rows are N times the
 generator lifts V e_i / d_i; H^perp/H uses generator lifts in the
 parent.  No matrix is inverted over Q: quotient coordinates come from
-``exact.hnf_coords`` and the Smith transform of the sublattice.
+``exact.hnf_coords`` and the Smith transform of the sublattice.  No
+matrix product is formed either: R G R^T is G r for each row r, one
+``apply``, paired with the rows, and the rows of a p-part (below) have
+one nonzero entry each, so its Gram is read directly off G.
 
 A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
 section 1); ``primary_parts`` builds A_p by the same rule from the rows
@@ -209,12 +212,21 @@ class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_li
 def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
     """The form on ``orders`` generated by integer ``rows`` R of a space with
     b(x, y) = x^T gram y / level: R gram R^T over ``level``, rescaled to the
-    exponent of ``orders`` (which must divide ``level``)."""
+    exponent of ``orders`` (which must divide ``level``).
+
+    Entry (i, j) is the inner product of row i with gram r_j, so each row
+    costs one ``apply`` and no matrix is formed."""
     if not orders:
         return FiniteQuadraticForm((), (), source)
-    R = IntMatrix(rows)
+    images = [gram.apply(r) for r in rows]
+    return _rescaled([[sum(map(mul, r, g)) for g in images] for r in rows],
+                     level, orders, source)
+
+
+def _rescaled(moved, level: int, orders, source=None) -> FiniteQuadraticForm:
+    """The form on ``orders`` with integer Gram rows ``moved`` over ``level``,
+    divided down to the exponent of ``orders``; every entry must lie over it."""
     scale = level // orders[-1]
-    moved = (R @ gram @ R.T).data
     if level % orders[-1] or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
     return FiniteQuadraticForm(
@@ -396,21 +408,26 @@ def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
     """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape.
 
     ``primes`` may hold the primes of the level (or more), when the caller
-    has them; otherwise the level is factored.
+    has them; otherwise the level is factored.  A_p is generated by the
+    rows c_a e_(i_a), c_a = d_(i_a) / p^e_a, one nonzero entry each, so its
+    Gram over the level is read off the parent's, c_a c_b G[i_a][i_b], with
+    no product, and rescaled as ``_generated_form`` rescales.
     """
     if primes is None:
         primes = factorize(form.level)
+    G = form.gram.data
     parts = {}
     for p in sorted(p for p in set(primes) if form.level % p == 0):
-        rows, orders = [], []
+        gens, orders = [], []
         for i, d in enumerate(form.orders):
             pe = 1
             while d % (pe * p) == 0:
                 pe *= p
             if pe > 1:
-                rows.append([d // pe if j == i else 0 for j in range(form.rank)])
+                gens.append((i, d // pe))
                 orders.append(pe)
-        parts[p] = _generated_form(form.gram, form.level, rows, tuple(orders))
+        moved = [[ca * cb * G[ia][ib] for ib, cb in gens] for ia, ca in gens]
+        parts[p] = _rescaled(moved, form.level, tuple(orders))
     if prod(part.cardinality for part in parts.values()) != form.cardinality:
         raise InternalError("the given primes miss a prime of the group order")
     return parts

@@ -23,8 +23,7 @@ from math import gcd, lcm
 from cuspidal.cusps import (
     DiscModel,
     PolarizationCase,
-    _coefficients,
-    _combine,
+    _order_pattern,
     det_E,
     disc_model,
     predicted_AE,
@@ -248,6 +247,24 @@ def embeds(
     if a.cardinality > b.cardinality:
         return False
     return bool(_hom_search(a, b, a.cardinality, bound, find_all=False))
+
+
+def _coefficients(case: PolarizationCase, m: int, n: int) -> tuple:
+    """(a, b) with x_{m,n} = a t + b e: n t/m, plus n e for the "t+e" pattern.
+
+    t has order 2d (split) or d (non-split), so t/m = (ord t / m) t; a is
+    reduced mod ord t and b mod 2, the order of e.  Every non-split m has
+    the "t" pattern, so b = 0 there.  Each call validates m and reads its
+    pattern, as ``cusps._verified_reps`` does once per order.
+    """
+    pattern = _order_pattern(case, m)
+    ord_t = 2 * case.d if case.split else case.d
+    return n * (ord_t // m) % ord_t, (n % 2 if pattern == "t+e" else 0)
+
+
+def _combine(form: FiniteQuadraticForm, t, e, a: int, b: int) -> tuple:
+    """a t + b e as a reduced element of ``form``."""
+    return tuple([(a * x + b * y) % d for x, y, d in zip(t, e, form.orders)])
 
 
 def _element_of_order(model: DiscModel, m: int, n: int) -> tuple:

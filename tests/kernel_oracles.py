@@ -2,11 +2,17 @@
 into C-level ``map``, gathers and whole-row updates, kept as oracles.
 
 Each computes entry by entry what the package kernel computes, with the
-same arithmetic, so a test may ask for equal results.
+same arithmetic, so a test may ask for equal results.  The finite
+quadratic forms generated by rows R are built here as the ``IntMatrix``
+triple product R G R^T, for every form and for the p-parts too, where
+the package pairs the rows with G r and reads the p-parts off G.
 """
 
-from cuspidal.errors import NotIsometry
-from cuspidal.exact import IntMatrix, SmithDecomposition, _pivot, _xgcd
+from math import prod
+
+from cuspidal.errors import InternalError, NotIsometry
+from cuspidal.exact import IntMatrix, SmithDecomposition, _pivot, _xgcd, factorize
+from cuspidal.fqf import FiniteQuadraticForm
 
 
 def product_by_loops(a, b) -> list:
@@ -160,3 +166,40 @@ def smith_normal_form_full_rows(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         IntMatrix._wrap(tuple(map(tuple, L))), diag, IntMatrix._wrap(tuple(zip(*Rt)))
     )
+
+
+def generated_form_by_products(gram: IntMatrix, level: int, rows, orders, source=None):
+    """``fqf._generated_form`` through the matrix R of ``rows``: R gram R^T
+    over ``level`` as two ``IntMatrix`` products, rescaled to the exponent of
+    ``orders``."""
+    if not orders:
+        return FiniteQuadraticForm((), (), source)
+    R = IntMatrix(rows)
+    scale = level // orders[-1]
+    moved = (R @ gram @ R.T).data
+    if level % orders[-1] or any(x % scale for row in moved for x in row):
+        raise InternalError("generator values do not lie over the new level")
+    return FiniteQuadraticForm(
+        orders, [[x // scale for x in row] for row in moved], source
+    )
+
+
+def primary_parts_by_products(form: FiniteQuadraticForm, primes=None) -> dict:
+    """``fqf.primary_parts`` with each p-part generated by the full rows
+    (d_i / p^e_i) e_i through ``generated_form_by_products``."""
+    if primes is None:
+        primes = factorize(form.level)
+    parts = {}
+    for p in sorted(p for p in set(primes) if form.level % p == 0):
+        rows, orders = [], []
+        for i, d in enumerate(form.orders):
+            pe = 1
+            while d % (pe * p) == 0:
+                pe *= p
+            if pe > 1:
+                rows.append([d // pe if j == i else 0 for j in range(form.rank)])
+                orders.append(pe)
+        parts[p] = generated_form_by_products(form.gram, form.level, rows, tuple(orders))
+    if prod(part.cardinality for part in parts.values()) != form.cardinality:
+        raise InternalError("the given primes miss a prime of the group order")
+    return parts

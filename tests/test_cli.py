@@ -45,6 +45,20 @@ class TestCuspZero:
         code, out = invoke(capsys, ["cusp", "zero", "--d", "3", "--format", "md"])
         assert code == 0 and out.startswith("|")
 
+    @pytest.mark.parametrize("mode, cells", [
+        ("formula", "| 3 |  |"), ("enumerate", "|  | 3 |"), ("both", "| 3 | 3 |"),
+    ], ids=["formula", "enumerate", "both"])
+    def test_markdown_leaves_a_count_not_run_empty(self, capsys, mode, cells):
+        code, out = invoke(capsys, ["cusp", "zero", "--d", "12", "--mode", mode,
+                                    "--format", "md"])
+        assert code == 0 and "None" not in out
+        assert out.splitlines()[2] == f"| 12 | split {cells} (1,0) (2,1) (4,1) |"
+        # JSON keeps null
+        code, out = invoke(capsys, ["cusp", "zero", "--d", "12", "--mode", mode])
+        z = json.loads(out)["zero_dim"]
+        assert (z["formula"], z["enumerated"]) == {
+            "formula": (3, None), "enumerate": (None, 3), "both": (3, 3)}[mode]
+
     @pytest.mark.parametrize("mode", ["both", "formula"])
     def test_group_beyond_bound_counted_prime_by_prime(self, capsys, mode):
         # |A_N| = 1,200,000 exceeds the bound; its p-parts have 128, 3 and 3125 elements
@@ -295,7 +309,7 @@ class TestInputErrors:
         from cuspidal import cusps
 
         # every orbit representative becomes the non-isotropic class of t/2d
-        monkeypatch.setattr(cusps, "_coefficients", lambda case, m, n: (1, 0))
+        monkeypatch.setattr(cusps, "_rep_coefficients", lambda n, *order: (1, 0))
         code = run(["cusp", "zero", "--d", "4"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -629,6 +643,12 @@ GOLDENS = [
     # Fincke-Pohst
     (["glue", "enum", "--roots", "3D6", "--roots-of-overlattice"],
      "glue_enum_3D6_roots.json"),
+    # the non-split certificate over the orders 1, 3, 7 and 21 (11
+    # representatives), and sweeps in both embeddings
+    (["cusp", "zero", "--d", "4851", "--case", "nonsplit"], "cusp_zero_d4851_nonsplit.json"),
+    (["cusp", "sweep", "--d", "1..400", "--format", "md"], "cusp_sweep_d1-400.md"),
+    (["cusp", "sweep", "--d", "3..399", "--case", "nonsplit", "--format", "md"],
+     "cusp_sweep_d3-399_nonsplit.md"),
 ]
 
 

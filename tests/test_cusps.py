@@ -149,12 +149,13 @@ class TestOrbitReps:
 
     def test_certificate_rejects_colliding_or_too_few_reps(self, monkeypatch):
         case = cusps.PolarizationCase(25, "split")  # K = 5: reps (1,0), (5,1), (5,2)
-        real = cusps._coefficients
-        monkeypatch.setattr(cusps, "_coefficients",
-                            lambda case, m, n: real(case, m, min(n, 1)))
+        real = cusps._rep_coefficients
+        # x_(5,2) gets the coefficients of x_(5,1)
+        monkeypatch.setattr(cusps, "_rep_coefficients",
+                            lambda n, *order: real(min(n, 1), *order))
         with pytest.raises(InternalError, match="collide"):
             cusps.zero_dim_report(case)
-        monkeypatch.setattr(cusps, "_coefficients", real)
+        monkeypatch.setattr(cusps, "_rep_coefficients", real)
         count = fqf.isotropic_pm1_count
         monkeypatch.setattr(fqf, "isotropic_pm1_count",
                             lambda form, bound, primes: count(form, bound, primes) + 1)
@@ -171,9 +172,27 @@ class TestOrbitReps:
                 assert gcd(r.m, r.n) == 1 and 0 <= 2 * r.n <= r.m
 
 
+def test_valid_orders_match_the_scan_over_one_to_k():
+    # m | K scanned for every m <= 10^4 over its multiples K: the scan over
+    # 1..K for every K <= 10^4 at once, each list in ascending m
+    top = 10**4
+    scanned = [[] for _ in range(top + 1)]
+    for m in range(1, top + 1):
+        for K in range(m, top + 1, m):
+            scanned[K].append(m)
+    case = cusps.PolarizationCase(1, "split")
+    for K in range(1, top + 1):
+        assert cusps.valid_orders(case._replace(K=K)) == scanned[K], K
+    # and the literal scan at the K of d = 2^36 and of a few cases beyond 10^4
+    for d in (2**36, 3 * 10**8, 7 * 3**16):
+        case = cusps.PolarizationCase(d, "split")
+        assert case.K > top
+        assert cusps.valid_orders(case) == [m for m in range(1, case.K + 1) if case.K % m == 0]
+
+
 def _tuple_reps(model, count):
     """The x_{m,n} built and certified as generic tuples of A_N, without
-    ``cusps._coefficients``: an oracle for the coefficient certificate."""
+    ``cusps._rep_coefficients``: an oracle for the coefficient certificate."""
     case, form = model.case, model.form
     reps = []
     for m in cusps.valid_orders(case):
@@ -222,10 +241,10 @@ class TestCoefficientCertificate:
 
     def test_rejects_a_rep_of_the_wrong_order(self, monkeypatch):
         model, count = _model_and_count(25, "split")  # reps (1,0), (5,1), (5,2)
-        real = cusps._coefficients
+        real = cusps._rep_coefficients
         # x_(5,2) becomes x_(1,0) = 0: isotropic, but of order 1
-        monkeypatch.setattr(cusps, "_coefficients",
-                            lambda case, m, n: real(case, 1, 0) if n == 2 else real(case, m, n))
+        monkeypatch.setattr(cusps, "_rep_coefficients",
+                            lambda n, *order: real(0, *order) if n == 2 else real(n, *order))
         with pytest.raises(InternalError, match=r"x_\(5,2\) does not have order 5"):
             cusps._verified_reps(model, count)
 

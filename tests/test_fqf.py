@@ -4,17 +4,21 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import group_claims
-from cuspidal import fqf, glue
+from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.exact import IntMatrix, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from form_oracles import direct_sum_form, mod_pm1
-from kernel_oracles import isotropic_by_filter, scaled_lift_dense
+from kernel_oracles import (
+    generated_form_by_products, isotropic_by_filter, primary_parts_by_products,
+    scaled_lift_dense,
+)
 from fraction_oracles import (
     bareiss_det, fraction_presentation, over_common_denominator, rational_inverse,
 )
@@ -617,6 +621,119 @@ class TestIntegerGramAgainstFractions:
             for i, x in enumerate(lifts):
                 assert q_diagonal(pq)[i] == q_value(a, x)
                 assert all(b_matrix(pq)[i][j] == b_value(a, x, y) for j, y in enumerate(lifts))
+
+
+# ---------------------------------------------------------------------------
+# forms generated by rows, without matrix products, against the products
+
+_SUM_ATOMS = st.one_of(st.sampled_from(_FORM_ATOMS),
+                       st.integers(1, 500).map(lambda m: f"<-{2 * m}>"))
+
+
+def _atom_sums(max_atoms):
+    """Lattices that are sums of A1-A7, D4-D8, E6, E7 and <-2m>."""
+    return st.lists(_SUM_ATOMS, min_size=1, max_size=max_atoms).map(
+        lambda atoms: lat.parse_name("+".join(atoms)))
+
+
+# the core of A_N that ``cusps.disc_model`` builds: <-2d> + <-2> split, B_d
+# non-split
+_A_N_CASES = st.one_of(
+    st.integers(1, 10**6).map(lambda d: cusps.PolarizationCase(d, "split")),
+    st.integers(0, 10**6).map(lambda j: cusps.PolarizationCase(4 * j + 3, "nonsplit")),
+)
+_A_N_CORES = _A_N_CASES.map(lambda case: cusps.disc_model(case).form.source.lattice)
+
+
+def _generator_rows(L):
+    """The Gram of L, the level N^2, the rows (N times the generator lifts),
+    the orders and the Smith provenance from which ``discriminant_form``
+    generates A_L."""
+    src = fqf.LatticeSource.of(L)
+    orders = tuple(src.smith.diag[k] for k in src.kept)
+    level = orders[-1] if orders else 1
+    units = [tuple(int(j == i) for j in range(len(orders))) for i in range(len(orders))]
+    return L.gram, level * level, [src.scaled_lift(u, level) for u in units], orders, src
+
+
+class TestFormsWithoutProducts:
+    def _check(self, L, primes=None):
+        gram, level, rows, orders, src = _generator_rows(L)
+        form = fqf._generated_form(gram, level, rows, orders, src)
+        assert form == generated_form_by_products(gram, level, rows, orders, src)
+        assert form == fqf.discriminant_form(L)
+        assert fqf.primary_parts(form, primes) == primary_parts_by_products(form, primes)
+
+    @settings(deadline=None, max_examples=80)
+    @given(_atom_sums(4))
+    def test_atom_sums_match_the_triple_product(self, L):
+        self._check(L)
+
+    @settings(deadline=None, max_examples=80)
+    @given(_A_N_CASES)
+    def test_a_n_matches_the_triple_product(self, case):
+        L = cusps.disc_model(case).form.source.lattice
+        self._check(L)
+        self._check(L, case.primes)
+
+    @pytest.mark.parametrize("gram, level, orders", [
+        ([[1]], 4, (2,)),  # the value 1 over 4 is not a multiple of 4 / 2
+        ([[2]], 6, (4,)),  # the new level 4 does not divide 6
+        ([[2, 1], [1, 2]], 4, (2, 2)),  # an off-diagonal value 1 over 4
+        ([[2, 0], [0, 1]], 4, (2, 2)),  # the last diagonal value 1 over 4
+    ])
+    def test_values_off_the_new_level_raise_the_same_error(self, gram, level, orders):
+        rows = IntMatrix.identity(len(gram)).data
+        for build in (fqf._generated_form, generated_form_by_products):
+            with pytest.raises(InternalError, match="do not lie over the new level"):
+                build(IntMatrix(gram), level, rows, orders)
+
+    def test_a_missed_prime_raises_the_same_error(self):
+        form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        for parts in (fqf.primary_parts, primary_parts_by_products):
+            with pytest.raises(InternalError, match="miss a prime"):
+                parts(form, (2, 5))
+
+
+class TestClassKeyAgainstRationalCoordinates:
+    """``LatticeSource.class_key`` against G^-1 over Q: the dual vectors
+    G^-1 p and G^-1 p' share a class exactly when G^-1 (p - p') is
+    integral.  ``cusps.disc_model`` reads t and e through it."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.one_of(_atom_sums(3), _A_N_CORES), st.data())
+    def test_pairings_share_a_class_exactly_when_their_difference_is_in_the_lattice(
+            self, L, data):
+        src = fqf.LatticeSource.of(L)
+        G, n = L.gram, L.rank
+        vectors = st.lists(st.integers(-60, 60), min_size=n, max_size=n)
+        p = data.draw(vectors)
+        # p' = p + G z + w: the same class when w = 0, and a random one, near
+        # or far, otherwise
+        w = data.draw(st.one_of(st.just([0] * n), vectors,
+                                st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        p2 = [a + b + c for a, b, c in zip(p, G.apply(data.draw(vectors)), w)]
+        ginv = rational_inverse(G)
+        diff = [a - b for a, b in zip(p, p2)]
+        integral = all(sum(map(mul, row, diff)).denominator == 1 for row in ginv)
+        assert (src.class_key(p) == src.class_key(p2)) == integral
+        assert len(src.class_key(p)) == len(src.kept)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(_atom_sums(3), _A_N_CORES))
+    def test_each_generator_lift_maps_to_its_unit_class(self, L):
+        src = fqf.LatticeSource.of(L)
+        orders = [src.smith.diag[k] for k in src.kept]
+        ginv = rational_inverse(L.gram)
+        for i, d in enumerate(orders):
+            unit = tuple(int(j == i) for j in range(len(orders)))
+            lift = [Fraction(x, d) for x in src.scaled_lift(unit, d)]
+            # the lift v is a dual vector: p = G v is integral, and G^-1 p over Q
+            # gives v back
+            pairings = [sum(map(mul, L.gram.data[r], lift)) for r in range(L.rank)]
+            assert all(x.denominator == 1 for x in pairings)
+            assert [sum(map(mul, row, pairings)) for row in ginv] == lift
+            assert src.class_key([int(x) for x in pairings]) == unit
 
 
 # ---------------------------------------------------------------------------
