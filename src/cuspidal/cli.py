@@ -90,11 +90,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _md_cell(x) -> str:
+    """A Markdown table cell: None (JSON's null) is empty and ``|`` is escaped."""
+    return "" if x is None else str(x).replace("|", "\\|")
+
+
 def _md_table(headers, rows) -> str:
-    out = ["| " + " | ".join(headers) + " |",
+    """A GitHub-flavoured Markdown table; every header and cell is formatted
+    by ``_md_cell``."""
+    out = ["| " + " | ".join(map(_md_cell, headers)) + " |",
            "|" + "|".join("---" for _ in headers) + "|"]
     for row in rows:
-        out.append("| " + " | ".join(str(x) for x in row) + " |")
+        out.append("| " + " | ".join(map(_md_cell, row)) + " |")
     return "\n".join(out) + "\n"
 
 
@@ -147,9 +154,7 @@ def _cmd_cusp_zero(args) -> int:
         _emit(_dump_json(obj), args.out)
     else:
         z = obj["zero_dim"]
-        # a count the mode did not run (JSON's null) is an empty cell
-        formula, enumerated = ("" if z[k] is None else z[k] for k in ("formula", "enumerated"))
-        rows = [(case.d, case.embedding, formula, enumerated,
+        rows = [(case.d, case.embedding, z["formula"], z["enumerated"],
                  " ".join(f"({m},{n})" for m, n in z["reps"]))]
         _emit(_md_table(["d", "case", "formula", "enumerated", "reps"], rows), args.out)
     r = report.nu_result

@@ -5,16 +5,21 @@ embeds either split (divisibility 1, complement U^2+E8^2+<-2>+<-2d>) or,
 when d = 3 mod 4, non-split (divisibility 2, complement U^2+E8^2+B_d).
 
 Zero-dimensional boundary points correspond to isotropic classes of the
-complement's discriminant form modulo +-1.  Writing d = d'*k^2 with d'
-square-free, their number is k+1 in the split case with d' = 3 mod 4 and
-floor((k+2)/2) otherwise; the trivial class is counted (it corresponds
-to the divisibility-1 primitive isotropic vectors).  Orbit
-representatives are labelled (m, n) with m | K, gcd(m, n) = 1 and
+complement's discriminant form A_N modulo +-1.  The unimodular summands
+add nothing, so A_N is the discriminant form of the core <-2d> + <-2>
+(split) or B_d (non-split), which ``disc_model`` writes down in closed
+form (Nikulin 1979, section 1) with no lattice and no Smith form;
+``TestClosedFormAgainstTheCore`` in tests/test_cusps.py checks it
+against the discriminant form of the core.  Writing d = d'*k^2 with d'
+square-free, the number of classes is k+1 in the split case with
+d' = 3 mod 4 and floor((k+2)/2) otherwise; the trivial class is counted
+(it corresponds to the divisibility-1 primitive isotropic vectors).
+Orbit representatives are labelled (m, n) with m | K, gcd(m, n) = 1 and
 0 <= n <= m/2.  Each x_{m,n} = a t + b e has integer coefficients on the
 generator t of order 2d (d non-split) and the class e of order 2 (zero
-non-split); once t and e are checked to split A_N, the representatives are
-certified on (a, b) alone: isotropic, of order m, distinct modulo +-1 and
-as many as the isotropic classes.
+non-split); once t and e are checked to split A_N, the representatives
+are certified on (a, b) alone: isotropic, of order m, distinct modulo
++-1 and as many as the isotropic classes.
 
 One-dimensional components are parametrized, for square-free d, by pairs
 (E, l) with E a rank-18 negative definite lattice in the genus of the
@@ -38,13 +43,8 @@ from .errors import (
 from .exact import factorize
 from . import fqf
 from . import glue as glue_mod
-from .fqf import FiniteQuadraticForm, discriminant_form, trivial_form
-from .lattice import (
-    Lattice,
-    direct_sum,
-    make_standard,
-    parse_name,
-)
+from .fqf import FiniteQuadraticForm, trivial_form
+from .lattice import Lattice, parse_name
 
 
 def squarefree_decompose(factors: dict):
@@ -95,24 +95,24 @@ class PolarizationCase(namedtuple("PolarizationCase", "d embedding dprime k K pr
 class DiscModel(namedtuple("DiscModel", "case form t_class e_class")):
     """A_N with the distinguished classes used by all closed formulas:
     ``t_class`` of t/2d (split) or of t = h/d - w2 (nonsplit), and
-    ``e_class`` of e/2 in the split case (zero otherwise)."""
+    ``e_class`` of e/2 in the split case (zero otherwise), as coordinates
+    of ``form``."""
 
     __slots__ = ()
 
 
 def disc_model(case: PolarizationCase) -> DiscModel:
-    """A_N built from the core block; unimodular summands contribute nothing."""
+    """A_N in closed form, as ``predicted_AE`` builds A_E.
+
+    Split: Z/2 + Z/2d with Gram diag(-d, -1) over the level 2d, that is
+    q(e/2) = -1/2 and q(t/2d) = -1/2d, and b(t/2d, e/2) = 0.  Non-split:
+    Z/d with Gram (-2) over d, q(t) = -2/d.
+    """
+    d = case.d
     if case.split:
-        core = direct_sum(make_standard("rank1", -2 * case.d), make_standard("rank1", -2))
-        form = discriminant_form(core)
-        t_cls = form.class_of((1, 0), 2 * case.d)
-        e_cls = form.class_of((0, 1), 2)
-        return DiscModel(case, form, t_cls, e_cls)
-    core = make_standard("B", case.d)
-    form = discriminant_form(core)
-    # t = (2 b1 + b2)/d generates A_N with q(t) = -2/d
-    t_cls = form.class_of((2, 1), case.d)
-    return DiscModel(case, form, t_cls, form.zero)
+        return DiscModel(case, FiniteQuadraticForm((2, 2 * d), [[-d, 0], [0, -1]]),
+                         (0, 1), (1, 0))
+    return DiscModel(case, FiniteQuadraticForm((d,), [[-2]]), (1,), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +142,6 @@ class NuResult(namedtuple("NuResult", "case formula enumerated")):
         if self.formula is None or self.enumerated is None:
             return None
         return self.formula == self.enumerated
-
-    @property
-    def value(self) -> int:
-        return self.formula if self.formula is not None else self.enumerated
 
 
 def _check_nu_mode(mode: str) -> None:
@@ -184,8 +180,8 @@ def _rep_coefficients(n: int, step: int, with_e: bool, ord_t: int) -> tuple:
     return n * step % ord_t, (n % 2 if with_e else 0)
 
 
-class OrbitRep(namedtuple("OrbitRep", "m n element")):
-    """The isotropic class x_{m,n} of order m."""
+class OrbitRep(namedtuple("OrbitRep", "m n")):
+    """The isotropic class x_{m,n} of order m, by its printed label (m, n)."""
 
     __slots__ = ()
 
@@ -202,8 +198,7 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
     order: m is validated and its "t" or "t+e" pattern read
     (``_order_pattern``), and t/m = (ord t / m) t, with t of order 2d
     (split) or d (non-split) by construction.  Then per representative,
-    (a, b) comes from ``_rep_coefficients``, the element a t + b e is built
-    and (a, b) is checked: isotropic when
+    (a, b) comes from ``_rep_coefficients`` and is checked: isotropic when
     a^2 q_t + 2ab B + b^2 q_e = 0 mod 2 level, of order
     lcm(ord t / gcd(ord t, a), ord e / gcd(ord e, b)) = m, pairwise distinct
     modulo +-1 on the lesser of (a, b) and (-a, -b), and as many as there
@@ -221,7 +216,6 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
     modulus = 2 * form.level
     q_t, q_e, b_te = form.q_scaled(t), form.q_scaled(e), form.gram.bilinear(t, e)
     period = 2 * case.d if case.split else case.d
-    coords = list(zip(t, e, form.orders))  # a t + b e, coordinate by coordinate
     reps, keys = [], set()
     for m in valid_orders(case):
         with_e = _order_pattern(case, m) == "t+e"
@@ -235,7 +229,7 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
             if lcm(ord_t // gcd(ord_t, a), ord_e // gcd(ord_e, b)) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             keys.add(min((a % ord_t, b % ord_e), (-a % ord_t, -b % ord_e)))
-            reps.append(OrbitRep(m, n, tuple([(a * x + b * y) % d for x, y, d in coords])))
+            reps.append(OrbitRep(m, n))
     if len(keys) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:

@@ -139,19 +139,6 @@ class FiniteQuadraticForm:
         qs = ", ".join(q_strings(self))
         return f"FiniteQuadraticForm(orders={list(self.orders)}, q=[{qs}])"
 
-    # lattice provenance ----------------------------------------------
-
-    def class_of(self, scaled, level: int) -> tuple:
-        """Class in this form of the dual vector scaled / level, for an integer
-        vector ``scaled`` and a positive integer ``level``."""
-        src = self.source
-        if not isinstance(src, LatticeSource):
-            raise ValueError("form has no lattice provenance")
-        pairings = src.lattice.gram.apply(scaled)
-        if any(x % level for x in pairings):
-            raise ValueError("vector is not in the dual lattice")
-        return src.class_key([x // level for x in pairings])
-
 
 class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     """Provenance of A_L = L*/L: the Smith transforms U G V = D of the Gram G of L.
@@ -159,9 +146,7 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     ``lattice`` is L, ``smith`` the ``SmithDecomposition`` (U, the invariant
     factors d and V) of G and ``kept`` the Smith positions with invariant
     factor > 1, one per generator.  Generator i lifts to the dual vector
-    V e_k / d_k for k = kept[i]; a dual vector v has class coordinates
-    (U G v)_k mod d_k (``class_key``), since v - w lies in L exactly when
-    D^-1 U (G v - G w) is integral.
+    V e_k / d_k for k = kept[i].
     """
 
     __slots__ = ()
@@ -190,12 +175,6 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
                 c = a * (level // d[k])
                 out = [u + c * v for u, v in zip(out, map(itemgetter(k), V))]
         return tuple(out)
-
-    def class_key(self, pairings) -> tuple:
-        """Class coordinates (U p)_k mod d_k, k in ``kept``, of the dual vector
-        v with integer pairings p = G v against the basis of L."""
-        U, d = self.smith.left.data, self.smith.diag
-        return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in self.kept])
 
 
 class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):

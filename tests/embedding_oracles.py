@@ -1,8 +1,8 @@
 """Second derivations of the discriminant model A_N, for the tests.
 
-None of these runs in ``cuspidal``: every command builds A_N from the
-core block of ``cusps.disc_model``.  ``build_polarized`` builds it from
-the explicit polarized embedding in U^3 + E8^2 + <-2> instead, and
+None of these runs in ``cuspidal``: every command takes A_N in the closed
+form of ``cusps.disc_model``.  ``build_polarized`` builds it from the
+explicit polarized embedding in U^3 + E8^2 + <-2> instead, and
 checks the B_d block of the non-split complement with the Gauss
 reduction of binary forms (``reduced_binary``, ``rank2_isometric``).
 """
@@ -16,6 +16,7 @@ from cuspidal.errors import BadParameter, InternalError, NotDefinite
 from cuspidal.exact import IntMatrix
 from cuspidal.fqf import discriminant_form
 from cuspidal.lattice import Lattice, Sublattice, divisibility, make_standard
+from helpers import class_of
 
 
 def reduced_binary(gram: IntMatrix) -> IntMatrix:
@@ -114,9 +115,9 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
     form = discriminant_form(sub.lattice)
     rank_n = sub.rank
     if case.split:
-        t_cls = form.class_of([1] + [0] * (rank_n - 1), 2 * d)
-        e_cls = form.class_of([0] * (rank_n - 1) + [1], 2)
+        t_cls = class_of(form, [1] + [0] * (rank_n - 1), 2 * d)
+        e_cls = class_of(form, [0] * (rank_n - 1) + [1], 2)
     else:
-        t_cls = form.class_of([2, 1] + [0] * (rank_n - 2), d)
+        t_cls = class_of(form, [2, 1] + [0] * (rank_n - 2), d)
         e_cls = None
     return PolarizedEmbedding(case, L, h, sub, form, t_cls, e_cls)

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: the diagonal matrix of a Smith form,
 lattices and forms to and from JSON, finite quadratic forms given by
-Fraction values and their Fraction views, the base of a glue in
+Fraction values and their Fraction views, the classes of dual vectors in
+a discriminant form, the core lattice of A_N, the base of a glue in
 overlattice coordinates, Im tau of one glue, and isometries built as
 products, as minus the identity or as signed permutations of a basis."""
 
@@ -8,12 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import mul
 
 from cuspidal import fqf, glue
 from cuspidal.errors import MixedLattices
 from cuspidal.exact import IntMatrix, hnf_coords, hnf_rows
 from cuspidal.fqf import FiniteQuadraticForm
-from cuspidal.lattice import check_signed_permutation
+from cuspidal.lattice import check_signed_permutation, direct_sum, make_standard
 from fraction_oracles import fraction_presentation
 from group_claims import Isometry
 
@@ -80,6 +82,41 @@ def rational_lift(form, x) -> tuple:
     """A dual vector of the source lattice of a discriminant form in the class x."""
     scaled = form.source.scaled_lift(form.reduce(x), form.level)
     return tuple(Fraction(a, form.level) for a in scaled)
+
+
+# ---------------------------------------------------------------------------
+# classes of dual vectors, and the core of A_N
+
+
+def class_key(source, pairings) -> tuple:
+    """Class coordinates (U p)_k mod d_k, k in ``source.kept``, of the dual
+    vector v with integer pairings p = G v against the basis of L, for the
+    Smith transforms U G V = D of ``source`` (a ``fqf.LatticeSource``):
+    v - w lies in L exactly when D^-1 U (G v - G w) is integral."""
+    U, d = source.smith.left.data, source.smith.diag
+    return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in source.kept])
+
+
+def class_of(form, scaled, level: int) -> tuple:
+    """Class in the discriminant form ``form`` of the dual vector
+    scaled / level, for an integer vector ``scaled`` and a positive integer
+    ``level``; ValueError when ``form`` has no lattice or the vector is not
+    in the dual lattice."""
+    src = form.source
+    if not isinstance(src, fqf.LatticeSource):
+        raise ValueError("form has no lattice provenance")
+    pairings = src.lattice.gram.apply(scaled)
+    if any(x % level for x in pairings):
+        raise ValueError("vector is not in the dual lattice")
+    return class_key(src, [x // level for x in pairings])
+
+
+def a_n_core(case):
+    """The core lattice of A_N, whose discriminant form A_N is: <-2d> + <-2>
+    for a split ``case``, B_d for a non-split one."""
+    if case.split:
+        return direct_sum(make_standard("rank1", -2 * case.d), make_standard("rank1", -2))
+    return make_standard("B", case.d)
 
 
 # ---------------------------------------------------------------------------

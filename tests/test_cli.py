@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import pkgutil
+import re
 import sys
 import time
 import typing
@@ -340,6 +341,19 @@ class TestCuspOneFlags:
         assert row["roots"] == "2E8+2A1"
         assert row["genus_ok"] is True and row["roots_ok"] is False
 
+    def test_markdown_leaves_the_counts_of_an_unrealized_row_empty(self, capsys, tmp_path):
+        # E8+E8+A2 realizes no genus: JSON prints null counts, Markdown empty cells
+        path = tmp_path / "cands.json"
+        path.write_text(json.dumps([{"roots": "2E8+2A1"}, {"roots": "E8+E8+A2"}]))
+        argv = ["cusp", "one", "--d", "1", "--candidates", str(path)]
+        code, out = invoke(capsys, argv + ["--format", "md"])
+        assert code == 1 and "None" not in out
+        assert out.splitlines()[2:4] == ["| 2E8+2A1 | True | True | 2 | 2 | 1 |",
+                                         "| E8+E8+A2 | False | False |  |  |  |"]
+        code, out = invoke(capsys, argv)
+        row = json.loads(out)["one_dim"]["candidates"][1]
+        assert (row["o_ae"], row["im_tau"], row["classes"]) == (None, None, None)
+
 
 # valid positionals and required options of each leaf
 _LEAF_ARGS = {
@@ -657,6 +671,76 @@ def test_form_values_are_byte_identical_to_golden(capsys, argv, golden):
     # the cusp one rows have the wrong roots, which is a verification failure
     assert run(argv) == (1 if golden.startswith("cusp_one") else 0)
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# every Markdown argv of the goldens and of the CI, and a Markdown table of
+# each other command that prints one
+_MARKDOWN_ARGVS = [argv for argv, _ in GOLDENS if "md" in argv] + [
+    ["verify", "table1", "--format", "md"],
+    ["cusp", "one", "--d", "1", "--format", "md"],
+    ["cusp", "zero", "--d", "12", "--mode", "formula", "--format", "md"],
+    ["glue", "enum", "--roots", "4A3", "--format", "md"],
+    ["lat", "info", "U+<-2>", "--format", "md"],
+]
+_UNESCAPED_PIPE = re.compile(r"(?<!\\)\|")
+
+
+def _markdown_tables(text) -> list:
+    """The tables of ``text``: each run of lines that start with a pipe."""
+    tables, current = [], []
+    for line in text.splitlines() + [""]:
+        if line.startswith("|"):
+            current.append(line)
+        elif current:
+            tables.append(current)
+            current = []
+    return tables
+
+
+@pytest.mark.parametrize("argv", _MARKDOWN_ARGVS, ids=" ".join)
+def test_markdown_table_lines_have_the_cells_of_their_delimiter_row(capsys, argv):
+    # a GitHub-flavoured Markdown table shows only when each line splits on
+    # its unescaped pipes into the cells of the delimiter row
+    assert run(argv) == 0
+    tables = _markdown_tables(capsys.readouterr().out)
+    assert tables
+    for header, delimiter, *body in tables:
+        assert re.fullmatch(r"\|(---\|)+", delimiter)
+        for line in (header, *body):
+            assert len(_UNESCAPED_PIPE.split(line)) - 2 == delimiter.count("---"), line
+
+
+def test_zero_dimensional_commands_build_no_lattice_form(capsys, monkeypatch):
+    """``cusp zero`` and ``cusp sweep`` take A_N in closed form: with the
+    discriminant form of a lattice and the Smith form failing at every
+    binding in the package, each still prints its golden output."""
+    from cuspidal import exact, fqf
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a zero-dimensional command built a lattice's discriminant form")
+
+    patched = collections.Counter()
+    for original in (fqf.discriminant_form, exact.smith_normal_form):
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] != "cuspidal":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, fail)
+                    patched[original.__name__] += 1
+    assert patched["discriminant_form"] >= 2 and patched["smith_normal_form"] >= 3
+    sweep = (GOLDEN / "cusp_sweep_d1-400.md").read_text(encoding="utf-8").splitlines(True)
+    for argv, expected in [
+        (["cusp", "zero", "--d", "30000"],
+         (GOLDEN / "cusp_zero_d30000.json").read_text(encoding="utf-8")),
+        (["cusp", "zero", "--d", "4851", "--case", "nonsplit"],
+         (GOLDEN / "cusp_zero_d4851_nonsplit.json").read_text(encoding="utf-8")),
+        # the header, the delimiter row and d = 1..50 of the sweep to 400
+        (["cusp", "sweep", "--d", "1..50", "--format", "md"], "".join(sweep[:52])),
+    ]:
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
 
 
 def test_type_hints_resolve_for_every_class():

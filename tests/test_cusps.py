@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import group_claims
 from cuspidal import claims, cusps, fqf, glue
@@ -16,7 +17,7 @@ from cuspidal.errors import (
 )
 from embedding_oracles import build_polarized
 from form_oracles import mod_pm1
-from helpers import q_diagonal, q_value
+from helpers import a_n_core, b_value, class_of, q_diagonal, q_value
 
 
 class TestCase:
@@ -78,13 +79,13 @@ class TestBuildPolarized:
 
 class TestNu:
     def test_double_epw(self):
-        assert cusps.nu(cusps.PolarizationCase(2, "split")).value == 1
+        assert cusps.nu(cusps.PolarizationCase(2, "split")).formula == 1
 
     def test_small_examples(self):
         r = cusps.nu(cusps.PolarizationCase(3, "split"))
         assert (r.formula, r.enumerated, r.agree) == (2, 2, True)
         r = cusps.nu(cusps.PolarizationCase(3, "nonsplit"))
-        assert r.value == 1
+        assert r.formula == 1
 
     def test_mode_selection(self):
         case = cusps.PolarizationCase(6, "split")
@@ -135,8 +136,10 @@ class TestOrbitReps:
         reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "split")).reps
         assert [(r.m, r.n) for r in reps] == [(1, 0), (2, 1)]
         model = cusps.disc_model(cusps.PolarizationCase(3, "split"))
-        x = reps[1].element
-        assert model.form.order_of(x) == 2
+        form, (m, n) = model.form, reps[1]
+        # x_(2,1) = n (2d / m) t + n e: 2 does not divide k = 1, so e is added
+        x = form.add(form.smul(n * 6 // m, model.t_class), form.smul(n, model.e_class))
+        assert form.order_of(x) == 2
 
     def test_nonsplit_trivial(self):
         reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "nonsplit")).reps
@@ -194,7 +197,7 @@ def _tuple_reps(model, count):
     """The x_{m,n} built and certified as generic tuples of A_N, without
     ``cusps._rep_coefficients``: an oracle for the coefficient certificate."""
     case, form = model.case, model.form
-    reps = []
+    reps, elements = [], []
     for m in cusps.valid_orders(case):
         for n in range(0, m // 2 + 1):
             if gcd(m, n) != 1:
@@ -209,8 +212,9 @@ def _tuple_reps(model, count):
                 raise InternalError(f"x_({m},{n}) is not isotropic")
             if form.order_of(x) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
-            reps.append(cusps.OrbitRep(m, n, x))
-    if len({min(r.element, form.neg(r.element)) for r in reps}) != len(reps):
+            reps.append(cusps.OrbitRep(m, n))
+            elements.append(x)
+    if len({min(x, form.neg(x)) for x in elements}) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
@@ -220,6 +224,51 @@ def _tuple_reps(model, count):
 def _model_and_count(d, embedding):
     model = cusps.disc_model(cusps.PolarizationCase(d, embedding))
     return model, fqf.isotropic_pm1_count(model.form)
+
+
+# split d up to 10^6, and non-split d = 3 mod 4 up to 10^6
+_CASES_TO_A_MILLION = st.one_of(
+    st.integers(1, 10**6).map(lambda d: cusps.PolarizationCase(d, "split")),
+    st.integers(0, (10**6 - 3) // 4).map(lambda j: cusps.PolarizationCase(4 * j + 3, "nonsplit")),
+)
+
+
+class TestClosedFormAgainstTheCore:
+    """``cusps.disc_model`` against the discriminant form of the core lattice,
+    <-2d> + <-2> or B_d (``helpers.a_n_core``), with t and e read as the
+    classes of t/2d and e/2 (non-split: t of (2 b1 + b2)/d, e = 0).
+
+    The map (b, a) -> a t + b e from the closed form to the core's form is a
+    homomorphism when t and e have the same orders on both sides, and keeps
+    q when q(t), q(e) and b(t, e) agree.  It then keeps b, so its kernel is
+    b-orthogonal to everything: zero, the closed form being nondegenerate.
+    An injective map between groups of one order is an isometry."""
+
+    @staticmethod
+    def _check(case):
+        model = cusps.disc_model(case)
+        closed, t, e = model.form, model.t_class, model.e_class
+        form = fqf.discriminant_form(a_n_core(case))
+        if case.split:
+            t_core, e_core = class_of(form, (1, 0), 2 * case.d), class_of(form, (0, 1), 2)
+        else:
+            t_core, e_core = class_of(form, (2, 1), case.d), form.zero
+        assert closed.cardinality == form.cardinality, case
+        assert closed.order_of(t) == form.order_of(t_core), case
+        assert closed.order_of(e) == form.order_of(e_core), case
+        assert (q_value(closed, t), q_value(closed, e), b_value(closed, t, e)) == (
+            q_value(form, t_core), q_value(form, e_core), b_value(form, t_core, e_core)), case
+
+    def test_every_d_up_to_2000(self):
+        for d in range(1, 2001):
+            self._check(cusps.PolarizationCase(d, "split"))
+            if d % 4 == 3:
+                self._check(cusps.PolarizationCase(d, "nonsplit"))
+
+    @settings(deadline=None, max_examples=120)
+    @given(_CASES_TO_A_MILLION)
+    def test_d_up_to_a_million(self, case):
+        self._check(case)
 
 
 class TestCoefficientCertificate:

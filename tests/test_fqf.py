@@ -23,7 +23,8 @@ from fraction_oracles import (
     bareiss_det, fraction_presentation, over_common_denominator, rational_inverse,
 )
 from helpers import (
-    b_matrix, b_value, form_from_json, fraction_form, q_diagonal, q_value, rational_lift,
+    a_n_core, b_matrix, b_value, class_key, class_of, form_from_json, fraction_form, q_diagonal,
+    q_value, rational_lift,
 )
 
 HALF = Fraction(-1, 2)
@@ -64,7 +65,7 @@ class TestDiscriminantForm:
             unit = tuple(int(j == i) for j in range(a.rank))
             column = tuple(sum(ginv[r][c] * uinv[c][k] for c in range(n)) for r in range(n))
             assert rational_lift(a, unit) == column
-            assert a.class_of(*over_common_denominator(rational_lift(a, unit))) == unit
+            assert class_of(a, *over_common_denominator(rational_lift(a, unit))) == unit
 
     def test_split_d1(self):
         a = fqf.discriminant_form(lat.parse_name("U+U+E8+E8+<-2>+<-2>"))
@@ -95,11 +96,11 @@ class TestDiscriminantForm:
 
     def test_class_of_and_lift(self):
         a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
-        t = a.class_of((1, 0), 6)
+        t = class_of(a, (1, 0), 6)
         assert a.order_of(t) == 6
-        assert a.class_of(*over_common_denominator(rational_lift(a, t))) == t
+        assert class_of(a, *over_common_denominator(rational_lift(a, t))) == t
         with pytest.raises(ValueError):
-            a.class_of((1, 0), 5)
+            class_of(a, (1, 0), 5)
 
 
 # summands whose discriminant forms the kernel tests sum: every ADE type of
@@ -636,13 +637,12 @@ def _atom_sums(max_atoms):
         lambda atoms: lat.parse_name("+".join(atoms)))
 
 
-# the core of A_N that ``cusps.disc_model`` builds: <-2d> + <-2> split, B_d
-# non-split
+# the core lattice of A_N: <-2d> + <-2> split, B_d non-split
 _A_N_CASES = st.one_of(
     st.integers(1, 10**6).map(lambda d: cusps.PolarizationCase(d, "split")),
     st.integers(0, 10**6).map(lambda j: cusps.PolarizationCase(4 * j + 3, "nonsplit")),
 )
-_A_N_CORES = _A_N_CASES.map(lambda case: cusps.disc_model(case).form.source.lattice)
+_A_N_CORES = _A_N_CASES.map(a_n_core)
 
 
 def _generator_rows(L):
@@ -672,7 +672,7 @@ class TestFormsWithoutProducts:
     @settings(deadline=None, max_examples=80)
     @given(_A_N_CASES)
     def test_a_n_matches_the_triple_product(self, case):
-        L = cusps.disc_model(case).form.source.lattice
+        L = a_n_core(case)
         self._check(L)
         self._check(L, case.primes)
 
@@ -696,9 +696,9 @@ class TestFormsWithoutProducts:
 
 
 class TestClassKeyAgainstRationalCoordinates:
-    """``LatticeSource.class_key`` against G^-1 over Q: the dual vectors
+    """``helpers.class_key`` against G^-1 over Q: the dual vectors
     G^-1 p and G^-1 p' share a class exactly when G^-1 (p - p') is
-    integral.  ``cusps.disc_model`` reads t and e through it."""
+    integral."""
 
     @settings(deadline=None, max_examples=120)
     @given(st.one_of(_atom_sums(3), _A_N_CORES), st.data())
@@ -716,8 +716,8 @@ class TestClassKeyAgainstRationalCoordinates:
         ginv = rational_inverse(G)
         diff = [a - b for a, b in zip(p, p2)]
         integral = all(sum(map(mul, row, diff)).denominator == 1 for row in ginv)
-        assert (src.class_key(p) == src.class_key(p2)) == integral
-        assert len(src.class_key(p)) == len(src.kept)
+        assert (class_key(src, p) == class_key(src, p2)) == integral
+        assert len(class_key(src, p)) == len(src.kept)
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(_atom_sums(3), _A_N_CORES))
@@ -733,7 +733,7 @@ class TestClassKeyAgainstRationalCoordinates:
             pairings = [sum(map(mul, L.gram.data[r], lift)) for r in range(L.rank)]
             assert all(x.denominator == 1 for x in pairings)
             assert [sum(map(mul, row, pairings)) for row in ginv] == lift
-            assert src.class_key([int(x) for x in pairings]) == unit
+            assert class_key(src, [int(x) for x in pairings]) == unit
 
 
 # ---------------------------------------------------------------------------

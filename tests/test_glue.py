@@ -20,7 +20,8 @@ import helpers
 from fraction_oracles import bareiss_det, over_common_denominator, rational_inverse
 from kernel_oracles import check_signed_permutation_by_product
 from helpers import (
-    fraction_form, q_value, rational_lift, signed_permutation, tau_generator_isometries, tau_image,
+    class_key, class_of, fraction_form, q_value, rational_lift, signed_permutation,
+    tau_generator_isometries, tau_image,
 )
 
 HALF = Fraction(-1, 2)
@@ -341,7 +342,7 @@ def test_integer_disc_action_matches_rational_lifts(spec):
     assert len(actions) == len(isos)
     for iso, action in zip(isos, actions):
         expected = tuple(
-            disc.class_of(*over_common_denominator(iso.matrix.apply(rational_lift(disc, u))))
+            class_of(disc, *over_common_denominator(iso.matrix.apply(rational_lift(disc, u))))
             for u in units)
         assert action == expected
         assert group_claims.disc_action(iso, disc.source.smith, disc.source.kept) == expected
@@ -635,14 +636,14 @@ def _assert_component_minima(gd, i):
         p = [0] * n
         p[sl] = [v // disc.level for v in L.gram.apply(b)]
         expected = _splac_minimum(comp.kind, comp.param, p[sl])
-        c = src.class_key(p)
+        c = class_key(src, p)
         got = minima[c] if any(c) else 0
         assert Fraction(got, gd.disc.level) == expected, (x, p[sl])
         # any other vector of the same class has the same minimum
         shifted = list(p)
         shifted[sl] = [a + v for a, v in zip(
             p[sl], L.gram.apply([rng.randint(-3, 3) for _ in range(L.rank)]))]
-        assert src.class_key(shifted) == c
+        assert class_key(src, shifted) == c
         seen.add(c)
     assert len(seen) == abs(L.det)
     assert set(minima) == {c for c in seen if any(c)}
@@ -730,7 +731,7 @@ def test_root_certificate_on_the_order_16_glues_of_8a1():
     # coordinate permutations of the extended Hamming code, each giving E8
     gd0 = glue.make_glue("8A1")
     disc = gd0.disc
-    halves = [disc.class_of([int(i == j) for j in range(8)], 2) for i in range(8)]
+    halves = [class_of(disc, [int(i == j) for j in range(8)], 2) for i in range(8)]
     rows = [(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 0, 0),
             (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 0, 1, 0, 1, 0, 1)]
     hamming = {tuple(sum(c * r[i] for c, r in zip(cs, rows)) % 2 for i in range(8))
