@@ -31,7 +31,7 @@ only the rational vectors of ``claims`` (the splitting of
 from collections import namedtuple
 from itertools import compress
 from math import gcd
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, mul, neg
 
 from .errors import GroupTooLarge, InternalError, NotDefinite, SingularMatrix
 
@@ -107,11 +107,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._wrap(tuple(tuple(map(neg, r)) for r in self.data))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix._wrap(tuple(
-            tuple(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)
-        ))
 
     def scaled(self, t: int) -> "IntMatrix":
         t = int(t)

@@ -18,18 +18,19 @@ generator lifts V e_i / d_i; H^perp/H uses generator lifts in the
 parent.  No matrix is inverted over Q: quotient coordinates come from
 ``exact.hnf_coords`` and the Smith transform of the sublattice.  No
 matrix product is formed either: R G R^T is G r for each row r, one
-``apply``, paired with the rows, and the rows of a p-part (below) have
-one nonzero entry each, so its Gram is read directly off G.
+``apply``, paired with the rows.
 
 A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
-section 1); ``primary_parts`` builds A_p by the same rule from the rows
-(d_i / p^e_i) e_i, p^e_i exactly dividing d_i.  Values on different
-parts have coprime denominators, so x is isotropic exactly when every
-p-component is, and -1 fixes only elements with 2x = 0, which lie in
-the 2-part.  Hence the number of isotropic classes modulo +-1 is
-(prod_p I_p + F_2) / 2, with I_p the isotropic elements of A_p and F_2
-those of the 2-part killed by 2, found among the at most 2^r elements
-of A_2[2].  ``isotropic_pm1_count`` scans no part whole: in A_p =
+section 1).  A_p is generated by the rows (d_i / p^e_i) e_i, p^e_i
+exactly dividing d_i, which have one nonzero entry each, so the same
+rule reads its Gram straight off G; ``_primary_parts`` keeps each part
+as its orders and integer Gram rows, and builds no form.  Values on
+different parts have coprime denominators, so x is isotropic exactly
+when every p-component is, and -1 fixes only elements with 2x = 0,
+which lie in the 2-part.  Hence the number of isotropic classes modulo
++-1 is (prod_p I_p + F_2) / 2, with I_p the isotropic elements of A_p
+and F_2 those of the 2-part killed by 2, found among the at most 2^r
+elements of A_2[2].  ``isotropic_pm1_count`` scans no part whole: in A_p =
 Z/n_1 + ... + Z/n_r it runs over the cofactor y of the first r - 1
 coordinates and counts the last coordinates x in Z/n_r that make (y, x)
 isotropic, the roots of one quadratic congruence, by Hensel lifting in
@@ -48,7 +49,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mod, mul, neg
+from operator import add, itemgetter, mod, mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
@@ -100,9 +101,6 @@ class FiniteQuadraticForm:
 
     def add(self, x, y) -> tuple:
         return tuple(map(mod, map(add, x, y), self.orders))
-
-    def neg(self, x) -> tuple:
-        return tuple(map(mod, map(neg, x), self.orders))
 
     def smul(self, n: int, x) -> tuple:
         return tuple([n * a % d for a, d in zip(x, self.orders)])
@@ -198,19 +196,17 @@ def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
     if not orders:
         return FiniteQuadraticForm((), (), source)
     images = [gram.apply(r) for r in rows]
-    return _rescaled([[sum(map(mul, r, g)) for g in images] for r in rows],
-                     level, orders, source)
+    moved = [[sum(map(mul, r, g)) for g in images] for r in rows]
+    return FiniteQuadraticForm(orders, _over_level(moved, level, orders[-1]), source)
 
 
-def _rescaled(moved, level: int, orders, source=None) -> FiniteQuadraticForm:
-    """The form on ``orders`` with integer Gram rows ``moved`` over ``level``,
-    divided down to the exponent of ``orders``; every entry must lie over it."""
-    scale = level // orders[-1]
-    if level % orders[-1] or any(x % scale for row in moved for x in row):
+def _over_level(moved, level: int, new_level: int) -> tuple:
+    """Integer Gram rows ``moved`` over ``level`` divided down to ``new_level``,
+    over which every entry must lie."""
+    scale = level // new_level
+    if level % new_level or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
-    return FiniteQuadraticForm(
-        orders, [[x // scale for x in row] for row in moved], source
-    )
+    return tuple(tuple([x // scale for x in row]) for row in moved)
 
 
 def discriminant_form(lattice) -> FiniteQuadraticForm:
@@ -383,20 +379,22 @@ def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> li
     return out
 
 
-def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
-    """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape.
+def _primary_parts(form: FiniteQuadraticForm, primes=None) -> list:
+    """(p, orders, Gram) of each p-part A_p for the primes p dividing |A|:
+    A_p in invariant-factor shape, with its integer Gram over the exponent
+    of ``orders`` wrapped, not built, as an ``IntMatrix``.
 
     ``primes`` may hold the primes of the level (or more), when the caller
     has them; otherwise the level is factored.  A_p is generated by the
     rows c_a e_(i_a), c_a = d_(i_a) / p^e_a, one nonzero entry each, so its
-    Gram over the level is read off the parent's, c_a c_b G[i_a][i_b], with
-    no product, and rescaled as ``_generated_form`` rescales.
+    Gram over the level is read off the parent's, c_a c_b G[i_a][i_b], and
+    divided down to the new level (``_over_level``).
     """
     if primes is None:
         primes = factorize(form.level)
-    G = form.gram.data
-    parts = {}
-    for p in sorted(p for p in set(primes) if form.level % p == 0):
+    G, level = form.gram.data, form.level
+    parts, order = [], 1
+    for p in sorted(p for p in set(primes) if level % p == 0):
         gens, orders = [], []
         for i, d in enumerate(form.orders):
             pe = 1
@@ -406,8 +404,9 @@ def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
                 gens.append((i, d // pe))
                 orders.append(pe)
         moved = [[ca * cb * G[ia][ib] for ib, cb in gens] for ia, ca in gens]
-        parts[p] = _rescaled(moved, form.level, tuple(orders))
-    if prod(part.cardinality for part in parts.values()) != form.cardinality:
+        parts.append((p, tuple(orders), IntMatrix._wrap(_over_level(moved, level, orders[-1]))))
+        order *= prod(orders)
+    if order != form.cardinality:
         raise InternalError("the given primes miss a prime of the group order")
     return parts
 
@@ -461,18 +460,18 @@ def _last_coordinate_count(a: int, b: int, c: int, p: int, n: int) -> int:
     return 0 if c % 2 else _root_count(a, 2 * b, c, p, n)
 
 
-def _isotropic_count(part: FiniteQuadraticForm, p: int, bound: int) -> int:
-    """I_p of the p-part ``part``: for each y in the cofactor Z/n_1 + ... +
-    Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.  With Gram G over n_r,
-    q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
-    *head, n = part.orders
+def _isotropic_count(p: int, orders, gram: IntMatrix, bound: int) -> int:
+    """I_p of the p-part on ``orders`` with Gram ``gram`` over n_r: for each y
+    in the cofactor Z/n_1 + ... + Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.
+    With G = ``gram``, q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
+    *head, n = orders
     cofactor = prod(head)
     if cofactor > bound:
-        raise GroupTooLarge(f"{p}-part of order {part.cardinality}: cofactor of order "
+        raise GroupTooLarge(f"{p}-part of order {cofactor * n}: cofactor of order "
                             f"{cofactor} exceeds enumeration bound {bound}")
-    a, last = part.gram.data[-1][-1], part.gram.data[-1][:-1]
+    a, last = gram.data[-1][-1], gram.data[-1][:-1]
     return sum(
-        _last_coordinate_count(a, sum(map(mul, last, y)), part.gram.bilinear(y + (0,), y + (0,)),
+        _last_coordinate_count(a, sum(map(mul, last, y)), gram.bilinear(y + (0,), y + (0,)),
                                p, n)
         for y in product(*map(range, head))
     )
@@ -483,18 +482,20 @@ def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
     """Number of isotropic classes modulo +-1, counted part by part.
 
     Equals the number of {x, -x} orbits of ``isotropic_elements(form)``
-    (the tests' ``mod_pm1`` lists them) without listing an element: each
-    p-part scans only its cofactor (``_isotropic_count``) and F_2 comes
-    from A_2[2].  ``bound`` caps each cofactor, not a part or
-    the whole group; ``primes`` is passed to ``primary_parts``.
+    (the tests' ``mod_pm1`` lists them) without listing an element and
+    without a form per part: each p-part is its orders and integer Gram
+    (``_primary_parts``), scanned over its cofactor only
+    (``_isotropic_count``), and F_2 comes from A_2[2].  ``bound`` caps
+    each cofactor, not a part or the whole group; ``primes`` may hold the
+    primes of the level, which is factored otherwise.
     """
     isotropic, fixed = 1, 1
-    for p, part in primary_parts(form, primes).items():
-        isotropic *= _isotropic_count(part, p, bound)
+    for p, orders, gram in _primary_parts(form, primes):
+        isotropic *= _isotropic_count(p, orders, gram, bound)
         if p == 2:
-            modulus = 2 * part.level
-            fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
-                        if part.gram.bilinear(x, x) % modulus == 0)
+            modulus = 2 * orders[-1]
+            fixed = sum(1 for x in product(*[(0, d // 2) for d in orders])
+                        if gram.bilinear(x, x) % modulus == 0)
     return (isotropic + fixed) // 2
 
 

@@ -76,7 +76,6 @@ from .fqf import (
     identity_map,
     project_to_quotient,
     require_isotropic,
-    subgroup_span,
     trivial_subgroup,
 )
 from .lattice import (
@@ -138,13 +137,11 @@ class GlueData(namedtuple("GlueData", "base components disc glue")):
         return tuple.__new__(cls, (base, components, disc, glue))
 
 
-def make_glue(spec: str, glue_gens=()) -> GlueData:
+def make_glue(spec: str) -> GlueData:
+    """The base of ``spec`` with the trivial glue."""
     base, comps = root_sum_base(spec)
     disc = discriminant_form(base)
-    sub = (
-        subgroup_span(disc, glue_gens) if glue_gens else trivial_subgroup(disc)
-    )
-    return GlueData(base, comps, disc, sub)
+    return GlueData(base, comps, disc, trivial_subgroup(disc))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +375,7 @@ def _coset_minima(gd: GlueData) -> list:
     return blocks
 
 
-def glue_adds_roots(gd: GlueData, blocks=None) -> bool:
+def glue_adds_roots(gd: GlueData, blocks) -> bool:
     """True when the overlattice of the glue has a root outside the base.
 
     Works from the glue data alone: the coset h + R of each h != 0 in H
@@ -390,8 +387,6 @@ def glue_adds_roots(gd: GlueData, blocks=None) -> bool:
     if sum(c.rank for c in gd.components) != gd.base.rank:
         raise RootsNotFullRank("components do not span the base lattice")
     level = gd.disc.level
-    if blocks is None:
-        blocks = _coset_minima(gd)
     for h in gd.glue.elements:
         if not any(h):
             continue

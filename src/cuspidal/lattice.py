@@ -92,15 +92,6 @@ class Lattice:
     def vector(self, coords) -> "LatticeVector":
         return LatticeVector(self, coords)
 
-    def basis_vector(self, i: int) -> "LatticeVector":
-        return LatticeVector(self, [int(i == j) for j in range(self.rank)])
-
-    def basis(self):
-        return [self.basis_vector(i) for i in range(self.rank)]
-
-    def zero(self) -> "LatticeVector":
-        return LatticeVector(self, [0] * self.rank)
-
     def twist(self, t: int) -> "Lattice":
         if t < 1:
             raise BadParameter("twist parameter must be a positive integer")
@@ -139,9 +130,6 @@ class LatticeVector(namedtuple("LatticeVector", "home coords")):
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 
-    def dot(self, other: "LatticeVector"):
-        return pair(self, other)
-
     @property
     def norm(self):
         return pair(self, self)
@@ -150,14 +138,6 @@ class LatticeVector(namedtuple("LatticeVector", "home coords")):
         if self.home != other.home:
             raise MixedLattices("vectors live in different lattices")
         return LatticeVector(self.home, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        if self.home != other.home:
-            raise MixedLattices("vectors live in different lattices")
-        return LatticeVector(self.home, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.home, [-a for a in self.coords])
 
     def __rmul__(self, c) -> "LatticeVector":
         c = _as_exact(c)

@@ -15,7 +15,7 @@ from cuspidal.cusps import PolarizationCase, k3_square_lattice
 from cuspidal.errors import BadParameter, InternalError, NotDefinite
 from cuspidal.exact import IntMatrix
 from cuspidal.fqf import discriminant_form
-from cuspidal.lattice import Lattice, Sublattice, divisibility, make_standard
+from cuspidal.lattice import Lattice, Sublattice, divisibility, make_standard, pair
 from helpers import class_of
 
 
@@ -98,7 +98,7 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
         raise InternalError("polarization divisibility mismatch")
     sub = Sublattice(L, rows)
     for b in sub.basis():
-        if b.dot(h) != 0:
+        if pair(b, h) != 0:
             raise InternalError("complement basis is not orthogonal to h")
     if not sub.is_primitive():
         raise InternalError("complement basis is not primitive")

@@ -38,7 +38,7 @@ def mod_pm1(form: FiniteQuadraticForm, elems) -> list:
         x = form.reduce(x)
         if x in seen:
             continue
-        mx = form.neg(x)
+        mx = form.smul(-1, x)
         seen.add(x)
         seen.add(mx)
         reps.append(min(x, mx))

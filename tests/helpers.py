@@ -1,7 +1,8 @@
 """Helpers that only the tests call: the diagonal matrix of a Smith form,
 lattices and forms to and from JSON, finite quadratic forms given by
 Fraction values and their Fraction views, the classes of dual vectors in
-a discriminant form, the core lattice of A_N, the base of a glue in
+a discriminant form, the core lattice of A_N, the p-parts of a form,
+basis vectors, glues and their root certificate, the base of a glue in
 overlattice coordinates, Im tau of one glue, and isometries built as
 products, as minus the identity or as signed permutations of a basis."""
 
@@ -117,6 +118,34 @@ def a_n_core(case):
     if case.split:
         return direct_sum(make_standard("rank1", -2 * case.d), make_standard("rank1", -2))
     return make_standard("B", case.d)
+
+
+def part_forms(form, primes=None) -> dict:
+    """{p: A_p} for the orders and integer Gram rows of each p-part that
+    ``fqf._primary_parts`` reads off ``form``, wrapped in a form here."""
+    return {p: FiniteQuadraticForm(orders, gram.data)
+            for p, orders, gram in fqf._primary_parts(form, primes)}
+
+
+# ---------------------------------------------------------------------------
+# lattice vectors and glues
+
+
+def basis(L) -> list:
+    """The basis vectors of the lattice L, as ``LatticeVector``s."""
+    n = L.rank
+    return [L.vector([int(i == j) for j in range(n)]) for i in range(n)]
+
+
+def glue_of(spec: str, gens):
+    """``glue.make_glue(spec)`` with the glue spanned by ``gens``."""
+    gd = glue.make_glue(spec)
+    return glue.GlueData(gd.base, gd.components, gd.disc, fqf.subgroup_span(gd.disc, gens))
+
+
+def adds_roots(gd) -> bool:
+    """``glue.glue_adds_roots`` with the coset minima of the base built here."""
+    return glue.glue_adds_roots(gd, glue._coset_minima(gd))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,19 @@ Each computes entry by entry what the package kernel computes, with the
 same arithmetic, so a test may ask for equal results.  The finite
 quadratic forms generated by rows R are built here as the ``IntMatrix``
 triple product R G R^T, for every form and for the p-parts too, where
-the package pairs the rows with G r and reads the p-parts off G.
+the package pairs the rows with G r and reads the p-parts off G.  The
+isotropic classes modulo +-1 are counted here on one
+``FiniteQuadraticForm`` per p-part (``primary_parts``), where the package
+keeps each part as its orders and integer Gram rows.
 """
 
+from itertools import product
 from math import prod
+from operator import mul
 
-from cuspidal.errors import InternalError, NotIsometry
+from cuspidal.errors import GroupTooLarge, InternalError, NotIsometry
 from cuspidal.exact import IntMatrix, SmithDecomposition, _pivot, _xgcd, factorize
-from cuspidal.fqf import FiniteQuadraticForm
+from cuspidal.fqf import ENUM_BOUND, FiniteQuadraticForm, _last_coordinate_count
 
 
 def product_by_loops(a, b) -> list:
@@ -185,7 +190,7 @@ def generated_form_by_products(gram: IntMatrix, level: int, rows, orders, source
 
 
 def primary_parts_by_products(form: FiniteQuadraticForm, primes=None) -> dict:
-    """``fqf.primary_parts`` with each p-part generated by the full rows
+    """``primary_parts`` with each p-part generated by the full rows
     (d_i / p^e_i) e_i through ``generated_form_by_products``."""
     if primes is None:
         primes = factorize(form.level)
@@ -203,3 +208,85 @@ def primary_parts_by_products(form: FiniteQuadraticForm, primes=None) -> dict:
     if prod(part.cardinality for part in parts.values()) != form.cardinality:
         raise InternalError("the given primes miss a prime of the group order")
     return parts
+
+
+# ---------------------------------------------------------------------------
+# the zero-dimensional count through one form per p-part, as the package
+# counted before its p-parts became orders and integer Gram rows
+
+
+def _rescaled(moved, level: int, orders, source=None) -> FiniteQuadraticForm:
+    """The form on ``orders`` with integer Gram rows ``moved`` over ``level``,
+    divided down to the exponent of ``orders``; every entry must lie over it."""
+    scale = level // orders[-1]
+    if level % orders[-1] or any(x % scale for row in moved for x in row):
+        raise InternalError("generator values do not lie over the new level")
+    return FiniteQuadraticForm(
+        orders, [[x // scale for x in row] for row in moved], source
+    )
+
+
+def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
+    """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape.
+
+    ``primes`` may hold the primes of the level (or more), when the caller
+    has them; otherwise the level is factored.  A_p is generated by the
+    rows c_a e_(i_a), c_a = d_(i_a) / p^e_a, one nonzero entry each, so its
+    Gram over the level is read off the parent's, c_a c_b G[i_a][i_b], with
+    no product, and rescaled as ``_generated_form`` rescales.
+    """
+    if primes is None:
+        primes = factorize(form.level)
+    G = form.gram.data
+    parts = {}
+    for p in sorted(p for p in set(primes) if form.level % p == 0):
+        gens, orders = [], []
+        for i, d in enumerate(form.orders):
+            pe = 1
+            while d % (pe * p) == 0:
+                pe *= p
+            if pe > 1:
+                gens.append((i, d // pe))
+                orders.append(pe)
+        moved = [[ca * cb * G[ia][ib] for ib, cb in gens] for ia, ca in gens]
+        parts[p] = _rescaled(moved, form.level, tuple(orders))
+    if prod(part.cardinality for part in parts.values()) != form.cardinality:
+        raise InternalError("the given primes miss a prime of the group order")
+    return parts
+
+
+def _isotropic_count(part: FiniteQuadraticForm, p: int, bound: int) -> int:
+    """I_p of the p-part ``part``: for each y in the cofactor Z/n_1 + ... +
+    Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.  With Gram G over n_r,
+    q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
+    *head, n = part.orders
+    cofactor = prod(head)
+    if cofactor > bound:
+        raise GroupTooLarge(f"{p}-part of order {part.cardinality}: cofactor of order "
+                            f"{cofactor} exceeds enumeration bound {bound}")
+    a, last = part.gram.data[-1][-1], part.gram.data[-1][:-1]
+    return sum(
+        _last_coordinate_count(a, sum(map(mul, last, y)), part.gram.bilinear(y + (0,), y + (0,)),
+                               p, n)
+        for y in product(*map(range, head))
+    )
+
+
+def isotropic_pm1_count_by_forms(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
+                                  primes=None) -> int:
+    """``fqf.isotropic_pm1_count`` through a ``FiniteQuadraticForm`` per p-part.
+
+    Equals the number of {x, -x} orbits of ``isotropic_elements(form)``
+    (the tests' ``mod_pm1`` lists them) without listing an element: each
+    p-part scans only its cofactor (``_isotropic_count``) and F_2 comes
+    from A_2[2].  ``bound`` caps each cofactor, not a part or
+    the whole group; ``primes`` is passed to ``primary_parts``.
+    """
+    isotropic, fixed = 1, 1
+    for p, part in primary_parts(form, primes).items():
+        isotropic *= _isotropic_count(part, p, bound)
+        if p == 2:
+            modulus = 2 * part.level
+            fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
+                        if part.gram.bilinear(x, x) % modulus == 0)
+    return (isotropic + fixed) // 2

@@ -21,7 +21,7 @@ from cuspidal.exact import IntMatrix, det_and_signature, smith_normal_form
 from embedding_oracles import build_polarized
 from form_oracles import direct_sum_form
 from fraction_oracles import bareiss_det
-from helpers import compose, q_value, tau_image
+from helpers import basis, compose, q_value, tau_image
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_criterion_7c_snf_and_signature_congruence(data):
 
 _SPIN_LATTICE = lat.parse_name("U+A2")
 _SPIN_VECTORS = [
-    v for v in _SPIN_LATTICE.basis() if v.norm != 0
+    v for v in basis(_SPIN_LATTICE) if v.norm != 0
 ] + [_SPIN_LATTICE.vector((1, 1, 0, 0)), _SPIN_LATTICE.vector((1, -1, 0, 0)),
      _SPIN_LATTICE.vector((0, 0, 1, 1))]
 

@@ -798,16 +798,52 @@ def test_json_writer_refuses_other_types():
             cli._dump_json(obj)
 
 
-# Public functions of the layers that no command needs to run, each with its
+# Public functions, methods and properties of the layers, and the special
+# methods of their classes, that no command needs to run, each with its
 # reason; every other one must run under some command below.
-_UNRUN_ALLOWED = {}
+_UNRUN_ALLOWED = {
+    **dict.fromkeys(
+        ["exact.IntMatrix.__setattr__", "fqf.FiniteQuadraticForm.__setattr__",
+         "lattice.Lattice.__setattr__", "lattice.Sublattice.__setattr__"],
+        "immutability guard: runs only when code sets an attribute, as the record tests do"),
+    **dict.fromkeys(
+        ["exact.IntMatrix.__repr__", "fqf.FiniteQuadraticForm.__repr__",
+         "lattice.Lattice.__repr__"],
+        "what a debugger or a failing test shows"),
+    **dict.fromkeys(
+        ["exact.IntMatrix.__hash__", "fqf.FiniteQuadraticForm.__hash__",
+         "lattice.Lattice.__hash__"],
+        "a class that defines __eq__ is unhashable without it; the record tests hash them"),
+    "exact.IntMatrix.__getitem__": "M[i, j], which the isometry tests read",
+    "cusps.PolarizationCase.__getnewargs__":
+        "copy and pickle rebuild a case from (d, embedding), not from its six fields",
+}
+
+
+def _layer_members(module):
+    """(name, code) of each public function of ``module``, and of each public
+    method, property and special method of its public classes."""
+    short = module.__name__.split(".")[-1]
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{short}.{name}", obj.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and not attr.endswith("__"):
+                    continue
+                fn = member.fget if isinstance(member, property) else \
+                    getattr(member, "__func__", member)
+                if inspect.isfunction(fn):
+                    yield f"{short}.{name}.{attr}", fn.__code__
 
 
 def test_every_public_layer_function_runs_under_a_command(tmp_path):
-    # the CI goldens, a candidate with glue rows, a short sweep and both
-    # Table 1 formats, traced in process; the Fincke-Pohst of
-    # --roots-of-overlattice takes seconds under the profiler and reaches no
-    # function that glue roots does not
+    # the CI goldens, a candidate with glue rows, a short sweep, a twisted
+    # lattice name and both Table 1 formats, traced in process; the
+    # Fincke-Pohst of --roots-of-overlattice takes seconds under the
+    # profiler and reaches no function that glue roots does not
     from cuspidal import claims, cusps, exact, fqf, glue, lattice
 
     candidates = tmp_path / "cands.json"
@@ -817,6 +853,7 @@ def test_every_public_layer_function_runs_under_a_command(tmp_path):
         ["verify", "table1", "--format", "md"],
         ["cusp", "one", "--d", "1", "--candidates", str(candidates)],
         ["cusp", "sweep", "--d", "1..12"],
+        ["lat", "info", "U(2)+A2"],
     ]
     called = set()
 
@@ -835,10 +872,9 @@ def test_every_public_layer_function_runs_under_a_command(tmp_path):
     # both cusp one candidate lists hold rows with the wrong roots
     assert codes == [1 if argv[:2] == ["cusp", "one"] else 0 for argv in argvs]
     unrun = sorted(
-        f"{module.__name__.split('.')[-1]}.{name}"
+        name
         for module in (exact, lattice, fqf, glue, cusps, claims)
-        for name, fn in vars(module).items()
-        if not name.startswith("_") and inspect.isfunction(fn)
-        and fn.__module__ == module.__name__ and fn.__code__ not in called
+        for name, code in _layer_members(module)
+        if code not in called
     )
     assert [name for name in unrun if name not in _UNRUN_ALLOWED] == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import group_claims
 from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
+from cuspidal.exact import IntMatrix
 from cuspidal.errors import (
     BadCase,
     BadIndex,
@@ -17,7 +18,8 @@ from cuspidal.errors import (
 )
 from embedding_oracles import build_polarized
 from form_oracles import mod_pm1
-from helpers import a_n_core, b_value, class_of, q_diagonal, q_value
+from helpers import a_n_core, adds_roots, b_value, class_of, part_forms, q_diagonal, q_value
+from kernel_oracles import isotropic_pm1_count_by_forms
 
 
 class TestCase:
@@ -110,13 +112,31 @@ class TestNu:
         for case in cases:
             form = cusps.disc_model(case).form
             isotropic, fixed = 1, 1
-            for p, part in fqf.primary_parts(form).items():
+            for p, part in part_forms(form).items():
                 iso = fqf.isotropic_elements(part)
                 isotropic *= len(iso)
                 if p == 2:
                     fixed = sum(1 for x in iso if part.smul(2, x) == part.zero)
             scanned = (isotropic + fixed) // 2
             assert fqf.isotropic_pm1_count(form) == scanned == cusps.nu_formula(case), case
+
+    # 5040 = 2^4 3^2 5 7 split and 5775 = 3 5^2 7 11 non-split: four parts each
+    @pytest.mark.parametrize("case", [cusps.PolarizationCase(5040, "split"),
+                                      cusps.PolarizationCase(5775, "nonsplit")])
+    def test_the_count_builds_no_form_and_no_matrix(self, monkeypatch, case):
+        form = cusps.disc_model(case).form
+        built = []
+        for cls in (fqf.FiniteQuadraticForm, IntMatrix):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert fqf.isotropic_pm1_count(form, primes=case.primes) == cusps.nu_formula(case)
+        assert built == []
+        # the counters count: the oracle builds a form, and its matrix, per part
+        assert isotropic_pm1_count_by_forms(form, primes=case.primes) == cusps.nu_formula(case)
+        assert built == ["FiniteQuadraticForm", "IntMatrix"] * 4
 
     def test_depends_only_on_dprime_and_k(self):
         # same (d', k) pairs give the same count
@@ -214,7 +234,7 @@ def _tuple_reps(model, count):
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             reps.append(cusps.OrbitRep(m, n))
             elements.append(x)
-    if len({min(x, form.neg(x)) for x in elements}) != len(reps):
+    if len({min(x, form.smul(-1, x)) for x in elements}) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
@@ -399,7 +419,7 @@ def _genus_first_choice(case, cand):
         if not fqf.are_isometric(fqf.perp_quotient(gd0.disc, s), target)[0]:
             continue
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
-        if certifiable and not glue.glue_adds_roots(gd):
+        if certifiable and not adds_roots(gd):
             return s
         if max(words) > last:
             chosen, last = s, max(words)

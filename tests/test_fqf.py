@@ -7,7 +7,7 @@ from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import group_claims
 from cuspidal import cusps, fqf, glue
@@ -16,15 +16,15 @@ from cuspidal.exact import IntMatrix, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from form_oracles import direct_sum_form, mod_pm1
 from kernel_oracles import (
-    generated_form_by_products, isotropic_by_filter, primary_parts_by_products,
-    scaled_lift_dense,
+    generated_form_by_products, isotropic_by_filter, isotropic_pm1_count_by_forms, primary_parts,
+    primary_parts_by_products, scaled_lift_dense,
 )
 from fraction_oracles import (
     bareiss_det, fraction_presentation, over_common_denominator, rational_inverse,
 )
 from helpers import (
-    a_n_core, b_matrix, b_value, class_key, class_of, form_from_json, fraction_form, q_diagonal,
-    q_value, rational_lift,
+    a_n_core, b_matrix, b_value, class_key, class_of, form_from_json, fraction_form, part_forms,
+    q_diagonal, q_value, rational_lift,
 )
 
 HALF = Fraction(-1, 2)
@@ -349,7 +349,7 @@ class TestIsometryAndGroups:
         a = fqf.discriminant_form(lat.make_standard("B", 7))
         ok, witness = fqf.are_isometric(a, a)
         assert ok
-        assert fqf.apply_map(a, witness, (1,)) in [(1,), a.neg((1,))]
+        assert fqf.apply_map(a, witness, (1,)) in [(1,), a.smul(-1, (1,))]
 
     def test_equivalence_relation(self):
         pool = [
@@ -662,7 +662,7 @@ class TestFormsWithoutProducts:
         form = fqf._generated_form(gram, level, rows, orders, src)
         assert form == generated_form_by_products(gram, level, rows, orders, src)
         assert form == fqf.discriminant_form(L)
-        assert fqf.primary_parts(form, primes) == primary_parts_by_products(form, primes)
+        assert part_forms(form, primes) == primary_parts_by_products(form, primes)
 
     @settings(deadline=None, max_examples=80)
     @given(_atom_sums(4))
@@ -690,7 +690,7 @@ class TestFormsWithoutProducts:
 
     def test_a_missed_prime_raises_the_same_error(self):
         form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
-        for parts in (fqf.primary_parts, primary_parts_by_products):
+        for parts in (part_forms, primary_parts_by_products):
             with pytest.raises(InternalError, match="miss a prime"):
                 parts(form, (2, 5))
 
@@ -761,7 +761,7 @@ class TestPrimaryParts:
     @given(small_forms)
     def test_parts_rebuild_the_form_and_count_its_isotropic_classes(self, form):
         assume(form is not None and form.cardinality <= 400)
-        parts = fqf.primary_parts(form)
+        parts = part_forms(form)
         assert set(parts) == set(factorize(form.cardinality))
         assert all(set(factorize(part.cardinality)) == {p} for p, part in parts.items())
         assert prod(part.cardinality for part in parts.values()) == form.cardinality
@@ -771,11 +771,11 @@ class TestPrimaryParts:
 
     def test_given_primes_may_exceed_the_level_but_not_miss_a_prime(self):
         form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
-        parts = fqf.primary_parts(form)
-        assert fqf.primary_parts(form, (7, 2, 5, 3)) == parts
+        parts = part_forms(form)
+        assert part_forms(form, (7, 2, 5, 3)) == parts
         assert fqf.isotropic_pm1_count(form, primes=(2, 3, 5)) == fqf.isotropic_pm1_count(form)
         with pytest.raises(InternalError, match="miss a prime"):
-            fqf.primary_parts(form, (2, 5))
+            part_forms(form, (2, 5))
 
     def test_bound_caps_each_part_and_names_it(self):
         # (Z/2)^3 with q = (1/2, 3/2, 0): the cofactor (Z/2)^2 of the last
@@ -789,6 +789,43 @@ class TestPrimaryParts:
         # cyclic parts scan nothing, whatever their order
         cyclic = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
         assert fqf.isotropic_pm1_count(cyclic, bound=1) == fqf.isotropic_pm1_count(cyclic)
+
+
+class TestCountAgainstOneFormPerPart:
+    """``fqf.isotropic_pm1_count`` on the integer p-parts against the same
+    count on one ``FiniteQuadraticForm`` per p-part (``kernel_oracles``)."""
+
+    def _check(self, form, primes=None, bound=fqf.ENUM_BOUND):
+        """Equal parts, and the same count or the same GroupTooLarge text."""
+        assert part_forms(form, primes) == primary_parts(form, primes)
+        outcomes = []
+        for count in (fqf.isotropic_pm1_count, isotropic_pm1_count_by_forms):
+            try:
+                outcomes.append(count(form, bound, primes))
+            except GroupTooLarge as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(_atom_sums(4), _A_N_CORES))
+    def test_forms_with_several_primes_and_a_non_cyclic_part(self, L):
+        form = fqf.discriminant_form(L)
+        parts = part_forms(form)
+        assume(len(parts) >= 2 and any(part.rank > 1 for part in parts.values()))
+        # a small bound keeps each scan short; past it both name the same part
+        event("counted" if isinstance(self._check(form, bound=2000), int) else "bounded")
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(
+        st.integers(1, 10**12).map(lambda d: cusps.PolarizationCase(d, "split")),
+        st.integers(0, (10**12 - 3) // 4).map(
+            lambda j: cusps.PolarizationCase(4 * j + 3, "nonsplit")),
+    ))
+    def test_a_n_up_to_d_of_ten_to_the_twelve(self, case):
+        # far past any scan of the group: the split A_N has order 4d
+        form = cusps.disc_model(case).form
+        assert self._check(form, case.primes) == self._check(form) == cusps.nu_formula(case)
 
 
 class TestLastCoordinate:

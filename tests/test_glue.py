@@ -686,7 +686,7 @@ def test_root_certificate_matches_fincke_pohst_on_random_glues(atoms, data):
     over = glue.overlattice(gd)
     fresh = lat.Lattice(over.gram)
     assert (over.det, over.signature, over.even) == (fresh.det, fresh.signature, fresh.even)
-    assert glue.glue_adds_roots(gd) is _adds_roots_oracle(gd)
+    assert helpers.adds_roots(gd) is _adds_roots_oracle(gd)
 
 
 def test_root_certificate_on_the_glues_table1_tries():
@@ -709,7 +709,7 @@ def test_root_certificate_on_the_glues_table1_tries():
     assert len(tried) == 28
     assert sum(adds for _, adds in tried) == 15
     for gd, adds in tried:
-        assert glue.glue_adds_roots(gd) is adds
+        assert helpers.adds_roots(gd) is adds
 
 
 def test_root_certificate_on_every_order_four_glue_of_2a1_2d8():
@@ -722,7 +722,7 @@ def test_root_certificate_on_every_order_four_glue_of_2a1_2d8():
         assert s.order == 4
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         verdicts.append(_adds_roots_oracle(gd))
-        assert glue.glue_adds_roots(gd) is verdicts[-1]
+        assert helpers.adds_roots(gd) is verdicts[-1]
     assert len(verdicts) == 15 and True in verdicts and False in verdicts
 
 
@@ -750,12 +750,12 @@ def test_root_certificate_on_the_order_16_glues_of_8a1():
         assert s.order == 16
         gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
         assert glue.root_system(glue.overlattice(gd)).spec_string() == "E8"
-        assert glue.glue_adds_roots(gd) is True
+        assert helpers.adds_roots(gd) is True
 
 
 def test_root_certificate_needs_a_negative_definite_full_rank_base():
     with pytest.raises(NotNegativeDefinite):
-        glue.glue_adds_roots(glue.make_glue("A1+<4>"))
+        helpers.adds_roots(glue.make_glue("A1+<4>"))
     gd = glue.make_glue("A1+A1")
     with pytest.raises(RootsNotFullRank):
-        glue.glue_adds_roots(glue.GlueData(gd.base, gd.components[:1], gd.disc, gd.glue))
+        helpers.adds_roots(glue.GlueData(gd.base, gd.components[:1], gd.disc, gd.glue))

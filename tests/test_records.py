@@ -23,7 +23,7 @@ from cuspidal.errors import (
     NotIsotropic,
 )
 from embedding_oracles import build_polarized
-from helpers import tau_image
+from helpers import basis, glue_of, tau_image
 
 
 def _records():
@@ -32,11 +32,11 @@ def _records():
     L = lat.parse_name("U+A2")
     smith = exact.smith_normal_form(L.gram)
     a2 = fqf.discriminant_form(lat.make_standard("A", 2))
-    gd = glue.make_glue("4A1", [(1, 1, 1, 1)])
+    gd = glue_of("4A1", [(1, 1, 1, 1)])
     quotient = fqf.perp_quotient(gd.disc, gd.glue)
     qsource = quotient.source
-    split = claims.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
-    rho = group_claims.reflection(L, L.basis_vector(2))
+    split = claims.splitting_from(L, basis(L)[:2])
+    rho = group_claims.reflection(L, basis(L)[2])
     case = cusps.PolarizationCase(12, "split")
     row = cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"))[0]
     zero = cusps.zero_dim_report(case)
@@ -130,7 +130,7 @@ def test_lattice_vector_coerces_coordinates():
     v = lat.make_standard("A", 2).vector([Fraction(4, 2), Fraction(1, 2)])
     assert v.coords == (2, Fraction(1, 2)) and type(v.coords[0]) is int
     assert v.is_integral is False
-    assert -v == lat.make_standard("A", 2).vector([-2, Fraction(-1, 2)])
+    assert -1 * v == lat.make_standard("A", 2).vector([-2, Fraction(-1, 2)])
     assert 2 * v == v * 2 == lat.make_standard("A", 2).vector([4, 1])
 
 
@@ -146,9 +146,9 @@ class TestValidatingConstructors:
 
     def test_orthogonal_splitting(self):
         L = lat.parse_name("U+A2")
-        split = claims.splitting_from(L, [L.basis_vector(0), L.basis_vector(1)])
+        split = claims.splitting_from(L, basis(L)[:2])
         M = lat.parse_name("U+A1+A1")
-        foreign = claims.splitting_from(M, [M.basis_vector(0), M.basis_vector(1)])
+        foreign = claims.splitting_from(M, basis(M)[:2])
         with pytest.raises(MixedLattices):
             claims.OrthogonalSplitting(L, split.left, foreign.right)
         with pytest.raises(BadParameter):
