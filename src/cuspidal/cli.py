@@ -276,15 +276,14 @@ def _cmd_cusp_sweep(args) -> int:
 def _cmd_glue_enum(args) -> int:
     if args.order is not None and args.order < 1:
         raise BadParameter(f"--order must be a positive integer, got {args.order}")
-    gd0 = glue.make_glue(args.roots)
-    subs = fqf.isotropic_subgroups(gd0.disc, args.bound)
+    gd = glue.make_glue(args.roots)
+    subs = fqf.isotropic_subgroups(gd.disc, args.bound)
     if args.order is not None:
         subs = [s for s in subs if s.order == args.order]
     rows = []
     for s in subs:
-        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
-        over = glue.overlattice(gd)
-        quotient = fqf.perp_quotient(gd0.disc, s)
+        over = glue.overlattice(gd, s)
+        quotient = fqf.perp_quotient(gd.disc, s)
         row = {
             "generators": [list(g) for g in s.generators],
             "order": s.order,
@@ -295,7 +294,7 @@ def _cmd_glue_enum(args) -> int:
         if args.roots_of_overlattice:
             row["roots"] = glue.root_system(over).spec_string()
         rows.append(row)
-    obj = {"base": args.roots, "base_det": gd0.base.det, "glues": rows}
+    obj = {"base": args.roots, "base_det": gd.base.det, "glues": rows}
     if args.format == "json":
         _emit(_dump_json(obj), args.out)
     else:

@@ -320,9 +320,9 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
     """The row of one candidate, with ``im_tau`` but without |O(A_E)|, which
     ``one_dim_cusps`` takes from the target form ``predicted_AE(case, 1)``."""
     target_det = det_E(case, 1)
-    gd0 = glue_mod.make_glue(cand.roots)
-    base_det = abs(gd0.base.det)
-    if gd0.base.rank != 18:
+    gd = glue_mod.make_glue(cand.roots)
+    base_det = abs(gd.base.det)
+    if gd.base.rank != 18:
         return OneDimRow(cand, False, False, note="rank is not 18")
     if base_det % target_det:
         return OneDimRow(cand, False, False, note="determinant mismatch")
@@ -332,12 +332,12 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
         return OneDimRow(cand, False, False, note="no glue order gives the target determinant")
     declared = glue_mod.root_system_from_spec(cand.roots)
     if cand.glue_gens is not None:
-        subgroups = [fqf.subgroup_span(gd0.disc, cand.glue_gens)]
+        subgroups = [fqf.subgroup_span(gd.disc, cand.glue_gens)]
     else:
         subgroups = [
-            s for s in fqf.isotropic_subgroups(gd0.disc, bound) if s.order == h_order
+            s for s in fqf.isotropic_subgroups(gd.disc, bound) if s.order == h_order
         ]
-    if gd0.base.signature != (0, 18):
+    if gd.base.signature != (0, 18):
         subgroups = []  # a finite-index overlattice has the signature of its base
     elif cand.glue_gens is not None:
         fqf.require_isotropic(subgroups[0])  # the error perp_quotient gives
@@ -354,34 +354,32 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
     # whose roots are enumerated to name them.  Im tau is computed only for
     # the returned glue.  The coset minima depend on the base only, so they
     # are built once for all its orbits, when it has any.
-    certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
-    actions = glue_mod._generator_actions(gd0)
+    certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
+    actions = glue_mod._generator_actions(gd)
     orbits = glue_mod._glue_orbits(actions, subgroups)
     chosen, rs, unchecked = None, None, orbits
     if certifiable:
         unchecked = []
-        minima = glue_mod._coset_minima(gd0) if orbits else None
+        minima = glue_mod._coset_minima(gd) if orbits else None
         for orbit in orbits:
-            gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, orbit[0])
-            if glue_mod.glue_adds_roots(gd, minima):
+            if glue_mod.glue_adds_roots(gd, orbit[0], minima):
                 unchecked.append(orbit)
                 continue
-            quotient = fqf.perp_quotient(gd0.disc, orbit[0])
+            quotient = fqf.perp_quotient(gd.disc, orbit[0])
             if fqf.are_isometric(quotient, target_form, bound)[0]:
                 chosen, rs = (quotient, orbit), declared
                 break
     if chosen is None:
         last = ()
         for orbit in unchecked:
-            quotient = fqf.perp_quotient(gd0.disc, orbit[0])
+            quotient = fqf.perp_quotient(gd.disc, orbit[0])
             if fqf.are_isometric(quotient, target_form, bound)[0] and max(orbit[1]) > last:
                 chosen, last = (quotient, orbit), max(orbit[1])
     if chosen is None:
         return OneDimRow(cand, False, False, note="no isotropic glue realizes the target genus")
     quotient, orbit = chosen
     if rs is None:
-        gd = glue_mod.GlueData(gd0.base, gd0.components, gd0.disc, orbit[0])
-        rs = glue_mod.root_system(glue_mod.overlattice(gd))
+        rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]))
     tau = glue_mod.image_of_tau(quotient, orbit, actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)

@@ -242,7 +242,7 @@ class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_row
         """Coordinates of an ambient-lattice row modulo the sublattice."""
         y = hnf_coords(self.ambient_rows, row)
         if y is None:
-            raise ValueError("row is not in the ambient row lattice")
+            raise InternalError("row is not in the ambient row lattice")
         z = self.vmat_t.apply(y)  # row-vector times V
         return tuple(map(mod, z, self.orders))
 
@@ -257,11 +257,11 @@ def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
     for row in sub_rows.data:
         y = hnf_coords(P, row)
         if y is None:
-            raise ValueError("sublattice is not contained in the ambient lattice")
+            raise InternalError("sublattice is not contained in the ambient lattice")
         srows.append(y)
     s = IntMatrix(hnf_rows(srows))
     if s.rows != P.rows:
-        raise ValueError("sublattice must have finite index")
+        raise InternalError("sublattice must have finite index")
     snf = smith_normal_form(s)
     # L S R = D gives R^-1 = D^-1 (L S), an exact division row by row
     vinv = [[x // d for x in row] for row, d in zip((snf.left @ s).data, snf.diag)]
@@ -326,10 +326,16 @@ def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
 
 
 def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
-    """Raise NotIsotropic, naming ``what``, unless q vanishes on the subgroup."""
-    form = subgroup.form
-    if any(form.q_scaled(x) for x in subgroup.elements):
-        raise NotIsotropic(f"{what} is not isotropic")
+    """Raise NotIsotropic, naming ``what``, unless q vanishes on the subgroup.
+
+    As q(sum a_i g_i) = sum a_i^2 q(g_i) + 2 sum_(i<j) a_i a_j b(g_i, g_j),
+    q vanishes on the span of generators g_1, ..., g_k exactly when every
+    q(g_i) and every b(g_i, g_j) does: k(k + 1)/2 pairings of the canonical
+    generators, and no element of the subgroup read."""
+    form, gens = subgroup.form, subgroup.generators
+    for i, g in enumerate(gens):
+        if form.q_scaled(g) or any(form.gram.bilinear(g, h) % form.level for h in gens[:i]):
+            raise NotIsotropic(f"{what} is not isotropic")
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 An isotropic subgroup H of the discriminant form of an even lattice R
 determines the even overlattice L_H, the preimage of H in R*; its
 discriminant form is H^perp/H (Brieskorn) and det L_H = det R / |H|^2.
-``overlattice`` takes the signature of L_H from R and its determinant
-from the Hermite basis it builds, so no Gram here is eliminated; the
-one elimination left, ``exact.det_and_signature``, types each
-component of a root system by its Cartan determinant.
+``GlueData`` holds R, its components and A_R, and the glue H is passed
+beside it: ``overlattice`` and ``glue_adds_roots`` each check once that H
+is an isotropic subgroup of A_R, from its generators.  ``overlattice``
+takes the signature of L_H from R and its determinant from the Hermite
+basis it builds, so no Gram here is eliminated; the one elimination
+left, ``exact.det_and_signature``, types each component of a root system
+by its Cartan determinant.
 
 Root enumeration uses exact Fincke-Pohst on integers: LLL
 preconditioning, then a depth-first search whose remaining norm is
@@ -47,9 +50,9 @@ stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
 t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
 a Schreier tree carrying H to K, whose inverse is the reversed word.
 These are evaluated on lifts of the generators of A_E only and closed in
-O(A_E).  Whether this group always gives the full image of tau is
-recorded as an assumption, so dependent counts are reported as
-conditional.
+O(A_E), and ``image_of_tau`` returns the sorted maps.  Whether this group
+always gives the full image of tau is recorded as an assumption, so
+dependent counts are reported as conditional.
 """
 
 from collections import namedtuple
@@ -69,6 +72,7 @@ from .errors import (
 from .exact import IntMatrix, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce
 from .fqf import (
     FiniteQuadraticForm,
+    FqfSubgroup,
     QuotientSource,
     apply_map,
     compose_maps,
@@ -76,7 +80,6 @@ from .fqf import (
     identity_map,
     project_to_quotient,
     require_isotropic,
-    trivial_subgroup,
 )
 from .lattice import (
     Lattice, LatticeVector, check_signed_permutation, direct_sum, make_standard,
@@ -124,43 +127,44 @@ def root_sum_base(spec: str):
     return direct_sum(*(_component_lattice(c.kind, c.param) for c in comps)), tuple(comps)
 
 
-class GlueData(namedtuple("GlueData", "base components disc glue")):
-    """A base lattice, its ``Component``s, its discriminant form ``disc`` and
-    an isotropic subgroup ``glue`` of it."""
+class GlueData(namedtuple("GlueData", "base components disc")):
+    """A base lattice, its ``Component``s and its discriminant form ``disc``,
+    in which a glue is a subgroup passed beside the record."""
 
     __slots__ = ()
 
-    def __new__(cls, base, components, disc, glue):
-        if glue.form != disc:
-            raise BadParameter("glue subgroup does not live in the base discriminant")
-        require_isotropic(glue, "glue subgroup")
-        return tuple.__new__(cls, (base, components, disc, glue))
-
 
 def make_glue(spec: str) -> GlueData:
-    """The base of ``spec`` with the trivial glue."""
+    """The base of ``spec``, its components and its discriminant form."""
     base, comps = root_sum_base(spec)
-    disc = discriminant_form(base)
-    return GlueData(base, comps, disc, trivial_subgroup(disc))
+    return GlueData(base, comps, discriminant_form(base))
+
+
+def _require_glue(gd: GlueData, glue: FqfSubgroup) -> None:
+    """Raise unless ``glue`` is an isotropic subgroup of the base discriminant."""
+    if glue.form != gd.disc:
+        raise BadParameter("glue subgroup does not live in the base discriminant")
+    require_isotropic(glue, "glue subgroup")
 
 
 # ---------------------------------------------------------------------------
 # overlattices
 
 
-def overlattice(gd: GlueData) -> Lattice:
-    """Even overlattice determined by the glue: preimage of H in R*.
+def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
+    """Even overlattice of the base glued along ``glue``: preimage of H in R*.
 
     Its invariants come from the construction, with no elimination: the
     signature is the base's, and the basis B / den, for B the Hermite
     basis of den R + (den times the glue lifts), has Gram B G B^T / den^2,
     so det = det R (prod of the pivots of B)^2 / den^(2n)."""
+    _require_glue(gd, glue)
     base = gd.base
     n = base.rank
     # den times the glue lifts, with den the level of A_R, are integer rows
     den = gd.disc.level
     int_rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
-    int_rows += [list(gd.disc.source.scaled_lift(g, den)) for g in gd.glue.generators]
+    int_rows += [list(gd.disc.source.scaled_lift(g, den)) for g in glue.generators]
     # B = den * (overlattice basis in R coordinates), an integer matrix
     basis = IntMatrix(hnf_rows(int_rows))
     if basis.rows != n:
@@ -375,19 +379,20 @@ def _coset_minima(gd: GlueData) -> list:
     return blocks
 
 
-def glue_adds_roots(gd: GlueData, blocks) -> bool:
-    """True when the overlattice of the glue has a root outside the base.
+def glue_adds_roots(gd: GlueData, glue: FqfSubgroup, blocks) -> bool:
+    """True when the overlattice of ``glue`` has a root outside the base.
 
-    Works from the glue data alone: the coset h + R of each h != 0 in H
-    has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level.
+    Works from the base and the glue alone: the coset h + R of each h != 0
+    in H has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level.
     ``blocks`` are the ``_coset_minima`` of the base, which depend on the
     base only; a caller that tries several glues of one base builds them
     once and passes them.
     """
     if sum(c.rank for c in gd.components) != gd.base.rank:
         raise RootsNotFullRank("components do not span the base lattice")
+    _require_glue(gd, glue)
     level = gd.disc.level
-    for h in gd.glue.elements:
+    for h in glue.elements:
         if not any(h):
             continue
         lift = gd.disc.source.scaled_lift(h, level)  # level times a vector of R*
@@ -411,22 +416,15 @@ def glue_adds_roots(gd: GlueData, blocks) -> bool:
 # image of tau: O(E) -> O(A_E) via diagram/permutation/unit generators
 
 
-class TauImage(namedtuple("TauImage", "quotient_form maps conditional note")):
-    """Im tau on ``quotient_form`` A_E = H^perp/H; ``maps`` are the induced
-    maps on A_E, as tuples of generator images."""
+class TauImage(namedtuple("TauImage", "maps")):
+    """Im tau as its sorted ``maps`` on A_E, tuples of generator images;
+    ``size``, their number, is what ``bench/spans.py`` sums."""
 
     __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.maps)
-
-
-_TAU_NOTE = (
-    "computed from diagram automorphisms, permutations of isomorphic "
-    "components and unit sign flips stabilizing the glue; assumes these "
-    "generate the full image of O(E) on the discriminant form"
-)
 
 
 def _diagram_permutations(comp: Component, n: int) -> list:
@@ -479,8 +477,9 @@ def _tau_signed_permutations(gd: GlueData) -> list:
 
 
 class _ActionImages(dict):
-    """The images under one action on A_R, given by generator images, by
-    reduced element: an image is computed at its first lookup and kept."""
+    """The action on A_R of one tau generator, given by its generator
+    ``images``, as a dict from reduced elements to their images: an image is
+    computed at its first lookup and kept for the one glue search."""
 
     __slots__ = ("disc", "images")
 
@@ -493,21 +492,9 @@ class _ActionImages(dict):
         return y
 
 
-class _TauActions(tuple):
-    """The actions on A_R of the tau generators, as generator images, with
-    the image of each element under each action computed once: ``memo[g]``
-    maps x to its image under action g, and lives as long as the actions of
-    one glue search."""
-
-    def __new__(cls, disc: FiniteQuadraticForm, maps):
-        self = super().__new__(cls, maps)
-        self.memo = tuple(_ActionImages(disc, m) for m in self)
-        return self
-
-
-def _generator_actions(gd: GlueData) -> _TauActions:
-    """The actions on A_R of the tau generators (``_tau_signed_permutations``),
-    as generator images.
+def _generator_actions(gd: GlueData) -> tuple:
+    """The ``_ActionImages`` of the tau generators (``_tau_signed_permutations``)
+    on A_R.
 
     The image of generator i under g has coordinates (U G g V)_ki / d_i mod
     d_k, for the kept Smith positions i and k.  The kept Smith rows K of U G
@@ -525,12 +512,13 @@ def _generator_actions(gd: GlueData) -> _TauActions:
         if any(p[p[j]] != j or s[p[j]] != s[j] for j in range(len(s))):
             raise InternalError("tau generator is not an involution")
         KM = [[sj * row[pj] for pj, sj in zip(p, s)] for row in K]
-        actions.append(tuple(tuple(sum(map(mul, r, col)) // d[i] % d[k] for r, k in zip(KM, kept))
-                             for col, i in zip(cols, kept)))
-    return _TauActions(gd.disc, actions)
+        actions.append(_ActionImages(gd.disc, tuple(
+            tuple(sum(map(mul, r, col)) // d[i] % d[k] for r, k in zip(KM, kept))
+            for col, i in zip(cols, kept))))
+    return tuple(actions)
 
 
-def _glue_orbits(actions: _TauActions, subgroups) -> list:
+def _glue_orbits(actions, subgroups) -> list:
     """(least member, words, edges) of each orbit of the sorted glues
     ``subgroups`` under ``actions``, in the order of the least members:
     ``words`` maps each glue K of the orbit (its sorted elements) to the
@@ -542,8 +530,7 @@ def _glue_orbits(actions: _TauActions, subgroups) -> list:
             continue
         words, edges, queue = {s.elements: ()}, {}, [s.elements]
         for key in queue:
-            edges[key] = tuple(tuple(sorted(map(memo.__getitem__, key)))
-                               for memo in actions.memo)
+            edges[key] = tuple(tuple(sorted(map(memo.__getitem__, key))) for memo in actions)
             for g, image in enumerate(edges[key]):
                 if image not in words:
                     words[image] = words[key] + (g,)
@@ -552,10 +539,12 @@ def _glue_orbits(actions: _TauActions, subgroups) -> list:
     return orbits
 
 
-def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions: _TauActions) -> TauImage:
+def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions) -> TauImage:
     """Subgroup of O(A_E) induced by the stabilizer of the glue in the group
     of the tau generators (``_tau_signed_permutations``), from its Schreier
-    generators.
+    generators.  That diagram automorphisms, permutations of isomorphic
+    components and unit sign flips generate the full image of O(E) on the
+    discriminant form is assumed, so the counts built on it are conditional.
 
     ``orbit`` is an orbit of ``_glue_orbits`` under ``actions``, rooted at
     the glue H, and ``quotient`` is H^perp/H from ``perp_quotient``, whose
@@ -570,12 +559,12 @@ def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions: _TauActions) -> 
     fwd = {next(iter(words)): lifts}  # t_K of the lifts, K in tree order
     for key, word in words.items():
         for g, image in enumerate(edges[key]):
-            xs = tuple(map(actions.memo[g].__getitem__, fwd[key]))
+            xs = tuple(map(actions[g].__getitem__, fwd[key]))
             if words[image] == word + (g,):
                 fwd[image] = xs
                 continue
             for h in reversed(words[image]):  # t^-1 is the reversed word
-                xs = tuple(map(actions.memo[h].__getitem__, xs))
+                xs = tuple(map(actions[h].__getitem__, xs))
             schreier.add(xs)
     gens = {tuple(project_to_quotient(quotient, x) for x in xs) for xs in schreier} - {ident}
     group, queue = {ident}, [ident]
@@ -589,4 +578,4 @@ def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions: _TauActions) -> 
         for x in quotient.elements():
             if quotient.q_scaled(apply_map(quotient, f, x)) != quotient.q_scaled(x):
                 raise InternalError("induced map does not preserve q")
-    return TauImage(quotient, tuple(sorted(group)), True, _TAU_NOTE)
+    return TauImage(tuple(sorted(group)))

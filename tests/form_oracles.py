@@ -1,8 +1,10 @@
 """Operations on finite quadratic forms that no command runs, for the tests.
 
 The orthogonal direct sum of forms, which ``group_claims.t_set`` and the
-tests build, and one representative per {x, -x} orbit, the listing that
-``fqf.isotropic_pm1_count`` counts without listing.
+tests build, one representative per {x, -x} orbit, the listing that
+``fqf.isotropic_pm1_count`` counts without listing, and isotropy of a
+subgroup by a scan of its elements, which ``fqf.require_isotropic``
+decides from the generators.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 from math import lcm
 
 from cuspidal.exact import IntMatrix
-from cuspidal.fqf import FiniteQuadraticForm, _generated_form, _row_quotient, trivial_form
+from cuspidal.fqf import (
+    FiniteQuadraticForm, FqfSubgroup, _generated_form, _row_quotient, trivial_form,
+)
 
 
 def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
@@ -43,3 +47,8 @@ def mod_pm1(form: FiniteQuadraticForm, elems) -> list:
         seen.add(mx)
         reps.append(min(x, mx))
     return sorted(reps)
+
+
+def isotropic_by_scan(subgroup: FqfSubgroup) -> bool:
+    """True when q vanishes on every element of the subgroup, each evaluated."""
+    return not any(subgroup.form.q_scaled(x) for x in subgroup.elements)

@@ -138,22 +138,22 @@ def basis(L) -> list:
 
 
 def glue_of(spec: str, gens):
-    """``glue.make_glue(spec)`` with the glue spanned by ``gens``."""
+    """``glue.make_glue(spec)`` and the glue spanned by ``gens`` in it."""
     gd = glue.make_glue(spec)
-    return glue.GlueData(gd.base, gd.components, gd.disc, fqf.subgroup_span(gd.disc, gens))
+    return gd, fqf.subgroup_span(gd.disc, gens)
 
 
-def adds_roots(gd) -> bool:
+def adds_roots(gd, glue_sub) -> bool:
     """``glue.glue_adds_roots`` with the coset minima of the base built here."""
-    return glue.glue_adds_roots(gd, glue._coset_minima(gd))
+    return glue.glue_adds_roots(gd, glue_sub, glue._coset_minima(gd))
 
 
 # ---------------------------------------------------------------------------
 # Im tau and isometries
 
 
-def base_in_overlattice(gd) -> IntMatrix:
-    """Rows: the base basis in the coordinates of ``glue.overlattice(gd)``.
+def base_in_overlattice(gd, glue_sub) -> IntMatrix:
+    """Rows: the base basis in the coordinates of ``glue.overlattice(gd, glue_sub)``.
 
     The overlattice basis is B / den, for B the Hermite basis of den R
     plus den times the glue lifts and den the level of A_R; row i is the
@@ -161,17 +161,20 @@ def base_in_overlattice(gd) -> IntMatrix:
     n, den = gd.base.rank, gd.disc.level
     unit = [[den * int(i == j) for j in range(n)] for i in range(n)]
     basis = IntMatrix(hnf_rows(unit + [gd.disc.source.scaled_lift(g, den)
-                                       for g in gd.glue.generators]))
+                                       for g in glue_sub.generators]))
     return IntMatrix([hnf_coords(basis, row) for row in unit])
 
 
-def tau_image(gd, quotient=None):
-    """Im tau of the glue of ``gd``: ``glue.image_of_tau`` on the orbit of
-    the glue alone; ``quotient`` may be its perp quotient, built already."""
+def tau_image(gd, glue_sub=None, quotient=None):
+    """Im tau of the glue ``glue_sub`` of the base ``gd`` (trivial when None):
+    ``glue.image_of_tau`` on the orbit of the glue alone; ``quotient`` may
+    be its perp quotient, built already."""
+    if glue_sub is None:
+        glue_sub = fqf.trivial_subgroup(gd.disc)
     if quotient is None:
-        quotient = fqf.perp_quotient(gd.disc, gd.glue)
+        quotient = fqf.perp_quotient(gd.disc, glue_sub)
     actions = glue._generator_actions(gd)
-    orbit, = glue._glue_orbits(actions, [gd.glue])
+    orbit, = glue._glue_orbits(actions, [glue_sub])
     return glue.image_of_tau(quotient, orbit, actions)
 
 

@@ -185,25 +185,24 @@ def test_criterion_8_conditional_im_tau(table1):
         assert r["conditional"] is True
     # re-verify two representative rows through the fqf machinery directly
     for spec in ("2E8+2A1", "A17+A1"):
-        gd0 = glue.make_glue(spec)
+        gd = glue.make_glue(spec)
         target = cusps.predicted_AE(cusps.PolarizationCase(1, "split"), 1)
-        order = math.isqrt(abs(gd0.base.det) // 4)
+        order = math.isqrt(abs(gd.base.det) // 4)
         sub = next(
             s
-            for s in fqf.isotropic_subgroups(gd0.disc)
+            for s in fqf.isotropic_subgroups(gd.disc)
             if s.order == order
-            and fqf.are_isometric(fqf.perp_quotient(gd0.disc, s), target)[0]
+            and fqf.are_isometric(fqf.perp_quotient(gd.disc, s), target)[0]
         )
-        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, sub)
-        tau = tau_image(gd)
-        maps = set(tau.maps)
-        ident = fqf.identity_map(tau.quotient_form)
+        quotient = fqf.perp_quotient(gd.disc, sub)
+        maps = set(tau_image(gd, sub, quotient).maps)
+        ident = fqf.identity_map(quotient)
         assert ident in maps
         for f in maps:
-            assert fqf.compose_maps(tau.quotient_form, f, f) in maps
-            for x in tau.quotient_form.elements():
-                fx = fqf.apply_map(tau.quotient_form, f, x)
-                assert q_value(tau.quotient_form, fx) == q_value(tau.quotient_form, x)
+            assert fqf.compose_maps(quotient, f, f) in maps
+            for x in quotient.elements():
+                fx = fqf.apply_map(quotient, f, x)
+                assert q_value(quotient, fx) == q_value(quotient, x)
     print("ACCEPTANCE 8: PASS - per-row |O(A_E)| and Im tau computed, "
           "internally consistent, and flagged conditional")
 
@@ -221,9 +220,8 @@ _GLUE_POOL_SPECS = (
 def _glue_pool():
     pairs = []
     for spec in _GLUE_POOL_SPECS:
-        gd0 = glue.make_glue(spec)
-        for s in fqf.isotropic_subgroups(gd0.disc):
-            pairs.append((glue.GlueData(gd0.base, gd0.components, gd0.disc, s)))
+        gd = glue.make_glue(spec)
+        pairs += [(gd, s) for s in fqf.isotropic_subgroups(gd.disc)]
     return pairs
 
 
@@ -239,10 +237,10 @@ _LATTICE_POOL = [
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, len(GLUE_POOL) - 1))
 def test_criterion_7a_overlattice_determinant(idx):
-    gd = GLUE_POOL[idx]
-    over = glue.overlattice(gd)
-    assert over.det * gd.glue.order**2 == gd.base.det
-    pq = fqf.perp_quotient(gd.disc, gd.glue)
+    gd, s = GLUE_POOL[idx]
+    over = glue.overlattice(gd, s)
+    assert over.det * s.order**2 == gd.base.det
+    pq = fqf.perp_quotient(gd.disc, s)
     assert fqf.are_isometric(fqf.discriminant_form(over), pq)[0]
 
 

@@ -317,6 +317,17 @@ class TestInputErrors:
         assert captured.err.startswith("internal error: ")
         assert captured.err.count("\n") == 1
 
+    def test_broken_quotient_invariant_exits_three(self, capsys, monkeypatch):
+        from cuspidal import fqf
+
+        # no row has coordinates in the Hermite basis of H^perp any more
+        monkeypatch.setattr(fqf, "hnf_coords", lambda basis, row: None)
+        code = run(["glue", "enum", "--roots", "4A3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("internal error: sublattice is not contained "
+                                "in the ambient lattice\n")
+
 
 class TestCuspOneFlags:
     def test_genus_and_roots_reported_separately(self, capsys, tmp_path):
@@ -663,6 +674,9 @@ GOLDENS = [
     (["cusp", "sweep", "--d", "1..400", "--format", "md"], "cusp_sweep_d1-400.md"),
     (["cusp", "sweep", "--d", "3..399", "--case", "nonsplit", "--format", "md"],
      "cusp_sweep_d3-399_nonsplit.md"),
+    # the 30 E8 overlattices of 8A1, each glue passed beside the one base
+    (["glue", "enum", "--roots", "8A1", "--order", "16", "--roots-of-overlattice"],
+     "glue_enum_8A1_order16_roots.json"),
 ]
 
 

@@ -410,16 +410,15 @@ def _genus_first_choice(case, cand):
     unless a <-2> summand rules it out; the first orbit that passes both,
     else the matching orbit with the greatest member (the last match)."""
     target = cusps.predicted_AE(case, 1)
-    gd0 = glue.make_glue(cand.roots)
-    h_order = isqrt(abs(gd0.base.det) // cusps.det_E(case, 1))
-    subs = [s for s in fqf.isotropic_subgroups(gd0.disc) if s.order == h_order]
-    certifiable = all(c.kind != "unit" or c.param != -2 for c in gd0.components)
+    gd = glue.make_glue(cand.roots)
+    h_order = isqrt(abs(gd.base.det) // cusps.det_E(case, 1))
+    subs = [s for s in fqf.isotropic_subgroups(gd.disc) if s.order == h_order]
+    certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
     chosen, last = None, ()
-    for s, words, _ in glue._glue_orbits(glue._generator_actions(gd0), subs):
-        if not fqf.are_isometric(fqf.perp_quotient(gd0.disc, s), target)[0]:
+    for s, words, _ in glue._glue_orbits(glue._generator_actions(gd), subs):
+        if not fqf.are_isometric(fqf.perp_quotient(gd.disc, s), target)[0]:
             continue
-        gd = glue.GlueData(gd0.base, gd0.components, gd0.disc, s)
-        if certifiable and not adds_roots(gd):
+        if certifiable and not adds_roots(gd, s):
             return s
         if max(words) > last:
             chosen, last = s, max(words)

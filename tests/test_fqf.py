@@ -14,7 +14,7 @@ from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.exact import IntMatrix, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
-from form_oracles import direct_sum_form, mod_pm1
+from form_oracles import direct_sum_form, isotropic_by_scan, mod_pm1
 from kernel_oracles import (
     generated_form_by_products, isotropic_by_filter, isotropic_pm1_count_by_forms, primary_parts,
     primary_parts_by_products, scaled_lift_dense,
@@ -754,6 +754,39 @@ small_forms = st.one_of(
         lambda terms: glue.make_glue("+".join(terms)).disc
     ),
 )
+
+
+class TestRequireIsotropic:
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.sampled_from(ROOT_TERMS), min_size=1, max_size=3), st.data())
+    def test_generators_decide_as_the_element_scan(self, terms, data):
+        # spans of isotropic elements, isotropic or not, and of any elements
+        form = glue.make_glue("+".join(terms)).disc
+        pool = (fqf.isotropic_elements(form) if data.draw(st.booleans())
+                else list(form.elements()))
+        sub = fqf.subgroup_span(form, data.draw(st.lists(st.sampled_from(pool), max_size=3)))
+        isotropic = isotropic_by_scan(sub)
+        event(f"isotropic: {isotropic}")
+        if isotropic:
+            fqf.require_isotropic(sub)
+        else:
+            with pytest.raises(NotIsotropic, match="^glue is not isotropic$"):
+                fqf.require_isotropic(sub, "glue")
+
+    def test_no_element_is_read(self):
+        class Unlisted(fqf.FqfSubgroup):
+            __slots__ = ()
+
+            @property
+            def elements(self):
+                raise AssertionError("the elements were read")
+
+        form = fqf.discriminant_form(lat.parse_name("A3+A3+D4"))
+        for sub in fqf.isotropic_subgroups(form)[-3:]:
+            fqf.require_isotropic(Unlisted(form, None, sub.generators))
+        bad = fqf.subgroup_span(form, [(1, 0, 0, 0)])
+        with pytest.raises(NotIsotropic):
+            fqf.require_isotropic(Unlisted(form, None, bad.generators))
 
 
 class TestPrimaryParts:

@@ -20,7 +20,6 @@ from cuspidal.errors import (
     BadParameter,
     MixedLattices,
     NotIsometry,
-    NotIsotropic,
 )
 from embedding_oracles import build_polarized
 from helpers import basis, glue_of, tau_image
@@ -32,8 +31,8 @@ def _records():
     L = lat.parse_name("U+A2")
     smith = exact.smith_normal_form(L.gram)
     a2 = fqf.discriminant_form(lat.make_standard("A", 2))
-    gd = glue_of("4A1", [(1, 1, 1, 1)])
-    quotient = fqf.perp_quotient(gd.disc, gd.glue)
+    gd, glue_sub = glue_of("4A1", [(1, 1, 1, 1)])
+    quotient = fqf.perp_quotient(gd.disc, glue_sub)
     qsource = quotient.source
     split = claims.splitting_from(L, basis(L)[:2])
     rho = group_claims.reflection(L, basis(L)[2])
@@ -49,11 +48,11 @@ def _records():
         (a2.source, rebuilt),
         (qsource, rebuilt),
         (qsource.rows, rebuilt),
-        (gd.glue, rebuilt),
+        (glue_sub, rebuilt),
         (gd.components[0], rebuilt),
         (gd, rebuilt),
         (glue.root_system_from_spec("E6+A11+<-4>"), rebuilt),
-        (tau_image(gd, quotient), rebuilt),
+        (tau_image(gd, glue_sub, quotient), rebuilt),
         (L.vector([1, 0, -1, 2]), rebuilt),
         (split, rebuilt),
         (rho, rebuilt),
@@ -135,15 +134,6 @@ def test_lattice_vector_coerces_coordinates():
 
 
 class TestValidatingConstructors:
-    def test_glue_data(self):
-        gd = glue.make_glue("A1+A1")
-        other = glue.make_glue("A3")
-        with pytest.raises(BadParameter):
-            glue.GlueData(gd.base, gd.components, gd.disc, other.glue)
-        bad = fqf.subgroup_span(gd.disc, [(1, 0)])
-        with pytest.raises(NotIsotropic):
-            glue.GlueData(gd.base, gd.components, gd.disc, bad)
-
     def test_orthogonal_splitting(self):
         L = lat.parse_name("U+A2")
         split = claims.splitting_from(L, basis(L)[:2])
