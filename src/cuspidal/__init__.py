@@ -8,17 +8,7 @@ from .exact import (
     lll_reduce,
     smith_normal_form,
 )
-from .lattice import (
-    Lattice,
-    LatticeVector,
-    Sublattice,
-    direct_sum,
-    divisibility,
-    make_standard,
-    orthogonal_complement,
-    pair,
-    parse_name,
-)
+from .lattice import Lattice, direct_sum, make_standard, parse_name
 from .fqf import (
     FiniteQuadraticForm,
     FqfSubgroup,

@@ -1,9 +1,15 @@
-"""The paper's rational splitting and fixture, checked by ``verify example-c12``.
+"""Sublattices, the paper's rational splitting and fixture, checked by
+``verify example-c12``.
 
-The rational splitting of a vector along a primitive orthogonal pair and
-the delta' test, and the cubic-scroll fixture of Hassett-Tschinkel.  The
-splitting stays in integers up to one final division; rational values
-appear only as results.
+A vector is a tuple of its coordinates in the basis of its lattice L, and
+its pairings are ``L.gram.bilinear``.  A ``Sublattice`` is spanned by
+integer basis rows of an ambient lattice; ``orthogonal_complement`` gives
+the primitive complement of a set of vectors, and ``divisibility`` the
+positive generator of the pairing ideal (v, L).  The rational splitting
+of a vector along a primitive orthogonal pair and the delta' test follow,
+then the cubic-scroll fixture of Hassett-Tschinkel.  The splitting stays
+in integers up to one final division: Fractions appear only in its
+results.
 
 No command but ``verify example-c12`` runs these, so neither the package
 nor the CLI imports this module at start-up.  The paper's other
@@ -13,19 +19,75 @@ and embeddings of forms), live with the tests in ``tests/group_claims.py``.
 """
 
 from collections import namedtuple
+from math import gcd
 
 from .cusps import k3_square_lattice
-from .errors import BadParameter, MemberOfSummand, MixedLattices
-from .exact import smith_normal_form
-from .fqf import are_isometric, discriminant_form
-from .lattice import (
-    Lattice,
-    LatticeVector,
-    divisibility,
-    orthogonal_complement,
-    pair,
-    parse_name,
+from .errors import (
+    BadParameter,
+    DegenerateComplement,
+    DependentInput,
+    MemberOfSummand,
+    MixedLattices,
+    SingularMatrix,
+    ZeroVector,
 )
+from .exact import IntMatrix, kernel_basis, smith_normal_form
+from .fqf import ENUM_BOUND, are_isometric, discriminant_form
+from .lattice import Lattice, parse_name
+
+
+# ---------------------------------------------------------------------------
+# sublattices and complements
+
+
+class Sublattice(namedtuple("Sublattice", "ambient basis_matrix lattice primitive")):
+    """The sublattice of ``ambient`` spanned by the rows of ``basis_matrix``,
+    with ``lattice`` the restricted form and ``primitive`` whether the rows
+    span a primitive sublattice."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, ambient: Lattice, basis_rows) -> "Sublattice":
+        """One Smith form of the rows gives both their rank and whether they
+        are primitive (every invariant factor 1)."""
+        if not isinstance(basis_rows, IntMatrix):
+            basis_rows = IntMatrix(basis_rows)
+        if basis_rows.cols != ambient.rank:
+            raise BadParameter("basis rows must have ambient rank many columns")
+        diag = smith_normal_form(basis_rows).diag
+        if sum(1 for d in diag if d != 0) != basis_rows.rows:
+            raise DependentInput("sublattice basis is linearly dependent")
+        try:
+            lattice = Lattice(basis_rows @ ambient.gram @ basis_rows.T)
+        except SingularMatrix:
+            raise DegenerateComplement("form restricted to sublattice is degenerate") from None
+        return cls(ambient, basis_rows, lattice, all(d == 1 for d in diag))
+
+
+def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
+    """Primitive basis of the saturation of {x in L : (x, s) = 0 for s in S},
+    for integer coordinate tuples S.
+
+    Raises BadParameter when S is empty, DependentInput when S is
+    dependent and DegenerateComplement when the restricted form
+    degenerates (e.g. S contains an isotropic vector of U).
+    """
+    rows = [L.gram.apply(v) for v in vectors]
+    if not rows:
+        raise BadParameter("complement needs at least one vector")
+    kernel = kernel_basis(IntMatrix(rows))
+    if kernel.rows != L.rank - len(rows):
+        raise DependentInput("input vectors are linearly dependent")
+    return Sublattice.of(L, kernel)
+
+
+def divisibility(L: Lattice, v) -> int:
+    """Positive generator of the pairing ideal (v, L) of an integer vector."""
+    out = gcd(*L.gram.apply(v))
+    if out == 0:
+        raise ZeroVector("divisibility of the zero vector is undefined")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +103,12 @@ class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right"
     def __new__(cls, ambient, left, right):
         if left.ambient != ambient or right.ambient != ambient:
             raise MixedLattices("summands live in a different ambient lattice")
-        if left.rank + right.rank != ambient.rank:
+        if left.lattice.rank + right.lattice.rank != ambient.rank:
             raise BadParameter("summands do not span the ambient lattice rationally")
-        for u in left.basis():
-            for w in right.basis():
-                if pair(u, w) != 0:
-                    raise BadParameter("summands are not orthogonal")
-        if not left.is_primitive() or not right.is_primitive():
+        cross = left.basis_matrix @ ambient.gram @ right.basis_matrix.T
+        if any(any(row) for row in cross.data):
+            raise BadParameter("summands are not orthogonal")
+        if not left.primitive or not right.primitive:
             raise BadParameter("summands must be primitive")
         return tuple.__new__(cls, (ambient, left, right))
 
@@ -55,12 +116,13 @@ class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right"
 def splitting_from(L: Lattice, left_vectors) -> OrthogonalSplitting:
     """Splitting with M spanned (and saturated) by the given vectors."""
     right = orthogonal_complement(L, left_vectors)
-    left = orthogonal_complement(L, right.basis())
+    left = orthogonal_complement(L, right.basis_matrix.data)
     return OrthogonalSplitting(L, left, right)
 
 
-def split_rational(split: OrthogonalSplitting, v: LatticeVector):
-    """Exact decomposition v = v_M + v_N with v_M in M o Q, v_N in N o Q.
+def split_rational(split: OrthogonalSplitting, v) -> tuple:
+    """Exact decomposition v = v_M + v_N with v_M in M o Q, v_N in N o Q, as
+    two tuples of Fractions.
 
     N is M-perp, so v_M is the orthogonal projection sum_i a_i m_i with
     G_M a = ((m_i, v))_i.  With U G_M V = D and e the last invariant factor,
@@ -69,53 +131,46 @@ def split_rational(split: OrthogonalSplitting, v: LatticeVector):
     """
     from fractions import Fraction
 
-    if v.home != split.ambient:
-        raise MixedLattices("vector lives in a different lattice")
     rows = split.left.basis_matrix
     snf = smith_normal_form(split.left.lattice.gram)
     e = snf.diag[-1]
-    y = snf.left.apply(rows.apply(split.ambient.gram.apply(v.coords)))
+    y = snf.left.apply(rows.apply(split.ambient.gram.apply(v)))
     scaled = rows.T.apply(snf.right.apply([x * (e // d) for x, d in zip(y, snf.diag)]))
-    m_part = [Fraction(x, e) for x in scaled]
-    n_part = [Fraction(e * a - x, e) for a, x in zip(v.coords, scaled)]
-    return LatticeVector(split.ambient, m_part), LatticeVector(split.ambient, n_part)
+    return (tuple(Fraction(x, e) for x in scaled),
+            tuple(Fraction(e * a - x, e) for a, x in zip(v, scaled)))
 
 
-def delta_prime_test(split: OrthogonalSplitting, delta: LatticeVector) -> bool:
+def delta_prime_test(split: OrthogonalSplitting, delta) -> bool:
     """True when both rational projections of delta have negative norm."""
-    if not delta.is_integral:
-        raise BadParameter("delta must be integral")
     d_m, d_n = split_rational(split, delta)
-    if d_m.is_zero or d_n.is_zero:
+    if not any(d_m) or not any(d_n):
         raise MemberOfSummand("delta lies in one of the summands")
-    return d_m.norm < 0 and d_n.norm < 0
+    norm = split.ambient.gram.bilinear
+    return norm(d_m, d_m) < 0 and norm(d_n, d_n) < 0
 
 
 # ---------------------------------------------------------------------------
 # the cubic-scroll verification fixture (Hassett-Tschinkel ample cones)
 
 
-def example_c12() -> dict:
+def example_c12(bound: int = ENUM_BOUND) -> dict:
     """Verification data for the rank-2 polarized family <6> + <-4>.
 
     Uses the printed coordinates g = 2v1 + 14w1 - 5e, tau = v2 - 2w2,
     delta = 4(v1 - w1) + 6(v2 + w2) - 5e and beta1 = -3g + tau, and checks
-    the complement against U + E8^2 + B3 + <4> at the genus level.
+    the complement against U + E8^2 + B3 + <4> at the genus level, with
+    ``bound`` on the isometry search of its discriminant form.
     """
-    from fractions import Fraction
-
     L = k3_square_lattice()
-    n = L.rank
+    pair = L.gram.bilinear
 
     def vec(v1=0, w1=0, v2=0, w2=0, e=0):
-        c = [0] * n
-        c[0], c[1], c[2], c[3], c[n - 1] = v1, w1, v2, w2, e
-        return L.vector(c)
+        return (v1, w1, v2, w2) + (0,) * (L.rank - 5) + (e,)
 
     g = vec(v1=2, w1=14, e=-5)
     tau = vec(v2=1, w2=-2)
     delta = vec(v1=4, w1=-4, v2=6, w2=6, e=-5)
-    beta1 = -3 * g + tau
+    beta1 = tuple(-3 * a + b for a, b in zip(g, tau))
 
     split = splitting_from(L, [g, tau])
     comp = split.right.lattice
@@ -123,30 +178,28 @@ def example_c12() -> dict:
     genus_match = (
         comp.signature == model.signature
         and abs(comp.det) == abs(model.det)
-        and are_isometric(discriminant_form(comp), discriminant_form(model))[0]
+        and are_isometric(discriminant_form(comp), discriminant_form(model), bound)[0]
     )
     d_m, d_n = split_rational(split, delta)
-    target_dm = Fraction(-1, 3) * g + Fraction(3, 2) * tau
     return {
-        "g2": g.norm,
-        "tau2": tau.norm,
+        "g2": pair(g, g),
+        "tau2": pair(tau, tau),
         "g_tau": pair(g, tau),
         "complement_signature": comp.signature,
         "complement_det": comp.det,
         "complement_genus_matches_U_E8_E8_B3_4": genus_match,
-        "delta2": delta.norm,
-        "delta_div": divisibility(delta),
-        "delta_m_matches": d_m.coords == target_dm.coords,
-        "delta_m2": d_m.norm,
-        "delta_n2": d_n.norm,
+        "delta2": pair(delta, delta),
+        "delta_div": divisibility(L, delta),
+        # the printed delta_M = -g/3 + 3 tau/2, times 6
+        "delta_m_matches": [6 * x for x in d_m] == [9 * b - 2 * a for a, b in zip(g, tau)],
+        "delta_m2": pair(d_m, d_m),
+        "delta_n2": pair(d_n, d_n),
         "delta_prime": delta_prime_test(split, delta),
         "beta1_delta": pair(beta1, delta),
     }
 
 
 def example_c12_ok(data: dict | None = None) -> bool:
-    from fractions import Fraction
-
     data = data if data is not None else example_c12()
     return (
         data["g2"] == 6
@@ -158,8 +211,8 @@ def example_c12_ok(data: dict | None = None) -> bool:
         and data["delta2"] == -10
         and data["delta_div"] == 2
         and data["delta_m_matches"]
-        and data["delta_m2"] == Fraction(-25, 3)
-        and data["delta_n2"] == Fraction(-5, 3)
+        and 3 * data["delta_m2"] == -25
+        and 3 * data["delta_n2"] == -5
         and data["delta_prime"] is True
         and data["beta1_delta"] == 0
     )

@@ -244,6 +244,9 @@ def _cmd_cusp_sweep(args) -> int:
         for d in range(lo, hi + 1)
         if args.case == "split" or d % 4 == 3
     ]
+    if not ds:
+        raise BadParameter(f"sweep range {args.d!r} holds no d = 3 mod 4, "
+                           "which the nonsplit embedding needs")
 
     def run_one(d):
         case = cusps.PolarizationCase(d, args.case)
@@ -364,7 +367,7 @@ def _cmd_verify_table1(args) -> int:
 def _cmd_verify_example(args) -> int:
     from . import claims
 
-    data = claims.example_c12()
+    data = claims.example_c12(args.bound)
     ok = claims.example_c12_ok(data)
     obj = {k: _jsonable(v) for k, v in data.items()}
     obj["all_ok"] = ok

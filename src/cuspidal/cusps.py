@@ -132,7 +132,7 @@ def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
     return fqf.isotropic_pm1_count(disc_model(case).form, bound, case.primes)
 
 
-class NuResult(namedtuple("NuResult", "case formula enumerated")):
+class NuResult(namedtuple("NuResult", "formula enumerated")):
     """nu from the closed formula and from the count, each None when not run."""
 
     __slots__ = ()
@@ -153,7 +153,7 @@ def nu(case: PolarizationCase, mode: str = "both", bound: int = fqf.ENUM_BOUND) 
     _check_nu_mode(mode)
     f = nu_formula(case) if mode in ("formula", "both") else None
     e = nu_enumerate(case, bound) if mode in ("enumerate", "both") else None
-    return NuResult(case, f, e)
+    return NuResult(f, e)
 
 
 def valid_orders(case: PolarizationCase) -> list:
@@ -292,8 +292,8 @@ TABLE1_ROWS = (
 
 class OneDimRow(namedtuple(
     "OneDimRow",
-    "candidate genus_ok roots_ok computed_roots o_ae im_tau classes note",
-    defaults=(None,) * 5,
+    "candidate genus_ok roots_ok computed_roots o_ae im_tau classes",
+    defaults=(None,) * 4,
 )):
     """One candidate's row; the counts are None when the genus does not match."""
 
@@ -321,15 +321,11 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
     ``one_dim_cusps`` takes from the target form ``predicted_AE(case, 1)``."""
     target_det = det_E(case, 1)
     gd = glue_mod.make_glue(cand.roots)
-    base_det = abs(gd.base.det)
-    if gd.base.rank != 18:
-        return OneDimRow(cand, False, False, note="rank is not 18")
-    if base_det % target_det:
-        return OneDimRow(cand, False, False, note="determinant mismatch")
-    h2 = base_det // target_det
+    # a glue of order h gives det E = |det R| / h^2, and E must have rank 18
+    h2, rem = divmod(abs(gd.base.det), target_det)
     h_order = isqrt(h2)
-    if h_order * h_order != h2:
-        return OneDimRow(cand, False, False, note="no glue order gives the target determinant")
+    if gd.base.rank != 18 or rem or h_order * h_order != h2:
+        return OneDimRow(cand, False, False)
     declared = glue_mod.root_system_from_spec(cand.roots)
     if cand.glue_gens is not None:
         subgroups = [fqf.subgroup_span(gd.disc, cand.glue_gens)]
@@ -376,7 +372,7 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
             if fqf.are_isometric(quotient, target_form, bound)[0] and max(orbit[1]) > last:
                 chosen, last = (quotient, orbit), max(orbit[1])
     if chosen is None:
-        return OneDimRow(cand, False, False, note="no isotropic glue realizes the target genus")
+        return OneDimRow(cand, False, False)
     quotient, orbit = chosen
     if rs is None:
         rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]))
@@ -452,7 +448,6 @@ def zero_dim_report(case: PolarizationCase, mode: str = "both",
     model = disc_model(case)
     count = fqf.isotropic_pm1_count(model.form, bound, case.primes)
     result = NuResult(
-        case,
         nu_formula(case) if mode in ("formula", "both") else None,
         count if mode in ("enumerate", "both") else None,
     )

@@ -138,12 +138,12 @@ class FiniteQuadraticForm:
         return f"FiniteQuadraticForm(orders={list(self.orders)}, q=[{qs}])"
 
 
-class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
+class LatticeSource(namedtuple("LatticeSource", "smith kept")):
     """Provenance of A_L = L*/L: the Smith transforms U G V = D of the Gram G of L.
 
-    ``lattice`` is L, ``smith`` the ``SmithDecomposition`` (U, the invariant
-    factors d and V) of G and ``kept`` the Smith positions with invariant
-    factor > 1, one per generator.  Generator i lifts to the dual vector
+    ``smith`` is the ``SmithDecomposition`` (U, the invariant factors d and
+    V) of G and ``kept`` the Smith positions with invariant factor > 1, one
+    per generator.  Generator i lifts to the dual vector
     V e_k / d_k for k = kept[i].
     """
 
@@ -153,7 +153,7 @@ class LatticeSource(namedtuple("LatticeSource", "lattice smith kept")):
     def of(cls, lattice) -> "LatticeSource":
         """The Smith transforms of the Gram of ``lattice``."""
         snf = smith_normal_form(lattice.gram)
-        return cls(lattice, snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
+        return cls(snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
 
     @property
     def left(self) -> IntMatrix:

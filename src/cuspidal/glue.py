@@ -82,8 +82,7 @@ from .fqf import (
     require_isotropic,
 )
 from .lattice import (
-    Lattice, LatticeVector, check_signed_permutation, direct_sum, make_standard,
-    parse_terms,
+    Lattice, check_signed_permutation, direct_sum, make_standard, parse_terms,
 )
 
 
@@ -178,8 +177,7 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
         if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
     det = base.det * prod(basis.data[i][i] for i in range(n)) ** 2 // den ** (2 * n)
-    return Lattice._from_invariants(IntMatrix._wrap(tuple(gram)), None, det, base.signature,
-                                    True)
+    return Lattice._from_invariants(IntMatrix._wrap(tuple(gram)), det, base.signature, True)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,8 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
 
 
 def short_vectors(L: Lattice, norm: int) -> list:
-    """All vectors of the given negative norm, one per {v, -v} pair.
+    """All vectors of the given negative norm, one per {v, -v} pair, as
+    coordinate tuples.
 
     The representative kept has positive first nonzero coordinate in the
     LLL-reduced basis; results are sorted by original coordinates.
@@ -237,9 +236,9 @@ def short_vectors(L: Lattice, norm: int) -> list:
         if rep in seen:
             continue
         seen.add(rep)
-        out.append(tuple(int(v) for v in T.apply(rep)))
+        out.append(T.apply(rep))
     out.sort()
-    return [LatticeVector(L, coords) for coords in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +286,8 @@ def root_system(L: Lattice) -> RootSystem:
     # convention) with every simple root before it
     pos = []
     for v in short_vectors(L, -2):
-        lead = next(x for x in v.coords if x)
-        pos.append(v.coords if lead > 0 else tuple(-x for x in v.coords))
+        lead = next(x for x in v if x)
+        pos.append(v if lead > 0 else tuple(-x for x in v))
     pos.sort()
     simple = []
     gram_simple = []  # G s for each simple root s

@@ -1,4 +1,5 @@
-"""Even integral lattices, their sublattices and signed permutations.
+"""Even integral lattices, standard lattices and sums, signed permutations
+of a basis, and lattice names and JSON.
 
 A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix; it is even when every vector has even self-pairing.  ADE root
@@ -15,29 +16,21 @@ closed forms (``make_standard``), a direct sum from its parts
 (``direct_sum``), a twist from the lattice it scales (``Lattice.twist``)
 and an overlattice from its base and Hermite basis (``glue.overlattice``).
 
-Vectors carry their home lattice and may have rational coordinates
-(needed for dual and projection work).  Rational splittings live in
-``claims``, which no command but ``verify example-c12`` imports;
-isometries, reflections and spinor norms, which no command runs, live
-with the tests in ``tests/group_claims.py``.
+A vector is a tuple of its coordinates in the basis of its lattice, and
+its pairings are ``L.gram.bilinear``.  Sublattices, orthogonal
+complements, divisibility and rational splittings live in ``claims``,
+which no command but ``verify example-c12`` imports; isometries,
+reflections and spinor norms, which no command runs, live with the tests
+in ``tests/group_claims.py``.
 """
 
 import os
 import re
-from collections import namedtuple
-from math import gcd, prod
+from math import prod
 from operator import itemgetter, mul
 
-from .errors import (
-    BadParameter,
-    DegenerateComplement,
-    DependentInput,
-    MixedLattices,
-    NotIsometry,
-    SingularMatrix,
-    ZeroVector,
-)
-from .exact import IntMatrix, det_and_signature, kernel_basis, smith_normal_form
+from .errors import BadParameter, NotIsometry
+from .exact import IntMatrix, det_and_signature
 
 
 class Lattice:
@@ -46,31 +39,27 @@ class Lattice:
     elimination (``exact.det_and_signature``); the other constructors
     take them from their construction (``_from_invariants``)."""
 
-    __slots__ = ("gram", "labels", "det", "signature", "even")
+    __slots__ = ("gram", "det", "signature", "even")
 
-    def __init__(self, gram, labels=None):
+    def __init__(self, gram):
         if not isinstance(gram, IntMatrix):
             gram = IntMatrix(gram)
         if not gram.is_symmetric():
             raise BadParameter("gram matrix must be symmetric")
         det, signature = det_and_signature(gram)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != gram.rows:
-                raise BadParameter("one label per basis vector required")
-        self._store(gram, labels, det, signature,
+        self._store(gram, det, signature,
                     all(gram.data[i][i] % 2 == 0 for i in range(gram.rows)))
 
     @classmethod
-    def _from_invariants(cls, gram, labels, det, signature, even) -> "Lattice":
+    def _from_invariants(cls, gram, det, signature, even) -> "Lattice":
         """The lattice on ``gram`` with invariants known from its construction,
         taken as is: no elimination and no checks."""
         L = object.__new__(cls)
-        L._store(gram, labels, det, signature, even)
+        L._store(gram, det, signature, even)
         return L
 
-    def _store(self, gram, labels, det, signature, even):
-        for name, value in zip(self.__slots__, (gram, labels, det, signature, even)):
+    def _store(self, gram, det, signature, even):
+        for name, value in zip(self.__slots__, (gram, det, signature, even)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -89,82 +78,12 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(rank={self.rank}, det={self.det}, signature={self.signature})"
 
-    def vector(self, coords) -> "LatticeVector":
-        return LatticeVector(self, coords)
-
     def twist(self, t: int) -> "Lattice":
         if t < 1:
             raise BadParameter("twist parameter must be a positive integer")
         # L(t) keeps the signature, has det t^rank det L and is even when L or t is
-        return Lattice._from_invariants(self.gram.scaled(t), self.labels, t**self.rank * self.det,
+        return Lattice._from_invariants(self.gram.scaled(t), t**self.rank * self.det,
                                         self.signature, self.even or t % 2 == 0)
-
-
-def _as_exact(x):
-    if isinstance(x, int):
-        return x
-    # ints come first, so integer coordinates never import fractions
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return x if x.denominator != 1 else int(x)
-    raise BadParameter(f"coordinates must be ints or Fractions, got {type(x).__name__}")
-
-
-class LatticeVector(namedtuple("LatticeVector", "home coords")):
-    """Coordinate vector relative to the basis of its home lattice."""
-
-    __slots__ = ()
-
-    def __new__(cls, home, coords):
-        coords = tuple(_as_exact(x) for x in coords)
-        if len(coords) != home.rank:
-            raise BadParameter("coordinate length does not match lattice rank")
-        return tuple.__new__(cls, (home, coords))
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for x in self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
-    @property
-    def norm(self):
-        return pair(self, self)
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        if self.home != other.home:
-            raise MixedLattices("vectors live in different lattices")
-        return LatticeVector(self.home, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __rmul__(self, c) -> "LatticeVector":
-        c = _as_exact(c)
-        return LatticeVector(self.home, [c * a for a in self.coords])
-
-    # v * c scales too, instead of repeating the record as a tuple
-    __mul__ = __rmul__
-
-
-def pair(v: LatticeVector, w: LatticeVector):
-    """Bilinear pairing v^t G w through the home Gram matrix."""
-    if v.home != w.home:
-        raise MixedLattices("vectors live in different lattices")
-    return _as_exact(v.home.gram.bilinear(v.coords, w.coords))
-
-
-def divisibility(v: LatticeVector) -> int:
-    """Positive generator of the pairing ideal (v, L)."""
-    if not v.is_integral:
-        raise BadParameter("divisibility requires an integral vector")
-    if v.is_zero:
-        raise ZeroVector("divisibility of the zero vector is undefined")
-    pairings = v.home.gram.apply(v.coords)
-    out = 0
-    for x in pairings:
-        out = gcd(out, int(x))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +97,8 @@ def make_standard(kind: str, n: int | None = None) -> Lattice:
     n + 1 for A_n, 4 for D_n and 9 - n for E_n, and signature (0, n);
     U has det -1 and signature (1, 1); B(d) has det d and signature (0, 2);
     <n> has det n.  Every one is even."""
-    labels = None
     if kind == "U":
-        g, labels, det, sig = [[0, 1], [1, 0]], ("u", "v"), -1, (1, 1)
+        g, det, sig = [[0, 1], [1, 0]], -1, (1, 1)
     elif kind == "A":
         if n is None or n < 1:
             raise BadParameter("A(k) requires k >= 1")
@@ -200,15 +118,14 @@ def make_standard(kind: str, n: int | None = None) -> Lattice:
     elif kind == "B":
         if n is None or n % 4 != 3 or n < 3:
             raise BadParameter("B(d) requires d = 3 mod 4")
-        g, labels, det, sig = [[-(n + 1) // 2, 1], [1, -2]], ("b1", "b2"), n, (0, 2)
+        g, det, sig = [[-(n + 1) // 2, 1], [1, -2]], n, (0, 2)
     elif kind == "rank1":
         if n is None or n == 0 or n % 2 != 0:
             raise BadParameter("rank1(n) requires a nonzero even integer")
         g, det, sig = [[n]], n, (1, 0) if n > 0 else (0, 1)
     else:
         raise BadParameter(f"unknown standard lattice kind {kind!r}")
-    return Lattice._from_invariants(IntMatrix._wrap(tuple(map(tuple, g))), labels, det, sig,
-                                    True)
+    return Lattice._from_invariants(IntMatrix._wrap(tuple(map(tuple, g))), det, sig, True)
 
 
 def _minus_cartan_chain(n: int):
@@ -233,81 +150,11 @@ def direct_sum(*parts: Lattice) -> Lattice:
     its signature their sum, and it is even when every part is."""
     if not parts:
         raise BadParameter("empty direct sum")
-    gram = IntMatrix.block_diagonal([p.gram for p in parts])
-    labels = None
-    if all(p.labels is not None for p in parts):
-        cat = [lab for p in parts for lab in p.labels]
-        if len(set(cat)) == len(cat):
-            labels = tuple(cat)
     return Lattice._from_invariants(
-        gram, labels, prod(p.det for p in parts),
+        IntMatrix.block_diagonal([p.gram for p in parts]), prod(p.det for p in parts),
         tuple(map(sum, zip(*(p.signature for p in parts)))),
         all(p.even for p in parts),
     )
-
-
-# ---------------------------------------------------------------------------
-# sublattices and complements
-
-
-class Sublattice:
-    """A finite-rank sublattice of an ambient lattice, given by basis rows.
-
-    One Smith form of the rows gives both their rank and whether they span
-    a primitive sublattice (every invariant factor 1)."""
-
-    __slots__ = ("ambient", "basis_matrix", "lattice", "_primitive")
-
-    def __init__(self, ambient: Lattice, basis_rows):
-        if not isinstance(basis_rows, IntMatrix):
-            basis_rows = IntMatrix(basis_rows)
-        if basis_rows.cols != ambient.rank:
-            raise BadParameter("basis rows must have ambient rank many columns")
-        diag = smith_normal_form(basis_rows).diag
-        if sum(1 for d in diag if d != 0) != basis_rows.rows:
-            raise DependentInput("sublattice basis is linearly dependent")
-        try:
-            lattice = Lattice(basis_rows @ ambient.gram @ basis_rows.T)
-        except SingularMatrix:
-            raise DegenerateComplement("form restricted to sublattice is degenerate") from None
-        for name, value in zip(self.__slots__,
-                               (ambient, basis_rows, lattice, all(d == 1 for d in diag))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sublattice is immutable")
-
-    @property
-    def rank(self) -> int:
-        return self.basis_matrix.rows
-
-    def basis(self):
-        return [LatticeVector(self.ambient, row) for row in self.basis_matrix.data]
-
-    def is_primitive(self) -> bool:
-        return self._primitive
-
-
-def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
-    """Primitive basis of the saturation of {x in L : (x, s) = 0 for s in S}.
-
-    Raises BadParameter when S is empty, DependentInput when S is
-    dependent and DegenerateComplement when the restricted form
-    degenerates (e.g. S contains an isotropic vector of U).
-    """
-    rows = []
-    for v in vectors:
-        if v.home != L:
-            raise MixedLattices("vector lives in a different lattice")
-        if not v.is_integral:
-            raise BadParameter("complement generators must be integral")
-        rows.append([int(x) for x in L.gram.apply(v.coords)])
-    if not rows:
-        raise BadParameter("complement needs at least one vector")
-    kernel = kernel_basis(IntMatrix(rows))
-    if kernel.rows != L.rank - len(rows):
-        raise DependentInput("input vectors are linearly dependent")
-    return Sublattice(L, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +239,10 @@ def parse_name(name: str) -> Lattice:
 
 
 def lattice_from_json(text: str) -> Lattice:
-    """Lattice from {"gram": [[...], ...]} with optional "rank" and "labels"."""
+    """Lattice from {"gram": [[...], ...]} with optional "rank" and "labels".
+
+    A "labels" list names the basis vectors, one each; it is checked after
+    the Gram, and nothing reads it."""
     import json
 
     try:
@@ -412,7 +262,10 @@ def lattice_from_json(text: str) -> Lattice:
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise BadParameter('lattice JSON "labels" must be a list')
-    return Lattice(gram, labels=labels)
+    L = Lattice(gram)
+    if labels is not None and len(labels) != L.rank:
+        raise BadParameter("one label per basis vector required")
+    return L
 
 
 def load_lattice(spec: str) -> Lattice:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from cuspidal.claims import Sublattice, divisibility
 from cuspidal.cusps import PolarizationCase, k3_square_lattice
 from cuspidal.errors import BadParameter, InternalError, NotDefinite
 from cuspidal.exact import IntMatrix
 from cuspidal.fqf import discriminant_form
-from cuspidal.lattice import Lattice, Sublattice, divisibility, make_standard, pair
+from cuspidal.lattice import Lattice, make_standard
 from helpers import class_of
 
 
@@ -79,28 +80,26 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
         return [int(j == i) for j in range(n)]
 
     if case.split:
-        h = L.vector([1, d] + [0] * (n - 2))
+        h = (1, d) + (0,) * (n - 2)
         rows = [[1, -d] + [0] * (n - 2)]  # t = v1 - d w1, norm -2d
         rows += [unit(i) for i in range(2, n - 1)]
         rows += [unit(n - 1)]  # e last
         expected_div = 1
     else:
-        hcoe = [2, (d + 1) // 2] + [0] * (n - 3) + [1]
-        h = L.vector(hcoe)
+        h = (2, (d + 1) // 2) + (0,) * (n - 3) + (1,)
         b1 = [1, -(d + 1) // 4] + [0] * (n - 2)
         b2 = [0, 1] + [0] * (n - 3) + [1]
         rows = [b1, b2] + [unit(i) for i in range(2, n - 1)]
         expected_div = 2
 
-    if h.norm != 2 * d:
+    if L.gram.bilinear(h, h) != 2 * d:
         raise InternalError("polarization square is not 2d")
-    if divisibility(h) != expected_div:
+    if divisibility(L, h) != expected_div:
         raise InternalError("polarization divisibility mismatch")
-    sub = Sublattice(L, rows)
-    for b in sub.basis():
-        if pair(b, h) != 0:
-            raise InternalError("complement basis is not orthogonal to h")
-    if not sub.is_primitive():
+    sub = Sublattice.of(L, rows)
+    if any(sub.basis_matrix.apply(L.gram.apply(h))):
+        raise InternalError("complement basis is not orthogonal to h")
+    if not sub.primitive:
         raise InternalError("complement basis is not primitive")
     gram = sub.lattice.gram
     if case.split:
@@ -112,12 +111,13 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
             make_standard("B", d),
         ):
             raise InternalError("B_d block mismatch")
-    form = discriminant_form(sub.lattice)
-    rank_n = sub.rank
+    N = sub.lattice
+    form = discriminant_form(N)
+    rank_n = N.rank
     if case.split:
-        t_cls = class_of(form, [1] + [0] * (rank_n - 1), 2 * d)
-        e_cls = class_of(form, [0] * (rank_n - 1) + [1], 2)
+        t_cls = class_of(N, form, [1] + [0] * (rank_n - 1), 2 * d)
+        e_cls = class_of(N, form, [0] * (rank_n - 1) + [1], 2)
     else:
-        t_cls = class_of(form, [2, 1] + [0] * (rank_n - 2), d)
+        t_cls = class_of(N, form, [2, 1] + [0] * (rank_n - 2), d)
         e_cls = None
     return PolarizedEmbedding(case, L, h, sub, form, t_cls, e_cls)

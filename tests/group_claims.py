@@ -28,9 +28,7 @@ from cuspidal.cusps import (
     disc_model,
     predicted_AE,
 )
-from cuspidal.errors import (
-    BadParameter, CuspidalError, MixedLattices, NotIsometry, SingularMatrix,
-)
+from cuspidal.errors import BadParameter, CuspidalError, NotIsometry, SingularMatrix
 from cuspidal.exact import IntMatrix, smith_normal_form
 from cuspidal.fqf import (
     ENUM_BOUND,
@@ -41,7 +39,7 @@ from cuspidal.fqf import (
     discriminant_form,
     subgroup_span,
 )
-from cuspidal.lattice import Lattice, LatticeVector
+from cuspidal.lattice import Lattice
 from form_oracles import direct_sum_form
 from fraction_oracles import bareiss_det
 
@@ -114,11 +112,6 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
             raise NotIsometry("matrix does not preserve the form")
         return tuple.__new__(cls, (domain, matrix))
 
-    def __call__(self, v: LatticeVector) -> LatticeVector:
-        if v.home != self.domain:
-            raise MixedLattices("vector lives in a different lattice")
-        return LatticeVector(self.domain, self.matrix.apply(v.coords))
-
     @property
     def det(self) -> int:
         return bareiss_det(self.matrix)
@@ -128,17 +121,16 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
         return cls(L, IntMatrix.identity(L.rank))
 
 
-def reflection(L: Lattice, v: LatticeVector) -> Isometry:
-    """Reflection x -> x - 2 (x, v) / (v, v) v in a vector of nonzero norm.
+def reflection(L: Lattice, v) -> Isometry:
+    """Reflection x -> x - 2 (x, v) / (v, v) v in a vector of nonzero norm,
+    given by its coordinates (ints or Fractions).
 
     Its matrix I - 2 w (G w)^T / (w, w), for w the smallest positive
     multiple of v with integer coordinates, must be integral: the
     reflection maps L to itself.
     """
-    if v.home != L:
-        raise MixedLattices("vector lives in a different lattice")
-    den = lcm(*(x.denominator for x in v.coords))
-    w = [x.numerator * (den // x.denominator) for x in v.coords]
+    den = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (den // x.denominator) for x in v]
     gw = L.gram.apply(w)
     norm = sum(a * b for a, b in zip(w, gw))
     if norm == 0:

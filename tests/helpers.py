@@ -30,10 +30,7 @@ def diagonal_matrix(smith) -> IntMatrix:
 
 
 def lattice_to_json(L) -> str:
-    obj = {"rank": L.rank, "gram": L.gram.to_lists()}
-    if L.labels is not None:
-        obj["labels"] = list(L.labels)
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps({"rank": L.rank, "gram": L.gram.to_lists()}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +95,15 @@ def class_key(source, pairings) -> tuple:
     return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in source.kept])
 
 
-def class_of(form, scaled, level: int) -> tuple:
-    """Class in the discriminant form ``form`` of the dual vector
-    scaled / level, for an integer vector ``scaled`` and a positive integer
-    ``level``; ValueError when ``form`` has no lattice or the vector is not
-    in the dual lattice."""
+def class_of(L, form, scaled, level: int) -> tuple:
+    """Class in ``form``, the discriminant form of the lattice L, of the dual
+    vector scaled / level, for an integer vector ``scaled`` and a positive
+    integer ``level``; ValueError when ``form`` has no lattice or the vector
+    is not in the dual lattice."""
     src = form.source
     if not isinstance(src, fqf.LatticeSource):
         raise ValueError("form has no lattice provenance")
-    pairings = src.lattice.gram.apply(scaled)
+    pairings = L.gram.apply(scaled)
     if any(x % level for x in pairings):
         raise ValueError("vector is not in the dual lattice")
     return class_key(src, [x // level for x in pairings])
@@ -132,9 +129,8 @@ def part_forms(form, primes=None) -> dict:
 
 
 def basis(L) -> list:
-    """The basis vectors of the lattice L, as ``LatticeVector``s."""
-    n = L.rank
-    return [L.vector([int(i == j) for j in range(n)]) for i in range(n)]
+    """The basis vectors of the lattice L, as coordinate tuples."""
+    return list(IntMatrix.identity(L.rank).data)
 
 
 def glue_of(spec: str, gens):

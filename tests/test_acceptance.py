@@ -296,9 +296,8 @@ def test_criterion_7c_snf_and_signature_congruence(data):
 
 _SPIN_LATTICE = lat.parse_name("U+A2")
 _SPIN_VECTORS = [
-    v for v in basis(_SPIN_LATTICE) if v.norm != 0
-] + [_SPIN_LATTICE.vector((1, 1, 0, 0)), _SPIN_LATTICE.vector((1, -1, 0, 0)),
-     _SPIN_LATTICE.vector((0, 0, 1, 1))]
+    v for v in basis(_SPIN_LATTICE) if _SPIN_LATTICE.gram.bilinear(v, v) != 0
+] + [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)]
 
 
 def _reflection_product(indices):

@@ -144,6 +144,14 @@ class TestSweep:
         code, _ = invoke(capsys, ["cusp", "sweep", "--d", "5..1"])
         assert code == 2
 
+    def test_nonsplit_range_without_three_mod_four(self, capsys):
+        # 4, 5 and 6 admit no non-split embedding: nothing would be checked
+        code = run(["cusp", "sweep", "--d", "4..6", "--case", "nonsplit"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: sweep range '4..6' holds no d = 3 mod 4, "
+                                "which the nonsplit embedding needs\n")
+
     def test_threads_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CUSPIDAL_THREADS", "4")
         code, out = invoke(capsys, ["cusp", "sweep", "--d", "1..12"])
@@ -169,6 +177,33 @@ class TestLat:
     def test_bad_name(self, capsys):
         code, _ = invoke(capsys, ["lat", "info", "Z99"])
         assert code == 2
+
+
+class TestJsonLabels:
+    """A lattice JSON may carry a "labels" list, one per basis vector; it is
+    validated and changes nothing that is printed."""
+
+    def test_labels_change_no_output(self, capsys):
+        golden = (GOLDEN / "lat_info_gram_U+A2.json").read_text(encoding="utf-8")
+        code, out = invoke(capsys, ["lat", "info", str(GOLDEN / "gram_U+A2_labels.json")])
+        assert code == 0 and out == golden
+        gram = '"gram":[[0,1,0,0],[1,0,0,0],[0,0,-2,1],[0,0,1,-2]]'
+        code, out = invoke(capsys, ["lat", "info", "{" + gram + ',"labels":[1,"v",null,[]]}'])
+        assert code == 0 and out == golden
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"gram":[[2,1],[1,2]],"labels":"ab"}', 'lattice JSON "labels" must be a list'),
+        ('{"gram":[[2,1],[1,2]],"labels":["a"]}', "one label per basis vector required"),
+        ('{"gram":[[2,1],[1,2]],"labels":["a","b","c"]}', "one label per basis vector required"),
+        # the Gram is checked before the label count
+        ('{"gram":[[2,1],[0,2]],"labels":["a"]}', "gram matrix must be symmetric"),
+        ('{"gram":[[2,2],[2,2]],"labels":["a"]}', "gram matrix is degenerate"),
+    ])
+    def test_bad_labels_exit_two(self, capsys, text, message):
+        code = run(["lat", "info", text])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestGlue:
@@ -199,6 +234,16 @@ class TestVerify:
     def test_example_c12_markdown(self, capsys):
         code, out = invoke(capsys, ["verify", "example-c12"])
         assert code == 0 and "all_ok" in out
+
+    def test_example_c12_isometry_search_takes_the_bound(self, capsys):
+        # the complement's discriminant form has order 12
+        code = run(["verify", "example-c12", "--bound", "11"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: group of order 12 exceeds enumeration bound 11\n"
+        golden = (GOLDEN / "verify_example-c12.json").read_text(encoding="utf-8")
+        assert invoke(capsys, ["verify", "example-c12", "--bound", "12",
+                               "--format", "json"]) == (0, golden)
 
 
 class TestDeterminism:
@@ -818,7 +863,7 @@ def test_json_writer_refuses_other_types():
 _UNRUN_ALLOWED = {
     **dict.fromkeys(
         ["exact.IntMatrix.__setattr__", "fqf.FiniteQuadraticForm.__setattr__",
-         "lattice.Lattice.__setattr__", "lattice.Sublattice.__setattr__"],
+         "lattice.Lattice.__setattr__"],
         "immutability guard: runs only when code sets an attribute, as the record tests do"),
     **dict.fromkeys(
         ["exact.IntMatrix.__repr__", "fqf.FiniteQuadraticForm.__repr__",

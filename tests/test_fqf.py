@@ -55,7 +55,8 @@ class TestDiscriminantForm:
     def test_lifts_are_columns_of_g_inverse_u_inverse(self, gram):
         G = IntMatrix(gram)
         assume(bareiss_det(G) != 0)
-        a = fqf.discriminant_form(lat.Lattice(G))
+        L = lat.Lattice(G)
+        a = fqf.discriminant_form(L)
         src = a.source
         n = G.rows
         ginv = rational_inverse(G)
@@ -65,7 +66,7 @@ class TestDiscriminantForm:
             unit = tuple(int(j == i) for j in range(a.rank))
             column = tuple(sum(ginv[r][c] * uinv[c][k] for c in range(n)) for r in range(n))
             assert rational_lift(a, unit) == column
-            assert class_of(a, *over_common_denominator(rational_lift(a, unit))) == unit
+            assert class_of(L, a, *over_common_denominator(rational_lift(a, unit))) == unit
 
     def test_split_d1(self):
         a = fqf.discriminant_form(lat.parse_name("U+U+E8+E8+<-2>+<-2>"))
@@ -95,12 +96,13 @@ class TestDiscriminantForm:
         assert fqf.discriminant_form(L).cardinality == abs(L.det)
 
     def test_class_of_and_lift(self):
-        a = fqf.discriminant_form(lat.parse_name("<-6>+<-2>"))
-        t = class_of(a, (1, 0), 6)
+        L = lat.parse_name("<-6>+<-2>")
+        a = fqf.discriminant_form(L)
+        t = class_of(L, a, (1, 0), 6)
         assert a.order_of(t) == 6
-        assert class_of(a, *over_common_denominator(rational_lift(a, t))) == t
+        assert class_of(L, a, *over_common_denominator(rational_lift(a, t))) == t
         with pytest.raises(ValueError):
-            class_of(a, (1, 0), 5)
+            class_of(L, a, (1, 0), 5)
 
 
 # summands whose discriminant forms the kernel tests sum: every ADE type of
