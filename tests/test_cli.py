@@ -722,6 +722,12 @@ GOLDENS = [
     # the 30 E8 overlattices of 8A1, each glue passed beside the one base
     (["glue", "enum", "--roots", "8A1", "--order", "16", "--roots-of-overlattice"],
      "glue_enum_8A1_order16_roots.json"),
+    # twists scale a Gram, block sums place it and Smith transforms read it
+    (["lat", "disc", "U(2)+B7+E8(2)+<-6>"], "lat_disc_U(2)+B7+E8(2)+minus6.json"),
+    # a skewed basis of D4+A2: elimination, an LLL transform with negation
+    # and Fincke-Pohst
+    (["glue", "roots", str(GOLDEN / "gram_D4+A2_skewed.json")],
+     "glue_roots_gram_D4+A2_skewed.json"),
 ]
 
 
