@@ -1,7 +1,6 @@
 """Exact arithmetic of even lattices, discriminant forms, and cusp counts."""
 
 from .exact import (
-    IntMatrix,
     SmithDecomposition,
     det_and_signature,
     kernel_basis,

@@ -2,10 +2,11 @@
 ``verify example-c12``.
 
 A vector is a tuple of its coordinates in the basis of its lattice L, and
-its pairings are ``L.gram.bilinear``.  A ``Sublattice`` is spanned by
-integer basis rows of an ambient lattice; ``orthogonal_complement`` gives
-the primitive complement of a set of vectors, and ``divisibility`` the
-positive generator of the pairing ideal (v, L).  The rational splitting
+its pairings are ``exact.bilinear(L.gram, x, y)``.  A ``Sublattice`` is
+spanned by integer basis rows of an ambient lattice, kept as a tuple of
+int tuples; ``orthogonal_complement`` gives the primitive complement of
+a set of vectors, and ``divisibility`` the positive generator of the
+pairing ideal (v, L).  The rational splitting
 of a vector along a primitive orthogonal pair and the delta' test follow,
 then the cubic-scroll fixture of Hassett-Tschinkel.  The splitting stays
 in integers up to one final division: Fractions appear only in its
@@ -31,7 +32,7 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .exact import IntMatrix, kernel_basis, smith_normal_form
+from .exact import apply, bilinear, kernel_basis, matmul, smith_normal_form
 from .fqf import ENUM_BOUND, are_isometric, discriminant_form
 from .lattice import Lattice, parse_name
 
@@ -51,15 +52,15 @@ class Sublattice(namedtuple("Sublattice", "ambient basis_matrix lattice primitiv
     def of(cls, ambient: Lattice, basis_rows) -> "Sublattice":
         """One Smith form of the rows gives both their rank and whether they
         are primitive (every invariant factor 1)."""
-        if not isinstance(basis_rows, IntMatrix):
-            basis_rows = IntMatrix(basis_rows)
-        if basis_rows.cols != ambient.rank:
+        basis_rows = tuple(map(tuple, basis_rows))
+        # no rows count as one empty row: a matrix without rows has no columns
+        if any(len(row) != ambient.rank for row in basis_rows or ((),)):
             raise BadParameter("basis rows must have ambient rank many columns")
         diag = smith_normal_form(basis_rows).diag
-        if sum(1 for d in diag if d != 0) != basis_rows.rows:
+        if sum(1 for d in diag if d != 0) != len(basis_rows):
             raise DependentInput("sublattice basis is linearly dependent")
         try:
-            lattice = Lattice(basis_rows @ ambient.gram @ basis_rows.T)
+            lattice = Lattice(matmul(matmul(basis_rows, ambient.gram), tuple(zip(*basis_rows))))
         except SingularMatrix:
             raise DegenerateComplement("form restricted to sublattice is degenerate") from None
         return cls(ambient, basis_rows, lattice, all(d == 1 for d in diag))
@@ -73,18 +74,18 @@ def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
     dependent and DegenerateComplement when the restricted form
     degenerates (e.g. S contains an isotropic vector of U).
     """
-    rows = [L.gram.apply(v) for v in vectors]
+    rows = [apply(L.gram, v) for v in vectors]
     if not rows:
         raise BadParameter("complement needs at least one vector")
-    kernel = kernel_basis(IntMatrix(rows))
-    if kernel.rows != L.rank - len(rows):
+    kernel = kernel_basis(rows)
+    if len(kernel) != L.rank - len(rows):
         raise DependentInput("input vectors are linearly dependent")
     return Sublattice.of(L, kernel)
 
 
 def divisibility(L: Lattice, v) -> int:
     """Positive generator of the pairing ideal (v, L) of an integer vector."""
-    out = gcd(*L.gram.apply(v))
+    out = gcd(*apply(L.gram, v))
     if out == 0:
         raise ZeroVector("divisibility of the zero vector is undefined")
     return out
@@ -105,8 +106,8 @@ class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right"
             raise MixedLattices("summands live in a different ambient lattice")
         if left.lattice.rank + right.lattice.rank != ambient.rank:
             raise BadParameter("summands do not span the ambient lattice rationally")
-        cross = left.basis_matrix @ ambient.gram @ right.basis_matrix.T
-        if any(any(row) for row in cross.data):
+        cross = matmul(matmul(left.basis_matrix, ambient.gram), tuple(zip(*right.basis_matrix)))
+        if any(any(row) for row in cross):
             raise BadParameter("summands are not orthogonal")
         if not left.primitive or not right.primitive:
             raise BadParameter("summands must be primitive")
@@ -116,7 +117,7 @@ class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right"
 def splitting_from(L: Lattice, left_vectors) -> OrthogonalSplitting:
     """Splitting with M spanned (and saturated) by the given vectors."""
     right = orthogonal_complement(L, left_vectors)
-    left = orthogonal_complement(L, right.basis_matrix.data)
+    left = orthogonal_complement(L, right.basis_matrix)
     return OrthogonalSplitting(L, left, right)
 
 
@@ -134,8 +135,9 @@ def split_rational(split: OrthogonalSplitting, v) -> tuple:
     rows = split.left.basis_matrix
     snf = smith_normal_form(split.left.lattice.gram)
     e = snf.diag[-1]
-    y = snf.left.apply(rows.apply(split.ambient.gram.apply(v)))
-    scaled = rows.T.apply(snf.right.apply([x * (e // d) for x, d in zip(y, snf.diag)]))
+    y = apply(snf.left, apply(rows, apply(split.ambient.gram, v)))
+    ea = apply(snf.right, [x * (e // d) for x, d in zip(y, snf.diag)])  # e a
+    scaled = apply(tuple(zip(*rows)), ea)
     return (tuple(Fraction(x, e) for x in scaled),
             tuple(Fraction(e * a - x, e) for a, x in zip(v, scaled)))
 
@@ -145,8 +147,8 @@ def delta_prime_test(split: OrthogonalSplitting, delta) -> bool:
     d_m, d_n = split_rational(split, delta)
     if not any(d_m) or not any(d_n):
         raise MemberOfSummand("delta lies in one of the summands")
-    norm = split.ambient.gram.bilinear
-    return norm(d_m, d_m) < 0 and norm(d_n, d_n) < 0
+    G = split.ambient.gram
+    return bilinear(G, d_m, d_m) < 0 and bilinear(G, d_n, d_n) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,9 @@ def example_c12(bound: int = ENUM_BOUND) -> dict:
     ``bound`` on the isometry search of its discriminant form.
     """
     L = k3_square_lattice()
-    pair = L.gram.bilinear
+
+    def pair(x, y):
+        return bilinear(L.gram, x, y)
 
     def vec(v1=0, w1=0, v2=0, w2=0, e=0):
         return (v1, w1, v2, w2) + (0,) * (L.rank - 5) + (e,)

@@ -116,7 +116,7 @@ def _cmd_lat_info(args) -> int:
         "det": L.det,
         "signature": list(L.signature),
         "even": L.even,
-        "gram": L.gram.to_lists(),
+        "gram": L.gram,
     }
     if args.format == "json":
         _emit(_dump_json(obj), args.out)
@@ -250,7 +250,7 @@ def _cmd_cusp_sweep(args) -> int:
 
     def run_one(d):
         case = cusps.PolarizationCase(d, args.case)
-        r = cusps.nu(case, "both", args.bound)
+        r = cusps.nu(case, args.bound)
         return {
             "d": d,
             "embedding": args.case,

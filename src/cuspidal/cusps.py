@@ -40,7 +40,7 @@ from .errors import (
     InternalError,
     NotSquareFree,
 )
-from .exact import factorize
+from .exact import bilinear, factorize
 from . import fqf
 from . import glue as glue_mod
 from .fqf import FiniteQuadraticForm, trivial_form
@@ -125,13 +125,6 @@ def nu_formula(case: PolarizationCase) -> int:
     return (case.k + 2) // 2
 
 
-def nu_enumerate(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> int:
-    """Isotropic classes of A_N modulo +-1, counted part by part
-    (``fqf.isotropic_pm1_count``): the odd parts of A_N are cyclic and the
-    cofactor of its 2-part has at most two elements, so nothing is listed."""
-    return fqf.isotropic_pm1_count(disc_model(case).form, bound, case.primes)
-
-
 class NuResult(namedtuple("NuResult", "formula enumerated")):
     """nu from the closed formula and from the count, each None when not run."""
 
@@ -149,11 +142,13 @@ def _check_nu_mode(mode: str) -> None:
         raise BadParameter(f"unknown nu mode {mode!r}")
 
 
-def nu(case: PolarizationCase, mode: str = "both", bound: int = fqf.ENUM_BOUND) -> NuResult:
-    _check_nu_mode(mode)
-    f = nu_formula(case) if mode in ("formula", "both") else None
-    e = nu_enumerate(case, bound) if mode in ("enumerate", "both") else None
-    return NuResult(f, e)
+def nu(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> NuResult:
+    """nu from the closed formula and from the isotropic classes of A_N
+    modulo +-1, counted part by part (``fqf.isotropic_pm1_count``): the
+    odd parts of A_N are cyclic and the cofactor of its 2-part has at most
+    two elements, so nothing is listed."""
+    return NuResult(nu_formula(case),
+                    fqf.isotropic_pm1_count(disc_model(case).form, bound, case.primes))
 
 
 def valid_orders(case: PolarizationCase) -> list:
@@ -214,7 +209,7 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
             or (ord_e == 2 and form.smul(ord_t // 2, t) == e)):
         raise InternalError("t and e do not split A_N")
     modulus = 2 * form.level
-    q_t, q_e, b_te = form.q_scaled(t), form.q_scaled(e), form.gram.bilinear(t, e)
+    q_t, q_e, b_te = form.q_scaled(t), form.q_scaled(e), bilinear(form.gram, t, e)
     period = 2 * case.d if case.split else case.d
     reps, keys = [], set()
     for m in valid_orders(case):

@@ -1,167 +1,116 @@
 """Exact integer linear algebra.
 
-Everything here works with arbitrary-precision Python ints; no floating
-point appears in any result path, and no elimination runs over Q.
-Matrices are small (rank <= 24 in all callers), so the algorithms favour
-simplicity over asymptotics: Smith normal form with transform
-matrices whose every non-divisible step is a unimodular gcd mix of two
-rows or columns (the pivot is the first entry of least absolute value,
-and its search stops at a unit); one fraction-free symmetric Bareiss
-elimination, the only one in the package, whose pivots give the
-signature of a form and whose last pivot is its determinant (it builds
-no congruence basis); and integral LLL at delta = 99/100 on the leading
-minors and scaled Gram-Schmidt coefficients.  Inner products are
+A matrix is a tuple of equal-length tuples of ints, its rows, and its
+transpose is ``tuple(zip(*M))``; the functions here take any sequence of
+rows and return such tuples.  Everything works with arbitrary-precision
+Python ints; no floating point appears in any result path, and no
+elimination runs over Q.  The paper's lattices have rank at most 24, but
+a lattice name may reach rank 1000 (``lattice.MAX_NAME_RANK``) and
+``glue roots D200`` runs LLL and Fincke-Pohst at rank 200.  The
+algorithms favour simplicity over asymptotics: Smith normal form with
+transform matrices whose every non-divisible step is a unimodular gcd
+mix of two rows or columns (the pivot is the first entry of least
+absolute value, and its search stops at a unit); one fraction-free
+symmetric Bareiss elimination, the only one in the package, whose pivots
+give the signature of a form and whose last pivot is its determinant (it
+builds no congruence basis); and integral LLL at delta = 99/100 on the
+leading minors and scaled Gram-Schmidt coefficients.  Inner products are
 ``sum(map(mul, ...))``, with no Python frame per entry.  The one matrix
-product takes each row of its left operand with at most a third of its
-entries nonzero as the sum of the rows of the right operand that those
-entries pick, and any other row as inner products with the columns, so
-it costs at most 3 nnz(left) x cols; isometries and root-lattice Grams
-are mostly zero.  A Smith step touches only the nonzero entries of its
-source row, and only the rows that are nonzero in its columns.
+product, ``matmul``, takes each row of its left operand with at most a
+third of its entries nonzero as the sum of the rows of the right operand
+that those entries pick, and any other row as inner products with the
+columns, so it costs at most 3 nnz(left) x cols; isometries and
+root-lattice Grams are mostly zero.  A Smith step touches only the
+nonzero entries of its source row, and only the rows that are nonzero in
+its columns.
 
 Dual and quotient coordinates stay in integers: callers read them off a
 Smith transform or solve against a Hermite basis with ``hnf_coords``.
-A finite quadratic form is an ``IntMatrix`` Gram over its level, so
-``IntMatrix.bilinear`` evaluates lattice and discriminant forms alike.
-It and ``IntMatrix.apply`` also accept Fraction entries; in the package
-only the rational vectors of ``claims`` (the splitting of
-``verify example-c12``) use that.
+A finite quadratic form is a Gram matrix over its level, so ``bilinear``
+evaluates lattice and discriminant forms alike.  It and ``apply`` also
+accept Fraction vectors; in the package only the rational vectors of
+``claims`` (the splitting of ``verify example-c12``) use that.
 """
 
 from collections import namedtuple
 from itertools import compress
 from math import gcd
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul
 
 from .errors import GroupTooLarge, InternalError, NotDefinite, SingularMatrix
 
 LLL_DELTA = (99, 100)  # the LLL parameter delta = 99/100 as (numerator, denominator)
 
 
-class IntMatrix:
-    """Immutable dense integer matrix."""
+def diagonal(entries) -> tuple:
+    """The square matrix with ``entries`` on its diagonal."""
+    entries = tuple(entries)
+    n = len(entries)
+    return tuple((0,) * i + (x,) + (0,) * (n - 1 - i) for i, x in enumerate(entries))
 
-    __slots__ = ("data",)
 
-    def __init__(self, rows):
-        data = tuple(tuple(map(int, row)) for row in rows)
-        if len(set(map(len, data))) > 1:
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
+def block_diagonal(blocks) -> tuple:
+    """The orthogonal sum of square matrices, in order."""
+    blocks = list(blocks)
+    if any(len(b) != len(b[0]) for b in blocks if b):
+        raise ValueError("block_diagonal needs square blocks")
+    n = sum(map(len, blocks))
+    out, off = [], 0
+    for b in blocks:
+        left, right = (0,) * off, (0,) * (n - off - len(b))
+        out += [left + row + right for row in b]
+        off += len(b)
+    return tuple(out)
 
-    @classmethod
-    def _wrap(cls, data) -> "IntMatrix":
-        """The matrix on ``data``, equal-length tuples of ints, taken as is:
-        results of the arithmetic below skip the constructor's checks."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "data", data)
-        return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+def scaled(M, t: int) -> tuple:
+    """t M; ``scaled(M, -1)`` is -M."""
+    return tuple(tuple([t * x for x in r]) for r in M)
 
-    @property
-    def rows(self) -> int:
-        return len(self.data)
 
-    @property
-    def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
+def matmul(A, B) -> tuple:
+    """The product A B (see the module docstring for how rows are formed)."""
+    n = len(A[0]) if A else 0
+    if n != len(B):
+        raise ValueError("shape mismatch")
+    zero, bt, out = [0] * (len(B[0]) if B else 0), None, []
+    for row in A:
+        if 3 * (n - row.count(0)) > n:
+            if bt is None:
+                bt = list(zip(*B))
+            out.append(tuple([sum(map(mul, row, col)) for col in bt]))
+            continue
+        acc = zero
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.diagonal((1,) * n)
 
-    @classmethod
-    def diagonal(cls, entries) -> "IntMatrix":
-        entries = tuple(map(int, entries))
-        n = len(entries)
-        return cls._wrap(tuple((0,) * i + (x,) + (0,) * (n - 1 - i)
-                               for i, x in enumerate(entries)))
+def is_symmetric(M) -> bool:
+    """Whether M is square, every row as long as M, and equal to its transpose."""
+    n = len(M)
+    return all(len(row) == n for row in M) and all(
+        M[i][j] == M[j][i] for i in range(n) for j in range(i)
+    )
 
-    @classmethod
-    def block_diagonal(cls, blocks) -> "IntMatrix":
-        blocks = list(blocks)
-        if any(b.rows != b.cols for b in blocks):
-            raise ValueError("block_diagonal needs square blocks")
-        n = sum(b.rows for b in blocks)
-        out, off = [], 0
-        for b in blocks:
-            left, right = (0,) * off, (0,) * (n - off - b.rows)
-            out += [left + row + right for row in b.data]
-            off += b.rows
-        return cls._wrap(tuple(out))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
+def apply(M, vec) -> tuple:
+    """M times a column vector; entries may be ints or Fractions."""
+    if len(vec) != (len(M[0]) if M else 0):
+        raise ValueError("shape mismatch")
+    return tuple([sum(map(mul, row, vec)) for row in M])
 
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
 
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]})"
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap(tuple(tuple(map(neg, r)) for r in self.data))
-
-    def scaled(self, t: int) -> "IntMatrix":
-        t = int(t)
-        return IntMatrix._wrap(tuple(tuple([t * x for x in r]) for r in self.data))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.cols
-        if n != other.rows:
-            raise ValueError("shape mismatch")
-        B = other.data
-        zero, bt, out = [0] * other.cols, None, []
-        for row in self.data:
-            if 3 * (n - row.count(0)) > n:
-                if bt is None:
-                    bt = list(zip(*B))
-                out.append(tuple([sum(map(mul, row, col)) for col in bt]))
-                continue
-            acc = zero
-            for a, brow in zip(row, B):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, brow)]
-            out.append(tuple(acc))
-        return IntMatrix._wrap(tuple(out))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._wrap(tuple(zip(*self.data)))
-
-    @property
-    def T(self) -> "IntMatrix":
-        return self.transpose()
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
-
-    def apply(self, vec):
-        """Matrix times column vector; entries may be ints or Fractions."""
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple([sum(map(mul, row, vec)) for row in self.data])
-
-    def bilinear(self, x, y):
-        """x^t M y; entries may be ints or Fractions."""
-        return sum(map(mul, x, self.apply(y)))
-
-    def to_lists(self):
-        return [list(r) for r in self.data]
+def bilinear(M, x, y):
+    """x^t M y; entries may be ints or Fractions."""
+    return sum(map(mul, x, apply(M, y)))
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "left diag right")):
-    """left @ A @ right equals the (rectangular) diagonal matrix of ``diag``;
-    ``left`` and ``right`` are unimodular ``IntMatrix`` transforms."""
+    """left A right equals the (rectangular) diagonal matrix of ``diag``;
+    ``left`` and ``right`` are unimodular transforms."""
 
     __slots__ = ()
 
@@ -270,17 +219,17 @@ def _rho_factor(n: int) -> int:
     raise InternalError(f"no factor of {n} found")
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(A) -> SmithDecomposition:
     """Smith normal form with unimodular transform matrices.
 
-    Returns left, diag, right with left @ A @ right diagonal, diagonal
+    Returns left, diag, right with left A right diagonal, diagonal
     entries nonnegative and satisfying d1 | d2 | ... followed by zeros.
     Step t moves to (t, t) the first entry of least absolute value in the
     trailing block (``_pivot``, which stops at a unit) and clears its row
     and column.
     """
-    m, n = A.rows, A.cols
-    S = [list(r) for r in A.data]
+    m, n = len(A), len(A[0]) if A else 0
+    S = [list(r) for r in A]
     L, Rt = [[0] * m for _ in range(m)], [[0] * n for _ in range(n)]  # Rt is R transposed
     for M in (L, Rt):
         for i, row in enumerate(M):
@@ -389,9 +338,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 if S[j][j] < 0:
                     row_neg(j)
     diag = tuple(S[i][i] for i in range(top))
-    return SmithDecomposition(
-        IntMatrix._wrap(tuple(map(tuple, L))), diag, IntMatrix._wrap(tuple(zip(*Rt)))
-    )
+    return SmithDecomposition(tuple(map(tuple, L)), diag, tuple(zip(*Rt)))
 
 
 def _add_multiple(dst: list, c: int, src) -> None:
@@ -419,7 +366,7 @@ def _pivot(S, t):
     return best
 
 
-def det_and_signature(A: IntMatrix) -> tuple:
+def det_and_signature(A) -> tuple:
     """(det, (positives, negatives)) of a nonsingular symmetric matrix, by
     fraction-free symmetric elimination.
 
@@ -435,10 +382,10 @@ def det_and_signature(A: IntMatrix) -> tuple:
     entry d_t d_(t+1) there, with d_0 = 1.  Raises SingularMatrix on
     degenerate input.
     """
-    if not A.is_symmetric():
+    if not is_symmetric(A):
         raise ValueError("matrix is not symmetric")
-    n = A.rows
-    M = [list(row) for row in A.data]
+    n = len(A)
+    M = [list(row) for row in A]
     negatives = 0
     prev = 1
     for t in range(n):
@@ -507,7 +454,7 @@ def integral_gram_schmidt(gram) -> tuple:
     return d, lam
 
 
-def lll_reduce(A: IntMatrix) -> tuple:
+def lll_reduce(A) -> tuple:
     """LLL-reduce the basis of a definite Gram matrix, delta = 99/100.
 
     Returns (reduced_gram, T) with T unimodular and reduced_gram = T^t A T,
@@ -518,13 +465,13 @@ def lll_reduce(A: IntMatrix) -> tuple:
     updates d and lam in place (Cohen, Alg. 2.6.7, SWAPI).  Raises
     NotDefinite on indefinite or degenerate input.
     """
-    if not A.is_symmetric():
+    if not is_symmetric(A):
         raise ValueError("matrix is not symmetric")
-    n = A.rows
+    n = len(A)
     if n == 0:
-        return A, IntMatrix.identity(0)
-    neg = A.data[0][0] < 0
-    d, lam = integral_gram_schmidt((-A if neg else A).data)
+        return A, ()
+    neg = A[0][0] < 0
+    d, lam = integral_gram_schmidt(scaled(A, -1) if neg else A)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]  # rows = coeffs
     num, den = LLL_DELTA
 
@@ -558,12 +505,11 @@ def lll_reduce(A: IntMatrix) -> tuple:
         d[k] = b
         k = max(k - 1, 1)
 
-    T = IntMatrix(basis).transpose()
-    red = T.T @ A @ T
-    return red, T
+    T = tuple(zip(*basis))
+    return matmul(matmul(basis, A), T), T
 
 
-def kernel_basis(A: IntMatrix) -> IntMatrix:
+def kernel_basis(A) -> tuple:
     """Basis (rows) of the saturated integer kernel {x : A x = 0}.
 
     The SNF right-transform columns matching zero invariant factors form
@@ -571,18 +517,18 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     """
     snf = smith_normal_form(A)
     rank = sum(1 for d in snf.diag if d != 0)
-    return IntMatrix(list(zip(*snf.right.data))[rank:])
+    return tuple(zip(*snf.right))[rank:]
 
 
-def hnf_rows(rows) -> list:
+def hnf_rows(rows) -> tuple:
     """Row-style Hermite normal form basis of the span of integer ``rows``.
 
     Pivots positive, entries above each pivot reduced into [0, pivot);
-    zero rows dropped.  Returns a list of lists.
+    zero rows dropped.
     """
-    pool = [list(map(int, r)) for r in rows if any(r)]
+    pool = [list(r) for r in rows if any(r)]
     if not pool:
-        return []
+        return ()
     ncols = len(pool[0])
     basis = []
     for col in range(ncols):
@@ -615,17 +561,17 @@ def hnf_rows(rows) -> list:
             q = above[j] // row[j]
             if q:
                 above[:] = [a - q * b for a, b in zip(above, row)]
-    return basis
+    return tuple(map(tuple, basis))
 
 
-def hnf_coords(P: IntMatrix, row) -> list | None:
-    """Integer y with y @ P = row; None when row is outside the row lattice of P.
+def hnf_coords(P, row) -> list | None:
+    """Integer y with y P = row; None when row is outside the row lattice of P.
 
     P must be square and upper triangular with nonzero diagonal, which is
     what ``hnf_rows`` returns for a full-rank lattice, so forward
     substitution decides integrality one coordinate at a time.
     """
-    cols = list(zip(*P.data))
+    cols = list(zip(*P))
     y = []
     for j, target in enumerate(row):
         q, rem = divmod(target - sum(map(mul, y, cols[j])), cols[j][j])  # y has j entries

@@ -2,9 +2,10 @@
 
 A form lives on a finite abelian group in invariant-factor shape
 Z/d1 + ... + Z/dr (d1 | d2 | ...) and is stored like a lattice: an
-integer symmetric Gram matrix M over the level N = dr (the exponent; 1
-for the trivial form), with q(x) = x^T M x / N in Q/2Z and
-b(x, y) = x^T M y / N in Q/Z (Nikulin 1979, section 1).  The one
+integer symmetric Gram matrix M, a tuple of int rows as in ``exact``,
+over the level N = dr (the exponent; 1 for the trivial form), with
+q(x) = x^T M x / N in Q/2Z and b(x, y) = x^T M y / N in Q/Z (Nikulin
+1979, section 1), both evaluated by ``exact.bilinear``.  The one
 constructor takes these integer rows, and values are compared and
 printed as integers over the level (``q_scaled``, ``q_strings``).
 Diagonal entries are kept mod 2N and the others mod N, so equal forms
@@ -18,7 +19,7 @@ generator lifts V e_i / d_i; H^perp/H uses generator lifts in the
 parent.  No matrix is inverted over Q: quotient coordinates come from
 ``exact.hnf_coords`` and the Smith transform of the sublattice.  No
 matrix product is formed either: R G R^T is G r for each row r, one
-``apply``, paired with the rows.
+``exact.apply``, paired with the rows.
 
 A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
 section 1).  A_p is generated by the rows (d_i / p^e_i) e_i, p^e_i
@@ -53,7 +54,8 @@ from operator import add, itemgetter, mod, mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
-    IntMatrix, factorize, hnf_coords, hnf_rows, kernel_basis, smith_normal_form,
+    apply, bilinear, diagonal, factorize, hnf_coords, hnf_rows, kernel_basis, matmul,
+    smith_normal_form,
 )
 
 ENUM_BOUND = 10**6
@@ -72,10 +74,8 @@ class FiniteQuadraticForm:
         """
         orders = tuple(orders)
         level = orders[-1] if orders else 1
-        gram = IntMatrix(
-            [[x % (2 * level if i == j else level) for j, x in enumerate(row)]
-             for i, row in enumerate(gram_rows)]
-        )
+        gram = tuple(tuple([x % (2 * level if i == j else level) for j, x in enumerate(row)])
+                     for i, row in enumerate(gram_rows))
         for name, value in zip(self.__slots__, (orders, level, gram, source)):
             object.__setattr__(self, name, value)
 
@@ -120,7 +120,7 @@ class FiniteQuadraticForm:
 
     def q_scaled(self, x) -> int:
         """level * q(x), an integer in [0, 2 level), for a reduced x."""
-        return self.gram.bilinear(x, x) % (2 * self.level)
+        return bilinear(self.gram, x, x) % (2 * self.level)
 
     # equality is structural: same presentation, not mere isometry
     def __eq__(self, other):
@@ -156,7 +156,7 @@ class LatticeSource(namedtuple("LatticeSource", "smith kept")):
         return cls(snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
 
     @property
-    def left(self) -> IntMatrix:
+    def left(self) -> tuple:
         return self.smith.left
 
     def scaled_lift(self, x, level) -> tuple:
@@ -166,7 +166,7 @@ class LatticeSource(namedtuple("LatticeSource", "smith kept")):
         vector, not a dense V times a coefficient vector: a class has few
         generators next to the rank of L.
         """
-        V, d = self.smith.right.data, self.smith.diag
+        V, d = self.smith.right, self.smith.diag
         out = [0] * len(V)
         for a, k in zip(x, self.kept):
             if a:
@@ -186,7 +186,7 @@ class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_li
     __slots__ = ()
 
 
-def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
+def _generated_form(gram, level: int, rows, orders, source=None):
     """The form on ``orders`` generated by integer ``rows`` R of a space with
     b(x, y) = x^T gram y / level: R gram R^T over ``level``, rescaled to the
     exponent of ``orders`` (which must divide ``level``).
@@ -195,7 +195,7 @@ def _generated_form(gram: IntMatrix, level: int, rows, orders, source=None):
     costs one ``apply`` and no matrix is formed."""
     if not orders:
         return FiniteQuadraticForm((), (), source)
-    images = [gram.apply(r) for r in rows]
+    images = [apply(gram, r) for r in rows]
     moved = [[sum(map(mul, r, g)) for g in images] for r in rows]
     return FiniteQuadraticForm(orders, _over_level(moved, level, orders[-1]), source)
 
@@ -233,7 +233,7 @@ def trivial_form() -> FiniteQuadraticForm:
 class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_rows orders")):
     """``ambient_rows`` is the Hermite basis P of the ambient row lattice,
     ``vmat_t`` the transpose of the right Smith transform V, formed once so
-    that a row times V is one ``apply``, and ``generator_rows`` V^-1 @ P,
+    that a row times V is one ``apply``, and ``generator_rows`` V^-1 P,
     one row per invariant factor in ``orders``."""
 
     __slots__ = ()
@@ -243,29 +243,29 @@ class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_row
         y = hnf_coords(self.ambient_rows, row)
         if y is None:
             raise InternalError("row is not in the ambient row lattice")
-        z = self.vmat_t.apply(y)  # row-vector times V
+        z = apply(self.vmat_t, y)  # row-vector times V
         return tuple(map(mod, z, self.orders))
 
 
-def _row_quotient(P: IntMatrix, sub_rows: IntMatrix) -> _RowQuotient:
+def _row_quotient(P, sub_rows) -> _RowQuotient:
     """Quotient of the row lattice of P by the row lattice of sub_rows.
 
     P is a full-rank Hermite basis (square, upper triangular), so rows
     get their P-coordinates from ``hnf_coords``.
     """
     srows = []
-    for row in sub_rows.data:
+    for row in sub_rows:
         y = hnf_coords(P, row)
         if y is None:
             raise InternalError("sublattice is not contained in the ambient lattice")
         srows.append(y)
-    s = IntMatrix(hnf_rows(srows))
-    if s.rows != P.rows:
+    s = hnf_rows(srows)
+    if len(s) != len(P):
         raise InternalError("sublattice must have finite index")
     snf = smith_normal_form(s)
     # L S R = D gives R^-1 = D^-1 (L S), an exact division row by row
-    vinv = [[x // d for x in row] for row, d in zip((snf.left @ s).data, snf.diag)]
-    return _RowQuotient(P, snf.right.T, IntMatrix(vinv) @ P, snf.diag)
+    vinv = [[x // d for x in row] for row, d in zip(matmul(snf.left, s), snf.diag)]
+    return _RowQuotient(P, tuple(zip(*snf.right)), matmul(vinv, P), snf.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
     generators, and no element of the subgroup read."""
     form, gens = subgroup.form, subgroup.generators
     for i, g in enumerate(gens):
-        if form.q_scaled(g) or any(form.gram.bilinear(g, h) % form.level for h in gens[:i]):
+        if form.q_scaled(g) or any(bilinear(form.gram, g, h) % form.level for h in gens[:i]):
             raise NotIsotropic(f"{what} is not isotropic")
 
 
@@ -371,7 +371,7 @@ def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> li
     _require_enumerable(form, bound)
     if not form.rank:
         return [()]
-    M, modulus = form.gram.data, 2 * form.level
+    M, modulus = form.gram, 2 * form.level
     *head, (d, row) = zip(form.orders, M)
     prefixes = [((), 0)]
     for k, (dk, rk) in enumerate(head):
@@ -387,8 +387,8 @@ def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> li
 
 def _primary_parts(form: FiniteQuadraticForm, primes=None) -> list:
     """(p, orders, Gram) of each p-part A_p for the primes p dividing |A|:
-    A_p in invariant-factor shape, with its integer Gram over the exponent
-    of ``orders`` wrapped, not built, as an ``IntMatrix``.
+    A_p in invariant-factor shape, with its integer Gram rows over the
+    exponent of ``orders``.
 
     ``primes`` may hold the primes of the level (or more), when the caller
     has them; otherwise the level is factored.  A_p is generated by the
@@ -398,7 +398,7 @@ def _primary_parts(form: FiniteQuadraticForm, primes=None) -> list:
     """
     if primes is None:
         primes = factorize(form.level)
-    G, level = form.gram.data, form.level
+    G, level = form.gram, form.level
     parts, order = [], 1
     for p in sorted(p for p in set(primes) if level % p == 0):
         gens, orders = [], []
@@ -410,7 +410,7 @@ def _primary_parts(form: FiniteQuadraticForm, primes=None) -> list:
                 gens.append((i, d // pe))
                 orders.append(pe)
         moved = [[ca * cb * G[ia][ib] for ib, cb in gens] for ia, ca in gens]
-        parts.append((p, tuple(orders), IntMatrix._wrap(_over_level(moved, level, orders[-1]))))
+        parts.append((p, tuple(orders), _over_level(moved, level, orders[-1])))
         order *= prod(orders)
     if order != form.cardinality:
         raise InternalError("the given primes miss a prime of the group order")
@@ -466,7 +466,7 @@ def _last_coordinate_count(a: int, b: int, c: int, p: int, n: int) -> int:
     return 0 if c % 2 else _root_count(a, 2 * b, c, p, n)
 
 
-def _isotropic_count(p: int, orders, gram: IntMatrix, bound: int) -> int:
+def _isotropic_count(p: int, orders, gram, bound: int) -> int:
     """I_p of the p-part on ``orders`` with Gram ``gram`` over n_r: for each y
     in the cofactor Z/n_1 + ... + Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.
     With G = ``gram``, q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
@@ -475,9 +475,9 @@ def _isotropic_count(p: int, orders, gram: IntMatrix, bound: int) -> int:
     if cofactor > bound:
         raise GroupTooLarge(f"{p}-part of order {cofactor * n}: cofactor of order "
                             f"{cofactor} exceeds enumeration bound {bound}")
-    a, last = gram.data[-1][-1], gram.data[-1][:-1]
+    a, last = gram[-1][-1], gram[-1][:-1]
     return sum(
-        _last_coordinate_count(a, sum(map(mul, last, y)), gram.bilinear(y + (0,), y + (0,)),
+        _last_coordinate_count(a, sum(map(mul, last, y)), bilinear(gram, y + (0,), y + (0,)),
                                p, n)
         for y in product(*map(range, head))
     )
@@ -501,7 +501,7 @@ def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
         if p == 2:
             modulus = 2 * orders[-1]
             fixed = sum(1 for x in product(*[(0, d // 2) for d in orders])
-                        if gram.bilinear(x, x) % modulus == 0)
+                        if bilinear(gram, x, x) % modulus == 0)
     return (isotropic + fixed) // 2
 
 
@@ -522,7 +522,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     the walk stops with GroupTooLarge once the attempts pass ``bound``.
     """
     iso = isotropic_elements(form, bound)  # sorted, as ``elements`` is
-    rows = [form.gram.apply(e) for e in iso]  # b(e, g) = (M e) . g / N
+    rows = [apply(form.gram, e) for e in iso]  # b(e, g) = (M e) . g / N
     level = form.level
     trivial = trivial_subgroup(form)
     found = [trivial]
@@ -567,18 +567,17 @@ def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQua
     # integer model: P = preimage in Z^n of H^perp, PH = preimage of H;
     # x lies in H^perp iff (M h) . x = 0 mod N for every generator h of H
     gens = subgroup.generators
-    torsion = list(IntMatrix.diagonal(form.orders).data)
+    torsion = list(diagonal(form.orders))
     if gens:
-        levels = IntMatrix.diagonal([form.level] * len(gens)).data
-        aug = [form.gram.apply(h) + e for h, e in zip(gens, levels)]
-        proj = [r[:n] for r in kernel_basis(IntMatrix(aug)).data]
+        levels = diagonal([form.level] * len(gens))
+        aug = [apply(form.gram, h) + e for h, e in zip(gens, levels)]
+        proj = [r[:n] for r in kernel_basis(aug)]
     else:
-        proj = list(IntMatrix.identity(n).data)
-    rq = _row_quotient(IntMatrix(hnf_rows(proj + torsion)),
-                       IntMatrix(hnf_rows(list(gens) + torsion)))
+        proj = list(diagonal((1,) * n))
+    rq = _row_quotient(hnf_rows(proj + torsion), hnf_rows(list(gens) + torsion))
     kept = [i for i, d in enumerate(rq.orders) if d > 1]
     orders = tuple(rq.orders[i] for i in kept)
-    gen_elems = [form.reduce(rq.generator_rows.data[i]) for i in kept]
+    gen_elems = [form.reduce(rq.generator_rows[i]) for i in kept]
     expected = form.cardinality // (subgroup.order ** 2)
     if prod(orders) != expected:
         raise InternalError("perp quotient order mismatch")
@@ -628,7 +627,7 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
     """
     buckets = _signature_buckets(b, bound)
     la, lb = a.level, b.level
-    arows = a.gram.data
+    arows = a.gram
     gens = [_unit(a.rank, i) for i in range(a.rank)]
     results = []
 
@@ -645,7 +644,7 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
         for y in buckets.get(key, ()):
             ok = True
             for j in range(i):
-                if (b.gram.bilinear(images[j], y) % lb) * la != (arows[j][i] % la) * lb:
+                if (bilinear(b.gram, images[j], y) % lb) * la != (arows[j][i] % la) * lb:
                     ok = False
                     break
             if ok:
@@ -704,14 +703,14 @@ def _ratio_str(num: int, den: int) -> str:
 
 def q_strings(form: FiniteQuadraticForm) -> list:
     """q of the generators, in [0, 2), as the strings of reduced fractions."""
-    return [_ratio_str(row[i], form.level) for i, row in enumerate(form.gram.data)]
+    return [_ratio_str(row[i], form.level) for i, row in enumerate(form.gram)]
 
 
 def form_to_obj(form: FiniteQuadraticForm) -> dict:
     """The invariant factors ``orders`` and the values ``q`` and ``b`` on the
     generators, in symmetric representatives: q in (-1, 1], b in (-1/2, 1/2]."""
     n = form.level
-    rows = form.gram.data
+    rows = form.gram
     return {
         "orders": list(form.orders),
         "q": [_ratio_str(row[i] - 2 * n if row[i] > n else row[i], n)

@@ -69,7 +69,9 @@ from .errors import (
     RootsNotFullRank,
     SingularMatrix,
 )
-from .exact import IntMatrix, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce
+from .exact import (
+    apply, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul, scaled,
+)
 from .fqf import (
     FiniteQuadraticForm,
     FqfSubgroup,
@@ -165,19 +167,18 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
     int_rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
     int_rows += [list(gd.disc.source.scaled_lift(g, den)) for g in glue.generators]
     # B = den * (overlattice basis in R coordinates), an integer matrix
-    basis = IntMatrix(hnf_rows(int_rows))
-    if basis.rows != n:
+    basis = hnf_rows(int_rows)
+    if len(basis) != n:
         raise NonIntegralGlue("glue lifts do not span a finite-index overlattice")
-    scaled = basis @ base.gram @ basis.T
     gram = []
-    for i, row in enumerate(scaled.data):
+    for i, row in enumerate(matmul(matmul(basis, base.gram), tuple(zip(*basis)))):
         if any(x % (den * den) for x in row):
             raise NonIntegralGlue("glue produces non-integral pairings")
         gram.append(tuple([x // (den * den) for x in row]))
         if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
-    det = base.det * prod(basis.data[i][i] for i in range(n)) ** 2 // den ** (2 * n)
-    return Lattice._from_invariants(IntMatrix._wrap(tuple(gram)), det, base.signature, True)
+    det = base.det * prod(basis[i][i] for i in range(n)) ** 2 // den ** (2 * n)
+    return Lattice._from_invariants(tuple(gram), det, base.signature, True)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def short_vectors(L: Lattice, norm: int) -> list:
     # -red(x) = sum_i (d[i+1] / d[i]) (x_i + C_i / d[i+1])^2 with the integer
     # C_i = sum_{j > i} lam[j][i] x_j; times common = lcm(d[i] d[i+1]), term i
     # is scale[i] (d[i+1] x_i + C_i)^2 with scale[i] = common / (d[i] d[i+1])
-    d, lam = integral_gram_schmidt((-red).data)
+    d, lam = integral_gram_schmidt(scaled(red, -1))
     common = lcm(*(d[i] * d[i + 1] for i in range(n)))
     scale = [common // (d[i] * d[i + 1]) for i in range(n)]
 
@@ -236,7 +237,7 @@ def short_vectors(L: Lattice, norm: int) -> list:
         if rep in seen:
             continue
         seen.add(rep)
-        out.append(T.apply(rep))
+        out.append(apply(T, rep))
     out.sort()
     return out
 
@@ -294,7 +295,7 @@ def root_system(L: Lattice) -> RootSystem:
     for a in pos:
         if all(sum(map(mul, a, gs)) >= 0 for gs in gram_simple):
             simple.append(a)
-            gram_simple.append(L.gram.apply(a))
+            gram_simple.append(apply(L.gram, a))
 
     P = [[sum(map(mul, a, gs)) for gs in gram_simple] for a in simple]
     # each simple root joins every component it pairs with
@@ -317,7 +318,7 @@ def _classify_component(block) -> tuple:
     if any(block[i][j] not in (0, 1) for i in range(n) for j in range(n) if i != j):
         raise InternalError("component is not a simply-laced Dynkin diagram")
     try:
-        det = (-1) ** n * det_and_signature(IntMatrix(block))[0]
+        det = (-1) ** n * det_and_signature(block)[0]
     except SingularMatrix:
         raise InternalError("component is not a simply-laced Dynkin diagram") from None
     if det == n + 1:
@@ -343,7 +344,7 @@ def _coset_minima(gd: GlueData) -> list:
     U e_j and, as level G^-1 = V (level D^-1) U, level times its norm is
     sum_i V[j][i] (level / d_i) U[i][j]."""
     src = gd.disc.source
-    U, d, V = src.smith.left.data, src.smith.diag, src.smith.right.data
+    U, d, V = src.smith.left, src.smith.diag, src.smith.right
     level = gd.disc.level
     scale = [level // di for di in d]
     Ucols = list(zip(*U))
@@ -355,7 +356,7 @@ def _coset_minima(gd: GlueData) -> list:
             raise NotNegativeDefinite("coset minima need a negative definite base")
         R = _component_lattice(comp.kind, comp.param)
         sl = slice(comp.offset, comp.offset + comp.rank)
-        if tuple(row[sl] for row in gd.base.gram.data[sl]) != R.gram.data:
+        if tuple(row[sl] for row in gd.base.gram[sl]) != R.gram:
             raise InternalError("base Gram block differs from its component")
         rows = [(U[k][sl], d[k]) for k in src.kept]
         minima = {}
@@ -397,10 +398,10 @@ def glue_adds_roots(gd: GlueData, glue: FqfSubgroup, blocks) -> bool:
         lift = gd.disc.source.scaled_lift(h, level)  # level times a vector of R*
         total = 0  # level times the coset minimum
         for sl, rows, G, minima in blocks:
-            scaled = G.apply(lift[sl])
-            if any(x % level for x in scaled):
+            pairings = apply(G, lift[sl])
+            if any(x % level for x in pairings):
                 raise InternalError("glue lift is not a dual vector")
-            p = [x // level for x in scaled]
+            p = [x // level for x in pairings]
             c = tuple(sum(map(mul, u, p)) % dk for u, dk in rows)
             if any(c):
                 total += minima[c]
@@ -502,8 +503,8 @@ def _generator_actions(gd: GlueData) -> tuple:
     columns of V.
     """
     src = gd.disc.source
-    kept, d, V = src.kept, src.smith.diag, src.smith.right.data
-    K = (IntMatrix([src.left.data[k] for k in kept]) @ gd.base.gram).data if kept else ()
+    kept, d, V = src.kept, src.smith.diag, src.smith.right
+    K = matmul([src.left[k] for k in kept], gd.base.gram) if kept else ()
     cols = [list(map(itemgetter(i), V)) for i in kept]
     actions = []
     for p, s in _tau_signed_permutations(gd):

@@ -16,8 +16,9 @@ closed forms (``make_standard``), a direct sum from its parts
 (``direct_sum``), a twist from the lattice it scales (``Lattice.twist``)
 and an overlattice from its base and Hermite basis (``glue.overlattice``).
 
-A vector is a tuple of its coordinates in the basis of its lattice, and
-its pairings are ``L.gram.bilinear``.  Sublattices, orthogonal
+A Gram matrix is a tuple of int rows (``exact``), a vector a tuple of
+its coordinates in the basis of its lattice, and pairings are
+``exact.bilinear(L.gram, x, y)``.  Sublattices, orthogonal
 complements, divisibility and rational splittings live in ``claims``,
 which no command but ``verify example-c12`` imports; isometries,
 reflections and spinor norms, which no command runs, live with the tests
@@ -30,25 +31,24 @@ from math import prod
 from operator import itemgetter, mul
 
 from .errors import BadParameter, NotIsometry
-from .exact import IntMatrix, det_and_signature
+from .exact import block_diagonal, det_and_signature, is_symmetric, scaled
 
 
 class Lattice:
     """Immutable lattice; determinant, signature and parity are stored at
-    construction.  ``Lattice(gram)`` computes the first two by one
-    elimination (``exact.det_and_signature``); the other constructors
-    take them from their construction (``_from_invariants``)."""
+    construction.  ``Lattice(gram)`` keeps the integer rows of ``gram`` as
+    a tuple of tuples and computes the first two by one elimination
+    (``exact.det_and_signature``); the other constructors take them from
+    their construction (``_from_invariants``)."""
 
     __slots__ = ("gram", "det", "signature", "even")
 
     def __init__(self, gram):
-        if not isinstance(gram, IntMatrix):
-            gram = IntMatrix(gram)
-        if not gram.is_symmetric():
+        gram = tuple(map(tuple, gram))
+        if not is_symmetric(gram):
             raise BadParameter("gram matrix must be symmetric")
         det, signature = det_and_signature(gram)
-        self._store(gram, det, signature,
-                    all(gram.data[i][i] % 2 == 0 for i in range(gram.rows)))
+        self._store(gram, det, signature, all(row[i] % 2 == 0 for i, row in enumerate(gram)))
 
     @classmethod
     def _from_invariants(cls, gram, det, signature, even) -> "Lattice":
@@ -67,7 +67,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return self.gram.rows
+        return len(self.gram)
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.gram == other.gram
@@ -82,7 +82,7 @@ class Lattice:
         if t < 1:
             raise BadParameter("twist parameter must be a positive integer")
         # L(t) keeps the signature, has det t^rank det L and is even when L or t is
-        return Lattice._from_invariants(self.gram.scaled(t), t**self.rank * self.det,
+        return Lattice._from_invariants(scaled(self.gram, t), t**self.rank * self.det,
                                         self.signature, self.even or t % 2 == 0)
 
 
@@ -125,7 +125,7 @@ def make_standard(kind: str, n: int | None = None) -> Lattice:
         g, det, sig = [[n]], n, (1, 0) if n > 0 else (0, 1)
     else:
         raise BadParameter(f"unknown standard lattice kind {kind!r}")
-    return Lattice._from_invariants(IntMatrix._wrap(tuple(map(tuple, g))), det, sig, True)
+    return Lattice._from_invariants(tuple(map(tuple, g)), det, sig, True)
 
 
 def _minus_cartan_chain(n: int):
@@ -151,7 +151,7 @@ def direct_sum(*parts: Lattice) -> Lattice:
     if not parts:
         raise BadParameter("empty direct sum")
     return Lattice._from_invariants(
-        IntMatrix.block_diagonal([p.gram for p in parts]), prod(p.det for p in parts),
+        block_diagonal([p.gram for p in parts]), prod(p.det for p in parts),
         tuple(map(sum, zip(*(p.signature for p in parts)))),
         all(p.even for p in parts),
     )
@@ -177,7 +177,7 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
         raise NotIsometry("not a signed permutation of the basis")
     if n < 2:
         return  # and an itemgetter of one index returns no tuple
-    G = domain.gram.data
+    G = domain.gram
     gather = itemgetter(*perm)
     flips, neg = -1 in signs, [-s for s in signs]
     for i, (p, s) in enumerate(zip(perm, signs)):

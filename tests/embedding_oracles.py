@@ -14,22 +14,22 @@ from collections import namedtuple
 from cuspidal.claims import Sublattice, divisibility
 from cuspidal.cusps import PolarizationCase, k3_square_lattice
 from cuspidal.errors import BadParameter, InternalError, NotDefinite
-from cuspidal.exact import IntMatrix
+from cuspidal.exact import apply, bilinear, is_symmetric
 from cuspidal.fqf import discriminant_form
 from cuspidal.lattice import Lattice, make_standard
 from helpers import class_of
 
 
-def reduced_binary(gram: IntMatrix) -> IntMatrix:
+def reduced_binary(gram) -> tuple:
     """Canonical Gauss-reduced representative of a definite binary form.
 
     Negative definite input is reduced through its positive definite
     flip, so two rank-2 definite lattices are isometric iff their
     reduced Grams are equal.
     """
-    if gram.rows != 2 or not gram.is_symmetric():
+    if len(gram) != 2 or not is_symmetric(gram):
         raise BadParameter("reduced_binary needs a symmetric 2x2 matrix")
-    a, b, c = gram.data[0][0], gram.data[0][1], gram.data[1][1]
+    a, b, c = gram[0][0], gram[0][1], gram[1][1]
     if a == 0 or a * c - b * b <= 0:
         raise NotDefinite("binary form is not definite")
     neg = a < 0
@@ -50,7 +50,7 @@ def reduced_binary(gram: IntMatrix) -> IntMatrix:
         b = -b
     if neg:
         a, b, c = -a, -b, -c
-    return IntMatrix([[a, b], [b, c]])
+    return ((a, b), (b, c))
 
 
 def rank2_isometric(L1: Lattice, L2: Lattice) -> bool:
@@ -92,22 +92,22 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
         rows = [b1, b2] + [unit(i) for i in range(2, n - 1)]
         expected_div = 2
 
-    if L.gram.bilinear(h, h) != 2 * d:
+    if bilinear(L.gram, h, h) != 2 * d:
         raise InternalError("polarization square is not 2d")
     if divisibility(L, h) != expected_div:
         raise InternalError("polarization divisibility mismatch")
     sub = Sublattice.of(L, rows)
-    if any(sub.basis_matrix.apply(L.gram.apply(h))):
+    if any(apply(sub.basis_matrix, apply(L.gram, h))):
         raise InternalError("complement basis is not orthogonal to h")
     if not sub.primitive:
         raise InternalError("complement basis is not primitive")
     gram = sub.lattice.gram
     if case.split:
-        if gram.data[0][0] != -2 * d or gram.data[n - 2][n - 2] != -2:
+        if gram[0][0] != -2 * d or gram[n - 2][n - 2] != -2:
             raise InternalError("distinguished generators have wrong norms")
     else:
         if not rank2_isometric(
-            Lattice([[gram.data[0][0], gram.data[0][1]], [gram.data[1][0], gram.data[1][1]]]),
+            Lattice([[gram[0][0], gram[0][1]], [gram[1][0], gram[1][1]]]),
             make_standard("B", d),
         ):
             raise InternalError("B_d block mismatch")

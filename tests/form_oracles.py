@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from cuspidal.exact import IntMatrix
+from cuspidal.exact import block_diagonal, diagonal, scaled
 from cuspidal.fqf import (
     FiniteQuadraticForm, FqfSubgroup, _generated_form, _row_quotient, trivial_form,
 )
@@ -23,13 +23,13 @@ def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
     if not orders:
         return trivial_form()
     level = lcm(*(f.level for f in forms))
-    gram = IntMatrix.block_diagonal(f.gram.scaled(level // f.level) for f in forms)
-    quotient = _row_quotient(IntMatrix.identity(len(orders)), IntMatrix.diagonal(orders))
+    gram = block_diagonal(scaled(f.gram, level // f.level) for f in forms)
+    quotient = _row_quotient(diagonal((1,) * len(orders)), diagonal(orders))
     kept = [i for i, d in enumerate(quotient.orders) if d > 1]
     return _generated_form(
         gram,
         level,
-        [quotient.generator_rows.data[i] for i in kept],
+        [quotient.generator_rows[i] for i in kept],
         tuple(quotient.orders[i] for i in kept),
     )
 

@@ -21,16 +21,16 @@ from fractions import Fraction
 from math import lcm
 
 from cuspidal.errors import SingularMatrix
-from cuspidal.exact import IntMatrix
+from cuspidal.exact import is_symmetric
 
 
-def bareiss_det(A: IntMatrix) -> int:
+def bareiss_det(A) -> int:
     """Determinant of a square matrix by fraction-free Bareiss elimination
     with row swaps."""
-    n = A.rows
-    if n != A.cols:
+    n = len(A)
+    if n != (len(A[0]) if A else 0):
         raise ValueError("determinant of non-square matrix")
-    m = [list(r) for r in A.data]
+    m = [list(r) for r in A]
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -46,14 +46,14 @@ def bareiss_det(A: IntMatrix) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def solve_rational(A: IntMatrix, b) -> tuple | None:
+def solve_rational(A, b) -> tuple | None:
     """Solve A x = b exactly over Q; None when inconsistent.
 
     Underdetermined systems get free variables set to 0.  Entries of b
     may be ints or Fractions.
     """
-    m, n = A.rows, A.cols
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.data)]
+    m, n = len(A), len(A[0]) if A else 0
+    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
     pivots = []
     r = 0
     for c in range(n):
@@ -79,14 +79,14 @@ def solve_rational(A: IntMatrix, b) -> tuple | None:
     return tuple(x)
 
 
-def rational_inverse(A: IntMatrix):
+def rational_inverse(A):
     """Inverse of a nonsingular integer matrix, as rows of Fractions.
 
     Column j solves A x = e_j; a singular A leaves some e_j outside its
     column space.
     """
-    n = A.rows
-    if n != A.cols:
+    n = len(A)
+    if n != (len(A[0]) if A else 0):
         raise ValueError("inverse of non-square matrix")
     cols = []
     for j in range(n):
@@ -97,17 +97,17 @@ def rational_inverse(A: IntMatrix):
     return [list(row) for row in zip(*cols)]
 
 
-def lagrange_signature(A: IntMatrix) -> tuple:
+def lagrange_signature(A) -> tuple:
     """Signature (positives, negatives) of a nonsingular symmetric matrix.
 
     Congruence diagonalization over Q (Lagrange); the trailing Schur
     complement at each step keeps everything symmetric.  Raises
     SingularMatrix on degenerate input.
     """
-    if not A.is_symmetric():
+    if not is_symmetric(A):
         raise ValueError("matrix is not symmetric")
-    n = A.rows
-    M = [[Fraction(x) for x in row] for row in A.data]
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
     pos = neg = 0
     for t in range(n):
         if M[t][t] == 0:

@@ -29,7 +29,7 @@ from cuspidal.cusps import (
     predicted_AE,
 )
 from cuspidal.errors import BadParameter, CuspidalError, NotIsometry, SingularMatrix
-from cuspidal.exact import IntMatrix, smith_normal_form
+from cuspidal.exact import apply, diagonal, matmul, smith_normal_form
 from cuspidal.fqf import (
     ENUM_BOUND,
     FiniteQuadraticForm,
@@ -52,7 +52,7 @@ class HypothesisFailed(CuspidalError):
 # isometries, reflections, spinor norms
 
 
-def positive_definite_basis(A: IntMatrix) -> list:
+def positive_definite_basis(A) -> list:
     """Pairwise A-orthogonal integer rows spanning a maximal positive definite
     subspace of a nonsingular symmetric A.
 
@@ -63,8 +63,8 @@ def positive_definite_basis(A: IntMatrix) -> list:
     The rows whose entry is positive are kept.  Raises SingularMatrix on
     degenerate input.
     """
-    n = A.rows
-    M = [list(row) for row in A.data]
+    n = len(A)
+    M = [list(row) for row in A]
     T = [[int(i == j) for j in range(n)] for i in range(n)]
     out = []
     prev = 1
@@ -101,14 +101,16 @@ def positive_definite_basis(A: IntMatrix) -> list:
 
 
 class Isometry(namedtuple("Isometry", "domain matrix")):
-    """Isometry of a lattice, acting on coordinate columns: v -> M v."""
+    """Isometry of a lattice, acting on coordinate columns: v -> M v; the
+    constructor keeps the integer rows of M as a tuple of tuples."""
 
     __slots__ = ()
 
     def __new__(cls, domain, matrix):
-        if matrix.rows != matrix.cols or matrix.rows != domain.rank:
+        matrix = tuple(map(tuple, matrix))
+        if len(matrix) != domain.rank or any(len(row) != domain.rank for row in matrix):
             raise NotIsometry("matrix shape does not match the lattice")
-        if matrix.T @ domain.gram @ matrix != domain.gram:
+        if matmul(matmul(tuple(zip(*matrix)), domain.gram), matrix) != domain.gram:
             raise NotIsometry("matrix does not preserve the form")
         return tuple.__new__(cls, (domain, matrix))
 
@@ -118,7 +120,7 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
 
     @classmethod
     def identity(cls, L: Lattice) -> "Isometry":
-        return cls(L, IntMatrix.identity(L.rank))
+        return cls(L, diagonal((1,) * L.rank))
 
 
 def reflection(L: Lattice, v) -> Isometry:
@@ -131,15 +133,14 @@ def reflection(L: Lattice, v) -> Isometry:
     """
     den = lcm(*(x.denominator for x in v))
     w = [x.numerator * (den // x.denominator) for x in v]
-    gw = L.gram.apply(w)
+    gw = apply(L.gram, w)
     norm = sum(a * b for a, b in zip(w, gw))
     if norm == 0:
         raise BadParameter("cannot reflect in an isotropic vector")
     if any(2 * a * b % norm for a in w for b in gw):
         raise NotIsometry("reflection does not preserve the lattice")
     return Isometry(
-        L, IntMatrix([[int(i == j) - 2 * a * b // norm for j, b in enumerate(gw)]
-                      for i, a in enumerate(w)])
+        L, [[int(i == j) - 2 * a * b // norm for j, b in enumerate(gw)] for i, a in enumerate(w)]
     )
 
 
@@ -158,8 +159,7 @@ def spinor_norm(g: Isometry) -> int:
     P = positive_definite_basis(G)
     if not P:
         return 1
-    P = IntMatrix(P)
-    return 1 if bareiss_det(P @ G @ g.matrix @ P.T) > 0 else -1
+    return 1 if bareiss_det(matmul(matmul(matmul(P, G), g.matrix), tuple(zip(*P)))) > 0 else -1
 
 
 class MembershipFlags(namedtuple(
@@ -183,9 +183,9 @@ def disc_action(g: Isometry, smith, kept) -> tuple:
     """
     if not kept:
         return ()
-    rows = IntMatrix([smith.left.data[k] for k in kept])
-    cols = IntMatrix([[row[i] for i in kept] for row in smith.right.data])
-    m = (rows @ g.domain.gram @ g.matrix @ cols).data
+    rows = [smith.left[k] for k in kept]
+    cols = [[row[i] for i in kept] for row in smith.right]
+    m = matmul(matmul(matmul(rows, g.domain.gram), g.matrix), cols)
     d = smith.diag
     return tuple(
         tuple(m[a][b] // d[i] % d[k] for a, k in enumerate(kept))
@@ -286,7 +286,7 @@ def t_set(case: PolarizationCase, m: int, bound: int = ENUM_BOUND) -> list:
     pred = predicted_AE(case, m)
     out = []
     for delta in range(m):
-        t_gram = IntMatrix([[0, m], [m, 2 * delta]])
+        t_gram = ((0, m), (m, 2 * delta))
         t_disc = discriminant_form(Lattice(t_gram))
         total = direct_sum_form(t_disc, pred)
         if are_isometric(total, model.form, bound)[0]:

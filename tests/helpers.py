@@ -14,23 +14,23 @@ from operator import mul
 
 from cuspidal import fqf, glue
 from cuspidal.errors import MixedLattices
-from cuspidal.exact import IntMatrix, hnf_coords, hnf_rows
+from cuspidal.exact import apply, bilinear, diagonal, hnf_coords, hnf_rows, matmul, scaled
 from cuspidal.fqf import FiniteQuadraticForm
 from cuspidal.lattice import check_signed_permutation, direct_sum, make_standard
 from fraction_oracles import fraction_presentation
 from group_claims import Isometry
 
 
-def diagonal_matrix(smith) -> IntMatrix:
+def diagonal_matrix(smith) -> tuple:
     """The (rectangular) diagonal matrix of ``smith.diag``."""
-    out = [[0] * smith.right.rows for _ in range(smith.left.rows)]
+    out = [[0] * len(smith.right) for _ in range(len(smith.left))]
     for i, d in enumerate(smith.diag):
         out[i][i] = d
-    return IntMatrix(out)
+    return tuple(map(tuple, out))
 
 
 def lattice_to_json(L) -> str:
-    return json.dumps({"rank": L.rank, "gram": L.gram.to_lists()}, sort_keys=True)
+    return json.dumps({"rank": L.rank, "gram": L.gram}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +56,13 @@ def form_from_json(text: str) -> FiniteQuadraticForm:
 
 def q_diagonal(form) -> tuple:
     """q of the generators, in [0, 2)."""
-    return tuple(Fraction(row[i], form.level) for i, row in enumerate(form.gram.data))
+    return tuple(Fraction(row[i], form.level) for i, row in enumerate(form.gram))
 
 
 def b_matrix(form) -> tuple:
     """b of pairs of generators, in [0, 1)."""
     n = form.level
-    return tuple(tuple(Fraction(x % n, n) for x in row) for row in form.gram.data)
+    return tuple(tuple(Fraction(x % n, n) for x in row) for row in form.gram)
 
 
 def q_value(form, x) -> Fraction:
@@ -72,7 +72,7 @@ def q_value(form, x) -> Fraction:
 
 def b_value(form, x, y) -> Fraction:
     """b(x, y) in [0, 1)."""
-    value = form.gram.bilinear(form.reduce(x), form.reduce(y))
+    value = bilinear(form.gram, form.reduce(x), form.reduce(y))
     return Fraction(value % form.level, form.level)
 
 
@@ -91,7 +91,7 @@ def class_key(source, pairings) -> tuple:
     vector v with integer pairings p = G v against the basis of L, for the
     Smith transforms U G V = D of ``source`` (a ``fqf.LatticeSource``):
     v - w lies in L exactly when D^-1 U (G v - G w) is integral."""
-    U, d = source.smith.left.data, source.smith.diag
+    U, d = source.smith.left, source.smith.diag
     return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in source.kept])
 
 
@@ -103,7 +103,7 @@ def class_of(L, form, scaled, level: int) -> tuple:
     src = form.source
     if not isinstance(src, fqf.LatticeSource):
         raise ValueError("form has no lattice provenance")
-    pairings = L.gram.apply(scaled)
+    pairings = apply(L.gram, scaled)
     if any(x % level for x in pairings):
         raise ValueError("vector is not in the dual lattice")
     return class_key(src, [x // level for x in pairings])
@@ -120,7 +120,7 @@ def a_n_core(case):
 def part_forms(form, primes=None) -> dict:
     """{p: A_p} for the orders and integer Gram rows of each p-part that
     ``fqf._primary_parts`` reads off ``form``, wrapped in a form here."""
-    return {p: FiniteQuadraticForm(orders, gram.data)
+    return {p: FiniteQuadraticForm(orders, gram)
             for p, orders, gram in fqf._primary_parts(form, primes)}
 
 
@@ -130,7 +130,7 @@ def part_forms(form, primes=None) -> dict:
 
 def basis(L) -> list:
     """The basis vectors of the lattice L, as coordinate tuples."""
-    return list(IntMatrix.identity(L.rank).data)
+    return list(diagonal((1,) * L.rank))
 
 
 def glue_of(spec: str, gens):
@@ -148,7 +148,7 @@ def adds_roots(gd, glue_sub) -> bool:
 # Im tau and isometries
 
 
-def base_in_overlattice(gd, glue_sub) -> IntMatrix:
+def base_in_overlattice(gd, glue_sub) -> tuple:
     """Rows: the base basis in the coordinates of ``glue.overlattice(gd, glue_sub)``.
 
     The overlattice basis is B / den, for B the Hermite basis of den R
@@ -156,9 +156,8 @@ def base_in_overlattice(gd, glue_sub) -> IntMatrix:
     integer y with y B = den e_i."""
     n, den = gd.base.rank, gd.disc.level
     unit = [[den * int(i == j) for j in range(n)] for i in range(n)]
-    basis = IntMatrix(hnf_rows(unit + [gd.disc.source.scaled_lift(g, den)
-                                       for g in glue_sub.generators]))
-    return IntMatrix([hnf_coords(basis, row) for row in unit])
+    basis = hnf_rows(unit + [gd.disc.source.scaled_lift(g, den) for g in glue_sub.generators])
+    return tuple(tuple(hnf_coords(basis, row)) for row in unit)
 
 
 def tau_image(gd, glue_sub=None, quotient=None):
@@ -179,11 +178,11 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     check of the constructor is not repeated."""
     if h.domain != g.domain:
         raise MixedLattices("isometries of different lattices")
-    return tuple.__new__(Isometry, (g.domain, g.matrix @ h.matrix))
+    return tuple.__new__(Isometry, (g.domain, matmul(g.matrix, h.matrix)))
 
 
 def minus_identity(L) -> Isometry:
-    return Isometry(L, -IntMatrix.identity(L.rank))
+    return Isometry(L, scaled(diagonal((1,) * L.rank), -1))
 
 
 def signed_permutation(domain, perm, signs) -> Isometry:
@@ -194,7 +193,7 @@ def signed_permutation(domain, perm, signs) -> Isometry:
     m = [[0] * n for _ in range(n)]
     for src, (dst, s) in enumerate(zip(perm, signs)):
         m[dst][src] = s
-    return tuple.__new__(Isometry, (domain, IntMatrix._wrap(tuple(map(tuple, m)))))
+    return tuple.__new__(Isometry, (domain, tuple(map(tuple, m))))
 
 
 def tau_generator_isometries(gd) -> list:

@@ -3,7 +3,7 @@ into C-level ``map``, gathers and whole-row updates, kept as oracles.
 
 Each computes entry by entry what the package kernel computes, with the
 same arithmetic, so a test may ask for equal results.  The finite
-quadratic forms generated by rows R are built here as the ``IntMatrix``
+quadratic forms generated by rows R are built here as the ``matmul``
 triple product R G R^T, for every form and for the p-parts too, where
 the package pairs the rows with G r and reads the p-parts off G.  The
 isotropic classes modulo +-1 are counted here on one
@@ -16,7 +16,7 @@ from math import prod
 from operator import mul
 
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsometry
-from cuspidal.exact import IntMatrix, SmithDecomposition, _pivot, _xgcd, factorize
+from cuspidal.exact import SmithDecomposition, _pivot, _xgcd, bilinear, factorize, matmul
 from cuspidal.fqf import ENUM_BOUND, FiniteQuadraticForm, _last_coordinate_count
 
 
@@ -35,13 +35,13 @@ def apply_by_loops(a, vec) -> list:
 def isotropic_by_filter(form, bound) -> list:
     """The elements x of ``form.elements(bound)`` with level q(x) = 0 mod 2 level."""
     modulus = 2 * form.level
-    return [x for x in form.elements(bound) if form.gram.bilinear(x, x) % modulus == 0]
+    return [x for x in form.elements(bound) if bilinear(form.gram, x, x) % modulus == 0]
 
 
 def scaled_lift_dense(source, x, level) -> tuple:
     """level times the lift sum_i x_i V e_k / d_k, k = kept[i], as the dense
     product of V with the coefficient vector c, c_k = x_i level / d_k."""
-    V, d = source.smith.right.data, source.smith.diag
+    V, d = source.smith.right, source.smith.diag
     c = [0] * len(d)
     for a, k in zip(x, source.kept):
         c[k] = a * (level // d[k])
@@ -60,16 +60,16 @@ def check_signed_permutation_by_product(domain, perm, signs) -> None:
     for src, (dst, s) in enumerate(zip(perm, signs)):
         m[dst][src] = s
     mt = [list(col) for col in zip(*m)]
-    if product_by_loops(product_by_loops(mt, domain.gram.to_lists()), m) != \
-            domain.gram.to_lists():
+    G = [list(row) for row in domain.gram]
+    if product_by_loops(product_by_loops(mt, G), m) != G:
         raise NotIsometry("signed permutation does not preserve the form")
 
 
-def smith_normal_form_full_rows(A: IntMatrix) -> SmithDecomposition:
+def smith_normal_form_full_rows(A) -> SmithDecomposition:
     """``exact.smith_normal_form`` with every column operation on every row
     and every row operation on whole rows: the same pivots and steps."""
-    m, n = A.rows, A.cols
-    S = [list(r) for r in A.data]
+    m, n = len(A), len(A[0]) if A else 0
+    S = [list(r) for r in A]
     L, Rt = [[0] * m for _ in range(m)], [[0] * n for _ in range(n)]
     for M in (L, Rt):
         for i, row in enumerate(M):
@@ -168,20 +168,17 @@ def smith_normal_form_full_rows(A: IntMatrix) -> SmithDecomposition:
                 if S[j][j] < 0:
                     row_neg(j)
     diag = tuple(S[i][i] for i in range(top))
-    return SmithDecomposition(
-        IntMatrix._wrap(tuple(map(tuple, L))), diag, IntMatrix._wrap(tuple(zip(*Rt)))
-    )
+    return SmithDecomposition(tuple(map(tuple, L)), diag, tuple(zip(*Rt)))
 
 
-def generated_form_by_products(gram: IntMatrix, level: int, rows, orders, source=None):
+def generated_form_by_products(gram, level: int, rows, orders, source=None):
     """``fqf._generated_form`` through the matrix R of ``rows``: R gram R^T
-    over ``level`` as two ``IntMatrix`` products, rescaled to the exponent of
+    over ``level`` as two ``matmul`` products, rescaled to the exponent of
     ``orders``."""
     if not orders:
         return FiniteQuadraticForm((), (), source)
-    R = IntMatrix(rows)
     scale = level // orders[-1]
-    moved = (R @ gram @ R.T).data
+    moved = matmul(matmul(rows, gram), tuple(zip(*rows)))
     if level % orders[-1] or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
     return FiniteQuadraticForm(
@@ -237,7 +234,7 @@ def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
     """
     if primes is None:
         primes = factorize(form.level)
-    G = form.gram.data
+    G = form.gram
     parts = {}
     for p in sorted(p for p in set(primes) if form.level % p == 0):
         gens, orders = [], []
@@ -264,9 +261,9 @@ def _isotropic_count(part: FiniteQuadraticForm, p: int, bound: int) -> int:
     if cofactor > bound:
         raise GroupTooLarge(f"{p}-part of order {part.cardinality}: cofactor of order "
                             f"{cofactor} exceeds enumeration bound {bound}")
-    a, last = part.gram.data[-1][-1], part.gram.data[-1][:-1]
+    a, last = part.gram[-1][-1], part.gram[-1][:-1]
     return sum(
-        _last_coordinate_count(a, sum(map(mul, last, y)), part.gram.bilinear(y + (0,), y + (0,)),
+        _last_coordinate_count(a, sum(map(mul, last, y)), bilinear(part.gram, y + (0,), y + (0,)),
                                p, n)
         for y in product(*map(range, head))
     )
@@ -288,5 +285,5 @@ def isotropic_pm1_count_by_forms(form: FiniteQuadraticForm, bound: int = ENUM_BO
         if p == 2:
             modulus = 2 * part.level
             fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
-                        if part.gram.bilinear(x, x) % modulus == 0)
+                        if bilinear(part.gram, x, x) % modulus == 0)
     return (isotropic + fixed) // 2

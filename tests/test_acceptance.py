@@ -17,7 +17,7 @@ import group_claims
 from cuspidal import claims, cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.cli import run
-from cuspidal.exact import IntMatrix, det_and_signature, smith_normal_form
+from cuspidal.exact import bilinear, det_and_signature, matmul, smith_normal_form
 from embedding_oracles import build_polarized
 from form_oracles import direct_sum_form
 from fraction_oracles import bareiss_det
@@ -30,10 +30,10 @@ from helpers import basis, compose, q_value, tau_image
 
 def test_criterion_1_nu_sweep():
     for d in range(1, 201):
-        r = cusps.nu(cusps.PolarizationCase(d, "split"), "both")
+        r = cusps.nu(cusps.PolarizationCase(d, "split"))
         assert r.agree, (d, "split", r)
     for d in range(3, 200, 4):
-        r = cusps.nu(cusps.PolarizationCase(d, "nonsplit"), "both")
+        r = cusps.nu(cusps.PolarizationCase(d, "nonsplit"))
         assert r.agree, (d, "nonsplit", r)
     print("ACCEPTANCE 1: PASS - nu(d) formula = brute force for d in [1,200] "
           "split and d = 3 mod 4 in [3,199] non-split")
@@ -44,7 +44,7 @@ def test_criterion_1_nu_sweep():
 
 
 def test_criterion_2_double_epw():
-    r = cusps.nu(cusps.PolarizationCase(2, "split"), "both")
+    r = cusps.nu(cusps.PolarizationCase(2, "split"))
     assert r.formula == r.enumerated == 1
     print("ACCEPTANCE 2: PASS - split d=2 has exactly one zero-dimensional cusp")
 
@@ -279,15 +279,14 @@ def _symmetric(entries, n):
 )
 def test_criterion_7c_snf_and_signature_congruence(data):
     n, rows, ops = data
-    a = IntMatrix(_symmetric(rows, n))
+    a = _symmetric(rows, n)
     t = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, j, c in ops:
         i, j = i % n, j % n
         if i != j:
             for k in range(n):
                 t[i][k] += c * t[j][k]
-    tm = IntMatrix(t)
-    b = tm.T @ a @ tm
+    b = matmul(matmul(tuple(zip(*t)), a), t)
     assert smith_normal_form(a).diag == smith_normal_form(b).diag
     assert math.prod(smith_normal_form(a).diag) == abs(bareiss_det(a))
     if bareiss_det(a) != 0:
@@ -296,7 +295,7 @@ def test_criterion_7c_snf_and_signature_congruence(data):
 
 _SPIN_LATTICE = lat.parse_name("U+A2")
 _SPIN_VECTORS = [
-    v for v in basis(_SPIN_LATTICE) if _SPIN_LATTICE.gram.bilinear(v, v) != 0
+    v for v in basis(_SPIN_LATTICE) if bilinear(_SPIN_LATTICE.gram, v, v) != 0
 ] + [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)]
 
 

@@ -868,18 +868,14 @@ def test_json_writer_refuses_other_types():
 # reason; every other one must run under some command below.
 _UNRUN_ALLOWED = {
     **dict.fromkeys(
-        ["exact.IntMatrix.__setattr__", "fqf.FiniteQuadraticForm.__setattr__",
-         "lattice.Lattice.__setattr__"],
+        ["fqf.FiniteQuadraticForm.__setattr__", "lattice.Lattice.__setattr__"],
         "immutability guard: runs only when code sets an attribute, as the record tests do"),
     **dict.fromkeys(
-        ["exact.IntMatrix.__repr__", "fqf.FiniteQuadraticForm.__repr__",
-         "lattice.Lattice.__repr__"],
+        ["fqf.FiniteQuadraticForm.__repr__", "lattice.Lattice.__repr__"],
         "what a debugger or a failing test shows"),
     **dict.fromkeys(
-        ["exact.IntMatrix.__hash__", "fqf.FiniteQuadraticForm.__hash__",
-         "lattice.Lattice.__hash__"],
+        ["fqf.FiniteQuadraticForm.__hash__", "lattice.Lattice.__hash__"],
         "a class that defines __eq__ is unhashable without it; the record tests hash them"),
-    "exact.IntMatrix.__getitem__": "M[i, j], which the isometry tests read",
     "cusps.PolarizationCase.__getnewargs__":
         "copy and pickle rebuild a case from (d, embedding), not from its six fields",
 }

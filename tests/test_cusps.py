@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import group_claims
 from cuspidal import claims, cusps, fqf, glue
-from cuspidal.exact import IntMatrix
+from cuspidal.exact import bilinear
 from cuspidal.errors import (
     BadCase,
     BadIndex,
@@ -48,7 +48,7 @@ class TestBuildPolarized:
     def test_split_invariants(self, d):
         pe = build_polarized(cusps.PolarizationCase(d, "split"))
         n = pe.complement.lattice
-        assert pe.ambient.gram.bilinear(pe.h, pe.h) == 2 * d
+        assert bilinear(pe.ambient.gram, pe.h, pe.h) == 2 * d
         assert claims.divisibility(pe.ambient, pe.h) == 1
         assert n.det == 4 * d
         assert n.signature == (2, 20)
@@ -58,7 +58,7 @@ class TestBuildPolarized:
     def test_nonsplit_invariants(self, d):
         pe = build_polarized(cusps.PolarizationCase(d, "nonsplit"))
         n = pe.complement.lattice
-        assert pe.ambient.gram.bilinear(pe.h, pe.h) == 2 * d
+        assert bilinear(pe.ambient.gram, pe.h, pe.h) == 2 * d
         assert claims.divisibility(pe.ambient, pe.h) == 2
         assert n.det == d
         assert pe.disc.orders == (d,)
@@ -89,13 +89,14 @@ class TestNu:
         assert r.formula == 1
 
     def test_mode_selection(self):
+        # nu gives both values; zero_dim_report, behind cusp zero --mode, selects
         case = cusps.PolarizationCase(6, "split")
-        only_f = cusps.nu(case, "formula")
+        only_f = cusps.zero_dim_report(case, "formula").nu_result
         assert only_f.enumerated is None and only_f.agree is None
-        only_e = cusps.nu(case, "enumerate")
+        only_e = cusps.zero_dim_report(case, "enumerate").nu_result
         assert only_e.formula is None
         with pytest.raises(BadParameter):
-            cusps.nu(case, "guess")
+            cusps.zero_dim_report(case, "guess")
 
     def test_local_count_matches_whole_group_scan(self):
         cases = [cusps.PolarizationCase(d, "split") for d in range(1, 301)]
@@ -125,17 +126,19 @@ class TestNu:
     def test_the_count_builds_no_form_and_no_matrix(self, monkeypatch, case):
         form = cusps.disc_model(case).form
         built = []
-        for cls in (fqf.FiniteQuadraticForm, IntMatrix):
-            def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
-                built.append(_name)
-                _init(self, *args)
+        # a matrix is a tuple of int rows, with no constructor to count
+        cls = fqf.FiniteQuadraticForm
 
-            monkeypatch.setattr(cls, "__init__", counted)
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
         assert fqf.isotropic_pm1_count(form, primes=case.primes) == cusps.nu_formula(case)
         assert built == []
-        # the counters count: the oracle builds a form, and its matrix, per part
+        # the counter counts: the oracle builds a form per part
         assert isotropic_pm1_count_by_forms(form, primes=case.primes) == cusps.nu_formula(case)
-        assert built == ["FiniteQuadraticForm", "IntMatrix"] * 4
+        assert built == ["FiniteQuadraticForm"] * 4
 
     def test_depends_only_on_dprime_and_k(self):
         # same (d', k) pairs give the same count
@@ -364,7 +367,7 @@ class TestTSet:
             ts = group_claims.t_set(cusps.PolarizationCase(d, "split"), 1)
             assert len(ts) == 1
             delta, gram = ts[0]
-            assert delta == 0 and gram.to_lists() == [[0, 1], [1, 0]]
+            assert delta == 0 and gram == ((0, 1), (1, 0))
 
     def test_gcd_hypothesis(self):
         with pytest.raises(group_claims.HypothesisFailed):
@@ -376,7 +379,7 @@ class TestTSet:
         assert ts, "at least one compatible delta must exist"
         for delta, gram in ts:
             assert 0 <= delta < 3
-            assert gram.to_lists() == [[0, 3], [3, 2 * delta]]
+            assert gram == ((0, 3), (3, 2 * delta))
 
 
 class TestOneDim:
@@ -524,7 +527,7 @@ class TestReports:
         assert z["enumerated"] == (3 if mode != "formula" else None)
         # the public entry points still count on their own
         calls.clear()
-        assert len(cusps.zero_dim_report(case).reps) == cusps.nu_enumerate(case) == 3
+        assert len(cusps.zero_dim_report(case).reps) == cusps.nu(case).enumerated == 3
         assert calls == [48, 48]
 
     def test_zero_dim_report_rejects_mode_before_scanning(self, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 import group_claims
 from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
-from cuspidal.exact import IntMatrix, factorize
+from cuspidal.exact import apply, bilinear, diagonal, factorize
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from form_oracles import direct_sum_form, isotropic_by_scan, mod_pm1
 from kernel_oracles import (
@@ -53,12 +53,12 @@ class TestDiscriminantForm:
     @settings(deadline=None)
     @given(even_grams())
     def test_lifts_are_columns_of_g_inverse_u_inverse(self, gram):
-        G = IntMatrix(gram)
+        G = gram
         assume(bareiss_det(G) != 0)
         L = lat.Lattice(G)
         a = fqf.discriminant_form(L)
         src = a.source
-        n = G.rows
+        n = len(G)
         ginv = rational_inverse(G)
         uinv = rational_inverse(src.left)
         assert len(src.kept) == a.rank
@@ -550,7 +550,7 @@ class TestIntegerGramAgainstFractions:
             x, y = data.draw(elems), data.draw(elems)
             rx, ry = form.reduce(x), form.reduce(y)
             assert Fraction(form.q_scaled(rx), form.level) == _mod2(_q_sum(qdiag, bmat, rx))
-            assert (Fraction(form.gram.bilinear(rx, ry) % form.level, form.level)
+            assert (Fraction(bilinear(form.gram, rx, ry) % form.level, form.level)
                     == _mod1(_b_sum(bmat, rx, ry)))
 
     @settings(deadline=None, max_examples=200)
@@ -574,17 +574,17 @@ class TestIntegerGramAgainstFractions:
     @settings(deadline=None)
     @given(even_grams(), st.data())
     def test_discriminant_values_are_bilinears_of_lifts(self, gram, data):
-        G = IntMatrix(gram)
+        G = gram
         assume(bareiss_det(G) != 0)
         a = fqf.discriminant_form(lat.Lattice(G))
         lifts = [rational_lift(a, tuple(int(j == i) for j in range(a.rank)))
                  for i in range(a.rank)]
         for i in range(a.rank):
-            assert q_diagonal(a)[i] == G.bilinear(lifts[i], lifts[i]) % 2
+            assert q_diagonal(a)[i] == bilinear(G, lifts[i], lifts[i]) % 2
             for j in range(a.rank):
-                assert b_matrix(a)[i][j] == G.bilinear(lifts[i], lifts[j]) % 1
+                assert b_matrix(a)[i][j] == bilinear(G, lifts[i], lifts[j]) % 1
         x = data.draw(st.lists(st.integers(-9, 9), min_size=a.rank, max_size=a.rank))
-        assert q_value(a, x) == G.bilinear(rational_lift(a, x), rational_lift(a, x)) % 2
+        assert q_value(a, x) == bilinear(G, rational_lift(a, x), rational_lift(a, x)) % 2
         scaled = a.source.scaled_lift(a.reduce(x), a.level)
         assert scaled == tuple(a.level * v for v in rational_lift(a, x))
 
@@ -610,8 +610,8 @@ class TestIntegerGramAgainstFractions:
             off += f.rank
         # the generators of the sum as rows in the concatenated coordinates
         orders = [d for f in forms for d in f.orders]
-        rq = fqf._row_quotient(IntMatrix.identity(m), IntMatrix.diagonal(orders))
-        rows = [rq.generator_rows.data[i] for i, d in enumerate(rq.orders) if d > 1]
+        rq = fqf._row_quotient(diagonal((1,) * m), diagonal(orders))
+        rows = [rq.generator_rows[i] for i, d in enumerate(rq.orders) if d > 1]
         ds = direct_sum_form(*forms)
         assert q_diagonal(ds) == tuple(_mod2(_q_sum(qdiag, bmat, r)) for r in rows)
         assert b_matrix(ds) == tuple(tuple(_mod1(_b_sum(bmat, r, s)) for s in rows) for r in rows)
@@ -685,13 +685,13 @@ class TestFormsWithoutProducts:
         ([[2, 0], [0, 1]], 4, (2, 2)),  # the last diagonal value 1 over 4
     ])
     def test_values_off_the_new_level_raise_the_same_error(self, gram, level, orders):
-        rows = IntMatrix.identity(len(gram)).data
+        rows = diagonal((1,) * len(gram))
         for build in (fqf._generated_form, generated_form_by_products):
             with pytest.raises(InternalError, match="do not lie over the new level"):
-                build(IntMatrix(gram), level, rows, orders)
+                build(gram, level, rows, orders)
 
     def test_a_missed_prime_raises_the_same_error(self):
-        form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        form = fqf.discriminant_form(lat.Lattice([[24]]))  # Z/8 + Z/3
         for parts in (part_forms, primary_parts_by_products):
             with pytest.raises(InternalError, match="miss a prime"):
                 parts(form, (2, 5))
@@ -714,7 +714,7 @@ class TestClassKeyAgainstRationalCoordinates:
         # or far, otherwise
         w = data.draw(st.one_of(st.just([0] * n), vectors,
                                 st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
-        p2 = [a + b + c for a, b, c in zip(p, G.apply(data.draw(vectors)), w)]
+        p2 = [a + b + c for a, b, c in zip(p, apply(G, data.draw(vectors)), w)]
         ginv = rational_inverse(G)
         diff = [a - b for a, b in zip(p, p2)]
         integral = all(sum(map(mul, row, diff)).denominator == 1 for row in ginv)
@@ -732,7 +732,7 @@ class TestClassKeyAgainstRationalCoordinates:
             lift = [Fraction(x, d) for x in src.scaled_lift(unit, d)]
             # the lift v is a dual vector: p = G v is integral, and G^-1 p over Q
             # gives v back
-            pairings = [sum(map(mul, L.gram.data[r], lift)) for r in range(L.rank)]
+            pairings = [sum(map(mul, L.gram[r], lift)) for r in range(L.rank)]
             assert all(x.denominator == 1 for x in pairings)
             assert [sum(map(mul, row, pairings)) for row in ginv] == lift
             assert class_key(src, [int(x) for x in pairings]) == unit
@@ -743,8 +743,7 @@ class TestClassKeyAgainstRationalCoordinates:
 
 
 def _lattice_form(gram):
-    G = IntMatrix(gram)
-    return fqf.discriminant_form(lat.Lattice(G)) if bareiss_det(G) != 0 else None
+    return fqf.discriminant_form(lat.Lattice(gram)) if bareiss_det(gram) != 0 else None
 
 
 ROOT_TERMS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "<-4>", "<-6>"]
@@ -812,7 +811,7 @@ class TestPrimaryParts:
         assert fqf.isotropic_pm1_count(form) == len(whole)
 
     def test_given_primes_may_exceed_the_level_but_not_miss_a_prime(self):
-        form = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        form = fqf.discriminant_form(lat.Lattice([[24]]))  # Z/8 + Z/3
         parts = part_forms(form)
         assert part_forms(form, (7, 2, 5, 3)) == parts
         assert fqf.isotropic_pm1_count(form, primes=(2, 3, 5)) == fqf.isotropic_pm1_count(form)
@@ -829,7 +828,7 @@ class TestPrimaryParts:
                                                 "exceeds enumeration bound 3$"):
             fqf.isotropic_pm1_count(form, bound=3)
         # cyclic parts scan nothing, whatever their order
-        cyclic = fqf.discriminant_form(lat.Lattice(IntMatrix([[24]])))  # Z/8 + Z/3
+        cyclic = fqf.discriminant_form(lat.Lattice([[24]]))  # Z/8 + Z/3
         assert fqf.isotropic_pm1_count(cyclic, bound=1) == fqf.isotropic_pm1_count(cyclic)
 
 

@@ -20,7 +20,7 @@ from cuspidal.errors import (
     ZeroVector,
 )
 from cuspidal import glue
-from cuspidal.exact import smith_normal_form
+from cuspidal.exact import bilinear, matmul, smith_normal_form
 from fraction_oracles import rational_inverse
 from embedding_oracles import rank2_isometric, reduced_binary
 from helpers import basis, compose, lattice_to_json, minus_identity, tau_generator_isometries
@@ -48,7 +48,7 @@ class TestConstructors:
             assert lat.make_standard("B", d).det == d
 
     def test_b3_gram(self):
-        assert lat.make_standard("B", 3).gram.to_lists() == [[-2, 1], [1, -2]]
+        assert lat.make_standard("B", 3).gram == ((-2, 1), (1, -2))
 
     def test_u_signature(self):
         assert lat.U().signature == (1, 1)
@@ -71,7 +71,7 @@ class TestConstructors:
         n = lat.parse_name("U+U+E8+E8+<-2>+<-2>")
         assert (n.rank, n.det, n.signature) == (22, 4, (2, 20))
         u2 = lat.U().twist(2)
-        assert u2.gram.to_lists() == [[0, 2], [2, 0]] and u2.det == -4
+        assert u2.gram == ((0, 2), (2, 0)) and u2.det == -4
         with pytest.raises(BadParameter):
             lat.direct_sum()
 
@@ -147,7 +147,7 @@ def test_standard_invariants_match_elimination():
         L, fresh = lat.make_standard(kind, n), lat.Lattice(gram)
         assert (L.gram, L.det, L.signature, L.even) == (
             fresh.gram, fresh.det, fresh.signature, fresh.even), (kind, n)
-        assert all(type(x) is int for row in L.gram.data for x in row)
+        assert all(type(x) is int for row in L.gram for x in row)
 
 
 class TestVectors:
@@ -155,7 +155,7 @@ class TestVectors:
         # h = 2w1 + (d+1)/2 w2 + e for d = 3 inside U + <-2>
         m = lat.parse_name("U+<-2>")
         h = (2, 2, 1)
-        assert m.gram.bilinear(h, h) == 6
+        assert bilinear(m.gram, h, h) == 6
         assert claims.divisibility(m, h) == 2
 
     def test_divisibility_of_unimodular_basis(self):
@@ -169,7 +169,7 @@ class TestVectors:
     def test_class_of_square_minus_ten(self):
         L = k3_square()
         delta = ambient_vec(L, v1=4, w1=-4, v2=6, w2=6, e=-5)
-        assert L.gram.bilinear(delta, delta) == -10
+        assert bilinear(L.gram, delta, delta) == -10
         assert claims.divisibility(L, delta) == 2
 
 
@@ -207,7 +207,7 @@ class TestComplements:
         L = lat.parse_name("U+A2+<-2>")
         for _ in range(25):
             v = tuple(random.randint(-3, 3) for _ in range(L.rank))
-            if L.gram.bilinear(v, v) == 0:  # the zero vector too
+            if bilinear(L.gram, v, v) == 0:  # the zero vector too
                 continue
             try:
                 comp = claims.orthogonal_complement(L, [v])
@@ -224,7 +224,7 @@ class TestSplitting:
         self.split = claims.splitting_from(self.L, [self.g, self.tau])
 
     def norm(self, v):
-        return self.L.gram.bilinear(v, v)
+        return bilinear(self.L.gram, v, v)
 
     def test_projection_values(self):
         delta = ambient_vec(self.L, v1=4, w1=-4, v2=6, w2=6, e=-5)
@@ -304,10 +304,8 @@ class TestIsometries:
         lat.check_signed_permutation(L, [0, 1, 2], (-1, -1, -1))
 
     def test_not_isometry(self):
-        from cuspidal.exact import IntMatrix
-
         with pytest.raises(NotIsometry):
-            group_claims.Isometry(lat.U(), IntMatrix([[1, 1], [0, 1]]))
+            group_claims.Isometry(lat.U(), [[1, 1], [0, 1]])
 
     def test_compose(self):
         # the product of the two simple reflections of A2 is the Coxeter
@@ -315,7 +313,7 @@ class TestIsometries:
         L = lat.make_standard("A", 2)
         r0, r1 = (group_claims.reflection(L, v) for v in basis(L))
         c = compose(r0, r1)
-        assert c == group_claims.Isometry(L, r0.matrix @ r1.matrix)
+        assert c == group_claims.Isometry(L, matmul(r0.matrix, r1.matrix))
         assert compose(compose(c, c), c) == group_claims.Isometry.identity(L)
         with pytest.raises(MixedLattices):
             compose(r0, group_claims.Isometry.identity(lat.U()))
@@ -333,13 +331,13 @@ class TestIsometries:
     def test_disc_action_of_diagram_and_component_swaps(self, spec):
         gd = glue.make_glue(spec)
         G = gd.base.gram
-        n = G.rows
+        n = len(G)
         ginv = rational_inverse(G)
 
         def acts_as(m, sign):
             # the definition: (g - sign id) G^-1 is integral
             return all(
-                sum((m[i, k] - sign * (i == k)) * ginv[k][j] for k in range(n)).denominator == 1
+                sum((m[i][k] - sign * (i == k)) * ginv[k][j] for k in range(n)).denominator == 1
                 for i in range(n)
                 for j in range(n)
             )
@@ -393,7 +391,7 @@ def _reflections(L, rng):
             pool.append(tuple(c))
     out = []
     for v in pool:
-        if L.gram.bilinear(v, v) != 0:
+        if bilinear(L.gram, v, v) != 0:
             try:
                 out.append((v, group_claims.reflection(L, v)))
             except NotIsometry:
@@ -408,14 +406,14 @@ def test_spinor_norm_counts_reflections_in_positive_vectors(name):
     # g(x) with g(x) - x isotropic
     rng = random.Random(5)
     L = lat.parse_name(name)
-    reflections = [(L.gram.bilinear(v, v), rho) for v, rho in _reflections(L, rng)]
+    reflections = [(bilinear(L.gram, v, v), rho) for v, rho in _reflections(L, rng)]
     assert {norm > 0 for norm, _ in reflections} == {True, False}
     for _ in range(150 if L.rank <= 4 else 30):
         factors = [rng.choice(reflections) for _ in range(rng.randint(0, 5))]
         g = group_claims.Isometry.identity(L)
         for _, rho in factors:
             g = compose(g, rho)
-        assert g.matrix.T @ L.gram @ g.matrix == L.gram
+        assert matmul(matmul(tuple(zip(*g.matrix)), L.gram), g.matrix) == L.gram
         assert group_claims.spinor_norm(g) == (-1) ** sum(1 for norm, _ in factors if norm > 0)
         assert g.det == (-1) ** len(factors)
     assert group_claims.spinor_norm(minus_identity(L)) == (-1) ** L.signature[0]
@@ -434,7 +432,7 @@ def _membership_inputs(name):
         g = group_claims.Isometry.identity(L)
         for rho in rng.sample(reflections, rng.randint(1, 3)):
             g = compose(g, rho)
-        assert g.matrix.T @ L.gram @ g.matrix == L.gram
+        assert matmul(matmul(tuple(zip(*g.matrix)), L.gram), g.matrix) == L.gram
         out.append(g)
     return out
 
@@ -448,7 +446,7 @@ def test_kept_block_disc_action_matches_full_product(name):
         smith = smith_normal_form(g.domain.gram)
         kept = [k for k, d in enumerate(smith.diag) if d > 1]
         assert 0 < len(kept) < g.domain.rank
-        m = (smith.left @ g.domain.gram @ g.matrix @ smith.right).data
+        m = matmul(matmul(matmul(smith.left, g.domain.gram), g.matrix), smith.right)
         d = smith.diag
         full = tuple(tuple(m[k][i] // d[i] % d[k] for k in kept) for i in kept)
         assert group_claims.disc_action(g, smith, kept) == full
@@ -465,7 +463,7 @@ class TestBinaryForms:
 
     def test_reduction_canonical(self):
         red = reduced_binary(lat.Lattice([[-4, -2], [-2, -2]]).gram)
-        assert red.to_lists() == [[-2, 0], [0, -2]]
+        assert red == ((-2, 0), (0, -2))
 
 
 class TestNamesAndJson:
@@ -473,7 +471,7 @@ class TestNamesAndJson:
         a = lat.parse_name("2E8+2A1")
         assert a.rank == 18 and a.det == 4
         b = lat.parse_name("U(2)")
-        assert b.gram.to_lists() == [[0, 2], [2, 0]]
+        assert b.gram == ((0, 2), (2, 0))
 
     def test_parse_errors(self):
         with pytest.raises(BadParameter):
@@ -496,7 +494,7 @@ class TestNamesAndJson:
         back = lat.lattice_from_json(text)
         assert back.gram == L.gram
         obj = json.loads(text)
-        assert obj["rank"] == 3 and obj["gram"] == L.gram.to_lists()
+        assert obj["rank"] == 3 and obj["gram"] == [list(row) for row in L.gram]
 
     def test_load_lattice_from_file(self, tmp_path):
         p = tmp_path / "lat.json"

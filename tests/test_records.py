@@ -135,9 +135,9 @@ class TestValidatingConstructors:
     def test_isometry(self):
         L = lat.make_standard("A", 2)
         with pytest.raises(NotIsometry):
-            group_claims.Isometry(L, exact.IntMatrix([[1, 1], [0, 1]]))
+            group_claims.Isometry(L, [[1, 1], [0, 1]])
         with pytest.raises(NotIsometry):
-            group_claims.Isometry(L, exact.IntMatrix.identity(3))
+            group_claims.Isometry(L, exact.diagonal((1, 1, 1)))
 
     def test_polarization_case(self):
         for d, embedding in ((0, "split"), (5, "twisted"), (5, "nonsplit")):
