@@ -9,12 +9,13 @@ from .exact import (
 )
 from .lattice import Lattice, direct_sum, make_standard, parse_name
 from .fqf import (
-    FiniteQuadraticForm,
+    Form,
     FqfSubgroup,
     are_isometric,
     discriminant_form,
     isotropic_elements,
     isotropic_subgroups,
+    make_form,
     orthogonal_group,
     perp_quotient,
 )

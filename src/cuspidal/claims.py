@@ -182,7 +182,7 @@ def example_c12(bound: int = ENUM_BOUND) -> dict:
     genus_match = (
         comp.signature == model.signature
         and abs(comp.det) == abs(model.det)
-        and are_isometric(discriminant_form(comp), discriminant_form(model), bound)[0]
+        and are_isometric(discriminant_form(comp)[0], discriminant_form(model)[0], bound)[0]
     )
     d_m, d_n = split_rational(split, delta)
     return {

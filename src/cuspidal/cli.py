@@ -82,12 +82,14 @@ def _json_string(text: str) -> str:
     return json.dumps(text)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text, out_path: str | None) -> None:
+    """Write ``text``, a str or an iterable of strs, to ``out_path`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _md_cell(x) -> str:
@@ -127,7 +129,7 @@ def _cmd_lat_info(args) -> int:
 
 
 def _cmd_lat_disc(args) -> int:
-    obj = fqf.form_to_obj(fqf.discriminant_form(load_lattice(args.lattice)))
+    obj = fqf.form_to_obj(fqf.discriminant_form(load_lattice(args.lattice))[0])
     if args.format == "json":
         import json
 
@@ -236,39 +238,33 @@ def _parse_range(text: str):
 def _cmd_cusp_sweep(args) -> int:
     lo, hi = _parse_range(args.d)
     if hi - lo + 1 > args.bound:
-        # refused before any d is listed: the list alone can exhaust memory
+        # refused before any d is computed: the rows alone can exhaust memory
         raise BadParameter(f"sweep range {args.d!r} of {hi - lo + 1} values exceeds "
                            f"enumeration bound {args.bound}")
-    ds = [
-        d
-        for d in range(lo, hi + 1)
-        if args.case == "split" or d % 4 == 3
-    ]
+    ds = range(lo, hi + 1) if args.case == "split" else range(lo + (3 - lo) % 4, hi + 1, 4)
     if not ds:
         raise BadParameter(f"sweep range {args.d!r} holds no d = 3 mod 4, "
                            "which the nonsplit embedding needs")
-
-    def run_one(d):
-        case = cusps.PolarizationCase(d, args.case)
-        r = cusps.nu(case, args.bound)
-        return {
-            "d": d,
-            "embedding": args.case,
-            "formula": r.formula,
-            "enumerated": r.enumerated,
-            "agree": r.agree,
-        }
-
-    rows = [run_one(d) for d in ds]
-    mismatches = [r for r in rows if not r["agree"]]
+    # rows of ints (d, formula, enumerated), written one by one after the
+    # mismatches, which sorted keys print first
+    rows = []
+    for d in ds:
+        r = cusps.nu(cusps.PolarizationCase(d, args.case), args.bound)
+        rows.append((d, r.formula, r.enumerated))
+    mismatches = sum(1 for _, formula, enumerated in rows if formula != enumerated)
     if args.format == "json":
-        _emit(_dump_json({"rows": rows, "mismatches": len(mismatches)}), args.out)
+        row = ('\n    {\n      "agree": %s,\n      "d": %d,\n      "embedding": '
+               + _json_string(args.case)
+               + ',\n      "enumerated": %d,\n      "formula": %d\n    }')
+        chunks = chain([f'{{\n  "mismatches": {mismatches},\n  "rows": ['],
+                       (("," if i else "") + row % ("true" if f == e else "false", d, e, f)
+                        for i, (d, f, e) in enumerate(rows)),
+                       ["\n  ]\n}\n"])
     else:
-        table = [
-            (r["d"], r["formula"], r["enumerated"], "" if r["agree"] else "MISMATCH")
-            for r in rows
-        ]
-        _emit(_md_table(["d", "formula", "enumerated", ""], table), args.out)
+        chunks = chain([_md_table(["d", "formula", "enumerated", ""], [])],
+                       (f"| {d} | {f} | {e} | {'' if f == e else 'MISMATCH'} |\n"
+                        for d, f, e in rows))
+    _emit(chunks, args.out)
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
@@ -286,7 +282,7 @@ def _cmd_glue_enum(args) -> int:
     rows = []
     for s in subs:
         over = glue.overlattice(gd, s)
-        quotient = fqf.perp_quotient(gd.disc, s)
+        quotient, _ = fqf.perp_quotient(gd.disc, s)
         row = {
             "generators": [list(g) for g in s.generators],
             "order": s.order,

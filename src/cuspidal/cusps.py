@@ -43,7 +43,7 @@ from .errors import (
 from .exact import bilinear, factorize
 from . import fqf
 from . import glue as glue_mod
-from .fqf import FiniteQuadraticForm, trivial_form
+from .fqf import Form, make_form
 from .lattice import Lattice, parse_name
 
 
@@ -110,9 +110,9 @@ def disc_model(case: PolarizationCase) -> DiscModel:
     """
     d = case.d
     if case.split:
-        return DiscModel(case, FiniteQuadraticForm((2, 2 * d), [[-d, 0], [0, -1]]),
+        return DiscModel(case, make_form((2, 2 * d), [[-d, 0], [0, -1]]),
                          (0, 1), (1, 0))
-    return DiscModel(case, FiniteQuadraticForm((d,), [[-2]]), (1,), (0,))
+    return DiscModel(case, make_form((d,), [[-2]]), (1,), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +204,12 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
         raise GroupTooLarge(
             f"{count} isotropic classes modulo +-1 exceed enumeration bound {bound}")
     case, form, t, e = model
-    ord_t, ord_e = form.order_of(t), form.order_of(e)
+    ord_t, ord_e = fqf.order_of(form, t), fqf.order_of(form, e)
     if (ord_e > 2 or ord_t * ord_e != form.cardinality
-            or (ord_e == 2 and form.smul(ord_t // 2, t) == e)):
+            or (ord_e == 2 and fqf.smul(form, ord_t // 2, t) == e)):
         raise InternalError("t and e do not split A_N")
     modulus = 2 * form.level
-    q_t, q_e, b_te = form.q_scaled(t), form.q_scaled(e), bilinear(form.gram, t, e)
+    q_t, q_e, b_te = fqf.q_scaled(form, t), fqf.q_scaled(form, e), bilinear(form.gram, t, e)
     period = 2 * case.d if case.split else case.d
     reps, keys = [], set()
     for m in valid_orders(case):
@@ -232,7 +232,7 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
     return reps
 
 
-def predicted_AE(case: PolarizationCase, m: int) -> FiniteQuadraticForm:
+def predicted_AE(case: PolarizationCase, m: int) -> Form:
     """The printed discriminant form of E = S-perp/S for H_S = H_m.
 
     Built as an integer Gram over the level a.  Split with m | k: q of the
@@ -244,14 +244,14 @@ def predicted_AE(case: PolarizationCase, m: int) -> FiniteQuadraticForm:
     d = case.d
     if case.split and pattern == "t":
         a = 2 * d // (m * m)
-        return FiniteQuadraticForm((2, a), [[-a // 2, 0], [0, -1]])
+        return make_form((2, a), [[-a // 2, 0], [0, -1]])
     if case.split:
         a = 4 * d // (m * m)
         gram = [[-(a + 1) // 2]]
     else:
         a = d // (m * m)
         gram = [[-2]]
-    return trivial_form() if a == 1 else FiniteQuadraticForm((a,), gram)
+    return make_form((a,), gram) if a > 1 else make_form((), ())
 
 
 def det_E(case: PolarizationCase, m: int) -> int:
@@ -356,22 +356,22 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
             if glue_mod.glue_adds_roots(gd, orbit[0], minima):
                 unchecked.append(orbit)
                 continue
-            quotient = fqf.perp_quotient(gd.disc, orbit[0])
+            quotient, source = fqf.perp_quotient(gd.disc, orbit[0])
             if fqf.are_isometric(quotient, target_form, bound)[0]:
-                chosen, rs = (quotient, orbit), declared
+                chosen, rs = (quotient, source, orbit), declared
                 break
     if chosen is None:
         last = ()
         for orbit in unchecked:
-            quotient = fqf.perp_quotient(gd.disc, orbit[0])
+            quotient, source = fqf.perp_quotient(gd.disc, orbit[0])
             if fqf.are_isometric(quotient, target_form, bound)[0] and max(orbit[1]) > last:
-                chosen, last = (quotient, orbit), max(orbit[1])
+                chosen, last = (quotient, source, orbit), max(orbit[1])
     if chosen is None:
         return OneDimRow(cand, False, False)
-    quotient, orbit = chosen
+    quotient, source, orbit = chosen
     if rs is None:
         rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]))
-    tau = glue_mod.image_of_tau(quotient, orbit, actions)
+    tau = glue_mod.image_of_tau(quotient, source, orbit, actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)
 

@@ -1,16 +1,25 @@
 """Finite quadratic forms (discriminant forms of even lattices).
 
 A form lives on a finite abelian group in invariant-factor shape
-Z/d1 + ... + Z/dr (d1 | d2 | ...) and is stored like a lattice: an
-integer symmetric Gram matrix M, a tuple of int rows as in ``exact``,
-over the level N = dr (the exponent; 1 for the trivial form), with
-q(x) = x^T M x / N in Q/2Z and b(x, y) = x^T M y / N in Q/Z (Nikulin
-1979, section 1), both evaluated by ``exact.bilinear``.  The one
-constructor takes these integer rows, and values are compared and
-printed as integers over the level (``q_scaled``, ``q_strings``).
-Diagonal entries are kept mod 2N and the others mod N, so equal forms
-have equal matrices.  Elements are coefficient tuples reduced mod the
-invariant factors.
+Z/d1 + ... + Z/dr (d1 | d2 | ...) and is a plain record ``Form`` of its
+invariant factors ``orders``, its level N = dr (the exponent; 1 for the
+trivial form) and an integer symmetric Gram matrix M, a tuple of int rows
+as in ``exact``, with q(x) = x^T M x / N in Q/2Z and b(x, y) = x^T M y / N
+in Q/Z (Nikulin 1979, section 1), both evaluated by ``exact.bilinear``.
+Every form is built by ``make_form`` from its orders and integer rows,
+which derives the level and keeps diagonal entries mod 2N and the others
+mod N, so equal forms are equal records.  Values are compared and printed
+as integers over the level (``q_scaled``, ``q_strings``).  Elements are
+coefficient tuples reduced mod the invariant factors; the group
+operations ``reduce``, ``add``, ``smul``, ``order_of`` and ``elements``
+are module functions of the form, and ``reduce`` refuses a coordinate
+that is not an int.
+
+A form holds no provenance.  ``discriminant_form`` returns A_L beside its
+``LatticeSource``, the Smith transforms that lift its classes to L*, and
+``perp_quotient`` returns H^perp/H beside its ``QuotientSource``, which
+projects elements of the parent to it; a caller that needs them keeps
+them beside the form.
 
 Every construction changes generators by one rule: integer rows R in a
 space with Gram G over level L give the form R G R^T over L, rescaled to
@@ -24,19 +33,18 @@ matrix product is formed either: R G R^T is G r for each row r, one
 A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
 section 1).  A_p is generated by the rows (d_i / p^e_i) e_i, p^e_i
 exactly dividing d_i, which have one nonzero entry each, so the same
-rule reads its Gram straight off G; ``_primary_parts`` keeps each part
-as its orders and integer Gram rows, and builds no form.  Values on
-different parts have coprime denominators, so x is isotropic exactly
-when every p-component is, and -1 fixes only elements with 2x = 0,
-which lie in the 2-part.  Hence the number of isotropic classes modulo
-+-1 is (prod_p I_p + F_2) / 2, with I_p the isotropic elements of A_p
-and F_2 those of the 2-part killed by 2, found among the at most 2^r
-elements of A_2[2].  ``isotropic_pm1_count`` scans no part whole: in A_p =
-Z/n_1 + ... + Z/n_r it runs over the cofactor y of the first r - 1
-coordinates and counts the last coordinates x in Z/n_r that make (y, x)
-isotropic, the roots of one quadratic congruence, by Hensel lifting in
-O(log_p n_r) steps.  A cyclic part (every odd part of the A_N of
-``cusps``) costs one such count, whatever its order.
+rule reads its Gram straight off G; ``_primary_parts`` builds each part
+as a form.  Values on different parts have coprime denominators, so x is
+isotropic exactly when every p-component is, and -1 fixes only elements
+with 2x = 0, which lie in the 2-part.  Hence the number of isotropic
+classes modulo +-1 is (prod_p I_p + F_2) / 2, with I_p the isotropic
+elements of A_p and F_2 those of the 2-part killed by 2, found among the
+at most 2^r elements of A_2[2].  ``isotropic_pm1_count`` scans no part
+whole: in A_p = Z/n_1 + ... + Z/n_r it runs over the cofactor y of the
+first r - 1 coordinates and counts the last coordinates x in Z/n_r that
+make (y, x) isotropic, the roots of one quadratic congruence, by Hensel
+lifting in O(log_p n_r) steps.  A cyclic part (every odd part of the A_N
+of ``cusps``) costs one such count, whatever its order.
 
 Subgroups are element sets grown one element at a time: the span of H
 and e is the union of the cosets k e + H, for k up to the order of e
@@ -50,7 +58,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from itertools import product, repeat
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mod, mul
+from operator import add as _plus, itemgetter, mod, mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from .exact import (
@@ -61,28 +69,12 @@ from .exact import (
 ENUM_BOUND = 10**6
 
 
-class FiniteQuadraticForm:
-    """Finite abelian group with a Q/2Z-valued quadratic form."""
+class Form(namedtuple("Form", "orders level gram")):
+    """Finite abelian group with a Q/2Z-valued quadratic form, as ``make_form``
+    builds it: invariant factors ``orders``, their exponent ``level`` and the
+    reduced integer Gram rows ``gram`` over it."""
 
-    __slots__ = ("orders", "level", "gram", "source")
-
-    def __init__(self, orders, gram_rows, source=None):
-        """Form on ``orders`` with integer Gram rows over the exponent of ``orders``.
-
-        The rows are trusted to define a form on ``orders``; they are reduced,
-        not checked.
-        """
-        orders = tuple(orders)
-        level = orders[-1] if orders else 1
-        gram = tuple(tuple([x % (2 * level if i == j else level) for j, x in enumerate(row)])
-                     for i, row in enumerate(gram_rows))
-        for name, value in zip(self.__slots__, (orders, level, gram, source)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteQuadraticForm is immutable")
-
-    # group structure -------------------------------------------------
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -96,50 +88,56 @@ class FiniteQuadraticForm:
     def zero(self) -> tuple:
         return (0,) * self.rank
 
-    def reduce(self, x) -> tuple:
-        return tuple(map(mod, map(int, x), self.orders))
 
-    def add(self, x, y) -> tuple:
-        return tuple(map(mod, map(add, x, y), self.orders))
+def make_form(orders, gram_rows) -> Form:
+    """Form on ``orders`` with integer Gram rows over the exponent of ``orders``,
+    which are trusted to define a form on ``orders``: reduced, not checked."""
+    orders = tuple(orders)
+    level = orders[-1] if orders else 1
+    gram = tuple(tuple([x % (2 * level if i == j else level) for j, x in enumerate(row)])
+                 for i, row in enumerate(gram_rows))
+    return Form(orders, level, gram)
 
-    def smul(self, n: int, x) -> tuple:
-        return tuple([n * a % d for a, d in zip(x, self.orders)])
 
-    def order_of(self, x) -> int:
-        out = 1
-        for a, d in zip(x, self.orders):
-            out = lcm(out, d // gcd(d, a))
-        return out
+def reduce(form: Form, x) -> tuple:
+    """The element with integer coordinates ``x``; BadParameter names a
+    coordinate that is not an int."""
+    for a in x:
+        if not isinstance(a, int):
+            raise BadParameter(f"coordinate {a!r} is not an integer")
+    return tuple(map(mod, x, form.orders))
 
-    def elements(self, bound: int = ENUM_BOUND):
-        """The elements in lexicographic order of their coordinates."""
-        _require_enumerable(self, bound)
-        return product(*[range(d) for d in self.orders])
 
-    # form values ------------------------------------------------------
+def add(form: Form, x, y) -> tuple:
+    return tuple(map(mod, map(_plus, x, y), form.orders))
 
-    def q_scaled(self, x) -> int:
-        """level * q(x), an integer in [0, 2 level), for a reduced x."""
-        return bilinear(self.gram, x, x) % (2 * self.level)
 
-    # equality is structural: same presentation, not mere isometry
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteQuadraticForm)
-            and self.orders == other.orders
-            and self.gram == other.gram
-        )
+def smul(form: Form, n: int, x) -> tuple:
+    return tuple([n * a % d for a, d in zip(x, form.orders)])
 
-    def __hash__(self):
-        return hash((self.orders, self.gram))
 
-    def __repr__(self):
-        qs = ", ".join(q_strings(self))
-        return f"FiniteQuadraticForm(orders={list(self.orders)}, q=[{qs}])"
+def order_of(form: Form, x) -> int:
+    out = 1
+    for a, d in zip(x, form.orders):
+        out = lcm(out, d // gcd(d, a))
+    return out
+
+
+def elements(form: Form, bound: int = ENUM_BOUND):
+    """The elements in lexicographic order of their coordinates."""
+    _require_enumerable(form, bound)
+    return product(*[range(d) for d in form.orders])
+
+
+def q_scaled(form: Form, x) -> int:
+    """level * q(x), an integer in [0, 2 level), for a reduced x."""
+    return bilinear(form.gram, x, x) % (2 * form.level)
 
 
 class LatticeSource(namedtuple("LatticeSource", "smith kept")):
-    """Provenance of A_L = L*/L: the Smith transforms U G V = D of the Gram G of L.
+    """Where the generators of A_L = L*/L come from: the Smith transforms
+    U G V = D of the Gram G of L, which ``discriminant_form`` returns beside
+    the form.
 
     ``smith`` is the ``SmithDecomposition`` (U, the invariant factors d and
     V) of G and ``kept`` the Smith positions with invariant factor > 1, one
@@ -176,7 +174,8 @@ class LatticeSource(namedtuple("LatticeSource", "smith kept")):
 
 
 class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):
-    """Provenance of H^perp/H: how its generators sit in the parent form.
+    """Where the generators of H^perp/H come from: how they sit in the parent
+    form ``parent``, which ``perp_quotient`` returns beside the quotient.
 
     ``rows`` is H^perp modulo H as a ``_RowQuotient`` of row lattices,
     ``kept`` the quotient positions with order > 1, one per generator, and
@@ -186,18 +185,16 @@ class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_li
     __slots__ = ()
 
 
-def _generated_form(gram, level: int, rows, orders, source=None):
+def _generated_form(gram, level: int, rows, orders) -> Form:
     """The form on ``orders`` generated by integer ``rows`` R of a space with
     b(x, y) = x^T gram y / level: R gram R^T over ``level``, rescaled to the
     exponent of ``orders`` (which must divide ``level``).
 
     Entry (i, j) is the inner product of row i with gram r_j, so each row
     costs one ``apply`` and no matrix is formed."""
-    if not orders:
-        return FiniteQuadraticForm((), (), source)
     images = [apply(gram, r) for r in rows]
     moved = [[sum(map(mul, r, g)) for g in images] for r in rows]
-    return FiniteQuadraticForm(orders, _over_level(moved, level, orders[-1]), source)
+    return make_form(orders, _over_level(moved, level, orders[-1] if orders else 1))
 
 
 def _over_level(moved, level: int, new_level: int) -> tuple:
@@ -209,8 +206,9 @@ def _over_level(moved, level: int, new_level: int) -> tuple:
     return tuple(tuple([x // scale for x in row]) for row in moved)
 
 
-def discriminant_form(lattice) -> FiniteQuadraticForm:
-    """Discriminant form A_L = L*/L of an even lattice, with provenance."""
+def discriminant_form(lattice) -> tuple:
+    """(A_L, its ``LatticeSource``): the discriminant form L*/L of an even
+    lattice and the Smith transforms that lift its classes to L*."""
     if not lattice.even:
         raise OddLattice("discriminant form requires an even lattice")
     source = LatticeSource.of(lattice)
@@ -219,11 +217,7 @@ def discriminant_form(lattice) -> FiniteQuadraticForm:
     # its N-fold multiple is an integer row whose values lie over N^2
     level = orders[-1] if orders else 1
     rows = [source.scaled_lift(_unit(len(orders), i), level) for i in range(len(orders))]
-    return _generated_form(lattice.gram, level * level, rows, orders, source)
-
-
-def trivial_form() -> FiniteQuadraticForm:
-    return FiniteQuadraticForm((), [])
+    return _generated_form(lattice.gram, level * level, rows, orders), source
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +276,24 @@ class FqfSubgroup(namedtuple("FqfSubgroup", "form elements generators")):
         return len(self.elements)
 
 
-def _cosets(form: FiniteQuadraticForm, span, e) -> list:
+def _cosets(form: Form, span, e) -> list:
     """The elements of the cosets k e + span, for 0 < k below the order of the
     reduced element e modulo the subgroup ``span``: each element of the span
     of ``span`` and e outside ``span``, once."""
     out = []
     cur = e
     while cur not in span:
-        out += map(form.add, repeat(cur), span)
-        cur = form.add(cur, e)
+        out += map(add, repeat(form), repeat(cur), span)
+        cur = add(form, cur, e)
     return out
 
 
-def _extend(form: FiniteQuadraticForm, span, e) -> set:
+def _extend(form: Form, span, e) -> set:
     """The subgroup generated by the subgroup ``span`` and the reduced element e."""
     return set(span).union(_cosets(form, span, e))
 
 
-def _subgroup(form: FiniteQuadraticForm, elems) -> FqfSubgroup:
+def _subgroup(form: Form, elems) -> FqfSubgroup:
     """The subgroup on the element set ``elems``, with canonical generators:
     each sorted element that the ones kept before it do not span."""
     elems = tuple(sorted(elems))
@@ -311,17 +305,17 @@ def _subgroup(form: FiniteQuadraticForm, elems) -> FqfSubgroup:
     return FqfSubgroup(form, elems, tuple(gens))
 
 
-def subgroup_span(form: FiniteQuadraticForm, gens) -> FqfSubgroup:
+def subgroup_span(form: Form, gens) -> FqfSubgroup:
     gens = list(gens)
     if any(len(g) != form.rank for g in gens):
         raise BadParameter(f"subgroup generators need {form.rank} coordinates")
     span = {form.zero}
     for g in gens:
-        span = _extend(form, span, form.reduce(g))
+        span = _extend(form, span, reduce(form, g))
     return _subgroup(form, span)
 
 
-def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
+def trivial_subgroup(form: Form) -> FqfSubgroup:
     return FqfSubgroup(form, (form.zero,), ())
 
 
@@ -334,7 +328,7 @@ def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
     generators, and no element of the subgroup read."""
     form, gens = subgroup.form, subgroup.generators
     for i, g in enumerate(gens):
-        if form.q_scaled(g) or any(bilinear(form.gram, g, h) % form.level for h in gens[:i]):
+        if q_scaled(form, g) or any(bilinear(form.gram, g, h) % form.level for h in gens[:i]):
             raise NotIsotropic(f"{what} is not isotropic")
 
 
@@ -342,7 +336,7 @@ def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
 # isotropic enumeration
 
 
-def _require_enumerable(form: FiniteQuadraticForm, bound: int) -> None:
+def _require_enumerable(form: Form, bound: int) -> None:
     if form.cardinality > bound:
         raise GroupTooLarge(
             f"group of order {form.cardinality} exceeds enumeration bound {bound}"
@@ -360,7 +354,7 @@ def _prefix_values(prefixes, k: int, d: int, row, modulus: int):
             yield y + (t,), (v + (row[k] * t + b) * t) % modulus
 
 
-def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
+def isotropic_elements(form: Form, bound: int = ENUM_BOUND) -> list:
     """All x with q(x) = 0 in Q/2Z (includes 0), in ``elements`` order.
 
     Every element is visited, but level q(x) = x^T M x mod 2 level is
@@ -385,10 +379,9 @@ def isotropic_elements(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> li
     return out
 
 
-def _primary_parts(form: FiniteQuadraticForm, primes=None) -> list:
-    """(p, orders, Gram) of each p-part A_p for the primes p dividing |A|:
-    A_p in invariant-factor shape, with its integer Gram rows over the
-    exponent of ``orders``.
+def _primary_parts(form: Form, primes=None) -> list:
+    """(p, A_p) for the primes p dividing |A|: each p-part a form in
+    invariant-factor shape, one ``make_form`` per part.
 
     ``primes`` may hold the primes of the level (or more), when the caller
     has them; otherwise the level is factored.  A_p is generated by the
@@ -410,7 +403,7 @@ def _primary_parts(form: FiniteQuadraticForm, primes=None) -> list:
                 gens.append((i, d // pe))
                 orders.append(pe)
         moved = [[ca * cb * G[ia][ib] for ib, cb in gens] for ia, ca in gens]
-        parts.append((p, tuple(orders), _over_level(moved, level, orders[-1])))
+        parts.append((p, make_form(orders, _over_level(moved, level, orders[-1]))))
         order *= prod(orders)
     if order != form.cardinality:
         raise InternalError("the given primes miss a prime of the group order")
@@ -466,11 +459,12 @@ def _last_coordinate_count(a: int, b: int, c: int, p: int, n: int) -> int:
     return 0 if c % 2 else _root_count(a, 2 * b, c, p, n)
 
 
-def _isotropic_count(p: int, orders, gram, bound: int) -> int:
-    """I_p of the p-part on ``orders`` with Gram ``gram`` over n_r: for each y
-    in the cofactor Z/n_1 + ... + Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.
-    With G = ``gram``, q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
-    *head, n = orders
+def _isotropic_count(p: int, part: Form, bound: int) -> int:
+    """I_p of the p-part ``part``: for each y in the cofactor Z/n_1 + ... +
+    Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.  With G its Gram over n_r,
+    q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
+    *head, n = part.orders
+    gram = part.gram
     cofactor = prod(head)
     if cofactor > bound:
         raise GroupTooLarge(f"{p}-part of order {cofactor * n}: cofactor of order "
@@ -483,29 +477,28 @@ def _isotropic_count(p: int, orders, gram, bound: int) -> int:
     )
 
 
-def isotropic_pm1_count(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
+def isotropic_pm1_count(form: Form, bound: int = ENUM_BOUND,
                         primes=None) -> int:
     """Number of isotropic classes modulo +-1, counted part by part.
 
     Equals the number of {x, -x} orbits of ``isotropic_elements(form)``
-    (the tests' ``mod_pm1`` lists them) without listing an element and
-    without a form per part: each p-part is its orders and integer Gram
-    (``_primary_parts``), scanned over its cofactor only
+    (the tests' ``mod_pm1`` lists them) without listing an element: each
+    p-part (``_primary_parts``) is scanned over its cofactor only
     (``_isotropic_count``), and F_2 comes from A_2[2].  ``bound`` caps
     each cofactor, not a part or the whole group; ``primes`` may hold the
     primes of the level, which is factored otherwise.
     """
     isotropic, fixed = 1, 1
-    for p, orders, gram in _primary_parts(form, primes):
-        isotropic *= _isotropic_count(p, orders, gram, bound)
+    for p, part in _primary_parts(form, primes):
+        isotropic *= _isotropic_count(p, part, bound)
         if p == 2:
-            modulus = 2 * orders[-1]
-            fixed = sum(1 for x in product(*[(0, d // 2) for d in orders])
-                        if bilinear(gram, x, x) % modulus == 0)
+            modulus = 2 * part.level
+            fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
+                        if bilinear(part.gram, x, x) % modulus == 0)
     return (isotropic + fixed) // 2
 
 
-def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
+def isotropic_subgroups(form: Form, bound: int = ENUM_BOUND) -> list:
     """All subgroups on which q vanishes identically, smallest first.
 
     An isotropic H grows by an isotropic e with b(e, g) = 0 for every
@@ -550,8 +543,9 @@ def isotropic_subgroups(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> l
     return sorted(found, key=lambda s: (s.order, s.elements))
 
 
-def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQuadraticForm:
-    """H^perp/H with the induced form; requires H isotropic.
+def perp_quotient(form: Form, subgroup: FqfSubgroup) -> tuple:
+    """(H^perp/H with the induced form, its ``QuotientSource``); requires H
+    isotropic.
 
     H^perp = {x : b(x, h) = 0 for all h in H}; the result order is
     |A| / |H|^2 and the induced q is well defined because q vanishes
@@ -561,9 +555,6 @@ def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQua
         raise ValueError("subgroup belongs to a different form")
     require_isotropic(subgroup)
     n = form.rank
-    if n == 0:
-        return trivial_form()
-
     # integer model: P = preimage in Z^n of H^perp, PH = preimage of H;
     # x lies in H^perp iff (M h) . x = 0 mod N for every generator h of H
     gens = subgroup.generators
@@ -577,21 +568,19 @@ def perp_quotient(form: FiniteQuadraticForm, subgroup: FqfSubgroup) -> FiniteQua
     rq = _row_quotient(hnf_rows(proj + torsion), hnf_rows(list(gens) + torsion))
     kept = [i for i, d in enumerate(rq.orders) if d > 1]
     orders = tuple(rq.orders[i] for i in kept)
-    gen_elems = [form.reduce(rq.generator_rows[i]) for i in kept]
+    gen_elems = [reduce(form, rq.generator_rows[i]) for i in kept]
     expected = form.cardinality // (subgroup.order ** 2)
     if prod(orders) != expected:
         raise InternalError("perp quotient order mismatch")
     source = QuotientSource(form, rq, tuple(kept), tuple(gen_elems))
-    return _generated_form(form.gram, form.level, gen_elems, orders, source)
+    return _generated_form(form.gram, form.level, gen_elems, orders), source
 
 
-def project_to_quotient(quotient: FiniteQuadraticForm, x) -> tuple:
-    """Class in H^perp/H of an element x of H^perp in the parent form."""
-    src = quotient.source
-    if not isinstance(src, QuotientSource):
-        raise ValueError("form is not a perp quotient")
-    coords = src.rows.class_coords(list(src.parent.reduce(x)))
-    return tuple(coords[i] for i in src.kept)
+def project_to_quotient(source: QuotientSource, x) -> tuple:
+    """Class in H^perp/H, given by its ``source``, of an element x of H^perp
+    in the parent form."""
+    coords = source.rows.class_coords(list(reduce(source.parent, x)))
+    return tuple(coords[i] for i in source.kept)
 
 
 def _unit(n, i):
@@ -608,15 +597,15 @@ def _q_pair(scaled: int, level: int) -> tuple:
     return scaled // g, level // g
 
 
-def _signature_buckets(form: FiniteQuadraticForm, bound: int):
+def _signature_buckets(form: Form, bound: int):
     buckets = {}
-    for x in form.elements(bound):
-        key = (form.order_of(x), _q_pair(form.q_scaled(x), form.level))
+    for x in elements(form, bound):
+        key = (order_of(form, x), _q_pair(q_scaled(form, x), form.level))
         buckets.setdefault(key, []).append(x)
     return buckets
 
 
-def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
+def _hom_search(a: Form, b: Form, need_size: int,
                 bound: int, find_all: bool):
     """Backtracking search for q- and b-preserving maps generator-wise.
 
@@ -659,7 +648,7 @@ def _hom_search(a: FiniteQuadraticForm, b: FiniteQuadraticForm, need_size: int,
 
 
 def are_isometric(
-    a: FiniteQuadraticForm, b: FiniteQuadraticForm, bound: int = ENUM_BOUND
+    a: Form, b: Form, bound: int = ENUM_BOUND
 ):
     """Isometry test; returns (flag, witness images of a's generators)."""
     if a.cardinality != b.cardinality or sorted(a.orders) != sorted(b.orders):
@@ -670,24 +659,24 @@ def are_isometric(
     return False, None
 
 
-def orthogonal_group(form: FiniteQuadraticForm, bound: int = ENUM_BOUND) -> list:
+def orthogonal_group(form: Form, bound: int = ENUM_BOUND) -> list:
     """All q-preserving automorphisms, as tuples of generator images."""
     return sorted(_hom_search(form, form, form.cardinality, bound, find_all=True))
 
 
-def apply_map(form: FiniteQuadraticForm, images, x) -> tuple:
+def apply_map(form: Form, images, x) -> tuple:
     """Evaluate a generator-image map at an element: coordinate i of the
     image is sum_j x_j img_j[i] mod d_i.  The image of generator j has order
     dividing d_j, so ``x`` may be any integer tuple, unreduced or negative."""
     return tuple([sum(map(mul, x, col)) % d for col, d in zip(zip(*images), form.orders)])
 
 
-def compose_maps(form: FiniteQuadraticForm, f, g) -> tuple:
+def compose_maps(form: Form, f, g) -> tuple:
     """Composition f o g of two generator-image maps on the same form."""
     return tuple(apply_map(form, f, img) for img in g)
 
 
-def identity_map(form: FiniteQuadraticForm) -> tuple:
+def identity_map(form: Form) -> tuple:
     return tuple(_unit(form.rank, i) for i in range(form.rank))
 
 
@@ -701,12 +690,12 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{n}/{d}" if d > 1 else str(n)
 
 
-def q_strings(form: FiniteQuadraticForm) -> list:
+def q_strings(form: Form) -> list:
     """q of the generators, in [0, 2), as the strings of reduced fractions."""
     return [_ratio_str(row[i], form.level) for i, row in enumerate(form.gram)]
 
 
-def form_to_obj(form: FiniteQuadraticForm) -> dict:
+def form_to_obj(form: Form) -> dict:
     """The invariant factors ``orders`` and the values ``q`` and ``b`` on the
     generators, in symmetric representatives: q in (-1, 1], b in (-1/2, 1/2]."""
     n = form.level

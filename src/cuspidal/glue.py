@@ -3,13 +3,14 @@
 An isotropic subgroup H of the discriminant form of an even lattice R
 determines the even overlattice L_H, the preimage of H in R*; its
 discriminant form is H^perp/H (Brieskorn) and det L_H = det R / |H|^2.
-``GlueData`` holds R, its components and A_R, and the glue H is passed
-beside it: ``overlattice`` and ``glue_adds_roots`` each check once that H
-is an isotropic subgroup of A_R, from its generators.  ``overlattice``
-takes the signature of L_H from R and its determinant from the Hermite
-basis it builds, so no Gram here is eliminated; the one elimination
-left, ``exact.det_and_signature``, types each component of a root system
-by its Cartan determinant.
+``GlueData`` holds R, its components, A_R and the Smith transforms of R
+that lift classes of A_R to R*, and the glue H is passed beside it:
+``overlattice`` and ``glue_adds_roots`` each check once that H is an
+isotropic subgroup of A_R, from its generators.  ``overlattice`` takes
+the signature of L_H from R and its determinant from the Hermite basis it
+builds, so no Gram here is eliminated; the one elimination left,
+``exact.det_and_signature``, types each component of a root system by its
+Cartan determinant.
 
 Root enumeration uses exact Fincke-Pohst on integers: LLL
 preconditioning, then a depth-first search whose remaining norm is
@@ -28,7 +29,7 @@ contains a minuscule fundamental weight, which is shortest in its class,
 so mu_i(c) is the least |norm| of the fundamental weights omega_j in c; a
 rank-1 summand <-2m> has mu(k) = k'^2/|2m| on the k-th multiple of its
 one class, with k' = min(k, |2m| - k).  All of it is read off the one
-Smith form U G V = D of the base that its discriminant form already
+Smith form U G V = D of the base that ``GlueData`` already
 holds: omega_j = G^-1 e_j has class U e_j in A_R and norm
 sum_i V[j][i] U[i][j] / d_i, and h_i has class U p_i for the pairings p_i
 of its lift with the basis of R_i.  E is even, so for h != 0 the sum is
@@ -73,14 +74,16 @@ from .exact import (
     apply, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul, scaled,
 )
 from .fqf import (
-    FiniteQuadraticForm,
+    Form,
     FqfSubgroup,
     QuotientSource,
     apply_map,
     compose_maps,
     discriminant_form,
+    elements,
     identity_map,
     project_to_quotient,
+    q_scaled,
     require_isotropic,
 )
 from .lattice import (
@@ -128,17 +131,19 @@ def root_sum_base(spec: str):
     return direct_sum(*(_component_lattice(c.kind, c.param) for c in comps)), tuple(comps)
 
 
-class GlueData(namedtuple("GlueData", "base components disc")):
-    """A base lattice, its ``Component``s and its discriminant form ``disc``,
-    in which a glue is a subgroup passed beside the record."""
+class GlueData(namedtuple("GlueData", "base components disc disc_source")):
+    """A base lattice, its ``Component``s, its discriminant form ``disc`` and
+    the ``fqf.LatticeSource`` of ``disc``, the one Smith form of the base;
+    a glue is a subgroup of ``disc`` passed beside the record."""
 
     __slots__ = ()
 
 
 def make_glue(spec: str) -> GlueData:
-    """The base of ``spec``, its components and its discriminant form."""
+    """The base of ``spec``, its components, its discriminant form and the
+    form's Smith provenance."""
     base, comps = root_sum_base(spec)
-    return GlueData(base, comps, discriminant_form(base))
+    return GlueData(base, comps, *discriminant_form(base))
 
 
 def _require_glue(gd: GlueData, glue: FqfSubgroup) -> None:
@@ -165,7 +170,7 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
     # den times the glue lifts, with den the level of A_R, are integer rows
     den = gd.disc.level
     int_rows = [[den * int(i == j) for j in range(n)] for i in range(n)]
-    int_rows += [list(gd.disc.source.scaled_lift(g, den)) for g in glue.generators]
+    int_rows += [list(gd.disc_source.scaled_lift(g, den)) for g in glue.generators]
     # B = den * (overlattice basis in R coordinates), an integer matrix
     basis = hnf_rows(int_rows)
     if len(basis) != n:
@@ -343,7 +348,7 @@ def _coset_minima(gd: GlueData) -> list:
     times the least |norm| in it.  The fundamental weight omega_j = G^-1 e_j has class
     U e_j and, as level G^-1 = V (level D^-1) U, level times its norm is
     sum_i V[j][i] (level / d_i) U[i][j]."""
-    src = gd.disc.source
+    src = gd.disc_source
     U, d, V = src.smith.left, src.smith.diag, src.smith.right
     level = gd.disc.level
     scale = [level // di for di in d]
@@ -395,7 +400,7 @@ def glue_adds_roots(gd: GlueData, glue: FqfSubgroup, blocks) -> bool:
     for h in glue.elements:
         if not any(h):
             continue
-        lift = gd.disc.source.scaled_lift(h, level)  # level times a vector of R*
+        lift = gd.disc_source.scaled_lift(h, level)  # level times a vector of R*
         total = 0  # level times the coset minimum
         for sl, rows, G, minima in blocks:
             pairings = apply(G, lift[sl])
@@ -483,7 +488,7 @@ class _ActionImages(dict):
 
     __slots__ = ("disc", "images")
 
-    def __init__(self, disc: FiniteQuadraticForm, images):
+    def __init__(self, disc: Form, images):
         super().__init__()
         self.disc, self.images = disc, images
 
@@ -502,7 +507,7 @@ def _generator_actions(gd: GlueData) -> tuple:
     of K, so the kept block of U G g V is (s_j K[:, p_j]) times the kept
     columns of V.
     """
-    src = gd.disc.source
+    src = gd.disc_source
     kept, d, V = src.kept, src.smith.diag, src.smith.right
     K = matmul([src.left[k] for k in kept], gd.base.gram) if kept else ()
     cols = [list(map(itemgetter(i), V)) for i in kept]
@@ -539,7 +544,7 @@ def _glue_orbits(actions, subgroups) -> list:
     return orbits
 
 
-def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions) -> TauImage:
+def image_of_tau(quotient: Form, source: QuotientSource, orbit, actions) -> TauImage:
     """Subgroup of O(A_E) induced by the stabilizer of the glue in the group
     of the tau generators (``_tau_signed_permutations``), from its Schreier
     generators.  That diagram automorphisms, permutations of isomorphic
@@ -547,13 +552,11 @@ def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions) -> TauImage:
     discriminant form is assumed, so the counts built on it are conditional.
 
     ``orbit`` is an orbit of ``_glue_orbits`` under ``actions``, rooted at
-    the glue H, and ``quotient`` is H^perp/H from ``perp_quotient``, whose
-    quotient provenance lets classes be projected.
+    the glue H, and ``quotient`` and its ``source`` are what
+    ``perp_quotient`` returns for H: the source projects classes.
     """
     _, words, edges = orbit
-    if not isinstance(quotient.source, QuotientSource):
-        raise BadParameter("form is not a perp quotient")
-    lifts = quotient.source.generator_lifts
+    lifts = source.generator_lifts
     ident = identity_map(quotient)
     schreier = {lifts}  # the distinct Schreier generators on the lifts
     fwd = {next(iter(words)): lifts}  # t_K of the lifts, K in tree order
@@ -566,7 +569,7 @@ def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions) -> TauImage:
             for h in reversed(words[image]):  # t^-1 is the reversed word
                 xs = tuple(map(actions[h].__getitem__, xs))
             schreier.add(xs)
-    gens = {tuple(project_to_quotient(quotient, x) for x in xs) for xs in schreier} - {ident}
+    gens = {tuple(project_to_quotient(source, x) for x in xs) for xs in schreier} - {ident}
     group, queue = {ident}, [ident]
     for cur in queue:
         for g in gens:
@@ -575,7 +578,7 @@ def image_of_tau(quotient: FiniteQuadraticForm, orbit, actions) -> TauImage:
                 group.add(nxt)
                 queue.append(nxt)
     for f in gens:  # then every product of them preserves q too
-        for x in quotient.elements():
-            if quotient.q_scaled(apply_map(quotient, f, x)) != quotient.q_scaled(x):
+        for x in elements(quotient):
+            if q_scaled(quotient, apply_map(quotient, f, x)) != q_scaled(quotient, x):
                 raise InternalError("induced map does not preserve q")
     return TauImage(tuple(sorted(group)))

@@ -112,12 +112,12 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
         ):
             raise InternalError("B_d block mismatch")
     N = sub.lattice
-    form = discriminant_form(N)
+    form, source = discriminant_form(N)
     rank_n = N.rank
     if case.split:
-        t_cls = class_of(N, form, [1] + [0] * (rank_n - 1), 2 * d)
-        e_cls = class_of(N, form, [0] * (rank_n - 1) + [1], 2)
+        t_cls = class_of(N, source, [1] + [0] * (rank_n - 1), 2 * d)
+        e_cls = class_of(N, source, [0] * (rank_n - 1) + [1], 2)
     else:
-        t_cls = class_of(N, form, [2, 1] + [0] * (rank_n - 2), d)
+        t_cls = class_of(N, source, [2, 1] + [0] * (rank_n - 2), d)
         e_cls = None
     return PolarizedEmbedding(case, L, h, sub, form, t_cls, e_cls)

@@ -12,16 +12,15 @@ from __future__ import annotations
 from math import lcm
 
 from cuspidal.exact import block_diagonal, diagonal, scaled
-from cuspidal.fqf import (
-    FiniteQuadraticForm, FqfSubgroup, _generated_form, _row_quotient, trivial_form,
-)
+from cuspidal import fqf
+from cuspidal.fqf import Form, FqfSubgroup, _generated_form, _row_quotient, make_form
 
 
-def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
+def direct_sum_form(*forms: Form) -> Form:
     """Orthogonal direct sum, renormalized to invariant-factor shape."""
     orders = [d for f in forms for d in f.orders]
     if not orders:
-        return trivial_form()
+        return make_form((), ())
     level = lcm(*(f.level for f in forms))
     gram = block_diagonal(scaled(f.gram, level // f.level) for f in forms)
     quotient = _row_quotient(diagonal((1,) * len(orders)), diagonal(orders))
@@ -34,15 +33,15 @@ def direct_sum_form(*forms: FiniteQuadraticForm) -> FiniteQuadraticForm:
     )
 
 
-def mod_pm1(form: FiniteQuadraticForm, elems) -> list:
+def mod_pm1(form: Form, elems) -> list:
     """One representative per {x, -x} orbit, the lexicographically smaller."""
     reps = []
     seen = set()
     for x in elems:
-        x = form.reduce(x)
+        x = fqf.reduce(form, x)
         if x in seen:
             continue
-        mx = form.smul(-1, x)
+        mx = fqf.smul(form, -1, x)
         seen.add(x)
         seen.add(mx)
         reps.append(min(x, mx))
@@ -51,4 +50,4 @@ def mod_pm1(form: FiniteQuadraticForm, elems) -> list:
 
 def isotropic_by_scan(subgroup: FqfSubgroup) -> bool:
     """True when q vanishes on every element of the subgroup, each evaluated."""
-    return not any(subgroup.form.q_scaled(x) for x in subgroup.elements)
+    return not any(fqf.q_scaled(subgroup.form, x) for x in subgroup.elements)

@@ -32,7 +32,7 @@ from cuspidal.errors import BadParameter, CuspidalError, NotIsometry, SingularMa
 from cuspidal.exact import apply, diagonal, matmul, smith_normal_form
 from cuspidal.fqf import (
     ENUM_BOUND,
-    FiniteQuadraticForm,
+    Form,
     FqfSubgroup,
     _hom_search,
     are_isometric,
@@ -233,7 +233,7 @@ def group_membership(g: Isometry) -> MembershipFlags:
 
 
 def embeds(
-    a: FiniteQuadraticForm, b: FiniteQuadraticForm, bound: int = ENUM_BOUND
+    a: Form, b: Form, bound: int = ENUM_BOUND
 ) -> bool:
     """True when an injective q-preserving homomorphism a -> b exists."""
     if a.cardinality > b.cardinality:
@@ -254,7 +254,7 @@ def _coefficients(case: PolarizationCase, m: int, n: int) -> tuple:
     return n * (ord_t // m) % ord_t, (n % 2 if pattern == "t+e" else 0)
 
 
-def _combine(form: FiniteQuadraticForm, t, e, a: int, b: int) -> tuple:
+def _combine(form: Form, t, e, a: int, b: int) -> tuple:
     """a t + b e as a reduced element of ``form``."""
     return tuple([(a * x + b * y) % d for x, y, d in zip(t, e, form.orders)])
 
@@ -287,7 +287,7 @@ def t_set(case: PolarizationCase, m: int, bound: int = ENUM_BOUND) -> list:
     out = []
     for delta in range(m):
         t_gram = ((0, m), (m, 2 * delta))
-        t_disc = discriminant_form(Lattice(t_gram))
+        t_disc = discriminant_form(Lattice(t_gram))[0]
         total = direct_sum_form(t_disc, pred)
         if are_isometric(total, model.form, bound)[0]:
             out.append((delta, t_gram))

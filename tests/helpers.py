@@ -15,7 +15,7 @@ from operator import mul
 from cuspidal import fqf, glue
 from cuspidal.errors import MixedLattices
 from cuspidal.exact import apply, bilinear, diagonal, hnf_coords, hnf_rows, matmul, scaled
-from cuspidal.fqf import FiniteQuadraticForm
+from cuspidal.fqf import Form, make_form
 from cuspidal.lattice import check_signed_permutation, direct_sum, make_standard
 from fraction_oracles import fraction_presentation
 from group_claims import Isometry
@@ -37,7 +37,7 @@ def lattice_to_json(L) -> str:
 # finite quadratic forms in Fractions
 
 
-def fraction_form(orders, qdiag, bmat) -> FiniteQuadraticForm:
+def fraction_form(orders, qdiag, bmat) -> Form:
     """The form whose generators have q values ``qdiag`` and b values
     ``bmat`` (Fractions), checked by ``fraction_presentation`` and converted
     to integer Gram rows over the level; ValueError when they define no form."""
@@ -45,10 +45,10 @@ def fraction_form(orders, qdiag, bmat) -> FiniteQuadraticForm:
     level = orders[-1] if orders else 1
     rows = [[int(level * (qdiag[i] if i == j else x)) for j, x in enumerate(row)]
             for i, row in enumerate(bmat)]
-    return FiniteQuadraticForm(orders, rows)
+    return make_form(orders, rows)
 
 
-def form_from_json(text: str) -> FiniteQuadraticForm:
+def form_from_json(text: str) -> Form:
     obj = json.loads(text)
     return fraction_form(obj["orders"], [Fraction(s) for s in obj["q"]],
                          [[Fraction(s) for s in row] for row in obj["b"]])
@@ -67,18 +67,19 @@ def b_matrix(form) -> tuple:
 
 def q_value(form, x) -> Fraction:
     """q(x) in [0, 2)."""
-    return Fraction(form.q_scaled(form.reduce(x)), form.level)
+    return Fraction(fqf.q_scaled(form, fqf.reduce(form, x)), form.level)
 
 
 def b_value(form, x, y) -> Fraction:
     """b(x, y) in [0, 1)."""
-    value = bilinear(form.gram, form.reduce(x), form.reduce(y))
+    value = bilinear(form.gram, fqf.reduce(form, x), fqf.reduce(form, y))
     return Fraction(value % form.level, form.level)
 
 
-def rational_lift(form, x) -> tuple:
-    """A dual vector of the source lattice of a discriminant form in the class x."""
-    scaled = form.source.scaled_lift(form.reduce(x), form.level)
+def rational_lift(form, source, x) -> tuple:
+    """A dual vector of the lattice of a discriminant form, given with its
+    ``fqf.LatticeSource``, in the class x."""
+    scaled = source.scaled_lift(fqf.reduce(form, x), form.level)
     return tuple(Fraction(a, form.level) for a in scaled)
 
 
@@ -95,18 +96,15 @@ def class_key(source, pairings) -> tuple:
     return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in source.kept])
 
 
-def class_of(L, form, scaled, level: int) -> tuple:
-    """Class in ``form``, the discriminant form of the lattice L, of the dual
-    vector scaled / level, for an integer vector ``scaled`` and a positive
-    integer ``level``; ValueError when ``form`` has no lattice or the vector
-    is not in the dual lattice."""
-    src = form.source
-    if not isinstance(src, fqf.LatticeSource):
-        raise ValueError("form has no lattice provenance")
+def class_of(L, source, scaled, level: int) -> tuple:
+    """Class in the discriminant form of the lattice L, given by its
+    ``fqf.LatticeSource`` ``source``, of the dual vector scaled / level, for
+    an integer vector ``scaled`` and a positive integer ``level``; ValueError
+    when the vector is not in the dual lattice."""
     pairings = apply(L.gram, scaled)
     if any(x % level for x in pairings):
         raise ValueError("vector is not in the dual lattice")
-    return class_key(src, [x // level for x in pairings])
+    return class_key(source, [x // level for x in pairings])
 
 
 def a_n_core(case):
@@ -118,10 +116,8 @@ def a_n_core(case):
 
 
 def part_forms(form, primes=None) -> dict:
-    """{p: A_p} for the orders and integer Gram rows of each p-part that
-    ``fqf._primary_parts`` reads off ``form``, wrapped in a form here."""
-    return {p: FiniteQuadraticForm(orders, gram)
-            for p, orders, gram in fqf._primary_parts(form, primes)}
+    """{p: A_p} for the p-parts that ``fqf._primary_parts`` reads off ``form``."""
+    return dict(fqf._primary_parts(form, primes))
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +152,21 @@ def base_in_overlattice(gd, glue_sub) -> tuple:
     integer y with y B = den e_i."""
     n, den = gd.base.rank, gd.disc.level
     unit = [[den * int(i == j) for j in range(n)] for i in range(n)]
-    basis = hnf_rows(unit + [gd.disc.source.scaled_lift(g, den) for g in glue_sub.generators])
+    basis = hnf_rows(unit + [gd.disc_source.scaled_lift(g, den) for g in glue_sub.generators])
     return tuple(tuple(hnf_coords(basis, row)) for row in unit)
 
 
 def tau_image(gd, glue_sub=None, quotient=None):
     """Im tau of the glue ``glue_sub`` of the base ``gd`` (trivial when None):
     ``glue.image_of_tau`` on the orbit of the glue alone; ``quotient`` may
-    be its perp quotient, built already."""
+    be what ``fqf.perp_quotient`` returns for the glue, built already."""
     if glue_sub is None:
         glue_sub = fqf.trivial_subgroup(gd.disc)
     if quotient is None:
         quotient = fqf.perp_quotient(gd.disc, glue_sub)
     actions = glue._generator_actions(gd)
     orbit, = glue._glue_orbits(actions, [glue_sub])
-    return glue.image_of_tau(quotient, orbit, actions)
+    return glue.image_of_tau(*quotient, orbit, actions)
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:

@@ -6,9 +6,9 @@ same arithmetic, so a test may ask for equal results.  The finite
 quadratic forms generated by rows R are built here as the ``matmul``
 triple product R G R^T, for every form and for the p-parts too, where
 the package pairs the rows with G r and reads the p-parts off G.  The
-isotropic classes modulo +-1 are counted here on one
-``FiniteQuadraticForm`` per p-part (``primary_parts``), where the package
-keeps each part as its orders and integer Gram rows.
+isotropic classes modulo +-1 are counted here a second time, on one form
+per p-part gathered in a dict (``primary_parts``), so that the package's
+count can be checked against it.
 """
 
 from itertools import product
@@ -17,7 +17,8 @@ from operator import mul
 
 from cuspidal.errors import GroupTooLarge, InternalError, NotIsometry
 from cuspidal.exact import SmithDecomposition, _pivot, _xgcd, bilinear, factorize, matmul
-from cuspidal.fqf import ENUM_BOUND, FiniteQuadraticForm, _last_coordinate_count
+from cuspidal import fqf
+from cuspidal.fqf import ENUM_BOUND, Form, _last_coordinate_count, make_form
 
 
 def product_by_loops(a, b) -> list:
@@ -33,9 +34,9 @@ def apply_by_loops(a, vec) -> list:
 
 
 def isotropic_by_filter(form, bound) -> list:
-    """The elements x of ``form.elements(bound)`` with level q(x) = 0 mod 2 level."""
+    """The elements x of ``fqf.elements(form, bound)`` with level q(x) = 0 mod 2 level."""
     modulus = 2 * form.level
-    return [x for x in form.elements(bound) if bilinear(form.gram, x, x) % modulus == 0]
+    return [x for x in fqf.elements(form, bound) if bilinear(form.gram, x, x) % modulus == 0]
 
 
 def scaled_lift_dense(source, x, level) -> tuple:
@@ -171,22 +172,20 @@ def smith_normal_form_full_rows(A) -> SmithDecomposition:
     return SmithDecomposition(tuple(map(tuple, L)), diag, tuple(zip(*Rt)))
 
 
-def generated_form_by_products(gram, level: int, rows, orders, source=None):
+def generated_form_by_products(gram, level: int, rows, orders):
     """``fqf._generated_form`` through the matrix R of ``rows``: R gram R^T
     over ``level`` as two ``matmul`` products, rescaled to the exponent of
     ``orders``."""
     if not orders:
-        return FiniteQuadraticForm((), (), source)
+        return make_form((), ())
     scale = level // orders[-1]
     moved = matmul(matmul(rows, gram), tuple(zip(*rows)))
     if level % orders[-1] or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
-    return FiniteQuadraticForm(
-        orders, [[x // scale for x in row] for row in moved], source
-    )
+    return make_form(orders, [[x // scale for x in row] for row in moved])
 
 
-def primary_parts_by_products(form: FiniteQuadraticForm, primes=None) -> dict:
+def primary_parts_by_products(form: Form, primes=None) -> dict:
     """``primary_parts`` with each p-part generated by the full rows
     (d_i / p^e_i) e_i through ``generated_form_by_products``."""
     if primes is None:
@@ -208,22 +207,19 @@ def primary_parts_by_products(form: FiniteQuadraticForm, primes=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the zero-dimensional count through one form per p-part, as the package
-# counted before its p-parts became orders and integer Gram rows
+# the zero-dimensional count through one form per p-part, written out again
 
 
-def _rescaled(moved, level: int, orders, source=None) -> FiniteQuadraticForm:
+def _rescaled(moved, level: int, orders) -> Form:
     """The form on ``orders`` with integer Gram rows ``moved`` over ``level``,
     divided down to the exponent of ``orders``; every entry must lie over it."""
     scale = level // orders[-1]
     if level % orders[-1] or any(x % scale for row in moved for x in row):
         raise InternalError("generator values do not lie over the new level")
-    return FiniteQuadraticForm(
-        orders, [[x // scale for x in row] for row in moved], source
-    )
+    return make_form(orders, [[x // scale for x in row] for row in moved])
 
 
-def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
+def primary_parts(form: Form, primes=None) -> dict:
     """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape.
 
     ``primes`` may hold the primes of the level (or more), when the caller
@@ -252,7 +248,7 @@ def primary_parts(form: FiniteQuadraticForm, primes=None) -> dict:
     return parts
 
 
-def _isotropic_count(part: FiniteQuadraticForm, p: int, bound: int) -> int:
+def _isotropic_count(part: Form, p: int, bound: int) -> int:
     """I_p of the p-part ``part``: for each y in the cofactor Z/n_1 + ... +
     Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.  With Gram G over n_r,
     q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
@@ -269,9 +265,9 @@ def _isotropic_count(part: FiniteQuadraticForm, p: int, bound: int) -> int:
     )
 
 
-def isotropic_pm1_count_by_forms(form: FiniteQuadraticForm, bound: int = ENUM_BOUND,
+def isotropic_pm1_count_by_forms(form: Form, bound: int = ENUM_BOUND,
                                   primes=None) -> int:
-    """``fqf.isotropic_pm1_count`` through a ``FiniteQuadraticForm`` per p-part.
+    """``fqf.isotropic_pm1_count`` through a ``Form`` per p-part.
 
     Equals the number of {x, -x} orbits of ``isotropic_elements(form)``
     (the tests' ``mod_pm1`` lists them) without listing an element: each

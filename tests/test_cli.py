@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cuspidal import cli
+from cuspidal import cli, cusps
 from cuspidal.cli import run
 
 
@@ -158,6 +158,31 @@ class TestSweep:
         assert code == 0
         obj = json.loads(out)
         assert [r["d"] for r in obj["rows"]] == list(range(1, 13))
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_out_file_holds_the_bytes_of_stdout(self, capsys, tmp_path, fmt):
+        argv = ["cusp", "sweep", "--d", "1..60", "--format", fmt]
+        code, out = invoke(capsys, argv)
+        path = tmp_path / f"sweep.{fmt}"
+        assert invoke(capsys, argv + ["--out", str(path)]) == (code, "")
+        assert code == 0 and path.read_bytes() == out.encode("utf-8")
+
+    def test_mismatches_are_counted_and_marked(self, capsys, monkeypatch):
+        # a formula off by one at d = 3 and d = 6: exit 1, two rows marked
+        formula = cusps.nu_formula
+        monkeypatch.setattr(cusps, "nu_formula", lambda case: formula(case) + (case.d % 3 == 0))
+        rows = []
+        for d in range(1, 8):
+            right = formula(cusps.PolarizationCase(d, "split"))
+            rows.append({"agree": d % 3 != 0, "d": d, "embedding": "split",
+                         "enumerated": right, "formula": right + (d % 3 == 0)})
+        code, out = invoke(capsys, ["cusp", "sweep", "--d", "1..7"])
+        assert code == 1
+        assert out == json.dumps({"mismatches": 2, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        code, out = invoke(capsys, ["cusp", "sweep", "--d", "1..7", "--format", "md"])
+        assert code == 1
+        assert [line.endswith("| MISMATCH |") for line in out.splitlines()[2:]] == [
+            not r["agree"] for r in rows]
 
 
 class TestLat:
@@ -352,8 +377,6 @@ class TestInputErrors:
         assert elapsed < 1.0
 
     def test_broken_invariant_exits_three(self, capsys, monkeypatch):
-        from cuspidal import cusps
-
         # every orbit representative becomes the non-isotropic class of t/2d
         monkeypatch.setattr(cusps, "_rep_coefficients", lambda n, *order: (1, 0))
         code = run(["cusp", "zero", "--d", "4"])
@@ -728,6 +751,8 @@ GOLDENS = [
     # and Fincke-Pohst
     (["glue", "roots", str(GOLDEN / "gram_D4+A2_skewed.json")],
      "glue_roots_gram_D4+A2_skewed.json"),
+    # the JSON sweep, whose rows are written one by one after the mismatches
+    (["cusp", "sweep", "--d", "1..400"], "cusp_sweep_d1-400.json"),
 ]
 
 
@@ -867,15 +892,11 @@ def test_json_writer_refuses_other_types():
 # methods of their classes, that no command needs to run, each with its
 # reason; every other one must run under some command below.
 _UNRUN_ALLOWED = {
-    **dict.fromkeys(
-        ["fqf.FiniteQuadraticForm.__setattr__", "lattice.Lattice.__setattr__"],
-        "immutability guard: runs only when code sets an attribute, as the record tests do"),
-    **dict.fromkeys(
-        ["fqf.FiniteQuadraticForm.__repr__", "lattice.Lattice.__repr__"],
-        "what a debugger or a failing test shows"),
-    **dict.fromkeys(
-        ["fqf.FiniteQuadraticForm.__hash__", "lattice.Lattice.__hash__"],
-        "a class that defines __eq__ is unhashable without it; the record tests hash them"),
+    "lattice.Lattice.__setattr__":
+        "immutability guard: runs only when code sets an attribute, as the record tests do",
+    "lattice.Lattice.__repr__": "what a debugger or a failing test shows",
+    "lattice.Lattice.__hash__":
+        "a class that defines __eq__ is unhashable without it; the record tests hash them",
     "cusps.PolarizationCase.__getnewargs__":
         "copy and pickle rebuild a case from (d, embedding), not from its six fields",
 }

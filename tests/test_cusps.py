@@ -1,12 +1,12 @@
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import group_claims
 from cuspidal import claims, cusps, fqf, glue
-from cuspidal.exact import bilinear
+from cuspidal.exact import bilinear, factorize
 from cuspidal.errors import (
     BadCase,
     BadIndex,
@@ -18,7 +18,6 @@ from cuspidal.errors import (
 from embedding_oracles import build_polarized
 from form_oracles import mod_pm1
 from helpers import a_n_core, adds_roots, b_value, class_of, part_forms, q_diagonal, q_value
-from kernel_oracles import isotropic_pm1_count_by_forms
 
 
 class TestCase:
@@ -116,29 +115,27 @@ class TestNu:
                 iso = fqf.isotropic_elements(part)
                 isotropic *= len(iso)
                 if p == 2:
-                    fixed = sum(1 for x in iso if part.smul(2, x) == part.zero)
+                    fixed = sum(1 for x in iso if fqf.smul(part, 2, x) == part.zero)
             scanned = (isotropic + fixed) // 2
             assert fqf.isotropic_pm1_count(form) == scanned == cusps.nu_formula(case), case
 
     # 5040 = 2^4 3^2 5 7 split and 5775 = 3 5^2 7 11 non-split: four parts each
     @pytest.mark.parametrize("case", [cusps.PolarizationCase(5040, "split"),
                                       cusps.PolarizationCase(5775, "nonsplit")])
-    def test_the_count_builds_no_form_and_no_matrix(self, monkeypatch, case):
+    def test_the_count_builds_one_form_per_part(self, monkeypatch, case):
         form = cusps.disc_model(case).form
         built = []
-        # a matrix is a tuple of int rows, with no constructor to count
-        cls = fqf.FiniteQuadraticForm
+        make_form = fqf.make_form
 
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
-            built.append(_name)
-            _init(self, *args)
+        def counted(orders, gram_rows):
+            built.append(tuple(orders))
+            return make_form(orders, gram_rows)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(fqf, "make_form", counted)
         assert fqf.isotropic_pm1_count(form, primes=case.primes) == cusps.nu_formula(case)
-        assert built == []
-        # the counter counts: the oracle builds a form per part
-        assert isotropic_pm1_count_by_forms(form, primes=case.primes) == cusps.nu_formula(case)
-        assert built == ["FiniteQuadraticForm"] * 4
+        # each part is built once, by the one form constructor, and A_N is not
+        assert [prod(orders) for orders in built] == [
+            p ** e for p, e in sorted(factorize(form.cardinality).items())]
 
     def test_depends_only_on_dprime_and_k(self):
         # same (d', k) pairs give the same count
@@ -160,8 +157,9 @@ class TestOrbitReps:
         model = cusps.disc_model(cusps.PolarizationCase(3, "split"))
         form, (m, n) = model.form, reps[1]
         # x_(2,1) = n (2d / m) t + n e: 2 does not divide k = 1, so e is added
-        x = form.add(form.smul(n * 6 // m, model.t_class), form.smul(n, model.e_class))
-        assert form.order_of(x) == 2
+        x = fqf.add(form, fqf.smul(form, n * 6 // m, model.t_class),
+                    fqf.smul(form, n, model.e_class))
+        assert fqf.order_of(form, x) == 2
 
     def test_nonsplit_trivial(self):
         reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "nonsplit")).reps
@@ -225,18 +223,18 @@ def _tuple_reps(model, count):
             if gcd(m, n) != 1:
                 continue
             if case.split:
-                x = form.smul(n * (2 * case.d // m), model.t_class)
+                x = fqf.smul(form, n * (2 * case.d // m), model.t_class)
                 if case.k % m:
-                    x = form.add(x, form.smul(n, model.e_class))
+                    x = fqf.add(form, x, fqf.smul(form, n, model.e_class))
             else:
-                x = form.smul(n * (case.d // m), model.t_class)
-            if form.q_scaled(form.reduce(x)) != 0:
+                x = fqf.smul(form, n * (case.d // m), model.t_class)
+            if fqf.q_scaled(form, fqf.reduce(form, x)) != 0:
                 raise InternalError(f"x_({m},{n}) is not isotropic")
-            if form.order_of(x) != m:
+            if fqf.order_of(form, x) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             reps.append(cusps.OrbitRep(m, n))
             elements.append(x)
-    if len({min(x, form.smul(-1, x)) for x in elements}) != len(reps):
+    if len({min(x, fqf.smul(form, -1, x)) for x in elements}) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
@@ -271,15 +269,15 @@ class TestClosedFormAgainstTheCore:
         model = cusps.disc_model(case)
         closed, t, e = model.form, model.t_class, model.e_class
         core = a_n_core(case)
-        form = fqf.discriminant_form(core)
+        form, source = fqf.discriminant_form(core)
         if case.split:
-            t_core = class_of(core, form, (1, 0), 2 * case.d)
-            e_core = class_of(core, form, (0, 1), 2)
+            t_core = class_of(core, source, (1, 0), 2 * case.d)
+            e_core = class_of(core, source, (0, 1), 2)
         else:
-            t_core, e_core = class_of(core, form, (2, 1), case.d), form.zero
+            t_core, e_core = class_of(core, source, (2, 1), case.d), form.zero
         assert closed.cardinality == form.cardinality, case
-        assert closed.order_of(t) == form.order_of(t_core), case
-        assert closed.order_of(e) == form.order_of(e_core), case
+        assert fqf.order_of(closed, t) == fqf.order_of(form, t_core), case
+        assert fqf.order_of(closed, e) == fqf.order_of(form, e_core), case
         assert (q_value(closed, t), q_value(closed, e), b_value(closed, t, e)) == (
             q_value(form, t_core), q_value(form, e_core), b_value(form, t_core, e_core)), case
 
@@ -308,7 +306,7 @@ class TestCoefficientCertificate:
     def test_rejects_e_inside_the_span_of_t(self):
         model, count = _model_and_count(12, "split")
         t, form = model.t_class, model.form
-        inside = model._replace(e_class=form.smul(form.order_of(t) // 2, t))
+        inside = model._replace(e_class=fqf.smul(form, fqf.order_of(form, t) // 2, t))
         with pytest.raises(InternalError, match="do not split"):
             cusps._verified_reps(inside, count)
 
@@ -357,7 +355,7 @@ class TestPredictedAE:
             for m in cusps.valid_orders(case):
                 h = group_claims.h_subgroup(case, m, model)
                 assert h.order == m
-                q = fqf.perp_quotient(model.form, h)
+                q = fqf.perp_quotient(model.form, h)[0]
                 assert fqf.are_isometric(q, cusps.predicted_AE(case, m))[0]
 
 
@@ -420,7 +418,7 @@ def _genus_first_choice(case, cand):
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
     chosen, last = None, ()
     for s, words, _ in glue._glue_orbits(glue._generator_actions(gd), subs):
-        if not fqf.are_isometric(fqf.perp_quotient(gd.disc, s), target)[0]:
+        if not fqf.are_isometric(fqf.perp_quotient(gd.disc, s)[0], target)[0]:
             continue
         if certifiable and not adds_roots(gd, s):
             return s
@@ -435,9 +433,9 @@ def _rows_and_glues(monkeypatch, case, candidates):
     glues = []
     image_of_tau = glue.image_of_tau
 
-    def spy(quotient, orbit, actions):
+    def spy(quotient, source, orbit, actions):
         glues.append(orbit[0])
-        return image_of_tau(quotient, orbit, actions)
+        return image_of_tau(quotient, source, orbit, actions)
 
     monkeypatch.setattr(glue, "image_of_tau", spy)
     rows = cusps.one_dim_cusps(case, candidates)
@@ -469,7 +467,7 @@ class TestGlueChoice:
         rows, glues = _rows_and_glues(monkeypatch, cusps.PolarizationCase(1, "split"), None)
         assert len(rows) == len(glues) == 13
         for row, chosen in zip(rows, glues):
-            quotient = fqf.perp_quotient(chosen.form, chosen)
+            quotient = fqf.perp_quotient(chosen.form, chosen)[0]
             assert len(fqf.orthogonal_group(quotient)) == row.o_ae == 2
             assert row.classes == row.o_ae // row.im_tau
 
@@ -491,7 +489,7 @@ class TestGlueChoice:
     def test_user_glue_that_is_not_isotropic_keeps_its_error(self):
         # A17+A1: (3, 1) is not isotropic; the message is that of perp_quotient
         gd0 = glue.make_glue("A17+A1")
-        bad = next(x for x in gd0.disc.elements() if q_value(gd0.disc, x) != 0)
+        bad = next(x for x in fqf.elements(gd0.disc) if q_value(gd0.disc, x) != 0)
         with pytest.raises(NotIsotropic, match="^subgroup is not isotropic$"):
             cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"),
                                 [cusps.Candidate("A17+A1", glue_gens=[bad])])

@@ -50,7 +50,7 @@ class TestOverlattice:
         assert subs, "an order-4 isotropic subgroup must exist"
         hit = None
         for s in subs:
-            q = fqf.perp_quotient(gd.disc, s)
+            q = fqf.perp_quotient(gd.disc, s)[0]
             if not fqf.are_isometric(q, genus_form())[0]:
                 continue
             over = glue.overlattice(gd, s)
@@ -63,7 +63,7 @@ class TestOverlattice:
 
     def test_d18_already_in_genus(self):
         gd = glue.make_glue("D18")
-        assert fqf.are_isometric(fqf.discriminant_form(gd.base), genus_form())[0]
+        assert fqf.are_isometric(fqf.discriminant_form(gd.base)[0], genus_form())[0]
 
     def test_determinant_identity_and_brieskorn(self):
         for spec in ("A3+A1", "2A2", "D4+A1", "A5+A1", "<-4>+A2+A2"):
@@ -71,8 +71,8 @@ class TestOverlattice:
             for s in fqf.isotropic_subgroups(gd.disc):
                 over = glue.overlattice(gd, s)
                 assert over.det * s.order**2 == gd.base.det
-                disc_over = fqf.discriminant_form(over)
-                pq = fqf.perp_quotient(gd.disc, s)
+                disc_over = fqf.discriminant_form(over)[0]
+                pq = fqf.perp_quotient(gd.disc, s)[0]
                 assert fqf.are_isometric(disc_over, pq)[0]
                 # index of the base inside the overlattice equals |H|
                 M = helpers.base_in_overlattice(gd, s)
@@ -269,7 +269,7 @@ class TestRootSystems:
         gd, subs = glue_choices("E7+D10+A1", 2)
         seen = set()
         for s in subs:
-            q = fqf.perp_quotient(gd.disc, s)
+            q = fqf.perp_quotient(gd.disc, s)[0]
             if not fqf.are_isometric(q, genus_form())[0]:
                 continue
             rs = glue.root_system(glue.overlattice(gd, s))
@@ -313,37 +313,37 @@ class TestImageOfTau:
         # the image is strictly smaller than O(A_E) here
         gd, subs = glue_choices("A17+A1", 3)
         s = [x for x in subs if fqf.are_isometric(
-            fqf.perp_quotient(gd.disc, x), genus_form())[0]][0]
+            fqf.perp_quotient(gd.disc, x)[0], genus_form())[0]][0]
         tau = tau_image(gd, s)
         assert tau.size == 1
-        assert len(fqf.orthogonal_group(fqf.perp_quotient(gd.disc, s))) == 2
+        assert len(fqf.orthogonal_group(fqf.perp_quotient(gd.disc, s)[0])) == 2
 
     def test_every_map_preserves_q(self):
         gd, subs = glue_choices("2A9", 5)
         for s in subs:
-            q = fqf.perp_quotient(gd.disc, s)
+            q, source = fqf.perp_quotient(gd.disc, s)
             if not fqf.are_isometric(q, genus_form())[0]:
                 continue
-            for f in tau_image(gd, s, q).maps:
-                for x in q.elements():
+            for f in tau_image(gd, s, (q, source)).maps:
+                for x in fqf.elements(q):
                     assert q_value(q, fqf.apply_map(q, f, x)) == q_value(q, x)
 
 
 @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
 def test_integer_disc_action_matches_rational_lifts(spec):
     gd = glue.make_glue(spec)
-    disc = gd.disc
+    disc, src = gd.disc, gd.disc_source
     units = [tuple(int(j == i) for j in range(disc.rank)) for i in range(disc.rank)]
     isos = tau_generator_isometries(gd)
     actions = glue._generator_actions(gd)
     assert len(actions) == len(isos)
     for iso, action in zip(isos, actions):
         expected = tuple(
-            class_of(gd.base, disc,
-                     *over_common_denominator(apply(iso.matrix, rational_lift(disc, u))))
+            class_of(gd.base, src,
+                     *over_common_denominator(apply(iso.matrix, rational_lift(disc, src, u))))
             for u in units)
         assert action.images == expected
-        assert group_claims.disc_action(iso, disc.source.smith, disc.source.kept) == expected
+        assert group_claims.disc_action(iso, src.smith, src.kept) == expected
 
 
 @pytest.mark.parametrize("spec", [c.roots for c in cusps.TABLE1_ROWS])
@@ -459,16 +459,17 @@ _ROOT_ATOMS = ([f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 9)]
                + ["E6", "E7", "<-2>", "<-4>"])
 
 
-def _closure_image_of_tau(gd, glue_sub, quotient, group):
+def _closure_image_of_tau(gd, glue_sub, source, group):
     """Im tau the long way: the stabilizer of the glue inside ``group``, the
     whole subgroup of O(A_R) generated by the generator actions, each
     element evaluated on the generator lifts of A_E.  An automorphism f
     keeps H when it maps the generators of H into H, as then f(H) is a
-    subgroup of H of the same order."""
+    subgroup of H of the same order; ``source`` is the ``QuotientSource`` of
+    A_E."""
     disc, glue_set = gd.disc, set(glue_sub.elements)
     return tuple(sorted({
-        tuple(fqf.project_to_quotient(quotient, fqf.apply_map(disc, f, z))
-              for z in quotient.source.generator_lifts)
+        tuple(fqf.project_to_quotient(source, fqf.apply_map(disc, f, z))
+              for z in source.generator_lifts)
         for f in group
         if all(fqf.apply_map(disc, f, h) in glue_set for h in glue_sub.generators)
     }))
@@ -479,8 +480,8 @@ def _closure_in_o_of_a_r(gd, limit=None):
     each map as its generator images; a product g f is read off the table
     of g on the elements of A_R.  None once it has more than ``limit`` maps."""
     disc = gd.disc
-    tables = [{x: fqf.apply_map(disc, g, x) for x in disc.elements()}
-              for g in (group_claims.disc_action(iso, disc.source.smith, disc.source.kept)
+    tables = [{x: fqf.apply_map(disc, g, x) for x in fqf.elements(disc)}
+              for g in (group_claims.disc_action(iso, gd.disc_source.smith, gd.disc_source.kept)
                         for iso in tau_generator_isometries(gd))]
     group = {fqf.identity_map(disc)}
     frontier = list(group)
@@ -507,7 +508,7 @@ def test_image_of_tau_matches_the_closure_in_o_of_a_r():
         group = _closure_in_o_of_a_r(gd)
         for s in fqf.isotropic_subgroups(gd.disc):
             q = fqf.perp_quotient(gd.disc, s)
-            assert tau_image(gd, s, q).maps == _closure_image_of_tau(gd, s, q, group), (
+            assert tau_image(gd, s, q).maps == _closure_image_of_tau(gd, s, q[1], group), (
                 spec, s.generators)
             glues += 1
     assert glues == 154
@@ -530,7 +531,7 @@ def _glued_sums(draw, max_order=256):
     iso = [e for e in fqf.isotropic_elements(disc) if any(e)]
     gens = []
     for e in draw(st.lists(st.sampled_from(iso), max_size=3) if iso else st.just([])):
-        if not any(disc.q_scaled(x) for x in fqf.subgroup_span(disc, gens + [e]).elements):
+        if not any(fqf.q_scaled(disc, x) for x in fqf.subgroup_span(disc, gens + [e]).elements):
             gens.append(e)
     return gd, fqf.subgroup_span(disc, gens)
 
@@ -547,7 +548,7 @@ def test_image_of_tau_matches_the_closure_on_random_glues(glued):
     group = _closure_in_o_of_a_r(gd, TAU_CLOSURE_CAP)
     assume(group is not None)
     q = fqf.perp_quotient(gd.disc, glue_sub)
-    assert tau_image(gd, glue_sub, q).maps == _closure_image_of_tau(gd, glue_sub, q, group)
+    assert tau_image(gd, glue_sub, q).maps == _closure_image_of_tau(gd, glue_sub, q[1], group)
 
 
 @pytest.mark.parametrize("spec, glues, orbits", [
@@ -555,8 +556,8 @@ def test_image_of_tau_matches_the_closure_on_random_glues(glued):
 ])
 def test_glue_orbits_partition_the_target_order_glues(spec, glues, orbits):
     gd, subs = glue_choices(spec, 4)
-    disc = gd.disc
-    actions = [group_claims.disc_action(iso, disc.source.smith, disc.source.kept)
+    disc, src = gd.disc, gd.disc_source
+    actions = [group_claims.disc_action(iso, src.smith, src.kept)
                for iso in tau_generator_isometries(gd)]
     found = glue._glue_orbits(glue._generator_actions(gd), subs)
     assert (len(subs), len(found)) == (glues, orbits)
@@ -636,12 +637,12 @@ def _assert_component_minima(gd, i):
     comp = gd.components[i]
     sl, _, _, minima = glue._coset_minima(gd)[i]
     L = lat.make_standard("rank1" if comp.kind == "unit" else comp.kind, comp.param)
-    disc = fqf.discriminant_form(L)
-    src, n = gd.disc.source, gd.base.rank
+    disc, disc_src = fqf.discriminant_form(L)
+    src, n = gd.disc_source, gd.base.rank
     rng = random.Random(comp.param)
     seen = set()
-    for x in disc.elements():
-        b = disc.source.scaled_lift(x, disc.level)
+    for x in fqf.elements(disc):
+        b = disc_src.scaled_lift(x, disc.level)
         p = [0] * n
         p[sl] = [v // disc.level for v in apply(L.gram, b)]
         expected = _splac_minimum(comp.kind, comp.param, p[sl])
@@ -688,7 +689,7 @@ def test_root_certificate_matches_fincke_pohst_on_random_glues(atoms, data):
     gens = []
     for e in data.draw(st.lists(st.sampled_from(iso), min_size=1, max_size=4) if iso
                        else st.just([])):
-        if not any(disc.q_scaled(x) for x in fqf.subgroup_span(disc, gens + [e]).elements):
+        if not any(fqf.q_scaled(disc, x) for x in fqf.subgroup_span(disc, gens + [e]).elements):
             gens.append(e)
     s = fqf.subgroup_span(disc, gens)
     # the invariants the overlattice takes from its base and glue, against elimination
@@ -709,7 +710,7 @@ def test_root_certificate_on_the_glues_table1_tries():
         for s in fqf.isotropic_subgroups(gd.disc):
             if s.order ** 2 * 4 != abs(gd.base.det):
                 continue
-            if not fqf.are_isometric(fqf.perp_quotient(gd.disc, s), target)[0]:
+            if not fqf.are_isometric(fqf.perp_quotient(gd.disc, s)[0], target)[0]:
                 continue
             tried.append((gd, s, _adds_roots_oracle(gd, s)))
             if glue.root_system(glue.overlattice(gd, s)).components == declared:
@@ -738,7 +739,8 @@ def test_root_certificate_on_the_order_16_glues_of_8a1():
     # coordinate permutations of the extended Hamming code, each giving E8
     gd = glue.make_glue("8A1")
     disc = gd.disc
-    halves = [class_of(gd.base, disc, [int(i == j) for j in range(8)], 2) for i in range(8)]
+    halves = [class_of(gd.base, gd.disc_source, [int(i == j) for j in range(8)], 2)
+              for i in range(8)]
     rows = [(1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 0, 0),
             (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 0, 1, 0, 1, 0, 1)]
     hamming = {tuple(sum(c * r[i] for c, r in zip(cs, rows)) % 2 for i in range(8))
@@ -751,7 +753,7 @@ def test_root_certificate_on_the_order_16_glues_of_8a1():
         for w in code:
             x = disc.zero
             for i in range(8):
-                x = disc.add(x, disc.smul(w[i], halves[i]))
+                x = fqf.add(disc, x, fqf.smul(disc, w[i], halves[i]))
             gens.append(x)
         s = fqf.subgroup_span(disc, gens)
         assert s.order == 16
@@ -765,5 +767,5 @@ def test_root_certificate_needs_a_negative_definite_full_rank_base():
         helpers.adds_roots(gd, fqf.trivial_subgroup(gd.disc))
     gd = glue.make_glue("A1+A1")
     with pytest.raises(RootsNotFullRank):
-        helpers.adds_roots(glue.GlueData(gd.base, gd.components[:1], gd.disc),
+        helpers.adds_roots(gd._replace(components=gd.components[:1]),
                            fqf.trivial_subgroup(gd.disc))

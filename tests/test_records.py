@@ -24,10 +24,10 @@ def _records():
     through the public constructor."""
     L = lat.parse_name("U+A2")
     smith = exact.smith_normal_form(L.gram)
-    a2 = fqf.discriminant_form(lat.make_standard("A", 2))
+    a2, a2_source = fqf.discriminant_form(lat.make_standard("A", 2))
     gd, glue_sub = glue_of("4A1", [(1, 1, 1, 1)])
     quotient = fqf.perp_quotient(gd.disc, glue_sub)
-    qsource = quotient.source
+    qsource = quotient[1]
     split = claims.splitting_from(L, basis(L)[:2])
     rho = group_claims.reflection(L, basis(L)[2])
     case = cusps.PolarizationCase(12, "split")
@@ -39,7 +39,8 @@ def _records():
 
     return [
         (smith, rebuilt),
-        (a2.source, rebuilt),
+        (a2, lambda r: fqf.make_form(r.orders, r.gram)),
+        (a2_source, rebuilt),
         (qsource, rebuilt),
         (qsource.rows, rebuilt),
         (glue_sub, rebuilt),
@@ -68,7 +69,7 @@ RECORDS = _records()
 def test_every_record_is_covered():
     names = {type(r).__name__ for r, _ in RECORDS}
     assert names == {
-        "SmithDecomposition", "LatticeSource", "QuotientSource", "_RowQuotient",
+        "SmithDecomposition", "Form", "LatticeSource", "QuotientSource", "_RowQuotient",
         "FqfSubgroup", "Component", "GlueData", "RootSystem",
         "TauImage", "Sublattice", "OrthogonalSplitting", "Isometry",
         "MembershipFlags", "PolarizationCase", "DiscModel", "PolarizedEmbedding",
