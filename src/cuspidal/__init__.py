@@ -7,7 +7,7 @@ from .exact import (
     lll_reduce,
     smith_normal_form,
 )
-from .lattice import Lattice, direct_sum, make_standard, parse_name
+from .lattice import Lattice, direct_sum, from_gram, make_standard, parse_name
 from .fqf import (
     Form,
     FqfSubgroup,

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .exact import apply, bilinear, kernel_basis, matmul, smith_normal_form
 from .fqf import ENUM_BOUND, are_isometric, discriminant_form
-from .lattice import Lattice, parse_name
+from .lattice import Lattice, from_gram, parse_name
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ class Sublattice(namedtuple("Sublattice", "ambient basis_matrix lattice primitiv
         if sum(1 for d in diag if d != 0) != len(basis_rows):
             raise DependentInput("sublattice basis is linearly dependent")
         try:
-            lattice = Lattice(matmul(matmul(basis_rows, ambient.gram), tuple(zip(*basis_rows))))
+            lattice = from_gram(matmul(matmul(basis_rows, ambient.gram), tuple(zip(*basis_rows))))
         except SingularMatrix:
             raise DegenerateComplement("form restricted to sublattice is degenerate") from None
         return cls(ambient, basis_rows, lattice, all(d == 1 for d in diag))

@@ -17,9 +17,10 @@ that is not an int.
 
 A form holds no provenance.  ``discriminant_form`` returns A_L beside its
 ``LatticeSource``, the Smith transforms that lift its classes to L*, and
-``perp_quotient`` returns H^perp/H beside its ``QuotientSource``, which
-projects elements of the parent to it; a caller that needs them keeps
-them beside the form.
+``perp_quotient`` returns H^perp/H beside its ``QuotientSource``, with
+which ``project_to_quotient`` projects elements of the parent to it; a
+caller that needs them keeps them beside the form.  Each source is a
+record that only its function builds.
 
 Every construction changes generators by one rule: integer rows R in a
 space with Gram G over level L give the form R G R^T over L, rescaled to
@@ -139,23 +140,13 @@ class LatticeSource(namedtuple("LatticeSource", "smith kept")):
     U G V = D of the Gram G of L, which ``discriminant_form`` returns beside
     the form.
 
-    ``smith`` is the ``SmithDecomposition`` (U, the invariant factors d and
-    V) of G and ``kept`` the Smith positions with invariant factor > 1, one
-    per generator.  Generator i lifts to the dual vector
-    V e_k / d_k for k = kept[i].
+    ``smith`` is the ``SmithDecomposition`` (U = ``smith.left``, the
+    invariant factors d and V) of G and ``kept`` the Smith positions with
+    invariant factor > 1, one per generator.  Generator i lifts to the dual
+    vector V e_k / d_k for k = kept[i].
     """
 
     __slots__ = ()
-
-    @classmethod
-    def of(cls, lattice) -> "LatticeSource":
-        """The Smith transforms of the Gram of ``lattice``."""
-        snf = smith_normal_form(lattice.gram)
-        return cls(snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
-
-    @property
-    def left(self) -> tuple:
-        return self.smith.left
 
     def scaled_lift(self, x, level) -> tuple:
         """level times a lift of the class x: sum_i x_i (level / d_k) V e_k, k = kept[i].
@@ -211,7 +202,8 @@ def discriminant_form(lattice) -> tuple:
     lattice and the Smith transforms that lift its classes to L*."""
     if not lattice.even:
         raise OddLattice("discriminant form requires an even lattice")
-    source = LatticeSource.of(lattice)
+    snf = smith_normal_form(lattice.gram)
+    source = LatticeSource(snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
     orders = tuple(source.smith.diag[i] for i in source.kept)
     # U G V = D gives G^-1 U^-1 = V D^-1: generator i lifts to V e_i / d_i, so
     # its N-fold multiple is an integer row whose values lie over N^2
@@ -228,17 +220,11 @@ class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_row
     """``ambient_rows`` is the Hermite basis P of the ambient row lattice,
     ``vmat_t`` the transpose of the right Smith transform V, formed once so
     that a row times V is one ``apply``, and ``generator_rows`` V^-1 P,
-    one row per invariant factor in ``orders``."""
+    one row per invariant factor in ``orders``.  ``project_to_quotient``
+    reads the class of an ambient row from it: its P-coordinates times V,
+    reduced mod ``orders``."""
 
     __slots__ = ()
-
-    def class_coords(self, row) -> tuple:
-        """Coordinates of an ambient-lattice row modulo the sublattice."""
-        y = hnf_coords(self.ambient_rows, row)
-        if y is None:
-            raise InternalError("row is not in the ambient row lattice")
-        z = apply(self.vmat_t, y)  # row-vector times V
-        return tuple(map(mod, z, self.orders))
 
 
 def _row_quotient(P, sub_rows) -> _RowQuotient:
@@ -579,8 +565,12 @@ def perp_quotient(form: Form, subgroup: FqfSubgroup) -> tuple:
 def project_to_quotient(source: QuotientSource, x) -> tuple:
     """Class in H^perp/H, given by its ``source``, of an element x of H^perp
     in the parent form."""
-    coords = source.rows.class_coords(list(reduce(source.parent, x)))
-    return tuple(coords[i] for i in source.kept)
+    rq = source.rows
+    y = hnf_coords(rq.ambient_rows, list(reduce(source.parent, x)))
+    if y is None:
+        raise InternalError("row is not in the ambient row lattice")
+    z = apply(rq.vmat_t, y)  # row-vector times V
+    return tuple(z[i] % rq.orders[i] for i in source.kept)
 
 
 def _unit(n, i):

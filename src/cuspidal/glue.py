@@ -183,7 +183,7 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
         if gram[i][i] % 2:
             raise NotIsotropic("glue produces an odd overlattice")
     det = base.det * prod(basis[i][i] for i in range(n)) ** 2 // den ** (2 * n)
-    return Lattice._from_invariants(tuple(gram), det, base.signature, True)
+    return Lattice(tuple(gram), det, base.signature, True)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +509,7 @@ def _generator_actions(gd: GlueData) -> tuple:
     """
     src = gd.disc_source
     kept, d, V = src.kept, src.smith.diag, src.smith.right
-    K = matmul([src.left[k] for k in kept], gd.base.gram) if kept else ()
+    K = matmul([src.smith.left[k] for k in kept], gd.base.gram) if kept else ()
     cols = [list(map(itemgetter(i), V)) for i in kept]
     actions = []
     for p, s in _tau_signed_permutations(gd):

@@ -8,13 +8,15 @@ Cartan matrix), so positive definite callers must twist by -1
 explicitly.  B(d), defined for d = 3 mod 4, is the rank-two negative
 definite lattice with Gram [[-(d+1)/2, 1], [1, -2]].
 
-Determinant and signature are stored with each lattice.  Only a Gram
-that arrives without them, a JSON lattice or the restricted form of a
-sublattice, is eliminated, once (``exact.det_and_signature``).  Every
-other lattice takes them from its construction: a standard lattice from
-closed forms (``make_standard``), a direct sum from its parts
-(``direct_sum``), a twist from the lattice it scales (``Lattice.twist``)
-and an overlattice from its base and Hermite basis (``glue.overlattice``).
+A lattice is a plain record ``Lattice(gram, det, signature, even)``;
+equal records have equal fields.  Only a Gram that arrives without its
+invariants, a JSON lattice or the restricted form of a sublattice, is
+eliminated, once, by ``from_gram`` (``exact.det_and_signature``).  Every
+other lattice is built as a record with the invariants its construction
+gives: a standard lattice from closed forms (``make_standard``), a direct
+sum from its parts (``direct_sum``), a twist from the lattice it scales
+(``twist``) and an overlattice from its base and Hermite basis
+(``glue.overlattice``).
 
 A Gram matrix is a tuple of int rows (``exact``), a vector a tuple of
 its coordinates in the basis of its lattice, and pairings are
@@ -27,6 +29,7 @@ in ``tests/group_claims.py``.
 
 import os
 import re
+from collections import namedtuple
 from math import prod
 from operator import itemgetter, mul
 
@@ -34,56 +37,37 @@ from .errors import BadParameter, NotIsometry
 from .exact import block_diagonal, det_and_signature, is_symmetric, scaled
 
 
-class Lattice:
-    """Immutable lattice; determinant, signature and parity are stored at
-    construction.  ``Lattice(gram)`` keeps the integer rows of ``gram`` as
-    a tuple of tuples and computes the first two by one elimination
-    (``exact.det_and_signature``); the other constructors take them from
-    their construction (``_from_invariants``)."""
+class Lattice(namedtuple("Lattice", "gram det signature even")):
+    """A lattice as a plain record: its Gram rows ``gram`` (a tuple of int
+    tuples), its determinant ``det``, its signature ``signature`` (a pair)
+    and its parity ``even``.  ``from_gram`` eliminates a Gram that arrives
+    alone; every other construction fills the record with the invariants
+    it already knows."""
 
-    __slots__ = ("gram", "det", "signature", "even")
-
-    def __init__(self, gram):
-        gram = tuple(map(tuple, gram))
-        if not is_symmetric(gram):
-            raise BadParameter("gram matrix must be symmetric")
-        det, signature = det_and_signature(gram)
-        self._store(gram, det, signature, all(row[i] % 2 == 0 for i, row in enumerate(gram)))
-
-    @classmethod
-    def _from_invariants(cls, gram, det, signature, even) -> "Lattice":
-        """The lattice on ``gram`` with invariants known from its construction,
-        taken as is: no elimination and no checks."""
-        L = object.__new__(cls)
-        L._store(gram, det, signature, even)
-        return L
-
-    def _store(self, gram, det, signature, even):
-        for name, value in zip(self.__slots__, (gram, det, signature, even)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
-    def __eq__(self, other):
-        return isinstance(other, Lattice) and self.gram == other.gram
 
-    def __hash__(self):
-        return hash(self.gram)
+def from_gram(gram) -> Lattice:
+    """The lattice on the symmetric integer matrix ``gram``: its rows kept as
+    a tuple of tuples, det and signature from one elimination
+    (``exact.det_and_signature``)."""
+    gram = tuple(map(tuple, gram))
+    if not is_symmetric(gram):
+        raise BadParameter("gram matrix must be symmetric")
+    det, signature = det_and_signature(gram)
+    return Lattice(gram, det, signature, all(row[i] % 2 == 0 for i, row in enumerate(gram)))
 
-    def __repr__(self):
-        return f"Lattice(rank={self.rank}, det={self.det}, signature={self.signature})"
 
-    def twist(self, t: int) -> "Lattice":
-        if t < 1:
-            raise BadParameter("twist parameter must be a positive integer")
-        # L(t) keeps the signature, has det t^rank det L and is even when L or t is
-        return Lattice._from_invariants(scaled(self.gram, t), t**self.rank * self.det,
-                                        self.signature, self.even or t % 2 == 0)
+def twist(L: Lattice, t: int) -> Lattice:
+    """L(t), the Gram of L scaled by the positive integer t."""
+    if t < 1:
+        raise BadParameter("twist parameter must be a positive integer")
+    # L(t) keeps the signature, has det t^rank det L and is even when L or t is
+    return Lattice(scaled(L.gram, t), t**L.rank * L.det, L.signature, L.even or t % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +109,7 @@ def make_standard(kind: str, n: int | None = None) -> Lattice:
         g, det, sig = [[n]], n, (1, 0) if n > 0 else (0, 1)
     else:
         raise BadParameter(f"unknown standard lattice kind {kind!r}")
-    return Lattice._from_invariants(tuple(map(tuple, g)), det, sig, True)
+    return Lattice(tuple(map(tuple, g)), det, sig, True)
 
 
 def _minus_cartan_chain(n: int):
@@ -150,7 +134,7 @@ def direct_sum(*parts: Lattice) -> Lattice:
     its signature their sum, and it is even when every part is."""
     if not parts:
         raise BadParameter("empty direct sum")
-    return Lattice._from_invariants(
+    return Lattice(
         block_diagonal([p.gram for p in parts]), prod(p.det for p in parts),
         tuple(map(sum, zip(*(p.signature for p in parts)))),
         all(p.even for p in parts),
@@ -206,9 +190,10 @@ def parse_terms(name: str) -> list:
     """One (atom, twist) pair per summand of a name like "2E8+U(2)+<-2>":
     ``atom`` is "U", "A3", "<-2>" and so on, ``twist`` None or the t of "(t)".
 
-    Raises BadParameter before any summand is listed once the ranks add
-    past ``MAX_NAME_RANK``: a Gram of that rank has fqf.ENUM_BOUND = 10^6
-    entries, and the paper's lattices have rank at most 24."""
+    Raises BadParameter before any summand is listed on a term with
+    multiplicity 0, and once the ranks add past ``MAX_NAME_RANK``: a Gram of
+    that rank has fqf.ENUM_BOUND = 10^6 entries, and the paper's lattices
+    have rank at most 24."""
     out, rank = [], 0
     for term in name.replace(" ", "").split("+"):
         if not term:
@@ -216,25 +201,27 @@ def parse_terms(name: str) -> list:
         m = _TERM_RE.match(term)
         if not m:
             raise BadParameter(f"cannot parse lattice term {term!r}")
-        atom, twist, count = m.group("atom"), m.group("twist"), int(m.group("count") or 1)
+        atom, t, count = m.group("atom"), m.group("twist"), int(m.group("count") or 1)
+        if count == 0:
+            raise BadParameter(f"lattice term {term!r} has multiplicity 0")
         rank += count * (2 if atom[0] in "UB" else 1 if atom[0] == "<" else int(atom[1:]))
         if rank > MAX_NAME_RANK:
             raise BadParameter(f"lattice name {name!r} has rank above the cap {MAX_NAME_RANK}")
-        out += [(atom, None if twist is None else int(twist))] * count
+        out += [(atom, None if t is None else int(t))] * count
     return out
 
 
 def parse_name(name: str) -> Lattice:
     """Parse lattice names like "U+U+E8+E8+<-2>+<-6>", "2E8+2A1" or "U(2)"."""
     parts = []
-    for atom, twist in parse_terms(name):
+    for atom, t in parse_terms(name):
         if atom == "U":
             base = U()
         elif atom.startswith("<"):
             base = rank1(int(atom[1:-1]))
         else:
             base = make_standard(atom[0], int(atom[1:]))
-        parts.append(base if twist is None else base.twist(twist))
+        parts.append(base if t is None else twist(base, t))
     return direct_sum(*parts)
 
 
@@ -262,7 +249,7 @@ def lattice_from_json(text: str) -> Lattice:
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise BadParameter('lattice JSON "labels" must be a list')
-    L = Lattice(gram)
+    L = from_gram(gram)
     if labels is not None and len(labels) != L.rank:
         raise BadParameter("one label per basis vector required")
     return L

@@ -16,7 +16,7 @@ from cuspidal.cusps import PolarizationCase, k3_square_lattice
 from cuspidal.errors import BadParameter, InternalError, NotDefinite
 from cuspidal.exact import apply, bilinear, is_symmetric
 from cuspidal.fqf import discriminant_form
-from cuspidal.lattice import Lattice, make_standard
+from cuspidal.lattice import Lattice, from_gram, make_standard
 from helpers import class_of
 
 
@@ -107,7 +107,7 @@ def build_polarized(case: PolarizationCase) -> PolarizedEmbedding:
             raise InternalError("distinguished generators have wrong norms")
     else:
         if not rank2_isometric(
-            Lattice([[gram[0][0], gram[0][1]], [gram[1][0], gram[1][1]]]),
+            from_gram([[gram[0][0], gram[0][1]], [gram[1][0], gram[1][1]]]),
             make_standard("B", d),
         ):
             raise InternalError("B_d block mismatch")

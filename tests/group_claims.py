@@ -39,7 +39,7 @@ from cuspidal.fqf import (
     discriminant_form,
     subgroup_span,
 )
-from cuspidal.lattice import Lattice
+from cuspidal.lattice import Lattice, from_gram
 from form_oracles import direct_sum_form
 from fraction_oracles import bareiss_det
 
@@ -287,7 +287,7 @@ def t_set(case: PolarizationCase, m: int, bound: int = ENUM_BOUND) -> list:
     out = []
     for delta in range(m):
         t_gram = ((0, m), (m, 2 * delta))
-        t_disc = discriminant_form(Lattice(t_gram))[0]
+        t_disc = discriminant_form(from_gram(t_gram))[0]
         total = direct_sum_form(t_disc, pred)
         if are_isometric(total, model.form, bound)[0]:
             out.append((delta, t_gram))

@@ -5,20 +5,15 @@ Each computes entry by entry what the package kernel computes, with the
 same arithmetic, so a test may ask for equal results.  The finite
 quadratic forms generated by rows R are built here as the ``matmul``
 triple product R G R^T, for every form and for the p-parts too, where
-the package pairs the rows with G r and reads the p-parts off G.  The
-isotropic classes modulo +-1 are counted here a second time, on one form
-per p-part gathered in a dict (``primary_parts``), so that the package's
-count can be checked against it.
+the package pairs the rows with G r and reads the p-parts off G.
 """
 
-from itertools import product
 from math import prod
-from operator import mul
 
-from cuspidal.errors import GroupTooLarge, InternalError, NotIsometry
+from cuspidal.errors import InternalError, NotIsometry
 from cuspidal.exact import SmithDecomposition, _pivot, _xgcd, bilinear, factorize, matmul
 from cuspidal import fqf
-from cuspidal.fqf import ENUM_BOUND, Form, _last_coordinate_count, make_form
+from cuspidal.fqf import Form, make_form
 
 
 def product_by_loops(a, b) -> list:
@@ -186,8 +181,9 @@ def generated_form_by_products(gram, level: int, rows, orders):
 
 
 def primary_parts_by_products(form: Form, primes=None) -> dict:
-    """``primary_parts`` with each p-part generated by the full rows
-    (d_i / p^e_i) e_i through ``generated_form_by_products``."""
+    """{p: A_p} as ``fqf._primary_parts`` lists them, with each p-part
+    generated by the full rows (d_i / p^e_i) e_i through
+    ``generated_form_by_products``."""
     if primes is None:
         primes = factorize(form.level)
     parts = {}
@@ -204,82 +200,3 @@ def primary_parts_by_products(form: Form, primes=None) -> dict:
     if prod(part.cardinality for part in parts.values()) != form.cardinality:
         raise InternalError("the given primes miss a prime of the group order")
     return parts
-
-
-# ---------------------------------------------------------------------------
-# the zero-dimensional count through one form per p-part, written out again
-
-
-def _rescaled(moved, level: int, orders) -> Form:
-    """The form on ``orders`` with integer Gram rows ``moved`` over ``level``,
-    divided down to the exponent of ``orders``; every entry must lie over it."""
-    scale = level // orders[-1]
-    if level % orders[-1] or any(x % scale for row in moved for x in row):
-        raise InternalError("generator values do not lie over the new level")
-    return make_form(orders, [[x // scale for x in row] for row in moved])
-
-
-def primary_parts(form: Form, primes=None) -> dict:
-    """{p: A_p} for the primes p dividing |A|, each in invariant-factor shape.
-
-    ``primes`` may hold the primes of the level (or more), when the caller
-    has them; otherwise the level is factored.  A_p is generated by the
-    rows c_a e_(i_a), c_a = d_(i_a) / p^e_a, one nonzero entry each, so its
-    Gram over the level is read off the parent's, c_a c_b G[i_a][i_b], with
-    no product, and rescaled as ``_generated_form`` rescales.
-    """
-    if primes is None:
-        primes = factorize(form.level)
-    G = form.gram
-    parts = {}
-    for p in sorted(p for p in set(primes) if form.level % p == 0):
-        gens, orders = [], []
-        for i, d in enumerate(form.orders):
-            pe = 1
-            while d % (pe * p) == 0:
-                pe *= p
-            if pe > 1:
-                gens.append((i, d // pe))
-                orders.append(pe)
-        moved = [[ca * cb * G[ia][ib] for ib, cb in gens] for ia, ca in gens]
-        parts[p] = _rescaled(moved, form.level, tuple(orders))
-    if prod(part.cardinality for part in parts.values()) != form.cardinality:
-        raise InternalError("the given primes miss a prime of the group order")
-    return parts
-
-
-def _isotropic_count(part: Form, p: int, bound: int) -> int:
-    """I_p of the p-part ``part``: for each y in the cofactor Z/n_1 + ... +
-    Z/n_(r-1), the x in Z/n_r with q(y, x) = 0.  With Gram G over n_r,
-    q(y, x) n_r = G_rr x^2 + 2 (G y)_r x + y^T G y."""
-    *head, n = part.orders
-    cofactor = prod(head)
-    if cofactor > bound:
-        raise GroupTooLarge(f"{p}-part of order {part.cardinality}: cofactor of order "
-                            f"{cofactor} exceeds enumeration bound {bound}")
-    a, last = part.gram[-1][-1], part.gram[-1][:-1]
-    return sum(
-        _last_coordinate_count(a, sum(map(mul, last, y)), bilinear(part.gram, y + (0,), y + (0,)),
-                               p, n)
-        for y in product(*map(range, head))
-    )
-
-
-def isotropic_pm1_count_by_forms(form: Form, bound: int = ENUM_BOUND,
-                                  primes=None) -> int:
-    """``fqf.isotropic_pm1_count`` through a ``Form`` per p-part.
-
-    Equals the number of {x, -x} orbits of ``isotropic_elements(form)``
-    (the tests' ``mod_pm1`` lists them) without listing an element: each
-    p-part scans only its cofactor (``_isotropic_count``) and F_2 comes
-    from A_2[2].  ``bound`` caps each cofactor, not a part or
-    the whole group; ``primes`` is passed to ``primary_parts``.
-    """
-    isotropic, fixed = 1, 1
-    for p, part in primary_parts(form, primes).items():
-        isotropic *= _isotropic_count(part, p, bound)
-        if p == 2:
-            modulus = 2 * part.level
-            fixed = sum(1 for x in product(*[(0, d // 2) for d in part.orders])
-                        if bilinear(part.gram, x, x) % modulus == 0)
-    return (isotropic + fixed) // 2

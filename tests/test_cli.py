@@ -889,14 +889,11 @@ def test_json_writer_refuses_other_types():
 
 
 # Public functions, methods and properties of the layers, and the special
-# methods of their classes, that no command needs to run, each with its
-# reason; every other one must run under some command below.
+# methods their classes write themselves, that no command needs to run,
+# each with its reason; every other one must run under some command below.
+# The kernel's records are namedtuples: the methods namedtuple generates
+# are not the layers' code and are not listed.
 _UNRUN_ALLOWED = {
-    "lattice.Lattice.__setattr__":
-        "immutability guard: runs only when code sets an attribute, as the record tests do",
-    "lattice.Lattice.__repr__": "what a debugger or a failing test shows",
-    "lattice.Lattice.__hash__":
-        "a class that defines __eq__ is unhashable without it; the record tests hash them",
     "cusps.PolarizationCase.__getnewargs__":
         "copy and pickle rebuild a case from (d, embedding), not from its six fields",
 }

@@ -7,7 +7,7 @@ from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import group_claims
 from cuspidal import cusps, fqf, glue
@@ -16,8 +16,7 @@ from cuspidal.exact import apply, bilinear, diagonal, factorize
 from cuspidal.errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
 from form_oracles import direct_sum_form, isotropic_by_scan, mod_pm1
 from kernel_oracles import (
-    generated_form_by_products, isotropic_by_filter, isotropic_pm1_count_by_forms, primary_parts,
-    primary_parts_by_products, scaled_lift_dense,
+    generated_form_by_products, isotropic_by_filter, primary_parts_by_products, scaled_lift_dense,
 )
 from fraction_oracles import (
     bareiss_det, fraction_presentation, over_common_denominator, rational_inverse,
@@ -55,11 +54,11 @@ class TestDiscriminantForm:
     def test_lifts_are_columns_of_g_inverse_u_inverse(self, gram):
         G = gram
         assume(bareiss_det(G) != 0)
-        L = lat.Lattice(G)
+        L = lat.from_gram(G)
         a, src = fqf.discriminant_form(L)
         n = len(G)
         ginv = rational_inverse(G)
-        uinv = rational_inverse(src.left)
+        uinv = rational_inverse(src.smith.left)
         assert len(src.kept) == a.rank
         for i, k in enumerate(src.kept):
             unit = tuple(int(j == i) for j in range(a.rank))
@@ -83,7 +82,7 @@ class TestDiscriminantForm:
         assert q_diagonal(a)[0] == Fraction(-2, 3) % 2
 
     def test_odd_lattice_rejected(self):
-        odd = lat.Lattice([[1]])
+        odd = lat.from_gram([[1]])
         with pytest.raises(OddLattice):
             fqf.discriminant_form(odd)
 
@@ -587,7 +586,7 @@ class TestIntegerGramAgainstFractions:
     def test_discriminant_values_are_bilinears_of_lifts(self, gram, data):
         G = gram
         assume(bareiss_det(G) != 0)
-        a, src = fqf.discriminant_form(lat.Lattice(G))
+        a, src = fqf.discriminant_form(lat.from_gram(G))
         lifts = [rational_lift(a, src, tuple(int(j == i) for j in range(a.rank)))
                  for i in range(a.rank)]
         for i in range(a.rank):
@@ -661,7 +660,7 @@ _A_N_CORES = _A_N_CASES.map(a_n_core)
 def _generator_rows(L):
     """The Gram of L, the level N^2, the rows (N times the generator lifts)
     and the orders from which ``discriminant_form`` generates A_L."""
-    src = fqf.LatticeSource.of(L)
+    src = fqf.discriminant_form(L)[1]
     orders = tuple(src.smith.diag[k] for k in src.kept)
     level = orders[-1] if orders else 1
     units = [tuple(int(j == i) for j in range(len(orders))) for i in range(len(orders))]
@@ -701,7 +700,7 @@ class TestFormsWithoutProducts:
                 build(gram, level, rows, orders)
 
     def test_a_missed_prime_raises_the_same_error(self):
-        form = fqf.discriminant_form(lat.Lattice([[24]]))[0]  # Z/8 + Z/3
+        form = fqf.discriminant_form(lat.from_gram([[24]]))[0]  # Z/8 + Z/3
         for parts in (part_forms, primary_parts_by_products):
             with pytest.raises(InternalError, match="miss a prime"):
                 parts(form, (2, 5))
@@ -716,7 +715,7 @@ class TestClassKeyAgainstRationalCoordinates:
     @given(st.one_of(_atom_sums(3), _A_N_CORES), st.data())
     def test_pairings_share_a_class_exactly_when_their_difference_is_in_the_lattice(
             self, L, data):
-        src = fqf.LatticeSource.of(L)
+        src = fqf.discriminant_form(L)[1]
         G, n = L.gram, L.rank
         vectors = st.lists(st.integers(-60, 60), min_size=n, max_size=n)
         p = data.draw(vectors)
@@ -734,7 +733,7 @@ class TestClassKeyAgainstRationalCoordinates:
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(_atom_sums(3), _A_N_CORES))
     def test_each_generator_lift_maps_to_its_unit_class(self, L):
-        src = fqf.LatticeSource.of(L)
+        src = fqf.discriminant_form(L)[1]
         orders = [src.smith.diag[k] for k in src.kept]
         ginv = rational_inverse(L.gram)
         for i, d in enumerate(orders):
@@ -753,7 +752,7 @@ class TestClassKeyAgainstRationalCoordinates:
 
 
 def _lattice_form(gram):
-    return fqf.discriminant_form(lat.Lattice(gram))[0] if bareiss_det(gram) != 0 else None
+    return fqf.discriminant_form(lat.from_gram(gram))[0] if bareiss_det(gram) != 0 else None
 
 
 ROOT_TERMS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "<-4>", "<-6>"]
@@ -821,7 +820,7 @@ class TestPrimaryParts:
         assert fqf.isotropic_pm1_count(form) == len(whole)
 
     def test_given_primes_may_exceed_the_level_but_not_miss_a_prime(self):
-        form = fqf.discriminant_form(lat.Lattice([[24]]))[0]  # Z/8 + Z/3
+        form = fqf.discriminant_form(lat.from_gram([[24]]))[0]  # Z/8 + Z/3
         parts = part_forms(form)
         assert part_forms(form, (7, 2, 5, 3)) == parts
         assert fqf.isotropic_pm1_count(form, primes=(2, 3, 5)) == fqf.isotropic_pm1_count(form)
@@ -838,34 +837,46 @@ class TestPrimaryParts:
                                                 "exceeds enumeration bound 3$"):
             fqf.isotropic_pm1_count(form, bound=3)
         # cyclic parts scan nothing, whatever their order
-        cyclic = fqf.discriminant_form(lat.Lattice([[24]]))[0]  # Z/8 + Z/3
+        cyclic = fqf.discriminant_form(lat.from_gram([[24]]))[0]  # Z/8 + Z/3
         assert fqf.isotropic_pm1_count(cyclic, bound=1) == fqf.isotropic_pm1_count(cyclic)
 
 
 class TestCountAgainstOneFormPerPart:
-    """``fqf.isotropic_pm1_count`` against the same count written out again
-    on one form per p-part (``kernel_oracles``)."""
+    """``fqf.isotropic_pm1_count`` and its one form per p-part against
+    derivations that share no step with it: the parts generated by matrix
+    products (``primary_parts_by_products``), the {x, -x} orbits of every
+    isotropic element on forms small enough to scan, and ``cusps.nu_formula``
+    on A_N."""
 
-    def _check(self, form, primes=None, bound=fqf.ENUM_BOUND):
-        """Equal parts, and the same count or the same GroupTooLarge text."""
-        assert part_forms(form, primes) == primary_parts(form, primes)
-        outcomes = []
-        for count in (fqf.isotropic_pm1_count, isotropic_pm1_count_by_forms):
-            try:
-                outcomes.append(count(form, bound, primes))
-            except GroupTooLarge as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        return outcomes[0]
+    SCAN = 10**4  # forms up to this order are also counted element by element
+    BOUND = 2000  # a small cofactor bound keeps each count short
 
     @settings(deadline=None, max_examples=100)
     @given(st.one_of(_atom_sums(4), _A_N_CORES))
+    @example(lat.parse_name("<-512>+<-512>+<-512>+<-6>"))  # the 2-part's cofactor is 2^19
     def test_forms_with_several_primes_and_a_non_cyclic_part(self, L):
         form = fqf.discriminant_form(L)[0]
-        parts = part_forms(form)
+        parts = primary_parts_by_products(form)
         assume(len(parts) >= 2 and any(part.rank > 1 for part in parts.values()))
-        # a small bound keeps each scan short; past it both name the same part
-        event("counted" if isinstance(self._check(form, bound=2000), int) else "bounded")
+        assert part_forms(form) == parts
+        cofactors = {p: prod(part.orders[:-1]) for p, part in parts.items()}
+        over = [p for p, c in cofactors.items() if c > self.BOUND]
+        if over:
+            # the first part past the bound is named, with its cofactor
+            event("bounded")
+            p = over[0]
+            with pytest.raises(GroupTooLarge) as err:
+                fqf.isotropic_pm1_count(form, self.BOUND)
+            assert str(err.value) == (
+                f"{p}-part of order {parts[p].cardinality}: cofactor of order "
+                f"{cofactors[p]} exceeds enumeration bound {self.BOUND}")
+            return
+        count = fqf.isotropic_pm1_count(form, self.BOUND)
+        if form.cardinality <= self.SCAN:
+            event("counted and scanned")
+            assert count == len(mod_pm1(form, isotropic_by_filter(form, self.SCAN)))
+        else:
+            event("counted")
 
     @settings(deadline=None, max_examples=100)
     @given(st.one_of(
@@ -876,7 +887,9 @@ class TestCountAgainstOneFormPerPart:
     def test_a_n_up_to_d_of_ten_to_the_twelve(self, case):
         # far past any scan of the group: the split A_N has order 4d
         form = cusps.disc_model(case).form
-        assert self._check(form, case.primes) == self._check(form) == cusps.nu_formula(case)
+        assert part_forms(form, case.primes) == primary_parts_by_products(form, case.primes)
+        assert fqf.isotropic_pm1_count(form, primes=case.primes) == \
+            fqf.isotropic_pm1_count(form) == cusps.nu_formula(case)
 
 
 class TestLastCoordinate:

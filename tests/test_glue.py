@@ -185,7 +185,7 @@ def _brute_force_grams():
 def test_short_vectors_match_box_enumeration():
     reduced_minors = set()
     for gram in _brute_force_grams():
-        L = lat.Lattice(gram)
+        L = lat.from_gram(gram)
         red, t = lll_reduce(L.gram)
         d, _ = integral_gram_schmidt(scaled(red, -1))
         reduced_minors.update(d[1:])
@@ -223,7 +223,7 @@ class TestRootSystems:
             c = rng.choice((-2, -1, 1, 2))
             t[i] = [a + c * b for a, b in zip(t[i], t[j])]
         assert abs(bareiss_det(t)) == 1
-        scrambled = lat.Lattice(matmul(matmul(t, base.gram), tuple(zip(*t))))
+        scrambled = lat.from_gram(matmul(matmul(t, base.gram), tuple(zip(*t))))
         assert scrambled.gram != base.gram
         rs = glue.root_system(scrambled)
         assert rs.spec_string() == "E8+D4+A2"
@@ -694,8 +694,7 @@ def test_root_certificate_matches_fincke_pohst_on_random_glues(atoms, data):
     s = fqf.subgroup_span(disc, gens)
     # the invariants the overlattice takes from its base and glue, against elimination
     over = glue.overlattice(gd, s)
-    fresh = lat.Lattice(over.gram)
-    assert (over.det, over.signature, over.even) == (fresh.det, fresh.signature, fresh.even)
+    assert lat.from_gram(over.gram) == over
     assert helpers.adds_roots(gd, s) is _adds_roots_oracle(gd, s)
 
 

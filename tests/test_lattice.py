@@ -23,7 +23,9 @@ from cuspidal import glue
 from cuspidal.exact import bilinear, matmul, smith_normal_form
 from fraction_oracles import rational_inverse
 from embedding_oracles import rank2_isometric, reduced_binary
-from helpers import basis, compose, lattice_to_json, minus_identity, tau_generator_isometries
+from helpers import (
+    basis, compose, glue_of, lattice_to_json, minus_identity, tau_generator_isometries,
+)
 
 
 def k3_square():
@@ -70,10 +72,16 @@ class TestConstructors:
     def test_direct_sum_and_twist(self):
         n = lat.parse_name("U+U+E8+E8+<-2>+<-2>")
         assert (n.rank, n.det, n.signature) == (22, 4, (2, 20))
-        u2 = lat.U().twist(2)
+        u2 = lat.twist(lat.U(), 2)
         assert u2.gram == ((0, 2), (2, 0)) and u2.det == -4
         with pytest.raises(BadParameter):
             lat.direct_sum()
+
+    def test_refused_gram_and_twist(self):
+        with pytest.raises(BadParameter, match="gram matrix must be symmetric"):
+            lat.from_gram([[-2, 1], [0, -2]])
+        with pytest.raises(BadParameter, match="twist parameter must be a positive integer"):
+            lat.twist(lat.U(), 0)
 
     def test_k3_square_lattice(self):
         L = k3_square()
@@ -87,7 +95,7 @@ _ATOMS = ("U", "B3", "B7", "B11", "<2>", "<-2>", "<-6>", "<10>", "A1", "A2", "A5
 summands = st.one_of(
     st.tuples(st.sampled_from(_ATOMS), st.sampled_from(["", "(2)", "(3)"])).map(
         lambda t: lat.parse_name(t[0] + t[1])),
-    st.sampled_from([-3, -1, 1, 5]).map(lambda k: lat.Lattice([[k]])),
+    st.sampled_from([-3, -1, 1, 5]).map(lambda k: lat.from_gram([[k]])),
 )
 
 
@@ -96,17 +104,15 @@ summands = st.one_of(
 def test_direct_sum_invariants_match_elimination(groups):
     # sums of sums too: each inner sum is itself a part of the outer one
     L = lat.direct_sum(*(lat.direct_sum(*g) for g in groups))
-    fresh = lat.Lattice(L.gram)
-    assert (L.det, L.signature, L.even) == (fresh.det, fresh.signature, fresh.even)
+    assert lat.from_gram(L.gram) == L
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(summands, min_size=1, max_size=3), st.integers(1, 4), st.integers(1, 3))
 def test_twist_invariants_match_elimination(parts, t, u):
     # twisted atoms, twisted sums and twists of twists
-    for L in (parts[0].twist(t), lat.direct_sum(*parts).twist(t).twist(u)):
-        fresh = lat.Lattice(L.gram)
-        assert (L.det, L.signature, L.even) == (fresh.det, fresh.signature, fresh.even)
+    for L in (lat.twist(parts[0], t), lat.twist(lat.twist(lat.direct_sum(*parts), t), u)):
+        assert lat.from_gram(L.gram) == L
 
 
 def test_twist_runs_no_elimination(monkeypatch):
@@ -115,6 +121,24 @@ def test_twist_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(lat, "det_and_signature", calls.append)
     assert lat.parse_name("U(2)+U(2)+E8(2)").det == 2**8 * (-4) ** 2
     assert calls == []
+
+
+# one lattice for each way a lattice is built
+ROUTES = {
+    "standard": lat.make_standard("D", 5),
+    "direct sum": lat.direct_sum(lat.U(), lat.make_standard("A", 3), lat.rank1(-6)),
+    "twist of twist": lat.twist(lat.twist(lat.make_standard("B", 7), 2), 3),
+    "json": lat.lattice_from_json(lattice_to_json(lat.parse_name("U+A2"))),
+    "overlattice": glue.overlattice(*glue_of("4A1", [(1, 1, 1, 1)])),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_equals_the_elimination_of_its_gram(route):
+    # record equality is over all four fields, so a stored invariant that
+    # disagrees with the Gram breaks it
+    L = ROUTES[route]
+    assert lat.from_gram(L.gram) == L and hash(lat.from_gram(L.gram)) == hash(L)
 
 
 def _minus_cartan(n, edges):
@@ -144,9 +168,8 @@ def _standard_grams():
 def test_standard_invariants_match_elimination():
     # odd ranks are where a closed-form determinant sign can slip
     for kind, n, gram in _standard_grams():
-        L, fresh = lat.make_standard(kind, n), lat.Lattice(gram)
-        assert (L.gram, L.det, L.signature, L.even) == (
-            fresh.gram, fresh.det, fresh.signature, fresh.even), (kind, n)
+        L = lat.make_standard(kind, n)
+        assert L == lat.from_gram(gram), (kind, n)
         assert all(type(x) is int for row in L.gram for x in row)
 
 
@@ -295,7 +318,7 @@ class TestIsometries:
         # on the path 0 - 1 - 2 each adjacent swap keeps the pairings among
         # the indices it moves and breaks only those with the fixed index,
         # once in the row of the fixed index and once in its column
-        L = lat.Lattice([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+        L = lat.from_gram([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
         for perm, signs in (([1, 0, 2], (1, 1, 1)), ([0, 2, 1], (1, 1, 1)),
                             ([0, 1, 2], (1, -1, 1)), ([0, 1, 2], (1, 1, -1))):
             with pytest.raises(NotIsometry, match="does not preserve the form"):
@@ -454,15 +477,15 @@ def test_kept_block_disc_action_matches_full_product(name):
 
 class TestBinaryForms:
     def test_sign_of_off_diagonal_is_absorbed(self):
-        a = lat.Lattice([[-2, 1], [1, -2]])
-        b = lat.Lattice([[-2, -1], [-1, -2]])
+        a = lat.from_gram([[-2, 1], [1, -2]])
+        b = lat.from_gram([[-2, -1], [-1, -2]])
         assert rank2_isometric(a, b)
 
     def test_distinct_forms(self):
         assert not rank2_isometric(lat.make_standard("B", 3), lat.make_standard("B", 7))
 
     def test_reduction_canonical(self):
-        red = reduced_binary(lat.Lattice([[-4, -2], [-2, -2]]).gram)
+        red = reduced_binary(lat.from_gram([[-4, -2], [-2, -2]]).gram)
         assert red == ((-2, 0), (0, -2))
 
 
@@ -478,6 +501,12 @@ class TestNamesAndJson:
             lat.parse_name("Q5")
         with pytest.raises(BadParameter):
             lat.parse_name("U++U")
+        # a zero multiplicity is refused by name, not dropped
+        for name, term in (("U+0E8", "0E8"), ("00A1", "00A1"), ("E8+0A1", "0A1"),
+                           ("0U(2)+U", "0U(2)")):
+            with pytest.raises(BadParameter) as err:
+                lat.parse_name(name)
+            assert str(err.value) == f"lattice term {term!r} has multiplicity 0"
 
     def test_rank_cap_counts_every_summand(self):
         # U and B(d) have rank 2, <n> rank 1, and A, D, E their index

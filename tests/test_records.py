@@ -38,6 +38,7 @@ def _records():
         return type(r)(*r)
 
     return [
+        (L, rebuilt),
         (smith, rebuilt),
         (a2, lambda r: fqf.make_form(r.orders, r.gram)),
         (a2_source, rebuilt),
@@ -69,7 +70,7 @@ RECORDS = _records()
 def test_every_record_is_covered():
     names = {type(r).__name__ for r, _ in RECORDS}
     assert names == {
-        "SmithDecomposition", "Form", "LatticeSource", "QuotientSource", "_RowQuotient",
+        "Lattice", "SmithDecomposition", "Form", "LatticeSource", "QuotientSource", "_RowQuotient",
         "FqfSubgroup", "Component", "GlueData", "RootSystem",
         "TauImage", "Sublattice", "OrthogonalSplitting", "Isometry",
         "MembershipFlags", "PolarizationCase", "DiscModel", "PolarizedEmbedding",
