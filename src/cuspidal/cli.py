@@ -291,7 +291,7 @@ def _cmd_glue_enum(args) -> int:
             "quotient_q": fqf.q_strings(quotient),
         }
         if args.roots_of_overlattice:
-            row["roots"] = glue.root_system(over).spec_string()
+            row["roots"] = glue.root_system(over, args.bound).spec_string()
         rows.append(row)
     obj = {"base": args.roots, "base_det": gd.base.det, "glues": rows}
     if args.format == "json":
@@ -307,7 +307,7 @@ def _cmd_glue_enum(args) -> int:
 
 def _cmd_glue_roots(args) -> int:
     L = load_lattice(args.lattice)
-    rs = glue.root_system(L)
+    rs = glue.root_system(L, args.bound)
     obj = {"roots": rs.spec_string(), "total_roots": rs.total_roots,
            "components": [list(c) for c in rs.components]}
     if args.format == "json":

@@ -370,7 +370,7 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
         return OneDimRow(cand, False, False)
     quotient, source, orbit = chosen
     if rs is None:
-        rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]))
+        rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]), bound)
     tau = glue_mod.image_of_tau(quotient, source, orbit, actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)

@@ -5,12 +5,12 @@ transpose is ``tuple(zip(*M))``; the functions here take any sequence of
 rows and return such tuples.  Everything works with arbitrary-precision
 Python ints; no floating point appears in any result path, and no
 elimination runs over Q.  The paper's lattices have rank at most 24, but
-a lattice name may reach rank 1000 (``lattice.MAX_NAME_RANK``) and
-``glue roots D200`` runs LLL and Fincke-Pohst at rank 200.  The
-algorithms favour simplicity over asymptotics: Smith normal form with
-transform matrices whose every non-divisible step is a unimodular gcd
-mix of two rows or columns (the pivot is the first entry of least
-absolute value, and its search stops at a unit); one fraction-free
+a lattice name may reach rank 1000 (``lattice.MAX_NAME_RANK``): ``glue
+roots D200`` runs LLL at rank 200, and Fincke-Pohst there until its node
+bound stops it.  The algorithms favour simplicity over asymptotics: Smith
+normal form with transform matrices whose every non-divisible step is a
+unimodular gcd mix of two rows or columns (the pivot is the first entry
+of least absolute value, and its search stops at a unit); one fraction-free
 symmetric Bareiss elimination, the only one in the package, whose pivots
 give the signature of a form and whose last pivot is its determinant (it
 builds no congruence basis); and integral LLL at delta = 99/100 on the

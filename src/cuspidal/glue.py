@@ -15,10 +15,16 @@ Cartan determinant.
 Root enumeration uses exact Fincke-Pohst on integers: LLL
 preconditioning, then a depth-first search whose remaining norm is
 scaled by lcm(d[i] d[i+1]) over the leading minors d, so each coordinate
-bound is the isqrt of an integer quotient.  Norm -2 vectors of a
-negative definite lattice always form an ADE root system; components come
-from the nonzero pairings of the simple roots and are typed by rank and
-Cartan determinant (Bourbaki, Lie Groups and Lie Algebras, ch. VI).
+bound is the isqrt of an integer quotient.  Its leaf keeps the one of x
+and -x with positive first nonzero reduced coordinate; one ``matmul`` by
+the transposed LLL transform maps the kept rows back, each signed by its
+first nonzero coordinate, so the sorted list, which ``root_system`` reads
+as its positive roots, depends on the Gram alone, not on the LLL basis.
+More than ``bound`` nodes (``--bound``) raise GroupTooLarge.  Norm -2
+vectors of a negative definite lattice always form an ADE root system;
+components come from the nonzero pairings of the simple roots and are
+typed by rank and Cartan determinant (Bourbaki, Lie Groups and Lie
+Algebras, ch. VI).
 
 Whether a glue creates roots is decided without enumeration, from coset
 minima (Conway-Sloane, SPLAG ch. 4 sections 6-8; Nikulin 1979, section
@@ -57,12 +63,13 @@ dependent counts are reported as conditional.
 """
 
 from collections import namedtuple
-from itertools import groupby
+from itertools import count, groupby
 from math import isqrt, lcm, prod
 from operator import itemgetter, mod, mul
 
 from .errors import (
     BadParameter,
+    GroupTooLarge,
     InternalError,
     NonIntegralGlue,
     NotIsotropic,
@@ -74,6 +81,7 @@ from .exact import (
     apply, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul, scaled,
 )
 from .fqf import (
+    ENUM_BOUND,
     Form,
     FqfSubgroup,
     QuotientSource,
@@ -190,13 +198,11 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
 # short vectors (integer Fincke-Pohst)
 
 
-def short_vectors(L: Lattice, norm: int) -> list:
+def short_vectors(L: Lattice, norm: int, bound: int = ENUM_BOUND) -> list:
     """All vectors of the given negative norm, one per {v, -v} pair, as
-    coordinate tuples.
-
-    The representative kept has positive first nonzero coordinate in the
-    LLL-reduced basis; results are sorted by original coordinates.
-    """
+    sorted coordinate tuples with positive first nonzero coordinate, mapped
+    back from the LLL basis by one ``matmul``.  More than ``bound`` search
+    nodes raise GroupTooLarge."""
     n = L.rank
     if L.signature != (0, n):
         raise NotNegativeDefinite("short vector enumeration needs a negative definite lattice")
@@ -213,13 +219,17 @@ def short_vectors(L: Lattice, norm: int) -> list:
     scale = [common // (d[i] * d[i + 1]) for i in range(n)]
 
     below = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]  # lam[j][i], j > i
-    sols = []
+    found = []
     x = [0] * n
+    nodes = count(1)
 
     def dfs(i: int, rem: int):
+        if next(nodes) > bound:
+            raise GroupTooLarge(f"short vector search exceeds enumeration bound {bound}")
         if i < 0:
-            if rem == 0:
-                sols.append(tuple(x))
+            # x = 0 has rem = -norm * common > 0, so a leaf at rem 0 is nonzero
+            if rem == 0 and next(filter(None, x)) > 0:
+                found.append(x[:])
             return
         c = sum(map(mul, below[i], x[i + 1:]))
         di, si = d[i + 1], scale[i]
@@ -232,19 +242,11 @@ def short_vectors(L: Lattice, norm: int) -> list:
         x[i] = 0
 
     dfs(n - 1, -norm * common)
-    out = []
-    seen = set()
-    for s in sols:
-        if all(v == 0 for v in s):
-            continue
-        lead = next(v for v in s if v != 0)
-        rep = s if lead > 0 else tuple(-v for v in s)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        out.append(apply(T, rep))
-    out.sort()
-    return out
+    if not found:
+        return []
+    # back to the original basis, where each row is signed again
+    return sorted(v if next(filter(None, v)) > 0 else tuple([-a for a in v])
+                  for v in matmul(found, tuple(zip(*T))))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,8 @@ class RootSystem(namedtuple("RootSystem", "components total_roots")):
         for (letter, rank), run in groupby(
             sorted(self.components, key=lambda c: (order[c[0]], -c[1]))
         ):
-            count = len(list(run))
-            parts.append(f"{letter}{rank}" if count == 1 else f"{count}{letter}{rank}")
+            times = len(list(run))
+            parts.append(f"{letter}{rank}" if times == 1 else f"{times}{letter}{rank}")
         return "+".join(parts)
 
 
@@ -284,17 +286,14 @@ def root_system_from_spec(spec: str) -> RootSystem:
     return RootSystem(tuple(sorted(comps)), total)
 
 
-def root_system(L: Lattice) -> RootSystem:
-    """ADE decomposition of the norm -2 vectors of a negative definite lattice."""
-    # positive roots: first nonzero coordinate positive, in increasing
-    # lexicographic order, which is compatible with addition; a positive
-    # root is then simple exactly when it pairs >= 0 (negative definite
-    # convention) with every simple root before it
-    pos = []
-    for v in short_vectors(L, -2):
-        lead = next(x for x in v if x)
-        pos.append(v if lead > 0 else tuple(-x for x in v))
-    pos.sort()
+def root_system(L: Lattice, bound: int = ENUM_BOUND) -> RootSystem:
+    """ADE decomposition of the norm -2 vectors of a negative definite lattice,
+    found by ``short_vectors`` within ``bound`` search nodes."""
+    # positive roots, in the increasing lexicographic order of ``short_vectors``,
+    # which is compatible with addition; a positive root is then simple exactly
+    # when it pairs >= 0 (negative definite convention) with every simple root
+    # before it
+    pos = short_vectors(L, -2, bound)
     simple = []
     gram_simple = []  # G s for each simple root s
     for a in pos:

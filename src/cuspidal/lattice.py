@@ -191,9 +191,9 @@ def parse_terms(name: str) -> list:
     ``atom`` is "U", "A3", "<-2>" and so on, ``twist`` None or the t of "(t)".
 
     Raises BadParameter before any summand is listed on a term with
-    multiplicity 0, and once the ranks add past ``MAX_NAME_RANK``: a Gram of
-    that rank has fqf.ENUM_BOUND = 10^6 entries, and the paper's lattices
-    have rank at most 24."""
+    multiplicity 0 or twist 0, and once the ranks add past ``MAX_NAME_RANK``:
+    a Gram of that rank has fqf.ENUM_BOUND = 10^6 entries, and the paper's
+    lattices have rank at most 24."""
     out, rank = [], 0
     for term in name.replace(" ", "").split("+"):
         if not term:
@@ -204,6 +204,8 @@ def parse_terms(name: str) -> list:
         atom, t, count = m.group("atom"), m.group("twist"), int(m.group("count") or 1)
         if count == 0:
             raise BadParameter(f"lattice term {term!r} has multiplicity 0")
+        if t is not None and int(t) == 0:
+            raise BadParameter(f"lattice term {term!r} has twist 0")
         rank += count * (2 if atom[0] in "UB" else 1 if atom[0] == "<" else int(atom[1:]))
         if rank > MAX_NAME_RANK:
             raise BadParameter(f"lattice name {name!r} has rank above the cap {MAX_NAME_RANK}")

@@ -349,6 +349,10 @@ class TestInputErrors:
             # refused before the list of every d is built
             (["cusp", "sweep", "--d", "1..50", "--bound", "10"], None,
              "sweep range '1..50' of 50 values exceeds enumeration bound 10"),
+            # the search for the roots of E8 visits 729 nodes
+            (["glue", "roots", "E8", "--bound", "100"], None,
+             "short vector search exceeds enumeration bound 100"),
+            (["lat", "info", "E8+A1(0)"], None, "lattice term 'A1(0)' has twist 0"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):

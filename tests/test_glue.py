@@ -6,7 +6,7 @@ from math import isqrt, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import group_claims
 from cuspidal import cusps, fqf, glue
@@ -186,10 +186,9 @@ def test_short_vectors_match_box_enumeration():
     reduced_minors = set()
     for gram in _brute_force_grams():
         L = lat.from_gram(gram)
-        red, t = lll_reduce(L.gram)
+        red, _ = lll_reduce(L.gram)
         d, _ = integral_gram_schmidt(scaled(red, -1))
         reduced_minors.update(d[1:])
-        tinv = rational_inverse(t)
         box = _box_vectors(gram, 6)
         for norm in (-2, -4, -6):
             got = glue.short_vectors(L, norm)
@@ -198,11 +197,38 @@ def test_short_vectors_match_box_enumeration():
             assert len(got) * 2 == len(expected), (gram, norm)
             assert set(got) | {tuple(-a for a in v) for v in got} == expected
             for v in got:
-                # the kept sign: first nonzero LLL-basis coordinate positive
-                y = [sum(row[k] * v[k] for k in range(len(v))) for row in tinv]
-                assert next(a for a in y if a) > 0
+                # the kept sign: first nonzero coordinate positive
+                assert next(a for a in v if a) > 0
     # the integer search is scaled, not just run on unimodular minors
     assert len(reduced_minors - {1}) > 5
+
+
+def _scrambled(base, rng):
+    """``base`` under a unimodular change of basis of 3n row operations
+    (none at rank 1)."""
+    n = base.rank
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+    assert abs(bareiss_det(t)) == 1
+    return lat.from_gram(matmul(matmul(t, base.gram), tuple(zip(*t))))
+
+
+_SCRAMBLE_ATOMS = ([f"A{n}" for n in range(1, 7)] + [f"D{n}" for n in range(4, 7)]
+                   + ["E6", "E7", "E8"])
+
+
+@st.composite
+def _ade_sums(draw):
+    """A sum of A_n (n <= 6), D_n (4 <= n <= 6), E6, E7 and E8 of rank <= 16."""
+    atoms, rank = [], 0
+    for atom in draw(st.lists(st.sampled_from(_SCRAMBLE_ATOMS), min_size=1, max_size=5)):
+        if rank + int(atom[1:]) <= 16:
+            atoms.append(atom)
+            rank += int(atom[1:])
+    return "+".join(atoms)
 
 
 class TestRootSystems:
@@ -211,23 +237,23 @@ class TestRootSystems:
         assert rs.spec_string() == "2E8+2A1"
         assert rs.total_roots == 484
 
-    def test_scrambled_basis(self):
+    @settings(max_examples=60, deadline=None)
+    @given(_ade_sums(), st.randoms(use_true_random=False))
+    @example("E8+D4+A2", random.Random(41))
+    def test_scrambled_basis(self, spec, rng):
         # a unimodular change of basis moves every root off the coordinate
         # blocks, so the lexicographic positive system is in general position
-        base = lat.parse_name("E8+D4+A2")
-        n = base.rank
-        rng = random.Random(41)
-        t = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(3 * n):
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice((-2, -1, 1, 2))
-            t[i] = [a + c * b for a, b in zip(t[i], t[j])]
-        assert abs(bareiss_det(t)) == 1
-        scrambled = lat.from_gram(matmul(matmul(t, base.gram), tuple(zip(*t))))
-        assert scrambled.gram != base.gram
+        base = lat.parse_name(spec)
+        scrambled = _scrambled(base, rng)
+        assume(base.rank == 1 or scrambled.gram != base.gram)
         rs = glue.root_system(scrambled)
-        assert rs.spec_string() == "E8+D4+A2"
-        assert rs.total_roots == 240 + 24 + 6
+        assert rs == glue.root_system_from_spec(spec)
+        # one root per +- pair, sorted, each with first nonzero coordinate positive
+        pos = glue.short_vectors(scrambled, -2)
+        assert len(pos) * 2 == rs.total_roots
+        assert pos == sorted(pos)
+        assert all(next(filter(None, v)) > 0 and bilinear(scrambled.gram, v, v) == -2
+                   for v in pos)
 
     def test_every_ade_atom_is_itself(self):
         atoms = ([("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]

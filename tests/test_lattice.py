@@ -507,6 +507,11 @@ class TestNamesAndJson:
             with pytest.raises(BadParameter) as err:
                 lat.parse_name(name)
             assert str(err.value) == f"lattice term {term!r} has multiplicity 0"
+        # so is a twist of 0
+        for name, term in (("E8+A1(0)", "A1(0)"), ("U(00)", "U(00)")):
+            with pytest.raises(BadParameter) as err:
+                lat.parse_name(name)
+            assert str(err.value) == f"lattice term {term!r} has twist 0"
 
     def test_rank_cap_counts_every_summand(self):
         # U and B(d) have rank 2, <n> rank 1, and A, D, E their index
