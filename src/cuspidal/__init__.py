@@ -31,7 +31,6 @@ from .glue import (
 )
 from .cusps import (
     Candidate,
-    CuspReport,
     PolarizationCase,
     nu,
     one_dim_cusps,

@@ -148,21 +148,43 @@ def _case(args) -> cusps.PolarizationCase:
     return cusps.PolarizationCase(args.d, args.case)
 
 
+def _zero_obj(case, result, reps) -> dict:
+    """The printed zero-dimensional report of ``case``: ``result``'s two values
+    of nu and the labels (m, n) of the representatives, int pairs that
+    ``_dump_json`` writes as lists."""
+    return {"case": {"d": case.d, "embedding": case.embedding},
+            "zero_dim": {"formula": result.formula, "enumerated": result.enumerated,
+                         "reps": reps}}
+
+
+def _row_obj(row, table1: bool) -> dict:
+    """The printed one-dimensional row: ``cusp one`` lists it under its
+    computed roots (the declared ones when it has none), ``verify table1``
+    under the declared roots, beside R(N) and the computed roots."""
+    cand = row.candidate
+    listed = {"niemeier": cand.niemeier, "computed_roots": row.computed_roots} if table1 else {}
+    return {"roots": cand.roots if table1 else row.computed_roots or cand.roots,
+            "genus_ok": row.genus_ok, "roots_ok": row.roots_ok, "o_ae": row.o_ae,
+            "im_tau": row.im_tau, "classes": row.classes, "conditional": True, **listed}
+
+
 def _cmd_cusp_zero(args) -> int:
     case = _case(args)
-    report = cusps.zero_dim_report(case, args.mode, args.bound)
-    obj = report.to_obj()
+    result, reps = cusps.zero_dim_report(case, args.bound)
+    # both values are computed and the representatives certified under every
+    # mode; the value not asked for prints as null
+    if args.mode == "formula":
+        result = result._replace(enumerated=None)
+    elif args.mode == "enumerate":
+        result = result._replace(formula=None)
     if args.format == "json":
-        _emit(_dump_json(obj), args.out)
+        _emit(_dump_json(_zero_obj(case, result, reps)), args.out)
     else:
-        z = obj["zero_dim"]
-        rows = [(case.d, case.embedding, z["formula"], z["enumerated"],
-                 " ".join(f"({m},{n})" for m, n in z["reps"]))]
+        rows = [(case.d, case.embedding, result.formula, result.enumerated,
+                 " ".join(f"({m},{n})" for m, n in reps))]
         _emit(_md_table(["d", "case", "formula", "enumerated", "reps"], rows), args.out)
-    r = report.nu_result
-    if r.formula is not None and r.enumerated is not None and not r.agree:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    # agree is None unless both values are shown, so only --mode both exits 1
+    return EXIT_VERIFICATION if result.agree is False else EXIT_OK
 
 
 def _load_candidates(path: str):
@@ -204,22 +226,25 @@ def _is_int_rows(rows) -> bool:
 def _cmd_cusp_one(args) -> int:
     case = _case(args)
     candidates = _load_candidates(args.candidates) if args.candidates else None
-    report = cusps.full_report(case, candidates, args.bound)
-    obj = report.to_obj()
+    result, reps = cusps.zero_dim_report(case, args.bound)
+    rows = cusps.one_dim_cusps(case, candidates, args.bound)
+    printed = [_row_obj(r, table1=False) for r in rows]
+    total = cusps.total_classes(rows)
     if args.format == "json":
+        obj = {**_zero_obj(case, result, reps),
+               "one_dim": {"candidates": printed, "total": total}}
         _emit(_dump_json(obj), args.out)
     else:
-        rows = [
+        table = [
             (r["roots"], r["genus_ok"], r["roots_ok"], r["o_ae"], r["im_tau"],
              r["classes"])
-            for r in obj["one_dim"]["candidates"]
+            for r in printed
         ]
         text = _md_table(["R(E)", "genus_ok", "roots_ok", "|O(A_E)|",
-                          "|Im tau| (conditional)", "classes"], rows)
-        text += f"\ntotal (conditional): {obj['one_dim']['total']}\n"
+                          "|Im tau| (conditional)", "classes"], table)
+        text += f"\ntotal (conditional): {total}\n"
         _emit(text, args.out)
-    bad = [r for r in report.one_dim if not r.ok]
-    return EXIT_VERIFICATION if bad else EXIT_OK
+    return EXIT_OK if all(r.ok for r in rows) else EXIT_VERIFICATION
 
 
 def _parse_range(text: str):
@@ -327,11 +352,7 @@ def _cmd_verify_table1(args) -> int:
     ok = all(r.ok for r in rows)
     if args.format == "json":
         obj = {
-            "rows": [
-                {**r.to_obj(r.candidate.roots), "niemeier": r.candidate.niemeier,
-                 "computed_roots": r.computed_roots}
-                for r in rows
-            ],
+            "rows": [_row_obj(r, table1=True) for r in rows],
             "all_ok": ok,
             "total_classes_conditional": cusps.total_classes(rows),
         }

@@ -137,11 +137,6 @@ class NuResult(namedtuple("NuResult", "formula enumerated")):
         return self.formula == self.enumerated
 
 
-def _check_nu_mode(mode: str) -> None:
-    if mode not in ("formula", "enumerate", "both"):
-        raise BadParameter(f"unknown nu mode {mode!r}")
-
-
 def nu(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> NuResult:
     """nu from the closed formula and from the isotropic classes of A_N
     modulo +-1, counted part by part (``fqf.isotropic_pm1_count``): the
@@ -175,14 +170,9 @@ def _rep_coefficients(n: int, step: int, with_e: bool, ord_t: int) -> tuple:
     return n * step % ord_t, (n % 2 if with_e else 0)
 
 
-class OrbitRep(namedtuple("OrbitRep", "m n")):
-    """The isotropic class x_{m,n} of order m, by its printed label (m, n)."""
-
-    __slots__ = ()
-
-
 def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) -> list:
-    """The x_{m,n}, certified to be all ``count`` isotropic classes modulo +-1.
+    """The labels (m, n) of the x_{m,n}, certified to be all ``count``
+    isotropic classes modulo +-1.
 
     Each x_{m,n} = a t + b e is checked on its coefficients in integers read
     off the form once: ord t, ord e, level q(t), level q(e) and
@@ -224,12 +214,23 @@ def _verified_reps(model: DiscModel, count: int, bound: int = fqf.ENUM_BOUND) ->
             if lcm(ord_t // gcd(ord_t, a), ord_e // gcd(ord_e, b)) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
             keys.add(min((a % ord_t, b % ord_e), (-a % ord_t, -b % ord_e)))
-            reps.append(OrbitRep(m, n))
+            reps.append((m, n))
     if len(keys) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
     return reps
+
+
+def zero_dim_report(case: PolarizationCase, bound: int = fqf.ENUM_BOUND) -> tuple:
+    """(``NuResult``, reps): nu from the closed formula and from one count of
+    the isotropic classes of A_N, and the labels (m, n) of the orbit
+    representatives as int pairs, certified by that count; more than
+    ``bound`` classes raise ``GroupTooLarge`` before any representative is
+    built."""
+    model = disc_model(case)
+    count = fqf.isotropic_pm1_count(model.form, bound, case.primes)
+    return NuResult(nu_formula(case), count), _verified_reps(model, count, bound)
 
 
 def predicted_AE(case: PolarizationCase, m: int) -> Form:
@@ -297,12 +298,6 @@ class OneDimRow(namedtuple(
     @property
     def ok(self) -> bool:
         return self.genus_ok and self.roots_ok
-
-    def to_obj(self, roots: str) -> dict:
-        """The row as a report object, listed under ``roots``."""
-        return {"roots": roots, "genus_ok": self.genus_ok, "roots_ok": self.roots_ok,
-                "o_ae": self.o_ae, "im_tau": self.im_tau, "classes": self.classes,
-                "conditional": True}
 
 
 def total_classes(rows) -> int:
@@ -407,52 +402,6 @@ def one_dim_cusps(
             row = row._replace(o_ae=o_ae, classes=o_ae // row.im_tau)
         rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-class CuspReport(namedtuple("CuspReport", "case nu_result reps one_dim", defaults=(None,))):
-    """Zero-dimensional cusps and, when computed, the one-dimensional rows."""
-
-    __slots__ = ()
-
-    def to_obj(self) -> dict:
-        zero = {
-            "formula": self.nu_result.formula,
-            "enumerated": self.nu_result.enumerated,
-            "reps": [[r.m, r.n] for r in self.reps],
-        }
-        obj = {
-            "case": {"d": self.case.d, "embedding": self.case.embedding},
-            "zero_dim": zero,
-        }
-        if self.one_dim is not None:
-            rows = [r.to_obj(r.computed_roots or r.candidate.roots) for r in self.one_dim]
-            obj["one_dim"] = {"candidates": rows, "total": total_classes(self.one_dim)}
-        return obj
-
-
-def zero_dim_report(case: PolarizationCase, mode: str = "both",
-                    bound: int = fqf.ENUM_BOUND) -> CuspReport:
-    """nu and the orbit representatives, certified by one count of the
-    isotropic classes of A_N; more than ``bound`` classes raise
-    ``GroupTooLarge`` before any representative is built."""
-    _check_nu_mode(mode)
-    model = disc_model(case)
-    count = fqf.isotropic_pm1_count(model.form, bound, case.primes)
-    result = NuResult(
-        nu_formula(case) if mode in ("formula", "both") else None,
-        count if mode in ("enumerate", "both") else None,
-    )
-    return CuspReport(case, result, tuple(_verified_reps(model, count, bound)))
-
-
-def full_report(case: PolarizationCase, candidates=None,
-                bound: int = fqf.ENUM_BOUND) -> CuspReport:
-    zero = zero_dim_report(case, "both", bound)
-    return zero._replace(one_dim=tuple(one_dim_cusps(case, candidates, bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -164,13 +164,20 @@ class LatticeSource(namedtuple("LatticeSource", "smith kept")):
         return tuple(out)
 
 
-class QuotientSource(namedtuple("QuotientSource", "parent rows kept generator_lifts")):
+class QuotientSource(namedtuple(
+        "QuotientSource", "parent ambient_rows vmat_t orders kept generator_lifts")):
     """Where the generators of H^perp/H come from: how they sit in the parent
     form ``parent``, which ``perp_quotient`` returns beside the quotient.
 
-    ``rows`` is H^perp modulo H as a ``_RowQuotient`` of row lattices,
-    ``kept`` the quotient positions with order > 1, one per generator, and
-    ``generator_lifts`` the parent elements of H^perp lifting the generators.
+    H^perp/H is the quotient of two row lattices in the parent's coordinates:
+    ``ambient_rows`` is the Hermite basis P of the preimage of H^perp,
+    ``vmat_t`` the transpose of the right Smith transform V of the preimage
+    of H in P-coordinates, formed once so that a row times V is one
+    ``apply``, and ``orders`` its invariant factors.  ``kept`` holds the
+    positions with order > 1, one per generator, and ``generator_lifts`` the
+    parent elements of H^perp lifting the generators (rows of V^-1 P).
+    ``project_to_quotient`` reads the class of a parent element off them:
+    its P-coordinates times V, reduced mod ``orders`` at ``kept``.
     """
 
     __slots__ = ()
@@ -216,19 +223,11 @@ def discriminant_form(lattice) -> tuple:
 # row-lattice quotients (of perp quotients)
 
 
-class _RowQuotient(namedtuple("_RowQuotient", "ambient_rows vmat_t generator_rows orders")):
-    """``ambient_rows`` is the Hermite basis P of the ambient row lattice,
-    ``vmat_t`` the transpose of the right Smith transform V, formed once so
-    that a row times V is one ``apply``, and ``generator_rows`` V^-1 P,
-    one row per invariant factor in ``orders``.  ``project_to_quotient``
-    reads the class of an ambient row from it: its P-coordinates times V,
-    reduced mod ``orders``."""
-
-    __slots__ = ()
-
-
-def _row_quotient(P, sub_rows) -> _RowQuotient:
-    """Quotient of the row lattice of P by the row lattice of sub_rows.
+def _row_quotient(P, sub_rows) -> tuple:
+    """(V^t, V^-1 P, d) for the quotient of the row lattice of P by that of
+    sub_rows: with S the Hermite basis of sub_rows in P-coordinates and
+    L S V = D its Smith form, row i of V^-1 P generates a summand of order
+    d_i, and a row's P-coordinates times V are its coordinates.
 
     P is a full-rank Hermite basis (square, upper triangular), so rows
     get their P-coordinates from ``hnf_coords``.
@@ -243,9 +242,9 @@ def _row_quotient(P, sub_rows) -> _RowQuotient:
     if len(s) != len(P):
         raise InternalError("sublattice must have finite index")
     snf = smith_normal_form(s)
-    # L S R = D gives R^-1 = D^-1 (L S), an exact division row by row
+    # L S V = D gives V^-1 = D^-1 (L S), an exact division row by row
     vinv = [[x // d for x in row] for row, d in zip(matmul(snf.left, s), snf.diag)]
-    return _RowQuotient(P, tuple(zip(*snf.right)), matmul(vinv, P), snf.diag)
+    return tuple(zip(*snf.right)), matmul(vinv, P), snf.diag
 
 
 # ---------------------------------------------------------------------------
@@ -551,26 +550,26 @@ def perp_quotient(form: Form, subgroup: FqfSubgroup) -> tuple:
         proj = [r[:n] for r in kernel_basis(aug)]
     else:
         proj = list(diagonal((1,) * n))
-    rq = _row_quotient(hnf_rows(proj + torsion), hnf_rows(list(gens) + torsion))
-    kept = [i for i, d in enumerate(rq.orders) if d > 1]
-    orders = tuple(rq.orders[i] for i in kept)
-    gen_elems = [reduce(form, rq.generator_rows[i]) for i in kept]
+    P = hnf_rows(proj + torsion)
+    vmat_t, rows, diag = _row_quotient(P, hnf_rows(list(gens) + torsion))
+    kept = tuple(i for i, d in enumerate(diag) if d > 1)
+    orders = tuple(diag[i] for i in kept)
+    gen_elems = tuple(reduce(form, rows[i]) for i in kept)
     expected = form.cardinality // (subgroup.order ** 2)
     if prod(orders) != expected:
         raise InternalError("perp quotient order mismatch")
-    source = QuotientSource(form, rq, tuple(kept), tuple(gen_elems))
+    source = QuotientSource(form, P, vmat_t, diag, kept, gen_elems)
     return _generated_form(form.gram, form.level, gen_elems, orders), source
 
 
 def project_to_quotient(source: QuotientSource, x) -> tuple:
     """Class in H^perp/H, given by its ``source``, of an element x of H^perp
     in the parent form."""
-    rq = source.rows
-    y = hnf_coords(rq.ambient_rows, list(reduce(source.parent, x)))
+    y = hnf_coords(source.ambient_rows, list(reduce(source.parent, x)))
     if y is None:
         raise InternalError("row is not in the ambient row lattice")
-    z = apply(rq.vmat_t, y)  # row-vector times V
-    return tuple(z[i] % rq.orders[i] for i in source.kept)
+    z = apply(source.vmat_t, y)  # row-vector times V
+    return tuple(z[i] % source.orders[i] for i in source.kept)
 
 
 def _unit(n, i):

@@ -23,14 +23,9 @@ def direct_sum_form(*forms: Form) -> Form:
         return make_form((), ())
     level = lcm(*(f.level for f in forms))
     gram = block_diagonal(scaled(f.gram, level // f.level) for f in forms)
-    quotient = _row_quotient(diagonal((1,) * len(orders)), diagonal(orders))
-    kept = [i for i, d in enumerate(quotient.orders) if d > 1]
-    return _generated_form(
-        gram,
-        level,
-        [quotient.generator_rows[i] for i in kept],
-        tuple(quotient.orders[i] for i in kept),
-    )
+    _, rows, diag = _row_quotient(diagonal((1,) * len(orders)), diagonal(orders))
+    kept = [i for i, d in enumerate(diag) if d > 1]
+    return _generated_form(gram, level, [rows[i] for i in kept], tuple(diag[i] for i in kept))
 
 
 def mod_pm1(form: Form, elems) -> list:

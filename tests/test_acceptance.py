@@ -325,12 +325,12 @@ def test_criterion_7e_orbit_reps_exhaustive(d, nonsplit):
     if nonsplit and d % 4 != 3:
         nonsplit = False
     case = cusps.PolarizationCase(d, "nonsplit" if nonsplit else "split")
-    reps = cusps.zero_dim_report(case).reps  # raises when not exhaustive or not isotropic
+    _, reps = cusps.zero_dim_report(case)  # raises when not exhaustive or not isotropic
     assert len(reps) == cusps.nu_formula(case)
-    for r in reps:
-        assert case.K % r.m == 0
-        assert math.gcd(r.m, r.n) == 1
-        assert 0 <= 2 * r.n <= r.m
+    for m, n in reps:
+        assert case.K % m == 0
+        assert math.gcd(m, n) == 1
+        assert 0 <= 2 * n <= m
 
 
 def test_criterion_7_banner():

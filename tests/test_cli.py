@@ -60,6 +60,19 @@ class TestCuspZero:
         assert (z["formula"], z["enumerated"]) == {
             "formula": (3, None), "enumerate": (None, 3), "both": (3, 3)}[mode]
 
+    @pytest.mark.parametrize("mode, code, shown", [
+        ("formula", 0, (4, None)), ("enumerate", 0, (None, 3)), ("both", 1, (4, 3)),
+    ], ids=["formula", "enumerate", "both"])
+    def test_mismatch_exits_one_only_under_both(self, capsys, monkeypatch, mode, code,
+                                                shown):
+        # a formula off by one at d = 12: only a printed pair can disagree
+        formula = cusps.nu_formula
+        monkeypatch.setattr(cusps, "nu_formula", lambda case: formula(case) + 1)
+        got, out = invoke(capsys, ["cusp", "zero", "--d", "12", "--mode", mode])
+        z = json.loads(out)["zero_dim"]
+        assert got == code and (z["formula"], z["enumerated"]) == shown
+        assert z["reps"] == [[1, 0], [2, 1], [4, 1]]
+
     @pytest.mark.parametrize("mode", ["both", "formula"])
     def test_group_beyond_bound_counted_prime_by_prime(self, capsys, mode):
         # |A_N| = 1,200,000 exceeds the bound; its p-parts have 128, 3 and 3125 elements
@@ -380,10 +393,12 @@ class TestInputErrors:
         assert captured.err == f"error: lattice name {argv[-1]!r} has rank above the cap 1000\n"
         assert elapsed < 1.0
 
-    def test_broken_invariant_exits_three(self, capsys, monkeypatch):
-        # every orbit representative becomes the non-isotropic class of t/2d
+    @pytest.mark.parametrize("mode", ["formula", "enumerate", "both"])
+    def test_broken_invariant_exits_three(self, capsys, monkeypatch, mode):
+        # every orbit representative becomes the non-isotropic class of t/2d;
+        # the representatives are certified under every mode
         monkeypatch.setattr(cusps, "_rep_coefficients", lambda n, *order: (1, 0))
-        code = run(["cusp", "zero", "--d", "4"])
+        code = run(["cusp", "zero", "--d", "4", "--mode", mode])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("internal error: ")
@@ -675,6 +690,7 @@ PARSES = [
     (["glue", "roots", "E8", "--bound", "0"], False),
     (["glue", "roots", "E8", "--bound", "-1"], False),
     (["glue", "roots", "E8", "--bound=-1"], False),
+    (["cusp", "zero", "--d", "3", "--mode", "guess"], False),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import group_claims
 from cuspidal import claims, cusps, fqf, glue
+from cuspidal.cli import run
 from cuspidal.exact import bilinear, factorize
 from cuspidal.errors import (
     BadCase,
@@ -87,15 +89,20 @@ class TestNu:
         r = cusps.nu(cusps.PolarizationCase(3, "nonsplit"))
         assert r.formula == 1
 
-    def test_mode_selection(self):
-        # nu gives both values; zero_dim_report, behind cusp zero --mode, selects
+    def test_mode_selection(self, capsys):
+        # zero_dim_report gives both values, as nu does; cusp zero --mode
+        # prints the one not asked for as null, and an unknown mode is refused
         case = cusps.PolarizationCase(6, "split")
-        only_f = cusps.zero_dim_report(case, "formula").nu_result
-        assert only_f.enumerated is None and only_f.agree is None
-        only_e = cusps.zero_dim_report(case, "enumerate").nu_result
-        assert only_e.formula is None
-        with pytest.raises(BadParameter):
-            cusps.zero_dim_report(case, "guess")
+        result, _ = cusps.zero_dim_report(case)
+        assert result == cusps.nu(case) == (1, 1)
+        for mode, shown in (("formula", (1, None)), ("enumerate", (None, 1)),
+                            ("both", (1, 1))):
+            assert run(["cusp", "zero", "--d", "6", "--mode", mode]) == 0
+            z = json.loads(capsys.readouterr().out)["zero_dim"]
+            assert (z["formula"], z["enumerated"]) == shown
+        assert run(["cusp", "zero", "--d", "6", "--mode", "guess"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'guess'" in captured.err
 
     def test_local_count_matches_whole_group_scan(self):
         cases = [cusps.PolarizationCase(d, "split") for d in range(1, 301)]
@@ -148,12 +155,12 @@ class TestNu:
 
 class TestOrbitReps:
     def test_d9(self):
-        reps = cusps.zero_dim_report(cusps.PolarizationCase(9, "split")).reps
-        assert [(r.m, r.n) for r in reps] == [(1, 0), (3, 1)]
+        _, reps = cusps.zero_dim_report(cusps.PolarizationCase(9, "split"))
+        assert reps == [(1, 0), (3, 1)]
 
     def test_d3_split_order_two_rep(self):
-        reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "split")).reps
-        assert [(r.m, r.n) for r in reps] == [(1, 0), (2, 1)]
+        _, reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "split"))
+        assert reps == [(1, 0), (2, 1)]
         model = cusps.disc_model(cusps.PolarizationCase(3, "split"))
         form, (m, n) = model.form, reps[1]
         # x_(2,1) = n (2d / m) t + n e: 2 does not divide k = 1, so e is added
@@ -162,13 +169,13 @@ class TestOrbitReps:
         assert fqf.order_of(form, x) == 2
 
     def test_nonsplit_trivial(self):
-        reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "nonsplit")).reps
-        assert [(r.m, r.n) for r in reps] == [(1, 0)]
+        _, reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "nonsplit"))
+        assert reps == [(1, 0)]
 
     def test_counts_match_nu(self):
         for d in (1, 2, 3, 4, 8, 9, 12, 18, 25, 48, 49, 75):
             case = cusps.PolarizationCase(d, "split")
-            assert len(cusps.zero_dim_report(case).reps) == cusps.nu_formula(case)
+            assert len(cusps.zero_dim_report(case)[1]) == cusps.nu_formula(case)
 
     def test_certificate_rejects_colliding_or_too_few_reps(self, monkeypatch):
         case = cusps.PolarizationCase(25, "split")  # K = 5: reps (1,0), (5,1), (5,2)
@@ -188,11 +195,9 @@ class TestOrbitReps:
     def test_rep_constraints(self):
         for d in (12, 27, 48):
             case = cusps.PolarizationCase(d, "split")
-            for r in cusps.zero_dim_report(case).reps:
-                assert case.K % r.m == 0
-                from math import gcd
-
-                assert gcd(r.m, r.n) == 1 and 0 <= 2 * r.n <= r.m
+            for m, n in cusps.zero_dim_report(case)[1]:
+                assert case.K % m == 0
+                assert gcd(m, n) == 1 and 0 <= 2 * n <= m
 
 
 def test_valid_orders_match_the_scan_over_one_to_k():
@@ -232,13 +237,13 @@ def _tuple_reps(model, count):
                 raise InternalError(f"x_({m},{n}) is not isotropic")
             if fqf.order_of(form, x) != m:
                 raise InternalError(f"x_({m},{n}) does not have order {m}")
-            reps.append(cusps.OrbitRep(m, n))
+            reps.append((m, n))
             elements.append(x)
     if len({min(x, fqf.smul(form, -1, x)) for x in elements}) != len(reps):
         raise InternalError("orbit representatives collide")
     if len(reps) != count:
         raise InternalError("orbit representatives do not exhaust the isotropic classes")
-    return sorted(reps, key=lambda r: (r.m, r.n))
+    return sorted(reps)
 
 
 def _model_and_count(d, embedding):
@@ -496,15 +501,17 @@ class TestGlueChoice:
 
 
 class TestReports:
-    def test_zero_dim_schema(self):
-        rep = cusps.zero_dim_report(cusps.PolarizationCase(3, "split"))
-        obj = rep.to_obj()
-        assert obj["case"] == {"d": 3, "embedding": "split"}
-        assert obj["zero_dim"]["formula"] == 2
-        assert obj["zero_dim"]["reps"] == [[1, 0], [2, 1]]
+    def test_zero_dim_schema(self, capsys):
+        result, reps = cusps.zero_dim_report(cusps.PolarizationCase(3, "split"))
+        assert result == (2, 2) and reps == [(1, 0), (2, 1)]
+        assert all(type(m) is int and type(n) is int for m, n in reps)
+        assert run(["cusp", "zero", "--d", "3"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj == {"case": {"d": 3, "embedding": "split"},
+                       "zero_dim": {"formula": 2, "enumerated": 2, "reps": [[1, 0], [2, 1]]}}
 
     @pytest.mark.parametrize("mode", ["both", "formula", "enumerate"])
-    def test_zero_dim_report_scans_once(self, monkeypatch, mode):
+    def test_zero_dim_report_scans_once(self, capsys, monkeypatch, mode):
         calls = []
         count = fqf.isotropic_pm1_count
 
@@ -515,23 +522,27 @@ class TestReports:
         monkeypatch.setattr(fqf, "isotropic_pm1_count", counted)
         monkeypatch.setattr(fqf, "isotropic_elements", None)
         case = cusps.PolarizationCase(12, "split")
-        rep = cusps.zero_dim_report(case, mode)
+        assert run(["cusp", "zero", "--d", "12", "--mode", mode]) == 0
         # one count of A_N, |A_N| = 4d = 48, which lists no element of it
         assert calls == [48]
         # d = 12 = 3 * 2^2 with d' = 3 mod 4, so nu = k + 1 = 3
-        assert [[r.m, r.n] for r in rep.reps] == [[1, 0], [2, 1], [4, 1]]
-        z = rep.to_obj()["zero_dim"]
+        z = json.loads(capsys.readouterr().out)["zero_dim"]
+        assert z["reps"] == [[1, 0], [2, 1], [4, 1]]
         assert z["formula"] == (3 if mode != "enumerate" else None)
         assert z["enumerated"] == (3 if mode != "formula" else None)
         # the public entry points still count on their own
         calls.clear()
-        assert len(cusps.zero_dim_report(case).reps) == cusps.nu(case).enumerated == 3
+        assert len(cusps.zero_dim_report(case)[1]) == cusps.nu(case).enumerated == 3
         assert calls == [48, 48]
 
-    def test_zero_dim_report_rejects_mode_before_scanning(self, monkeypatch):
+    def test_zero_dim_report_rejects_mode_before_scanning(self, capsys, monkeypatch):
+        # the mode is an argparse choice of cusp zero, refused before any count
         monkeypatch.setattr(fqf, "isotropic_pm1_count", None)
-        with pytest.raises(BadParameter):
-            cusps.zero_dim_report(cusps.PolarizationCase(3, "split"), "guess")
+        monkeypatch.setattr(cusps, "zero_dim_report", None)
+        assert run(["cusp", "zero", "--d", "3", "--mode", "guess"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert "argument --mode: invalid choice: 'guess'" in captured.err
 
     def test_example_c12(self):
         data = claims.example_c12()

@@ -620,8 +620,8 @@ class TestIntegerGramAgainstFractions:
             off += f.rank
         # the generators of the sum as rows in the concatenated coordinates
         orders = [d for f in forms for d in f.orders]
-        rq = fqf._row_quotient(diagonal((1,) * m), diagonal(orders))
-        rows = [rq.generator_rows[i] for i, d in enumerate(rq.orders) if d > 1]
+        _, gens, diag = fqf._row_quotient(diagonal((1,) * m), diagonal(orders))
+        rows = [g for g, d in zip(gens, diag) if d > 1]
         ds = direct_sum_form(*forms)
         assert q_diagonal(ds) == tuple(_mod2(_q_sum(qdiag, bmat, r)) for r in rows)
         assert b_matrix(ds) == tuple(tuple(_mod1(_b_sum(bmat, r, s)) for s in rows) for r in rows)
