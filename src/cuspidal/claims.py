@@ -23,15 +23,7 @@ from collections import namedtuple
 from math import gcd
 
 from .cusps import k3_square_lattice
-from .errors import (
-    BadParameter,
-    DegenerateComplement,
-    DependentInput,
-    MemberOfSummand,
-    MixedLattices,
-    SingularMatrix,
-    ZeroVector,
-)
+from .errors import BadParameter, SingularMatrix
 from .exact import apply, bilinear, kernel_basis, matmul, smith_normal_form
 from .fqf import ENUM_BOUND, are_isometric, discriminant_form
 from .lattice import Lattice, from_gram, parse_name
@@ -58,11 +50,11 @@ class Sublattice(namedtuple("Sublattice", "ambient basis_matrix lattice primitiv
             raise BadParameter("basis rows must have ambient rank many columns")
         diag = smith_normal_form(basis_rows).diag
         if sum(1 for d in diag if d != 0) != len(basis_rows):
-            raise DependentInput("sublattice basis is linearly dependent")
+            raise BadParameter("sublattice basis is linearly dependent")
         try:
             lattice = from_gram(matmul(matmul(basis_rows, ambient.gram), tuple(zip(*basis_rows))))
         except SingularMatrix:
-            raise DegenerateComplement("form restricted to sublattice is degenerate") from None
+            raise BadParameter("form restricted to sublattice is degenerate") from None
         return cls(ambient, basis_rows, lattice, all(d == 1 for d in diag))
 
 
@@ -70,16 +62,15 @@ def orthogonal_complement(L: Lattice, vectors) -> Sublattice:
     """Primitive basis of the saturation of {x in L : (x, s) = 0 for s in S},
     for integer coordinate tuples S.
 
-    Raises BadParameter when S is empty, DependentInput when S is
-    dependent and DegenerateComplement when the restricted form
-    degenerates (e.g. S contains an isotropic vector of U).
+    Raises BadParameter when S is empty or dependent, or when the
+    restricted form degenerates (e.g. S contains an isotropic vector of U).
     """
     rows = [apply(L.gram, v) for v in vectors]
     if not rows:
         raise BadParameter("complement needs at least one vector")
     kernel = kernel_basis(rows)
     if len(kernel) != L.rank - len(rows):
-        raise DependentInput("input vectors are linearly dependent")
+        raise BadParameter("input vectors are linearly dependent")
     return Sublattice.of(L, kernel)
 
 
@@ -87,7 +78,7 @@ def divisibility(L: Lattice, v) -> int:
     """Positive generator of the pairing ideal (v, L) of an integer vector."""
     out = gcd(*apply(L.gram, v))
     if out == 0:
-        raise ZeroVector("divisibility of the zero vector is undefined")
+        raise BadParameter("divisibility of the zero vector is undefined")
     return out
 
 
@@ -103,7 +94,7 @@ class OrthogonalSplitting(namedtuple("OrthogonalSplitting", "ambient left right"
 
     def __new__(cls, ambient, left, right):
         if left.ambient != ambient or right.ambient != ambient:
-            raise MixedLattices("summands live in a different ambient lattice")
+            raise BadParameter("summands live in a different ambient lattice")
         if left.lattice.rank + right.lattice.rank != ambient.rank:
             raise BadParameter("summands do not span the ambient lattice rationally")
         cross = matmul(matmul(left.basis_matrix, ambient.gram), tuple(zip(*right.basis_matrix)))
@@ -146,7 +137,7 @@ def delta_prime_test(split: OrthogonalSplitting, delta) -> bool:
     """True when both rational projections of delta have negative norm."""
     d_m, d_n = split_rational(split, delta)
     if not any(d_m) or not any(d_n):
-        raise MemberOfSummand("delta lies in one of the summands")
+        raise BadParameter("delta lies in one of the summands")
     G = split.ambient.gram
     return bilinear(G, d_m, d_m) < 0 and bilinear(G, d_n, d_n) < 0
 

@@ -226,8 +226,10 @@ def _is_int_rows(rows) -> bool:
 def _cmd_cusp_one(args) -> int:
     case = _case(args)
     candidates = _load_candidates(args.candidates) if args.candidates else None
-    result, reps = cusps.zero_dim_report(case, args.bound)
+    # one_dim_cusps refuses a d that is not square-free before any
+    # zero-dimensional representative is listed
     rows = cusps.one_dim_cusps(case, candidates, args.bound)
+    result, reps = cusps.zero_dim_report(case, args.bound)
     printed = [_row_obj(r, table1=False) for r in rows]
     total = cusps.total_classes(rows)
     if args.format == "json":
@@ -254,9 +256,9 @@ def _parse_range(text: str):
     try:
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise CuspidalError(f"bad range {text!r}") from exc
+        raise BadParameter(f"bad range {text!r}") from exc
     if hi < lo:
-        raise CuspidalError(f"empty range {text!r}")
+        raise BadParameter(f"empty range {text!r}")
     return lo, hi
 
 

@@ -32,14 +32,7 @@ unit automorphisms and every dependent count is flagged conditional.
 from collections import namedtuple
 from math import gcd, isqrt, lcm
 
-from .errors import (
-    BadCase,
-    BadIndex,
-    BadParameter,
-    GroupTooLarge,
-    InternalError,
-    NotSquareFree,
-)
+from .errors import BadParameter, GroupTooLarge, InternalError
 from .exact import bilinear, factorize
 from . import fqf
 from . import glue as glue_mod
@@ -69,11 +62,11 @@ class PolarizationCase(namedtuple("PolarizationCase", "d embedding dprime k K pr
 
     def __new__(cls, d, embedding):
         if d < 1:
-            raise BadCase("d must be a positive integer")
+            raise BadParameter("d must be a positive integer")
         if embedding not in ("split", "nonsplit"):
-            raise BadCase(f"unknown embedding {embedding!r}")
+            raise BadParameter(f"unknown embedding {embedding!r}")
         if embedding == "nonsplit" and d % 4 != 3:
-            raise BadCase("non-split embeddings require d = 3 mod 4")
+            raise BadParameter("non-split embeddings require d = 3 mod 4")
         factors = factorize(d)
         dprime, k = squarefree_decompose(factors)
         big = 2 * k if (embedding == "split" and dprime % 4 == 3) else k
@@ -156,7 +149,7 @@ def valid_orders(case: PolarizationCase) -> list:
 
 def _order_pattern(case: PolarizationCase, m: int) -> str:
     if m < 1 or case.K % m:
-        raise BadIndex(f"m={m} does not index an isotropic subgroup for this case")
+        raise BadParameter(f"m={m} does not index an isotropic subgroup for this case")
     if case.k % m == 0:
         return "t"
     # remaining divisors of K = 2k: even m with m/2 | k, split d' = 3 mod 4 only
@@ -384,7 +377,7 @@ def one_dim_cusps(
     row is realized.
     """
     if case.k != 1:
-        raise NotSquareFree(f"d = {case.d} is not square-free")
+        raise BadParameter(f"d = {case.d} is not square-free")
     if candidates is None:
         if case.split and case.d == 1:
             candidates = TABLE1_ROWS

@@ -1,53 +1,22 @@
-"""Exception hierarchy shared by all cuspidal modules."""
+"""Exception hierarchy shared by all cuspidal modules: ``CuspidalError``
+and one subclass per outcome of ``cli.run``.
+
+- ``BadParameter``, exit 2: a refused argument or input.  Every check on
+  an argument of a public function raises it, naming what it refused.
+- ``GroupTooLarge``, exit 2: a search or enumeration bound (``--bound``)
+  stopped the run; the message names the bound.
+- ``SingularMatrix``, exit 2: a singular matrix where an invertible one is
+  needed; the callers that can go on without the inverse catch it.
+- ``InternalError``, exit 3: a check on a value the package computed,
+  which no argument can fail, found it broken: a defect of this package.
+"""
 
 
 class CuspidalError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# exact linear algebra
-
-class SingularMatrix(CuspidalError):
-    pass
-
-
-class NotDefinite(CuspidalError):
-    pass
-
-
-# lattice construction and vector arithmetic
-
 class BadParameter(CuspidalError):
-    pass
-
-
-class MixedLattices(CuspidalError):
-    pass
-
-
-class ZeroVector(CuspidalError):
-    pass
-
-
-class DependentInput(CuspidalError):
-    pass
-
-
-class DegenerateComplement(CuspidalError):
-    pass
-
-
-class MemberOfSummand(CuspidalError):
-    pass
-
-
-class NotIsometry(CuspidalError):
-    pass
-
-
-# finite quadratic forms
-
-class OddLattice(CuspidalError):
     pass
 
 
@@ -55,39 +24,9 @@ class GroupTooLarge(CuspidalError):
     pass
 
 
-class NotIsotropic(CuspidalError):
+class SingularMatrix(CuspidalError):
     pass
 
-
-# glue / overlattices / root systems
-
-class NonIntegralGlue(CuspidalError):
-    pass
-
-
-class NotNegativeDefinite(CuspidalError):
-    pass
-
-
-class RootsNotFullRank(CuspidalError):
-    pass
-
-
-# cusp enumeration
-
-class BadCase(CuspidalError):
-    pass
-
-
-class BadIndex(CuspidalError):
-    pass
-
-
-class NotSquareFree(CuspidalError):
-    pass
-
-
-# broken internal invariants (a defect of this package, not of the input)
 
 class InternalError(CuspidalError):
     pass

@@ -37,7 +37,7 @@ from itertools import compress
 from math import gcd
 from operator import itemgetter, mul
 
-from .errors import GroupTooLarge, InternalError, NotDefinite, SingularMatrix
+from .errors import BadParameter, GroupTooLarge, InternalError, SingularMatrix
 
 LLL_DELTA = (99, 100)  # the LLL parameter delta = 99/100 as (numerator, denominator)
 
@@ -53,7 +53,7 @@ def block_diagonal(blocks) -> tuple:
     """The orthogonal sum of square matrices, in order."""
     blocks = list(blocks)
     if any(len(b) != len(b[0]) for b in blocks if b):
-        raise ValueError("block_diagonal needs square blocks")
+        raise BadParameter("block_diagonal needs square blocks")
     n = sum(map(len, blocks))
     out, off = [], 0
     for b in blocks:
@@ -72,7 +72,7 @@ def matmul(A, B) -> tuple:
     """The product A B (see the module docstring for how rows are formed)."""
     n = len(A[0]) if A else 0
     if n != len(B):
-        raise ValueError("shape mismatch")
+        raise BadParameter("shape mismatch")
     zero, bt, out = [0] * (len(B[0]) if B else 0), None, []
     for row in A:
         if 3 * (n - row.count(0)) > n:
@@ -99,7 +99,7 @@ def is_symmetric(M) -> bool:
 def apply(M, vec) -> tuple:
     """M times a column vector; entries may be ints or Fractions."""
     if len(vec) != (len(M[0]) if M else 0):
-        raise ValueError("shape mismatch")
+        raise BadParameter("shape mismatch")
     return tuple([sum(map(mul, row, vec)) for row in M])
 
 
@@ -151,7 +151,7 @@ def factorize(n: int) -> dict:
     no answer.
     """
     if n < 1:
-        raise ValueError("factorize needs a positive integer")
+        raise BadParameter("factorize needs a positive integer")
     out = {}
     p = 2
     while p * p <= n and p < _TRIAL_LIMIT:
@@ -383,7 +383,7 @@ def det_and_signature(A) -> tuple:
     degenerate input.
     """
     if not is_symmetric(A):
-        raise ValueError("matrix is not symmetric")
+        raise BadParameter("matrix is not symmetric")
     n = len(A)
     M = [list(row) for row in A]
     negatives = 0
@@ -435,7 +435,7 @@ def integral_gram_schmidt(gram) -> tuple:
     minor, so the i-th Gram-Schmidt norm is d[i+1] / d[i]; for j < i,
     lam[i][j] = d[j+1] * mu[i][j] is an integer (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 2.6.7).  Raises
-    NotDefinite when some minor is not positive.
+    BadParameter when some minor is not positive.
     """
     n = len(gram)
     d = [1] * (n + 1)
@@ -448,7 +448,7 @@ def integral_gram_schmidt(gram) -> tuple:
             if j < i:
                 lam[i][j] = u
             elif u <= 0:
-                raise NotDefinite("gram matrix is not definite")
+                raise BadParameter("gram matrix is not definite")
             else:
                 d[i + 1] = u
     return d, lam
@@ -463,10 +463,10 @@ def lll_reduce(A) -> tuple:
     ``integral_gram_schmidt``: full size reduction of b_k, then the
     Lovasz test d[k+1] d[k-1] + lam[k][k-1]^2 >= delta d[k]^2; a swap
     updates d and lam in place (Cohen, Alg. 2.6.7, SWAPI).  Raises
-    NotDefinite on indefinite or degenerate input.
+    BadParameter on indefinite or degenerate input.
     """
     if not is_symmetric(A):
-        raise ValueError("matrix is not symmetric")
+        raise BadParameter("matrix is not symmetric")
     n = len(A)
     if n == 0:
         return A, ()

@@ -61,7 +61,7 @@ from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import add as _plus, itemgetter, mod, mul
 
-from .errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
+from .errors import BadParameter, GroupTooLarge, InternalError
 from .exact import (
     apply, bilinear, diagonal, factorize, hnf_coords, hnf_rows, kernel_basis, matmul,
     smith_normal_form,
@@ -208,7 +208,7 @@ def discriminant_form(lattice) -> tuple:
     """(A_L, its ``LatticeSource``): the discriminant form L*/L of an even
     lattice and the Smith transforms that lift its classes to L*."""
     if not lattice.even:
-        raise OddLattice("discriminant form requires an even lattice")
+        raise BadParameter("discriminant form requires an even lattice")
     snf = smith_normal_form(lattice.gram)
     source = LatticeSource(snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
     orders = tuple(source.smith.diag[i] for i in source.kept)
@@ -305,7 +305,7 @@ def trivial_subgroup(form: Form) -> FqfSubgroup:
 
 
 def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
-    """Raise NotIsotropic, naming ``what``, unless q vanishes on the subgroup.
+    """Raise BadParameter, naming ``what``, unless q vanishes on the subgroup.
 
     As q(sum a_i g_i) = sum a_i^2 q(g_i) + 2 sum_(i<j) a_i a_j b(g_i, g_j),
     q vanishes on the span of generators g_1, ..., g_k exactly when every
@@ -314,7 +314,7 @@ def require_isotropic(subgroup: FqfSubgroup, what: str = "subgroup") -> None:
     form, gens = subgroup.form, subgroup.generators
     for i, g in enumerate(gens):
         if q_scaled(form, g) or any(bilinear(form.gram, g, h) % form.level for h in gens[:i]):
-            raise NotIsotropic(f"{what} is not isotropic")
+            raise BadParameter(f"{what} is not isotropic")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +537,7 @@ def perp_quotient(form: Form, subgroup: FqfSubgroup) -> tuple:
     on H.
     """
     if subgroup.form != form:
-        raise ValueError("subgroup belongs to a different form")
+        raise BadParameter("subgroup belongs to a different form")
     require_isotropic(subgroup)
     n = form.rank
     # integer model: P = preimage in Z^n of H^perp, PH = preimage of H;

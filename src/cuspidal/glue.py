@@ -67,16 +67,7 @@ from itertools import count, groupby
 from math import isqrt, lcm, prod
 from operator import itemgetter, mod, mul
 
-from .errors import (
-    BadParameter,
-    GroupTooLarge,
-    InternalError,
-    NonIntegralGlue,
-    NotIsotropic,
-    NotNegativeDefinite,
-    RootsNotFullRank,
-    SingularMatrix,
-)
+from .errors import BadParameter, GroupTooLarge, InternalError, SingularMatrix
 from .exact import (
     apply, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul, scaled,
 )
@@ -182,14 +173,14 @@ def overlattice(gd: GlueData, glue: FqfSubgroup) -> Lattice:
     # B = den * (overlattice basis in R coordinates), an integer matrix
     basis = hnf_rows(int_rows)
     if len(basis) != n:
-        raise NonIntegralGlue("glue lifts do not span a finite-index overlattice")
+        raise InternalError("glue lifts do not span a finite-index overlattice")
     gram = []
     for i, row in enumerate(matmul(matmul(basis, base.gram), tuple(zip(*basis)))):
         if any(x % (den * den) for x in row):
-            raise NonIntegralGlue("glue produces non-integral pairings")
+            raise InternalError("glue produces non-integral pairings")
         gram.append(tuple([x // (den * den) for x in row]))
         if gram[i][i] % 2:
-            raise NotIsotropic("glue produces an odd overlattice")
+            raise InternalError("glue produces an odd overlattice")
     det = base.det * prod(basis[i][i] for i in range(n)) ** 2 // den ** (2 * n)
     return Lattice(tuple(gram), det, base.signature, True)
 
@@ -205,7 +196,7 @@ def short_vectors(L: Lattice, norm: int, bound: int = ENUM_BOUND) -> list:
     nodes raise GroupTooLarge."""
     n = L.rank
     if L.signature != (0, n):
-        raise NotNegativeDefinite("short vector enumeration needs a negative definite lattice")
+        raise BadParameter("short vector enumeration needs a negative definite lattice")
     if norm >= 0:
         raise BadParameter("norm must be negative")
     if norm % 2 and L.even:
@@ -357,7 +348,7 @@ def _coset_minima(gd: GlueData) -> list:
     blocks = []
     for comp in gd.components:
         if comp.kind == "unit" and comp.param > 0:
-            raise NotNegativeDefinite("coset minima need a negative definite base")
+            raise BadParameter("coset minima need a negative definite base")
         R = _component_lattice(comp.kind, comp.param)
         sl = slice(comp.offset, comp.offset + comp.rank)
         if tuple(row[sl] for row in gd.base.gram[sl]) != R.gram:
@@ -393,7 +384,7 @@ def glue_adds_roots(gd: GlueData, glue: FqfSubgroup, blocks) -> bool:
     once and passes them.
     """
     if sum(c.rank for c in gd.components) != gd.base.rank:
-        raise RootsNotFullRank("components do not span the base lattice")
+        raise BadParameter("components do not span the base lattice")
     _require_glue(gd, glue)
     level = gd.disc.level
     for h in glue.elements:
@@ -460,7 +451,7 @@ def _tau_signed_permutations(gd: GlueData) -> list:
     """(perm, signs) of each tau generator e_j -> signs[j] e_(perm[j])."""
     n = gd.base.rank
     if sum(c.rank for c in gd.components) != n:
-        raise RootsNotFullRank("components do not span the base lattice")
+        raise BadParameter("components do not span the base lattice")
     plus = (1,) * n
     gens = []
     for comp in gd.components:

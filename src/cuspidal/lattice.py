@@ -33,7 +33,7 @@ from collections import namedtuple
 from math import prod
 from operator import itemgetter, mul
 
-from .errors import BadParameter, NotIsometry
+from .errors import BadParameter
 from .exact import block_diagonal, det_and_signature, is_symmetric, scaled
 
 
@@ -146,7 +146,7 @@ def direct_sum(*parts: Lattice) -> Lattice:
 
 
 def check_signed_permutation(domain: Lattice, perm, signs) -> None:
-    """Raise NotIsometry unless e_j -> signs[j] e_perm[j] is an isometry.
+    """Raise BadParameter unless e_j -> signs[j] e_perm[j] is an isometry.
 
     Its matrix M has M^T G M = (s_i s_j G[p_i][p_j]), so the form check
     compares G with its reindexed copy row by row, without a product: row i
@@ -158,7 +158,7 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
     """
     n = domain.rank
     if sorted(perm) != list(range(n)) or len(signs) != n or not {1, -1}.issuperset(signs):
-        raise NotIsometry("not a signed permutation of the basis")
+        raise BadParameter("not a signed permutation of the basis")
     if n < 2:
         return  # and an itemgetter of one index returns no tuple
     G = domain.gram
@@ -171,7 +171,7 @@ def check_signed_permutation(domain: Lattice, perm, signs) -> None:
         if flips:
             row = tuple(map(mul, signs if s == 1 else neg, row))
         if G[i] != row:
-            raise NotIsometry("signed permutation does not preserve the form")
+            raise BadParameter("signed permutation does not preserve the form")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from cuspidal.claims import Sublattice, divisibility
 from cuspidal.cusps import PolarizationCase, k3_square_lattice
-from cuspidal.errors import BadParameter, InternalError, NotDefinite
+from cuspidal.errors import BadParameter, InternalError
 from cuspidal.exact import apply, bilinear, is_symmetric
 from cuspidal.fqf import discriminant_form
 from cuspidal.lattice import Lattice, from_gram, make_standard
@@ -31,7 +31,7 @@ def reduced_binary(gram) -> tuple:
         raise BadParameter("reduced_binary needs a symmetric 2x2 matrix")
     a, b, c = gram[0][0], gram[0][1], gram[1][1]
     if a == 0 or a * c - b * b <= 0:
-        raise NotDefinite("binary form is not definite")
+        raise BadParameter("binary form is not definite")
     neg = a < 0
     if neg:
         a, b, c = -a, -b, -c

@@ -28,7 +28,7 @@ from cuspidal.cusps import (
     disc_model,
     predicted_AE,
 )
-from cuspidal.errors import BadParameter, CuspidalError, NotIsometry, SingularMatrix
+from cuspidal.errors import BadParameter, CuspidalError, SingularMatrix
 from cuspidal.exact import apply, diagonal, matmul, smith_normal_form
 from cuspidal.fqf import (
     ENUM_BOUND,
@@ -109,9 +109,9 @@ class Isometry(namedtuple("Isometry", "domain matrix")):
     def __new__(cls, domain, matrix):
         matrix = tuple(map(tuple, matrix))
         if len(matrix) != domain.rank or any(len(row) != domain.rank for row in matrix):
-            raise NotIsometry("matrix shape does not match the lattice")
+            raise BadParameter("matrix shape does not match the lattice")
         if matmul(matmul(tuple(zip(*matrix)), domain.gram), matrix) != domain.gram:
-            raise NotIsometry("matrix does not preserve the form")
+            raise BadParameter("matrix does not preserve the form")
         return tuple.__new__(cls, (domain, matrix))
 
     @property
@@ -138,7 +138,7 @@ def reflection(L: Lattice, v) -> Isometry:
     if norm == 0:
         raise BadParameter("cannot reflect in an isotropic vector")
     if any(2 * a * b % norm for a in w for b in gw):
-        raise NotIsometry("reflection does not preserve the lattice")
+        raise BadParameter("reflection does not preserve the lattice")
     return Isometry(
         L, [[int(i == j) - 2 * a * b // norm for j, b in enumerate(gw)] for i, a in enumerate(w)]
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from cuspidal import fqf, glue
-from cuspidal.errors import MixedLattices
+from cuspidal.errors import BadParameter
 from cuspidal.exact import apply, bilinear, diagonal, hnf_coords, hnf_rows, matmul, scaled
 from cuspidal.fqf import Form, make_form
 from cuspidal.lattice import check_signed_permutation, direct_sum, make_standard
@@ -173,7 +173,7 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     """g after h; a product of isometries of one lattice is one, so the form
     check of the constructor is not repeated."""
     if h.domain != g.domain:
-        raise MixedLattices("isometries of different lattices")
+        raise BadParameter("isometries of different lattices")
     return tuple.__new__(Isometry, (g.domain, matmul(g.matrix, h.matrix)))
 
 

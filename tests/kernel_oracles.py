@@ -10,7 +10,7 @@ the package pairs the rows with G r and reads the p-parts off G.
 
 from math import prod
 
-from cuspidal.errors import InternalError, NotIsometry
+from cuspidal.errors import BadParameter, InternalError
 from cuspidal.exact import SmithDecomposition, _pivot, _xgcd, bilinear, factorize, matmul
 from cuspidal import fqf
 from cuspidal.fqf import Form, make_form
@@ -46,19 +46,19 @@ def scaled_lift_dense(source, x, level) -> tuple:
 
 def check_signed_permutation_by_product(domain, perm, signs) -> None:
     """``lattice.check_signed_permutation`` through the matrix M of
-    e_j -> signs[j] e_perm[j]: raise NotIsometry unless M^T G M = G."""
+    e_j -> signs[j] e_perm[j]: raise BadParameter unless M^T G M = G."""
     n = domain.rank
     if sorted(perm) != list(range(n)) or len(signs) != n or any(
         s not in (1, -1) for s in signs
     ):
-        raise NotIsometry("not a signed permutation of the basis")
+        raise BadParameter("not a signed permutation of the basis")
     m = [[0] * n for _ in range(n)]
     for src, (dst, s) in enumerate(zip(perm, signs)):
         m[dst][src] = s
     mt = [list(col) for col in zip(*m)]
     G = [list(row) for row in domain.gram]
     if product_by_loops(product_by_loops(mt, G), m) != G:
-        raise NotIsometry("signed permutation does not preserve the form")
+        raise BadParameter("signed permutation does not preserve the form")
 
 
 def smith_normal_form_full_rows(A) -> SmithDecomposition:

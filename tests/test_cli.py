@@ -7,6 +7,7 @@ import json
 import pkgutil
 import re
 import sys
+import tempfile
 import time
 import typing
 from pathlib import Path
@@ -165,8 +166,7 @@ class TestSweep:
         assert captured.err == ("error: sweep range '4..6' holds no d = 3 mod 4, "
                                 "which the nonsplit embedding needs\n")
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUSPIDAL_THREADS", "4")
+    def test_rows_are_the_d_of_the_range(self, capsys):
         code, out = invoke(capsys, ["cusp", "sweep", "--d", "1..12"])
         assert code == 0
         obj = json.loads(out)
@@ -414,6 +414,38 @@ class TestInputErrors:
         assert code == 3 and captured.out == ""
         assert captured.err == ("internal error: sublattice is not contained "
                                 "in the ambient lattice\n")
+
+    def test_broken_glue_lift_exits_three(self, capsys, monkeypatch):
+        from cuspidal import fqf
+
+        # every glue lift gains e_0 over the level 2 of A_R, a root of A1 of
+        # norm -2: the overlattice Gram is no longer integral, which no
+        # accepted glue can cause
+        lift = fqf.LatticeSource.scaled_lift
+
+        def corrupt(self, x, level):
+            v = lift(self, x, level)
+            return (v[0] + 1,) + v[1:]
+
+        monkeypatch.setattr(fqf.LatticeSource, "scaled_lift", corrupt)
+        code = run(["glue", "enum", "--roots", "2A1+2D8", "--order", "4"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "internal error: glue produces non-integral pairings\n"
+
+    @pytest.mark.parametrize("d", [68719476736, 1125899906842624])
+    def test_cusp_one_refuses_a_d_that_is_not_square_free_first(self, capsys,
+                                                                 monkeypatch, d):
+        # before any zero-dimensional representative is listed: 2^36 would
+        # certify 131,073 of them, and 2^50 has more classes than the bound
+        def refuse(*args):
+            raise AssertionError("zero-dimensional report built")
+
+        monkeypatch.setattr(cusps, "zero_dim_report", refuse)
+        code = run(["cusp", "one", "--d", str(d)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: d = {d} is not square-free\n"
 
 
 class TestCuspOneFlags:
@@ -906,6 +938,118 @@ def test_json_writer_refuses_other_types():
     for obj in (1.5, Fraction(1, 2), {1: "a"}, [{"a": 0.0}], {"a": {2: 0}}):
         with pytest.raises(TypeError):
             cli._dump_json(obj)
+
+
+# The exit-code contract on drawn argvs: lattice names, root specs, JSON
+# Grams, candidate files and --d values and ranges, each command run in
+# process with --bound 10000.  Names and specs mix valid atoms with refused
+# ones (A0, D3, B5, <0>, <-3>, a multiplicity or twist of 0) and stay at
+# rank 24.
+
+
+def _atom_rank(atom: str) -> int:
+    return 2 if atom[0] in "UB" else 1 if atom[0] == "<" else int(atom[1:])
+
+
+def _sum_text(atoms, twists, max_terms):
+    """A "+"-joined sum of up to ``max_terms`` terms of rank 24 at most."""
+    term = st.tuples(st.sampled_from(("", "", "", "2", "3", "0")), st.sampled_from(atoms),
+                     st.sampled_from(twists))
+    return st.lists(term, min_size=1, max_size=max_terms).filter(
+        lambda terms: sum(int(c or 1) * _atom_rank(a) for c, a, _ in terms) <= 24
+    ).map(lambda terms: "+".join(c + a + t for c, a, t in terms))
+
+
+# each valid atom is drawn three times as often as each refused one
+_ROOT_ATOMS = ("A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8", "<-2>", "<-4>",
+               "<2>") * 3 + ("A0", "D3", "<0>", "<-3>")
+_LATTICE_NAMES = _sum_text(_ROOT_ATOMS + ("U", "B3", "B7") * 3 + ("B5",),
+                           ("", "", "", "(2)", "(3)", "(0)"), 4)
+_ROOT_SPECS = _sum_text(_ROOT_ATOMS, ("", "", "", "", "(2)"), 3)
+
+
+@st.composite
+def _json_grams(draw):
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    obj = {"gram": rows}
+    if draw(st.booleans()):
+        obj["rank"] = draw(st.sampled_from((n, n + 1, True)))
+    if draw(st.booleans()):
+        obj["labels"] = draw(st.sampled_from((["x"] * n, [], "x")))
+    return json.dumps(obj, separators=(",", ":"))
+
+
+_LATTICES = _LATTICE_NAMES | _json_grams()
+# candidate lists for cusp one: rank-18 sums of Table 1 and others, with
+# glue rows of any width, and files of the wrong shape
+_CANDIDATES = st.lists(st.fixed_dictionaries(
+    {"roots": st.sampled_from(("D18", "2E8+2A1", "E7+D10+A1", "A17+A1", "3D6", "2A1+2D8"))
+     | _ROOT_SPECS},
+    optional={"glue": st.lists(st.lists(st.integers(-2, 4), max_size=4), max_size=2),
+              "niemeier": st.sampled_from(("D24", "3E8"))},
+), min_size=1, max_size=3) | st.sampled_from(({}, [{}], [{"roots": 3}], "x"))
+_FORMAT = st.sampled_from(("json", "md"))
+_D = st.integers(-3, 10**6)
+_RANGES = st.one_of(
+    st.tuples(st.integers(-3, 10**6), st.integers(0, 49)).map(
+        lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    _D.map(str),
+    st.sampled_from(("5..3", "a..b", "..", "1..", "3..x")),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, candidates): the JSON value of a --candidates file to write, or None."""
+    candidates = None
+    kind = draw(st.sampled_from(("lat", "glue enum", "glue roots", "cusp zero", "cusp one",
+                                 "cusp sweep")))
+    case = ["--case", draw(st.sampled_from(("split", "nonsplit")))]
+    if kind == "lat":
+        argv = ["lat", draw(st.sampled_from(("info", "disc"))), draw(_LATTICES)]
+    elif kind == "glue enum":
+        argv = ["glue", "enum", "--roots", draw(_ROOT_SPECS)]
+        order = draw(st.sampled_from((None, 1, 2, 4, 8, 0, -2)))
+        argv += [] if order is None else ["--order", str(order)]
+        argv += ["--roots-of-overlattice"] if draw(st.booleans()) else []
+    elif kind == "glue roots":
+        argv = ["glue", "roots", draw(_LATTICES)]
+    elif kind == "cusp zero":
+        argv = ["cusp", "zero", "--d", str(draw(_D)), *case,
+                "--mode", draw(st.sampled_from(("formula", "enumerate", "both")))]
+    elif kind == "cusp one":
+        argv = ["cusp", "one", "--d", str(draw(_D | st.just(1))), *case]
+        candidates = draw(st.none() | _CANDIDATES)
+    else:
+        argv = ["cusp", "sweep", "--d", draw(_RANGES), *case]
+    return argv + ["--format", draw(_FORMAT), "--bound", "10000"], candidates
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+@example((["cusp", "one", "--d", "1125899906842624", "--bound", "10000"], None))
+@example((["cusp", "sweep", "--d", "-3..4", "--bound", "10000"], None))
+def test_drawn_argvs_keep_the_exit_code_contract(drawn):
+    argv, candidates = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if candidates is not None:
+            path = Path(tmp) / "cands.json"
+            path.write_text(json.dumps(candidates))
+            argv = argv + ["--candidates", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (code, err)
+    if code == 2:
+        # argparse's usage message, or one line of the command's refusal
+        assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1
+                                             and err.endswith("\n")), err
+    else:
+        assert err == ""
 
 
 # Public functions, methods and properties of the layers, and the special

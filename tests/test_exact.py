@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import cusps, exact, glue
-from cuspidal.errors import GroupTooLarge, NotDefinite, SingularMatrix
+from cuspidal.errors import BadParameter, GroupTooLarge, SingularMatrix
 from cuspidal.exact import (
     apply,
     block_diagonal,
@@ -86,6 +86,16 @@ def unimodular_from_ops(n, ops):
             for k in range(n):
                 m[i][k] += c * m[j][k]
     return as_matrix(m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: block_diagonal([((1, 2),)]), "block_diagonal needs square blocks"),
+    (lambda: apply(((1, 2),), (1,)), "shape mismatch"),
+    (lambda: lll_reduce(((-2, 1), (0, -2))), "matrix is not symmetric"),
+], ids=["block_diagonal", "apply", "lll_reduce"])
+def test_argument_checks_raise_bad_parameter(call, message):
+    with pytest.raises(BadParameter, match=f"^{message}$"):
+        call()
 
 
 class TestSmith:
@@ -240,7 +250,7 @@ class TestProduct:
         assert list(apply(a, vec)) == apply_by_loops(a, vec)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter, match="^shape mismatch$"):
             matmul([[1, 2]], [[1, 2]])
 
     @given(st.integers(1, 5), st.integers(1, 5), st.data())
@@ -277,7 +287,7 @@ class TestSignature:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             det_and_signature(((1, 1), (1, 1)))
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(BadParameter, match="^matrix is not symmetric$"):
             det_and_signature(((1, 1), (0, 1)))
 
     def test_matches_minor_oracle(self):
@@ -361,7 +371,7 @@ class TestLLL:
         assert abs(bareiss_det(t)) == 1
 
     def test_indefinite_rejected(self):
-        with pytest.raises(NotDefinite):
+        with pytest.raises(BadParameter, match="^gram matrix is not definite$"):
             lll_reduce(U_GRAM)
 
     @given(
@@ -481,7 +491,7 @@ class TestFactorize:
         assert factorize(2**19 * 3**10 * 7**2) == {2: 19, 3: 10, 7: 2}
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter, match="^factorize needs a positive integer$"):
             factorize(0)
 
     def test_matches_trial_division_up_to_1e5(self):

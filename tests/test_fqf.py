@@ -13,7 +13,7 @@ import group_claims
 from cuspidal import cusps, fqf, glue
 from cuspidal import lattice as lat
 from cuspidal.exact import apply, bilinear, diagonal, factorize
-from cuspidal.errors import BadParameter, GroupTooLarge, InternalError, NotIsotropic, OddLattice
+from cuspidal.errors import BadParameter, GroupTooLarge, InternalError
 from form_oracles import direct_sum_form, isotropic_by_scan, mod_pm1
 from kernel_oracles import (
     generated_form_by_products, isotropic_by_filter, primary_parts_by_products, scaled_lift_dense,
@@ -83,7 +83,7 @@ class TestDiscriminantForm:
 
     def test_odd_lattice_rejected(self):
         odd = lat.from_gram([[1]])
-        with pytest.raises(OddLattice):
+        with pytest.raises(BadParameter, match="^discriminant form requires an even lattice$"):
             fqf.discriminant_form(odd)
 
     @pytest.mark.parametrize(
@@ -320,10 +320,16 @@ class TestPerpQuotient:
                 q = fqf.perp_quotient(a, s)[0]
                 assert q.cardinality * s.order**2 == a.cardinality
 
+    def test_subgroup_of_another_form_rejected(self):
+        a = fqf.discriminant_form(lat.parse_name("<-2>+<-2>"))[0]
+        b = fqf.discriminant_form(lat.parse_name("A2"))[0]
+        with pytest.raises(BadParameter, match="^subgroup belongs to a different form$"):
+            fqf.perp_quotient(a, fqf.trivial_subgroup(b))
+
     def test_non_isotropic_rejected(self):
         a = fqf.discriminant_form(lat.parse_name("<-2>+<-2>"))[0]
         bad = fqf.subgroup_span(a, [(1, 0)])
-        with pytest.raises(NotIsotropic):
+        with pytest.raises(BadParameter, match="^subgroup is not isotropic$"):
             fqf.perp_quotient(a, bad)
 
     def test_projection_consistency(self):
@@ -785,7 +791,7 @@ class TestRequireIsotropic:
             if isotropic:
                 fqf.require_isotropic(generated)
             else:
-                with pytest.raises(NotIsotropic, match="^glue is not isotropic$"):
+                with pytest.raises(BadParameter, match="^glue is not isotropic$"):
                     fqf.require_isotropic(generated, "glue")
 
     def test_no_element_is_read(self):
@@ -802,7 +808,7 @@ class TestRequireIsotropic:
         # both generators are isotropic, but they pair to 1/2
         bad = fqf.subgroup_span(form, [(0, 1, 0, 1), (1, 0, 0, 1)])
         assert bad.generators == ((0, 1, 0, 1), (1, 0, 0, 1))
-        with pytest.raises(NotIsotropic):
+        with pytest.raises(BadParameter, match="^subgroup is not isotropic$"):
             fqf.require_isotropic(Unlisted(form, None, bad.generators))
 
 

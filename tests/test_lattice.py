@@ -10,15 +10,7 @@ from hypothesis import given, settings, strategies as st
 import group_claims
 from cuspidal import claims
 from cuspidal import lattice as lat
-from cuspidal.errors import (
-    BadParameter,
-    DegenerateComplement,
-    DependentInput,
-    MemberOfSummand,
-    MixedLattices,
-    NotIsometry,
-    ZeroVector,
-)
+from cuspidal.errors import BadParameter
 from cuspidal import glue
 from cuspidal.exact import bilinear, matmul, smith_normal_form
 from fraction_oracles import rational_inverse
@@ -186,7 +178,7 @@ class TestVectors:
         assert claims.divisibility(e8, basis(e8)[0]) == 1
 
     def test_divisibility_errors(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(BadParameter, match="^divisibility of the zero vector is undefined$"):
             claims.divisibility(lat.U(), (0, 0))
 
     def test_class_of_square_minus_ten(self):
@@ -215,12 +207,12 @@ class TestComplements:
 
     def test_isotropic_member_degenerates(self):
         u = lat.U()
-        with pytest.raises(DegenerateComplement):
+        with pytest.raises(BadParameter, match="^form restricted to sublattice is degenerate$"):
             claims.orthogonal_complement(u, [basis(u)[0]])
 
     def test_dependent_input(self):
         m = lat.parse_name("U+<-2>")
-        with pytest.raises(DependentInput):
+        with pytest.raises(BadParameter, match="^input vectors are linearly dependent$"):
             claims.orthogonal_complement(m, [(2, 2, 1), (4, 4, 2)])
         with pytest.raises(BadParameter, match="at least one vector"):
             claims.orthogonal_complement(m, [])
@@ -234,7 +226,8 @@ class TestComplements:
                 continue
             try:
                 comp = claims.orthogonal_complement(L, [v])
-            except DegenerateComplement:
+            except BadParameter as exc:
+                assert str(exc) == "form restricted to sublattice is degenerate"
                 continue
             assert all(d == 1 for d in smith_normal_form(comp.basis_matrix).diag)
 
@@ -274,7 +267,7 @@ class TestSplitting:
         assert claims.delta_prime_test(self.split, delta) is True
 
     def test_member_of_summand(self):
-        with pytest.raises(MemberOfSummand):
+        with pytest.raises(BadParameter, match="^delta lies in one of the summands$"):
             claims.delta_prime_test(self.split, self.tau)
 
     def test_positive_projection_fails(self):
@@ -321,13 +314,13 @@ class TestIsometries:
         L = lat.from_gram([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
         for perm, signs in (([1, 0, 2], (1, 1, 1)), ([0, 2, 1], (1, 1, 1)),
                             ([0, 1, 2], (1, -1, 1)), ([0, 1, 2], (1, 1, -1))):
-            with pytest.raises(NotIsometry, match="does not preserve the form"):
+            with pytest.raises(BadParameter, match="does not preserve the form"):
                 lat.check_signed_permutation(L, perm, signs)
         lat.check_signed_permutation(L, [2, 1, 0], (1, 1, 1))  # the diagram flip
         lat.check_signed_permutation(L, [0, 1, 2], (-1, -1, -1))
 
     def test_not_isometry(self):
-        with pytest.raises(NotIsometry):
+        with pytest.raises(BadParameter, match="^matrix does not preserve the form$"):
             group_claims.Isometry(lat.U(), [[1, 1], [0, 1]])
 
     def test_compose(self):
@@ -338,7 +331,7 @@ class TestIsometries:
         c = compose(r0, r1)
         assert c == group_claims.Isometry(L, matmul(r0.matrix, r1.matrix))
         assert compose(compose(c, c), c) == group_claims.Isometry.identity(L)
-        with pytest.raises(MixedLattices):
+        with pytest.raises(BadParameter, match="^isometries of different lattices$"):
             compose(r0, group_claims.Isometry.identity(lat.U()))
 
     def test_hat_membership(self):
@@ -417,7 +410,8 @@ def _reflections(L, rng):
         if bilinear(L.gram, v, v) != 0:
             try:
                 out.append((v, group_claims.reflection(L, v)))
-            except NotIsometry:
+            except BadParameter as exc:
+                assert str(exc) == "reflection does not preserve the lattice"
                 continue
     return out
 
