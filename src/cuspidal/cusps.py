@@ -321,45 +321,46 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
     elif cand.glue_gens is not None:
         fqf.require_isotropic(subgroups[0])  # the error perp_quotient gives
     # Glues in one orbit of the tau generators give isometric overlattices,
-    # so each orbit is tried once, through its least member, in the order of
-    # the least members.  R(E) = R(R) exactly when the glue adds no roots,
-    # which the coset minima of H decide without a Gram matrix of E; R(R) is
-    # the declared system unless a <-2> summand adds a root.  So without a
-    # <-2> summand the root certificate comes first, and only orbits that
-    # pass it are checked for the genus: the first orbit that passes both
-    # holds the first such glue.  When none does, or a <-2> summand rules
-    # the certificate out, the last match is taken among the orbits not yet
-    # checked for the genus: the matching orbit with the greatest member,
-    # whose roots are enumerated to name them.  Im tau is computed only for
-    # the returned glue.  The coset minima depend on the base only, so they
-    # are built once for all its orbits, when it has any.
+    # so the root certificate and the genus test each take one value per
+    # orbit, and a scan of the sorted glues meets each orbit first at its
+    # least member.  R(E) = R(R) exactly when the glue adds no roots, which
+    # the coset minima of H decide without a Gram matrix of E; R(R) is the
+    # declared system unless a <-2> summand adds a root.  So without a <-2>
+    # summand the first glue that passes the certificate and then the genus
+    # is the least member of the first orbit that passes both.  When none
+    # does, or a <-2> summand rules the certificate out, the glues that fail
+    # the certificate are scanned from the greatest down: the first genus
+    # match lies in the matching orbit with the greatest member, and the row
+    # is computed on that orbit's least member, whose roots are enumerated
+    # to name them.  The coset minima depend on the base only, so they are
+    # built once for all its glues, when it has any.
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
     actions = glue_mod._generator_actions(gd)
-    orbits = glue_mod._glue_orbits(actions, subgroups)
-    chosen, rs, unchecked = None, None, orbits
+    chosen, rejected = None, subgroups
     if certifiable:
-        unchecked = []
-        minima = glue_mod._coset_minima(gd) if orbits else None
-        for orbit in orbits:
-            if glue_mod.glue_adds_roots(gd, orbit[0], minima):
-                unchecked.append(orbit)
+        rejected = []
+        minima = glue_mod._coset_minima(gd) if subgroups else None
+        for s in subgroups:
+            if glue_mod.glue_adds_roots(gd, s, minima):
+                rejected.append(s)
                 continue
-            quotient, source = fqf.perp_quotient(gd.disc, orbit[0])
-            if fqf.are_isometric(quotient, target_form, bound)[0]:
-                chosen, rs = (quotient, source, orbit), declared
+            quotient = fqf.perp_quotient(gd.disc, s)
+            if fqf.are_isometric(quotient[0], target_form, bound)[0]:
+                chosen, rs = s, declared
                 break
     if chosen is None:
-        last = ()
-        for orbit in unchecked:
-            quotient, source = fqf.perp_quotient(gd.disc, orbit[0])
-            if fqf.are_isometric(quotient, target_form, bound)[0] and max(orbit[1]) > last:
-                chosen, last = (quotient, source, orbit), max(orbit[1])
-    if chosen is None:
-        return OneDimRow(cand, False, False)
-    quotient, source, orbit = chosen
-    if rs is None:
-        rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]), bound)
-    tau = glue_mod.image_of_tau(quotient, source, orbit, actions)
+        for s in reversed(rejected):
+            quotient = fqf.perp_quotient(gd.disc, s)
+            if fqf.are_isometric(quotient[0], target_form, bound)[0]:
+                words = glue_mod._glue_orbit(actions, s)[1]
+                chosen = next(t for t in subgroups if t.elements in words)
+                break
+        else:
+            return OneDimRow(cand, False, False)
+        if chosen is not s:
+            quotient = fqf.perp_quotient(gd.disc, chosen)
+        rs = glue_mod.root_system(glue_mod.overlattice(gd, chosen), bound)
+    tau = glue_mod.image_of_tau(*quotient, glue_mod._glue_orbit(actions, chosen), actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)
 

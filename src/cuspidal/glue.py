@@ -55,11 +55,14 @@ G_ij = s_i s_j G_(p_i p_j), without a matrix product
 stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
 (Seress, Permutation Group Algorithms, section 4.1) it is generated by
 t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
-a Schreier tree carrying H to K, whose inverse is the reversed word.
-These are evaluated on lifts of the generators of A_E only and closed in
-O(A_E), and ``image_of_tau`` returns the sorted maps.  Whether this group
-always gives the full image of tau is recorded as an assumption, so
-dependent counts are reported as conditional.
+a Schreier tree carrying H to K, whose inverse is the reversed word; one
+breadth-first search from H builds the orbit and the tree
+(``_glue_orbit``), only for a glue whose Im tau is wanted.  They are
+evaluated on lifts of the generators of A_E only, checked to preserve q
+on those and b on their pairs, and closed in O(A_E), and ``image_of_tau``
+returns the sorted maps.  Whether this group always gives the full image
+of tau is recorded as an assumption, so dependent counts are reported as
+conditional.
 """
 
 from collections import namedtuple
@@ -69,7 +72,8 @@ from operator import itemgetter, mod, mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, SingularMatrix
 from .exact import (
-    apply, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul, scaled,
+    apply, bilinear, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul,
+    scaled,
 )
 from .fqf import (
     ENUM_BOUND,
@@ -79,7 +83,6 @@ from .fqf import (
     apply_map,
     compose_maps,
     discriminant_form,
-    elements,
     identity_map,
     project_to_quotient,
     q_scaled,
@@ -513,25 +516,20 @@ def _generator_actions(gd: GlueData) -> tuple:
     return tuple(actions)
 
 
-def _glue_orbits(actions, subgroups) -> list:
-    """(least member, words, edges) of each orbit of the sorted glues
-    ``subgroups`` under ``actions``, in the order of the least members:
-    ``words`` maps each glue K of the orbit (its sorted elements) to the
-    generators, first applied first, carrying the least member to K along
-    a Schreier tree, and ``edges`` maps K to its images under the actions."""
-    orbits = []
-    for s in subgroups:
-        if any(s.elements in words for _, words, _ in orbits):
-            continue
-        words, edges, queue = {s.elements: ()}, {}, [s.elements]
-        for key in queue:
-            edges[key] = tuple(tuple(sorted(map(memo.__getitem__, key))) for memo in actions)
-            for g, image in enumerate(edges[key]):
-                if image not in words:
-                    words[image] = words[key] + (g,)
-                    queue.append(image)
-        orbits.append((s, words, edges))
-    return orbits
+def _glue_orbit(actions, glue: FqfSubgroup) -> tuple:
+    """(glue, words, edges) of the orbit of ``glue`` under ``actions``, by one
+    breadth-first search: ``words`` maps each glue K of the orbit (its sorted
+    elements) to the generators, first applied first, carrying ``glue`` to K
+    along a Schreier tree, and ``edges`` maps K to its images under the
+    actions."""
+    words, edges, queue = {glue.elements: ()}, {}, [glue.elements]
+    for key in queue:
+        edges[key] = tuple(tuple(sorted(map(memo.__getitem__, key))) for memo in actions)
+        for g, image in enumerate(edges[key]):
+            if image not in words:
+                words[image] = words[key] + (g,)
+                queue.append(image)
+    return glue, words, edges
 
 
 def image_of_tau(quotient: Form, source: QuotientSource, orbit, actions) -> TauImage:
@@ -541,9 +539,10 @@ def image_of_tau(quotient: Form, source: QuotientSource, orbit, actions) -> TauI
     components and unit sign flips generate the full image of O(E) on the
     discriminant form is assumed, so the counts built on it are conditional.
 
-    ``orbit`` is an orbit of ``_glue_orbits`` under ``actions``, rooted at
-    the glue H, and ``quotient`` and its ``source`` are what
-    ``perp_quotient`` returns for H: the source projects classes.
+    ``orbit`` is the ``_glue_orbit`` of the glue H under ``actions``, and
+    ``quotient`` and its ``source`` are what ``perp_quotient`` returns for
+    H: the source projects classes.  A map preserves q when it preserves q
+    on the generators and b on their pairs, as in ``fqf.require_isotropic``.
     """
     _, words, edges = orbit
     lifts = source.generator_lifts
@@ -567,8 +566,10 @@ def image_of_tau(quotient: Form, source: QuotientSource, orbit, actions) -> TauI
             if nxt not in group:
                 group.add(nxt)
                 queue.append(nxt)
+    gram, level = quotient.gram, quotient.level
     for f in gens:  # then every product of them preserves q too
-        for x in elements(quotient):
-            if q_scaled(quotient, apply_map(quotient, f, x)) != q_scaled(quotient, x):
+        for i, (y, e) in enumerate(zip(f, ident)):
+            if q_scaled(quotient, y) != q_scaled(quotient, e) or any(
+                    (bilinear(gram, y, z) - gram[i][j]) % level for j, z in enumerate(f[:i])):
                 raise InternalError("induced map does not preserve q")
     return TauImage(tuple(sorted(group)))

@@ -165,8 +165,18 @@ def tau_image(gd, glue_sub=None, quotient=None):
     if quotient is None:
         quotient = fqf.perp_quotient(gd.disc, glue_sub)
     actions = glue._generator_actions(gd)
-    orbit, = glue._glue_orbits(actions, [glue_sub])
-    return glue.image_of_tau(*quotient, orbit, actions)
+    return glue.image_of_tau(*quotient, glue._glue_orbit(actions, glue_sub), actions)
+
+
+def glue_orbits(actions, subgroups) -> list:
+    """The ``glue._glue_orbit`` of the least member of each orbit of the
+    sorted glues ``subgroups`` under ``actions``, in the order of the least
+    members: a partition that ``cusps`` never builds, for the tests."""
+    orbits = []
+    for s in subgroups:
+        if not any(s.elements in words for _, words, _ in orbits):
+            orbits.append(glue._glue_orbit(actions, s))
+    return orbits
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:

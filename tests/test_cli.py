@@ -433,6 +433,17 @@ class TestInputErrors:
         assert code == 3 and captured.out == ""
         assert captured.err == "internal error: glue produces non-integral pairings\n"
 
+    def test_induced_map_that_breaks_q_exits_three(self, capsys, monkeypatch):
+        from cuspidal import glue
+
+        # every class projects to 0, so Im tau is generated by the zero map
+        # of A_E, which has no nonzero isotropic class
+        monkeypatch.setattr(glue, "project_to_quotient", lambda source, x: (0, 0))
+        code = run(["verify", "table1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "internal error: induced map does not preserve q\n"
+
     @pytest.mark.parametrize("d", [68719476736, 1125899906842624])
     def test_cusp_one_refuses_a_d_that_is_not_square_free_first(self, capsys,
                                                                  monkeypatch, d):
@@ -531,7 +542,8 @@ def test_table1_builds_no_overlattice_and_enumerates_no_roots(capsys, monkeypatc
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
     assert len(over) == 0 and len(short) == 0
-    assert len(certified) == 20  # one glue per orbit
+    # every glue that the sorted scan meets up to each row's first match
+    assert len(certified) == 28
 
 
 def test_table1_builds_the_coset_minima_once_per_base(capsys, monkeypatch):
@@ -541,8 +553,8 @@ def test_table1_builds_the_coset_minima_once_per_base(capsys, monkeypatch):
     certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
-    # 13 bases, and the 20 orbits certified among them share their base's minima
-    assert len(builds) == 13 and len(certified) == 20
+    # 13 bases, and the 28 glues certified among them share their base's minima
+    assert len(builds) == 13 and len(certified) == 28
 
 
 def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
@@ -805,6 +817,11 @@ GOLDENS = [
      "glue_roots_gram_D4+A2_skewed.json"),
     # the JSON sweep, whose rows are written one by one after the mismatches
     (["cusp", "sweep", "--d", "1..400"], "cusp_sweep_d1-400.json"),
+    # a certifiable base whose two genus-matching glue orbits both add roots,
+    # so the last match names 2E8+2A1
+    (["cusp", "one", "--d", "1", "--candidates",
+      str(GOLDEN / "cusp_one_d1_E8+D8+2A1_candidates.json")],
+     "cusp_one_d1_E8+D8+2A1.json"),
 ]
 
 
@@ -1112,7 +1129,7 @@ def test_every_public_layer_function_runs_under_a_command(tmp_path):
                 codes.append(run(argv))
     finally:
         sys.setprofile(None)
-    # both cusp one candidate lists hold rows with the wrong roots
+    # each cusp one candidate list holds rows with the wrong roots
     assert codes == [1 if argv[:2] == ["cusp", "one"] else 0 for argv in argvs]
     unrun = sorted(
         name

@@ -1,6 +1,8 @@
 import json
+from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from functools import cache
+from math import factorial, gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,10 @@ from cuspidal.exact import bilinear, factorize
 from cuspidal.errors import BadParameter, InternalError
 from embedding_oracles import build_polarized
 from form_oracles import mod_pm1
-from helpers import a_n_core, adds_roots, b_value, class_of, part_forms, q_diagonal, q_value
+from helpers import (
+    a_n_core, adds_roots, b_value, base_in_overlattice, class_of, glue_orbits, part_forms,
+    q_diagonal, q_value,
+)
 
 
 class TestCase:
@@ -415,7 +420,7 @@ def _genus_first_choice(case, cand):
     subs = [s for s in fqf.isotropic_subgroups(gd.disc) if s.order == h_order]
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
     chosen, last = None, ()
-    for s, words, _ in glue._glue_orbits(glue._generator_actions(gd), subs):
+    for s, words, _ in glue_orbits(glue._generator_actions(gd), subs):
         if not fqf.are_isometric(fqf.perp_quotient(gd.disc, s)[0], target)[0]:
             continue
         if certifiable and not adds_roots(gd, s):
@@ -491,6 +496,123 @@ class TestGlueChoice:
         with pytest.raises(BadParameter, match="^subgroup is not isotropic$"):
             cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"),
                                 [cusps.Candidate("A17+A1", glue_gens=[bad])])
+
+
+
+# ---------------------------------------------------------------------------
+# one isometry class per Table 1 row, and the printed R(N) column
+
+
+TABLE1_SPECS = [c.roots for c in cusps.TABLE1_ROWS]
+
+
+@cache
+def _printed_table1_rows() -> tuple:
+    return tuple(cusps.one_dim_cusps(cusps.PolarizationCase(1, "split")))
+
+
+def _spell(atoms) -> str:
+    return "+".join(f"<{n}>" if kind == "unit" else f"{kind}{n}" for kind, n in atoms)
+
+
+def _tau_group(gd) -> set:
+    """The group that the tau generators generate on the base basis, each
+    signed permutation held as its pairs (perm[j], signs[j])."""
+    gens = [tuple(zip(p, s)) for p, s in glue._tau_signed_permutations(gd)]
+    ident = tuple((j, 1) for j in range(gd.base.rank))
+    group, queue = {ident}, [ident]
+    for h in queue:
+        for g in gens:  # g after h: e_j -> s_h s_g(p_h) e_(p_g(p_h))
+            gh = tuple((g[p][0], s * g[p][1]) for p, s in h)
+            if gh not in group:
+                group.add(gh)
+                queue.append(gh)
+    return group
+
+
+def _diagram_group_order(spec: str) -> int:
+    """|Aut| of each Dynkin diagram, times k! for k equal components, times 2
+    for each rank-1 summand (Bourbaki, Lie Groups and Lie Algebras, plates
+    I-VII)."""
+    atoms = glue.parse_root_spec(spec)
+    aut = {"A": lambda n: 1 if n == 1 else 2, "D": lambda n: 6 if n == 4 else 2,
+           "E": lambda n: 2 if n == 6 else 1, "unit": lambda n: 2}
+    return (prod(aut[kind](n) for kind, n in atoms)
+            * prod(factorial(k) for k in Counter(atoms).values()))
+
+
+class TestOneIsometryClassPerRow:
+    """Two overlattices of one base whose roots are the base's are isometric
+    exactly when their glues lie in one orbit of the diagram group, once the
+    tau generators generate it and the complement of the roots is the
+    declared summand; so one passing orbit makes each row one lattice E."""
+
+    @pytest.mark.parametrize("spec", TABLE1_SPECS)
+    def test_exactly_one_glue_orbit_keeps_the_roots_and_matches_the_genus(self, spec):
+        case = cusps.PolarizationCase(1, "split")
+        target = cusps.predicted_AE(case, 1)
+        gd = glue.make_glue(spec)
+        h_order = isqrt(abs(gd.base.det) // cusps.det_E(case, 1))
+        subs = [s for s in fqf.isotropic_subgroups(gd.disc) if s.order == h_order]
+        orbits = glue_orbits(glue._generator_actions(gd), subs)
+        assert sorted(k for _, words, _ in orbits for k in words) == [s.elements for s in subs]
+        passing = [
+            s for s, _, _ in orbits
+            if not adds_roots(gd, s)
+            and fqf.are_isometric(fqf.perp_quotient(gd.disc, s)[0], target)[0]
+        ]
+        assert len(passing) == 1
+        for unit in (c.offset for c in gd.components if c.kind == "unit"):
+            # <-4> of E6+A11+<-4> is primitive in E, so the complement of the
+            # roots in E is the declared summand
+            assert gcd(*base_in_overlattice(gd, passing[0])[unit]) == 1
+
+    @pytest.mark.parametrize("spec", TABLE1_SPECS)
+    def test_tau_generators_generate_the_diagram_group(self, spec):
+        assert len(_tau_group(glue.make_glue(spec))) == _diagram_group_order(spec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_respelled_candidate_gives_the_printed_row(self, data):
+        i = data.draw(st.integers(0, len(TABLE1_SPECS) - 1))
+        spec = _spell(data.draw(st.permutations(glue.parse_root_spec(TABLE1_SPECS[i]))))
+        row, = cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"),
+                                   [cusps.Candidate(spec)])
+        printed = _printed_table1_rows()[i]
+        assert (row.genus_ok, row.roots_ok, row.computed_roots, row.im_tau) == (
+            printed.genus_ok, printed.roots_ok, printed.computed_roots, printed.im_tau)
+
+
+@pytest.mark.parametrize("cand", cusps.TABLE1_ROWS, ids=TABLE1_SPECS)
+def test_gluing_e_with_d6_gives_the_printed_niemeier_lattice(cand):
+    """A_E and A_D6 are (Z/2)^2 with opposite forms, so E + D6 glues into a
+    Niemeier lattice N in which E is the complement of D6 (Nikulin 1979,
+    Prop. 1.6.1; Conway-Sloane, SPLAG ch. 16 and 18).  On the base R + D6,
+    for R the base of E: the unimodular glues that meet A_D6 trivially and
+    whose part on A_R adds no root of E each give N, whose roots must be
+    the printed R(N)."""
+    gd = glue.make_glue(cand.roots + "+D6")
+    level, n = gd.disc.level, gd.base.rank - 6
+    minima = glue._coset_minima(gd)
+
+    def part_is_zero(h, sl):  # the part of the class h on the summands sl
+        return all(x % level == 0 for x in gd.disc_source.scaled_lift(h, level)[sl])
+
+    order = isqrt(abs(gd.base.det))
+    kept = 0
+    for H in fqf.isotropic_subgroups(gd.disc):
+        if H.order != order or any(
+                any(h) and part_is_zero(h, slice(n)) for h in H.elements):
+            continue
+        on_r = fqf.subgroup_span(
+            gd.disc, [h for h in H.elements if part_is_zero(h, slice(n, None))])
+        if glue.glue_adds_roots(gd, on_r, minima):
+            continue
+        N = glue.overlattice(gd, H)
+        assert abs(N.det) == 1
+        assert glue.root_system(N) == glue.root_system_from_spec(cand.niemeier)
+        kept += 1
+    assert kept
 
 
 class TestReports:

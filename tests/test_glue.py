@@ -581,12 +581,12 @@ def test_image_of_tau_matches_the_closure_on_random_glues(glued):
 @pytest.mark.parametrize("spec, glues, orbits", [
     ("2A1+2D8", 15, 5), ("3D6", 15, 3), ("D12+D4+<-2>+<-2>", 15, 3),
 ])
-def test_glue_orbits_partition_the_target_order_glues(spec, glues, orbits):
+def test_orbit_searches_partition_the_target_order_glues(spec, glues, orbits):
     gd, subs = glue_choices(spec, 4)
     disc, src = gd.disc, gd.disc_source
     actions = [group_claims.disc_action(iso, src.smith, src.kept)
                for iso in tau_generator_isometries(gd)]
-    found = glue._glue_orbits(glue._generator_actions(gd), subs)
+    found = helpers.glue_orbits(glue._generator_actions(gd), subs)
     assert (len(subs), len(found)) == (glues, orbits)
     members = [key for _, words, _ in found for key in words]
     assert sorted(members) == [s.elements for s in subs]  # a cover, with no overlap
@@ -609,6 +609,18 @@ def test_tau_generators_must_be_involutions(monkeypatch):
     monkeypatch.setattr(glue, "_tau_signed_permutations",
                         lambda gd: [([1, 2, 0], (1, 1, 1))])
     with pytest.raises(InternalError, match="not an involution"):
+        tau_image(gd)
+
+
+@pytest.mark.parametrize("image", [(0, 0), (1, 0)])
+def test_induced_map_must_preserve_q_on_generators_and_b_on_their_pairs(monkeypatch,
+                                                                       image):
+    # A_R of 2E8+2A1 is (Z/2)^2 with q = -1/2 on both generators and b = 0
+    # between them; sending every class to 0 keeps b on the pair and breaks
+    # q, and sending it to the first generator keeps q and breaks b
+    gd = glue.make_glue("2E8+2A1")
+    monkeypatch.setattr(glue, "project_to_quotient", lambda source, x: image)
+    with pytest.raises(InternalError, match="^induced map does not preserve q$"):
         tau_image(gd)
 
 
