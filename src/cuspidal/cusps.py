@@ -322,25 +322,24 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
         fqf.require_isotropic(subgroups[0])  # the error perp_quotient gives
     # Glues in one orbit of the tau generators give isometric overlattices,
     # so the root certificate and the genus test each take one value per
-    # orbit, and a scan of the sorted glues meets each orbit first at its
-    # least member.  R(E) = R(R) exactly when the glue adds no roots, which
-    # the coset minima of H decide without a Gram matrix of E; R(R) is the
-    # declared system unless a <-2> summand adds a root.  So without a <-2>
-    # summand the first glue that passes the certificate and then the genus
-    # is the least member of the first orbit that passes both.  When none
-    # does, or a <-2> summand rules the certificate out, the glues that fail
-    # the certificate are scanned from the greatest down: the first genus
-    # match lies in the matching orbit with the greatest member, and the row
-    # is computed on that orbit's least member, whose roots are enumerated
-    # to name them.  The coset minima depend on the base only, so they are
-    # built once for all its glues, when it has any.
+    # orbit, a scan of the sorted glues meets each orbit first at its least
+    # member, and a glue that fails the genus test rules out its whole orbit
+    # (``failed``).  R(E) = R(R) exactly when the glue adds no roots, which
+    # the coset minima of H, built once per base, decide without a Gram
+    # matrix of E; R(R) is the declared system unless a <-2> summand adds a
+    # root.  So without a <-2> summand the first glue that passes the
+    # certificate and then the genus is the least member of the first orbit
+    # that passes both.  Otherwise the glues that fail the certificate are
+    # scanned from the greatest down: the first genus match lies in the
+    # matching orbit with the greatest member, and the row is computed on
+    # that orbit's least member, whose roots are enumerated to name them.
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
     actions = glue_mod._generator_actions(gd)
-    chosen, rejected = None, subgroups
+    chosen, rejected, failed = None, subgroups, set()
     if certifiable:
         rejected = []
         minima = glue_mod._coset_minima(gd) if subgroups else None
-        for s in subgroups:
+        for s in (t for t in subgroups if t.elements not in failed):
             if glue_mod.glue_adds_roots(gd, s, minima):
                 rejected.append(s)
                 continue
@@ -348,13 +347,15 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
             if fqf.are_isometric(quotient[0], target_form, bound)[0]:
                 chosen, rs = s, declared
                 break
+            failed.update(glue_mod._glue_orbit(actions, s)[1])
     if chosen is None:
-        for s in reversed(rejected):
+        for s in (t for t in reversed(rejected) if t.elements not in failed):
             quotient = fqf.perp_quotient(gd.disc, s)
+            words = glue_mod._glue_orbit(actions, s)[1]
             if fqf.are_isometric(quotient[0], target_form, bound)[0]:
-                words = glue_mod._glue_orbit(actions, s)[1]
                 chosen = next(t for t in subgroups if t.elements in words)
                 break
+            failed.update(words)
         else:
             return OneDimRow(cand, False, False)
         if chosen is not s:

@@ -57,10 +57,10 @@ stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
 t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
 a Schreier tree carrying H to K, whose inverse is the reversed word; one
 breadth-first search from H builds the orbit and the tree
-(``_glue_orbit``), only for a glue whose Im tau is wanted.  They are
-evaluated on lifts of the generators of A_E only, checked to preserve q
-on those and b on their pairs, and closed in O(A_E), and ``image_of_tau``
-returns the sorted maps.  Whether this group always gives the full image
+(``_glue_orbit``), only for a glue whose Im tau is wanted or whose
+orbit a failed genus test rules out.  They are evaluated on lifts of the
+generators of A_E only, checked to preserve q on those and b on their
+pairs, and closed in O(A_E), and ``image_of_tau`` returns the sorted maps.  Whether this group always gives the full image
 of tau is recorded as an assumption, so dependent counts are reported as
 conditional.
 """

@@ -569,6 +569,30 @@ def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
     assert len(quotients) <= 20 and len(compositions) <= 40
 
 
+def test_cusp_one_tests_the_genus_once_per_glue_orbit(capsys, monkeypatch, tmp_path):
+    from cuspidal import fqf, glue
+
+    # A2+D8+D8 has an orbit of 4 certified glues that fail the genus test,
+    # D4+D4+D4+E6 matches the genus with none of its 45 glues (2 orbits),
+    # and A2+A3+A3+D5+D5 takes the last match after 3 failing orbits of its
+    # 21 glues; testing every glue took 9 + 45 + 12 quotients
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps([{"roots": r} for r in
+                                ("A2+D8+D8", "D4+D4+D4+E6", "A2+A3+A3+D5+D5")]))
+    quotients = _count_calls(monkeypatch, fqf.perp_quotient, [fqf])
+    orbits = _count_calls(monkeypatch, glue._glue_orbit, [glue])
+    certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
+    code, out = invoke(capsys, ["cusp", "one", "--d", "3", "--candidates", str(path)])
+    rows = json.loads(out)["one_dim"]["candidates"]
+    assert code == 1 and [r["genus_ok"] for r in rows] == [False, False, True]
+    assert rows[2]["roots"] == "D10+D6+A2" and rows[2]["im_tau"] == 2
+    # one quotient and one orbit search per orbit tried, the chosen glue's
+    # quotient and orbit again; of the 9 + 45 + 21 glues, the 3 after the
+    # least member of the failing certified orbit go uncertified
+    assert len(quotients) == 3 + 2 + 4 and len(orbits) == 3 + 2 + 4
+    assert len(certified) == 9 + 45 + 21 - 3
+
+
 def test_table1_takes_sum_invariants_from_the_summands(capsys, monkeypatch):
     from cuspidal import exact, glue, lattice
 
