@@ -25,11 +25,11 @@ record that only its function builds.
 Every construction changes generators by one rule: integer rows R in a
 space with Gram G over level L give the form R G R^T over L, rescaled to
 the new level.  For A_L = L*/L with U G V = D the rows are N times the
-generator lifts V e_i / d_i; H^perp/H uses generator lifts in the
-parent.  No matrix is inverted over Q: quotient coordinates come from
-``exact.hnf_coords`` and the Smith transform of the sublattice.  No
-matrix product is formed either: R G R^T is G r for each row r, one
-``exact.apply``, paired with the rows.
+generator lifts V e_i / d_i, whose pairings G r / N its source keeps;
+H^perp/H uses generator lifts in the parent.  No matrix is inverted over
+Q: quotient coordinates come from ``exact.hnf_coords`` and the Smith
+transform of the sublattice.  No matrix product is formed either:
+R G R^T is G r for each row r, one ``exact.apply``, paired with the rows.
 
 A form is the orthogonal sum of its p-primary parts A_p (Nikulin 1979,
 section 1).  A_p is generated by the rows (d_i / p^e_i) e_i, p^e_i
@@ -135,18 +135,24 @@ def q_scaled(form: Form, x) -> int:
     return bilinear(form.gram, x, x) % (2 * form.level)
 
 
-class LatticeSource(namedtuple("LatticeSource", "smith kept")):
-    """Where the generators of A_L = L*/L come from: the Smith transforms
-    U G V = D of the Gram G of L, which ``discriminant_form`` returns beside
-    the form.
-
-    ``smith`` is the ``SmithDecomposition`` (U = ``smith.left``, the
-    invariant factors d and V) of G and ``kept`` the Smith positions with
-    invariant factor > 1, one per generator.  Generator i lifts to the dual
-    vector V e_k / d_k for k = kept[i].
+class LatticeSource(namedtuple("LatticeSource", "smith kept pairings")):
+    """Where the generators of A_L = L*/L come from, which ``discriminant_form``
+    returns beside the form: ``smith``, the Smith transforms U G V = D of the
+    Gram G of L (U = ``smith.left``, the invariant factors d and V),
+    ``kept``, the positions with d_k > 1, one per generator, and
+    ``pairings``, the integer pairings p_i = G l_i with the basis of L of
+    the generator lifts l_i = V e_k / d_k, k = kept[i].  A lift
+    sum_i x_i l_i of the class x has pairings sum_i x_i p_i, which
+    ``class_key``, the one map from pairings to classes, takes back to x.
     """
 
     __slots__ = ()
+
+    def class_key(self, p) -> tuple:
+        """The class (U p)_k mod d_k, k in ``kept``, of the dual vector with
+        integer pairings p: G^-1 p = V D^-1 U p is in L iff D^-1 U p is integral."""
+        U, d = self.smith.left, self.smith.diag
+        return tuple([sum(map(mul, U[k], p)) % d[k] for k in self.kept])
 
     def scaled_lift(self, x, level) -> tuple:
         """level times a lift of the class x: sum_i x_i (level / d_k) V e_k, k = kept[i].
@@ -210,13 +216,18 @@ def discriminant_form(lattice) -> tuple:
     if not lattice.even:
         raise BadParameter("discriminant form requires an even lattice")
     snf = smith_normal_form(lattice.gram)
-    source = LatticeSource(snf, tuple(i for i, d in enumerate(snf.diag) if d > 1))
-    orders = tuple(source.smith.diag[i] for i in source.kept)
-    # U G V = D gives G^-1 U^-1 = V D^-1: generator i lifts to V e_i / d_i, so
-    # its N-fold multiple is an integer row whose values lie over N^2
+    kept = tuple(i for i, d in enumerate(snf.diag) if d > 1)
+    orders = tuple(snf.diag[k] for k in kept)
+    # G V = U^-1 D: the N-fold generator lift r_i is an integer row with
+    # integer pairings p_i = G r_i / N, and r_i . p_j over N is the Gram
     level = orders[-1] if orders else 1
-    rows = [source.scaled_lift(_unit(len(orders), i), level) for i in range(len(orders))]
-    return _generated_form(lattice.gram, level * level, rows, orders), source
+    rows = [[level // snf.diag[k] * row[k] for row in snf.right] for k in kept]
+    images = [apply(lattice.gram, r) for r in rows]
+    if any(x % level for image in images for x in image):
+        raise InternalError("generator lift is not a dual vector")
+    pairings = tuple(tuple([x // level for x in image]) for image in images)
+    gram = [[sum(map(mul, r, p)) for p in pairings] for r in rows]
+    return make_form(orders, gram), LatticeSource(snf, kept, pairings)
 
 
 # ---------------------------------------------------------------------------

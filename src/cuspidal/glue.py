@@ -34,15 +34,16 @@ class c in R_i*/R_i.  Every nonzero class of an irreducible ADE lattice
 contains a minuscule fundamental weight, which is shortest in its class,
 so mu_i(c) is the least |norm| of the fundamental weights omega_j in c; a
 rank-1 summand <-2m> has mu(k) = k'^2/|2m| on the k-th multiple of its
-one class, with k' = min(k, |2m| - k).  All of it is read off the one
-Smith form U G V = D of the base that ``GlueData`` already
-holds: omega_j = G^-1 e_j has class U e_j in A_R and norm
-sum_i V[j][i] U[i][j] / d_i, and h_i has class U p_i for the pairings p_i
-of its lift with the basis of R_i.  E is even, so for h != 0 the sum is
-an even integer >= 2, and E has a root outside R exactly when some sum
-is 2 (``glue_adds_roots``).  Fincke-Pohst still runs for ``glue roots``,
-``glue enum --roots-of-overlattice``, for Table 1 candidates none of
-whose genus-matching glues keeps the declared roots, and in the tests.
+one class, with k' = min(k, |2m| - k).  Classes are read from integer
+pairings with the basis of R by the one class map ``class_key`` of A_R:
+omega_j = G^-1 e_j has pairings e_j and norm sum_i V[j][i] U[i][j] / d_i
+(U G V = D the Smith form of R), and h_i is the class of the slice on R_i
+of sum_g h_g p_g, for p_g the pairings of the generator lifts.  E is even,
+so for h != 0 the sum is an even integer >= 2, and E has a root outside R
+exactly when some sum is 2 (``glue_adds_roots``).  Fincke-Pohst still runs
+for ``glue roots``, ``glue enum --roots-of-overlattice``, for Table 1
+candidates none of whose genus-matching glues keeps the declared roots,
+and in the tests.
 
 The image of O(E) in O(A_E) is computed, for overlattices with full root
 rank, from the group generated by diagram automorphisms, permutations of
@@ -51,8 +52,9 @@ summands; Weyl reflections act trivially on the discriminant form and
 are omitted.  Each generator is a signed permutation e_j -> s_j e_(p_j)
 of the base basis, checked to be an isometry row by row,
 G_ij = s_i s_j G_(p_i p_j), without a matrix product
-(``lattice.check_signed_permutation``), and to be an involution.  Only the
-stabilizer of the glue H acts on A_E = H^perp/H.  By Schreier's lemma
+(``lattice.check_signed_permutation``), and to be an involution, so it
+moves pairings q to (s_j q_(p_j))_j.  Only the stabilizer of the glue H
+acts on A_E = H^perp/H.  By Schreier's lemma
 (Seress, Permutation Group Algorithms, section 4.1) it is generated by
 t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
 a Schreier tree carrying H to K, whose inverse is the reversed word; one
@@ -60,20 +62,20 @@ breadth-first search from H builds the orbit and the tree
 (``_glue_orbit``), only for a glue whose Im tau is wanted or whose
 orbit a failed genus test rules out.  They are evaluated on lifts of the
 generators of A_E only, checked to preserve q on those and b on their
-pairs, and closed in O(A_E), and ``image_of_tau`` returns the sorted maps.  Whether this group always gives the full image
-of tau is recorded as an assumption, so dependent counts are reported as
-conditional.
+pairs, and closed in O(A_E), and ``image_of_tau`` returns the sorted
+maps.  Whether this group always gives the full image of tau is recorded
+as an assumption, so dependent counts are reported as conditional.
 """
 
 from collections import namedtuple
 from itertools import count, groupby
 from math import isqrt, lcm, prod
-from operator import itemgetter, mod, mul
+from operator import mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, SingularMatrix
 from .exact import (
-    apply, bilinear, det_and_signature, hnf_rows, integral_gram_schmidt, lll_reduce, matmul,
-    scaled,
+    apply, bilinear, det_and_signature, diagonal, hnf_rows, integral_gram_schmidt, lll_reduce,
+    matmul, scaled,
 )
 from .fqf import (
     ENUM_BOUND,
@@ -87,6 +89,7 @@ from .fqf import (
     project_to_quotient,
     q_scaled,
     require_isotropic,
+    smul,
 )
 from .lattice import (
     Lattice, check_signed_permutation, direct_sum, make_standard, parse_terms,
@@ -333,21 +336,17 @@ def _classify_component(block) -> tuple:
 
 
 def _coset_minima(gd: GlueData) -> list:
-    """(slice, rows, Gram, minima) of each component R_i of the base, read off
-    the base's Smith transforms U G V = D: ``rows`` are the kept rows of U on
-    the columns of R_i with their invariant factors, so that a dual vector of R_i
-    with integer pairings p has class (U p)_k mod d_k in A_R, and ``minima``
-    maps each nonzero class of R_i*/R_i, in these coordinates, to level
-    times the least |norm| in it.  The fundamental weight omega_j = G^-1 e_j has class
-    U e_j and, as level G^-1 = V (level D^-1) U, level times its norm is
+    """(slice, minima) of each component R_i of the base: ``minima`` maps
+    each nonzero class of R_i*/R_i in A_R, as ``LatticeSource.class_key``
+    reads it, to level times the least |norm| in it.  The fundamental weight
+    omega_j = G^-1 e_j has pairings e_j and, as level G^-1 = V (level D^-1) U
+    for the base's Smith transforms U G V = D, level times its norm is
     sum_i V[j][i] (level / d_i) U[i][j]."""
     src = gd.disc_source
     U, d, V = src.smith.left, src.smith.diag, src.smith.right
     level = gd.disc.level
     scale = [level // di for di in d]
-    Ucols = list(zip(*U))
-    dk = [d[t] for t in src.kept]
-    classes = [tuple(map(mod, map(col.__getitem__, src.kept), dk)) for col in Ucols]
+    classes = [src.class_key(e) for e in diagonal((1,) * gd.base.rank)]
     blocks = []
     for comp in gd.components:
         if comp.kind == "unit" and comp.param > 0:
@@ -356,24 +355,22 @@ def _coset_minima(gd: GlueData) -> list:
         sl = slice(comp.offset, comp.offset + comp.rank)
         if tuple(row[sl] for row in gd.base.gram[sl]) != R.gram:
             raise InternalError("base Gram block differs from its component")
-        rows = [(U[k][sl], d[k]) for k in src.kept]
         minima = {}
         if comp.kind == "unit":
             # the class of k e / 2m is shortest at k' = min(k, N - k), N = |2m|
             N, j = -comp.param, comp.offset
             for k in range(1, N):
-                minima[tuple([k * u % t for u, t in zip(classes[j], dk)])] = \
-                    level // N * min(k, N - k) ** 2
+                minima[smul(gd.disc, k, classes[j])] = level // N * min(k, N - k) ** 2
         else:
             for j in range(sl.start, sl.stop):
                 c = classes[j]
                 if any(c):
-                    norm = -sum(map(mul, map(mul, V[j], scale), Ucols[j]))
+                    norm = -sum(V[j][i] * scale[i] * U[i][j] for i in range(len(d)))
                     minima[c] = min(norm, minima.get(c, norm))
         if len(minima) != abs(R.det) - 1:
             raise InternalError(f"the classes read for {comp.kind}{comp.param} "
                                 "do not fill its discriminant group")
-        blocks.append((sl, rows, R.gram, minima))
+        blocks.append((sl, minima))
     return blocks
 
 
@@ -381,26 +378,23 @@ def glue_adds_roots(gd: GlueData, glue: FqfSubgroup, blocks) -> bool:
     """True when the overlattice of ``glue`` has a root outside the base.
 
     Works from the base and the glue alone: the coset h + R of each h != 0
-    in H has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level.
+    in H has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level,
+    for h_i the class of the slice on R_i of the pairings of a lift of h.
     ``blocks`` are the ``_coset_minima`` of the base, which depend on the
-    base only; a caller that tries several glues of one base builds them
-    once and passes them.
+    base only; a caller that tries several glues of one base builds them once.
     """
     if sum(c.rank for c in gd.components) != gd.base.rank:
         raise BadParameter("components do not span the base lattice")
     _require_glue(gd, glue)
-    level = gd.disc.level
+    src, level, zero = gd.disc_source, gd.disc.level, (0,) * gd.base.rank
+    cols = tuple(zip(*src.pairings))
     for h in glue.elements:
         if not any(h):
             continue
-        lift = gd.disc_source.scaled_lift(h, level)  # level times a vector of R*
+        p = apply(cols, h)  # sum_g h_g p_g
         total = 0  # level times the coset minimum
-        for sl, rows, G, minima in blocks:
-            pairings = apply(G, lift[sl])
-            if any(x % level for x in pairings):
-                raise InternalError("glue lift is not a dual vector")
-            p = [x // level for x in pairings]
-            c = tuple(sum(map(mul, u, p)) % dk for u, dk in rows)
+        for sl, minima in blocks:
+            c = src.class_key(zero[:sl.start] + p[sl] + zero[sl.stop:])
             if any(c):
                 total += minima[c]
         if total == 0 or total % (2 * level):
@@ -494,25 +488,19 @@ def _generator_actions(gd: GlueData) -> tuple:
     """The ``_ActionImages`` of the tau generators (``_tau_signed_permutations``)
     on A_R.
 
-    The image of generator i under g has coordinates (U G g V)_ki / d_i mod
-    d_k, for the kept Smith positions i and k.  The kept Smith rows K of U G
-    are formed once: a signed permutation g reindexes and signs the columns
-    of K, so the kept block of U G g V is (s_j K[:, p_j]) times the kept
-    columns of V.
+    A generator g: e_j -> s_j e_(p_j), checked to be an isometric
+    involution, has G g = g^T G, so it maps a dual vector with pairings q to
+    one with pairings (s_m q_(p_m))_m: the image of generator i of A_R is
+    the class of its pairings so moved (``LatticeSource.class_key``).
     """
     src = gd.disc_source
-    kept, d, V = src.kept, src.smith.diag, src.smith.right
-    K = matmul([src.smith.left[k] for k in kept], gd.base.gram) if kept else ()
-    cols = [list(map(itemgetter(i), V)) for i in kept]
     actions = []
     for p, s in _tau_signed_permutations(gd):
         check_signed_permutation(gd.base, p, s)
         if any(p[p[j]] != j or s[p[j]] != s[j] for j in range(len(s))):
             raise InternalError("tau generator is not an involution")
-        KM = [[sj * row[pj] for pj, sj in zip(p, s)] for row in K]
         actions.append(_ActionImages(gd.disc, tuple(
-            tuple(sum(map(mul, r, col)) // d[i] % d[k] for r, k in zip(KM, kept))
-            for col, i in zip(cols, kept))))
+            src.class_key([sm * q[pm] for pm, sm in zip(p, s)]) for q in src.pairings)))
     return tuple(actions)
 
 

@@ -1,8 +1,8 @@
 """Helpers that only the tests call: the diagonal matrix of a Smith form,
 lattices and forms to and from JSON, finite quadratic forms given by
-Fraction values and their Fraction views, the classes of dual vectors in
-a discriminant form, the core lattice of A_N, the p-parts of a form,
-basis vectors, glues and their root certificate, the base of a glue in
+Fraction values and their Fraction views, the class of a scaled dual
+vector in a discriminant form, the core lattice of A_N, the p-parts of a
+form, basis vectors, glues and their root certificate, the base of a glue in
 overlattice coordinates, Im tau of one glue, and isometries built as
 products, as minus the identity or as signed permutations of a basis."""
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import mul
 
 from cuspidal import fqf, glue
 from cuspidal.errors import BadParameter
@@ -87,15 +86,6 @@ def rational_lift(form, source, x) -> tuple:
 # classes of dual vectors, and the core of A_N
 
 
-def class_key(source, pairings) -> tuple:
-    """Class coordinates (U p)_k mod d_k, k in ``source.kept``, of the dual
-    vector v with integer pairings p = G v against the basis of L, for the
-    Smith transforms U G V = D of ``source`` (a ``fqf.LatticeSource``):
-    v - w lies in L exactly when D^-1 U (G v - G w) is integral."""
-    U, d = source.smith.left, source.smith.diag
-    return tuple([sum(map(mul, U[k], pairings)) % d[k] for k in source.kept])
-
-
 def class_of(L, source, scaled, level: int) -> tuple:
     """Class in the discriminant form of the lattice L, given by its
     ``fqf.LatticeSource`` ``source``, of the dual vector scaled / level, for
@@ -104,7 +94,7 @@ def class_of(L, source, scaled, level: int) -> tuple:
     pairings = apply(L.gram, scaled)
     if any(x % level for x in pairings):
         raise ValueError("vector is not in the dual lattice")
-    return class_key(source, [x // level for x in pairings])
+    return source.class_key([x // level for x in pairings])
 
 
 def a_n_core(case):

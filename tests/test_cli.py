@@ -846,6 +846,9 @@ GOLDENS = [
     (["cusp", "one", "--d", "1", "--candidates",
       str(GOLDEN / "cusp_one_d1_E8+D8+2A1_candidates.json")],
      "cusp_one_d1_E8+D8+2A1.json"),
+    # at d = 3: two bases with no genus match and one last match
+    (["cusp", "one", "--d", "3", "--candidates", str(GOLDEN / "cusp_one_d3_candidates.json")],
+     "cusp_one_d3.json"),
 ]
 
 

@@ -16,7 +16,7 @@ from embedding_oracles import build_polarized
 from form_oracles import mod_pm1
 from helpers import (
     a_n_core, adds_roots, b_value, base_in_overlattice, class_of, glue_orbits, part_forms,
-    q_diagonal, q_value,
+    q_diagonal, q_value, tau_image,
 )
 
 
@@ -497,6 +497,60 @@ class TestGlueChoice:
             cusps.one_dim_cusps(cusps.PolarizationCase(1, "split"),
                                 [cusps.Candidate("A17+A1", glue_gens=[bad])])
 
+
+
+def _orbit_loop_row(case, cand):
+    """The row of a rank-18 candidate from the glue of the orbit loop
+    (``_genus_first_choice``), its roots by Fincke-Pohst and Im tau on its
+    own orbit."""
+    gd = glue.make_glue(cand.roots)
+    h2, rem = divmod(abs(gd.base.det), cusps.det_E(case, 1))
+    chosen = None if rem or isqrt(h2) ** 2 != h2 else _genus_first_choice(case, cand)
+    if chosen is None:
+        return cusps.OneDimRow(cand, False, False)
+    rs = glue.root_system(glue.overlattice(gd, chosen))
+    declared = glue.root_system_from_spec(cand.roots)
+    return cusps.OneDimRow(cand, True, rs.components == declared.components,
+                           rs.spec_string(), im_tau=tau_image(gd, chosen).size)
+
+
+# every ADE atom of rank up to 18 and the summand <-2>, with |det|
+_RANK18_ATOMS = ([("A", n, n + 1) for n in range(1, 19)] + [("D", n, 4) for n in range(4, 19)]
+                 + [("E", 6, 3), ("E", 7, 2), ("E", 8, 1), ("unit", -2, 2)])
+
+
+@cache
+def _rank18_candidates(d: int, minus2: bool) -> tuple:
+    """The sums of ``_RANK18_ATOMS`` of rank 18 with |A_R| <= 256, each
+    once, whose determinant is 4d times a square, with or without a <-2>
+    summand: the bases from which a glue can give det E = 4d."""
+    out = []
+
+    def grow(rank, det, start, atoms):
+        if rank == 18:
+            h2, rem = divmod(det, 4 * d)
+            if not rem and isqrt(h2) ** 2 == h2 and (("unit", -2) in atoms) == minus2:
+                out.append(atoms)
+            return
+        for i, (kind, n, a) in enumerate(_RANK18_ATOMS[start:], start):
+            r = 1 if kind == "unit" else n
+            if rank + r <= 18 and det * a <= 256:
+                grow(rank + r, det * a, i, atoms + ((kind, n),))
+
+    grow(0, 1, 0, ())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d, minus2", [(1, False), (1, True), (3, False), (3, True)])
+@settings(max_examples=13, deadline=None)
+@given(st.data())
+def test_sorted_scan_gives_the_row_of_the_orbit_loop(d, minus2, data):
+    # first match without a <-2> summand, last match or none with one
+    case = cusps.PolarizationCase(d, "split")
+    atoms = data.draw(st.permutations(data.draw(st.sampled_from(_rank18_candidates(d, minus2)))))
+    cand = cusps.Candidate(_spell(atoms))
+    row = cusps._realize_candidate(case, cand, cusps.predicted_AE(case, 1), fqf.ENUM_BOUND)
+    assert row == _orbit_loop_row(case, cand)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fraction_oracles import (
     bareiss_det, fraction_presentation, over_common_denominator, rational_inverse,
 )
 from helpers import (
-    a_n_core, b_matrix, b_value, class_key, class_of, form_from_json, fraction_form, part_forms,
+    a_n_core, b_matrix, b_value, class_of, form_from_json, fraction_form, part_forms,
     q_diagonal, q_value, rational_lift,
 )
 
@@ -713,7 +713,7 @@ class TestFormsWithoutProducts:
 
 
 class TestClassKeyAgainstRationalCoordinates:
-    """``helpers.class_key`` against G^-1 over Q: the dual vectors
+    """``LatticeSource.class_key`` against G^-1 over Q: the dual vectors
     G^-1 p and G^-1 p' share a class exactly when G^-1 (p - p') is
     integral."""
 
@@ -733,8 +733,8 @@ class TestClassKeyAgainstRationalCoordinates:
         ginv = rational_inverse(G)
         diff = [a - b for a, b in zip(p, p2)]
         integral = all(sum(map(mul, row, diff)).denominator == 1 for row in ginv)
-        assert (class_key(src, p) == class_key(src, p2)) == integral
-        assert len(class_key(src, p)) == len(src.kept)
+        assert (src.class_key(p) == src.class_key(p2)) == integral
+        assert len(src.class_key(p)) == len(src.kept)
 
     @settings(deadline=None, max_examples=60)
     @given(st.one_of(_atom_sums(3), _A_N_CORES))
@@ -750,7 +750,40 @@ class TestClassKeyAgainstRationalCoordinates:
             pairings = [sum(map(mul, L.gram[r], lift)) for r in range(L.rank)]
             assert all(x.denominator == 1 for x in pairings)
             assert [sum(map(mul, row, pairings)) for row in ginv] == lift
-            assert class_key(src, [int(x) for x in pairings]) == unit
+            assert src.class_key([int(x) for x in pairings]) == unit
+
+
+class TestClassKeyOfLifts:
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.sampled_from(_FORM_ATOMS), min_size=1, max_size=3).map(
+        lambda atoms: lat.parse_name("+".join(atoms))))
+    def test_every_element_is_the_class_of_its_lift(self, L):
+        # the pairings of level times a lift of x are level times
+        # sum_i x_i p_i, and their class is x
+        a, src = fqf.discriminant_form(L)
+        assert len(src.pairings) == a.rank
+        for x in fqf.elements(a):
+            image = apply(L.gram, src.scaled_lift(x, a.level))
+            assert all(v % a.level == 0 for v in image)
+            p = [v // a.level for v in image]
+            assert p == [sum(map(mul, x, col)) for col in zip(*src.pairings)]
+            assert src.class_key(p) == x
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "D5", "E6+E7"])
+    def test_pairings_of_a_corrupted_right_transform_raise(self, monkeypatch, name):
+        # adding e_0 to the last column of V, which the level scales by 1,
+        # adds G e_0 to its pairings times the level, and G e_0 has an entry 1
+        smith = fqf.smith_normal_form
+
+        def corrupted(gram):
+            snf = smith(gram)
+            right = [list(row) for row in snf.right]
+            right[0][-1] += 1
+            return snf._replace(right=tuple(map(tuple, right)))
+
+        monkeypatch.setattr(fqf, "smith_normal_form", corrupted)
+        with pytest.raises(InternalError, match="^generator lift is not a dual vector$"):
+            fqf.discriminant_form(lat.parse_name(name))
 
 
 # ---------------------------------------------------------------------------

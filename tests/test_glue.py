@@ -19,7 +19,7 @@ import helpers
 from fraction_oracles import bareiss_det, over_common_denominator, rational_inverse
 from kernel_oracles import check_signed_permutation_by_product
 from helpers import (
-    class_key, class_of, fraction_form, q_value, rational_lift, signed_permutation,
+    class_of, fraction_form, q_value, rational_lift, signed_permutation,
     tau_generator_isometries, tau_image,
 )
 
@@ -578,6 +578,20 @@ def test_image_of_tau_matches_the_closure_on_random_glues(glued):
     assert tau_image(gd, glue_sub, q).maps == _closure_image_of_tau(gd, glue_sub, q[1], group)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_glued_sums())
+def test_generator_actions_match_the_triple_product_on_random_bases(glued):
+    # the classes of the moved generator pairings against the kept block of
+    # U G g V, formed as a matrix product
+    gd, _ = glued
+    src = gd.disc_source
+    isos = tau_generator_isometries(gd)
+    actions = glue._generator_actions(gd)
+    assert len(actions) == len(isos)
+    for iso, action in zip(isos, actions):
+        assert action.images == group_claims.disc_action(iso, src.smith, src.kept)
+
+
 @pytest.mark.parametrize("spec, glues, orbits", [
     ("2A1+2D8", 15, 5), ("3D6", 15, 3), ("D12+D4+<-2>+<-2>", 15, 3),
 ])
@@ -674,7 +688,7 @@ def _assert_component_minima(gd, i):
     ``glue._coset_minima`` reads them off the base's Smith transforms, match
     the closed forms on every class of the component's own R_i*/R_i."""
     comp = gd.components[i]
-    sl, _, _, minima = glue._coset_minima(gd)[i]
+    sl, minima = glue._coset_minima(gd)[i]
     L = lat.make_standard("rank1" if comp.kind == "unit" else comp.kind, comp.param)
     disc, disc_src = fqf.discriminant_form(L)
     src, n = gd.disc_source, gd.base.rank
@@ -685,14 +699,14 @@ def _assert_component_minima(gd, i):
         p = [0] * n
         p[sl] = [v // disc.level for v in apply(L.gram, b)]
         expected = _splac_minimum(comp.kind, comp.param, p[sl])
-        c = class_key(src, p)
+        c = src.class_key(p)
         got = minima[c] if any(c) else 0
         assert Fraction(got, gd.disc.level) == expected, (x, p[sl])
         # any other vector of the same class has the same minimum
         shifted = list(p)
         shifted[sl] = [a + v for a, v in zip(
             p[sl], apply(L.gram, [rng.randint(-3, 3) for _ in range(L.rank)]))]
-        assert class_key(src, shifted) == c
+        assert src.class_key(shifted) == c
         seen.add(c)
     assert len(seen) == abs(L.det)
     assert set(minima) == {c for c in seen if any(c)}
