@@ -196,7 +196,11 @@ def _generated_form(gram, level: int, rows, orders) -> Form:
 
     Entry (i, j) is the inner product of row i with gram r_j, so each row
     costs one ``apply`` and no matrix is formed."""
-    images = [apply(gram, r) for r in rows]
+    return _paired_form(level, rows, [apply(gram, r) for r in rows], orders)
+
+
+def _paired_form(level: int, rows, images, orders) -> Form:
+    """``_generated_form`` from the images gram r_j of the rows, formed by the caller."""
     moved = [[sum(map(mul, r, g)) for g in images] for r in rows]
     return make_form(orders, _over_level(moved, level, orders[-1] if orders else 1))
 
@@ -219,15 +223,15 @@ def discriminant_form(lattice) -> tuple:
     kept = tuple(i for i, d in enumerate(snf.diag) if d > 1)
     orders = tuple(snf.diag[k] for k in kept)
     # G V = U^-1 D: the N-fold generator lift r_i is an integer row with
-    # integer pairings p_i = G r_i / N, and r_i . p_j over N is the Gram
+    # integer pairings p_i = G r_i / N, so R G R^T over N^2 is R P^T over N
     level = orders[-1] if orders else 1
-    rows = [[level // snf.diag[k] * row[k] for row in snf.right] for k in kept]
+    bare = LatticeSource(snf, kept, None)
+    rows = [bare.scaled_lift(e, level) for e in diagonal((1,) * len(kept))]
     images = [apply(lattice.gram, r) for r in rows]
     if any(x % level for image in images for x in image):
         raise InternalError("generator lift is not a dual vector")
     pairings = tuple(tuple([x // level for x in image]) for image in images)
-    gram = [[sum(map(mul, r, p)) for p in pairings] for r in rows]
-    return make_form(orders, gram), LatticeSource(snf, kept, pairings)
+    return _paired_form(level, rows, pairings, orders), bare._replace(pairings=pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +587,6 @@ def project_to_quotient(source: QuotientSource, x) -> tuple:
     return tuple(z[i] % source.orders[i] for i in source.kept)
 
 
-def _unit(n, i):
-    return tuple(int(j == i) for j in range(n))
-
-
 # ---------------------------------------------------------------------------
 # isometries between forms, orthogonal groups, embeddings
 
@@ -617,7 +617,7 @@ def _hom_search(a: Form, b: Form, need_size: int,
     buckets = _signature_buckets(b, bound)
     la, lb = a.level, b.level
     arows = a.gram
-    gens = [_unit(a.rank, i) for i in range(a.rank)]
+    gens = diagonal((1,) * a.rank)
     results = []
 
     def extend(i, images):
@@ -677,7 +677,7 @@ def compose_maps(form: Form, f, g) -> tuple:
 
 
 def identity_map(form: Form) -> tuple:
-    return tuple(_unit(form.rank, i) for i in range(form.rank))
+    return diagonal((1,) * form.rank)
 
 
 # ---------------------------------------------------------------------------

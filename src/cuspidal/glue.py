@@ -34,16 +34,16 @@ class c in R_i*/R_i.  Every nonzero class of an irreducible ADE lattice
 contains a minuscule fundamental weight, which is shortest in its class,
 so mu_i(c) is the least |norm| of the fundamental weights omega_j in c; a
 rank-1 summand <-2m> has mu(k) = k'^2/|2m| on the k-th multiple of its
-one class, with k' = min(k, |2m| - k).  Classes are read from integer
-pairings with the basis of R by the one class map ``class_key`` of A_R:
-omega_j = G^-1 e_j has pairings e_j and norm sum_i V[j][i] U[i][j] / d_i
-(U G V = D the Smith form of R), and h_i is the class of the slice on R_i
-of sum_g h_g p_g, for p_g the pairings of the generator lifts.  E is even,
-so for h != 0 the sum is an even integer >= 2, and E has a root outside R
-exactly when some sum is 2 (``glue_adds_roots``).  Fincke-Pohst still runs
-for ``glue roots``, ``glue enum --roots-of-overlattice``, for Table 1
-candidates none of whose genus-matching glues keeps the declared roots,
-and in the tests.
+one class, with k' = min(k, |2m| - k).  Classes are read from pairings
+with the basis of R by the one class map ``class_key`` of A_R, which is
+linear: omega_j = G^-1 e_j has pairings e_j and norm
+sum_i V[j][i] U[i][j] / d_i (U G V = D the Smith form of R), and h_i is
+sum_g h_g c_g, for c_g the class of the slice on R_i of the pairings of
+generator g.  E is even, so for h != 0 the sum is an even integer >= 2,
+and E has a root outside R exactly when some sum is 2
+(``glue_adds_roots``).  Fincke-Pohst still runs for ``glue roots``,
+``glue enum --roots-of-overlattice``, for Table 1 candidates none of
+whose genus-matching glues keeps the declared roots, and in the tests.
 
 The image of O(E) in O(A_E) is computed, for overlattices with full root
 rank, from the group generated by diagram automorphisms, permutations of
@@ -70,7 +70,7 @@ as an assumption, so dependent counts are reported as conditional.
 from collections import namedtuple
 from itertools import count, groupby
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import mod, mul
 
 from .errors import BadParameter, GroupTooLarge, InternalError, SingularMatrix
 from .exact import (
@@ -336,12 +336,14 @@ def _classify_component(block) -> tuple:
 
 
 def _coset_minima(gd: GlueData) -> list:
-    """(slice, minima) of each component R_i of the base: ``minima`` maps
-    each nonzero class of R_i*/R_i in A_R, as ``LatticeSource.class_key``
-    reads it, to level times the least |norm| in it.  The fundamental weight
-    omega_j = G^-1 e_j has pairings e_j and, as level G^-1 = V (level D^-1) U
-    for the base's Smith transforms U G V = D, level times its norm is
-    sum_i V[j][i] (level / d_i) U[i][j]."""
+    """(slice, part, minima) of each component R_i of the base.  ``minima``
+    maps each nonzero class of R_i*/R_i in A_R, as ``LatticeSource.class_key``
+    reads it, to level times the least |norm| in it: omega_j = G^-1 e_j has
+    pairings e_j and, as level G^-1 = V (level D^-1) U for U G V = D, level
+    times its norm is sum_i V[j][i] (level / d_i) U[i][j].  ``class_key`` is
+    linear, so h has class ``part`` h mod the orders on R_i, where column g
+    of ``part`` is sum_j p_g[j] class_key(e_j) over j on R_i, for p_g the
+    pairings of generator g."""
     src = gd.disc_source
     U, d, V = src.smith.left, src.smith.diag, src.smith.right
     level = gd.disc.level
@@ -370,7 +372,8 @@ def _coset_minima(gd: GlueData) -> list:
         if len(minima) != abs(R.det) - 1:
             raise InternalError(f"the classes read for {comp.kind}{comp.param} "
                                 "do not fill its discriminant group")
-        blocks.append((sl, minima))
+        part = matmul(tuple(zip(*classes[sl])), tuple(zip(*[p[sl] for p in src.pairings])))
+        blocks.append((sl, part, minima))
     return blocks
 
 
@@ -378,23 +381,20 @@ def glue_adds_roots(gd: GlueData, glue: FqfSubgroup, blocks) -> bool:
     """True when the overlattice of ``glue`` has a root outside the base.
 
     Works from the base and the glue alone: the coset h + R of each h != 0
-    in H has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level,
-    for h_i the class of the slice on R_i of the pairings of a lift of h.
-    ``blocks`` are the ``_coset_minima`` of the base, which depend on the
-    base only; a caller that tries several glues of one base builds them once.
+    in H has minimal |norm| sum_i mu_i(h_i), compared with 2 over the level.
+    ``blocks`` are the ``_coset_minima`` of the base, which give each h_i and
+    depend on the base only; a caller that tries several glues builds them once.
     """
     if sum(c.rank for c in gd.components) != gd.base.rank:
         raise BadParameter("components do not span the base lattice")
     _require_glue(gd, glue)
-    src, level, zero = gd.disc_source, gd.disc.level, (0,) * gd.base.rank
-    cols = tuple(zip(*src.pairings))
+    level, orders = gd.disc.level, gd.disc.orders
     for h in glue.elements:
         if not any(h):
             continue
-        p = apply(cols, h)  # sum_g h_g p_g
         total = 0  # level times the coset minimum
-        for sl, minima in blocks:
-            c = src.class_key(zero[:sl.start] + p[sl] + zero[sl.stop:])
+        for _, part, minima in blocks:
+            c = tuple(map(mod, apply(part, h), orders))
             if any(c):
                 total += minima[c]
         if total == 0 or total % (2 * level):

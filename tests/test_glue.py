@@ -688,7 +688,7 @@ def _assert_component_minima(gd, i):
     ``glue._coset_minima`` reads them off the base's Smith transforms, match
     the closed forms on every class of the component's own R_i*/R_i."""
     comp = gd.components[i]
-    sl, minima = glue._coset_minima(gd)[i]
+    sl, _, minima = glue._coset_minima(gd)[i]
     L = lat.make_standard("rank1" if comp.kind == "unit" else comp.kind, comp.param)
     disc, disc_src = fqf.discriminant_form(L)
     src, n = gd.disc_source, gd.base.rank
