@@ -264,18 +264,19 @@ def _parse_range(text: str):
 
 def _cmd_cusp_sweep(args) -> int:
     lo, hi = _parse_range(args.d)
-    if hi - lo + 1 > args.bound:
-        # refused before any d is computed: the rows alone can exhaust memory
-        raise BadParameter(f"sweep range {args.d!r} of {hi - lo + 1} values exceeds "
-                           f"enumeration bound {args.bound}")
-    ds = range(lo, hi + 1) if args.case == "split" else range(lo + (3 - lo) % 4, hi + 1, 4)
-    if not ds:
+    first, step = (lo, 1) if args.case == "split" else (lo + (3 - lo) % 4, 4)
+    count = (hi - first) // step + 1  # in ints: len() of a range stops at 2^63
+    if count < 1:
         raise BadParameter(f"sweep range {args.d!r} holds no d = 3 mod 4, "
                            "which the nonsplit embedding needs")
+    if count > args.bound:
+        # refused before any d is computed: the rows alone can exhaust memory
+        raise BadParameter(f"sweep range {args.d!r} of {count} values exceeds "
+                           f"enumeration bound {args.bound}")
     # rows of ints (d, formula, enumerated), written one by one after the
     # mismatches, which sorted keys print first
     rows = []
-    for d in ds:
+    for d in range(first, hi + 1, step):
         r = cusps.nu(cusps.PolarizationCase(d, args.case), args.bound)
         rows.append((d, r.formula, r.enumerated))
     mismatches = sum(1 for _, formula, enumerated in rows if formula != enumerated)

@@ -320,48 +320,39 @@ def _realize_candidate(case: PolarizationCase, cand: Candidate, target_form,
         subgroups = []  # a finite-index overlattice has the signature of its base
     elif cand.glue_gens is not None:
         fqf.require_isotropic(subgroups[0])  # the error perp_quotient gives
-    # Glues in one orbit of the tau generators give isometric overlattices,
-    # so the root certificate and the genus test each take one value per
-    # orbit, a scan of the sorted glues meets each orbit first at its least
-    # member, and a glue that fails the genus test rules out its whole orbit
-    # (``failed``).  R(E) = R(R) exactly when the glue adds no roots, which
-    # the coset minima of H, built once per base, decide without a Gram
-    # matrix of E; R(R) is the declared system unless a <-2> summand adds a
-    # root.  So without a <-2> summand the first glue that passes the
-    # certificate and then the genus is the least member of the first orbit
-    # that passes both.  Otherwise the glues that fail the certificate are
-    # scanned from the greatest down: the first genus match lies in the
-    # matching orbit with the greatest member, and the row is computed on
-    # that orbit's least member, whose roots are enumerated to name them.
+    # Glues in one tau-orbit give isometric overlattices, so the certificate
+    # and the genus test run once per orbit, at its least member, in one
+    # ascending pass.  R(E) = R(R), the declared system unless a <-2> summand
+    # adds a root, exactly when the glue adds no roots, which the coset minima
+    # decide without a Gram matrix of E.  The first orbit that passes both
+    # gives the row; else the orbits that fail the certificate are tested from
+    # the greatest member down, and the first genus match gives the row, with
+    # the roots of its least member enumerated to name them.
     certifiable = all(c.kind != "unit" or c.param != -2 for c in gd.components)
     actions = glue_mod._generator_actions(gd)
-    chosen, rejected, failed = None, subgroups, set()
-    if certifiable:
-        rejected = []
-        minima = glue_mod._coset_minima(gd) if subgroups else None
-        for s in (t for t in subgroups if t.elements not in failed):
-            if glue_mod.glue_adds_roots(gd, s, minima):
-                rejected.append(s)
-                continue
-            quotient = fqf.perp_quotient(gd.disc, s)
+    minima = glue_mod._coset_minima(gd) if certifiable and subgroups else None
+    visited, adding = set(), []
+    for s in subgroups:
+        if s.elements in visited:
+            continue
+        orbit = glue_mod._glue_orbit(actions, s)
+        visited.update(orbit[1])
+        if not certifiable or glue_mod.glue_adds_roots(gd, s, minima):
+            adding.append(orbit)
+            continue
+        quotient = fqf.perp_quotient(gd.disc, s)
+        if fqf.are_isometric(quotient[0], target_form, bound)[0]:
+            rs = declared
+            break
+    else:
+        for orbit in sorted(adding, key=lambda o: max(o[1]), reverse=True):
+            quotient = fqf.perp_quotient(gd.disc, orbit[0])
             if fqf.are_isometric(quotient[0], target_form, bound)[0]:
-                chosen, rs = s, declared
+                rs = glue_mod.root_system(glue_mod.overlattice(gd, orbit[0]), bound)
                 break
-            failed.update(glue_mod._glue_orbit(actions, s)[1])
-    if chosen is None:
-        for s in (t for t in reversed(rejected) if t.elements not in failed):
-            quotient = fqf.perp_quotient(gd.disc, s)
-            words = glue_mod._glue_orbit(actions, s)[1]
-            if fqf.are_isometric(quotient[0], target_form, bound)[0]:
-                chosen = next(t for t in subgroups if t.elements in words)
-                break
-            failed.update(words)
         else:
             return OneDimRow(cand, False, False)
-        if chosen is not s:
-            quotient = fqf.perp_quotient(gd.disc, chosen)
-        rs = glue_mod.root_system(glue_mod.overlattice(gd, chosen), bound)
-    tau = glue_mod.image_of_tau(*quotient, glue_mod._glue_orbit(actions, chosen), actions)
+    tau = glue_mod.image_of_tau(*quotient, orbit, actions)
     return OneDimRow(cand, True, rs.components == declared.components, rs.spec_string(),
                      im_tau=tau.size)
 

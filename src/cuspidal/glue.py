@@ -59,12 +59,12 @@ acts on A_E = H^perp/H.  By Schreier's lemma
 t_gK^-1 g t_K, for K in the orbit of H, g a generator and t_K the word of
 a Schreier tree carrying H to K, whose inverse is the reversed word; one
 breadth-first search from H builds the orbit and the tree
-(``_glue_orbit``), only for a glue whose Im tau is wanted or whose
-orbit a failed genus test rules out.  They are evaluated on lifts of the
-generators of A_E only, checked to preserve q on those and b on their
-pairs, and closed in O(A_E), and ``image_of_tau`` returns the sorted
-maps.  Whether this group always gives the full image of tau is recorded
-as an assumption, so dependent counts are reported as conditional.
+(``_glue_orbit``), once per orbit that the choice of a glue visits, and
+Im tau reads the chosen orbit from that search.  They are evaluated on
+lifts of the generators of A_E only, checked to preserve q on those and b
+on their pairs, and closed in O(A_E), and ``image_of_tau`` returns the
+sorted maps.  Whether this group always gives the full image of tau is
+recorded as an assumption, so dependent counts are reported as conditional.
 """
 
 from collections import namedtuple
@@ -509,7 +509,8 @@ def _glue_orbit(actions, glue: FqfSubgroup) -> tuple:
     breadth-first search: ``words`` maps each glue K of the orbit (its sorted
     elements) to the generators, first applied first, carrying ``glue`` to K
     along a Schreier tree, and ``edges`` maps K to its images under the
-    actions."""
+    actions.  A search of glues runs it once per orbit, from the first member
+    it meets, and hands the chosen orbit to ``image_of_tau``."""
     words, edges, queue = {glue.elements: ()}, {}, [glue.elements]
     for key in queue:
         edges[key] = tuple(tuple(sorted(map(memo.__getitem__, key))) for memo in actions)

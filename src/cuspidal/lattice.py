@@ -121,14 +121,6 @@ def _minus_cartan_chain(n: int):
     return g
 
 
-def U() -> Lattice:
-    return make_standard("U")
-
-
-def rank1(n: int) -> Lattice:
-    return make_standard("rank1", n)
-
-
 def direct_sum(*parts: Lattice) -> Lattice:
     """Orthogonal sum; its determinant is the product of those of the parts,
     its signature their sum, and it is even when every part is."""
@@ -218,9 +210,9 @@ def parse_name(name: str) -> Lattice:
     parts = []
     for atom, t in parse_terms(name):
         if atom == "U":
-            base = U()
+            base = make_standard("U")
         elif atom.startswith("<"):
-            base = rank1(int(atom[1:-1]))
+            base = make_standard("rank1", int(atom[1:-1]))
         else:
             base = make_standard(atom[0], int(atom[1:]))
         parts.append(base if t is None else twist(base, t))

@@ -166,6 +166,13 @@ class TestSweep:
         assert captured.err == ("error: sweep range '4..6' holds no d = 3 mod 4, "
                                 "which the nonsplit embedding needs\n")
 
+    def test_nonsplit_bound_counts_the_d_computed(self, capsys):
+        # 3..50 holds 48 d but only the 12 with d = 3 mod 4 are computed
+        code, out = invoke(capsys, ["cusp", "sweep", "--d", "3..50", "--case", "nonsplit",
+                                    "--bound", "12"])
+        assert code == 0
+        assert [r["d"] for r in json.loads(out)["rows"]] == list(range(3, 51, 4))
+
     def test_rows_are_the_d_of_the_range(self, capsys):
         code, out = invoke(capsys, ["cusp", "sweep", "--d", "1..12"])
         assert code == 0
@@ -366,6 +373,13 @@ class TestInputErrors:
             (["glue", "roots", "E8", "--bound", "100"], None,
              "short vector search exceeds enumeration bound 100"),
             (["lat", "info", "E8+A1(0)"], None, "lattice term 'A1(0)' has twist 0"),
+            # a non-split sweep counts only the d = 3 mod 4 it computes
+            (["cusp", "sweep", "--d", "3..50", "--case", "nonsplit", "--bound", "11"], None,
+             "sweep range '3..50' of 12 values exceeds enumeration bound 11"),
+            (["cusp", "sweep", "--d", f"1..{10**40}", "--case", "nonsplit"], None,
+             f"of {10**40 // 4} values exceeds enumeration bound 1000000"),
+            (["cusp", "sweep", "--d", "4..6", "--case", "nonsplit", "--bound", "1"], None,
+             "sweep range '4..6' holds no d = 3 mod 4"),
         ],
     )
     def test_outside_input_exits_two(self, capsys, tmp_path, argv, candidates, message):
@@ -539,11 +553,13 @@ def test_table1_builds_no_overlattice_and_enumerates_no_roots(capsys, monkeypatc
     over = _count_calls(monkeypatch, glue.overlattice, [glue])
     short = _count_calls(monkeypatch, glue.short_vectors, [glue])
     certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
+    orbits = _count_calls(monkeypatch, glue._glue_orbit, [glue])
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
     assert len(over) == 0 and len(short) == 0
-    # every glue that the sorted scan meets up to each row's first match
-    assert len(certified) == 28
+    # one certificate and one orbit search per tau-orbit that the ascending
+    # pass meets up to each row's first match; Im tau reads the last of them
+    assert len(certified) == 20 and len(orbits) == 20
 
 
 def test_table1_builds_the_coset_minima_once_per_base(capsys, monkeypatch):
@@ -553,8 +569,9 @@ def test_table1_builds_the_coset_minima_once_per_base(capsys, monkeypatch):
     certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
     code, out = invoke(capsys, ["verify", "table1", "--format", "json"])
     assert code == 0 and json.loads(out)["all_ok"] is True
-    # 13 bases, and the 28 glues certified among them share their base's minima
-    assert len(builds) == 13 and len(certified) == 28
+    # 13 bases, and the 20 glue orbits certified among them share their
+    # base's minima
+    assert len(builds) == 13 and len(certified) == 20
 
 
 def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
@@ -572,10 +589,11 @@ def test_table1_tries_one_glue_per_orbit(capsys, monkeypatch):
 def test_cusp_one_tests_the_genus_once_per_glue_orbit(capsys, monkeypatch, tmp_path):
     from cuspidal import fqf, glue
 
-    # A2+D8+D8 has an orbit of 4 certified glues that fail the genus test,
-    # D4+D4+D4+E6 matches the genus with none of its 45 glues (2 orbits),
-    # and A2+A3+A3+D5+D5 takes the last match after 3 failing orbits of its
-    # 21 glues; testing every glue took 9 + 45 + 12 quotients
+    # the 9 glues of A2+D8+D8 form 3 orbits, one of which passes the root
+    # certificate and fails the genus test; D4+D4+D4+E6 matches the genus
+    # with neither orbit of its 45 glues; the 21 glues of A2+A3+A3+D5+D5
+    # form 4 orbits, all adding roots, and the last match is the third
+    # tested; testing every glue took 9 + 45 + 12 quotients
     path = tmp_path / "candidates.json"
     path.write_text(json.dumps([{"roots": r} for r in
                                 ("A2+D8+D8", "D4+D4+D4+E6", "A2+A3+A3+D5+D5")]))
@@ -586,11 +604,22 @@ def test_cusp_one_tests_the_genus_once_per_glue_orbit(capsys, monkeypatch, tmp_p
     rows = json.loads(out)["one_dim"]["candidates"]
     assert code == 1 and [r["genus_ok"] for r in rows] == [False, False, True]
     assert rows[2]["roots"] == "D10+D6+A2" and rows[2]["im_tau"] == 2
-    # one quotient and one orbit search per orbit tried, the chosen glue's
-    # quotient and orbit again; of the 9 + 45 + 21 glues, the 3 after the
-    # least member of the failing certified orbit go uncertified
-    assert len(quotients) == 3 + 2 + 4 and len(orbits) == 3 + 2 + 4
-    assert len(certified) == 9 + 45 + 21 - 3
+    # one orbit search and one certificate per orbit, Im tau included, and
+    # one quotient per orbit whose genus is tested
+    assert len(quotients) == 3 + 2 + 3
+    assert len(orbits) == len(certified) == 3 + 2 + 4
+
+
+def test_cusp_one_certifies_each_glue_orbit_once(capsys, monkeypatch):
+    from cuspidal import glue
+
+    # the 135 glues of 3D4+D6 form 3 orbits, each matching the genus and
+    # adding roots; certifying every glue took 135 certificates
+    certified = _count_calls(monkeypatch, glue.glue_adds_roots, [glue])
+    code, out = invoke(capsys, ["cusp", "one", "--d", "1", "--candidates",
+                                str(GOLDEN / "cusp_one_d1_3D4+D6_candidates.json")])
+    assert code == 1 and json.loads(out)["one_dim"]["candidates"][0]["roots"] == "D12+D6"
+    assert len(certified) == 3
 
 
 def test_table1_takes_sum_invariants_from_the_summands(capsys, monkeypatch):
@@ -849,6 +878,11 @@ GOLDENS = [
     # at d = 3: two bases with no genus match and one last match
     (["cusp", "one", "--d", "3", "--candidates", str(GOLDEN / "cusp_one_d3_candidates.json")],
      "cusp_one_d3.json"),
+    # every glue orbit of 3D4+D6 matches the genus and adds roots, so the
+    # last match names D12+D6
+    (["cusp", "one", "--d", "1", "--candidates",
+      str(GOLDEN / "cusp_one_d1_3D4+D6_candidates.json")],
+     "cusp_one_d1_3D4+D6.json"),
 ]
 
 

@@ -73,7 +73,7 @@ class TestDiscriminantForm:
         assert b_matrix(a)[0][1] == 0
 
     def test_unimodular_trivial(self):
-        assert fqf.discriminant_form(lat.U())[0].cardinality == 1
+        assert fqf.discriminant_form(lat.make_standard("U"))[0].cardinality == 1
         assert fqf.discriminant_form(lat.make_standard("E", 8))[0].cardinality == 1
 
     def test_b3(self):

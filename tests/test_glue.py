@@ -113,13 +113,13 @@ class TestShortVectors:
         assert len(glue.short_vectors(lat.make_standard("D", h), -2)) == h * (h - 1)
 
     def test_norm_minus_four(self):
-        assert glue.short_vectors(lat.rank1(-4), -4) == [(1,)]
-        assert glue.short_vectors(lat.rank1(-4), -2) == []
+        assert glue.short_vectors(lat.make_standard("rank1", -4), -4) == [(1,)]
+        assert glue.short_vectors(lat.make_standard("rank1", -4), -2) == []
 
     def test_indefinite_rejected(self):
         with pytest.raises(BadParameter,
                            match="^short vector enumeration needs a negative definite lattice$"):
-            glue.short_vectors(lat.U(), -2)
+            glue.short_vectors(lat.make_standard("U"), -2)
 
     def test_closed_under_weyl_reflection(self):
         L = lat.make_standard("A", 3)
@@ -273,7 +273,7 @@ class TestRootSystems:
             glue._classify_component(block)
 
     def test_unit_has_no_roots(self):
-        rs = glue.root_system(lat.rank1(-4))
+        rs = glue.root_system(lat.make_standard("rank1", -4))
         assert rs.components == () and rs.total_roots == 0
 
     def test_direct_sum_property(self):

@@ -37,7 +37,7 @@ class TestConstructors:
         assert lat.make_standard("E", 6).det == 3
         assert lat.make_standard("E", 7).det == -2
         assert lat.make_standard("E", 8).det == 1
-        assert lat.U().det == -1
+        assert lat.make_standard("U").det == -1
         for d in (3, 7, 11, 15, 19):
             assert lat.make_standard("B", d).det == d
 
@@ -45,7 +45,7 @@ class TestConstructors:
         assert lat.make_standard("B", 3).gram == ((-2, 1), (1, -2))
 
     def test_u_signature(self):
-        assert lat.U().signature == (1, 1)
+        assert lat.make_standard("U").signature == (1, 1)
 
     def test_e8_negative_definite_even(self):
         e8 = lat.make_standard("E", 8)
@@ -57,14 +57,14 @@ class TestConstructors:
         with pytest.raises(BadParameter):
             lat.make_standard("D", 3)
         with pytest.raises(BadParameter):
-            lat.rank1(3)
+            lat.make_standard("rank1", 3)
         with pytest.raises(BadParameter):
             lat.make_standard("E", 5)
 
     def test_direct_sum_and_twist(self):
         n = lat.parse_name("U+U+E8+E8+<-2>+<-2>")
         assert (n.rank, n.det, n.signature) == (22, 4, (2, 20))
-        u2 = lat.twist(lat.U(), 2)
+        u2 = lat.twist(lat.make_standard("U"), 2)
         assert u2.gram == ((0, 2), (2, 0)) and u2.det == -4
         with pytest.raises(BadParameter):
             lat.direct_sum()
@@ -73,7 +73,7 @@ class TestConstructors:
         with pytest.raises(BadParameter, match="gram matrix must be symmetric"):
             lat.from_gram([[-2, 1], [0, -2]])
         with pytest.raises(BadParameter, match="twist parameter must be a positive integer"):
-            lat.twist(lat.U(), 0)
+            lat.twist(lat.make_standard("U"), 0)
 
     def test_k3_square_lattice(self):
         L = k3_square()
@@ -118,7 +118,8 @@ def test_twist_runs_no_elimination(monkeypatch):
 # one lattice for each way a lattice is built
 ROUTES = {
     "standard": lat.make_standard("D", 5),
-    "direct sum": lat.direct_sum(lat.U(), lat.make_standard("A", 3), lat.rank1(-6)),
+    "direct sum": lat.direct_sum(lat.make_standard("U"), lat.make_standard("A", 3),
+                                 lat.make_standard("rank1", -6)),
     "twist of twist": lat.twist(lat.twist(lat.make_standard("B", 7), 2), 3),
     "json": lat.lattice_from_json(lattice_to_json(lat.parse_name("U+A2"))),
     "overlattice": glue.overlattice(*glue_of("4A1", [(1, 1, 1, 1)])),
@@ -179,7 +180,7 @@ class TestVectors:
 
     def test_divisibility_errors(self):
         with pytest.raises(BadParameter, match="^divisibility of the zero vector is undefined$"):
-            claims.divisibility(lat.U(), (0, 0))
+            claims.divisibility(lat.make_standard("U"), (0, 0))
 
     def test_class_of_square_minus_ten(self):
         L = k3_square()
@@ -206,7 +207,7 @@ class TestComplements:
         assert abs(comp.lattice.det) == 12
 
     def test_isotropic_member_degenerates(self):
-        u = lat.U()
+        u = lat.make_standard("U")
         with pytest.raises(BadParameter, match="^form restricted to sublattice is degenerate$"):
             claims.orthogonal_complement(u, [basis(u)[0]])
 
@@ -283,7 +284,7 @@ class TestIsometries:
         e8 = lat.make_standard("E", 8)
         assert group_claims.spinor_norm(group_claims.reflection(e8, basis(e8)[0])) == 1
         w = (1, 1)  # norm +2 in U
-        assert group_claims.spinor_norm(group_claims.reflection(lat.U(), w)) == -1
+        assert group_claims.spinor_norm(group_claims.reflection(lat.make_standard("U"), w)) == -1
 
     def test_minus_id_on_two_torsion(self):
         L = lat.parse_name("<-2>+<-2>")
@@ -304,7 +305,7 @@ class TestIsometries:
 
     def test_minus_id_spinor_matches_positive_part(self):
         # sn(-id) = (-1)^{r} for signature (r, s)
-        assert group_claims.spinor_norm(minus_identity(lat.U())) == -1
+        assert group_claims.spinor_norm(minus_identity(lat.make_standard("U"))) == -1
         assert group_claims.spinor_norm(minus_identity(lat.make_standard("A", 2))) == 1
 
     def test_signed_permutation_compares_moved_with_fixed_indices(self):
@@ -321,7 +322,7 @@ class TestIsometries:
 
     def test_not_isometry(self):
         with pytest.raises(BadParameter, match="^matrix does not preserve the form$"):
-            group_claims.Isometry(lat.U(), [[1, 1], [0, 1]])
+            group_claims.Isometry(lat.make_standard("U"), [[1, 1], [0, 1]])
 
     def test_compose(self):
         # the product of the two simple reflections of A2 is the Coxeter
@@ -332,11 +333,11 @@ class TestIsometries:
         assert c == group_claims.Isometry(L, matmul(r0.matrix, r1.matrix))
         assert compose(compose(c, c), c) == group_claims.Isometry.identity(L)
         with pytest.raises(BadParameter, match="^isometries of different lattices$"):
-            compose(r0, group_claims.Isometry.identity(lat.U()))
+            compose(r0, group_claims.Isometry.identity(lat.make_standard("U")))
 
     def test_hat_membership(self):
         # -id acts as -id on A_L of <-8>, with det -1 in rank 1
-        L = lat.rank1(-8)
+        L = lat.make_standard("rank1", -8)
         flags = group_claims.group_membership(minus_identity(L))
         assert flags.disc_action == "-id"
         assert flags.det == -1
